@@ -7,10 +7,12 @@ identical (config, seed) pairs reproduce byte-identical tables and traces.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .geometry import (
     cross_task_projection_eval,
     linear_task_probe,
@@ -250,6 +252,21 @@ def rows_to_table(rows: dict[str, dict[str, float]]) -> ScoreTable:
 # ---------------------------------------------------------------------------
 
 
+def _cosine_auc_eval(pairs: TaskPairs) -> Callable[[np.ndarray], float]:
+    """Verification AUC of projected coordinates, scored by cosine on the
+    re-normalised rows. A row that projects to zero has no direction and
+    raises ContractError instead of scoring NaN."""
+
+    def closure(coords: np.ndarray) -> float:
+        norms = np.linalg.norm(coords, axis=1, keepdims=True)
+        if not (norms > 0.0).all():
+            raise ContractError("a projected embedding has zero norm; its cosine is undefined")
+        normed = coords / norms
+        return roc_auc(_pair_scores(normed, pairs.genuine), _pair_scores(normed, pairs.impostor))
+
+    return closure
+
+
 def geometry_suite(
     params: EncoderParams,
     eval_corpus: Corpus,
@@ -294,15 +311,6 @@ def geometry_suite(
         angle_rows,
     )
 
-    def auc_eval(name: str):
-        pairs = pair_plan[name]
-
-        def closure(coords: np.ndarray) -> float:
-            normed = coords / np.linalg.norm(coords, axis=1, keepdims=True)
-            return roc_auc(_pair_scores(normed, pairs.genuine), _pair_scores(normed, pairs.impostor))
-
-        return closure
-
     first_within = {}
     self_projection = {}
     for src in names:
@@ -312,7 +320,7 @@ def geometry_suite(
             if tgt == src:
                 continue
             sweep = projection_sweep(
-                basis, emb[tgt], auc_eval(tgt), max_k=ev.projection_max_pcs
+                basis, emb[tgt], _cosine_auc_eval(pair_plan[tgt]), max_k=ev.projection_max_pcs
             )
             rows.extend([tgt, k, v, d] for k, v, d in sweep)
             hit = next((k for k, _, d in sweep if abs(d) <= 0.02), None)
@@ -320,7 +328,9 @@ def geometry_suite(
         _write_rows(outdir / f"projection_{src}.csv", ["target", "k", "auc", "delta_auc"], rows)
         # Same-task loss at the 99%-variance dimension: reported, not gated.
         k99 = min(subspaces[src].dim, basis.dim)
-        _, delta = cross_task_projection_eval(basis, k99, emb[src], auc_eval(src))
+        _, delta = cross_task_projection_eval(
+            basis, k99, emb[src], _cosine_auc_eval(pair_plan[src])
+        )
         self_projection[src] = {"k": k99, "delta_auc": float(delta)}
 
     plane = pca(pooled)
@@ -372,7 +382,7 @@ def run(
     summary manifest naming every emitted file.
     """
     if seed is not None:
-        config.seed = seed
+        config = dataclasses.replace(config, seed=seed)
     outdir = Path(output_dir if output_dir is not None else config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     result = RunResult(output_dir=outdir)
@@ -495,7 +505,7 @@ def run_forgetting_comparison(
     adaptive interleaved. Reports each model's pretrain-task accuracy drop
     and expert-mode multi-task index."""
     if seed is not None:
-        config.seed = seed
+        config = dataclasses.replace(config, seed=seed)
     fg = config.forgetting
     if not fg.pretrain_task:
         raise ConfigurationError("forgetting comparison requires forgetting.pretrain_task")

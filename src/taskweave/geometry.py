@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ContractError
 
@@ -112,40 +111,103 @@ def principal_angles(f: Subspace, g: Subspace) -> np.ndarray:
     return np.where(sigma**2 > 0.5, from_sin, from_cos)
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+# Newton solve of the task probe. The objective is fixed: summed
+# cross-entropy plus half the squared norm of the non-bias weights, i.e. the
+# MAP fit under a standard-normal prior (equivalently mean loss plus
+# ||W||^2 / 2n). The prior keeps the optimum unique and finite even when a
+# training fold is linearly separable, so the answer never depends on where
+# an iterative solver stops.
+_NEWTON_GTOL = 1e-8
+_NEWTON_MAX_ITER = 50
+_ARMIJO_C = 1e-4
+_MAX_HALVINGS = 40
+# A predicted decrease this close to the rounding of the objective cannot be
+# judged by comparing objective values; the full Newton step is taken.
+_RESOLVABLE = 1e3 * np.finfo(np.float64).eps
+
+
+def _contrast_basis(n_classes: int) -> np.ndarray:
+    """Orthonormal sum-to-zero contrasts (Helmert), shape (C, C-1).
+
+    Class scores are W = V B^T, so every W has zero row sums (the softmax
+    gauge is removed without a reference class) and ||W|| = ||V||: the
+    penalty treats all classes alike.
+    """
+    B = np.zeros((n_classes, n_classes - 1))
+    for j in range(1, n_classes):
+        B[:j, j - 1] = 1.0
+        B[j, j - 1] = -float(j)
+        B[:, j - 1] /= np.sqrt(j * (j + 1.0))
+    return B
+
+
+def _probe_objective(
+    Xb: np.ndarray, y: np.ndarray, basis: np.ndarray, V: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Penalised summed cross-entropy at V and the class probabilities."""
+    Z = (Xb @ V) @ basis.T
+    top = Z.max(axis=1, keepdims=True)
+    E = np.exp(Z - top)
+    total = E.sum(axis=1, keepdims=True)
+    nll = (np.log(total) + top).sum() - Z[np.arange(y.size), y].sum()
+    return float(nll + 0.5 * (V[:-1] ** 2).sum()), E / total
 
 
 def _fit_multinomial(
-    X: np.ndarray, y: np.ndarray, n_classes: int, ridge: float, gtol: float
+    Xb: np.ndarray, y: np.ndarray, basis: np.ndarray, start: np.ndarray | None = None
 ) -> np.ndarray:
-    """Multinomial logistic weights (d+1, C) found by L-BFGS on the convex
-    cross-entropy objective, run to the gradient-norm tolerance."""
-    n, d = X.shape
-    Xb = np.hstack([X, np.ones((n, 1))])
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
+    """Contrast weights V, shape (d+1, C-1), of the probe objective.
 
-    def objective(theta):
-        W = theta.reshape(d + 1, n_classes)
-        probs = _softmax_rows(Xb @ W)
-        loss = -np.log(probs[np.arange(n), y] + 1e-300).mean()
-        grad = Xb.T @ (probs - onehot) / n
-        if ridge > 0:
-            loss += 0.5 * ridge * (W[:-1] ** 2).sum()
-            grad[:-1] += ridge * W[:-1]
-        return loss, grad.ravel()
-
-    result = minimize(
-        objective,
-        np.zeros((d + 1) * n_classes),
-        jac=True,
-        method="L-BFGS-B",
-        options={"gtol": gtol, "maxiter": 1000, "ftol": 0.0},
+    ``Xb`` carries a trailing ones column (the unpenalised bias). Damped
+    Newton with Armijo backtracking, stopped when the max-abs gradient is at
+    most 1e-8; raises ContractError if that takes more than 50 iterations or
+    a Newton step cannot be formed.
+    """
+    p = Xb.shape[1]
+    K = basis.shape[1]
+    V = np.zeros((p, K)) if start is None else np.array(start, dtype=np.float64)
+    penalised = np.ones(p)
+    penalised[-1] = 0.0
+    target = basis[y]  # (n, K): one-hot labels in contrast coordinates
+    pairs = [(j, k) for j in range(K) for k in range(j, K)]
+    products = np.stack([basis[:, j] * basis[:, k] for j, k in pairs], axis=1)
+    f, P = _probe_objective(Xb, y, basis, V)
+    for _ in range(_NEWTON_MAX_ITER):
+        PB = P @ basis
+        grad = Xb.T @ (PB - target) + penalised[:, None] * V
+        if np.abs(grad).max() <= _NEWTON_GTOL:
+            return V
+        # Per-sample curvature B^T (diag(p) - p p^T) B, one column per block.
+        curv = P @ products
+        H = np.empty((K * p, K * p))
+        for col, (j, k) in enumerate(pairs):
+            a = curv[:, col] - PB[:, j] * PB[:, k]
+            block = (Xb * a[:, None]).T @ Xb
+            H[j * p : (j + 1) * p, k * p : (k + 1) * p] = block
+            H[k * p : (k + 1) * p, j * p : (j + 1) * p] = block.T
+        H[np.diag_indices(K * p)] += np.tile(penalised, K)
+        g = grad.T.ravel()
+        try:
+            step = np.linalg.solve(H, -g).reshape(K, p).T
+        except np.linalg.LinAlgError:
+            raise ContractError("task probe Hessian is singular") from None
+        slope = float(g @ step.T.ravel())
+        if -slope <= _RESOLVABLE * (1.0 + abs(f)):
+            V = V + step
+            f, P = _probe_objective(Xb, y, basis, V)
+            continue
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            f_new, P_new = _probe_objective(Xb, y, basis, V + t * step)
+            if f_new <= f + _ARMIJO_C * t * slope:
+                break
+            t *= 0.5
+        else:
+            raise ContractError("task probe line search found no decrease")
+        V, f, P = V + t * step, f_new, P_new
+    raise ContractError(
+        f"task probe Newton solve did not converge in {_NEWTON_MAX_ITER} iterations"
     )
-    return result.x.reshape(d + 1, n_classes)
 
 
 def _stratified_folds(y: np.ndarray, folds: int) -> np.ndarray:
@@ -162,26 +224,39 @@ def linear_task_probe(
     embeddings: np.ndarray,
     task_labels,
     folds: int = 10,
-    ridge: float = 0.0,
-    gtol: float = 1e-8,
 ) -> tuple[float, float]:
     """Stratified k-fold CV accuracy of a linear classifier predicting the
-    task an embedding came from. Returns (mean, std) across folds."""
+    task an embedding came from. Returns (mean, std) across folds.
+
+    Each fold fits multinomial logistic regression by MAP under a
+    standard-normal prior on the non-bias weights: summed cross-entropy plus
+    ||W||^2 / 2, the bias unpenalised (mean loss plus ||W||^2 / 2n for a
+    training fold of n rows). Class scores use an orthonormal sum-to-zero
+    contrast basis, so no task is a reference class and the penalty is
+    symmetric in the tasks. The fit is an exact Newton solve to a max-abs
+    gradient of 1e-8; the optimum is unique and finite even on separable
+    folds. A solve that does not converge raises ContractError.
+    """
     X = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(task_labels)
     if X.shape[0] != labels.size:
         raise ContractError("labels must align with embedding rows")
     classes, y = np.unique(labels, return_inverse=True)
+    if classes.size < 2:
+        raise ContractError("a task probe needs at least two tasks")
     counts = np.bincount(y)
     if (counts < folds).any():
         raise ContractError(f"every task needs at least {folds} samples")
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    basis = _contrast_basis(classes.size)
     fold_of = _stratified_folds(y, folds)
     accs = []
+    V = None
     for f in range(folds):
         held = fold_of == f
-        W = _fit_multinomial(X[~held], y[~held], classes.size, ridge, gtol)
-        Xb = np.hstack([X[held], np.ones((held.sum(), 1))])
-        pred = (Xb @ W).argmax(axis=1)
+        # Warm start: the optimum is unique, so this changes the cost only.
+        V = _fit_multinomial(Xb[~held], y[~held], basis, V)
+        pred = ((Xb[held] @ V) @ basis.T).argmax(axis=1)
         accs.append((pred == y[held]).mean())
     return float(np.mean(accs)), float(np.std(accs))
 
@@ -204,7 +279,6 @@ def sliding_window_probe(
     task_labels,
     window: int = 3,
     folds: int = 10,
-    ridge: float = 0.0,
 ) -> ProbeCurve:
     """Probe task identity from each window of ``window`` consecutive PCs of
     the pooled embeddings, sliding from early to late components."""
@@ -216,7 +290,7 @@ def sliding_window_probe(
     starts, means, stds = [], [], []
     for start in range(space.dim - window + 1):
         mean, std = linear_task_probe(
-            coords[:, start : start + window], task_labels, folds=folds, ridge=ridge
+            coords[:, start : start + window], task_labels, folds=folds
         )
         starts.append(start)
         means.append(mean)

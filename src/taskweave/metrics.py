@@ -18,6 +18,11 @@ EXPERT = "expert"
 HUMAN = "human"
 
 
+def _require_finite(*score_sets: np.ndarray) -> None:
+    if not all(np.isfinite(scores).all() for scores in score_sets):
+        raise ContractError("scores must be finite")
+
+
 def pairwise_cosine(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
     """Cosine similarity matrix between two sets of unit-norm rows."""
     emb_a = np.asarray(emb_a, dtype=np.float64)
@@ -38,6 +43,7 @@ def tar_at_far(genuine_scores, impostor_scores, far: float) -> float:
     impostor = np.asarray(impostor_scores, dtype=np.float64)
     if genuine.size == 0 or impostor.size == 0:
         raise ContractError("both score sets must be non-empty")
+    _require_finite(genuine, impostor)
     if not 0.0 < far < 1.0:
         raise ContractError("far must lie in (0, 1)")
     candidates = np.unique(impostor)
@@ -60,6 +66,7 @@ def roc_auc(genuine_scores, impostor_scores) -> float:
     impostor = np.asarray(impostor_scores, dtype=np.float64)
     if genuine.size == 0 or impostor.size == 0:
         raise ContractError("both score sets must be non-empty")
+    _require_finite(genuine, impostor)
     impostor_sorted = np.sort(impostor)
     below = np.searchsorted(impostor_sorted, genuine, side="left")
     below_or_equal = np.searchsorted(impostor_sorted, genuine, side="right")
@@ -119,6 +126,7 @@ def verification_accuracy(pair_scores, pair_labels, folds: int = 10) -> float:
     labels = np.asarray(pair_labels, dtype=bool)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ContractError("pair scores and labels must be aligned 1-D arrays")
+    _require_finite(scores)
     if scores.size < folds:
         raise ContractError(f"need at least {folds} pairs")
     if labels.all() or not labels.any():

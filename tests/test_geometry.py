@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from taskweave import geometry
 from taskweave.errors import ContractError
 from taskweave.geometry import (
     ProbeCurve,
@@ -217,6 +218,117 @@ class TestLinearTaskProbe:
     def test_requires_fold_count_per_class(self):
         with pytest.raises(ContractError, match="samples"):
             linear_task_probe(np.ones((12, 2)), np.repeat([0, 1], 6), folds=10)
+
+
+def with_bias(X):
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def overlapping_classes(seed=20, per_class=30, n_classes=3, dims=2):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((n_classes, dims))
+    y = np.repeat(np.arange(n_classes), per_class)
+    return centers[y] + rng.standard_normal((y.size, dims)), y
+
+
+def fit_scores(X, y, n_classes):
+    """Class scores W (d+1, C) of the probe fit on (X, y)."""
+    basis = geometry._contrast_basis(n_classes)
+    return geometry._fit_multinomial(with_bias(X), y, basis) @ basis.T
+
+
+def probe_gradient(Xb, y, W):
+    """Gradient of summed cross-entropy + ||W[:-1]||^2 / 2 in W."""
+    Z = Xb @ W
+    P = np.exp(Z - Z.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    grad = Xb.T @ (P - np.eye(W.shape[1])[y])
+    grad[:-1] += W[:-1]
+    return grad
+
+
+class TestNewtonProbeSolver:
+    def test_contrast_basis_orthonormal_sum_to_zero(self):
+        for C in (2, 3, 4, 7):
+            B = geometry._contrast_basis(C)
+            np.testing.assert_allclose(B.T @ B, np.eye(C - 1), atol=1e-14)
+            np.testing.assert_allclose(B.sum(axis=0), 0.0, atol=1e-14)
+
+    def test_matches_lbfgs_oracle(self):
+        from scipy.optimize import minimize
+
+        X, y = overlapping_classes()
+        Xb = with_bias(X)
+        p, C = Xb.shape[1], 3
+
+        def objective(theta):
+            W = theta.reshape(p, C)
+            Z = Xb @ W
+            top = Z.max(axis=1)
+            lse = top + np.log(np.exp(Z - top[:, None]).sum(axis=1))
+            loss = (lse - Z[np.arange(y.size), y]).sum() + 0.5 * (W[:-1] ** 2).sum()
+            return loss, probe_gradient(Xb, y, W).ravel()
+
+        oracle = minimize(
+            objective,
+            np.zeros(p * C),
+            jac=True,
+            method="L-BFGS-B",
+            options={"gtol": 1e-11, "ftol": 0.0, "maxiter": 10000},
+        ).x.reshape(p, C)
+        # The oracle's bias row is free up to a constant; compare in the
+        # sum-to-zero gauge the contrast basis fixes.
+        oracle -= oracle.mean(axis=1, keepdims=True)
+        W = fit_scores(X, y, C)
+        np.testing.assert_allclose(W, oracle, atol=1e-6)
+        basis = geometry._contrast_basis(C)
+        assert np.abs(probe_gradient(Xb, y, W) @ basis).max() <= 1e-8
+
+    def test_separable_clusters_give_finite_weights(self):
+        rng = np.random.default_rng(21)
+        centers = 20.0 * np.eye(4)[:, :3]
+        X = np.vstack([c + 0.01 * rng.standard_normal((25, 3)) for c in centers])
+        y = np.repeat(np.arange(4), 25)
+        W = fit_scores(X, y, 4)
+        assert np.isfinite(W).all()
+        assert ((with_bias(X) @ W).argmax(axis=1) == y).all()
+        basis = geometry._contrast_basis(4)
+        assert np.abs(probe_gradient(with_bias(X), y, W) @ basis).max() <= 1e-8
+
+    def test_permuting_labels_permutes_predictions(self):
+        X, y = overlapping_classes(seed=22, n_classes=4, dims=3)
+        perm = np.array([2, 0, 3, 1])
+        grid = np.random.default_rng(23).standard_normal((200, 3)) * 2.0
+        pred = (with_bias(grid) @ fit_scores(X, y, 4)).argmax(axis=1)
+        pred_perm = (with_bias(grid) @ fit_scores(X, perm[y], 4)).argmax(axis=1)
+        assert len(np.unique(pred)) == 4
+        np.testing.assert_array_equal(pred_perm, perm[pred])
+
+    def test_warm_and_cold_starts_agree(self):
+        X, y = overlapping_classes(seed=24, per_class=40, n_classes=4, dims=5)
+        Xb, basis = with_bias(X), geometry._contrast_basis(4)
+        fold_of = geometry._stratified_folds(y, 5)
+        warm, cold, V = [], [], None
+        for f in range(5):
+            held = fold_of == f
+            V = geometry._fit_multinomial(Xb[~held], y[~held], basis, V)
+            V_cold = geometry._fit_multinomial(Xb[~held], y[~held], basis)
+            np.testing.assert_allclose(V, V_cold, atol=1e-8)
+            for weights, accs in ((V, warm), (V_cold, cold)):
+                pred = (Xb[held] @ weights @ basis.T).argmax(axis=1)
+                accs.append((pred == y[held]).mean())
+        assert warm == cold
+        assert linear_task_probe(X, y, folds=5) == (np.mean(warm), np.std(warm))
+
+    def test_non_convergence_raises(self, monkeypatch):
+        X, y = overlapping_classes(seed=25)
+        monkeypatch.setattr(geometry, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(ContractError, match="converge"):
+            fit_scores(X, y, 3)
+
+    def test_single_task_rejected(self):
+        with pytest.raises(ContractError, match="two tasks"):
+            linear_task_probe(np.ones((20, 2)), np.zeros(20, dtype=int))
 
 
 class TestSlidingWindowProbe:

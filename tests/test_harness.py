@@ -1,16 +1,22 @@
 """Config parsing, the experiment runner, artifact layout, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import taskweave
 from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
-from taskweave.errors import ValidationError
+from taskweave.errors import ContractError, ValidationError
 from taskweave.experiments import (
+    TaskPairs,
+    _cosine_auc_eval,
     bundled_reference_table,
     run,
     run_forgetting_comparison,
@@ -140,8 +146,45 @@ class TestRun:
         evaluate_row(params, train_corpus, eval_corpus, config)
         assert manifest.read_bytes() == before
 
+    def test_seed_override_leaves_config_unchanged(self, tmp_path):
+        config = tiny_config(tmp_path / "out")
+        config.evaluation.suites = ["scores"]
+        before = config.to_dict()
+        run(config, seed=99)
+        assert config.to_dict() == before
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["seed"] == 99
+
+
+class TestProjectedAuc:
+    def test_zero_norm_projected_row_raises(self):
+        pairs = TaskPairs(genuine=np.array([[0, 1]]), impostor=np.array([[0, 2]]))
+        evaluate = _cosine_auc_eval(pairs)
+        coords = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
+        assert evaluate(coords) == 1.0
+        coords[2] = 0.0
+        with pytest.raises(ContractError, match="zero norm"):
+            evaluate(coords)
+
+
+def test_import_skips_scipy_optimize():
+    src = str(Path(taskweave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, taskweave.experiments; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
 
 class TestForgettingComparison:
+    def test_seed_override_leaves_config_unchanged(self, tmp_path):
+        config = tiny_config(tmp_path / "out")
+        config.forgetting.finetune_epochs = 0
+        before = config.to_dict()
+        run_forgetting_comparison(config, seed=99)
+        assert config.to_dict() == before
+
     def test_zero_finetune_leaves_models_identical(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         config.forgetting.finetune_epochs = 0

@@ -64,6 +64,13 @@ class TestTarAtFar:
         scores = np.arange(1, 11, dtype=float)
         assert tar_at_far(scores, scores, 0.5) == 0.5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            tar_at_far([0.9, bad], [0.1, 0.2], 0.1)
+        with pytest.raises(ContractError, match="finite"):
+            tar_at_far([0.9, 0.8], [bad, 0.2], 0.1)
+
     def test_hand_threshold_admits_top_impostor(self):
         impostor = np.arange(0.1, 1.01, 0.1)
         genuine = np.array([0.95, 1.0, 0.99, 0.5])
@@ -113,6 +120,13 @@ class TestRocAuc:
     def test_hand_pair_count(self):
         # 3 wins, 0 ties out of 4 pairs.
         assert roc_auc([0.9, 0.4], [0.5, 0.1]) == 0.75
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            roc_auc([0.9, bad], [0.1, 0.2])
+        with pytest.raises(ContractError, match="finite"):
+            roc_auc([0.9, 0.8], [0.1, bad])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_pair_enumeration(self, seed):
@@ -206,6 +220,14 @@ class TestVerificationAccuracy:
         labels = np.concatenate([np.ones(10, bool), np.zeros(10, bool)])
         order = np.argsort(np.tile(np.arange(10), 2), kind="stable")
         assert verification_accuracy(scores[order], labels[order]) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        scores = np.linspace(0.0, 1.0, 20)
+        scores[3] = bad
+        labels = np.arange(20) % 2 == 0
+        with pytest.raises(ContractError, match="finite"):
+            verification_accuracy(scores, labels)
 
     def test_chance_for_shuffled_labels(self):
         rng = np.random.default_rng(0)
