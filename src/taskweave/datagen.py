@@ -352,6 +352,8 @@ class Loader:
             self._indices = np.sort(rng.choice(data.n_samples, size=keep, replace=False))
         else:
             self._indices = np.arange(data.n_samples)
+        counts = np.bincount(data.labels[self._indices])
+        self._class_sizes = counts[counts > 0]
         self.refreshes = 0
         self._refresh()
 
@@ -378,8 +380,7 @@ class Loader:
             raise ConfigurationError(
                 f"task {self.task!r}: batch P*K = {p * k} exceeds dataset size {self.size}"
             )
-        counts = np.bincount(self._data.labels[self._indices])
-        if (counts[counts > 0] < k).any():
+        if (self._class_sizes < k).any():
             raise ConfigurationError(f"task {self.task!r}: every class needs >= K = {k} samples")
         if p > len(self._per_id):
             raise ConfigurationError(

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -135,19 +135,26 @@ def make_trainer(
 
 def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
     """Index pairs for verification scoring: (genuine, impostor), each an
-    (n_pairs, 2) array of row indices."""
+    (n_pairs, 2) array of row indices.
+
+    A scalar draw ``arr[integers(0, arr.size)]`` consumes the stream exactly
+    as ``choice(arr)`` does, so the pairs are those of the plain
+    ``choice`` loop (``tests/test_harness.py`` guards the equivalence).
+    """
     classes = np.unique(labels)
     members = {int(c): np.flatnonzero(labels == c) for c in classes}
-    eligible = [c for c in classes if members[int(c)].size >= 2]
+    eligible = np.array([c for c in classes if members[int(c)].size >= 2])
+    integers, choice = rng.integers, rng.choice
     genuine = np.empty((n_pairs, 2), dtype=int)
     for i in range(n_pairs):
-        c = int(rng.choice(eligible))
-        genuine[i] = rng.choice(members[c], size=2, replace=False)
+        c = int(eligible[integers(0, eligible.size)])
+        genuine[i] = choice(members[c], size=2, replace=False)
     impostor = np.empty((n_pairs, 2), dtype=int)
     for i in range(n_pairs):
-        a, b = rng.choice(classes, size=2, replace=False)
-        impostor[i, 0] = rng.choice(members[int(a)])
-        impostor[i, 1] = rng.choice(members[int(b)])
+        a, b = choice(classes, size=2, replace=False)
+        rows_a, rows_b = members[int(a)], members[int(b)]
+        impostor[i, 0] = rows_a[integers(0, rows_a.size)]
+        impostor[i, 1] = rows_b[integers(0, rows_b.size)]
     return genuine, impostor
 
 
@@ -175,17 +182,39 @@ class TaskPairs:
     impostor: np.ndarray
 
 
-def verification_pair_plan(
-    eval_corpus: Corpus, config: ExperimentConfig
-) -> dict[str, TaskPairs]:
+class PairPlan(Mapping):
+    """Per-task verification pairs, each task drawn on first access from its
+    own ``stream(seed, "pairs", task)``. Drawing is independent of access
+    order, so a lazy plan holds the same pairs as an eager one; tasks a run
+    never scores are never drawn."""
+
+    def __init__(self, eval_corpus: Corpus, config: ExperimentConfig):
+        self._labels = {name: data.labels for name, data in eval_corpus.tasks.items()}
+        self._seed = config.seed
+        self._n_pairs = config.evaluation.verification_pairs
+        self._drawn: dict[str, TaskPairs] = {}
+
+    def __getitem__(self, name: str) -> TaskPairs:
+        if name not in self._drawn:
+            labels = self._labels[name]
+            rng = stream(self._seed, "pairs", name)
+            self._drawn[name] = TaskPairs(*_sample_pairs(labels, self._n_pairs, rng))
+        return self._drawn[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._labels
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+
+def verification_pair_plan(eval_corpus: Corpus, config: ExperimentConfig) -> PairPlan:
     """Fixed per-task verification pairs, shared by every model under one
     master seed so scores stay comparable."""
-    plan = {}
-    for name, data in eval_corpus.tasks.items():
-        rng = stream(config.seed, "pairs", name)
-        genuine, impostor = _sample_pairs(data.labels, config.evaluation.verification_pairs, rng)
-        plan[name] = TaskPairs(genuine=genuine, impostor=impostor)
-    return plan
+    return PairPlan(eval_corpus, config)
 
 
 def evaluate_row(
@@ -193,7 +222,7 @@ def evaluate_row(
     train_corpus: Corpus,
     eval_corpus: Corpus,
     config: ExperimentConfig,
-    pair_plan: dict[str, TaskPairs] | None = None,
+    pair_plan: Mapping[str, TaskPairs] | None = None,
 ) -> dict[str, float]:
     """All configured metrics for one model, keyed by 'task:metric'."""
     if pair_plan is None:
@@ -272,7 +301,7 @@ def geometry_suite(
     eval_corpus: Corpus,
     config: ExperimentConfig,
     outdir: Path,
-    pair_plan: dict[str, TaskPairs] | None = None,
+    pair_plan: Mapping[str, TaskPairs] | None = None,
 ) -> dict:
     """Run the embedding-space analyses and write their artifact files.
 

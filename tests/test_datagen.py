@@ -8,6 +8,7 @@ from taskweave.datagen import (
     Corpus,
     CorpusSpec,
     Loader,
+    TaskData,
     TaskGenSpec,
     build_corpus,
 )
@@ -225,6 +226,18 @@ class TestLoader:
         loader = Loader(corpus.tasks["fine"], stream(2, "x"), subsample_fraction=0.12)
         with pytest.raises(ConfigurationError, match="class"):
             loader.next_batch(2, 4)
+
+    def test_smallest_class_bounds_k(self):
+        # Class 2 holds exactly 3 samples: K = 3 is served, K = 4 is refused
+        # on every call, not only the first.
+        labels = np.repeat([0, 1, 2], [6, 5, 3])
+        data = TaskData("t", "fine-identity", np.zeros((labels.size, 2)), labels)
+        loader = Loader(data, stream(0, "x"))
+        batch, _ = loader.next_batch(3, 3)
+        assert batch.labels.size == 9
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="every class needs >= K = 4"):
+                loader.next_batch(2, 4)
 
     def test_manifest_version_checked(self, tmp_path):
         corpus = build_corpus(four_task_spec())

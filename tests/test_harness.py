@@ -15,14 +15,20 @@ from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
 from taskweave.errors import ContractError, ValidationError
 from taskweave.experiments import (
+    PairPlan,
     TaskPairs,
     _cosine_auc_eval,
+    _sample_pairs,
+    build_splits,
     bundled_reference_table,
+    evaluate_row,
+    init_encoder,
     run,
     run_forgetting_comparison,
     score_paper_table,
 )
 from taskweave.metrics import ScoreTable
+from taskweave.seeding import stream
 
 
 def tiny_config(output_dir, seed=13) -> ExperimentConfig:
@@ -165,6 +171,88 @@ class TestProjectedAuc:
         coords[2] = 0.0
         with pytest.raises(ContractError, match="zero norm"):
             evaluate(coords)
+
+
+def choice_loop_pairs(labels, n_pairs, rng):
+    """The plain sampler: every draw a ``Generator.choice`` call."""
+    classes = np.unique(labels)
+    members = {int(c): np.flatnonzero(labels == c) for c in classes}
+    eligible = [c for c in classes if members[int(c)].size >= 2]
+    genuine = np.empty((n_pairs, 2), dtype=int)
+    for i in range(n_pairs):
+        c = int(rng.choice(eligible))
+        genuine[i] = rng.choice(members[c], size=2, replace=False)
+    impostor = np.empty((n_pairs, 2), dtype=int)
+    for i in range(n_pairs):
+        a, b = rng.choice(classes, size=2, replace=False)
+        impostor[i, 0] = rng.choice(members[int(a)])
+        impostor[i, 1] = rng.choice(members[int(b)])
+    return genuine, impostor
+
+
+class TestPairSampler:
+    LAYOUTS = {
+        "balanced": np.repeat(np.arange(6), 5),
+        "singleton_class": np.array([0, 0, 0, 1, 2, 2, 3, 3, 3, 3]),
+        "uneven_shuffled": np.random.default_rng(7).permutation(
+            np.repeat([4, 9, 11, 30], [2, 7, 1, 13])
+        ),
+        "two_classes": np.array([1, 0, 1, 0]),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_choice_loop(self, layout, seed):
+        labels = self.LAYOUTS[layout]
+        expected = choice_loop_pairs(labels, 300, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        got = _sample_pairs(labels, 300, rng)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+        # Both samplers leave the stream at the same point.
+        reference = np.random.default_rng(seed)
+        choice_loop_pairs(labels, 300, reference)
+        assert rng.integers(0, 2**62) == reference.integers(0, 2**62)
+
+    def test_singleton_class_never_forms_a_genuine_pair(self):
+        labels = self.LAYOUTS["singleton_class"]
+        genuine, impostor = _sample_pairs(labels, 500, np.random.default_rng(0))
+        assert (labels[genuine[:, 0]] == labels[genuine[:, 1]]).all()
+        assert (genuine[:, 0] != genuine[:, 1]).all()
+        assert not (labels[genuine] == 1).any()
+        assert (labels[impostor[:, 0]] != labels[impostor[:, 1]]).all()
+        assert (labels[impostor] == 1).any()
+
+
+class TestPairPlan:
+    def test_lazy_draws_match_eager_per_task_streams(self, tmp_path):
+        config = tiny_config(tmp_path / "out")
+        _, eval_corpus = build_splits(config)
+        plan = PairPlan(eval_corpus, config)
+        names = list(eval_corpus.tasks)
+        assert list(plan) == names and len(plan) == len(names)
+        assert names[0] in plan and "unknown" not in plan
+        assert plan._drawn == {}
+        # Access order does not matter: each task has its own stream.
+        for name in reversed(names):
+            rng = stream(config.seed, "pairs", name)
+            genuine, impostor = _sample_pairs(
+                eval_corpus.tasks[name].labels, config.evaluation.verification_pairs, rng
+            )
+            np.testing.assert_array_equal(plan[name].genuine, genuine)
+            np.testing.assert_array_equal(plan[name].impostor, impostor)
+        assert plan[names[0]] is plan[names[0]]
+        with pytest.raises(KeyError):
+            plan["unknown"]
+
+    def test_unscored_task_is_never_drawn(self, tmp_path):
+        config = tiny_config(tmp_path / "out")
+        train_corpus, eval_corpus = build_splits(config)
+        plan = PairPlan(eval_corpus, config)
+        params, _ = init_encoder(config)
+        evaluate_row(params, train_corpus, eval_corpus, config, plan)
+        coarse = {n for n, d in eval_corpus.tasks.items() if d.regime == "coarse-category"}
+        assert coarse and set(plan._drawn) == set(eval_corpus.tasks) - coarse
 
 
 def test_import_skips_scipy_optimize():

@@ -10,6 +10,7 @@ from taskweave.metrics import (
     EXPERT,
     HUMAN,
     ScoreTable,
+    _best_threshold,
     multitask_index,
     pairwise_cosine,
     rank_k,
@@ -190,6 +191,136 @@ class TestRankK:
         base = rank_k(probes, probe_ids, gallery, gallery_ids, 3)
         scaled = rank_k(2.5 * probes, probe_ids, 2.5 * gallery, gallery_ids, 3)
         assert base == scaled
+
+
+def oracle_rank_k(sims, probe_ids, gallery_ids, k):
+    """Per-probe stable argsort of the negated scores: ties keep gallery
+    order."""
+    k = min(k, gallery_ids.size)
+    hits = 0
+    for i in range(sims.shape[0]):
+        top = np.argsort(-sims[i], kind="stable")[:k]
+        hits += bool((gallery_ids[top] == probe_ids[i]).any())
+    return hits / sims.shape[0]
+
+
+@st.composite
+def tied_retrieval(draw):
+    """Probe/gallery embeddings whose cosines take only a few values:
+    coordinates quantised to {-1, 0, 1}, duplicate gallery rows, few ids."""
+    dim = draw(st.integers(1, 3))
+    n_ids = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=dim, max_size=dim)
+    gallery = draw(st.lists(row, min_size=1, max_size=8))
+    gallery += draw(st.lists(st.sampled_from(gallery), max_size=4))
+    gallery_ids = draw(
+        st.lists(st.integers(0, n_ids - 1), min_size=len(gallery), max_size=len(gallery))
+    )
+    probes = draw(st.lists(row, min_size=1, max_size=6))
+    probe_ids = draw(
+        st.lists(st.sampled_from(gallery_ids), min_size=len(probes), max_size=len(probes))
+    )
+    k = draw(st.integers(1, len(gallery) + 1))
+    return (
+        np.array(probes),
+        np.array(probe_ids),
+        np.array(gallery),
+        np.array(gallery_ids),
+        k,
+    )
+
+
+class TestRankKOracle:
+    @given(tied_retrieval())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort_under_heavy_ties(self, case):
+        probes, probe_ids, gallery, gallery_ids, k = case
+        sims = probes @ gallery.T
+        expected = oracle_rank_k(sims, probe_ids, gallery_ids, k)
+        assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
+
+    def test_tie_with_earlier_impostor_misses(self):
+        # All scores tie; gallery index decides. The same-id item sits at
+        # index 2, behind two different-id items.
+        gallery = np.ones((3, 1))
+        gallery_ids = np.array([0, 1, 2])
+        probes = np.ones((1, 1))
+        assert rank_k(probes, [2], gallery, gallery_ids, 2) == 0.0
+        assert rank_k(probes, [2], gallery, gallery_ids, 3) == 1.0
+        assert rank_k(probes, [0], gallery, gallery_ids, 1) == 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_oracle_on_random_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        gallery = rng.standard_normal((40, 6))
+        probes = rng.standard_normal((25, 6))
+        gallery_ids = rng.integers(0, 8, 40)
+        probe_ids = rng.choice(gallery_ids, 25)
+        sims = probes @ gallery.T
+        for k in (1, 2, 5, 40, 41):
+            expected = oracle_rank_k(sims, probe_ids, gallery_ids, k)
+            assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_similarities(self, bad):
+        gallery = np.eye(2)
+        gallery[1, 0] = bad
+        with pytest.raises(ContractError, match="finite"):
+            rank_k(np.eye(2), [0, 1], gallery, [0, 1], 1)
+
+
+def oracle_best_threshold(scores, labels):
+    """The dense candidates x scores accuracy matrix: O(n^2) memory."""
+    uniq = np.unique(scores)
+    if uniq.size == 1:
+        return float(uniq[0])
+    mids = (uniq[:-1] + uniq[1:]) / 2.0
+    candidates = np.concatenate([[uniq[0] - 1.0], mids, [uniq[-1] + 1.0]])
+    accs = ((scores[None, :] >= candidates[:, None]) == labels[None, :]).mean(axis=1)
+    return float(candidates[accs.argmax()])
+
+
+class TestBestThresholdOracle:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([-0.5, 0.0, 0.25, 0.3, 1.0]), st.booleans()),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_oracle_on_tied_scores(self, pairs):
+        scores = np.array([s for s, _ in pairs])
+        labels = np.array([lab for _, lab in pairs])
+        assert _best_threshold(scores, labels) == oracle_best_threshold(scores, labels)
+
+    @pytest.mark.parametrize("genuine_high", [True, False])
+    def test_all_equal_scores(self, genuine_high):
+        scores = np.full(6, 0.4)
+        labels = np.arange(6) % 2 == int(genuine_high)
+        assert _best_threshold(scores, labels) == oracle_best_threshold(scores, labels) == 0.4
+
+    @pytest.mark.parametrize("base", [0.0, 0.7, -0.3, 1.0])
+    def test_adjacent_floats(self, base):
+        # The midpoint of two adjacent floats rounds onto one of them, so a
+        # candidate coincides with a score.
+        lo, hi = base, np.nextafter(base, np.inf)
+        assert (lo + hi) / 2.0 in (lo, hi)
+        scores = np.array([lo, hi, lo, hi, hi, lo])
+        for labels in (
+            np.array([0, 1, 0, 1, 1, 0], bool),
+            np.array([1, 0, 1, 0, 0, 1], bool),
+            np.array([1, 1, 0, 1, 0, 0], bool),
+        ):
+            assert _best_threshold(scores, labels) == oracle_best_threshold(scores, labels)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_oracle_on_random_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.normal(0.5, 0.3, 300), 2)
+        labels = rng.random(300) < 0.5 + 0.3 * (scores - 0.5)
+        assert _best_threshold(scores, labels) == oracle_best_threshold(scores, labels)
 
 
 def oracle_fold_accuracy(scores, labels, folds=10):
