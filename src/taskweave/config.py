@@ -8,11 +8,11 @@ so adding one consumer never perturbs another's randomness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .datagen import CorpusSpec, TaskGenSpec
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 
 SCHEMA_VERSION = 1
 
@@ -21,6 +21,13 @@ def _check_keys(section: dict, allowed: set[str], path: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ValidationError(f"unknown key(s) {unknown} in {path}")
+
+
+def _section(cls, section: dict, path: str):
+    """Build the dataclass ``cls`` from one JSON section whose keys must be
+    among its fields."""
+    _check_keys(section, {f.name for f in fields(cls)}, path)
+    return cls(**section)
 
 
 def _require(section: dict, key: str, path: str):
@@ -34,11 +41,6 @@ class EncoderConfig:
     hidden_dims: list[int] = field(default_factory=lambda: [32])
     embedding_dim: int = 16
 
-    @classmethod
-    def from_dict(cls, d: dict, path: str) -> "EncoderConfig":
-        _check_keys(d, {"hidden_dims", "embedding_dim"}, path)
-        return cls(**d)
-
 
 @dataclass
 class OptimizerConfig:
@@ -48,25 +50,24 @@ class OptimizerConfig:
     epsilon: float = 1e-8
     weight_decay: float = 1e-6
 
-    @classmethod
-    def from_dict(cls, d: dict, path: str) -> "OptimizerConfig":
-        _check_keys(d, {"learning_rate", "beta1", "beta2", "epsilon", "weight_decay"}, path)
-        return cls(**d)
-
 
 @dataclass
 class BatchConfig:
     identities: int = 10
     positives: int = 4
 
-    @classmethod
-    def from_dict(cls, d: dict, path: str) -> "BatchConfig":
-        _check_keys(d, {"identities", "positives"}, path)
-        return cls(**d)
-
 
 @dataclass
 class CurriculumConfig:
+    """Training-schedule settings, read directly by every ``Trainer``.
+
+    ``goals`` maps task name to target accuracy in (0, 1]. ``batches_per_task``
+    is the balanced-mode per-task batch count; ``total_batches`` the adaptive-
+    mode step budget (defaults to n_tasks * batches_per_task so the two modes
+    consume equal data per step). ``subsample`` maps a task to the fraction
+    of its samples that its loaders draw from, in every run.
+    """
+
     mode: str = "balanced"
     goals: dict[str, float] = field(default_factory=dict)
     batches_per_task: int = 1
@@ -78,35 +79,28 @@ class CurriculumConfig:
     steps_per_epoch: int | None = None
     subsample: dict[str, float] = field(default_factory=dict)
 
-    @classmethod
-    def from_dict(cls, d: dict, path: str) -> "CurriculumConfig":
-        _check_keys(
-            d,
-            {
-                "mode",
-                "goals",
-                "batches_per_task",
-                "total_batches",
-                "epsilon",
-                "floor",
-                "accuracy_cadence",
-                "probe_batches",
-                "steps_per_epoch",
-                "subsample",
-            },
-            path,
-        )
-        return cls(**d)
+    def validate(self, n_tasks: int) -> None:
+        """Scheduler settings checked against the number of tasks trained."""
+        if self.epsilon <= 0:
+            raise ConfigurationError("epsilon must be positive")
+        if self.floor < 0 or self.floor * n_tasks >= 1:
+            raise ConfigurationError("floor must satisfy 0 <= floor and floor * n_tasks < 1")
+        if self.batches_per_task < 1:
+            raise ConfigurationError("batches_per_task must be >= 1")
+        if self.total_batches is not None and self.total_batches < 1:
+            raise ConfigurationError("total_batches must be >= 1")
+        if self.accuracy_cadence < 1:
+            raise ConfigurationError("accuracy_cadence must be >= 1")
+        if self.probe_batches < 1:
+            raise ConfigurationError("probe_batches must be >= 1")
+        for task, goal in self.goals.items():
+            if not 0.0 < goal <= 1.0:
+                raise ConfigurationError(f"goal for task {task!r} must lie in (0, 1]")
 
 
 @dataclass
 class TrainingConfig:
     epochs: int = 5
-
-    @classmethod
-    def from_dict(cls, d: dict, path: str) -> "TrainingConfig":
-        _check_keys(d, {"epochs"}, path)
-        return cls(**d)
 
 
 @dataclass
@@ -119,27 +113,6 @@ class EvaluationConfig:
     variance_fraction: float = 0.99
     projection_max_pcs: int = 200
 
-    @classmethod
-    def from_dict(cls, d: dict, path: str) -> "EvaluationConfig":
-        _check_keys(
-            d,
-            {
-                "suites",
-                "verification_pairs",
-                "far_values",
-                "probe_window",
-                "probe_folds",
-                "variance_fraction",
-                "projection_max_pcs",
-            },
-            path,
-        )
-        cfg = cls(**d)
-        bad = sorted(set(cfg.suites) - {"scores", "geometry"})
-        if bad:
-            raise ValidationError(f"unknown evaluation suite(s) {bad} in {path}")
-        return cfg
-
 
 @dataclass
 class ForgettingConfig:
@@ -148,25 +121,16 @@ class ForgettingConfig:
     pretrain_batches_per_step: int = 1
     finetune_epochs: int = 5
 
-    @classmethod
-    def from_dict(cls, d: dict, path: str) -> "ForgettingConfig":
-        _check_keys(
-            d,
-            {"pretrain_task", "pretrain_steps", "pretrain_batches_per_step", "finetune_epochs"},
-            path,
-        )
-        return cls(**d)
 
-
-_TASK_KEYS = {
-    "name",
-    "regime",
-    "classes",
-    "samples_per_class",
-    "within_class_spread",
-    "between_class_spread",
-    "degradation_noise",
-    "twin",
+# JSON sections of the config, each loaded into its dataclass by field name.
+_SECTIONS = {
+    "encoder": EncoderConfig,
+    "optimizer": OptimizerConfig,
+    "batch": BatchConfig,
+    "curriculum": CurriculumConfig,
+    "training": TrainingConfig,
+    "evaluation": EvaluationConfig,
+    "forgetting": ForgettingConfig,
 }
 
 
@@ -193,6 +157,9 @@ class ExperimentConfig:
 
         if self.curriculum.mode not in MODES:
             raise ValidationError(f"unknown curriculum mode {self.curriculum.mode!r}")
+        bad = sorted(set(self.evaluation.suites) - {"scores", "geometry"})
+        if bad:
+            raise ValidationError(f"unknown evaluation suite(s) {bad} in config.evaluation")
         names = {t.name for t in self.tasks}
         for task in self.curriculum.goals:
             if task not in names:
@@ -210,20 +177,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _check_keys(
             d,
-            {
-                "schema_version",
-                "seed",
-                "output_dir",
-                "corpus",
-                "encoder",
-                "optimizer",
-                "batch",
-                "margin",
-                "curriculum",
-                "training",
-                "evaluation",
-                "forgetting",
-            },
+            {"schema_version", "seed", "output_dir", "corpus", "margin", *_SECTIONS},
             "config",
         )
         version = _require(d, "schema_version", "config")
@@ -231,23 +185,20 @@ class ExperimentConfig:
             raise ValidationError(f"unsupported schema_version {version!r}")
         corpus = _require(d, "corpus", "config")
         _check_keys(corpus, {"ambient_dim", "tasks"}, "config.corpus")
-        tasks = []
-        for i, t in enumerate(_require(corpus, "tasks", "config.corpus")):
-            _check_keys(t, _TASK_KEYS, f"config.corpus.tasks[{i}]")
-            tasks.append(TaskGenSpec(**t))
+        tasks = [
+            _section(TaskGenSpec, t, f"config.corpus.tasks[{i}]")
+            for i, t in enumerate(_require(corpus, "tasks", "config.corpus"))
+        ]
         config = cls(
             seed=_require(d, "seed", "config"),
             output_dir=_require(d, "output_dir", "config"),
             tasks=tasks,
             ambient_dim=_require(corpus, "ambient_dim", "config.corpus"),
-            encoder=EncoderConfig.from_dict(d.get("encoder", {}), "config.encoder"),
-            optimizer=OptimizerConfig.from_dict(d.get("optimizer", {}), "config.optimizer"),
-            batch=BatchConfig.from_dict(d.get("batch", {}), "config.batch"),
             margin=d.get("margin", 0.35),
-            curriculum=CurriculumConfig.from_dict(d.get("curriculum", {}), "config.curriculum"),
-            training=TrainingConfig.from_dict(d.get("training", {}), "config.training"),
-            evaluation=EvaluationConfig.from_dict(d.get("evaluation", {}), "config.evaluation"),
-            forgetting=ForgettingConfig.from_dict(d.get("forgetting", {}), "config.forgetting"),
+            **{
+                key: _section(section, d.get(key, {}), f"config.{key}")
+                for key, section in _SECTIONS.items()
+            },
         )
         config.validate()
         return config
@@ -268,27 +219,11 @@ class ExperimentConfig:
             "corpus": {
                 "ambient_dim": self.ambient_dim,
                 "tasks": [
-                    {
-                        "name": t.name,
-                        "regime": t.regime,
-                        "classes": t.classes,
-                        "samples_per_class": t.samples_per_class,
-                        "within_class_spread": t.within_class_spread,
-                        "between_class_spread": t.between_class_spread,
-                        "degradation_noise": t.degradation_noise,
-                        "twin": t.twin,
-                    }
-                    for t in self.tasks
+                    {f.name: getattr(t, f.name) for f in fields(TaskGenSpec)} for t in self.tasks
                 ],
             },
-            "encoder": vars(self.encoder),
-            "optimizer": vars(self.optimizer),
-            "batch": vars(self.batch),
             "margin": self.margin,
-            "curriculum": vars(self.curriculum),
-            "training": vars(self.training),
-            "evaluation": vars(self.evaluation),
-            "forgetting": vars(self.forgetting),
+            **{key: vars(getattr(self, key)) for key in _SECTIONS},
         }
 
 

@@ -1,6 +1,6 @@
-"""Interleaved multi-task training schedules.
+"""Multi-task training schedules over one gradient-coupled step.
 
-Two modes drive the same gradient-coupled step:
+Two configured modes choose each step's per-task batch allocation:
 
 * ``balanced``  -- every task contributes the same number of batches per
   optimizer step; an epoch ends once every task's loader has been exhausted.
@@ -8,24 +8,30 @@ Two modes drive the same gradient-coupled step:
   difficulty score (distance from goal divided by recent improvement rate),
   with a minimum sampling probability guaranteed by two-stage normalization.
 
+A third schedule, ``blocked``, is an explicit allocation fed to
+``Trainer.train_step``: tasks one after another, never two in one step. It
+drives single-task pretraining and the sequential fine-tuning baseline.
+
 All per-batch gradients inside one step are summed into a single buffer and
-applied by exactly one optimizer update.
+applied by exactly one optimizer update; ``Trainer.train_step`` is the only
+place that does so.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import CurriculumConfig
 from .datagen import Batch, Loader, TaskData
 from .encoder import (
     EncoderParams,
     GradBuffer,
     OptimState,
+    accumulate,
     adam_step,
-    backward,
-    batch_hard_triplet,
     embed,
     hardest_distances,
 )
@@ -35,57 +41,16 @@ from .seeding import stream
 BALANCED = "balanced"
 ADAPTIVE = "adaptive"
 MODES = (BALANCED, ADAPTIVE)
-
-
-@dataclass
-class SchedulerConfig:
-    """Knobs shared by both curriculum modes.
-
-    ``goals`` maps task name to target accuracy in (0, 1]. ``batches_per_task``
-    is the balanced-mode per-task batch count; ``total_batches`` the adaptive-
-    mode step budget (defaults to n_tasks * batches_per_task so the two modes
-    consume equal data per step).
-    """
-
-    goals: dict[str, float]
-    batches_per_task: int = 1
-    total_batches: int | None = None
-    epsilon: float = 1e-8
-    floor: float = 0.05
-    accuracy_cadence: int = 1
-    probe_batches: int = 2
-    steps_per_epoch: int | None = None
-
-    def validate(self, n_tasks: int) -> None:
-        if n_tasks < 2:
-            raise ConfigurationError("scheduler needs at least 2 tasks")
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
-        if self.floor < 0 or self.floor * n_tasks >= 1:
-            raise ConfigurationError("floor must satisfy 0 <= floor and floor * n_tasks < 1")
-        if self.batches_per_task < 1:
-            raise ConfigurationError("batches_per_task must be >= 1")
-        if self.total_batches is not None and self.total_batches < 1:
-            raise ConfigurationError("total_batches must be >= 1")
-        if self.accuracy_cadence < 1:
-            raise ConfigurationError("accuracy_cadence must be >= 1")
-        if self.probe_batches < 1:
-            raise ConfigurationError("probe_batches must be >= 1")
-        for task, goal in self.goals.items():
-            if not 0.0 < goal <= 1.0:
-                raise ConfigurationError(f"goal for task {task!r} must lie in (0, 1]")
+# Reported by steps that ran an explicit allocation; not a configurable mode.
+BLOCKED = "blocked"
 
 
 @dataclass
 class TaskState:
-    """Per-task scheduler state: accuracy log and current scoring values."""
+    """Per-task scheduler state: accuracy log and last allocation."""
 
     metric_log: list[tuple[int, float]] = field(default_factory=list)
     last_allocation: int | None = None
-    improvement: float | None = None
-    goal_distance: float | None = None
-    score: float | None = None
-    probability: float | None = None
 
     def latest_accuracy(self) -> float | None:
         return self.metric_log[-1][1] if self.metric_log else None
@@ -144,15 +109,6 @@ class EpochReport:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-    def total_allocation(self, task: str) -> int:
-        return sum(s.allocations[task] for s in self.steps)
-
-    def mean_loss(self, task: str) -> float:
-        batches = self.total_allocation(task)
-        if batches == 0:
-            return float("nan")
-        return sum(s.losses[task] for s in self.steps) / batches
 
 
 def balanced_allocation(n_tasks: int, per_task: int) -> list[int]:
@@ -225,8 +181,42 @@ def sample_allocation(probabilities, total: int, rng: np.random.Generator) -> np
     return rng.multinomial(total, p / p.sum())
 
 
+def blocked_schedule(
+    task_names: list[str], total_batches: int, group: int
+) -> Iterator[dict[str, int]]:
+    """Per-step allocations of the blocked schedule: tasks one after another,
+    each with a budget from ``divmod(total_batches, n_tasks)`` (the first
+    ``remainder`` tasks take one batch more), spent in steps of at most
+    ``group`` batches. No step mixes two tasks."""
+    if group < 1:
+        raise ContractError("group must be >= 1")
+    base, extra = divmod(total_batches, len(task_names))
+    for i, name in enumerate(task_names):
+        budget = base + (1 if i < extra else 0)
+        while budget > 0:
+            take = min(group, budget)
+            yield {n: take if n == name else 0 for n in task_names}
+            budget -= take
+
+
+def online_accuracy(params: EncoderParams, batches: list[Batch]) -> float:
+    """Fraction of anchors, pooled over ``batches``, whose hardest positive is
+    nearer than their hardest negative: the online training-accuracy signal."""
+    satisfied = total = 0
+    for batch in batches:
+        d_pos, d_neg, _, _ = hardest_distances(embed(params, batch.features), batch.labels)
+        satisfied += int((d_pos < d_neg).sum())
+        total += len(d_pos)
+    return satisfied / total
+
+
 class Trainer:
-    """Holds everything one curriculum run needs and advances it stepwise."""
+    """Holds everything one training run needs and advances it stepwise.
+
+    ``mode`` picks the allocation of a plain ``train_step()``; a step given
+    an explicit allocation runs that instead. ``loader_stream`` names the
+    seeding substream of the per-task loaders.
+    """
 
     def __init__(
         self,
@@ -234,17 +224,17 @@ class Trainer:
         task_data: dict[str, TaskData],
         params: EncoderParams,
         opt_state: OptimState,
-        scheduler: SchedulerConfig,
+        curriculum: CurriculumConfig,
         identities: int,
         positives: int,
         margin: float,
         seed: int,
-        subsample: dict[str, float] | None = None,
+        loader_stream: str = "loader",
     ):
         if mode not in MODES:
             raise ConfigurationError(f"unknown curriculum mode {mode!r}")
-        scheduler.validate(len(task_data))
-        missing = sorted(set(task_data) - set(scheduler.goals))
+        curriculum.validate(len(task_data))
+        missing = sorted(set(task_data) - set(curriculum.goals))
         if missing:
             raise ConfigurationError(f"goals missing for tasks: {missing}")
         self.mode = mode
@@ -252,14 +242,15 @@ class Trainer:
         self.task_data = task_data
         self.params = params
         self.opt_state = opt_state
-        self.scheduler = scheduler
+        self.curriculum = curriculum
         self.identities = identities
         self.positives = positives
         self.margin = margin
         self.seed = seed
-        subsample = subsample or {}
         self.loaders = {
-            name: Loader(data, stream(seed, "loader", name), subsample.get(name, 1.0))
+            name: Loader(
+                data, stream(seed, loader_stream, name), curriculum.subsample.get(name, 1.0)
+            )
             for name, data in task_data.items()
         }
         self.buffer = GradBuffer.zeros_like(params)
@@ -275,23 +266,17 @@ class Trainer:
 
     @property
     def total_batches(self) -> int:
-        if self.scheduler.total_batches is not None:
-            return self.scheduler.total_batches
-        return self.n_tasks * self.scheduler.batches_per_task
+        if self.curriculum.total_batches is not None:
+            return self.curriculum.total_batches
+        return self.n_tasks * self.curriculum.batches_per_task
 
     def seed_initial_accuracies(self) -> None:
         """Pre-training evaluation pass: log a step-0 accuracy per task so
         the adaptive scorer has a starting point."""
         for name, data in self.task_data.items():
             rng = stream(self.seed, "probe", name)
-            satisfied = total = 0
-            for _ in range(self.scheduler.probe_batches):
-                batch = self._probe_batch(data, rng)
-                emb = embed(self.params, batch.features)
-                d_pos, d_neg, _, _ = hardest_distances(emb, batch.labels)
-                satisfied += int((d_pos < d_neg).sum())
-                total += len(d_pos)
-            self.states[name].metric_log.append((0, satisfied / total))
+            batches = [self._probe_batch(data, rng) for _ in range(self.curriculum.probe_batches)]
+            self.states[name].metric_log.append((0, online_accuracy(self.params, batches)))
 
     def _probe_batch(self, data: TaskData, rng: np.random.Generator) -> Batch:
         classes = data.classes
@@ -305,7 +290,7 @@ class Trainer:
         return Batch(features=data.features[rows], labels=data.labels[rows], task=data.name)
 
     def _score_tasks(self) -> dict[str, TaskScore]:
-        eps = self.scheduler.epsilon
+        eps = self.curriculum.epsilon
         raw = {}
         for name in self.task_names:
             state = self.states[name]
@@ -324,34 +309,40 @@ class Trainer:
             else:
                 # No batches last step means no measured improvement.
                 improvement = eps
-            goal_dist = distance_from_goal(self.scheduler.goals[name], curr)
+            goal_dist = distance_from_goal(self.curriculum.goals[name], curr)
             raw[name] = (improvement, goal_dist, goal_dist / improvement)
         probs = task_scores_to_probabilities(
-            [raw[name][2] for name in self.task_names], self.scheduler.floor
+            [raw[name][2] for name in self.task_names], self.curriculum.floor
         )
-        scoring = {}
-        for name, prob in zip(self.task_names, probs):
-            improvement, goal_dist, score = raw[name]
-            scoring[name] = TaskScore(improvement, goal_dist, score, float(prob))
-            state = self.states[name]
-            state.improvement = improvement
-            state.goal_distance = goal_dist
-            state.score = score
-            state.probability = float(prob)
-        return scoring
+        return {
+            name: TaskScore(*raw[name], float(prob))
+            for name, prob in zip(self.task_names, probs)
+        }
 
-    def train_step(self) -> StepReport:
+    def train_step(self, allocations: dict[str, int] | None = None) -> StepReport:
         """One gradient-coupled step: allocate, accumulate, update once,
-        then measure online accuracy on the just-used batches."""
+        then measure online accuracy on the just-used batches.
+
+        ``allocations`` (batches per task) overrides the mode's allocation;
+        such a step reports mode ``blocked``.
+        """
         self.step += 1
-        if self.mode == BALANCED:
-            alloc_list = balanced_allocation(self.n_tasks, self.scheduler.batches_per_task)
-            scoring = None
+        scoring = None
+        if allocations is not None:
+            unknown = sorted(set(allocations) - set(self.task_names))
+            if unknown:
+                raise ContractError(f"allocation names unknown tasks: {unknown}")
+            mode = BLOCKED
+            allocations = {name: int(allocations.get(name, 0)) for name in self.task_names}
         else:
-            scoring = self._score_tasks()
-            probs = [scoring[name].probability for name in self.task_names]
-            alloc_list = sample_allocation(probs, self.total_batches, self.alloc_rng)
-        allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
+            mode = self.mode
+            if mode == BALANCED:
+                alloc_list = balanced_allocation(self.n_tasks, self.curriculum.batches_per_task)
+            else:
+                scoring = self._score_tasks()
+                probs = [scoring[name].probability for name in self.task_names]
+                alloc_list = sample_allocation(probs, self.total_batches, self.alloc_rng)
+            allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
 
         losses = {name: 0.0 for name in self.task_names}
         exhausted = {name: False for name in self.task_names}
@@ -360,33 +351,25 @@ class Trainer:
             loader = self.loaders[name]
             for _ in range(allocations[name]):
                 batch, flag = loader.next_batch(self.identities, self.positives)
-                emb = embed(self.params, batch.features)
-                loss, grad_emb = batch_hard_triplet(emb, batch.labels, self.margin)
-                backward(self.params, batch.features, grad_emb, self.buffer)
-                losses[name] += loss
+                losses[name] += accumulate(
+                    self.params, batch.features, batch.labels, self.margin, self.buffer
+                )
                 exhausted[name] = exhausted[name] or flag
                 used[name].append(batch)
         adam_step(self.params, self.buffer, self.opt_state)
 
         accuracies: dict[str, float | None] = {name: None for name in self.task_names}
-        if self.step % self.scheduler.accuracy_cadence == 0:
+        if self.step % self.curriculum.accuracy_cadence == 0:
             for name in self.task_names:
-                if not used[name]:
-                    continue
-                satisfied = total = 0
-                for batch in used[name]:
-                    emb = embed(self.params, batch.features)
-                    d_pos, d_neg, _, _ = hardest_distances(emb, batch.labels)
-                    satisfied += int((d_pos < d_neg).sum())
-                    total += len(d_pos)
-                accuracies[name] = satisfied / total
-                self.states[name].metric_log.append((self.step, accuracies[name]))
+                if used[name]:
+                    accuracies[name] = online_accuracy(self.params, used[name])
+                    self.states[name].metric_log.append((self.step, accuracies[name]))
         for name in self.task_names:
             self.states[name].last_allocation = allocations[name]
 
         return StepReport(
             step=self.step,
-            mode=self.mode,
+            mode=mode,
             allocations=allocations,
             losses=losses,
             exhausted=exhausted,
@@ -399,14 +382,14 @@ class Trainer:
         Adaptive: run the configured number of steps."""
         reports: list[StepReport] = []
         if self.mode == ADAPTIVE:
-            if self.scheduler.steps_per_epoch is None:
+            if self.curriculum.steps_per_epoch is None:
                 raise ConfigurationError("adaptive mode requires steps_per_epoch")
-            for _ in range(self.scheduler.steps_per_epoch):
+            for _ in range(self.curriculum.steps_per_epoch):
                 reports.append(self.train_step())
             return EpochReport(steps=reports)
 
         seen = {name: False for name in self.task_names}
-        per_task = self.scheduler.batches_per_task
+        per_task = self.curriculum.batches_per_task
         batch = self.identities * self.positives
         largest = max(loader.size for loader in self.loaders.values())
         step_cap = 10 * (largest // (per_task * batch) + 2)

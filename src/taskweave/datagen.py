@@ -24,7 +24,7 @@ statistics rather than merely blurring them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -199,14 +199,7 @@ class Corpus:
             np.save(directory / fname, data.features)
             manifest["tasks"].append(
                 {
-                    "name": name,
-                    "regime": data.regime,
-                    "classes": spec.classes,
-                    "samples_per_class": spec.samples_per_class,
-                    "within_class_spread": spec.within_class_spread,
-                    "between_class_spread": spec.between_class_spread,
-                    "degradation_noise": spec.degradation_noise,
-                    "twin": spec.twin,
+                    **{f.name: getattr(spec, f.name) for f in fields(TaskGenSpec)},
                     "shape": list(data.features.shape),
                     "labels": data.labels.tolist(),
                     "file": fname,
@@ -223,16 +216,7 @@ class Corpus:
                 f"unsupported corpus manifest version {manifest.get('manifest_version')!r}"
             )
         task_specs = tuple(
-            TaskGenSpec(
-                name=t["name"],
-                regime=t["regime"],
-                classes=t["classes"],
-                samples_per_class=t["samples_per_class"],
-                within_class_spread=t["within_class_spread"],
-                between_class_spread=t["between_class_spread"],
-                degradation_noise=t["degradation_noise"],
-                twin=t["twin"],
-            )
+            TaskGenSpec(**{f.name: t[f.name] for f in fields(TaskGenSpec)})
             for t in manifest["tasks"]
         )
         spec = CorpusSpec(tasks=task_specs, seed=manifest["seed"], ambient_dim=manifest["ambient_dim"])

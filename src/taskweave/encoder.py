@@ -2,9 +2,10 @@
 
 Forward pass: affine layers with tanh between them, a linear output layer,
 then row-wise L2 normalization onto the unit sphere. All arithmetic is
-float64 so finite-difference checks are clean. Gradients accumulate into a
-shape-congruent buffer; one Adam step (decoupled weight decay) consumes the
-summed buffer and zeroes it.
+float64 so finite-difference checks are clean. The training kernel
+``accumulate`` runs one forward pass per batch and hands its cache to the
+backward pass, which adds the gradient into a shape-congruent buffer; one
+Adam step (decoupled weight decay) consumes the summed buffer and zeroes it.
 """
 
 from __future__ import annotations
@@ -125,14 +126,27 @@ class OptimState:
         )
 
 
-def _forward(params: EncoderParams, inputs: np.ndarray):
-    """Raw forward pass; returns pre-normalization output and layer caches."""
+@dataclass
+class ForwardCache:
+    """What one forward pass leaves for the backward pass: each layer's input
+    (``hiddens[i]`` feeds layer ``i``; the last entry is the raw output), the
+    unit-norm embeddings and the pre-normalization row norms."""
+
+    hiddens: list[np.ndarray]
+    embeddings: np.ndarray
+    norms: np.ndarray
+
+
+def _forward(params: EncoderParams, inputs: np.ndarray) -> ForwardCache:
+    """Forward pass through every layer, then row-wise projection to the unit
+    sphere. Rows whose norm falls below NORM_FLOOR are nudged along the first
+    basis vector before normalizing."""
     if inputs.ndim != 2 or inputs.shape[1] != params.input_dim:
         raise ContractError(
             f"input width {inputs.shape[-1]} does not match ambient dim {params.input_dim}"
         )
     h = np.asarray(inputs, dtype=np.float64)
-    hiddens = [h]  # post-activation values feeding each layer
+    hiddens = [h]
     n_layers = params.n_layers
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w + b
@@ -140,29 +154,18 @@ def _forward(params: EncoderParams, inputs: np.ndarray):
             raise NumericError("non-finite activations", layer=i)
         h = np.tanh(z) if i < n_layers - 1 else z
         hiddens.append(h)
-    return h, hiddens
-
-
-def _normalize(raw: np.ndarray):
-    """Row-wise projection to the unit sphere with a low-norm guard.
-
-    Returns (embeddings, guarded_raw, norms) where guarded_raw is the vector
-    actually normalized per row and norms its length.
-    """
-    norms = np.linalg.norm(raw, axis=1)
-    guarded = raw.copy()
+    norms = np.linalg.norm(h, axis=1)
     low = norms < NORM_FLOOR
     if low.any():
-        guarded[low, 0] += NORM_FLOOR
-        norms = np.linalg.norm(guarded, axis=1)
-    return guarded / norms[:, None], guarded, norms
+        h = h.copy()
+        h[low, 0] += NORM_FLOOR
+        norms = np.linalg.norm(h, axis=1)
+    return ForwardCache(hiddens=hiddens, embeddings=h / norms[:, None], norms=norms)
 
 
 def embed(params: EncoderParams, inputs: np.ndarray) -> np.ndarray:
     """Forward pass followed by row-wise L2 normalization."""
-    raw, _ = _forward(params, inputs)
-    embeddings, _, _ = _normalize(raw)
-    return embeddings
+    return _forward(params, inputs).embeddings
 
 
 def _pairwise_euclidean(embeddings: np.ndarray) -> np.ndarray:
@@ -213,50 +216,45 @@ def batch_hard_triplet(
     derivative is used; coincident pairs contribute zero direction.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    n = embeddings.shape[0]
+    n, n_dims = embeddings.shape
     d_pos, d_neg, pos_idx, neg_idx = hardest_distances(embeddings, ids)
     violation = d_pos - d_neg + margin
     loss = float(np.maximum(violation, 0.0).mean())
+    active = np.flatnonzero(violation >= 0.0)
+    p, q = pos_idx[active], neg_idx[active]
+    dp, dn = d_pos[active], d_neg[active]
+    u = (embeddings[active] - embeddings[p]) / np.where(dp > 0.0, dp, 1.0)[:, None]
+    v = (embeddings[active] - embeddings[q]) / np.where(dn > 0.0, dn, 1.0)[:, None]
+    # Per active anchor, in anchor order: a gains u, p loses u, a loses v,
+    # q gains v. One ordered scatter-add replays exactly that sequence of
+    # float additions. Slots with a zero distance are dropped rather than
+    # added as zeros, which would turn a -0.0 entry into +0.0.
+    rows = np.stack([active, p, active, q], axis=1).ravel()
+    values = np.stack([u, -u, -v, v], axis=1).reshape(-1, n_dims)
+    keep = np.repeat(np.stack([dp > 0.0, dn > 0.0], axis=1), 2, axis=1).ravel()
     grad = np.zeros_like(embeddings)
-    anchors = np.flatnonzero(violation >= 0.0)
-    for a in anchors:
-        p, q = pos_idx[a], neg_idx[a]
-        if d_pos[a] > 0.0:
-            u = (embeddings[a] - embeddings[p]) / d_pos[a]
-            grad[a] += u
-            grad[p] -= u
-        if d_neg[a] > 0.0:
-            v = (embeddings[a] - embeddings[q]) / d_neg[a]
-            grad[a] -= v
-            grad[q] += v
+    np.add.at(grad, rows[keep], values[keep])
     grad /= n
     return loss, grad
 
 
-def triplet_satisfaction(embeddings: np.ndarray, ids: np.ndarray) -> float:
-    """Fraction of anchors whose hardest positive is nearer than their
-    hardest negative; the online training-accuracy signal."""
-    d_pos, d_neg, _, _ = hardest_distances(embeddings, ids)
-    return float((d_pos < d_neg).mean())
-
-
 def backward(
     params: EncoderParams,
-    inputs: np.ndarray,
+    cache: ForwardCache,
     grad_embeddings: np.ndarray,
     buffer: GradBuffer,
 ) -> None:
     """Accumulate the exact parameter gradient of loss(normalize(forward(x)))
-    into ``buffer`` given the loss gradient w.r.t. the unit-norm embeddings."""
-    raw, hiddens = _forward(params, inputs)
-    if grad_embeddings.shape != raw.shape:
+    into ``buffer`` given the loss gradient w.r.t. the unit-norm embeddings
+    and the forward pass that produced them."""
+    embeddings, hiddens = cache.embeddings, cache.hiddens
+    if grad_embeddings.shape != embeddings.shape:
         raise ContractError(
-            f"grad_embeddings shape {grad_embeddings.shape} does not match output {raw.shape}"
+            f"grad_embeddings shape {grad_embeddings.shape} does not match output {embeddings.shape}"
         )
-    embeddings, _, norms = _normalize(raw)
     # Jacobian of x/||x|| is (I - y y^T)/||x||, applied per row.
     inner = np.einsum("ij,ij->i", grad_embeddings, embeddings)
-    g = (grad_embeddings - inner[:, None] * embeddings) / norms[:, None]
+    g = (grad_embeddings - inner[:, None] * embeddings) / cache.norms[:, None]
     n_layers = params.n_layers
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
@@ -266,6 +264,21 @@ def backward(
         if i > 0:
             g = g @ params.weights[i].T
     buffer.accumulation_count += 1
+
+
+def accumulate(
+    params: EncoderParams,
+    inputs: np.ndarray,
+    ids: np.ndarray,
+    margin: float,
+    buffer: GradBuffer,
+) -> float:
+    """The training kernel: one forward pass, the batch-hard triplet loss on
+    its embeddings, and the backward pass into ``buffer``. Returns the loss."""
+    cache = _forward(params, inputs)
+    loss, grad_embeddings = batch_hard_triplet(cache.embeddings, ids, margin)
+    backward(params, cache, grad_embeddings, buffer)
+    return loss
 
 
 def adam_step(params: EncoderParams, buffer: GradBuffer, state: OptimState) -> None:

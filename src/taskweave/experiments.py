@@ -17,15 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .curriculum import ADAPTIVE, BALANCED, SchedulerConfig, Trainer
-from .datagen import Corpus, Loader, TaskData, build_corpus
+from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
+from .datagen import Corpus, TaskData, build_corpus
 from .encoder import (
     EncoderParams,
-    GradBuffer,
     OptimState,
-    adam_step,
-    backward,
-    batch_hard_triplet,
     embed,
     init_params,
     load_checkpoint,
@@ -103,28 +99,29 @@ def make_trainer(
     opt_state: OptimState,
     seed_name: str,
 ) -> Trainer:
-    cur = config.curriculum
-    scheduler = SchedulerConfig(
-        goals={name: cur.goals[name] for name in task_data},
-        batches_per_task=cur.batches_per_task,
-        total_batches=cur.total_batches,
-        epsilon=cur.epsilon,
-        floor=cur.floor,
-        accuracy_cadence=cur.accuracy_cadence,
-        probe_batches=cur.probe_batches,
-        steps_per_epoch=cur.steps_per_epoch,
-    )
+    return _trainer(config, mode, task_data, params, opt_state, derive_seed(config.seed, seed_name))
+
+
+def _trainer(
+    config: ExperimentConfig,
+    mode: str,
+    task_data: dict[str, TaskData],
+    params: EncoderParams,
+    opt_state: OptimState,
+    seed: int,
+    loader_stream: str = "loader",
+) -> Trainer:
     return Trainer(
         mode=mode,
         task_data=task_data,
         params=params,
         opt_state=opt_state,
-        scheduler=scheduler,
+        curriculum=config.curriculum,
         identities=config.batch.identities,
         positives=config.batch.positives,
         margin=config.margin,
-        seed=derive_seed(config.seed, seed_name),
-        subsample=cur.subsample,
+        seed=seed,
+        loader_stream=loader_stream,
     )
 
 
@@ -473,18 +470,16 @@ def pretrain_encoder(
     steps: int,
     batches_per_step: int,
     seed: int,
-) -> None:
-    """Plain single-task fit loop used to produce the shared starting point
-    for the forgetting comparison."""
-    loader = Loader(data, stream(seed, "pretrain-loader", data.name))
-    buffer = GradBuffer.zeros_like(params)
-    for _ in range(steps):
-        for _ in range(batches_per_step):
-            batch, _ = loader.next_batch(config.batch.identities, config.batch.positives)
-            emb = embed(params, batch.features)
-            _, grad_emb = batch_hard_triplet(emb, batch.labels, config.margin)
-            backward(params, batch.features, grad_emb, buffer)
-        adam_step(params, buffer, opt_state)
+) -> Trainer:
+    """Single-task fit producing the shared starting point for the forgetting
+    comparison: a one-task Trainer fed ``steps`` blocked steps of
+    ``batches_per_step`` batches each."""
+    trainer = _trainer(
+        config, BALANCED, {data.name: data}, params, opt_state, seed, "pretrain-loader"
+    )
+    for allocation in blocked_schedule([data.name], steps * batches_per_step, batches_per_step):
+        trainer.train_step(allocation)
+    return trainer
 
 
 def sequential_finetune(
@@ -495,28 +490,14 @@ def sequential_finetune(
     total_batches: int,
     group_size: int,
     seed: int,
-) -> None:
+) -> Trainer:
     """Blocked baseline: tasks one after another, same optimizer settings,
     same accumulation group size, and the same total batch count as the
     interleaved runs; only the curriculum differs."""
-    names = list(task_data)
-    loaders = {n: Loader(task_data[n], stream(seed, "seq-loader", n)) for n in names}
-    base, extra = divmod(total_batches, len(names))
-    buffer = GradBuffer.zeros_like(params)
-    for i, name in enumerate(names):
-        budget = base + (1 if i < extra else 0)
-        done = 0
-        while done < budget:
-            take = min(group_size, budget - done)
-            for _ in range(take):
-                batch, _ = loaders[name].next_batch(
-                    config.batch.identities, config.batch.positives
-                )
-                emb = embed(params, batch.features)
-                _, grad_emb = batch_hard_triplet(emb, batch.labels, config.margin)
-                backward(params, batch.features, grad_emb, buffer)
-            adam_step(params, buffer, opt_state)
-            done += take
+    trainer = _trainer(config, BALANCED, task_data, params, opt_state, seed, "seq-loader")
+    for allocation in blocked_schedule(list(task_data), total_batches, group_size):
+        trainer.train_step(allocation)
+    return trainer
 
 
 SEQUENTIAL = "sequential"

@@ -19,6 +19,7 @@ from taskweave.curriculum import (
 from taskweave.datagen import Loader
 from taskweave.encoder import (
     GradBuffer,
+    _forward,
     backward,
     batch_hard_triplet,
     embed,
@@ -123,7 +124,7 @@ def test_criterion_3_gradient_oracle():
             emb = embed(params, x)
             _, grad_emb = batch_hard_triplet(emb, ids, 0.35)
             buffer = GradBuffer.zeros_like(params)
-            backward(params, x, grad_emb, buffer)
+            backward(params, _forward(params, x), grad_emb, buffer)
             analytic = buffer.ravel()
 
             fd = np.zeros_like(analytic)
@@ -161,9 +162,9 @@ def test_criterion_4_gradient_coupling_identity():
         for batch in batches:
             emb = embed(params, batch.features)
             _, grad_emb = batch_hard_triplet(emb, batch.labels, config.margin)
-            backward(params, batch.features, grad_emb, coupled)
+            backward(params, _forward(params, batch.features), grad_emb, coupled)
             solo = GradBuffer.zeros_like(params)
-            backward(params, batch.features, grad_emb, solo)
+            backward(params, _forward(params, batch.features), grad_emb, solo)
             singles.append(solo.ravel())
         assert coupled.accumulation_count == len(batches)
         np.testing.assert_allclose(coupled.ravel(), np.sum(singles, axis=0), rtol=0, atol=1e-12)

@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 from taskweave.curriculum import (
     ADAPTIVE,
     BALANCED,
-    SchedulerConfig,
+    BLOCKED,
     Trainer,
     balanced_allocation,
+    blocked_schedule,
     distance_from_goal,
+    online_accuracy,
     relative_improvement,
     sample_allocation,
     task_scores_to_probabilities,
 )
-from taskweave.datagen import CorpusSpec, TaskGenSpec, build_corpus
-from taskweave.encoder import OptimState, init_params
+from taskweave.config import CurriculumConfig
+from taskweave.datagen import Batch, CorpusSpec, TaskGenSpec, build_corpus
+from taskweave.encoder import EncoderParams, OptimState, init_params
 from taskweave.errors import ConfigurationError, ContractError
 from taskweave.seeding import stream
 
@@ -131,6 +134,69 @@ class TestSampleAllocation:
         np.testing.assert_allclose(draws.mean(axis=0), 2.0, atol=0.05)
 
 
+class TestBlockedSchedule:
+    def test_uneven_budget_and_partial_groups(self):
+        steps = list(blocked_schedule(["a", "b", "c"], 11, 3))
+        # divmod(11, 3) = (3, 2): budgets 4, 4, 3, each spent in groups of <= 3.
+        assert [(name, n) for step in steps for name, n in step.items() if n] == [
+            ("a", 3), ("a", 1), ("b", 3), ("b", 1), ("c", 3)
+        ]
+        assert all(set(step) == {"a", "b", "c"} for step in steps)
+
+    @given(
+        n_tasks=st.integers(1, 5),
+        total=st.integers(0, 40),
+        group=st.integers(1, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_task_per_step_and_budgets(self, n_tasks, total, group):
+        names = [f"t{i}" for i in range(n_tasks)]
+        steps = list(blocked_schedule(names, total, group))
+        per_task = {name: 0 for name in names}
+        order = []
+        for step in steps:
+            active = [name for name, n in step.items() if n]
+            assert len(active) == 1
+            assert 1 <= step[active[0]] <= group
+            per_task[active[0]] += step[active[0]]
+            order.append(active[0])
+        assert sum(per_task.values()) == total
+        assert max(per_task.values()) - min(per_task.values()) <= 1
+        assert order == sorted(order, key=names.index)
+
+    def test_group_must_be_positive(self):
+        with pytest.raises(ContractError, match="group"):
+            list(blocked_schedule(["a"], 4, 0))
+
+
+class TestOnlineAccuracy:
+    identity = EncoderParams(weights=[np.eye(2)], biases=[np.zeros(2)])
+
+    def test_satisfaction_rate(self):
+        emb = np.array([[1.0, 0.0], [0.99, 0.14], [-1.0, 0.0], [-0.99, 0.14]])
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        batch = Batch(features=emb, labels=np.array([0, 0, 1, 1]), task="t")
+        assert online_accuracy(self.identity, [batch]) == 1.0
+
+    def test_counts_pool_across_batches(self):
+        # Six satisfied anchors in one batch, four violated in the other: the
+        # pooled rate is 6 / 10, not the mean of the per-batch rates (0.5).
+        tight = Batch(
+            features=np.array(
+                [[1.0, 0.0], [0.99, 0.14], [-0.5, 0.87], [-0.6, 0.8], [-0.5, -0.87], [-0.6, -0.8]]
+            ),
+            labels=np.array([0, 0, 1, 1, 2, 2]),
+            task="t",
+        )
+        swapped = Batch(
+            features=np.array([[1.0, 0.0], [0.99, 0.14], [-1.0, 0.0], [-0.99, 0.14]]),
+            labels=np.array([0, 1, 0, 1]),
+            task="t",
+        )
+        assert online_accuracy(self.identity, [swapped]) == 0.0
+        assert online_accuracy(self.identity, [tight, swapped]) == 0.6
+
+
 def small_task_data(sizes=(80, 80, 80, 80), seed=5):
     names = [f"t{i}" for i in range(len(sizes))]
     regimes = ["coarse-category", "fine-identity", "intermediate", "intermediate"]
@@ -163,7 +229,7 @@ def make_trainer(mode, sizes=(80, 80, 80, 80), seed=5, **sched):
         task_data=data,
         params=params,
         opt_state=opt,
-        scheduler=SchedulerConfig(**defaults),
+        curriculum=CurriculumConfig(**defaults),
         identities=10,
         positives=4,
         margin=0.35,
@@ -246,7 +312,7 @@ class TestTrainerAdaptive:
                 assert report.accuracies[starved_task] is None
                 next_report = trainer.train_step()
                 used = next_report.scoring[starved_task].goal_distance
-                expected = distance_from_goal(trainer.scheduler.goals[starved_task], logged)
+                expected = distance_from_goal(trainer.curriculum.goals[starved_task], logged)
                 assert used == expected
                 break
         assert starved_step is not None, "30 adaptive steps never starved a task"
@@ -277,7 +343,7 @@ class TestTrainerAdaptive:
                 task_data=data,
                 params=params,
                 opt_state=opt,
-                scheduler=SchedulerConfig(goals=goals),
+                curriculum=CurriculumConfig(goals=goals),
                 identities=10,
                 positives=4,
                 margin=0.35,
@@ -285,10 +351,45 @@ class TestTrainerAdaptive:
             )
 
 
+class TestTrainerBlocked:
+    def test_explicit_allocation_reports_blocked(self):
+        trainer = make_trainer(BALANCED)
+        report = trainer.train_step({"t1": 2})
+        assert report.mode == BLOCKED
+        assert report.allocations == {"t0": 0, "t1": 2, "t2": 0, "t3": 0}
+        assert report.accuracies["t1"] is not None and report.accuracies["t0"] is None
+        assert trainer.opt_state.step == 1
+        assert report.to_record()["mode"] == "blocked"
+
+    def test_unknown_task_rejected(self):
+        trainer = make_trainer(BALANCED)
+        with pytest.raises(ContractError, match="ghost"):
+            trainer.train_step({"ghost": 1})
+
+    def test_single_task_trainer(self):
+        data = {"t0": small_task_data()["t0"]}
+        params = init_params([8, 12, 6], stream(2, "init"))
+        trainer = Trainer(
+            mode=BALANCED,
+            task_data=data,
+            params=params,
+            opt_state=OptimState.for_params(params),
+            curriculum=CurriculumConfig(goals={"t0": 0.9}),
+            identities=10,
+            positives=4,
+            margin=0.35,
+            seed=2,
+        )
+        for allocation in blocked_schedule(["t0"], 6, 2):
+            report = trainer.train_step(allocation)
+        assert trainer.opt_state.step == 3
+        assert report.batches_consumed == 2
+
+
 class TestGradientCoupling:
     def test_summed_buffer_equals_sum_of_independent_gradients(self):
         from taskweave.datagen import Loader
-        from taskweave.encoder import GradBuffer, backward, batch_hard_triplet, embed
+        from taskweave.encoder import GradBuffer, _forward, backward, batch_hard_triplet, embed
 
         data = small_task_data()
         params = init_params([8, 12, 6], stream(3, "init"))
@@ -301,14 +402,14 @@ class TestGradientCoupling:
         for batch in batches:
             emb = embed(params, batch.features)
             _, grad_emb = batch_hard_triplet(emb, batch.labels, 0.35)
-            backward(params, batch.features, grad_emb, coupled)
+            backward(params, _forward(params, batch.features), grad_emb, coupled)
 
         independent = np.zeros_like(coupled.ravel())
         for batch in batches:
             solo = GradBuffer.zeros_like(params)
             emb = embed(params, batch.features)
             _, grad_emb = batch_hard_triplet(emb, batch.labels, 0.35)
-            backward(params, batch.features, grad_emb, solo)
+            backward(params, _forward(params, batch.features), grad_emb, solo)
             independent = independent + solo.ravel()
 
         assert coupled.accumulation_count == len(batches)

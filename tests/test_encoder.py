@@ -7,19 +7,23 @@ case is evaluated by explicit arithmetic on the update recurrence.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from taskweave.encoder import (
     EncoderParams,
     GradBuffer,
     OptimState,
+    _forward,
     adam_step,
     backward,
     batch_hard_triplet,
     embed,
+    hardest_distances,
     init_params,
     load_checkpoint,
     save_checkpoint,
-    triplet_satisfaction,
 )
 from taskweave.errors import ContractError, NumericError
 
@@ -27,6 +31,37 @@ from taskweave.errors import ContractError, NumericError
 def circle(*degrees):
     theta = np.deg2rad(degrees)
     return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def anchor_loop_triplet(embeddings, ids, margin):
+    """The per-anchor loop form of the batch-hard triplet subgradient: the
+    bitwise oracle for the vectorised kernel."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    n = embeddings.shape[0]
+    d_pos, d_neg, pos_idx, neg_idx = hardest_distances(embeddings, ids)
+    violation = d_pos - d_neg + margin
+    loss = float(np.maximum(violation, 0.0).mean())
+    grad = np.zeros_like(embeddings)
+    anchors = np.flatnonzero(violation >= 0.0)
+    for a in anchors:
+        p, q = pos_idx[a], neg_idx[a]
+        if d_pos[a] > 0.0:
+            u = (embeddings[a] - embeddings[p]) / d_pos[a]
+            grad[a] += u
+            grad[p] -= u
+        if d_neg[a] > 0.0:
+            v = (embeddings[a] - embeddings[q]) / d_neg[a]
+            grad[a] -= v
+            grad[q] += v
+    grad /= n
+    return loss, grad
+
+
+def assert_matches_loop(emb, ids, margin):
+    loss, grad = batch_hard_triplet(emb, ids, margin)
+    ref_loss, ref_grad = anchor_loop_triplet(emb, ids, margin)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestEmbed:
@@ -111,6 +146,43 @@ class TestBatchHardTriplet:
         rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert rel < 1e-4
 
+    # A coarse grid of coordinates makes tied distances and coincident rows
+    # common; signed zeros exercise the -0.0 bookkeeping.
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_anchor_loop(self, data):
+        n_ids = data.draw(st.integers(2, 6), label="n_ids")
+        k = data.draw(st.integers(2, 4), label="k")
+        ids = np.array(data.draw(st.permutations(np.repeat(np.arange(n_ids), k).tolist())))
+        coords = st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+            st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+        )
+        emb = data.draw(arrays(np.float64, (ids.size, data.draw(st.integers(1, 4))), elements=coords))
+        margin = data.draw(st.sampled_from([0.0, 0.35, 100.0]), label="margin")
+        assert_matches_loop(emb, ids, margin)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_on_all_violating_batch(self, seed):
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((40, 6))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        ids = np.repeat(np.arange(10), 4)
+        # Unit-sphere distances are at most 2, so every hinge is active.
+        assert_matches_loop(emb, ids, 3.0)
+
+    def test_bitwise_equal_with_coincident_rows(self):
+        emb = circle(0, 0, 0, 90, 90, 180)
+        emb[5] = emb[0]  # a negative coincident with its anchor
+        ids = np.array([0, 0, 0, 1, 1, 1])
+        assert_matches_loop(emb, ids, 0.35)
+        assert_matches_loop(np.zeros((4, 2)), np.array([0, 0, 1, 1]), 0.35)
+        # Distinct rows whose Gram-form distance rounds to 0: the loop skips
+        # them, so their nonzero difference must not reach the gradient.
+        near = np.array([[1.0, 0.0], [np.nextafter(1.0, 2.0), 1e-9], [-1.0, 0.0], [-1.0, 0.0]])
+        assert hardest_distances(near, np.array([0, 0, 1, 1]))[0][0] == 0.0
+        assert_matches_loop(near, np.array([0, 0, 1, 1]), 3.0)
+
     def test_single_occurrence_id_rejected(self):
         emb = circle(0, 90, 180)
         with pytest.raises(ContractError, match="twice"):
@@ -134,15 +206,8 @@ class TestBatchHardTriplet:
         ids = np.repeat(np.arange(4), 2)
         loss, _ = batch_hard_triplet(emb, ids, 0.35)
         assert loss >= 0.0
-        from taskweave.encoder import hardest_distances
-
         d_pos, d_neg, _, _ = hardest_distances(emb, ids)
         assert (loss == 0.0) == bool((d_neg >= d_pos + 0.35).all())
-
-    def test_satisfaction_rate(self):
-        emb = np.array([[1.0, 0.0], [0.99, 0.14], [-1.0, 0.0], [-0.99, 0.14]])
-        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        assert triplet_satisfaction(emb, np.array([0, 0, 1, 1])) == 1.0
 
 
 class TestBackward:
@@ -151,7 +216,7 @@ class TestBackward:
         params = init_params([4, 6, 3], rng)
         x = rng.standard_normal((5, 4))
         buffer = GradBuffer.zeros_like(params)
-        backward(params, x, np.zeros((5, 3)), buffer)
+        backward(params, _forward(params, x), np.zeros((5, 3)), buffer)
         assert buffer.accumulation_count == 1
         assert np.all(buffer.ravel() == 0.0)
 
@@ -161,10 +226,10 @@ class TestBackward:
         x = rng.standard_normal((5, 4))
         g = rng.standard_normal((5, 3))
         once = GradBuffer.zeros_like(params)
-        backward(params, x, g, once)
+        backward(params, _forward(params, x), g, once)
         twice = GradBuffer.zeros_like(params)
-        backward(params, x, g, twice)
-        backward(params, x, g, twice)
+        backward(params, _forward(params, x), g, twice)
+        backward(params, _forward(params, x), g, twice)
         np.testing.assert_allclose(twice.ravel(), 2.0 * once.ravel(), rtol=0, atol=1e-15)
         assert twice.accumulation_count == 2
 
@@ -172,7 +237,12 @@ class TestBackward:
         rng = np.random.default_rng(2)
         params = init_params([4, 3], rng)
         with pytest.raises(ContractError, match="shape"):
-            backward(params, np.ones((2, 4)), np.ones((2, 5)), GradBuffer.zeros_like(params))
+            backward(
+                params,
+                _forward(params, np.ones((2, 4))),
+                np.ones((2, 5)),
+                GradBuffer.zeros_like(params),
+            )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_full_pipeline_gradient_vs_finite_differences(self, seed):
@@ -187,7 +257,7 @@ class TestBackward:
         emb = embed(params, x)
         _, grad_emb = batch_hard_triplet(emb, ids, 0.35)
         buffer = GradBuffer.zeros_like(params)
-        backward(params, x, grad_emb, buffer)
+        backward(params, _forward(params, x), grad_emb, buffer)
         analytic = buffer.ravel()
 
         fd = np.zeros_like(analytic)

@@ -92,6 +92,53 @@ class TestConfig:
         with pytest.raises(ValidationError, match="schema_version"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "section",
+        ["encoder", "optimizer", "batch", "curriculum", "training", "evaluation", "forgetting"],
+    )
+    def test_unknown_key_in_every_section(self, tmp_path, section):
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        payload[section]["stray_key"] = 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=rf"stray_key.*config\.{section}$"):
+            ExperimentConfig.from_file(path)
+
+    def test_unknown_task_key_names_its_path(self, tmp_path):
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        payload["corpus"]["tasks"][2]["colour"] = "red"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=r"colour.*config\.corpus\.tasks\[2\]"):
+            ExperimentConfig.from_file(path)
+
+    def test_unknown_evaluation_suite(self, tmp_path):
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        payload["evaluation"]["suites"] = ["scores", "vibes"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="vibes"):
+            ExperimentConfig.from_file(path)
+
+    def test_task_entries_list_every_spec_field(self, tmp_path):
+        config = default_config(output_dir=str(tmp_path))
+        expected = {
+            "name",
+            "regime",
+            "classes",
+            "samples_per_class",
+            "within_class_spread",
+            "between_class_spread",
+            "degradation_noise",
+            "twin",
+        }
+        assert all(set(t) == expected for t in config.to_dict()["corpus"]["tasks"])
+        train, _ = build_splits(config)
+        train.save(tmp_path / "corpus")
+        manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
+        for entry in manifest["tasks"]:
+            assert set(entry) == expected | {"shape", "labels", "file"}
+
     def test_goal_for_unknown_task(self, tmp_path):
         payload = default_config(output_dir=str(tmp_path)).to_dict()
         payload["curriculum"]["goals"]["ghost_task"] = 0.9
