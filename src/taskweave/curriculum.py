@@ -199,15 +199,26 @@ def blocked_schedule(
             budget -= take
 
 
+def _satisfied_anchors(params: EncoderParams, batches: list[Batch]) -> np.ndarray:
+    """Per batch, the number of anchors whose hardest positive is nearer than
+    their hardest negative. Batches of one size share one ``embed`` and one
+    ``hardest_distances`` call on their stack."""
+    sizes = np.array([batch.labels.size for batch in batches])
+    satisfied = np.zeros(len(batches), dtype=np.int64)
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        features = np.stack([batches[i].features for i in group])
+        labels = np.stack([batches[i].labels for i in group])
+        d_pos, d_neg, _, _ = hardest_distances(embed(params, features), labels)
+        satisfied[group] = (d_pos < d_neg).sum(axis=1)
+    return satisfied
+
+
 def online_accuracy(params: EncoderParams, batches: list[Batch]) -> float:
     """Fraction of anchors, pooled over ``batches``, whose hardest positive is
     nearer than their hardest negative: the online training-accuracy signal."""
-    satisfied = total = 0
-    for batch in batches:
-        d_pos, d_neg, _, _ = hardest_distances(embed(params, batch.features), batch.labels)
-        satisfied += int((d_pos < d_neg).sum())
-        total += len(d_pos)
-    return satisfied / total
+    anchors = sum(batch.labels.size for batch in batches)
+    return int(_satisfied_anchors(params, batches).sum()) / anchors
 
 
 class Trainer:
@@ -320,8 +331,9 @@ class Trainer:
         }
 
     def train_step(self, allocations: dict[str, int] | None = None) -> StepReport:
-        """One gradient-coupled step: allocate, accumulate, update once,
-        then measure online accuracy on the just-used batches.
+        """One gradient-coupled step: allocate, draw the batches, accumulate
+        them in one stacked kernel call, update once, then measure online
+        accuracy on the just-used batches in one more stacked pass.
 
         ``allocations`` (batches per task) overrides the mode's allocation;
         such a step reports mode ``blocked``.
@@ -344,25 +356,39 @@ class Trainer:
                 alloc_list = sample_allocation(probs, self.total_batches, self.alloc_rng)
             allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
 
-        losses = {name: 0.0 for name in self.task_names}
+        # Draw every batch of the step first (tasks in order, each loader in
+        # its own order), then run them through the kernel as one stack.
+        batches: list[Batch] = []
+        owners: list[str] = []
         exhausted = {name: False for name in self.task_names}
-        used: dict[str, list[Batch]] = {name: [] for name in self.task_names}
         for name in self.task_names:
             loader = self.loaders[name]
             for _ in range(allocations[name]):
                 batch, flag = loader.next_batch(self.identities, self.positives)
-                losses[name] += accumulate(
-                    self.params, batch.features, batch.labels, self.margin, self.buffer
-                )
                 exhausted[name] = exhausted[name] or flag
-                used[name].append(batch)
+                batches.append(batch)
+                owners.append(name)
+        losses = {name: 0.0 for name in self.task_names}
+        if batches:
+            batch_losses = accumulate(
+                self.params,
+                np.stack([batch.features for batch in batches]),
+                np.stack([batch.labels for batch in batches]),
+                self.margin,
+                self.buffer,
+            )
+            for name, loss in zip(owners, batch_losses.tolist()):
+                losses[name] += loss
         adam_step(self.params, self.buffer, self.opt_state)
 
         accuracies: dict[str, float | None] = {name: None for name in self.task_names}
         if self.step % self.curriculum.accuracy_cadence == 0:
+            satisfied = _satisfied_anchors(self.params, batches)
+            anchors = self.identities * self.positives
             for name in self.task_names:
-                if used[name]:
-                    accuracies[name] = online_accuracy(self.params, used[name])
+                mine = [i for i, owner in enumerate(owners) if owner == name]
+                if mine:
+                    accuracies[name] = int(satisfied[mine].sum()) / (anchors * len(mine))
                     self.states[name].metric_log.append((self.step, accuracies[name]))
         for name in self.task_names:
             self.states[name].last_allocation = allocations[name]

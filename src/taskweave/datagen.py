@@ -347,11 +347,11 @@ class Loader:
 
     @property
     def cursor(self) -> int:
-        return int(self._consumed.sum())
+        return self._n_consumed
 
     def _refresh(self) -> None:
         self.order = self._rng.permutation(self._indices)
-        self._consumed = np.zeros(len(self.order), dtype=bool)
+        self._n_consumed = 0
         labels = self._data.labels[self.order]
         self._per_id: dict[int, list[int]] = {}
         for pos, lab in enumerate(labels):
@@ -385,20 +385,21 @@ class Loader:
             chosen = chosen + take_scarce
             need = p - len(chosen)
             if need > 0:
-                spent = [lab for lab in self._per_id if lab not in set(chosen)]
+                taken = set(chosen)
+                spent = [lab for lab in self._per_id if lab not in taken]
                 chosen = chosen + list(self._rng.choice(spent, size=need, replace=False))
 
         positions: list[int] = []
         for lab in chosen:
             rem = self._remaining[lab]
             fresh = rem[:k]
-            del rem[: len(fresh)]
-            for pos in fresh:
-                self._consumed[pos] = True
+            del rem[:k]
+            self._n_consumed += len(fresh)
             short = k - len(fresh)
             if short > 0:
-                seen = [pos for pos in self._per_id[lab] if pos not in rem]
-                fresh = fresh + list(self._rng.choice(seen, size=short, replace=True))
+                # ``fresh`` took the identity's last unconsumed samples; top
+                # up with replacement from all of its samples in this pass.
+                fresh += list(self._rng.choice(self._per_id[lab], size=short, replace=True))
             positions.extend(fresh)
 
         sample_indices = self.order[positions]
@@ -407,7 +408,7 @@ class Loader:
             labels=self._data.labels[sample_indices],
             task=self.task,
         )
-        exhausted = bool(self._consumed.all())
+        exhausted = self._n_consumed == len(self.order)
         if exhausted:
             self.refreshes += 1
             self._refresh()

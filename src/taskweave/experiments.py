@@ -214,6 +214,28 @@ def verification_pair_plan(eval_corpus: Corpus, config: ExperimentConfig) -> Pai
     return PairPlan(eval_corpus, config)
 
 
+# Each regime's metrics in column order. "top<k>" ranks every eval sample
+# against the train-class centroids; "rank<k>" ranks the probe half of the
+# eval set against its gallery half; "tar" expands to one column per
+# configured FAR. A task's retrieval metrics share one ``rank_k`` call.
+REGIME_METRICS = {
+    "coarse-category": ("top1", "top5"),
+    "fine-identity": ("auc", "ver_acc", "rank1", "tar"),
+    "fine-identity-degraded": ("auc", "rank1", "rank5"),
+    "intermediate": ("auc", "rank1", "tar"),
+}
+RETRIEVAL_K = {"top1": 1, "top5": 5, "rank1": 1, "rank5": 5}
+
+
+def _class_centroids(params: EncoderParams, data: TaskData) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm mean embedding of each class, and the classes."""
+    emb = embed(params, data.features)
+    classes = np.unique(data.labels)
+    centroids = np.stack([emb[data.labels == c].mean(axis=0) for c in classes])
+    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+    return centroids, classes
+
+
 def evaluate_row(
     params: EncoderParams,
     train_corpus: Corpus,
@@ -224,42 +246,41 @@ def evaluate_row(
     """All configured metrics for one model, keyed by 'task:metric'."""
     if pair_plan is None:
         pair_plan = verification_pair_plan(eval_corpus, config)
-    fars = config.evaluation.far_values
     row: dict[str, float] = {}
     for name, data in eval_corpus.tasks.items():
+        metrics = REGIME_METRICS[data.regime]
         emb = embed(params, data.features)
         labels = data.labels
-        regime = data.regime
-        if regime == "coarse-category":
-            train_emb = embed(params, train_corpus.tasks[name].features)
-            train_labels = train_corpus.tasks[name].labels
-            classes = np.unique(train_labels)
-            centroids = np.stack([train_emb[train_labels == c].mean(axis=0) for c in classes])
-            centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
-            row[f"{name}:top1"] = rank_k(emb, labels, centroids, classes, 1)
-            row[f"{name}:top5"] = rank_k(emb, labels, centroids, classes, 5)
-            continue
-        pairs = pair_plan[name]
-        genuine = _pair_scores(emb, pairs.genuine)
-        impostor = _pair_scores(emb, pairs.impostor)
-        probe, gallery = _probe_gallery_split(labels)
-        row[f"{name}:auc"] = roc_auc(genuine, impostor)
-        if regime == "fine-identity":
-            scores = np.concatenate([genuine, impostor])
-            truth = np.concatenate([np.ones(genuine.size, bool), np.zeros(impostor.size, bool)])
-            # Interleave so every fold carries both kinds of pair.
-            order = np.argsort(np.tile(np.arange(genuine.size), 2), kind="stable")
-            row[f"{name}:ver_acc"] = verification_accuracy(scores[order], truth[order])
-            row[f"{name}:rank1"] = rank_k(emb[probe], labels[probe], emb[gallery], labels[gallery], 1)
-            for far in fars:
-                row[f"{name}:{_far_column(far)}"] = tar_at_far(genuine, impostor, far)
-        elif regime == "fine-identity-degraded":
-            row[f"{name}:rank1"] = rank_k(emb[probe], labels[probe], emb[gallery], labels[gallery], 1)
-            row[f"{name}:rank5"] = rank_k(emb[probe], labels[probe], emb[gallery], labels[gallery], 5)
-        else:  # intermediate
-            row[f"{name}:rank1"] = rank_k(emb[probe], labels[probe], emb[gallery], labels[gallery], 1)
-            for far in fars:
-                row[f"{name}:{_far_column(far)}"] = tar_at_far(genuine, impostor, far)
+        hits: dict[str, float] = {}
+        retrieval = [m for m in metrics if m in RETRIEVAL_K]
+        if retrieval:
+            if retrieval[0].startswith("top"):
+                gallery = _class_centroids(params, train_corpus.tasks[name])
+                probes = (emb, labels)
+            else:
+                probe, kept = _probe_gallery_split(labels)
+                gallery = (emb[kept], labels[kept])
+                probes = (emb[probe], labels[probe])
+            ks = [RETRIEVAL_K[m] for m in retrieval]
+            hits.update(zip(retrieval, rank_k(*probes, *gallery, ks)))
+        if len(retrieval) < len(metrics):
+            pairs = pair_plan[name]
+            genuine = _pair_scores(emb, pairs.genuine)
+            impostor = _pair_scores(emb, pairs.impostor)
+        for metric in metrics:
+            if metric in hits:
+                row[f"{name}:{metric}"] = hits[metric]
+            elif metric == "auc":
+                row[f"{name}:auc"] = roc_auc(genuine, impostor)
+            elif metric == "ver_acc":
+                scores = np.concatenate([genuine, impostor])
+                truth = np.concatenate([np.ones(genuine.size, bool), np.zeros(impostor.size, bool)])
+                # Interleave so every fold carries both kinds of pair.
+                order = np.argsort(np.tile(np.arange(genuine.size), 2), kind="stable")
+                row[f"{name}:ver_acc"] = verification_accuracy(scores[order], truth[order])
+            else:  # tar
+                for far in config.evaluation.far_values:
+                    row[f"{name}:{_far_column(far)}"] = tar_at_far(genuine, impostor, far)
     return row
 
 

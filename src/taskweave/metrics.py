@@ -7,6 +7,7 @@ break toward the lower gallery index so every metric is deterministic.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,10 +80,11 @@ def rank_k(
     probe_ids,
     gallery_emb: np.ndarray,
     gallery_ids,
-    k: int,
-) -> float:
+    k: int | Sequence[int],
+) -> float | tuple[float, ...]:
     """Fraction of probes with a same-id gallery item among the top-k cosine
-    matches.
+    matches; for a sequence of ``k``, one fraction per k, in order, from a
+    single ranking.
 
     Gallery items are ordered by score descending, ties by gallery index
     ascending (the order of a stable argsort of the negated scores). A probe
@@ -94,7 +96,8 @@ def rank_k(
     """
     probe_ids = np.asarray(probe_ids)
     gallery_ids = np.asarray(gallery_ids)
-    if k < 1:
+    ks = tuple(k) if isinstance(k, Sequence) else (k,)
+    if not ks or min(ks) < 1:
         raise ContractError("k must be >= 1")
     missing = sorted(set(probe_ids.tolist()) - set(gallery_ids.tolist()))
     if missing:
@@ -107,7 +110,8 @@ def rank_k(
     first_best = (same_scores == best).argmax(axis=1)
     earlier = np.arange(gallery_ids.size)[None, :] < first_best[:, None]
     ahead = (sims > best).sum(axis=1) + ((sims == best) & earlier).sum(axis=1)
-    return int(np.count_nonzero(ahead < k)) / sims.shape[0]
+    rates = tuple(int(np.count_nonzero(ahead < each)) / sims.shape[0] for each in ks)
+    return rates if isinstance(k, Sequence) else rates[0]
 
 
 def _best_threshold(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Corpus generation and batch loader contracts."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,108 @@ class TestLoader:
         emitted = {tuple(r) for r in np.vstack(rows)}
         expected = {tuple(r) for r in loader._data.features}
         assert expected <= emitted
+
+
+class ReferenceLoader(Loader):
+    """The loader before it counted consumed samples: a boolean mask checked
+    with ``.all()`` on every call, ``set(chosen)`` rebuilt per identity and a
+    list scan for the top-up pool. It also tallies which branches ran."""
+
+    def __init__(self, *args, **kwargs):
+        self.branches = Counter()
+        super().__init__(*args, **kwargs)
+
+    @property
+    def cursor(self) -> int:
+        return int(self._consumed.sum())
+
+    def _refresh(self) -> None:
+        self.order = self._rng.permutation(self._indices)
+        self._consumed = np.zeros(len(self.order), dtype=bool)
+        labels = self._data.labels[self.order]
+        self._per_id = {}
+        for pos, lab in enumerate(labels):
+            self._per_id.setdefault(int(lab), []).append(pos)
+        self._remaining = {lab: list(positions) for lab, positions in self._per_id.items()}
+
+    def next_batch(self, p, k):
+        rich = [lab for lab, rem in self._remaining.items() if len(rem) >= k]
+        scarce = [lab for lab, rem in self._remaining.items() if 0 < len(rem) < k]
+        if len(rich) >= p:
+            chosen = list(self._rng.choice(rich, size=p, replace=False))
+        else:
+            chosen = rich
+            need = p - len(chosen)
+            take_scarce = list(self._rng.permutation(scarce))[:need]
+            self.branches["scarce"] += bool(take_scarce)
+            chosen = chosen + take_scarce
+            need = p - len(chosen)
+            if need > 0:
+                self.branches["spent"] += 1
+                spent = [lab for lab in self._per_id if lab not in set(chosen)]
+                chosen = chosen + list(self._rng.choice(spent, size=need, replace=False))
+        positions = []
+        for lab in chosen:
+            rem = self._remaining[lab]
+            fresh = rem[:k]
+            del rem[: len(fresh)]
+            for pos in fresh:
+                self._consumed[pos] = True
+            short = k - len(fresh)
+            if short > 0:
+                self.branches["top-up"] += 1
+                seen = [pos for pos in self._per_id[lab] if pos not in rem]
+                fresh = fresh + list(self._rng.choice(seen, size=short, replace=True))
+            positions.extend(fresh)
+        sample_indices = self.order[positions]
+        batch = Batch(
+            features=self._data.features[sample_indices],
+            labels=self._data.labels[sample_indices],
+            task=self.task,
+        )
+        exhausted = bool(self._consumed.all())
+        if exhausted:
+            self.refreshes += 1
+            self._refresh()
+        return batch, exhausted
+
+
+def ragged_task(sizes):
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    # Each feature row names its sample, so equal batches mean equal draws.
+    return TaskData("t", "fine-identity", np.arange(labels.size, dtype=float)[:, None], labels)
+
+
+class TestLoaderOracle:
+    # (class sizes, subsample fraction, P, K). Ragged sizes leave identities
+    # short of K (the scarce branch and the top-up); P near the number of
+    # identities forces fully consumed identities into a batch (the spent
+    # branch); fractions below 1 subsample before the first pass.
+    CASES = [
+        ((4,) * 20, 1.0, 10, 4),
+        ((6, 5, 9, 4, 7, 6, 5, 8), 1.0, 4, 4),
+        ((6, 5, 9, 4, 7, 6, 5, 8), 1.0, 7, 3),
+        ((3, 7, 5, 5, 4, 6), 1.0, 6, 3),
+        ((10,) * 12, 0.5, 5, 2),
+        ((9, 12, 7, 15, 11, 8, 10, 13), 0.7, 6, 3),
+        ((30,) * 4 + (5,) * 4, 0.9, 8, 2),
+    ]
+
+    def test_batches_and_flags_match_reference(self):
+        branches = Counter()
+        for case, (sizes, fraction, p, k) in enumerate(self.CASES):
+            data = ragged_task(sizes)
+            loader = Loader(data, stream(case, "oracle"), fraction)
+            reference = ReferenceLoader(data, stream(case, "oracle"), fraction)
+            assert np.array_equal(loader._indices, reference._indices)
+            for _ in range(60):
+                batch, flag = loader.next_batch(p, k)
+                expected, expected_flag = reference.next_batch(p, k)
+                assert np.array_equal(batch.features, expected.features)
+                assert np.array_equal(batch.labels, expected.labels)
+                assert flag is expected_flag
+                assert loader.cursor == reference.cursor
+            assert loader.refreshes == reference.refreshes > 1
+            assert loader._rng.bit_generator.state == reference._rng.bit_generator.state
+            branches += reference.branches
+        assert {"scarce", "spent", "top-up"} <= {name for name, n in branches.items() if n}

@@ -302,6 +302,52 @@ class TestPairPlan:
         assert coarse and set(plan._drawn) == set(eval_corpus.tasks) - coarse
 
 
+class TestEvaluateRow:
+    # Column order per regime as the score tables have always written it.
+    COLUMNS = {
+        "coarse-category": ["top1", "top5"],
+        "fine-identity": ["auc", "ver_acc", "rank1", "tar_far0.001", "tar_far0.01"],
+        "fine-identity-degraded": ["auc", "rank1", "rank5"],
+        "intermediate": ["auc", "rank1", "tar_far0.001", "tar_far0.01"],
+    }
+
+    def test_columns_in_regime_order(self, tmp_path):
+        config = tiny_config(tmp_path / "out")
+        config.evaluation.far_values = [0.001, 0.01]
+        train_corpus, eval_corpus = build_splits(config)
+        params, _ = init_encoder(config)
+        row = evaluate_row(params, train_corpus, eval_corpus, config)
+        expected = [
+            f"{name}:{column}"
+            for name, data in eval_corpus.tasks.items()
+            for column in self.COLUMNS[data.regime]
+        ]
+        assert list(row) == expected
+
+    def test_one_ranking_per_task(self, tmp_path, monkeypatch):
+        from taskweave import experiments, metrics
+
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return metrics.rank_k(*args)
+
+        monkeypatch.setattr(experiments, "rank_k", recording)
+        config = tiny_config(tmp_path / "out")
+        train_corpus, eval_corpus = build_splits(config)
+        params, _ = init_encoder(config)
+        row = evaluate_row(params, train_corpus, eval_corpus, config)
+        assert len(calls) == len(eval_corpus.tasks)
+        for (name, data), args in zip(eval_corpus.tasks.items(), calls):
+            retrieval = [c for c in self.COLUMNS[data.regime] if c[:3] in ("top", "ran")]
+            ks = [int(c[-1]) for c in retrieval]
+            assert list(args[4]) == ks
+            # Each rate is the one a single-k call on the same sets gives.
+            for column, k in zip(retrieval, ks):
+                assert row[f"{name}:{column}"] == metrics.rank_k(*args[:4], k)
+
+
 def test_import_skips_scipy_optimize():
     src = str(Path(taskweave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

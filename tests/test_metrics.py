@@ -261,6 +261,19 @@ class TestRankKOracle:
             expected = oracle_rank_k(sims, probe_ids, gallery_ids, k)
             assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
 
+    @given(tied_retrieval())
+    @settings(max_examples=100, deadline=None)
+    def test_several_k_share_one_ranking(self, case):
+        probes, probe_ids, gallery, gallery_ids, _ = case
+        ks = [1, 5, 2, gallery_ids.size + 1]
+        rates = rank_k(probes, probe_ids, gallery, gallery_ids, ks)
+        assert rates == tuple(rank_k(probes, probe_ids, gallery, gallery_ids, k) for k in ks)
+
+    @pytest.mark.parametrize("ks", [[], [1, 0], (3, -1)])
+    def test_every_k_checked(self, ks):
+        with pytest.raises(ContractError, match="k must be"):
+            rank_k(np.eye(2), [0, 1], np.eye(2), [0, 1], ks)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_similarities(self, bad):

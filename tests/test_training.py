@@ -1,10 +1,12 @@
 """The single training path: pretraining and the sequential baseline as
-blocked schedules of the one Trainer, one forward pass per training batch,
-and the tracer's span names.
+blocked schedules of the one Trainer, one stacked kernel call per optimizer
+step, and the tracer's span names.
 
 The reference loops below are the standalone training loops these functions
 replaced, each batch paying a second forward pass inside its backward; the
-Trainer must reproduce their parameters and Adam moments exactly.
+Trainer must reproduce their parameters and Adam moments exactly. The
+reference step is the per-batch step the stacked kernel replaced; the
+Trainer must reproduce its losses and accuracies as well.
 """
 
 import dataclasses
@@ -15,11 +17,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import taskweave.encoder as encoder
 from taskweave.config import default_config
+from taskweave.curriculum import (
+    BALANCED,
+    BLOCKED,
+    StepReport,
+    Trainer,
+    balanced_allocation,
+    blocked_schedule,
+    sample_allocation,
+)
 from taskweave.datagen import Loader
-from taskweave.encoder import GradBuffer, adam_step, batch_hard_triplet, embed
+from taskweave.encoder import (
+    GradBuffer,
+    accumulate,
+    adam_step,
+    batch_hard_triplet,
+    embed,
+    hardest_distances,
+    init_params,
+)
 from taskweave.experiments import (
     build_splits,
     fresh_optimizer,
@@ -157,51 +179,271 @@ class TestReferenceLoops:
 
 
 class TestOneForwardPerBatch:
+    """One forward pass per optimizer step, over all of the step's batches;
+    one more, over the same batches, for the accuracy pass."""
+
     @pytest.fixture
-    def forward_calls(self, monkeypatch):
-        calls = []
+    def forward_rows(self, monkeypatch):
+        rows = []
         original = encoder._forward
 
         def counting(params, inputs):
-            calls.append(inputs.shape[0])
+            rows.append(int(np.prod(inputs.shape[:-1])))
             return original(params, inputs)
 
         monkeypatch.setattr(encoder, "_forward", counting)
-        return calls
+        return rows
 
     @pytest.mark.parametrize("cadence, passes", [(10**6, 1), (1, 2)])
-    def test_interleaved_steps(self, forward_calls, cadence, passes):
+    def test_interleaved_steps(self, forward_rows, cadence, passes):
         config = small_config()
         config.curriculum.accuracy_cadence = cadence
         train, _ = build_splits(config)
         params, opt = init_encoder(config)
         trainer = make_trainer(config, "balanced", train.tasks, params, opt, "t")
-        batches = sum(trainer.train_step().batches_consumed for _ in range(3))
-        # Without an accuracy pass, one forward pass per batch; with it, one
-        # more per batch on the updated parameters.
-        assert len(forward_calls) == passes * batches
+        batch = config.batch.identities * config.batch.positives
+        reports = [trainer.train_step() for _ in range(3)]
+        expected = [r.batches_consumed * batch for r in reports for _ in range(passes)]
+        assert forward_rows == expected
 
-    def test_adaptive_steps(self, forward_calls):
+    def test_adaptive_steps(self, forward_rows):
         config = small_config()
         config.curriculum.accuracy_cadence = 10**6
         config.curriculum.total_batches = 5
         train, _ = build_splits(config)
         params, opt = init_encoder(config)
         trainer = make_trainer(config, "adaptive", train.tasks, params, opt, "t")
-        forward_calls.clear()  # the step-0 probe pass
+        forward_rows.clear()  # the step-0 probe pass
         assert sum(trainer.train_step().batches_consumed for _ in range(3)) == 15
-        assert len(forward_calls) == 15
+        assert forward_rows == [5 * config.batch.identities * config.batch.positives] * 3
 
-    def test_pretrain_and_sequential(self, forward_calls):
+    def test_pretrain_and_sequential(self, forward_rows):
         config = small_config()
         config.curriculum.accuracy_cadence = 10**6
+        batch = config.batch.identities * config.batch.positives
         train, _ = build_splits(config)
         params, opt = init_encoder(config)
         pretrain_encoder(config, params, opt, train.tasks["objects"], 3, 2, seed=1)
-        assert len(forward_calls) == 6
+        assert forward_rows == [2 * batch] * 3
         tasks = {n: d for n, d in train.tasks.items() if n != "objects"}
         sequential_finetune(config, params, opt, tasks, 7, 3, seed=2)
-        assert len(forward_calls) == 6 + 7
+        # Budgets 3, 2, 2 in groups of at most 3: one step per task.
+        assert forward_rows[3:] == [3 * batch, 2 * batch, 2 * batch]
+
+
+def reference_accuracy(params, batches):
+    satisfied = total = 0
+    for batch in batches:
+        d_pos, d_neg, _, _ = hardest_distances(embed(params, batch.features), batch.labels)
+        satisfied += int((d_pos < d_neg).sum())
+        total += len(d_pos)
+    return satisfied / total
+
+
+class ReferenceTrainer(Trainer):
+    """The Trainer before its step was stacked: one ``accumulate`` per batch,
+    and an accuracy pass of one ``embed`` and ``hardest_distances`` per batch."""
+
+    def seed_initial_accuracies(self):
+        for name, data in self.task_data.items():
+            rng = stream(self.seed, "probe", name)
+            batches = [self._probe_batch(data, rng) for _ in range(self.curriculum.probe_batches)]
+            self.states[name].metric_log.append((0, reference_accuracy(self.params, batches)))
+
+    def train_step(self, allocations=None):
+        self.step += 1
+        scoring = None
+        if allocations is not None:
+            mode = BLOCKED
+            allocations = {name: int(allocations.get(name, 0)) for name in self.task_names}
+        else:
+            mode = self.mode
+            if mode == BALANCED:
+                alloc_list = balanced_allocation(self.n_tasks, self.curriculum.batches_per_task)
+            else:
+                scoring = self._score_tasks()
+                probs = [scoring[name].probability for name in self.task_names]
+                alloc_list = sample_allocation(probs, self.total_batches, self.alloc_rng)
+            allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
+        losses = {name: 0.0 for name in self.task_names}
+        exhausted = {name: False for name in self.task_names}
+        used = {name: [] for name in self.task_names}
+        for name in self.task_names:
+            for _ in range(allocations[name]):
+                batch, flag = self.loaders[name].next_batch(self.identities, self.positives)
+                losses[name] += accumulate(
+                    self.params, batch.features, batch.labels, self.margin, self.buffer
+                )
+                exhausted[name] = exhausted[name] or flag
+                used[name].append(batch)
+        adam_step(self.params, self.buffer, self.opt_state)
+        accuracies = {name: None for name in self.task_names}
+        if self.step % self.curriculum.accuracy_cadence == 0:
+            for name in self.task_names:
+                if used[name]:
+                    accuracies[name] = reference_accuracy(self.params, used[name])
+                    self.states[name].metric_log.append((self.step, accuracies[name]))
+        for name in self.task_names:
+            self.states[name].last_allocation = allocations[name]
+        return StepReport(self.step, mode, allocations, losses, exhausted, accuracies, scoring)
+
+
+def trainer_and_reference(config, mode, tasks):
+    params, opt = init_encoder(config)
+    pair = []
+    for cls in (Trainer, ReferenceTrainer):
+        pair.append(
+            cls(
+                mode=mode,
+                task_data=tasks,
+                params=params.copy(),
+                opt_state=fresh_optimizer(config, params),
+                curriculum=config.curriculum,
+                identities=config.batch.identities,
+                positives=config.batch.positives,
+                margin=config.margin,
+                seed=41,
+            )
+        )
+    return pair
+
+
+def assert_same_steps(trainer, reference, allocations):
+    for allocation in allocations:
+        report = trainer.train_step(allocation)
+        expected = reference.train_step(allocation)
+        # The records hold every loss, accuracy, flag and adaptive score.
+        assert report.to_record() == expected.to_record()
+        assert report.losses == expected.losses
+    assert_same_state(trainer.params, trainer.opt_state, reference.params, reference.opt_state)
+    for name in trainer.task_names:
+        assert trainer.states[name].metric_log == reference.states[name].metric_log
+
+
+class TestStackedStepMatchesReference:
+    @pytest.mark.parametrize("cadence", [1, 2])
+    def test_balanced(self, cadence):
+        config = small_config()
+        config.curriculum.accuracy_cadence = cadence
+        config.curriculum.batches_per_task = 2
+        train, _ = build_splits(config)
+        trainer, reference = trainer_and_reference(config, "balanced", train.tasks)
+        assert_same_steps(trainer, reference, [None] * 6)
+
+    def test_adaptive(self):
+        config = small_config()
+        config.curriculum.accuracy_cadence = 1
+        config.curriculum.total_batches = 6
+        train, _ = build_splits(config)
+        trainer, reference = trainer_and_reference(config, "adaptive", train.tasks)
+        assert_same_steps(trainer, reference, [None] * 8)
+
+    def test_blocked(self):
+        config = small_config()
+        config.curriculum.accuracy_cadence = 1
+        train, _ = build_splits(config)
+        trainer, reference = trainer_and_reference(config, "balanced", train.tasks)
+        assert_same_steps(trainer, reference, blocked_schedule(trainer.task_names, 11, 3))
+
+
+def triplet_stack(data, max_batches=4):
+    """B batches of equal size: permuted P*K ids and coordinates drawn from a
+    few exact values (ties, coincident rows, signed zeros) or from floats."""
+    n_batches = data.draw(st.integers(1, max_batches), label="B")
+    n_ids = data.draw(st.integers(2, 5), label="n_ids")
+    k = data.draw(st.integers(2, 4), label="k")
+    pattern = np.repeat(np.arange(n_ids), k).tolist()
+    ids = np.array([data.draw(st.permutations(pattern)) for _ in range(n_batches)])
+    coords = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+        st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+    )
+    width = data.draw(st.integers(1, 4), label="width")
+    stack = data.draw(arrays(np.float64, (n_batches, ids.shape[1], width), elements=coords))
+    return stack, ids
+
+
+class TestStackedKernelMatchesPerBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_batch_hard_triplet(self, data):
+        emb, ids = triplet_stack(data)
+        margin = data.draw(st.sampled_from([0.0, 0.35, 100.0]), label="margin")
+        losses, grad = batch_hard_triplet(emb, ids, margin)
+        mined = hardest_distances(emb, ids)
+        assert losses.shape == (emb.shape[0],)
+        for b in range(emb.shape[0]):
+            loss, expected = batch_hard_triplet(emb[b], ids[b], margin)
+            assert losses[b] == loss
+            assert grad[b].tobytes() == expected.tobytes()
+            for stacked, single in zip(mined, hardest_distances(emb[b], ids[b])):
+                assert stacked[b].tobytes() == single.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_batch_stack_is_the_single_call(self, data):
+        emb, ids = triplet_stack(data, max_batches=1)
+        losses, grad = batch_hard_triplet(emb, ids, 0.35)
+        loss, expected = batch_hard_triplet(emb[0], ids[0], 0.35)
+        assert isinstance(loss, float) and losses.tolist() == [loss]
+        assert grad[0].tobytes() == expected.tobytes()
+
+    @staticmethod
+    def assert_accumulates_per_batch(params, features, ids):
+        # Both buffers start from the same non-zero gradient, so adding a
+        # step's batches as one sum would show in the last bits.
+        rng = np.random.default_rng(7)
+        stacked, single = GradBuffer.zeros_like(params), GradBuffer.zeros_like(params)
+        for a, b in zip(stacked.weights + stacked.biases, single.weights + single.biases):
+            a[...] = b[...] = rng.standard_normal(a.shape)
+        losses = accumulate(params, features, ids, 0.35, stacked)
+        expected = [accumulate(params, x, i, 0.35, single) for x, i in zip(features, ids)]
+        assert losses.tolist() == expected
+        assert stacked.accumulation_count == single.accumulation_count == ids.shape[0]
+        for a, b in zip(stacked.weights + stacked.biases, single.weights + single.biases):
+            assert a.tobytes() == b.tobytes()
+        embedded = embed(params, features)
+        for b in range(ids.shape[0]):
+            assert embedded[b].tobytes() == embed(params, features[b]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_accumulate(self, data):
+        # Inputs with all-zero rows give zero outputs under the zero initial
+        # biases, so their embeddings take the NORM_FLOOR nudge.
+        features, ids = triplet_stack(data)
+        zero_rows = data.draw(arrays(bool, ids.shape), label="zero_rows")
+        features[zero_rows] = 0.0
+        params = init_params([features.shape[2], 5, 3], np.random.default_rng(ids.size))
+        self.assert_accumulates_per_batch(params, features, ids)
+
+    # Layer widths and batch shapes where one matrix product over all B·n
+    # rows differs in the last bits from B products of n rows on an AVX-512
+    # OpenBLAS: the row count changes the kernel and the row tiling.
+    @pytest.mark.parametrize(
+        "dims, n_batches, p, k",
+        [([37, 17], 6, 2, 5), ([19, 18, 23], 3, 3, 5), ([24, 32, 2, 39], 4, 7, 5), ([34, 39, 37], 5, 4, 3)],
+    )
+    def test_accumulate_wide_layers(self, dims, n_batches, p, k):
+        rng = np.random.default_rng(sum(dims))
+        params = init_params(dims, rng)
+        ids = np.stack([rng.permutation(np.repeat(np.arange(p), k)) for _ in range(n_batches)])
+        features = rng.standard_normal((n_batches, p * k, dims[0]))
+        self.assert_accumulates_per_batch(params, features, ids)
+
+    def test_contracts_hold_per_batch(self):
+        emb = np.random.default_rng(0).standard_normal((2, 4, 3))
+        with pytest.raises(encoder.ContractError, match="twice"):
+            hardest_distances(emb, np.array([[0, 0, 1, 1], [0, 0, 1, 2]]))
+        with pytest.raises(encoder.ContractError, match="align"):
+            hardest_distances(emb, np.array([0, 0, 1, 1]))
+        params = init_params([3, 4, 2], np.random.default_rng(1))
+        params.weights[1][0, 0] = np.inf
+        with pytest.raises(encoder.NumericError) as err:
+            embed(params, np.ones((2, 4, 3)))
+        assert err.value.layer == 1
+        with pytest.raises(encoder.ContractError, match="ambient"):
+            embed(params, np.ones((2, 4, 5)))
 
 
 class TestSubsample:
@@ -235,3 +477,36 @@ class TestTracerSpans:
                 if not callable(owner):
                     missing.append(f"{layer}.{name}")
         assert missing == []
+
+
+def load_tracer(monkeypatch):
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+class TestStepSpans:
+    """A step still reaches every encoder span through the module namespaces
+    the benchmark tracer wraps: one kernel call per step, and one more
+    ``embed`` and ``hardest_distances`` for the accuracy pass."""
+
+    @pytest.mark.parametrize("cadence, accuracy_passes", [(10**6, 0), (1, 1)])
+    def test_one_step(self, monkeypatch, cadence, accuracy_passes):
+        tracer = load_tracer(monkeypatch)
+        config = small_config()
+        config.curriculum.accuracy_cadence = cadence
+        train, _ = build_splits(config)
+        params, opt = init_encoder(config)
+        trainer = make_trainer(config, "balanced", train.tasks, params, opt, "t")
+        with tracer.Tracer() as traced:
+            trainer.train_step()
+        counts = traced.counts()
+        assert counts["curriculum.Trainer.train_step"] == 1
+        assert counts["encoder.batch_hard_triplet"] == 1
+        assert counts["encoder.backward"] == 1
+        assert counts["encoder.adam_step"] == 1
+        assert counts["encoder.embed"] == accuracy_passes
+        assert counts["encoder.hardest_distances"] == 1 + accuracy_passes
