@@ -55,14 +55,14 @@ def main() -> None:
 @output_option
 def gen(config_path, seed, output_dir) -> None:
     """Generate and export the train/eval corpora."""
-    from .experiments import build_splits
+    from .experiments import RunResult, build_splits
 
     try:
         config = _load_config(config_path, seed, output_dir)
         train, held_out = build_splits(config)
         outdir = Path(config.output_dir)
-        train.save(outdir / "corpus")
-        held_out.save(outdir / "corpus_eval")
+        train.save(RunResult(outdir), "corpus")
+        held_out.save(RunResult(outdir), "corpus_eval")
     except TaskweaveError as exc:
         _fail(exc)
     click.echo(f"corpus: {train.n_samples} train / {held_out.n_samples} eval samples -> {outdir}")
@@ -107,20 +107,20 @@ def _load_model(config, checkpoint):
 @click.option("--checkpoint", type=click.Path(exists=True, dir_okay=False), default=None)
 def eval_cmd(config_path, seed, output_dir, checkpoint) -> None:
     """Score a trained checkpoint on the evaluation corpus."""
-    from .experiments import evaluate_row, rows_to_table
+    from .experiments import RunResult, evaluate_row, rows_to_table
 
     try:
         config = _load_config(config_path, seed, output_dir)
         train_corpus, eval_corpus, params = _load_model(config, checkpoint)
         row = evaluate_row(params, train_corpus, eval_corpus, config)
-        table = rows_to_table({"encoder": row})
-        out = Path(config.output_dir) / "tables" / "metrics.csv"
-        table.to_csv(out)
+        table, _ = rows_to_table({"encoder": row})
+        out = RunResult(config.output_dir)
+        table.to_csv(out, "tables/metrics.csv")
     except TaskweaveError as exc:
         _fail(exc)
     for column, value in row.items():
         click.echo(f"{column}: {value:.4f}")
-    click.echo(f"table -> {out}")
+    click.echo(f"table -> {out.output_dir / 'tables' / 'metrics.csv'}")
 
 
 @main.command()
@@ -130,12 +130,12 @@ def eval_cmd(config_path, seed, output_dir, checkpoint) -> None:
 @click.option("--checkpoint", type=click.Path(exists=True, dir_okay=False), default=None)
 def analyze(config_path, seed, output_dir, checkpoint) -> None:
     """Run the embedding-geometry suite on a trained checkpoint."""
-    from .experiments import geometry_suite
+    from .experiments import RunResult, geometry_suite
 
     try:
         config = _load_config(config_path, seed, output_dir)
         _, eval_corpus, params = _load_model(config, checkpoint)
-        summary = geometry_suite(params, eval_corpus, config, Path(config.output_dir) / "geometry")
+        summary = geometry_suite(params, eval_corpus, config, RunResult(config.output_dir))
     except TaskweaveError as exc:
         _fail(exc)
     click.echo(json.dumps(summary, indent=2, sort_keys=True))

@@ -102,15 +102,6 @@ class StepReport:
         return {"step": self.step, "mode": self.mode, "tasks": tasks}
 
 
-@dataclass
-class EpochReport:
-    steps: list[StepReport]
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
-
 def balanced_allocation(n_tasks: int, per_task: int) -> list[int]:
     """Constant allocation: every task gets ``per_task`` batches."""
     if n_tasks < 1 or per_task < 1:
@@ -268,6 +259,8 @@ class Trainer:
         self.states = {name: TaskState() for name in task_data}
         self.alloc_rng = stream(seed, "allocation")
         self.step = 0
+        # Every step's report, in order: the run's scheduler trace.
+        self.reports: list[StepReport] = []
         if mode == ADAPTIVE:
             self.seed_initial_accuracies()
 
@@ -393,7 +386,7 @@ class Trainer:
         for name in self.task_names:
             self.states[name].last_allocation = allocations[name]
 
-        return StepReport(
+        report = StepReport(
             step=self.step,
             mode=mode,
             allocations=allocations,
@@ -402,28 +395,30 @@ class Trainer:
             accuracies=accuracies,
             scoring=scoring,
         )
+        self.reports.append(report)
+        return report
 
-    def run_epoch(self) -> EpochReport:
+    def run_epoch(self) -> None:
         """Balanced: step until every loader has exhausted at least once.
-        Adaptive: run the configured number of steps."""
-        reports: list[StepReport] = []
+        Adaptive: run the configured number of steps. The steps' reports
+        join ``self.reports``."""
         if self.mode == ADAPTIVE:
             if self.curriculum.steps_per_epoch is None:
                 raise ConfigurationError("adaptive mode requires steps_per_epoch")
             for _ in range(self.curriculum.steps_per_epoch):
-                reports.append(self.train_step())
-            return EpochReport(steps=reports)
+                self.train_step()
+            return
 
         seen = {name: False for name in self.task_names}
         per_task = self.curriculum.batches_per_task
         batch = self.identities * self.positives
         largest = max(loader.size for loader in self.loaders.values())
         step_cap = 10 * (largest // (per_task * batch) + 2)
+        steps = 0
         while not all(seen.values()):
-            if len(reports) >= step_cap:
+            if steps >= step_cap:
                 raise ConfigurationError("epoch failed to exhaust all loaders (internal bound hit)")
             report = self.train_step()
-            reports.append(report)
+            steps += 1
             for name, flag in report.exhausted.items():
                 seen[name] = seen[name] or flag
-        return EpochReport(steps=reports)

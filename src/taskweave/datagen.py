@@ -45,6 +45,9 @@ BLOCK_OFFSET_SCALE = 2.0
 # degradation moves image statistics, it does not just add spread).
 DEGRADATION_SHIFT_SCALE = 3.0
 
+# Characters a CSV cell cannot hold unquoted; the artifact writer quotes none.
+CSV_UNSAFE = ',"\r\n'
+
 
 @dataclass(frozen=True)
 class TaskGenSpec:
@@ -62,6 +65,11 @@ class TaskGenSpec:
     def validate(self) -> None:
         if not self.name:
             raise ValidationError("task name must be non-empty")
+        if any(c in self.name for c in CSV_UNSAFE):
+            # The name becomes CSV cells and artifact file names.
+            raise ValidationError(
+                f"task name {self.name!r} must not contain ',', '\"', CR or LF"
+            )
         if self.regime not in REGIMES:
             raise ValidationError(f"task {self.name!r}: unknown regime {self.regime!r}")
         if self.classes < 2:
@@ -179,13 +187,13 @@ class Corpus:
     def n_samples(self) -> int:
         return sum(t.n_samples for t in self.tasks.values())
 
-    def save(self, directory: str | Path) -> None:
-        """Export as per-task binary matrices plus a JSON manifest.
+    def save(self, out, rel: str) -> None:
+        """Export as per-task binary matrices plus a JSON manifest, written
+        through the artifact writer ``out`` (an ``experiments.RunResult``)
+        under the directory ``rel``.
 
         The round trip through :meth:`load` is bit-exact.
         """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         manifest = {
             "manifest_version": MANIFEST_VERSION,
             "seed": self.spec.seed,
@@ -196,7 +204,7 @@ class Corpus:
         for name, data in self.tasks.items():
             spec = self.spec.task(name)
             fname = f"{name}.npy"
-            np.save(directory / fname, data.features)
+            out.npy(f"{rel}/{fname}", data.features)
             manifest["tasks"].append(
                 {
                     **{f.name: getattr(spec, f.name) for f in fields(TaskGenSpec)},
@@ -205,7 +213,7 @@ class Corpus:
                     "file": fname,
                 }
             )
-        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        out.json(f"{rel}/manifest.json", manifest)
 
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":

@@ -346,13 +346,15 @@ def adam_step(params: EncoderParams, buffer: GradBuffer, state: OptimState) -> N
     buffer.zero()
 
 
-def save_checkpoint(params: EncoderParams, path) -> None:
-    """Versioned binary checkpoint; round trip is bit-exact."""
+def save_checkpoint(params: EncoderParams, out, rel: str) -> None:
+    """Versioned binary checkpoint, written through the artifact writer
+    ``out`` (an ``experiments.RunResult``) to ``rel``; round trip is
+    bit-exact."""
     arrays = {"version": np.array([CHECKPOINT_VERSION]), "n_layers": np.array([params.n_layers])}
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-    np.savez(path, **arrays)
+    out.npz(rel, arrays)
 
 
 def load_checkpoint(path) -> EncoderParams:

@@ -1,14 +1,18 @@
 """Experiment orchestration: training runs, evaluation suites, geometry
 analysis, the forgetting comparison, and benchmark-table scoring.
 
-Every artifact writer formats floats with ``repr`` and sorts JSON keys, so
-identical (config, seed) pairs reproduce byte-identical tables and traces.
+Every file a run leaves goes through :class:`RunResult`, which writes it
+atomically, records it in the run's manifest and writes ``summary.json``
+last. Floats are formatted by ``repr`` and JSON keys sorted, so identical
+(config, seed) pairs reproduce byte-identical tables and traces.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import os
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
@@ -18,7 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
-from .datagen import Corpus, TaskData, build_corpus
+from .datagen import CSV_UNSAFE, Corpus, TaskData, build_corpus
 from .encoder import (
     EncoderParams,
     OptimState,
@@ -27,7 +31,7 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, NumericError
 from .geometry import (
     cross_task_projection_eval,
     linear_task_probe,
@@ -49,19 +53,102 @@ from .metrics import (
 from .seeding import derive_seed, stream
 
 SUMMARY_VERSION = 1
+SUMMARY = "summary.json"
 
 
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+# ---------------------------------------------------------------------------
+# Artifacts
+# ---------------------------------------------------------------------------
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _json_text(rel: str, payload, indent: int | None = None) -> str:
+    try:
+        return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{rel}: non-finite number in JSON payload ({exc})") from None
+
+
+def _csv_cell(rel: str, value) -> str:
+    if isinstance(value, float):
+        return "" if np.isnan(value) else repr(float(value))
+    text = str(value)
+    if any(c in text for c in CSV_UNSAFE):
+        raise ContractError(f"{rel}: cell {text!r} would need CSV quoting")
+    return text
+
+
+@dataclass
+class RunResult:
+    """A run's output directory, and the only way files reach it.
+
+    ``write`` creates parent directories on demand, writes the bytes to a
+    hidden sibling ``.<name>.tmp`` and renames it over the target, so a
+    killed run leaves whole files or none. Every file written is recorded
+    in ``artifacts`` (relative paths, in write order). ``finish`` writes
+    ``summary.json`` last, naming every other file; a directory without
+    one holds an unfinished run. One JSON format (indent 2, sorted keys,
+    trailing newline, finite numbers only) and one CSV format (LF, floats
+    by ``repr``, an empty cell for NaN) are used throughout.
+    """
+
+    output_dir: Path
+    artifacts: list[str] = field(default_factory=list)
+    results: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.output_dir = Path(self.output_dir)
+
+    def start(self) -> None:
+        """Drop an earlier run's summary so this directory reads as
+        unfinished until :meth:`finish`."""
+        (self.output_dir / SUMMARY).unlink(missing_ok=True)
+
+    def _replace(self, rel: str, data: bytes) -> None:
+        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+            raise ContractError(f"artifact path {rel!r} leaves the output directory")
+        path = self.output_dir / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    def write(self, rel: str, data: bytes) -> None:
+        self._replace(rel, data)
+        self.artifacts.append(rel)
+
+    def json(self, rel: str, payload) -> None:
+        self.write(rel, (_json_text(rel, payload, indent=2) + "\n").encode())
+
+    def lines(self, rel: str, records) -> None:
+        """JSONL, one record per line; zero records make an empty file."""
+        self.write(rel, "".join(_json_text(rel, r) + "\n" for r in records).encode())
+
+    def rows(self, rel: str, header: list[str], rows) -> None:
+        text = "".join(
+            ",".join(_csv_cell(rel, v) for v in row) + "\n" for row in [header, *rows]
+        )
+        self.write(rel, text.encode())
+
+    def npy(self, rel: str, array: np.ndarray) -> None:
+        # np.save appends ".npy" to a str path, so serialise to bytes first.
+        buf = io.BytesIO()
+        np.save(buf, array)
+        self.write(rel, buf.getvalue())
+
+    def npz(self, rel: str, arrays: dict[str, np.ndarray]) -> None:
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        self.write(rel, buf.getvalue())
+
+    def finish(self, summary: dict) -> None:
+        """Write ``summary.json`` last, its ``artifacts`` being every other
+        file this run wrote."""
+        payload = {**summary, "artifacts": sorted(self.artifacts)}
+        self._replace(SUMMARY, (_json_text(SUMMARY, payload, indent=2) + "\n").encode())
 
 
 def build_splits(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
@@ -284,14 +371,25 @@ def evaluate_row(
     return row
 
 
-def rows_to_table(rows: dict[str, dict[str, float]]) -> ScoreTable:
+SCORE_FLOOR = 1e-9
+
+
+def rows_to_table(rows: dict[str, dict[str, float]]) -> tuple[ScoreTable, list[str]]:
+    """The score table of some models' rows, and the ``model|task:metric``
+    cells it floored.
+
+    Retrieval scores can be exactly 0 early in training; they are floored
+    at ``SCORE_FLOOR`` to stay valid table entries, and named so the
+    summary can say which numbers are not measurements.
+    """
     models = list(rows)
     columns = list(rows[models[0]])
     values = np.array([[rows[m][c] for c in columns] for m in models])
-    # Retrieval scores can be exactly 0 early in training; keep them valid
-    # table entries by flooring at a tiny positive value.
-    values = np.maximum(values, 1e-9)
-    return ScoreTable(models=models, columns=columns, values=values)
+    floored = [
+        f"{models[i]}|{columns[j]}" for i, j in zip(*np.nonzero(values < SCORE_FLOOR))
+    ]
+    values = np.maximum(values, SCORE_FLOOR)
+    return ScoreTable(models=models, columns=columns, values=values), floored
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +416,17 @@ def geometry_suite(
     params: EncoderParams,
     eval_corpus: Corpus,
     config: ExperimentConfig,
-    outdir: Path,
+    out: RunResult,
     pair_plan: Mapping[str, TaskPairs] | None = None,
 ) -> dict:
-    """Run the embedding-space analyses and write their artifact files.
+    """Run the embedding-space analyses and write their artifact files
+    through ``out`` under ``geometry/``.
 
     Returns headline numbers for the run summary.
     """
     if pair_plan is None:
         pair_plan = verification_pair_plan(eval_corpus, config)
     ev = config.evaluation
-    outdir.mkdir(parents=True, exist_ok=True)
     emb = {name: embed(params, data.features) for name, data in eval_corpus.tasks.items()}
     names = list(emb)
     pooled = np.vstack([emb[n] for n in names])
@@ -337,8 +435,8 @@ def geometry_suite(
     probe_mean, probe_std = linear_task_probe(pooled, tags, folds=ev.probe_folds)
 
     curve = sliding_window_probe(pooled, tags, window=ev.probe_window, folds=ev.probe_folds)
-    _write_rows(
-        outdir / "probe_window.csv",
+    out.rows(
+        "geometry/probe_window.csv",
         ["window_start_pc", "accuracy_mean", "accuracy_std"],
         [[s, m, d] for s, m, d in zip(curve.starts, curve.means, curve.stds)],
     )
@@ -352,8 +450,8 @@ def geometry_suite(
             angles = principal_angles(subspaces[a], subspaces[b])
             max_angles[f"{a}|{b}"] = float(angles.max())
             angle_rows.extend([a, b, k, float(theta)] for k, theta in enumerate(angles))
-    _write_rows(
-        outdir / "principal_angles.csv",
+    out.rows(
+        "geometry/principal_angles.csv",
         ["task_a", "task_b", "angle_index", "angle_radians"],
         angle_rows,
     )
@@ -372,7 +470,7 @@ def geometry_suite(
             rows.extend([tgt, k, v, d] for k, v, d in sweep)
             hit = next((k for k, _, d in sweep if abs(d) <= 0.02), None)
             first_within[f"{src}->{tgt}"] = hit
-        _write_rows(outdir / f"projection_{src}.csv", ["target", "k", "auc", "delta_auc"], rows)
+        out.rows(f"geometry/projection_{src}.csv", ["target", "k", "auc", "delta_auc"], rows)
         # Same-task loss at the 99%-variance dimension: reported, not gated.
         k99 = min(subspaces[src].dim, basis.dim)
         _, delta = cross_task_projection_eval(
@@ -382,8 +480,8 @@ def geometry_suite(
 
     plane = pca(pooled)
     coords = (pooled - plane.mean) @ plane.basis[:, :2]
-    _write_rows(
-        outdir / "pc2d.csv",
+    out.rows(
+        "geometry/pc2d.csv",
         ["task", "pc1", "pc2"],
         [[names[int(t)], float(x), float(y)] for t, (x, y) in zip(tags, coords)],
     )
@@ -396,26 +494,13 @@ def geometry_suite(
         "first_k_within_0.02_auc": first_within,
         "self_projection_at_99pct": self_projection,
     }
-    _write_json(outdir / "summary.json", summary)
+    out.json("geometry/summary.json", summary)
     return summary
 
 
 # ---------------------------------------------------------------------------
 # Training runs
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunResult:
-    output_dir: Path
-    artifacts: list[str] = field(default_factory=list)
-    results: dict = field(default_factory=dict)
-
-
-def _write_trace(path: Path, reports) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(r.to_record(), sort_keys=True) for r in reports]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def run(
@@ -425,62 +510,48 @@ def run(
 ) -> RunResult:
     """Full pipeline: corpus, curriculum training, evaluation, analysis.
 
-    Writes the artifact tree under the configured output directory and a
-    summary manifest naming every emitted file.
+    Writes the artifact tree under the configured output directory, and
+    ``summary.json`` last.
     """
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    outdir = Path(output_dir if output_dir is not None else config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    result = RunResult(output_dir=outdir)
-
-    _write_json(outdir / "config.json", config.to_dict())
-    result.artifacts.append("config.json")
+    out = RunResult(output_dir if output_dir is not None else config.output_dir)
+    out.start()
+    out.json("config.json", config.to_dict())
 
     train_corpus, eval_corpus = build_splits(config)
-    train_corpus.save(outdir / "corpus")
-    eval_corpus.save(outdir / "corpus_eval")
-    result.artifacts += ["corpus/manifest.json", "corpus_eval/manifest.json"]
+    train_corpus.save(out, "corpus")
+    eval_corpus.save(out, "corpus_eval")
 
     params, opt_state = init_encoder(config)
     mode = config.curriculum.mode
     trainer = make_trainer(config, mode, train_corpus.tasks, params, opt_state, "train")
-    reports = []
     for _ in range(config.training.epochs):
-        reports.extend(trainer.run_epoch().steps)
-    _write_trace(outdir / "traces" / "scheduler.jsonl", reports)
-    result.artifacts.append("traces/scheduler.jsonl")
-
-    ckpt = outdir / "checkpoints" / "encoder_final.npz"
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(params, ckpt)
-    result.artifacts.append("checkpoints/encoder_final.npz")
+        trainer.run_epoch()
+    out.lines("traces/scheduler.jsonl", (r.to_record() for r in trainer.reports))
+    save_checkpoint(params, out, "checkpoints/encoder_final.npz")
 
     pair_plan = verification_pair_plan(eval_corpus, config)
+    floored: list[str] = []
     if "scores" in config.evaluation.suites:
         row = evaluate_row(params, train_corpus, eval_corpus, config, pair_plan)
-        table = rows_to_table({f"encoder+{mode}": row})
-        table.to_csv(outdir / "tables" / "metrics.csv")
-        result.artifacts.append("tables/metrics.csv")
-        result.results["scores"] = row
+        table, floored = rows_to_table({f"encoder+{mode}": row})
+        table.to_csv(out, "tables/metrics.csv")
+        out.results["scores"] = row
     if "geometry" in config.evaluation.suites:
-        geo = geometry_suite(params, eval_corpus, config, outdir / "geometry", pair_plan)
-        result.artifacts += sorted(
-            str(p.relative_to(outdir)) for p in (outdir / "geometry").iterdir()
-        )
-        result.results["geometry"] = geo
+        out.results["geometry"] = geometry_suite(params, eval_corpus, config, out, pair_plan)
 
-    summary = {
-        "summary_version": SUMMARY_VERSION,
-        "seed": config.seed,
-        "mode": mode,
-        "steps": len(reports),
-        "artifacts": sorted(set(result.artifacts)),
-        "results": result.results,
-    }
-    _write_json(outdir / "summary.json", summary)
-    result.artifacts.append("summary.json")
-    return result
+    out.finish(
+        {
+            "summary_version": SUMMARY_VERSION,
+            "seed": config.seed,
+            "mode": mode,
+            "steps": len(trainer.reports),
+            "floored_cells": floored,
+            "results": out.results,
+        }
+    )
+    return out
 
 
 def pretrain_encoder(
@@ -540,14 +611,13 @@ def run_forgetting_comparison(
     fg = config.forgetting
     if not fg.pretrain_task:
         raise ConfigurationError("forgetting comparison requires forgetting.pretrain_task")
-    outdir = Path(output_dir if output_dir is not None else config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    result = RunResult(output_dir=outdir)
+    out = RunResult(output_dir if output_dir is not None else config.output_dir)
+    out.start()
 
     train_corpus, eval_corpus = build_splits(config)
     pair_plan = verification_pair_plan(eval_corpus, config)
     params, opt_state = init_encoder(config)
-    pretrain_encoder(
+    pretrainer = pretrain_encoder(
         config,
         params,
         opt_state,
@@ -556,10 +626,8 @@ def run_forgetting_comparison(
         fg.pretrain_batches_per_step,
         derive_seed(config.seed, "pretrain"),
     )
-    ckpt = outdir / "checkpoints" / "encoder_pretrained.npz"
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(params, ckpt)
-    result.artifacts.append("checkpoints/encoder_pretrained.npz")
+    out.lines("traces/pretrain.jsonl", (r.to_record() for r in pretrainer.reports))
+    save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
     top1_col = f"{fg.pretrain_task}:top1"
     baseline_row = evaluate_row(params, train_corpus, eval_corpus, config, pair_plan)
@@ -577,10 +645,10 @@ def run_forgetting_comparison(
         fresh_optimizer(config, balanced_params),
         "finetune-balanced",
     )
-    balanced_batches = 0
     for _ in range(fg.finetune_epochs):
-        epoch = trainer.run_epoch()
-        balanced_batches += sum(s.batches_consumed for s in epoch.steps)
+        trainer.run_epoch()
+    balanced_batches = sum(s.batches_consumed for s in trainer.reports)
+    out.lines("traces/finetune_balanced.jsonl", (r.to_record() for r in trainer.reports))
     models[INTERLEAVED_BALANCED] = balanced_params
 
     adaptive_params = params.copy()
@@ -594,10 +662,11 @@ def run_forgetting_comparison(
     )
     for _ in range(fg.finetune_epochs):
         trainer.run_epoch()
+    out.lines("traces/finetune_adaptive.jsonl", (r.to_record() for r in trainer.reports))
     models[INTERLEAVED_ADAPTIVE] = adaptive_params
 
     sequential_params = params.copy()
-    sequential_finetune(
+    trainer = sequential_finetune(
         config,
         sequential_params,
         fresh_optimizer(config, sequential_params),
@@ -606,6 +675,7 @@ def run_forgetting_comparison(
         group_size=len(train_corpus.tasks) * config.curriculum.batches_per_task,
         seed=derive_seed(config.seed, "finetune-sequential"),
     )
+    out.lines("traces/finetune_sequential.jsonl", (r.to_record() for r in trainer.reports))
     models[SEQUENTIAL] = sequential_params
 
     order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
@@ -613,21 +683,19 @@ def run_forgetting_comparison(
         name: evaluate_row(models[name], train_corpus, eval_corpus, config, pair_plan)
         for name in order
     }
-    table = rows_to_table(rows)
-    table.to_csv(outdir / "tables" / "forgetting_scores.csv")
-    result.artifacts.append("tables/forgetting_scores.csv")
+    table, floored = rows_to_table(rows)
+    table.to_csv(out, "tables/forgetting_scores.csv")
     indexed_rows = [
         [name]
         + [float(v) for v in table.row(name)]
         + [table.index_for(name, EXPERT)]
         for name in order
     ]
-    _write_rows(
-        outdir / "tables" / "forgetting_scores_indexed.csv",
+    out.rows(
+        "tables/forgetting_scores_indexed.csv",
         ["model"] + table.columns + ["multitask_index_expert"],
         indexed_rows,
     )
-    result.artifacts.append("tables/forgetting_scores_indexed.csv")
 
     report = {
         "pretrain_task": fg.pretrain_task,
@@ -642,10 +710,17 @@ def run_forgetting_comparison(
             for name in order
         },
     }
-    _write_json(outdir / "forgetting_report.json", report)
-    result.artifacts.append("forgetting_report.json")
-    result.results = report
-    return result
+    out.json("forgetting_report.json", report)
+    out.results = report
+    out.finish(
+        {
+            "summary_version": SUMMARY_VERSION,
+            "seed": config.seed,
+            "floored_cells": floored,
+            "results": report,
+        }
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------

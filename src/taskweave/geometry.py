@@ -311,13 +311,26 @@ def cross_task_projection_eval(
     ``target_eval``; returns the metric there and its signed delta from the
     full-space value.
     """
+    X = _target_matrix(source, target_embeddings)
+    return _projected_eval(source, k, X, target_eval, target_eval(X))
+
+
+def _target_matrix(source: Subspace, target_embeddings: np.ndarray) -> np.ndarray:
     X = np.asarray(target_embeddings, dtype=np.float64)
     if X.shape[1] != source.ambient_dim:
         raise ContractError("target embeddings must live in the source ambient space")
+    return X
+
+
+def _projected_eval(
+    source: Subspace,
+    k: int,
+    X: np.ndarray,
+    target_eval: Callable[[np.ndarray], float],
+    full_value: float,
+) -> tuple[float, float]:
     sub = source.truncated(k)
-    full_value = target_eval(X)
-    coords = (X - sub.mean) @ sub.basis
-    value = target_eval(coords)
+    value = target_eval((X - sub.mean) @ sub.basis)
     return float(value), float(value - full_value)
 
 
@@ -327,9 +340,12 @@ def projection_sweep(
     target_eval: Callable[[np.ndarray], float],
     max_k: int | None = None,
 ) -> list[tuple[int, float, float]]:
-    """(k, value, delta) for k = 1 .. min(max_k, source rank)."""
+    """(k, value, delta) for k = 1 .. min(max_k, source rank), as
+    :func:`cross_task_projection_eval` gives them; the full-space value is
+    computed once for the whole sweep."""
+    X = _target_matrix(source, target_embeddings)
+    full_value = target_eval(X)
     top = source.dim if max_k is None else min(max_k, source.dim)
     return [
-        (k, *cross_task_projection_eval(source, k, target_embeddings, target_eval))
-        for k in range(1, top + 1)
+        (k, *_projected_eval(source, k, X, target_eval, full_value)) for k in range(1, top + 1)
     ]

@@ -252,19 +252,16 @@ class ScoreTable:
         scored = [(m, self.index_for(m, mode, human_refs)) for m in self.models]
         return sorted(scored, key=lambda item: -item[1])
 
-    def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["model"] + (["group"] if self.groups else []) + self.columns
-            writer.writerow(header)
-            for i, model in enumerate(self.models):
-                row = [model]
-                if self.groups:
-                    row.append(self.groups.get(model, ""))
-                row.extend("" if np.isnan(v) else repr(float(v)) for v in self.values[i])
-                writer.writerow(row)
+    def to_csv(self, out, rel: str) -> None:
+        """Write through the artifact writer ``out`` (an
+        ``experiments.RunResult``) to ``rel``; missing entries are empty
+        cells."""
+        header = ["model"] + (["group"] if self.groups else []) + self.columns
+        rows = [
+            [model] + ([self.groups.get(model, "")] if self.groups else []) + list(values)
+            for model, values in zip(self.models, self.values)
+        ]
+        out.rows(rel, header, rows)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ScoreTable":

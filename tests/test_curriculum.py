@@ -253,16 +253,16 @@ class TestTrainerBalanced:
 
     def test_epoch_ends_when_all_exhausted(self):
         trainer = make_trainer(BALANCED)
-        epoch = trainer.run_epoch()
+        trainer.run_epoch()
         # 80 samples per task at P*K = 40 means two steps exhaust everything.
-        assert epoch.n_steps == 2
-        final = epoch.steps[-1]
+        assert len(trainer.reports) == 2
+        final = trainer.reports[-1]
         assert all(final.exhausted.values())
 
     def test_uneven_sizes_refresh_smaller_task(self):
         trainer = make_trainer(BALANCED, sizes=(80, 160))
-        epoch = trainer.run_epoch()
-        assert epoch.n_steps == 4
+        trainer.run_epoch()
+        assert len(trainer.reports) == 4
         assert trainer.loaders["t0"].refreshes >= 1
 
     def test_allocations_identical_every_step(self):
@@ -275,6 +275,19 @@ class TestTrainerBalanced:
         report = trainer.train_step()
         assert all(a is not None for a in report.accuracies.values())
         assert all(len(s.metric_log) == 1 for s in trainer.states.values())
+
+
+    def test_trainer_keeps_every_step_report(self):
+        trainer = make_trainer(BALANCED)
+        trainer.run_epoch()
+        first = list(trainer.reports)
+        extra = trainer.train_step({"t0": 2})
+        trainer.run_epoch()
+        assert len(first) == 2
+        assert trainer.reports[:3] == first + [extra]
+        assert len(trainer.reports) > 3
+        assert [r.step for r in trainer.reports] == list(range(1, len(trainer.reports) + 1))
+        assert extra.mode == "blocked"
 
 
 class TestTrainerAdaptive:
@@ -291,8 +304,8 @@ class TestTrainerAdaptive:
 
     def test_step_budget_epoch(self):
         trainer = make_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=10)
-        epoch = trainer.run_epoch()
-        assert epoch.n_steps == 10
+        trainer.run_epoch()
+        assert len(trainer.reports) == 10
 
     def test_missing_step_budget_rejected(self):
         trainer = make_trainer(ADAPTIVE, total_batches=4)

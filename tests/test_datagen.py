@@ -15,6 +15,7 @@ from taskweave.datagen import (
     build_corpus,
 )
 from taskweave.errors import ConfigurationError, ValidationError
+from taskweave.experiments import RunResult
 from taskweave.seeding import stream
 
 
@@ -96,6 +97,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="duplicate"):
             CorpusSpec(tasks=tasks, seed=1, ambient_dim=12).validate()
 
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_csv_unsafe_name(self, name):
+        with pytest.raises(ValidationError, match="must not contain"):
+            TaskGenSpec(name, "intermediate", 10, 20, 0.3).validate()
+
     def test_degraded_without_twin(self):
         with pytest.raises(ValidationError, match="twin"):
             TaskGenSpec("lq", "fine-identity-degraded", 10, 20, 0.2, degradation_noise=0.3).validate()
@@ -132,7 +138,7 @@ class TestSpecValidation:
 class TestRoundTrip:
     def test_save_load_bit_exact(self, tmp_path):
         corpus = build_corpus(four_task_spec())
-        corpus.save(tmp_path / "corpus")
+        corpus.save(RunResult(tmp_path), "corpus")
         loaded = Corpus.load(tmp_path / "corpus")
         assert loaded.split == corpus.split
         assert loaded.spec == corpus.spec
@@ -243,7 +249,7 @@ class TestLoader:
 
     def test_manifest_version_checked(self, tmp_path):
         corpus = build_corpus(four_task_spec())
-        corpus.save(tmp_path / "c")
+        corpus.save(RunResult(tmp_path), "c")
         manifest = tmp_path / "c" / "manifest.json"
         payload = manifest.read_text().replace('"manifest_version": 1', '"manifest_version": 9')
         manifest.write_text(payload)

@@ -26,6 +26,7 @@ from taskweave.encoder import (
     save_checkpoint,
 )
 from taskweave.errors import ContractError, NumericError
+from taskweave.experiments import RunResult
 
 
 def circle(*degrees):
@@ -333,7 +334,7 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params([6, 8, 4], np.random.default_rng(5))
         path = tmp_path / "encoder.npz"
-        save_checkpoint(params, path)
+        save_checkpoint(params, RunResult(tmp_path), "encoder.npz")
         loaded = load_checkpoint(path)
         for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
             assert np.array_equal(a, b)

@@ -416,6 +416,23 @@ class TestCrossTaskProjection:
         assert [k for k, _, _ in sweep] == list(range(1, basis.dim + 1))
         assert abs(sweep[-1][2]) < 1e-10
 
+    def test_sweep_computes_full_space_value_once(self):
+        rng = np.random.default_rng(19)
+        source = rng.standard_normal((60, 8))
+        target, evaluator = self.make_target()
+        basis = pca(source, center=False)
+        full_calls = []
+
+        def counting(coords):
+            if coords.shape[1] == target.shape[1]:
+                full_calls.append(1)
+            return evaluator(coords)
+
+        sweep = projection_sweep(basis, target, counting, max_k=5)
+        assert len(full_calls) == 1
+        per_k = [(k, *cross_task_projection_eval(basis, k, target, evaluator)) for k in range(1, 6)]
+        assert sweep == per_k
+
     def test_k_beyond_rank_rejected(self):
         rng = np.random.default_rng(18)
         basis = pca(rng.standard_normal((30, 5)), center=False)

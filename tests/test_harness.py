@@ -13,9 +13,10 @@ from click.testing import CliRunner
 import taskweave
 from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
-from taskweave.errors import ContractError, ValidationError
+from taskweave.errors import ContractError, NumericError, ValidationError
 from taskweave.experiments import (
     PairPlan,
+    RunResult,
     TaskPairs,
     _cosine_auc_eval,
     _sample_pairs,
@@ -23,6 +24,7 @@ from taskweave.experiments import (
     bundled_reference_table,
     evaluate_row,
     init_encoder,
+    rows_to_table,
     run,
     run_forgetting_comparison,
     score_paper_table,
@@ -120,6 +122,18 @@ class TestConfig:
         with pytest.raises(ValidationError, match="vibes"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("name", ["per,sons", 'per"sons', "per\rsons", "per\nsons"])
+    def test_csv_unsafe_task_name_rejected_at_load(self, tmp_path, name):
+        # Task names become CSV cells and file names; the loader rejects an
+        # unsafe one before any training is paid for.
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        payload["corpus"]["tasks"][3]["name"] = name
+        payload["curriculum"]["goals"][name] = payload["curriculum"]["goals"].pop("persons")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="must not contain"):
+            ExperimentConfig.from_file(path)
+
     def test_task_entries_list_every_spec_field(self, tmp_path):
         config = default_config(output_dir=str(tmp_path))
         expected = {
@@ -134,7 +148,7 @@ class TestConfig:
         }
         assert all(set(t) == expected for t in config.to_dict()["corpus"]["tasks"])
         train, _ = build_splits(config)
-        train.save(tmp_path / "corpus")
+        train.save(RunResult(tmp_path), "corpus")
         manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
         for entry in manifest["tasks"]:
             assert set(entry) == expected | {"shape", "labels", "file"}
@@ -207,6 +221,95 @@ class TestRun:
         assert config.to_dict() == before
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["seed"] == 99
+
+
+def files_under(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+class TestArtifactWriter:
+    def test_nested_nan_raises_numeric_error_and_leaves_no_file(self, tmp_path):
+        out = RunResult(tmp_path / "out")
+        with pytest.raises(NumericError, match="tables/bad.json"):
+            out.json("tables/bad.json", {"a": [1.0, {"b": float("nan")}]})
+        assert not (tmp_path / "out").exists()
+        assert out.artifacts == []
+
+    def test_jsonl_nan_raises_numeric_error(self, tmp_path):
+        out = RunResult(tmp_path)
+        with pytest.raises(NumericError, match="t.jsonl"):
+            out.lines("t.jsonl", [{"loss": 1.0}, {"loss": float("inf")}])
+        assert files_under(tmp_path) == set()
+
+    def test_formats(self, tmp_path):
+        out = RunResult(tmp_path)
+        out.json("a.json", {"b": 1, "a": 0.1})
+        out.lines("empty.jsonl", [])
+        out.lines("two.jsonl", [{"y": 1, "x": 2}, {}])
+        out.rows("t.csv", ["name", "k", "v"], [["p", 3, np.float64(0.1)], ["q", 4, np.nan]])
+        assert (tmp_path / "a.json").read_bytes() == b'{\n  "a": 0.1,\n  "b": 1\n}\n'
+        assert (tmp_path / "empty.jsonl").read_bytes() == b""
+        assert (tmp_path / "two.jsonl").read_bytes() == b'{"x": 2, "y": 1}\n{}\n'
+        assert (tmp_path / "t.csv").read_bytes() == b"name,k,v\np,3,0.1\nq,4,\n"
+        assert out.artifacts == ["a.json", "empty.jsonl", "two.jsonl", "t.csv"]
+
+    def test_replaces_an_earlier_file(self, tmp_path):
+        (tmp_path / "x").mkdir()
+        (tmp_path / "x" / "y.bin").write_bytes(b"old contents")
+        out = RunResult(tmp_path)
+        out.write("x/y.bin", b"22")
+        assert (tmp_path / "x" / "y.bin").read_bytes() == b"22"
+        assert files_under(tmp_path) == {"x/y.bin"}
+
+    @pytest.mark.parametrize("rel", ["../escape.txt", "/abs.txt"])
+    def test_rejected_paths(self, tmp_path, rel):
+        with pytest.raises(ContractError):
+            RunResult(tmp_path / "out").write(rel, b"x")
+        assert not (tmp_path / "out").exists()
+
+    def test_cell_needing_quotes_is_rejected(self, tmp_path):
+        with pytest.raises(ContractError, match="quoting"):
+            RunResult(tmp_path).rows("t.csv", ["model"], [["a,b"]])
+
+    def test_finish_writes_summary_outside_manifest(self, tmp_path):
+        out = RunResult(tmp_path)
+        out.write("a.txt", b"a")
+        out.finish({"seed": 1})
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == {"seed": 1, "artifacts": ["a.txt"]}
+        assert out.artifacts == ["a.txt"]
+
+
+class TestManifest:
+    """Each pipeline's manifest is exactly the files it left on disk."""
+
+    @pytest.mark.parametrize("pipeline", [run, run_forgetting_comparison])
+    def test_manifest_equals_files_on_disk(self, tmp_path, pipeline):
+        outdir = tmp_path / "out"
+        result = pipeline(tiny_config(outdir))
+        summary = json.loads((outdir / "summary.json").read_text())
+        on_disk = files_under(outdir) - {"summary.json"}
+        assert all(isinstance(a, str) for a in result.artifacts)
+        assert sorted(result.artifacts) == summary["artifacts"] == sorted(on_disk)
+        assert summary["floored_cells"] == []
+
+    def test_killed_run_leaves_no_summary_and_no_temp_file(self, tmp_path, monkeypatch):
+        import taskweave.experiments as experiments
+
+        outdir = tmp_path / "out"
+        run(tiny_config(outdir))
+        assert (outdir / "summary.json").is_file()
+
+        def killed(*args, **kwargs):
+            raise RuntimeError("killed mid-analysis")
+
+        monkeypatch.setattr(experiments, "principal_angles", killed)
+        with pytest.raises(RuntimeError, match="killed"):
+            run(tiny_config(outdir))
+        left = files_under(outdir)
+        assert "summary.json" not in left
+        assert not [f for f in left if f.endswith(".tmp")]
+        assert "geometry/probe_window.csv" in left
 
 
 class TestProjectedAuc:
@@ -389,6 +492,43 @@ class TestForgettingComparison:
         assert len(indexed.splitlines()) == 4
 
 
+    def test_writes_a_trace_per_training_phase(self, tmp_path):
+        outdir = tmp_path / "out"
+        run_forgetting_comparison(tiny_config(outdir))
+        traces = {}
+        for phase in ("pretrain", "finetune_sequential", "finetune_balanced", "finetune_adaptive"):
+            lines = (outdir / "traces" / f"{phase}.jsonl").read_text().splitlines()
+            traces[phase] = [json.loads(line) for line in lines]
+            assert traces[phase], phase
+            assert [r["step"] for r in traces[phase]] == list(range(1, len(lines) + 1))
+        assert {r["mode"] for r in traces["pretrain"]} == {"blocked"}
+        assert {r["mode"] for r in traces["finetune_sequential"]} == {"blocked"}
+        assert {r["mode"] for r in traces["finetune_balanced"]} == {"balanced"}
+        assert {r["mode"] for r in traces["finetune_adaptive"]} == {"adaptive"}
+        report = json.loads((outdir / "forgetting_report.json").read_text())
+        balanced = sum(
+            e["allocation"] for r in traces["finetune_balanced"] for e in r["tasks"].values()
+        )
+        assert report["finetune_total_batches"] == balanced
+
+
+class TestFlooredCells:
+    def test_zero_retrieval_score_is_floored_and_named(self):
+        rows = {
+            "a": {"t:rank1": 0.0, "t:auc": 0.75},
+            "b": {"t:rank1": 0.5, "t:auc": 0.0},
+        }
+        table, floored = rows_to_table(rows)
+        assert floored == ["a|t:rank1", "b|t:auc"]
+        assert table.values[0, 0] == 1e-9
+        assert table.values[1, 1] == 1e-9
+        assert table.values[0, 1] == 0.75
+
+    def test_unfloored_table_names_nothing(self):
+        _, floored = rows_to_table({"a": {"t:rank1": 1e-9, "t:auc": 1.0}})
+        assert floored == []
+
+
 class TestSubsample:
     def test_subsample_fraction_shrinks_loader(self, tmp_path):
         from taskweave.experiments import build_splits, init_encoder, make_trainer
@@ -481,6 +621,20 @@ class TestCli:
         result = runner.invoke(main, ["eval", "-c", str(config_path)])
         assert result.exit_code == 3
         assert "non-finite" in result.output
+
+    def test_non_finite_json_exit_code(self, tmp_path, monkeypatch):
+        import taskweave.experiments as experiments
+
+        runner = CliRunner()
+        config_path = self.write_config(tmp_path)
+        assert runner.invoke(main, ["train", "-c", str(config_path)]).exit_code == 0
+        monkeypatch.setattr(
+            experiments, "linear_task_probe", lambda *a, **k: (float("nan"), 0.0)
+        )
+        result = runner.invoke(main, ["analyze", "-c", str(config_path)])
+        assert result.exit_code == 3
+        assert "geometry/summary.json" in result.output
+        assert not (tmp_path / "out" / "geometry" / "summary.json").exists()
 
     def test_score_table_default(self):
         runner = CliRunner()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskweave.errors import ContractError, ValidationError
+from taskweave.experiments import RunResult
 from taskweave.metrics import (
     EXPERT,
     HUMAN,
@@ -473,7 +474,7 @@ class TestScoreTable:
             groups={"x": "g1", "y": "g2"},
         )
         path = tmp_path / "t.csv"
-        table.to_csv(path)
+        table.to_csv(RunResult(tmp_path), "t.csv")
         loaded = ScoreTable.from_csv(path)
         assert loaded.models == table.models
         assert loaded.columns == table.columns

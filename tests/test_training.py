@@ -48,6 +48,8 @@ from taskweave.experiments import (
     init_encoder,
     make_trainer,
     pretrain_encoder,
+    run,
+    run_forgetting_comparison,
     sequential_finetune,
 )
 from taskweave.seeding import stream
@@ -477,6 +479,31 @@ class TestTracerSpans:
                 if not callable(owner):
                     missing.append(f"{layer}.{name}")
         assert missing == []
+
+
+class TestWriterSpans:
+    """The benchmark tracer wraps ``datagen.Corpus.save`` and
+    ``encoder.save_checkpoint``; both pipelines must still reach them, as
+    ``perfbench/worker.py``'s ``EXPECTED_SPANS`` predicts."""
+
+    @pytest.mark.parametrize(
+        "pipeline, corpus_saves",
+        [(run, 2), (run_forgetting_comparison, 0)],
+    )
+    def test_save_spans_fire(self, monkeypatch, tmp_path, pipeline, corpus_saves):
+        tracer = load_tracer(monkeypatch)
+        config = small_config()
+        config.output_dir = str(tmp_path / "out")
+        config.training.epochs = 1
+        config.evaluation.suites = ["scores"]
+        config.evaluation.verification_pairs = 100
+        config.forgetting.pretrain_steps = 2
+        config.forgetting.finetune_epochs = 1
+        with tracer.Tracer() as traced:
+            pipeline(config)
+        counts = traced.counts()
+        assert counts["datagen.Corpus.save"] == corpus_saves
+        assert counts["encoder.save_checkpoint"] == 1
 
 
 def load_tracer(monkeypatch):
