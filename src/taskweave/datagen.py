@@ -345,7 +345,7 @@ class Loader:
         else:
             self._indices = np.arange(data.n_samples)
         counts = np.bincount(data.labels[self._indices])
-        self._class_sizes = counts[counts > 0]
+        self._smallest_class = int(counts[counts > 0].min())
         self.refreshes = 0
         self._refresh()
 
@@ -360,11 +360,21 @@ class Loader:
     def _refresh(self) -> None:
         self.order = self._rng.permutation(self._indices)
         self._n_consumed = 0
-        labels = self._data.labels[self.order]
-        self._per_id: dict[int, list[int]] = {}
-        for pos, lab in enumerate(labels):
-            self._per_id.setdefault(int(lab), []).append(pos)
-        self._remaining = {lab: list(positions) for lab, positions in self._per_id.items()}
+        # Identities get slots in order of first appearance in the pass.
+        # ``_pass`` holds the pass's sample indices slot after slot, each
+        # slot's in pass order: slot j owns ``_starts[j]:_ends[j]``, of which
+        # ``_next[j]:_ends[j]`` are still unconsumed.
+        _, first, inverse = np.unique(
+            self._data.labels[self.order], return_index=True, return_inverse=True
+        )
+        slot_of_label = np.empty(first.size, dtype=int)
+        slot_of_label[np.argsort(first)] = np.arange(first.size)
+        slots = slot_of_label[inverse]
+        self._pass = self.order[np.argsort(slots, kind="stable")]
+        sizes = np.bincount(slots)
+        self._ends = np.cumsum(sizes)
+        self._starts = self._ends - sizes
+        self._next = self._starts.copy()
 
     def next_batch(self, p: int, k: int) -> tuple[Batch, bool]:
         """Draw a P*K batch; returns (batch, exhausted_flag)."""
@@ -372,45 +382,43 @@ class Loader:
             raise ConfigurationError(
                 f"task {self.task!r}: batch P*K = {p * k} exceeds dataset size {self.size}"
             )
-        if (self._class_sizes < k).any():
+        if self._smallest_class < k:
             raise ConfigurationError(f"task {self.task!r}: every class needs >= K = {k} samples")
-        if p > len(self._per_id):
+        if p > self._ends.size:
             raise ConfigurationError(
-                f"task {self.task!r}: P = {p} exceeds the {len(self._per_id)} available identities"
+                f"task {self.task!r}: P = {p} exceeds the {self._ends.size} available identities"
             )
 
-        rich = [lab for lab, rem in self._remaining.items() if len(rem) >= k]
-        scarce = [lab for lab, rem in self._remaining.items() if 0 < len(rem) < k]
-        chosen: list[int] = []
-        if len(rich) >= p:
-            chosen = list(self._rng.choice(rich, size=p, replace=False))
+        remaining = self._ends - self._next
+        rich = (remaining >= k).nonzero()[0]
+        if rich.size >= p:
+            chosen = self._rng.choice(rich, size=p, replace=False)
         else:
-            chosen = rich
             # Prefer identities still holding unconsumed samples, then top up
             # with fresh identities whose samples were already consumed.
-            need = p - len(chosen)
-            take_scarce = list(self._rng.permutation(scarce))[:need]
-            chosen = chosen + take_scarce
-            need = p - len(chosen)
-            if need > 0:
-                taken = set(chosen)
-                spent = [lab for lab in self._per_id if lab not in taken]
-                chosen = chosen + list(self._rng.choice(spent, size=need, replace=False))
+            scarce = ((remaining > 0) & (remaining < k)).nonzero()[0]
+            chosen = np.concatenate([rich, self._rng.permutation(scarce)[: p - rich.size]])
+            if chosen.size < p:
+                spent = (remaining == 0).nonzero()[0]
+                drawn = self._rng.choice(spent, size=p - chosen.size, replace=False)
+                chosen = np.concatenate([chosen, drawn])
 
-        positions: list[int] = []
-        for lab in chosen:
-            rem = self._remaining[lab]
-            fresh = rem[:k]
-            del rem[:k]
-            self._n_consumed += len(fresh)
-            short = k - len(fresh)
-            if short > 0:
-                # ``fresh`` took the identity's last unconsumed samples; top
-                # up with replacement from all of its samples in this pass.
-                fresh += list(self._rng.choice(self._per_id[lab], size=short, replace=True))
-            positions.extend(fresh)
-
-        sample_indices = self.order[positions]
+        # Each identity gives its next k unconsumed samples; one that runs
+        # out is topped up with replacement from all of its samples in this
+        # pass, identity by identity in batch order.
+        fresh = np.minimum(remaining[chosen], k)
+        first = self._next[chosen]
+        # A short identity's row reads on past its own samples (clamped to
+        # the pass); its top-up overwrites those cells.
+        samples = self._pass[np.minimum(first[:, None] + np.arange(k), self._pass.size - 1)]
+        self._next[chosen] = first + fresh
+        self._n_consumed += p * k
+        for row in (fresh < k).nonzero()[0]:
+            slot, short = chosen[row], int(k - fresh[row])
+            self._n_consumed -= short
+            own = self._pass[self._starts[slot] : self._ends[slot]]
+            samples[row, fresh[row] :] = self._rng.choice(own, size=short, replace=True)
+        sample_indices = samples.ravel()
         batch = Batch(
             features=self._data.features[sample_indices],
             labels=self._data.labels[sample_indices],

@@ -12,9 +12,11 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import os
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -70,7 +72,7 @@ def _json_text(rel: str, payload, indent: int | None = None) -> str:
 
 def _csv_cell(rel: str, value) -> str:
     if isinstance(value, float):
-        return "" if np.isnan(value) else repr(float(value))
+        return "" if math.isnan(value) else repr(float(value))
     text = str(value)
     if any(c in text for c in CSV_UNSAFE):
         raise ContractError(f"{rel}: cell {text!r} would need CSV quoting")
@@ -217,29 +219,81 @@ def _trainer(
 # ---------------------------------------------------------------------------
 
 
+# The bit generator's 32-bit words serve every population up to this size;
+# above it numpy's bounded draws switch to 64-bit words.
+_WORDS = 1 << 32
+
+
+def _word_source(rng: np.random.Generator) -> Callable[[], int]:
+    """The generator's next 32-bit word, drawn through its ``ctypes`` hook:
+    the same stream ``integers`` and ``choice`` consume, without their
+    per-call overhead."""
+    hooks = rng.bit_generator.ctypes
+    return partial(hooks.next_uint32, hooks.state)
+
+
+def _below(word: Callable[[], int], n: int) -> int:
+    """``integers(0, n)``: Lemire's bounded draw on 32-bit words, with the
+    same rejections and so the same stream position. ``n == 1`` draws
+    nothing, as in numpy."""
+    if not 0 < n <= _WORDS:
+        raise ContractError(f"a population of {n} is outside [1, 2**32], the reach of 32-bit draws")
+    if n == 1:
+        return 0
+    m = word() * n
+    if m & 0xFFFFFFFF < n:
+        floor = (_WORDS - n) % n
+        while m & 0xFFFFFFFF < floor:
+            m = word() * n
+    return m >> 32
+
+
+def _two(word: Callable[[], int], n: int) -> tuple[int, int]:
+    """``choice(n, 2, replace=False)``: Floyd's sampling of two distinct
+    values, then numpy's shuffle of the pair."""
+    a = _below(word, n - 1)
+    b = _below(word, n)
+    if b == a:
+        b = n - 1
+    return (b, a) if _below(word, 2) == 0 else (a, b)
+
+
 def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
     """Index pairs for verification scoring: (genuine, impostor), each an
     (n_pairs, 2) array of row indices.
 
-    A scalar draw ``arr[integers(0, arr.size)]`` consumes the stream exactly
-    as ``choice(arr)`` does, so the pairs are those of the plain
-    ``choice`` loop (``tests/test_harness.py`` guards the equivalence).
+    The pairs and the final generator state are those of the plain loop of
+    ``Generator`` calls: per genuine pair ``choice(eligible)`` then
+    ``choice(members, 2, replace=False)``, per impostor pair
+    ``choice(classes, 2, replace=False)`` then one ``choice(members)`` per
+    side. Both calls are reproduced from the generator's 32-bit words:
+    ``integers(0, n)`` is Lemire's bounded draw (Lemire 2019, *Fast Random
+    Integer Generation in an Interval*) and ``choice(n, 2, replace=False)``
+    is Floyd's algorithm (Bentley & Floyd 1987, *A sample of brilliance*)
+    over it. ``tests/test_harness.py`` pins both helpers against numpy
+    (``TestExactDraws``) and the sampler against the ``choice`` loop
+    (``TestPairSampler``). Draws are positions within a class; one gather
+    maps them to rows at the end.
     """
-    classes = np.unique(labels)
-    members = {int(c): np.flatnonzero(labels == c) for c in classes}
-    eligible = np.array([c for c in classes if members[int(c)].size >= 2])
-    integers, choice = rng.integers, rng.choice
+    word = _word_source(rng)
+    order = np.argsort(labels, kind="stable")  # rows grouped by class, ascending
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    starts, sizes = starts.tolist(), sizes.tolist()
+    eligible = [c for c, size in enumerate(sizes) if size >= 2]
     genuine = np.empty((n_pairs, 2), dtype=int)
-    for i in range(n_pairs):
-        c = int(eligible[integers(0, eligible.size)])
-        genuine[i] = choice(members[c], size=2, replace=False)
+    out = memoryview(genuine.reshape(-1))
+    for i in range(0, 2 * n_pairs, 2):
+        c = eligible[_below(word, len(eligible))]
+        a, b = _two(word, sizes[c])
+        out[i] = starts[c] + a
+        out[i + 1] = starts[c] + b
     impostor = np.empty((n_pairs, 2), dtype=int)
-    for i in range(n_pairs):
-        a, b = choice(classes, size=2, replace=False)
-        rows_a, rows_b = members[int(a)], members[int(b)]
-        impostor[i, 0] = rows_a[integers(0, rows_a.size)]
-        impostor[i, 1] = rows_b[integers(0, rows_b.size)]
-    return genuine, impostor
+    out = memoryview(impostor.reshape(-1))
+    for i in range(0, 2 * n_pairs, 2):
+        a, b = _two(word, len(sizes))
+        out[i] = starts[a] + _below(word, sizes[a])
+        out[i + 1] = starts[b] + _below(word, sizes[b])
+    return order[genuine], order[impostor]
 
 
 def _pair_scores(embeddings: np.ndarray, pairs: np.ndarray) -> np.ndarray:

@@ -331,6 +331,83 @@ class TestNewtonProbeSolver:
             linear_task_probe(np.ones((20, 2)), np.zeros(20, dtype=int))
 
 
+def reference_probe_objective(Xb, y, basis, V):
+    """The probe objective before its kernel was tightened: a short-axis
+    ``max`` reduction and a fancy-indexed label gather."""
+    Z = (Xb @ V) @ basis.T
+    top = Z.max(axis=1, keepdims=True)
+    E = np.exp(Z - top)
+    total = E.sum(axis=1, keepdims=True)
+    nll = (np.log(total) + top).sum() - Z[np.arange(y.size), y].sum()
+    return float(nll + 0.5 * (V[:-1] ** 2).sum()), E / total
+
+
+def reference_fit_multinomial(Xb, y, basis, start=None):
+    """The Newton solve before its kernel was tightened: the diagonal index
+    and ridge rebuilt every iteration."""
+    p = Xb.shape[1]
+    K = basis.shape[1]
+    V = np.zeros((p, K)) if start is None else np.array(start, dtype=np.float64)
+    penalised = np.ones(p)
+    penalised[-1] = 0.0
+    target = basis[y]
+    pairs = [(j, k) for j in range(K) for k in range(j, K)]
+    products = np.stack([basis[:, j] * basis[:, k] for j, k in pairs], axis=1)
+    f, P = reference_probe_objective(Xb, y, basis, V)
+    for _ in range(geometry._NEWTON_MAX_ITER):
+        PB = P @ basis
+        grad = Xb.T @ (PB - target) + penalised[:, None] * V
+        if np.abs(grad).max() <= geometry._NEWTON_GTOL:
+            return V
+        curv = P @ products
+        H = np.empty((K * p, K * p))
+        for col, (j, k) in enumerate(pairs):
+            a = curv[:, col] - PB[:, j] * PB[:, k]
+            block = (Xb * a[:, None]).T @ Xb
+            H[j * p : (j + 1) * p, k * p : (k + 1) * p] = block
+            H[k * p : (k + 1) * p, j * p : (j + 1) * p] = block.T
+        H[np.diag_indices(K * p)] += np.tile(penalised, K)
+        g = grad.T.ravel()
+        step = np.linalg.solve(H, -g).reshape(K, p).T
+        slope = float(g @ step.T.ravel())
+        if -slope <= geometry._RESOLVABLE * (1.0 + abs(f)):
+            V = V + step
+            f, P = reference_probe_objective(Xb, y, basis, V)
+            continue
+        t = 1.0
+        for _ in range(geometry._MAX_HALVINGS):
+            f_new, P_new = reference_probe_objective(Xb, y, basis, V + t * step)
+            if f_new <= f + geometry._ARMIJO_C * t * slope:
+                break
+            t *= 0.5
+        V, f, P = V + t * step, f_new, P_new
+    raise AssertionError("reference solve did not converge")
+
+
+class TestProbeKernelOracle:
+    """The tightened probe kernel is bit-identical to the reference copy
+    above, from cold and from warm starts, for every class count and
+    window width the stock analyses use and beyond."""
+
+    @pytest.mark.parametrize("width", [1, 3, 8, 24])
+    @pytest.mark.parametrize("n_classes", range(2, 11))
+    def test_fit_and_objective_match_reference(self, n_classes, width):
+        X, y = overlapping_classes(
+            seed=100 * n_classes + width, per_class=12, n_classes=n_classes, dims=width
+        )
+        Xb, basis = with_bias(X), geometry._contrast_basis(n_classes)
+        held = geometry._stratified_folds(y, 3) == 0
+        cold = geometry._fit_multinomial(Xb[~held], y[~held], basis)
+        assert np.array_equal(cold, reference_fit_multinomial(Xb[~held], y[~held], basis))
+        warm = geometry._fit_multinomial(Xb[held], y[held], basis, cold)
+        assert np.array_equal(warm, reference_fit_multinomial(Xb[held], y[held], basis, cold))
+        label_at = np.arange(y.size) * n_classes + y
+        for V in (np.zeros_like(cold), cold, warm):
+            f, P = geometry._probe_objective(Xb, label_at, basis, V)
+            f_ref, P_ref = reference_probe_objective(Xb, y, basis, V)
+            assert f == f_ref and np.array_equal(P, P_ref)
+
+
 class TestSlidingWindowProbe:
     def make_planted(self, n_tasks=4, per_task=60, dims=10):
         rng = np.random.default_rng(13)
@@ -359,6 +436,16 @@ class TestSlidingWindowProbe:
         assert len(curve) == 1
         plain_mean, _ = linear_task_probe(X, labels, folds=5)
         assert abs(curve.means[0] - plain_mean) < 0.01
+
+    def test_windows_match_one_probe_per_window(self):
+        # The labels and folds are split once per curve; every window must
+        # score exactly as a probe of its own coordinates.
+        X, labels = self.make_planted(dims=7)
+        curve = sliding_window_probe(X, labels, window=3, folds=5)
+        space = pca(X)
+        coords = (X - space.mean) @ space.basis
+        for start, mean, std in zip(curve.starts, curve.means, curve.stds):
+            assert (mean, std) == linear_task_probe(coords[:, start : start + 3], labels, folds=5)
 
     def test_window_too_large(self):
         X, labels = self.make_planted(dims=6)

@@ -18,8 +18,11 @@ from taskweave.experiments import (
     PairPlan,
     RunResult,
     TaskPairs,
+    _below,
     _cosine_auc_eval,
     _sample_pairs,
+    _two,
+    _word_source,
     build_splits,
     bundled_reference_table,
     evaluate_row,
@@ -372,6 +375,55 @@ class TestPairSampler:
         assert not (labels[genuine] == 1).any()
         assert (labels[impostor[:, 0]] != labels[impostor[:, 1]]).all()
         assert (labels[impostor] == 1).any()
+
+
+class TestExactDraws:
+    """The sampler's helpers against the numpy calls they reproduce: equal
+    values and an equal generator state afterwards, also when the helpers
+    and the generator's own methods take turns on one stream."""
+
+    # Above 2**31 about half (2**31 + 1) or a quarter (3 * 2**30) of the
+    # words are rejected, which class-sized populations never reach; 2**32
+    # is the largest population that 32-bit words cover.
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32])
+    def test_below_is_integers(self, n):
+        rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+        word = _word_source(rng)
+        got = [_below(word, n) for _ in range(400)]
+        assert got == [int(reference.integers(0, n)) for _ in range(400)]
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 5000])
+    def test_two_is_choice_without_replacement(self, n):
+        rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+        word = _word_source(rng)
+        got = [_two(word, n) for _ in range(400)]
+        expected = [tuple(reference.choice(n, size=2, replace=False).tolist()) for _ in range(400)]
+        assert got == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_words_share_the_generator_stream(self):
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        word = _word_source(rng)
+        for n in (7, 2**31 + 1, 2, 5000):
+            assert _below(word, n) == reference.integers(0, n)
+            # A 64-bit draw in between must see the same buffered state.
+            assert rng.random() == reference.random()
+            assert _two(word, n) == tuple(reference.choice(n, size=2, replace=False))
+            assert rng.integers(0, n) == reference.integers(0, n)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, 2**32 + 1, 2**40])
+    def test_population_outside_32_bit_words_raises(self, n):
+        word = _word_source(np.random.default_rng(0))
+        with pytest.raises(ContractError, match="32-bit"):
+            _below(word, n)
+        with pytest.raises(ContractError, match="32-bit"):
+            _two(word, n)
+
+    def test_single_class_has_no_impostor_pair(self):
+        with pytest.raises(ContractError, match="32-bit"):
+            _sample_pairs(np.zeros(6, dtype=int), 3, np.random.default_rng(0))
 
 
 class TestPairPlan:
