@@ -20,11 +20,13 @@ NUMERIC_EXIT = 3
 
 
 def _load_config(config_path, seed, output_dir) -> ExperimentConfig:
+    """The config with the command-line overrides applied, then validated."""
     config = ExperimentConfig.from_file(config_path) if config_path else default_config()
     if seed is not None:
         config.seed = seed
     if output_dir is not None:
         config.output_dir = str(output_dir)
+    config.validate()
     return config
 
 
@@ -86,7 +88,7 @@ def train(config_path, seed, output_dir) -> None:
 
 def _load_model(config, checkpoint):
     from .encoder import load_checkpoint
-    from .experiments import build_splits, init_encoder
+    from .experiments import build_splits
 
     train_corpus, eval_corpus = build_splits(config)
     if checkpoint:

@@ -155,6 +155,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         from .curriculum import MODES
 
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.curriculum.mode not in MODES:
             raise ValidationError(f"unknown curriculum mode {self.curriculum.mode!r}")
         bad = sorted(set(self.evaluation.suites) - {"scores", "geometry"})

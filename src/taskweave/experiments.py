@@ -25,14 +25,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
 from .datagen import CSV_UNSAFE, Corpus, TaskData, build_corpus
-from .encoder import (
-    EncoderParams,
-    OptimState,
-    embed,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .encoder import EncoderParams, OptimState, embed, init_params, save_checkpoint
 from .errors import ConfigurationError, ContractError, NumericError
 from .geometry import (
     cross_task_projection_eval,
@@ -169,15 +162,7 @@ def init_encoder(config: ExperimentConfig) -> tuple[EncoderParams, OptimState]:
 
 
 def fresh_optimizer(config: ExperimentConfig, params: EncoderParams) -> OptimState:
-    opt = config.optimizer
-    return OptimState.for_params(
-        params,
-        learning_rate=opt.learning_rate,
-        beta1=opt.beta1,
-        beta2=opt.beta2,
-        epsilon=opt.epsilon,
-        weight_decay=opt.weight_decay,
-    )
+    return OptimState.for_params(params, **vars(config.optimizer))
 
 
 def make_trainer(
@@ -187,19 +172,10 @@ def make_trainer(
     params: EncoderParams,
     opt_state: OptimState,
     seed_name: str,
-) -> Trainer:
-    return _trainer(config, mode, task_data, params, opt_state, derive_seed(config.seed, seed_name))
-
-
-def _trainer(
-    config: ExperimentConfig,
-    mode: str,
-    task_data: dict[str, TaskData],
-    params: EncoderParams,
-    opt_state: OptimState,
-    seed: int,
     loader_stream: str = "loader",
 ) -> Trainer:
+    """The one Trainer builder: its seed is derived from the master seed by
+    ``seed_name``, its loaders draw from the ``loader_stream`` substream."""
     return Trainer(
         mode=mode,
         task_data=task_data,
@@ -209,7 +185,7 @@ def _trainer(
         identities=config.batch.identities,
         positives=config.batch.positives,
         margin=config.margin,
-        seed=seed,
+        seed=derive_seed(config.seed, seed_name),
         loader_stream=loader_stream,
     )
 
@@ -608,6 +584,24 @@ def run(
     return out
 
 
+def _blocked_training(
+    config: ExperimentConfig,
+    params: EncoderParams,
+    opt_state: OptimState,
+    task_data: dict[str, TaskData],
+    total_batches: int,
+    group_size: int,
+    seed_name: str,
+    loader_stream: str,
+) -> Trainer:
+    """The blocked schedule over ``task_data``, run on one Trainer: tasks one
+    after another, ``total_batches`` in steps of at most ``group_size``."""
+    trainer = make_trainer(config, BALANCED, task_data, params, opt_state, seed_name, loader_stream)
+    for allocation in blocked_schedule(list(task_data), total_batches, group_size):
+        trainer.train_step(allocation)
+    return trainer
+
+
 def pretrain_encoder(
     config: ExperimentConfig,
     params: EncoderParams,
@@ -615,17 +609,15 @@ def pretrain_encoder(
     data: TaskData,
     steps: int,
     batches_per_step: int,
-    seed: int,
+    seed_name: str,
 ) -> Trainer:
     """Single-task fit producing the shared starting point for the forgetting
-    comparison: a one-task Trainer fed ``steps`` blocked steps of
-    ``batches_per_step`` batches each."""
-    trainer = _trainer(
-        config, BALANCED, {data.name: data}, params, opt_state, seed, "pretrain-loader"
+    comparison: ``steps`` blocked steps of ``batches_per_step`` batches each."""
+    tasks = {data.name: data}
+    total = steps * batches_per_step
+    return _blocked_training(
+        config, params, opt_state, tasks, total, batches_per_step, seed_name, "pretrain-loader"
     )
-    for allocation in blocked_schedule([data.name], steps * batches_per_step, batches_per_step):
-        trainer.train_step(allocation)
-    return trainer
 
 
 def sequential_finetune(
@@ -635,15 +627,14 @@ def sequential_finetune(
     task_data: dict[str, TaskData],
     total_batches: int,
     group_size: int,
-    seed: int,
+    seed_name: str,
 ) -> Trainer:
     """Blocked baseline: tasks one after another, same optimizer settings,
     same accumulation group size, and the same total batch count as the
     interleaved runs; only the curriculum differs."""
-    trainer = _trainer(config, BALANCED, task_data, params, opt_state, seed, "seq-loader")
-    for allocation in blocked_schedule(list(task_data), total_batches, group_size):
-        trainer.train_step(allocation)
-    return trainer
+    return _blocked_training(
+        config, params, opt_state, task_data, total_batches, group_size, seed_name, "seq-loader"
+    )
 
 
 SEQUENTIAL = "sequential"
@@ -671,66 +662,46 @@ def run_forgetting_comparison(
     train_corpus, eval_corpus = build_splits(config)
     pair_plan = verification_pair_plan(eval_corpus, config)
     params, opt_state = init_encoder(config)
-    pretrainer = pretrain_encoder(
+    trainer = pretrain_encoder(
         config,
         params,
         opt_state,
         train_corpus.tasks[fg.pretrain_task],
         fg.pretrain_steps,
         fg.pretrain_batches_per_step,
-        derive_seed(config.seed, "pretrain"),
+        "pretrain",
     )
-    out.lines("traces/pretrain.jsonl", (r.to_record() for r in pretrainer.reports))
+    out.lines("traces/pretrain.jsonl", (r.to_record() for r in trainer.reports))
     save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
     top1_col = f"{fg.pretrain_task}:top1"
-    baseline_row = evaluate_row(params, train_corpus, eval_corpus, config, pair_plan)
-    baseline_acc = baseline_row[top1_col]
+    baseline_acc = evaluate_row(params, train_corpus, eval_corpus, config, pair_plan)[top1_col]
 
-    finetune_tasks = {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task}
+    # Every fine-tune starts from a copy of the pretrained parameters with a
+    # fresh optimizer. The blocked baseline spends the balanced run's batch
+    # total on the fine-tune tasks alone.
     models: dict[str, EncoderParams] = {}
+    for name, mode in ((INTERLEAVED_BALANCED, BALANCED), (INTERLEAVED_ADAPTIVE, ADAPTIVE)):
+        models[name] = tuned = params.copy()
+        opt = fresh_optimizer(config, tuned)
+        trainer = make_trainer(config, mode, train_corpus.tasks, tuned, opt, f"finetune-{mode}")
+        for _ in range(fg.finetune_epochs):
+            trainer.run_epoch()
+        out.lines(f"traces/finetune_{mode}.jsonl", (r.to_record() for r in trainer.reports))
+        if mode == BALANCED:
+            balanced_batches = sum(s.batches_consumed for s in trainer.reports)
 
-    balanced_params = params.copy()
-    trainer = make_trainer(
-        config,
-        BALANCED,
-        train_corpus.tasks,
-        balanced_params,
-        fresh_optimizer(config, balanced_params),
-        "finetune-balanced",
-    )
-    for _ in range(fg.finetune_epochs):
-        trainer.run_epoch()
-    balanced_batches = sum(s.batches_consumed for s in trainer.reports)
-    out.lines("traces/finetune_balanced.jsonl", (r.to_record() for r in trainer.reports))
-    models[INTERLEAVED_BALANCED] = balanced_params
-
-    adaptive_params = params.copy()
-    trainer = make_trainer(
-        config,
-        ADAPTIVE,
-        train_corpus.tasks,
-        adaptive_params,
-        fresh_optimizer(config, adaptive_params),
-        "finetune-adaptive",
-    )
-    for _ in range(fg.finetune_epochs):
-        trainer.run_epoch()
-    out.lines("traces/finetune_adaptive.jsonl", (r.to_record() for r in trainer.reports))
-    models[INTERLEAVED_ADAPTIVE] = adaptive_params
-
-    sequential_params = params.copy()
+    models[SEQUENTIAL] = tuned = params.copy()
     trainer = sequential_finetune(
         config,
-        sequential_params,
-        fresh_optimizer(config, sequential_params),
-        finetune_tasks,
+        tuned,
+        fresh_optimizer(config, tuned),
+        {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task},
         total_batches=balanced_batches,
         group_size=len(train_corpus.tasks) * config.curriculum.batches_per_task,
-        seed=derive_seed(config.seed, "finetune-sequential"),
+        seed_name="finetune-sequential",
     )
     out.lines("traces/finetune_sequential.jsonl", (r.to_record() for r in trainer.reports))
-    models[SEQUENTIAL] = sequential_params
 
     order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
     rows = {

@@ -200,16 +200,12 @@ class ScoreTable:
         except ValueError:
             raise ContractError(f"unknown model {model!r}") from None
 
-    def column_max(self, columns: list[str] | None = None) -> np.ndarray:
-        cols = self._column_indices(columns)
-        sub = self.values[:, cols]
-        if np.isnan(sub).all(axis=0).any():
-            raise ContractError("a selected column has no entries")
-        return np.nanmax(sub, axis=0)
+    def column_max(self) -> np.ndarray:
+        if np.isnan(self.values).all(axis=0).any():
+            raise ContractError("a column has no entries")
+        return np.nanmax(self.values, axis=0)
 
-    def _column_indices(self, columns: list[str] | None) -> list[int]:
-        if columns is None:
-            return list(range(len(self.columns)))
+    def _column_indices(self, columns: list[str]) -> list[int]:
         indices = []
         for c in columns:
             if c not in self.columns:

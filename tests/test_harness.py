@@ -156,6 +156,15 @@ class TestConfig:
         for entry in manifest["tasks"]:
             assert set(entry) == expected | {"shape", "labels", "file"}
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_int(self, tmp_path, seed):
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        payload["seed"] = seed
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="seed"):
+            ExperimentConfig.from_file(path)
+
     def test_goal_for_unknown_task(self, tmp_path):
         payload = default_config(output_dir=str(tmp_path)).to_dict()
         payload["curriculum"]["goals"]["ghost_task"] = 0.9
@@ -546,7 +555,8 @@ class TestForgettingComparison:
 
     def test_writes_a_trace_per_training_phase(self, tmp_path):
         outdir = tmp_path / "out"
-        run_forgetting_comparison(tiny_config(outdir))
+        config = tiny_config(outdir)
+        run_forgetting_comparison(config)
         traces = {}
         for phase in ("pretrain", "finetune_sequential", "finetune_balanced", "finetune_adaptive"):
             lines = (outdir / "traces" / f"{phase}.jsonl").read_text().splitlines()
@@ -562,6 +572,19 @@ class TestForgettingComparison:
             e["allocation"] for r in traces["finetune_balanced"] for e in r["tasks"].values()
         )
         assert report["finetune_total_batches"] == balanced
+        fg = config.forgetting
+        assert len(traces["pretrain"]) == fg.pretrain_steps
+        for record in traces["pretrain"]:
+            allocated = {n: e["allocation"] for n, e in record["tasks"].items() if e["allocation"]}
+            assert allocated == {fg.pretrain_task: fg.pretrain_batches_per_step}
+        per_step = [
+            {n: e["allocation"] for n, e in r["tasks"].items()}
+            for r in traces["finetune_sequential"]
+        ]
+        assert all(step.get(fg.pretrain_task, 0) == 0 for step in per_step)
+        assert sum(sum(step.values()) for step in per_step) == balanced
+        cap = len(config.tasks) * config.curriculum.batches_per_task
+        assert max(sum(step.values()) for step in per_step) <= cap
 
 
 class TestFlooredCells:
@@ -693,6 +716,14 @@ class TestCli:
         result = runner.invoke(main, ["score-table", "--mode", "expert"])
         assert result.exit_code == 0
         assert result.output.splitlines()[0].split()[1].startswith("EVA02+IMIC")
+
+    def test_negative_seed_override_is_a_validation_error(self, tmp_path):
+        runner = CliRunner()
+        config = self.write_config(tmp_path)
+        result = runner.invoke(main, ["gen", "-c", str(config), "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "seed" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):
         runner = CliRunner()

@@ -24,6 +24,7 @@ from hypothesis.extra.numpy import arrays
 import taskweave.encoder as encoder
 from taskweave.config import default_config
 from taskweave.curriculum import (
+    ADAPTIVE,
     BALANCED,
     BLOCKED,
     StepReport,
@@ -41,18 +42,28 @@ from taskweave.encoder import (
     embed,
     hardest_distances,
     init_params,
+    save_checkpoint,
 )
 from taskweave.experiments import (
+    INTERLEAVED_ADAPTIVE,
+    INTERLEAVED_BALANCED,
+    SEQUENTIAL,
+    SUMMARY_VERSION,
+    RunResult,
     build_splits,
+    evaluate_row,
     fresh_optimizer,
     init_encoder,
     make_trainer,
     pretrain_encoder,
+    rows_to_table,
     run,
     run_forgetting_comparison,
     sequential_finetune,
+    verification_pair_plan,
 )
-from taskweave.seeding import stream
+from taskweave.metrics import EXPERT
+from taskweave.seeding import derive_seed, stream
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -152,8 +163,9 @@ class TestReferenceLoops:
         data = train.tasks["objects"]
         params, opt = init_encoder(config)
         ref_params, ref_opt = params.copy(), fresh_optimizer(config, params)
-        pretrain_encoder(config, params, opt, data, steps, per_step, seed=17)
-        reference_pretrain(config, ref_params, ref_opt, data, steps, per_step, seed=17)
+        pretrain_encoder(config, params, opt, data, steps, per_step, "pretrain")
+        seed = derive_seed(config.seed, "pretrain")
+        reference_pretrain(config, ref_params, ref_opt, data, steps, per_step, seed=seed)
         assert opt.step == steps
         assert_same_state(params, opt, ref_params, ref_opt)
 
@@ -166,8 +178,9 @@ class TestReferenceLoops:
         tasks = {n: d for n, d in train.tasks.items() if n != "objects"}
         params, opt = init_encoder(config)
         ref_params, ref_opt = params.copy(), fresh_optimizer(config, params)
-        sequential_finetune(config, params, opt, tasks, total, group, seed=29)
-        reference_sequential(config, ref_params, ref_opt, tasks, total, group, seed=29)
+        sequential_finetune(config, params, opt, tasks, total, group, "finetune-sequential")
+        seed = derive_seed(config.seed, "finetune-sequential")
+        reference_sequential(config, ref_params, ref_opt, tasks, total, group, seed=seed)
         assert_same_state(params, opt, ref_params, ref_opt)
 
     def test_sequential_step_count(self):
@@ -175,7 +188,7 @@ class TestReferenceLoops:
         train, _ = build_splits(config)
         tasks = {n: d for n, d in train.tasks.items() if n != "objects"}
         params, opt = init_encoder(config)
-        trainer = sequential_finetune(config, params, opt, tasks, 7, 2, seed=29)
+        trainer = sequential_finetune(config, params, opt, tasks, 7, 2, "finetune-sequential")
         # Budgets 3, 2, 2 in groups of at most 2: steps of 2, 1 | 2 | 2.
         assert trainer.step == opt.step == 4
 
@@ -225,10 +238,10 @@ class TestOneForwardPerBatch:
         batch = config.batch.identities * config.batch.positives
         train, _ = build_splits(config)
         params, opt = init_encoder(config)
-        pretrain_encoder(config, params, opt, train.tasks["objects"], 3, 2, seed=1)
+        pretrain_encoder(config, params, opt, train.tasks["objects"], 3, 2, "pretrain")
         assert forward_rows == [2 * batch] * 3
         tasks = {n: d for n, d in train.tasks.items() if n != "objects"}
-        sequential_finetune(config, params, opt, tasks, 7, 3, seed=2)
+        sequential_finetune(config, params, opt, tasks, 7, 3, "finetune-sequential")
         # Budgets 3, 2, 2 in groups of at most 3: one step per task.
         assert forward_rows[3:] == [3 * batch, 2 * batch, 2 * batch]
 
@@ -456,10 +469,168 @@ class TestSubsample:
         tasks = {n: d for n, d in train.tasks.items() if n != "objects"}
         params, opt = init_encoder(config)
         interleaved = make_trainer(config, "balanced", train.tasks, params.copy(), opt, "t")
-        blocked = sequential_finetune(config, params, fresh_optimizer(config, params), tasks, 3, 1, 9)
+        opt = fresh_optimizer(config, params)
+        blocked = sequential_finetune(config, params, opt, tasks, 3, 1, "finetune-sequential")
         full = train.tasks["persons"].n_samples
         assert blocked.loaders["persons"].size == interleaved.loaders["persons"].size == full // 2
         assert blocked.loaders["faces_hq"].size == train.tasks["faces_hq"].n_samples
+
+
+def reference_trainer(config, mode, task_data, params, opt_state, seed, loader_stream="loader"):
+    return Trainer(
+        mode=mode,
+        task_data=task_data,
+        params=params,
+        opt_state=opt_state,
+        curriculum=config.curriculum,
+        identities=config.batch.identities,
+        positives=config.batch.positives,
+        margin=config.margin,
+        seed=seed,
+        loader_stream=loader_stream,
+    )
+
+
+def reference_forgetting_comparison(config):
+    """The forgetting pipeline as it was written before its fine-tunes shared
+    one loop: a blocked pretraining, three hand-written fine-tune blocks, and
+    every trainer seeded by an integer derived at the call site."""
+    fg = config.forgetting
+    out = RunResult(config.output_dir)
+    out.start()
+
+    train_corpus, eval_corpus = build_splits(config)
+    pair_plan = verification_pair_plan(eval_corpus, config)
+    params, opt_state = init_encoder(config)
+    data = train_corpus.tasks[fg.pretrain_task]
+    seed = derive_seed(config.seed, "pretrain")
+    tasks = {data.name: data}
+    pretrainer = reference_trainer(
+        config, BALANCED, tasks, params, opt_state, seed, "pretrain-loader"
+    )
+    budget = fg.pretrain_steps * fg.pretrain_batches_per_step
+    for allocation in blocked_schedule([data.name], budget, fg.pretrain_batches_per_step):
+        pretrainer.train_step(allocation)
+    out.lines("traces/pretrain.jsonl", (r.to_record() for r in pretrainer.reports))
+    save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
+
+    top1_col = f"{fg.pretrain_task}:top1"
+    baseline_row = evaluate_row(params, train_corpus, eval_corpus, config, pair_plan)
+    baseline_acc = baseline_row[top1_col]
+
+    finetune_tasks = {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task}
+    models = {}
+
+    balanced_params = params.copy()
+    opt = fresh_optimizer(config, balanced_params)
+    seed = derive_seed(config.seed, "finetune-balanced")
+    trainer = reference_trainer(config, BALANCED, train_corpus.tasks, balanced_params, opt, seed)
+    for _ in range(fg.finetune_epochs):
+        trainer.run_epoch()
+    balanced_batches = sum(s.batches_consumed for s in trainer.reports)
+    out.lines("traces/finetune_balanced.jsonl", (r.to_record() for r in trainer.reports))
+    models[INTERLEAVED_BALANCED] = balanced_params
+
+    adaptive_params = params.copy()
+    opt = fresh_optimizer(config, adaptive_params)
+    seed = derive_seed(config.seed, "finetune-adaptive")
+    trainer = reference_trainer(config, ADAPTIVE, train_corpus.tasks, adaptive_params, opt, seed)
+    for _ in range(fg.finetune_epochs):
+        trainer.run_epoch()
+    out.lines("traces/finetune_adaptive.jsonl", (r.to_record() for r in trainer.reports))
+    models[INTERLEAVED_ADAPTIVE] = adaptive_params
+
+    sequential_params = params.copy()
+    opt = fresh_optimizer(config, sequential_params)
+    seed = derive_seed(config.seed, "finetune-sequential")
+    trainer = reference_trainer(
+        config, BALANCED, finetune_tasks, sequential_params, opt, seed, "seq-loader"
+    )
+    group = len(train_corpus.tasks) * config.curriculum.batches_per_task
+    for allocation in blocked_schedule(list(finetune_tasks), balanced_batches, group):
+        trainer.train_step(allocation)
+    out.lines("traces/finetune_sequential.jsonl", (r.to_record() for r in trainer.reports))
+    models[SEQUENTIAL] = sequential_params
+
+    order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
+    rows = {
+        name: evaluate_row(models[name], train_corpus, eval_corpus, config, pair_plan)
+        for name in order
+    }
+    table, floored = rows_to_table(rows)
+    table.to_csv(out, "tables/forgetting_scores.csv")
+    indexed_rows = [
+        [name] + [float(v) for v in table.row(name)] + [table.index_for(name, EXPERT)]
+        for name in order
+    ]
+    out.rows(
+        "tables/forgetting_scores_indexed.csv",
+        ["model"] + table.columns + ["multitask_index_expert"],
+        indexed_rows,
+    )
+    report = {
+        "pretrain_task": fg.pretrain_task,
+        "pretrain_accuracy": baseline_acc,
+        "finetune_total_batches": balanced_batches,
+        "models": {
+            name: {
+                "pretrain_task_accuracy": rows[name][top1_col],
+                "pretrain_task_drop": baseline_acc - rows[name][top1_col],
+                "multitask_index_expert": table.index_for(name, EXPERT),
+            }
+            for name in order
+        },
+    }
+    out.json("forgetting_report.json", report)
+    out.finish(
+        {
+            "summary_version": SUMMARY_VERSION,
+            "seed": config.seed,
+            "floored_cells": floored,
+            "results": report,
+        }
+    )
+
+
+def tree_files(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestForgettingMatchesReference:
+    """The one fine-tune loop and the shared blocked body write, byte for
+    byte, the files of the hand-written pipeline they replaced."""
+
+    @pytest.mark.parametrize("seed", [3, 72025])
+    def test_byte_identical_tree(self, tmp_path, seed):
+        config = small_config(seed)
+        config.evaluation.verification_pairs = 200
+        config.forgetting.pretrain_steps = 6
+        config.forgetting.pretrain_batches_per_step = 2
+        config.forgetting.finetune_epochs = 1
+        config.curriculum.steps_per_epoch = 5
+        config.output_dir = str(tmp_path / "reference")
+        reference_forgetting_comparison(config)
+        run_forgetting_comparison(config, output_dir=tmp_path / "refactored")
+        expected = tree_files(tmp_path / "reference")
+        assert len(expected) == 9
+        assert tree_files(tmp_path / "refactored") == expected
+
+    def test_each_blocked_phase_runs_once(self, monkeypatch, tmp_path):
+        tracer = load_tracer(monkeypatch)
+        config = small_config()
+        config.output_dir = str(tmp_path / "out")
+        config.evaluation.verification_pairs = 100
+        config.forgetting.pretrain_steps = 2
+        config.forgetting.finetune_epochs = 1
+        with tracer.Tracer() as traced:
+            run_forgetting_comparison(config)
+        counts = traced.counts()
+        assert counts["experiments.pretrain_encoder"] == 1
+        assert counts["experiments.sequential_finetune"] == 1
 
 
 class TestTracerSpans:
