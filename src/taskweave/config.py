@@ -30,6 +30,18 @@ def _section(cls, section: dict, path: str):
     return cls(**section)
 
 
+def _check_int(value, path: str, low: int, high: int | None = None) -> None:
+    """``value`` must be an int (not a bool) in ``[low, high]``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{path} must be an integer {bounds}, got {value!r}")
+
+
 def _require(section: dict, key: str, path: str):
     if key not in section:
         raise ValidationError(f"missing required key {key!r} in {path}")
@@ -155,8 +167,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         from .curriculum import MODES
 
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_int(self.seed, "config.seed", 0)
         if self.curriculum.mode not in MODES:
             raise ValidationError(f"unknown curriculum mode {self.curriculum.mode!r}")
         bad = sorted(set(self.evaluation.suites) - {"scores", "geometry"})
@@ -173,6 +184,11 @@ class ExperimentConfig:
             raise ValidationError(
                 f"forgetting pretrain_task {self.forgetting.pretrain_task!r} is not a task"
             )
+        for name in ("pretrain_steps", "pretrain_batches_per_step", "finetune_epochs"):
+            _check_int(getattr(self.forgetting, name), f"config.forgetting.{name}", 1)
+        ev = self.evaluation
+        _check_int(ev.probe_folds, "config.evaluation.probe_folds", 2)
+        _check_int(ev.probe_window, "config.evaluation.probe_window", 1, self.encoder.embedding_dim)
         self.corpus_spec(seed=0).validate(self.batch.positives)
 
     @classmethod

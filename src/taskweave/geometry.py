@@ -7,6 +7,8 @@ metrics inside another task's PC subspace.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable
 
@@ -232,6 +234,8 @@ def _fold_plan(task_labels, n_rows: int, folds: int):
     """Validated labels of a task probe, split once for any number of
     feature sets: the contrast basis and, per fold, the training and
     held-out row masks with their labels."""
+    if folds < 2:
+        raise ContractError(f"a task probe needs at least 2 folds, got {folds}")
     labels = np.asarray(task_labels)
     if n_rows != labels.size:
         raise ContractError("labels must align with embedding rows")
@@ -305,20 +309,122 @@ def sliding_window_probe(
     folds: int = 10,
 ) -> ProbeCurve:
     """Probe task identity from each window of ``window`` consecutive PCs of
-    the pooled embeddings, sliding from early to late components."""
+    the pooled embeddings, sliding from early to late components.
+
+    The windows are independent, so they run on every CPU the process may
+    use (:func:`_forked_map`); the curve is the serial loop's bit for bit."""
     X = np.asarray(embeddings, dtype=np.float64)
     space = pca(X)
     if window < 1 or window > space.dim:
         raise ContractError(f"window must lie in [1, {space.dim}]")
     coords = (X - space.mean) @ space.basis
     plan = _fold_plan(task_labels, X.shape[0], folds)
-    starts, means, stds = [], [], []
-    for start in range(space.dim - window + 1):
-        mean, std = _cross_validate(coords[:, start : start + window], plan)
-        starts.append(start)
-        means.append(mean)
-        stds.append(std)
-    return ProbeCurve(window=window, starts=starts, means=means, stds=stds)
+    starts = list(range(space.dim - window + 1))
+    scores = _forked_map(
+        lambda start: _cross_validate(coords[:, start : start + window], plan),
+        starts,
+        _probe_workers(len(starts)),
+    )
+    return ProbeCurve(
+        window=window,
+        starts=starts,
+        means=[mean for mean, _ in scores],
+        stds=[std for _, std in scores],
+    )
+
+
+def _probe_workers(n_windows: int) -> int:
+    """Processes the window probes run on: one per CPU this process may run
+    on, at most one per window. Without ``os.fork`` or an affinity mask
+    (anything but Linux) it is 1, the plain loop."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_windows)
+
+
+def _run_share(fn, items: list, first: int, stride: int):
+    """``fn`` over ``items[first::stride]`` in order, stopping at the first
+    item that raises: (results, None), or (None, (index, exception)) with
+    the failing item's index in ``items``."""
+    results = []
+    for index in range(first, len(items), stride):
+        try:
+            results.append(fn(items[index]))
+        except Exception as exc:
+            return None, (index, exc)
+    return results, None
+
+
+def _serve_share(fn, items: list, first: int, stride: int, write_end: int):
+    """Body of a forked worker: pickle its share's outcome into the pipe and
+    leave by ``os._exit``, so the child never unwinds into the caller's
+    frames (a test runner, a benchmark loop). A child that cannot send its
+    outcome exits with status 1 and an empty pipe."""
+    status = 1
+    try:
+        data = pickle.dumps(_run_share(fn, items, first, stride))
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_map(fn, items: list, workers: int) -> list:
+    """``[fn(x) for x in items]``, with the items dealt round-robin over
+    ``workers`` processes (1 is the plain loop).
+
+    This process computes ``items[0::workers]`` while ``workers - 1`` forked
+    children compute theirs and pickle the results back through a pipe each.
+    A child runs the same code on a copy of this process's memory, so every
+    result is the serial one bit for bit. If items raise, the exception of
+    the lowest failing item is raised, as the serial loop would raise it.
+    Every child is reaped, and every pipe closed, before this returns or
+    raises; children still running then are killed.
+    """
+    pipes = {}  # pid -> read end, of children not yet read
+    running = []  # children not yet reaped
+    try:
+        for first in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_share(fn, items, first, workers, write_end)
+            except BaseException:
+                os.close(read_end)
+                raise
+            finally:
+                os.close(write_end)
+            pipes[pid] = read_end
+            running.append(pid)
+        outcomes = {0: _run_share(fn, items, 0, workers)}
+        for first, pid in enumerate(list(running), start=1):
+            with os.fdopen(pipes.pop(pid), "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            if not data:
+                raise ChildProcessError(
+                    f"window probe worker {pid} ended without a result (wait status {status})"
+                )
+            outcomes[first] = pickle.loads(data)
+    finally:
+        for read_end in pipes.values():
+            os.close(read_end)
+        if running:
+            import signal
+
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in outcomes.values() if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(items)
+    for first, (share, _) in outcomes.items():
+        results[first::workers] = share
+    return results
 
 
 def cross_task_projection_eval(

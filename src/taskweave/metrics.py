@@ -179,7 +179,8 @@ def multitask_index(row_scores, reference_scores) -> float:
 
 @dataclass
 class ScoreTable:
-    """Models x (metric, dataset) score matrix in (0, 1], NaN for missing."""
+    """Models x (metric, dataset) score matrix in (0, 1], NaN for missing.
+    Model names and column names are each unique."""
 
     models: list[str]
     columns: list[str]
@@ -190,6 +191,10 @@ class ScoreTable:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.models), len(self.columns)):
             raise ValidationError("score matrix shape must be (models, columns)")
+        for kind, names in (("model", self.models), ("column", self.columns)):
+            duplicates = sorted({n for n in names if names.count(n) > 1})
+            if duplicates:
+                raise ValidationError(f"duplicate {kind} name(s) {duplicates} in score table")
         present = self.values[~np.isnan(self.values)]
         if ((present <= 0) | (present > 1)).any():
             raise ValidationError("score entries must lie in (0, 1]")
@@ -204,14 +209,6 @@ class ScoreTable:
         if np.isnan(self.values).all(axis=0).any():
             raise ContractError("a column has no entries")
         return np.nanmax(self.values, axis=0)
-
-    def _column_indices(self, columns: list[str]) -> list[int]:
-        indices = []
-        for c in columns:
-            if c not in self.columns:
-                raise ContractError(f"unknown column {c!r}")
-            indices.append(self.columns.index(c))
-        return indices
 
     def index_for(
         self,
@@ -231,9 +228,8 @@ class ScoreTable:
             missing = sorted(set(human_refs) - set(self.columns))
             if missing:
                 raise ContractError(f"human reference columns not in table: {missing}")
-            names = [c for c in self.columns if c in human_refs]
-            cols = self._column_indices(names)
-            refs = np.array([human_refs[c] for c in names])
+            cols = [i for i, c in enumerate(self.columns) if c in human_refs]
+            refs = np.array([human_refs[self.columns[i]] for i in cols])
         else:
             raise ContractError(f"unknown index mode {mode!r}")
         row = self.row(model)[cols]

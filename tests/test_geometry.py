@@ -1,5 +1,8 @@
 """PCA, principal angles, linear probes, and cross-task projection."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -218,6 +221,16 @@ class TestLinearTaskProbe:
     def test_requires_fold_count_per_class(self):
         with pytest.raises(ContractError, match="samples"):
             linear_task_probe(np.ones((12, 2)), np.repeat([0, 1], 6), folds=10)
+
+    @pytest.mark.parametrize("folds", [1, 0, -2])
+    def test_fewer_than_two_folds_rejected(self, folds):
+        # One fold trains on nothing and zero folds average nothing; both
+        # used to return a number.
+        X, y = np.arange(24.0).reshape(12, 2), np.repeat([0, 1], 6)
+        with pytest.raises(ContractError, match="2 folds"):
+            linear_task_probe(X, y, folds=folds)
+        with pytest.raises(ContractError, match="2 folds"):
+            sliding_window_probe(X, y, window=1, folds=folds)
 
 
 def with_bias(X):
@@ -451,6 +464,134 @@ class TestSlidingWindowProbe:
         X, labels = self.make_planted(dims=6)
         with pytest.raises(ContractError, match="window"):
             sliding_window_probe(X, labels, window=7)
+
+
+def planted_tasks(seed=29, n_tasks=4, per_task=30, dims=9):
+    rng = np.random.default_rng(seed)
+    means = np.zeros((n_tasks, dims))
+    means[:, :3] = 2.0 * rng.standard_normal((n_tasks, 3))
+    labels = np.repeat(np.arange(n_tasks), per_task)
+    return means[labels] + rng.standard_normal((labels.size, dims)), labels
+
+
+def open_fd_count():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="without fork and an affinity mask the window probes are the plain loop",
+)
+class TestParallelWindows:
+    """The window probes are dealt round-robin over forked workers (this
+    process takes windows 0, W, 2W, ...). The curve must be the serial
+    loop's bit for bit, a failure must surface as the serial loop would
+    raise it, and no worker or pipe may outlive the call."""
+
+    WINDOW, FOLDS, N_WINDOWS = 3, 5, 7  # 9 PCs
+
+    @pytest.fixture(autouse=True)
+    def leaves_nothing_behind(self):
+        before = open_fd_count()
+        yield
+        assert_no_children()
+        assert open_fd_count() == before
+
+    def force_workers(self, monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def coords(self, X):
+        space = pca(X)
+        return (X - space.mean) @ space.basis
+
+    def fail_windows(self, monkeypatch, X, failing, error=ValueError):
+        """Make the windows in ``failing`` raise ``error``, naming the window
+        and whether it ran in this process or in a forked child."""
+        first_row, parent, original = self.coords(X)[0], os.getpid(), geometry._cross_validate
+
+        def cross_validate(features, plan):
+            start = int(np.flatnonzero(first_row == features[0, 0])[0])
+            if start in failing:
+                where = "parent" if os.getpid() == parent else "child"
+                raise error(f"window {start} failed in the {where}")
+            return original(features, plan)
+
+        monkeypatch.setattr(geometry, "_cross_validate", cross_validate)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 50])
+    def test_curve_bitwise_equal_to_serial_loop(self, monkeypatch, workers):
+        X, labels = planted_tasks()
+        coords = self.coords(X)
+        plan = geometry._fold_plan(labels, X.shape[0], self.FOLDS)
+        serial = [
+            geometry._cross_validate(coords[:, s : s + self.WINDOW], plan)
+            for s in range(self.N_WINDOWS)
+        ]
+        self.force_workers(monkeypatch, workers)
+        assert geometry._probe_workers(self.N_WINDOWS) == min(workers, self.N_WINDOWS)
+        curve = sliding_window_probe(X, labels, window=self.WINDOW, folds=self.FOLDS)
+        assert curve.starts == list(range(self.N_WINDOWS))
+        assert np.array(curve.means).tobytes() == np.array([m for m, _ in serial]).tobytes()
+        assert np.array(curve.stds).tobytes() == np.array([s for _, s in serial]).tobytes()
+
+    # With 3 workers this process runs windows 0, 3, 6, the first child 1, 4
+    # and the second child 2, 5.
+    @pytest.mark.parametrize(
+        "failing, message",
+        [
+            ({4}, "window 4 failed in the child"),
+            ({4, 5}, "window 4 failed in the child"),
+            ({2, 4}, "window 2 failed in the child"),
+            ({1, 3}, "window 1 failed in the child"),
+            ({3, 5}, "window 3 failed in the parent"),
+        ],
+    )
+    def test_lowest_failing_window_raises(self, monkeypatch, failing, message):
+        X, labels = planted_tasks()
+        self.fail_windows(monkeypatch, X, failing)
+        self.force_workers(monkeypatch, 3)
+        with pytest.raises(ValueError) as caught:
+            sliding_window_probe(X, labels, window=self.WINDOW, folds=self.FOLDS)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
+
+    def test_child_ending_without_a_result_raises(self, monkeypatch):
+        X, labels = planted_tasks()
+        parent, original = os.getpid(), geometry._cross_validate
+
+        def cross_validate(features, plan):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(features, plan)
+
+        monkeypatch.setattr(geometry, "_cross_validate", cross_validate)
+        self.force_workers(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="without a result"):
+            sliding_window_probe(X, labels, window=self.WINDOW, folds=self.FOLDS)
+
+    def test_interrupt_in_parent_kills_running_children(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        X, labels = planted_tasks()
+        parent = os.getpid()
+
+        def cross_validate(features, plan):
+            if os.getpid() == parent:
+                raise Interrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(geometry, "_cross_validate", cross_validate)
+        self.force_workers(monkeypatch, 3)
+        began = time.monotonic()
+        with pytest.raises(Interrupt):
+            sliding_window_probe(X, labels, window=self.WINDOW, folds=self.FOLDS)
+        assert time.monotonic() - began < 30
 
 
 def cosine_auc_eval(genuine_pairs, impostor_pairs):

@@ -165,6 +165,38 @@ class TestConfig:
         with pytest.raises(ValidationError, match="seed"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "field", ["pretrain_steps", "pretrain_batches_per_step", "finetune_epochs"]
+    )
+    @pytest.mark.parametrize("value", [0, -3, 1.5, True, "2"])
+    def test_forgetting_counts_must_be_positive_ints(self, tmp_path, field, value):
+        # Zero steps or epochs used to run to completion with empty traces
+        # and every pretrain_task_drop at 0.0.
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        payload["forgetting"][field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"config.forgetting.{field}"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("folds", [1, 0, -1, True, 4.0])
+    def test_probe_folds_must_be_at_least_two(self, tmp_path, folds):
+        config = default_config(output_dir=str(tmp_path))
+        config.evaluation.probe_folds = folds
+        with pytest.raises(ValidationError, match="config.evaluation.probe_folds"):
+            config.validate()
+
+    def test_probe_window_must_fit_the_embedding(self, tmp_path):
+        config = default_config(output_dir=str(tmp_path))
+        dim = config.encoder.embedding_dim
+        for window in (1, dim):
+            config.evaluation.probe_window = window
+            config.validate()
+        for window in (0, dim + 1, True):
+            config.evaluation.probe_window = window
+            with pytest.raises(ValidationError, match="config.evaluation.probe_window"):
+                config.validate()
+
     def test_goal_for_unknown_task(self, tmp_path):
         payload = default_config(output_dir=str(tmp_path)).to_dict()
         payload["curriculum"]["goals"]["ghost_task"] = 0.9
@@ -520,6 +552,21 @@ def test_import_skips_scipy_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_process_pools():
+    # The window probes fork with os alone; multiprocessing or
+    # concurrent.futures would add to every start-up and to the peak RSS.
+    src = str(Path(taskweave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, taskweave.experiments; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestForgettingComparison:

@@ -490,6 +490,21 @@ class TestScoreTable:
         with pytest.raises(ValidationError, match="0, 1"):
             ScoreTable(models=["a"], columns=["c"], values=np.array([[1.5]]))
 
+    @pytest.mark.parametrize(
+        "models, columns, duplicate",
+        [(["a", "a"], ["x", "y"], "model"), (["a", "b"], ["x", "x"], "column")],
+    )
+    def test_duplicate_names_rejected(self, models, columns, duplicate):
+        # Human mode used to score only the first of two equal column names.
+        with pytest.raises(ValidationError, match=f"duplicate {duplicate}"):
+            ScoreTable(models=models, columns=columns, values=[[0.5, 0.9], [0.6, 0.3]])
+
+    def test_duplicate_csv_header_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("model,x,x\na,0.5,0.9\n")
+        with pytest.raises(ValidationError, match="duplicate column"):
+            ScoreTable.from_csv(path)
+
     def test_missing_entry_in_scored_column_rejected(self):
         table = ScoreTable(
             models=["a", "b"],
