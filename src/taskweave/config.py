@@ -186,7 +186,23 @@ class ExperimentConfig:
             )
         for name in ("pretrain_steps", "pretrain_batches_per_step", "finetune_epochs"):
             _check_int(getattr(self.forgetting, name), f"config.forgetting.{name}", 1)
+        _check_int(self.training.epochs, "config.training.epochs", 1)
+        if self.curriculum.steps_per_epoch is not None:
+            _check_int(self.curriculum.steps_per_epoch, "config.curriculum.steps_per_epoch", 1)
         ev = self.evaluation
+        # The verification accuracy splits a task's genuine and impostor
+        # pairs into 10 folds, so it needs at least 5 of each.
+        _check_int(ev.verification_pairs, "config.evaluation.verification_pairs", 5)
+        fars = ev.far_values
+        if (
+            not isinstance(fars, list)
+            or any(isinstance(f, bool) or not isinstance(f, (int, float)) for f in fars)
+            or not all(0.0 < f < 1.0 for f in fars)
+            or len(set(fars)) < len(fars)
+        ):
+            raise ValidationError(
+                f"config.evaluation.far_values must be distinct numbers in (0, 1), got {fars!r}"
+            )
         _check_int(ev.probe_folds, "config.evaluation.probe_folds", 2)
         _check_int(ev.probe_window, "config.evaluation.probe_window", 1, self.encoder.embedding_dim)
         self.corpus_spec(seed=0).validate(self.batch.positives)

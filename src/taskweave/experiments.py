@@ -27,6 +27,7 @@ from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
 from .datagen import CSV_UNSAFE, Corpus, TaskData, build_corpus
 from .encoder import EncoderParams, OptimState, embed, init_params, save_checkpoint
 from .errors import ConfigurationError, ContractError, NumericError
+from .forking import cpu_workers, forked_map
 from .geometry import (
     cross_task_projection_eval,
     linear_task_probe,
@@ -188,6 +189,12 @@ def make_trainer(
         seed=derive_seed(config.seed, seed_name),
         loader_stream=loader_stream,
     )
+
+
+def _records(trainer: Trainer) -> list[dict]:
+    """The trainer's step reports as trace records: plain data that a forked
+    share can pickle back."""
+    return [r.to_record() for r in trainer.reports]
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +565,7 @@ def run(
     trainer = make_trainer(config, mode, train_corpus.tasks, params, opt_state, "train")
     for _ in range(config.training.epochs):
         trainer.run_epoch()
-    out.lines("traces/scheduler.jsonl", (r.to_record() for r in trainer.reports))
+    out.lines("traces/scheduler.jsonl", _records(trainer))
     save_checkpoint(params, out, "checkpoints/encoder_final.npz")
 
     pair_plan = verification_pair_plan(eval_corpus, config)
@@ -638,6 +645,7 @@ def sequential_finetune(
 
 
 SEQUENTIAL = "sequential"
+PRETRAINED = "pretrained"
 INTERLEAVED_BALANCED = "interleaved-balanced"
 INTERLEAVED_ADAPTIVE = "interleaved-adaptive"
 
@@ -656,6 +664,10 @@ def run_forgetting_comparison(
     fg = config.forgetting
     if not fg.pretrain_task:
         raise ConfigurationError("forgetting comparison requires forgetting.pretrain_task")
+    if config.curriculum.steps_per_epoch is None:
+        raise ConfigurationError(
+            "forgetting comparison requires curriculum.steps_per_epoch for its adaptive fine-tune"
+        )
     out = RunResult(output_dir if output_dir is not None else config.output_dir)
     out.start()
 
@@ -671,43 +683,71 @@ def run_forgetting_comparison(
         fg.pretrain_batches_per_step,
         "pretrain",
     )
-    out.lines("traces/pretrain.jsonl", (r.to_record() for r in trainer.reports))
+    out.lines("traces/pretrain.jsonl", _records(trainer))
     save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
-    top1_col = f"{fg.pretrain_task}:top1"
-    baseline_acc = evaluate_row(params, train_corpus, eval_corpus, config, pair_plan)[top1_col]
-
-    # Every fine-tune starts from a copy of the pretrained parameters with a
-    # fresh optimizer. The blocked baseline spends the balanced run's batch
-    # total on the fine-tune tasks alone.
-    models: dict[str, EncoderParams] = {}
-    for name, mode in ((INTERLEAVED_BALANCED, BALANCED), (INTERLEAVED_ADAPTIVE, ADAPTIVE)):
-        models[name] = tuned = params.copy()
+    def fine_tune(mode: str) -> tuple[EncoderParams, Trainer]:
+        # Every fine-tune starts from a copy of the pretrained parameters
+        # with a fresh optimizer.
+        tuned = params.copy()
         opt = fresh_optimizer(config, tuned)
         trainer = make_trainer(config, mode, train_corpus.tasks, tuned, opt, f"finetune-{mode}")
         for _ in range(fg.finetune_epochs):
             trainer.run_epoch()
-        out.lines(f"traces/finetune_{mode}.jsonl", (r.to_record() for r in trainer.reports))
-        if mode == BALANCED:
-            balanced_batches = sum(s.batches_consumed for s in trainer.reports)
+        return tuned, trainer
 
-    models[SEQUENTIAL] = tuned = params.copy()
-    trainer = sequential_finetune(
-        config,
-        tuned,
-        fresh_optimizer(config, tuned),
-        {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task},
-        total_batches=balanced_batches,
-        group_size=len(train_corpus.tasks) * config.curriculum.batches_per_task,
-        seed_name="finetune-sequential",
-    )
-    out.lines("traces/finetune_sequential.jsonl", (r.to_record() for r in trainer.reports))
+    def score(model: EncoderParams) -> dict[str, float]:
+        return evaluate_row(model, train_corpus, eval_corpus, config, pair_plan)
 
+    def balanced_then_sequential() -> dict:
+        balanced, balanced_trainer = fine_tune(BALANCED)
+        batches = sum(s.batches_consumed for s in balanced_trainer.reports)
+        # The blocked baseline spends the balanced run's batch total on the
+        # fine-tune tasks alone.
+        blocked = params.copy()
+        blocked_trainer = sequential_finetune(
+            config,
+            blocked,
+            fresh_optimizer(config, blocked),
+            {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task},
+            total_batches=batches,
+            group_size=len(train_corpus.tasks) * config.curriculum.batches_per_task,
+            seed_name="finetune-sequential",
+        )
+        return {
+            "batches": batches,
+            "traces": {
+                BALANCED: _records(balanced_trainer),
+                SEQUENTIAL: _records(blocked_trainer),
+            },
+            "rows": {INTERLEAVED_BALANCED: score(balanced), SEQUENTIAL: score(blocked)},
+        }
+
+    def pretrained_then_adaptive() -> dict:
+        pretrained_row = score(params)
+        adaptive, adaptive_trainer = fine_tune(ADAPTIVE)
+        return {
+            "traces": {ADAPTIVE: _records(adaptive_trainer)},
+            "rows": {PRETRAINED: pretrained_row, INTERLEAVED_ADAPTIVE: score(adaptive)},
+        }
+
+    # The shares are independent: the one fine-tune that needs another's
+    # result, the sequential baseline, runs after balanced in the first.
+    # The second runs in a forked child when a second CPU is free. Only rows
+    # and trace records come back, and every file is written here in one
+    # order, so the tree is the same on any number of CPUs.
+    shares = [balanced_then_sequential, pretrained_then_adaptive]
+    first, second = forked_map(lambda share: share(), shares, cpu_workers(len(shares)))
+    balanced_batches = first["batches"]
+    traces = {**first["traces"], **second["traces"]}
+    rows = {**first["rows"], **second["rows"]}
+    for mode in (BALANCED, ADAPTIVE, SEQUENTIAL):
+        out.lines(f"traces/finetune_{mode}.jsonl", traces[mode])
+
+    top1_col = f"{fg.pretrain_task}:top1"
+    baseline_acc = rows.pop(PRETRAINED)[top1_col]
     order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
-    rows = {
-        name: evaluate_row(models[name], train_corpus, eval_corpus, config, pair_plan)
-        for name in order
-    }
+    rows = {name: rows[name] for name in order}
     table, floored = rows_to_table(rows)
     table.to_csv(out, "tables/forgetting_scores.csv")
     indexed_rows = [

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from taskweave import geometry
+from taskweave import forking, geometry
 from taskweave.errors import ContractError
 from taskweave.geometry import (
     ProbeCurve,
@@ -474,19 +474,11 @@ def planted_tasks(seed=29, n_tasks=4, per_task=30, dims=9):
     return means[labels] + rng.standard_normal((labels.size, dims)), labels
 
 
-def open_fd_count():
-    return len(os.listdir("/proc/self/fd"))
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
     reason="without fork and an affinity mask the window probes are the plain loop",
 )
+@pytest.mark.usefixtures("leaves_no_process_or_fd")
 class TestParallelWindows:
     """The window probes are dealt round-robin over forked workers (this
     process takes windows 0, W, 2W, ...). The curve must be the serial
@@ -494,13 +486,6 @@ class TestParallelWindows:
     raise it, and no worker or pipe may outlive the call."""
 
     WINDOW, FOLDS, N_WINDOWS = 3, 5, 7  # 9 PCs
-
-    @pytest.fixture(autouse=True)
-    def leaves_nothing_behind(self):
-        before = open_fd_count()
-        yield
-        assert_no_children()
-        assert open_fd_count() == before
 
     def force_workers(self, monkeypatch, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -533,7 +518,7 @@ class TestParallelWindows:
             for s in range(self.N_WINDOWS)
         ]
         self.force_workers(monkeypatch, workers)
-        assert geometry._probe_workers(self.N_WINDOWS) == min(workers, self.N_WINDOWS)
+        assert forking.cpu_workers(self.N_WINDOWS) == min(workers, self.N_WINDOWS)
         curve = sliding_window_probe(X, labels, window=self.WINDOW, folds=self.FOLDS)
         assert curve.starts == list(range(self.N_WINDOWS))
         assert np.array(curve.means).tobytes() == np.array([m for m, _ in serial]).tobytes()

@@ -197,6 +197,46 @@ class TestConfig:
             with pytest.raises(ValidationError, match="config.evaluation.probe_window"):
                 config.validate()
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("training", "epochs", 0),
+            ("training", "epochs", 1.5),
+            ("curriculum", "steps_per_epoch", 0),
+            ("curriculum", "steps_per_epoch", True),
+            ("evaluation", "verification_pairs", 0),
+            ("evaluation", "verification_pairs", 4),
+            ("evaluation", "far_values", [1.5]),
+            ("evaluation", "far_values", [0.0]),
+            ("evaluation", "far_values", [0.01, 0.01]),
+            ("evaluation", "far_values", [True]),
+            ("evaluation", "far_values", 0.01),
+        ],
+    )
+    def test_settings_that_fail_after_training_are_rejected(
+        self, tmp_path, section, field, value
+    ):
+        # Each of these used to validate: zero epochs or steps wrote a
+        # complete-looking run of an untrained encoder, and the scoring
+        # settings raised ContractError after training, leaving a partial
+        # tree.
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        payload[section][field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"config.{section}.{field}"):
+            ExperimentConfig.from_file(path)
+
+    def test_smallest_scoring_settings_run(self, tmp_path):
+        config = tiny_config(tmp_path / "out")
+        config.curriculum.steps_per_epoch = None
+        config.evaluation.verification_pairs = 5
+        config.evaluation.far_values = [0.5]
+        config.evaluation.suites = ["scores"]
+        config.validate()
+        run(config)
+        assert (tmp_path / "out" / "summary.json").is_file()
+
     def test_goal_for_unknown_task(self, tmp_path):
         payload = default_config(output_dir=str(tmp_path)).to_dict()
         payload["curriculum"]["goals"]["ghost_task"] = 0.9

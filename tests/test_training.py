@@ -12,6 +12,7 @@ Trainer must reproduce its losses and accuracies as well.
 import dataclasses
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import taskweave.encoder as encoder
+from taskweave import experiments, forking
 from taskweave.config import default_config
 from taskweave.curriculum import (
     ADAPTIVE,
@@ -34,6 +36,7 @@ from taskweave.curriculum import (
     sample_allocation,
 )
 from taskweave.datagen import Loader
+from taskweave.errors import ConfigurationError, NumericError
 from taskweave.encoder import (
     GradBuffer,
     accumulate,
@@ -631,6 +634,105 @@ class TestForgettingMatchesReference:
         counts = traced.counts()
         assert counts["experiments.pretrain_encoder"] == 1
         assert counts["experiments.sequential_finetune"] == 1
+
+
+def forgetting_config(tmp_path, seed=3):
+    config = small_config(seed)
+    config.evaluation.verification_pairs = 200
+    config.forgetting.pretrain_steps = 6
+    config.forgetting.pretrain_batches_per_step = 2
+    config.forgetting.finetune_epochs = 1
+    config.curriculum.steps_per_epoch = 5
+    config.output_dir = str(tmp_path)
+    return config
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="without fork and an affinity mask the fine-tunes run in this process",
+)
+@pytest.mark.usefixtures("leaves_no_process_or_fd")
+class TestParallelFinetunes:
+    """The forgetting comparison's fine-tunes run in two shares: this process
+    tunes balanced then sequential and scores both, a forked child scores
+    the pretrained model, tunes adaptive and scores it. The tree must be the
+    one-CPU tree byte for byte, a failure must surface as the one-CPU run
+    raises it, and no child or pipe may outlive the call."""
+
+    def force_cpus(self, monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize("seed", [3, 72025])
+    def test_tree_bitwise_equal_on_any_cpu_count(self, monkeypatch, tmp_path, seed):
+        trees = {}
+        for cpus in (1, 2, 3):
+            self.force_cpus(monkeypatch, cpus)
+            assert forking.cpu_workers(2) == min(cpus, 2)
+            run_forgetting_comparison(forgetting_config(tmp_path / str(cpus), seed))
+            trees[cpus] = tree_files(tmp_path / str(cpus))
+        assert len(trees[1]) == 9
+        assert trees[2] == trees[1]
+        assert trees[3] == trees[1]
+
+    def fail(self, monkeypatch, shares):
+        """Make share 0 fail in the sequential fine-tune, share 1 in the
+        adaptive one, or both."""
+        if 0 in shares:
+
+            def failing_sequential(*args, **kwargs):
+                raise ValueError("the sequential fine-tune failed")
+
+            monkeypatch.setattr(experiments, "sequential_finetune", failing_sequential)
+        if 1 in shares:
+            run_epoch = Trainer.run_epoch
+
+            def failing_epoch(self):
+                if self.mode == ADAPTIVE:
+                    raise NumericError("non-finite adaptive loss", layer=1)
+                return run_epoch(self)
+
+            monkeypatch.setattr(Trainer, "run_epoch", failing_epoch)
+
+    @pytest.mark.parametrize(
+        "shares, error, message",
+        [
+            ({0}, ValueError, "the sequential fine-tune failed"),
+            ({1}, NumericError, "non-finite adaptive loss (layer 1)"),
+            ({0, 1}, ValueError, "the sequential fine-tune failed"),
+        ],
+    )
+    def test_failure_raises_as_on_one_cpu(self, monkeypatch, tmp_path, shares, error, message):
+        self.fail(monkeypatch, shares)
+        caught = {}
+        for cpus in (1, 2):
+            self.force_cpus(monkeypatch, cpus)
+            with pytest.raises(error) as caught[cpus]:
+                run_forgetting_comparison(forgetting_config(tmp_path / str(cpus)))
+            assert type(caught[cpus].value) is error
+            assert str(caught[cpus].value) == message
+        # Only the pretraining's files are written before the fine-tunes.
+        assert tree_files(tmp_path / "2") == tree_files(tmp_path / "1")
+        assert sorted(tree_files(tmp_path / "1")) == [
+            "checkpoints/encoder_pretrained.npz",
+            "traces/pretrain.jsonl",
+        ]
+        assert caught[1].value.__cause__ is None
+        cause = caught[2].value.__cause__
+        if 0 in shares:
+            assert cause is None  # share 0 ran in this process
+        else:
+            # The child's traceback reaches the frame that raised.
+            assert isinstance(cause, forking._RemoteTraceback)
+            assert "in failing_epoch" in str(cause)
+            assert f"NumericError: {message}" in str(cause)
+            assert caught[2].value.layer == 1
+
+    def test_missing_steps_per_epoch_fails_before_any_file(self, tmp_path):
+        config = forgetting_config(tmp_path / "out")
+        config.curriculum.steps_per_epoch = None
+        with pytest.raises(ConfigurationError, match="steps_per_epoch"):
+            run_forgetting_comparison(config)
+        assert not (tmp_path / "out").exists()
 
 
 class TestTracerSpans:
