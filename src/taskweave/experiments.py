@@ -14,7 +14,7 @@ import io
 import json
 import math
 import os
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
@@ -241,27 +241,10 @@ def _two(word: Callable[[], int], n: int) -> tuple[int, int]:
     return (b, a) if _below(word, 2) == 0 else (a, b)
 
 
-def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
-    """Index pairs for verification scoring: (genuine, impostor), each an
-    (n_pairs, 2) array of row indices.
-
-    The pairs and the final generator state are those of the plain loop of
-    ``Generator`` calls: per genuine pair ``choice(eligible)`` then
-    ``choice(members, 2, replace=False)``, per impostor pair
-    ``choice(classes, 2, replace=False)`` then one ``choice(members)`` per
-    side. Both calls are reproduced from the generator's 32-bit words:
-    ``integers(0, n)`` is Lemire's bounded draw (Lemire 2019, *Fast Random
-    Integer Generation in an Interval*) and ``choice(n, 2, replace=False)``
-    is Floyd's algorithm (Bentley & Floyd 1987, *A sample of brilliance*)
-    over it. ``tests/test_harness.py`` pins both helpers against numpy
-    (``TestExactDraws``) and the sampler against the ``choice`` loop
-    (``TestPairSampler``). Draws are positions within a class; one gather
-    maps them to rows at the end.
-    """
+def _serial_pairs(sizes: list[int], n_pairs: int, rng: np.random.Generator):
+    """The pairs as positions in class-sorted rows, one draw at a time."""
     word = _word_source(rng)
-    order = np.argsort(labels, kind="stable")  # rows grouped by class, ascending
-    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
-    starts, sizes = starts.tolist(), sizes.tolist()
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
     eligible = [c for c, size in enumerate(sizes) if size >= 2]
     genuine = np.empty((n_pairs, 2), dtype=int)
     out = memoryview(genuine.reshape(-1))
@@ -276,6 +259,109 @@ def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
         a, b = _two(word, len(sizes))
         out[i] = starts[a] + _below(word, sizes[a])
         out[i + 1] = starts[b] + _below(word, sizes[b])
+    return genuine, impostor
+
+
+def _next_words(bit_generator: np.random.PCG64, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of a PCG64 generator, as ``uint64``,
+    in the order its ``next_uint32`` yields them: a buffered word first,
+    then the low and the high half of each 64-bit output. The generator is
+    left where ``count`` calls of ``next_uint32`` leave it, buffer included:
+    an unused high half stays buffered, and a drained buffer keeps its
+    stale word."""
+    state = bit_generator.state
+    buffered = int(bool(state["has_uint32"] and count))
+    n_raw = (count - buffered + 1) // 2
+    raw = bit_generator.random_raw(n_raw)
+    words = np.empty(buffered + 2 * n_raw, dtype=np.uint64)
+    words[:buffered] = state["uinteger"]
+    words[buffered::2] = raw & 0xFFFFFFFF
+    words[buffered + 1 :: 2] = raw >> 32
+    if count:
+        state = bit_generator.state
+        state["has_uint32"] = int(words.size > count)
+        if n_raw:
+            state["uinteger"] = int(raw[-1] >> 32)
+        bit_generator.state = state
+    return words[:count]
+
+
+def _vector_pairs(sizes: np.ndarray, n_pairs: int, rng: np.random.Generator):
+    """:func:`_serial_pairs` computed at once on numpy arrays, or ``None``
+    with the generator untouched.
+
+    It needs a PCG64 generator and at least 3 classes of at least 3 rows
+    each. Then no population is 1, so every draw takes exactly one word: 4
+    per genuine pair (class, Floyd's two, the swap) and 5 per impostor
+    pair (Floyd's two, the swap, one member per side), and the word of each
+    draw is known before any is made. Lemire's draw of ``n`` from word
+    ``w`` is ``(w * n) >> 32`` unless ``(w * n) mod 2**32 < n``, where it
+    may reject; then the generator is restored and ``None`` returned.
+    """
+    bit_generator = rng.bit_generator
+    if not (type(bit_generator) is np.random.PCG64 and sizes.size >= 3 and sizes.min() >= 3):
+        return None
+    snapshot = bit_generator.state
+    words = _next_words(bit_generator, 9 * n_pairs)
+    risky = np.zeros(n_pairs, dtype=bool)
+    starts = np.cumsum(sizes) - sizes
+
+    def below(w: np.ndarray, n) -> np.ndarray:
+        n = np.asarray(n, dtype=np.uint64)
+        m = w * n
+        risky[:] |= (m & 0xFFFFFFFF) < n
+        return (m >> 32).astype(np.intp)
+
+    def two(w: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+        a = below(w[:, 0], n - 1)
+        b = below(w[:, 1], n)
+        b = np.where(b == a, n - 1, b)
+        keep = below(w[:, 2], 2) == 1
+        return np.where(keep, a, b), np.where(keep, b, a)
+
+    g = words[: 4 * n_pairs].reshape(n_pairs, 4)
+    c = below(g[:, 0], sizes.size)
+    a, b = two(g[:, 1:], sizes[c])
+    genuine = np.column_stack([starts[c] + a, starts[c] + b])
+    w = words[4 * n_pairs :].reshape(n_pairs, 5)
+    a, b = two(w, sizes.size)
+    impostor = np.column_stack(
+        [starts[a] + below(w[:, 3], sizes[a]), starts[b] + below(w[:, 4], sizes[b])]
+    )
+    if risky.any():
+        bit_generator.state = snapshot
+        return None
+    return genuine, impostor
+
+
+def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
+    """Index pairs for verification scoring: (genuine, impostor), each an
+    (n_pairs, 2) array of row indices.
+
+    The pairs and the final generator state are those of the plain loop of
+    ``Generator`` calls: per genuine pair ``choice(eligible)`` then
+    ``choice(members, 2, replace=False)``, per impostor pair
+    ``choice(classes, 2, replace=False)`` then one ``choice(members)`` per
+    side. Both calls are reproduced from the generator's 32-bit words:
+    ``integers(0, n)`` is Lemire's bounded draw (Lemire 2019, *Fast Random
+    Integer Generation in an Interval*) and ``choice(n, 2, replace=False)``
+    is Floyd's algorithm (Bentley & Floyd 1987, *A sample of brilliance*)
+    over it. Draws are positions within a class; one gather maps them to
+    rows at the end.
+
+    With a PCG64 generator and at least 3 classes of at least 3 rows each,
+    every draw takes one word, so all of them are computed at once from
+    the generator's raw output (:func:`_vector_pairs`). If any draw might
+    have been rejected, the generator is restored and the draws are made
+    one at a time (:func:`_serial_pairs`), as they are for every other
+    generator or layout. ``tests/test_harness.py`` pins both helpers
+    against numpy (``TestExactDraws``) and both paths against the
+    ``choice`` loop (``TestPairSampler``, ``TestVectorPairs``).
+    """
+    order = np.argsort(labels, kind="stable")  # rows grouped by class, ascending
+    _, sizes = np.unique(labels[order], return_counts=True)
+    pairs = _vector_pairs(sizes, n_pairs, rng) or _serial_pairs(sizes.tolist(), n_pairs, rng)
+    genuine, impostor = pairs
     return order[genuine], order[impostor]
 
 
@@ -303,39 +389,18 @@ class TaskPairs:
     impostor: np.ndarray
 
 
-class PairPlan(Mapping):
-    """Per-task verification pairs, each task drawn on first access from its
-    own ``stream(seed, "pairs", task)``. Drawing is independent of access
-    order, so a lazy plan holds the same pairs as an eager one; tasks a run
-    never scores are never drawn."""
-
-    def __init__(self, eval_corpus: Corpus, config: ExperimentConfig):
-        self._labels = {name: data.labels for name, data in eval_corpus.tasks.items()}
-        self._seed = config.seed
-        self._n_pairs = config.evaluation.verification_pairs
-        self._drawn: dict[str, TaskPairs] = {}
-
-    def __getitem__(self, name: str) -> TaskPairs:
-        if name not in self._drawn:
-            labels = self._labels[name]
-            rng = stream(self._seed, "pairs", name)
-            self._drawn[name] = TaskPairs(*_sample_pairs(labels, self._n_pairs, rng))
-        return self._drawn[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self._labels
-
-    def __iter__(self):
-        return iter(self._labels)
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-
-def verification_pair_plan(eval_corpus: Corpus, config: ExperimentConfig) -> PairPlan:
+def verification_pair_plan(
+    eval_corpus: Corpus, config: ExperimentConfig
+) -> dict[str, TaskPairs]:
     """Fixed per-task verification pairs, shared by every model under one
-    master seed so scores stay comparable."""
-    return PairPlan(eval_corpus, config)
+    master seed so scores stay comparable. Each task draws from its own
+    ``stream(seed, "pairs", task)``, so the pairs do not depend on the
+    order of the tasks."""
+    n_pairs = config.evaluation.verification_pairs
+    return {
+        name: TaskPairs(*_sample_pairs(data.labels, n_pairs, stream(config.seed, "pairs", name)))
+        for name, data in eval_corpus.tasks.items()
+    }
 
 
 # Each regime's metrics in column order. "top<k>" ranks every eval sample
@@ -365,7 +430,7 @@ def evaluate_row(
     train_corpus: Corpus,
     eval_corpus: Corpus,
     config: ExperimentConfig,
-    pair_plan: Mapping[str, TaskPairs] | None = None,
+    pair_plan: dict[str, TaskPairs] | None = None,
 ) -> dict[str, float]:
     """All configured metrics for one model, keyed by 'task:metric'."""
     if pair_plan is None:
@@ -454,7 +519,7 @@ def geometry_suite(
     eval_corpus: Corpus,
     config: ExperimentConfig,
     out: RunResult,
-    pair_plan: Mapping[str, TaskPairs] | None = None,
+    pair_plan: dict[str, TaskPairs] | None = None,
 ) -> dict:
     """Run the embedding-space analyses and write their artifact files
     through ``out`` under ``geometry/``.
@@ -548,10 +613,12 @@ def run(
     """Full pipeline: corpus, curriculum training, evaluation, analysis.
 
     Writes the artifact tree under the configured output directory, and
-    ``summary.json`` last.
+    ``summary.json`` last. The config is validated before any file is
+    touched.
     """
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
+    config.validate()
     out = RunResult(output_dir if output_dir is not None else config.output_dir)
     out.start()
     out.json("config.json", config.to_dict())
@@ -658,17 +725,26 @@ def run_forgetting_comparison(
     """Pretrain on the configured coarse task, then fine-tune three ways from
     the shared checkpoint: blocked identity-only, balanced interleaved, and
     adaptive interleaved. Reports each model's pretrain-task accuracy drop
-    and expert-mode multi-task index."""
+    and expert-mode multi-task index. The config is validated, and its
+    forgetting settings checked, before any file is touched."""
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    fg = config.forgetting
-    if not fg.pretrain_task:
+    config.validate()
+    if not config.forgetting.pretrain_task:
         raise ConfigurationError("forgetting comparison requires forgetting.pretrain_task")
     if config.curriculum.steps_per_epoch is None:
         raise ConfigurationError(
             "forgetting comparison requires curriculum.steps_per_epoch for its adaptive fine-tune"
         )
-    out = RunResult(output_dir if output_dir is not None else config.output_dir)
+    return _compare_forgetting(
+        config, RunResult(output_dir if output_dir is not None else config.output_dir)
+    )
+
+
+def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
+    """The body of :func:`run_forgetting_comparison`, on a config taken as
+    it is."""
+    fg = config.forgetting
     out.start()
 
     train_corpus, eval_corpus = build_splits(config)

@@ -48,12 +48,26 @@ def _run_share(fn, items: list, first: int, stride: int):
     return results, None
 
 
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives a pickle round trip, else a
+    ``ChildProcessError`` naming its type and message. An exception whose
+    ``__init__`` does not take its ``args`` pickles but does not unpickle,
+    and would turn into the parent's ``TypeError``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        kind = type(exc)
+        return ChildProcessError(f"{kind.__module__}.{kind.__qualname__}: {exc}")
+    return exc
+
+
 def _serve_share(fn, items: list, first: int, stride: int, write_end: int):
     """Body of a forked worker: pickle its share's outcome into the pipe and
     leave by ``os._exit``, so the child never unwinds into the caller's
     frames (a test runner, a benchmark loop). A failure travels with its
-    formatted traceback. A child that cannot send its outcome exits with
-    status 1 and an empty pipe."""
+    formatted traceback, as itself when it round-trips through pickle and
+    as a ``ChildProcessError`` stand-in when it does not. A child that
+    cannot send its outcome exits with status 1 and an empty pipe."""
     status = 1
     try:
         results, failure = _run_share(fn, items, first, stride)
@@ -62,7 +76,7 @@ def _serve_share(fn, items: list, first: int, stride: int, write_end: int):
 
             index, exc = failure
             tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-            failure = (index, exc, f'\n"""\n{tb}"""')
+            failure = (index, _portable(exc), f'\n"""\n{tb}"""')
         data = pickle.dumps((results, failure))
         with os.fdopen(write_end, "wb") as pipe:
             pipe.write(data)
@@ -79,9 +93,10 @@ def forked_map(fn, items: list, workers: int) -> list:
     children compute theirs and pickle the results back through a pipe each.
     If items raise, the exception of the lowest failing item is raised, as
     the serial loop would raise it; one raised in a child carries the
-    child's traceback as its ``__cause__``. Every child is reaped, and every
-    pipe closed, before this returns or raises; children still running then
-    are killed.
+    child's traceback as its ``__cause__``, and one whose class does not
+    unpickle comes back as a ``ChildProcessError`` naming it. Every child
+    is reaped, and every pipe closed, before this returns or raises;
+    children still running then are killed.
     """
     pipes = {}  # pid -> read end, of children not yet read
     running = []  # children not yet reaped

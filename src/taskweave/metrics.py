@@ -75,6 +75,22 @@ def roc_auc(genuine_scores, impostor_scores) -> float:
     return float(wins / (genuine.size * impostor.size))
 
 
+def _best_same_id(
+    sims: np.ndarray, probe_ids: np.ndarray, gallery_ids: np.ndarray
+) -> np.ndarray:
+    """Each probe's best score over the gallery items of its id. Gallery ids
+    in non-decreasing order (the callers' class-grouped galleries) form
+    column runs, reduced by one ``maximum.reduceat``; any other order takes
+    a masked maximum over the whole matrix."""
+    if gallery_ids.size and (gallery_ids[1:] >= gallery_ids[:-1]).all():
+        runs = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
+        run_best = np.maximum.reduceat(sims, runs, axis=1)
+        column = np.searchsorted(gallery_ids[runs], probe_ids)
+        return run_best[np.arange(sims.shape[0]), column]
+    same_id = probe_ids[:, None] == gallery_ids[None, :]
+    return np.where(same_id, sims, -np.inf).max(axis=1)
+
+
 def rank_k(
     probe_emb: np.ndarray,
     probe_ids,
@@ -92,7 +108,9 @@ def rank_k(
     rank is counted, not sorted for: #(score > s*) + #(score == s* and
     index < j*), with s* the best same-id score and j* the first same-id
     index reaching it, so the cost is O(N·G) for N probes and G gallery
-    items. Non-finite similarities raise ContractError.
+    items. The second term is non-zero only where s* is tied, so only
+    those probes compare ids and indices. Non-finite similarities raise
+    ContractError.
     """
     probe_ids = np.asarray(probe_ids)
     gallery_ids = np.asarray(gallery_ids)
@@ -104,12 +122,14 @@ def rank_k(
         raise ContractError(f"probe ids absent from gallery: {missing[:5]}")
     sims = pairwise_cosine(probe_emb, gallery_emb)
     _require_finite(sims)
-    same_id = probe_ids[:, None] == gallery_ids[None, :]
-    same_scores = np.where(same_id, sims, -np.inf)
-    best = same_scores.max(axis=1, keepdims=True)
-    first_best = (same_scores == best).argmax(axis=1)
-    earlier = np.arange(gallery_ids.size)[None, :] < first_best[:, None]
-    ahead = (sims > best).sum(axis=1) + ((sims == best) & earlier).sum(axis=1)
+    best = _best_same_id(sims, probe_ids, gallery_ids)[:, None]
+    ahead = np.count_nonzero(sims > best, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(sims == best, axis=1) > 1)
+    if tied.size:
+        level = sims[tied] == best[tied]
+        first_best = (level & (probe_ids[tied, None] == gallery_ids[None, :])).argmax(axis=1)
+        earlier = np.arange(gallery_ids.size)[None, :] < first_best[:, None]
+        ahead[tied] += np.count_nonzero(level & earlier, axis=1)
     rates = tuple(int(np.count_nonzero(ahead < each)) / sims.shape[0] for each in ks)
     return rates if isinstance(k, Sequence) else rates[0]
 

@@ -11,14 +11,15 @@ import pytest
 from click.testing import CliRunner
 
 import taskweave
+from taskweave import experiments
 from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
 from taskweave.errors import ContractError, NumericError, ValidationError
 from taskweave.experiments import (
-    PairPlan,
     RunResult,
     TaskPairs,
     _below,
+    _compare_forgetting,
     _cosine_auc_eval,
     _sample_pairs,
     _two,
@@ -31,6 +32,7 @@ from taskweave.experiments import (
     run,
     run_forgetting_comparison,
     score_paper_table,
+    verification_pair_plan,
 )
 from taskweave.metrics import ScoreTable
 from taskweave.seeding import stream
@@ -458,6 +460,90 @@ class TestPairSampler:
         assert (labels[impostor] == 1).any()
 
 
+def same_state(a, b) -> bool:
+    """Bit-generator states equal, arrays (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class TestVectorPairs:
+    """The one-pass draw against the ``choice`` loop, with the generator
+    left in the same state, buffered word and stale word included."""
+
+    EVEN = np.repeat(np.arange(5), 6)
+
+    def assert_matches_choice_loop(self, labels, n_pairs, rng, reference):
+        expected = choice_loop_pairs(labels, n_pairs, reference)
+        got = _sample_pairs(labels, n_pairs, rng)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+        assert same_state(rng.bit_generator.state, reference.bit_generator.state)
+
+    @pytest.fixture
+    def serial_calls(self, monkeypatch):
+        calls = []
+        original = experiments._serial_pairs
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "_serial_pairs", recording)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_singleton_class_takes_the_serial_path(self, seed, serial_calls):
+        # An impostor side in the singleton class draws no word, so the
+        # words of later draws cannot be placed in advance.
+        labels = np.repeat(np.arange(5), [6, 1, 6, 6, 6])
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        self.assert_matches_choice_loop(labels, 300, rng, reference)
+        assert len(serial_calls) == 1
+
+    # 9 words per pair: 7 pairs take an odd number of words, 8 an even one,
+    # and a buffered word at the start flips which.
+    @pytest.mark.parametrize("n_pairs", [7, 8])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_words_and_buffer_at_both_ends(self, n_pairs, buffered, serial_calls):
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        if buffered:
+            rng.integers(0, 5)
+            reference.integers(0, 5)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        self.assert_matches_choice_loop(self.EVEN, n_pairs, rng, reference)
+        assert serial_calls == []
+        assert rng.bit_generator.state["has_uint32"] == (9 * n_pairs - buffered) % 2
+        # The next 32-bit draw sees the same buffer.
+        assert rng.integers(0, 2**31) == reference.integers(0, 2**31)
+
+    def test_possible_rejection_falls_back_to_the_serial_draws(self, serial_calls):
+        # A buffered word of 0 is rejected by the first draw (5 classes).
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        for generator in (rng, reference):
+            state = generator.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            generator.bit_generator.state = state
+        self.assert_matches_choice_loop(self.EVEN, 40, rng, reference)
+        assert len(serial_calls) == 1
+
+    def test_other_bit_generators_take_the_serial_path(self, serial_calls):
+        rng = np.random.Generator(np.random.MT19937(0))
+        reference = np.random.Generator(np.random.MT19937(0))
+        self.assert_matches_choice_loop(self.EVEN, 300, rng, reference)
+        assert len(serial_calls) == 1
+
+    def test_stock_eval_tasks_take_the_vectorised_path(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("serial pair draws on the stock config")
+
+        monkeypatch.setattr(experiments, "_serial_pairs", refuse)
+        config = default_config(output_dir=str(tmp_path / "out"))
+        _, eval_corpus = build_splits(config)
+        plan = verification_pair_plan(eval_corpus, config)
+        assert list(plan) == [t.name for t in config.tasks]
+
+
 class TestExactDraws:
     """The sampler's helpers against the numpy calls they reproduce: equal
     values and an equal generator state afterwards, also when the helpers
@@ -508,34 +594,27 @@ class TestExactDraws:
 
 
 class TestPairPlan:
-    def test_lazy_draws_match_eager_per_task_streams(self, tmp_path):
+    def test_draws_match_per_task_streams(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         _, eval_corpus = build_splits(config)
-        plan = PairPlan(eval_corpus, config)
-        names = list(eval_corpus.tasks)
-        assert list(plan) == names and len(plan) == len(names)
-        assert names[0] in plan and "unknown" not in plan
-        assert plan._drawn == {}
-        # Access order does not matter: each task has its own stream.
-        for name in reversed(names):
+        plan = verification_pair_plan(eval_corpus, config)
+        # Draw order does not matter: each task has its own stream.
+        for name in reversed(list(eval_corpus.tasks)):
             rng = stream(config.seed, "pairs", name)
             genuine, impostor = _sample_pairs(
                 eval_corpus.tasks[name].labels, config.evaluation.verification_pairs, rng
             )
             np.testing.assert_array_equal(plan[name].genuine, genuine)
             np.testing.assert_array_equal(plan[name].impostor, impostor)
-        assert plan[names[0]] is plan[names[0]]
-        with pytest.raises(KeyError):
-            plan["unknown"]
 
-    def test_unscored_task_is_never_drawn(self, tmp_path):
+    def test_plan_holds_every_eval_task(self, tmp_path):
         config = tiny_config(tmp_path / "out")
-        train_corpus, eval_corpus = build_splits(config)
-        plan = PairPlan(eval_corpus, config)
-        params, _ = init_encoder(config)
-        evaluate_row(params, train_corpus, eval_corpus, config, plan)
-        coarse = {n for n, d in eval_corpus.tasks.items() if d.regime == "coarse-category"}
-        assert coarse and set(plan._drawn) == set(eval_corpus.tasks) - coarse
+        _, eval_corpus = build_splits(config)
+        plan = verification_pair_plan(eval_corpus, config)
+        assert list(plan) == list(eval_corpus.tasks)
+        shape = (config.evaluation.verification_pairs, 2)
+        for pairs in plan.values():
+            assert pairs.genuine.shape == pairs.impostor.shape == shape
 
 
 class TestEvaluateRow:
@@ -609,18 +688,54 @@ def test_import_loads_no_process_pools():
     assert out.stdout.strip() == "[]"
 
 
+class TestValidateOnEntry:
+    """A config changed in code after it was built is validated before the
+    output directory is touched: an earlier run's summary stays."""
+
+    def earlier_run(self, tmp_path) -> Path:
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text("{}")
+        return out
+
+    def test_run(self, tmp_path):
+        out = self.earlier_run(tmp_path)
+        config = tiny_config(out)
+        config.training.epochs = 0
+        with pytest.raises(ValidationError, match="config.training.epochs"):
+            run(config)
+        assert files_under(out) == {"summary.json"}
+
+    def test_forgetting_comparison(self, tmp_path):
+        out = self.earlier_run(tmp_path)
+        config = tiny_config(out)
+        config.forgetting.finetune_epochs = 0
+        with pytest.raises(ValidationError, match="config.forgetting.finetune_epochs"):
+            run_forgetting_comparison(config)
+        assert files_under(out) == {"summary.json"}
+
+    def test_seed_override_is_validated(self, tmp_path):
+        out = self.earlier_run(tmp_path)
+        with pytest.raises(ValidationError, match="config.seed"):
+            run(tiny_config(out), seed=-1)
+        with pytest.raises(ValidationError, match="config.seed"):
+            run_forgetting_comparison(tiny_config(out), seed=-1)
+        assert files_under(out) == {"summary.json"}
+
+
 class TestForgettingComparison:
     def test_seed_override_leaves_config_unchanged(self, tmp_path):
         config = tiny_config(tmp_path / "out")
-        config.forgetting.finetune_epochs = 0
         before = config.to_dict()
         run_forgetting_comparison(config, seed=99)
         assert config.to_dict() == before
 
     def test_zero_finetune_leaves_models_identical(self, tmp_path):
+        # validate() rejects a fine-tune of zero epochs, so this calls the
+        # comparison's body, one level below the validating entry point.
         config = tiny_config(tmp_path / "out")
         config.forgetting.finetune_epochs = 0
-        result = run_forgetting_comparison(config)
+        result = _compare_forgetting(config, RunResult(tmp_path / "out"))
         models = result.results["models"]
         assert set(models) == {"sequential", "interleaved-balanced", "interleaved-adaptive"}
         for stats in models.values():

@@ -1,5 +1,7 @@
 """Retrieval/verification metrics against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,34 @@ class TestRankKOracle:
         sims = probes @ gallery.T
         expected = oracle_rank_k(sims, probe_ids, gallery_ids, k)
         assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
+
+    @given(tied_retrieval())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort_with_sorted_gallery_ids(self, case):
+        # Non-decreasing gallery ids take the per-run maximum.
+        probes, probe_ids, gallery, gallery_ids, k = case
+        order = np.argsort(gallery_ids, kind="stable")
+        gallery, gallery_ids = gallery[order], gallery_ids[order]
+        sims = probes @ gallery.T
+        expected = oracle_rank_k(sims, probe_ids, gallery_ids, k)
+        assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
+
+    def test_peak_memory_near_the_similarity_matrix(self):
+        # N = G = 1600, 40 ids in class-grouped gallery order: the scores
+        # themselves take N·G·8 bytes, and no N×G temporary of 8 bytes per
+        # entry may be added to them.
+        n, dim = 1600, 24
+        rng = np.random.default_rng(0)
+        ids = np.repeat(np.arange(40), n // 40)
+        gallery = rng.standard_normal((n, dim))
+        probes = gallery + 0.5 * rng.standard_normal((n, dim))
+        tracemalloc.start()
+        try:
+            rank_k(probes, ids, gallery, ids, [1, 5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
 
     def test_tie_with_earlier_impostor_misses(self):
         # All scores tie; gallery index decides. The same-id item sits at
