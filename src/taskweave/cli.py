@@ -87,19 +87,28 @@ def train(config_path, seed, output_dir) -> None:
 
 
 def _load_model(config, checkpoint):
+    """The corpora, the checkpoint's parameters and the checkpoint's path:
+    ``checkpoint``, or else the run's final one."""
     from .encoder import load_checkpoint
     from .experiments import build_splits
 
     train_corpus, eval_corpus = build_splits(config)
-    if checkpoint:
-        params = load_checkpoint(checkpoint)
-    else:
-        ckpt = Path(config.output_dir) / "checkpoints" / "encoder_final.npz"
-        if ckpt.exists():
-            params = load_checkpoint(ckpt)
-        else:
-            raise ValidationError(f"no checkpoint at {ckpt}; pass --checkpoint")
-    return train_corpus, eval_corpus, params
+    ckpt = Path(checkpoint or Path(config.output_dir) / "checkpoints" / "encoder_final.npz")
+    if not ckpt.exists():
+        raise ValidationError(f"no checkpoint at {ckpt}; pass --checkpoint")
+    return train_corpus, eval_corpus, load_checkpoint(ckpt), ckpt
+
+
+def _command_summary(config, command: str, ckpt: Path, results: dict) -> dict:
+    from .experiments import SUMMARY_VERSION
+
+    return {
+        "summary_version": SUMMARY_VERSION,
+        "command": command,
+        "seed": config.seed,
+        "checkpoint": str(ckpt),
+        "results": results,
+    }
 
 
 @main.command("eval")
@@ -108,16 +117,19 @@ def _load_model(config, checkpoint):
 @output_option
 @click.option("--checkpoint", type=click.Path(exists=True, dir_okay=False), default=None)
 def eval_cmd(config_path, seed, output_dir, checkpoint) -> None:
-    """Score a trained checkpoint on the evaluation corpus."""
-    from .experiments import RunResult, evaluate_row, rows_to_table
+    """Score a trained checkpoint on the evaluation corpus. Rewrites
+    ``tables/metrics.csv`` and writes ``eval_summary.json`` last."""
+    from .experiments import EVAL_SUMMARY, RunResult, evaluate_row, rows_to_table
 
     try:
         config = _load_config(config_path, seed, output_dir)
-        train_corpus, eval_corpus, params = _load_model(config, checkpoint)
+        out = RunResult(config.output_dir, summary=EVAL_SUMMARY)
+        out.start()
+        train_corpus, eval_corpus, params, ckpt = _load_model(config, checkpoint)
         row = evaluate_row(params, train_corpus, eval_corpus, config)
-        table, _ = rows_to_table({"encoder": row})
-        out = RunResult(config.output_dir)
+        table, floored = rows_to_table({"encoder": row})
         table.to_csv(out, "tables/metrics.csv")
+        out.finish({**_command_summary(config, "eval", ckpt, row), "floored_cells": floored})
     except TaskweaveError as exc:
         _fail(exc)
     for column, value in row.items():
@@ -131,13 +143,17 @@ def eval_cmd(config_path, seed, output_dir, checkpoint) -> None:
 @output_option
 @click.option("--checkpoint", type=click.Path(exists=True, dir_okay=False), default=None)
 def analyze(config_path, seed, output_dir, checkpoint) -> None:
-    """Run the embedding-geometry suite on a trained checkpoint."""
-    from .experiments import RunResult, geometry_suite
+    """Run the embedding-geometry suite on a trained checkpoint. Rewrites
+    ``geometry/`` and writes ``analyze_summary.json`` last."""
+    from .experiments import ANALYZE_SUMMARY, RunResult, geometry_suite
 
     try:
         config = _load_config(config_path, seed, output_dir)
-        _, eval_corpus, params = _load_model(config, checkpoint)
-        summary = geometry_suite(params, eval_corpus, config, RunResult(config.output_dir))
+        out = RunResult(config.output_dir, summary=ANALYZE_SUMMARY)
+        out.start()
+        _, eval_corpus, params, ckpt = _load_model(config, checkpoint)
+        summary = geometry_suite(params, eval_corpus, config, out)
+        out.finish(_command_summary(config, "analyze", ckpt, summary))
     except TaskweaveError as exc:
         _fail(exc)
     click.echo(json.dumps(summary, indent=2, sort_keys=True))

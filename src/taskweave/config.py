@@ -205,7 +205,12 @@ class ExperimentConfig:
             )
         _check_int(ev.probe_folds, "config.evaluation.probe_folds", 2)
         _check_int(ev.probe_window, "config.evaluation.probe_window", 1, self.encoder.embedding_dim)
+        # A batch-hard batch needs a second row per id for its positives and a
+        # second id for its negatives, and every task must offer P ids.
+        _check_int(self.batch.positives, "config.batch.positives", 2)
         self.corpus_spec(seed=0).validate(self.batch.positives)
+        fewest = min(t.classes for t in self.tasks)
+        _check_int(self.batch.identities, "config.batch.identities", 2, fewest)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

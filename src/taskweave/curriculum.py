@@ -34,6 +34,7 @@ from .encoder import (
     adam_step,
     embed,
     hardest_distances,
+    id_masks,
 )
 from .errors import ConfigurationError, ContractError
 from .seeding import stream
@@ -190,26 +191,30 @@ def blocked_schedule(
             budget -= take
 
 
-def _satisfied_anchors(params: EncoderParams, batches: list[Batch]) -> np.ndarray:
-    """Per batch, the number of anchors whose hardest positive is nearer than
-    their hardest negative. Batches of one size share one ``embed`` and one
-    ``hardest_distances`` call on their stack."""
-    sizes = np.array([batch.labels.size for batch in batches])
-    satisfied = np.zeros(len(batches), dtype=np.int64)
-    for size in np.unique(sizes):
-        group = np.flatnonzero(sizes == size)
-        features = np.stack([batches[i].features for i in group])
-        labels = np.stack([batches[i].labels for i in group])
-        d_pos, d_neg, _, _ = hardest_distances(embed(params, features), labels)
-        satisfied[group] = (d_pos < d_neg).sum(axis=1)
-    return satisfied
+def _satisfied_anchors(
+    params: EncoderParams, features: np.ndarray, labels: np.ndarray, masks=None
+) -> np.ndarray:
+    """Per batch of a ``(B, n, d)`` stack, the number of anchors whose
+    hardest positive is nearer than their hardest negative: one ``embed``
+    and one ``hardest_distances`` call. ``masks`` is ``id_masks(labels)``
+    when the caller has it already."""
+    d_pos, d_neg, _, _ = hardest_distances(embed(params, features), labels, masks)
+    return (d_pos < d_neg).sum(axis=1)
 
 
 def online_accuracy(params: EncoderParams, batches: list[Batch]) -> float:
     """Fraction of anchors, pooled over ``batches``, whose hardest positive is
     nearer than their hardest negative: the online training-accuracy signal."""
     anchors = sum(batch.labels.size for batch in batches)
-    return int(_satisfied_anchors(params, batches).sum()) / anchors
+    sizes = np.array([batch.labels.size for batch in batches])
+    satisfied = 0
+    # Batches of one size share one stacked pass.
+    for size in np.unique(sizes):
+        group = [batches[i] for i in np.flatnonzero(sizes == size)]
+        features = np.stack([batch.features for batch in group])
+        labels = np.stack([batch.labels for batch in group])
+        satisfied += int(_satisfied_anchors(params, features, labels).sum())
+    return satisfied / anchors
 
 
 class Trainer:
@@ -350,9 +355,9 @@ class Trainer:
             allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
 
         # Draw every batch of the step first (tasks in order, each loader in
-        # its own order), then run them through the kernel as one stack.
+        # its own order), then run them through the kernel as one stack. The
+        # stack and its id masks serve the accuracy pass too.
         batches: list[Batch] = []
-        owners: list[str] = []
         exhausted = {name: False for name in self.task_names}
         for name in self.task_names:
             loader = self.loaders[name]
@@ -360,31 +365,33 @@ class Trainer:
                 batch, flag = loader.next_batch(self.identities, self.positives)
                 exhausted[name] = exhausted[name] or flag
                 batches.append(batch)
-                owners.append(name)
-        losses = {name: 0.0 for name in self.task_names}
-        if batches:
-            batch_losses = accumulate(
-                self.params,
-                np.stack([batch.features for batch in batches]),
-                np.stack([batch.labels for batch in batches]),
-                self.margin,
-                self.buffer,
-            )
-            for name, loss in zip(owners, batch_losses.tolist()):
-                losses[name] += loss
+        if not batches:
+            raise ContractError("a step needs at least one batch")
+        features = np.stack([batch.features for batch in batches])
+        labels = np.stack([batch.labels for batch in batches])
+        masks = id_masks(labels)
+        batch_losses = accumulate(
+            self.params, features, labels, self.margin, self.buffer, masks
+        ).tolist()
         adam_step(self.params, self.buffer, self.opt_state)
 
+        losses = {name: 0.0 for name in self.task_names}
         accuracies: dict[str, float | None] = {name: None for name in self.task_names}
-        if self.step % self.curriculum.accuracy_cadence == 0:
-            satisfied = _satisfied_anchors(self.params, batches)
+        measured = self.step % self.curriculum.accuracy_cadence == 0
+        if measured:
+            satisfied = _satisfied_anchors(self.params, features, labels, masks).tolist()
             anchors = self.identities * self.positives
-            for name in self.task_names:
-                mine = [i for i, owner in enumerate(owners) if owner == name]
-                if mine:
-                    accuracies[name] = int(satisfied[mine].sum()) / (anchors * len(mine))
-                    self.states[name].metric_log.append((self.step, accuracies[name]))
+        start = 0
         for name in self.task_names:
+            # A task's batches are consecutive in the stack.
+            stop = start + allocations[name]
+            for loss in batch_losses[start:stop]:
+                losses[name] += loss
+            if measured and stop > start:
+                accuracies[name] = sum(satisfied[start:stop]) / (anchors * (stop - start))
+                self.states[name].metric_log.append((self.step, accuracies[name]))
             self.states[name].last_allocation = allocations[name]
+            start = stop
 
         report = StepReport(
             step=self.step,

@@ -347,6 +347,8 @@ class Loader:
         counts = np.bincount(data.labels[self._indices])
         self._smallest_class = int(counts[counts > 0].min())
         self.refreshes = 0
+        # The last (P, K) that passed _check.
+        self._checked: tuple[int, int] | None = None
         self._refresh()
 
     @property
@@ -376,8 +378,9 @@ class Loader:
         self._starts = self._ends - sizes
         self._next = self._starts.copy()
 
-    def next_batch(self, p: int, k: int) -> tuple[Batch, bool]:
-        """Draw a P*K batch; returns (batch, exhausted_flag)."""
+    def _check(self, p: int, k: int) -> None:
+        """Whether P*K batches fit this loader's samples; what it checks
+        never changes, so a shape is checked once."""
         if p * k > self.size:
             raise ConfigurationError(
                 f"task {self.task!r}: batch P*K = {p * k} exceeds dataset size {self.size}"
@@ -388,20 +391,21 @@ class Loader:
             raise ConfigurationError(
                 f"task {self.task!r}: P = {p} exceeds the {self._ends.size} available identities"
             )
+        self._checked = (p, k)
 
-        remaining = self._ends - self._next
-        rich = (remaining >= k).nonzero()[0]
-        if rich.size >= p:
-            chosen = self._rng.choice(rich, size=p, replace=False)
-        else:
-            # Prefer identities still holding unconsumed samples, then top up
-            # with fresh identities whose samples were already consumed.
-            scarce = ((remaining > 0) & (remaining < k)).nonzero()[0]
-            chosen = np.concatenate([rich, self._rng.permutation(scarce)[: p - rich.size]])
-            if chosen.size < p:
-                spent = (remaining == 0).nonzero()[0]
-                drawn = self._rng.choice(spent, size=p - chosen.size, replace=False)
-                chosen = np.concatenate([chosen, drawn])
+    def _scarce_samples(
+        self, p: int, k: int, remaining: np.ndarray, rich: np.ndarray
+    ) -> np.ndarray:
+        """The ``(p, k)`` sample indices of a batch drawn when fewer than P
+        identities hold K unconsumed samples."""
+        # Prefer identities still holding unconsumed samples, then top up
+        # with fresh identities whose samples were already consumed.
+        scarce = ((remaining > 0) & (remaining < k)).nonzero()[0]
+        chosen = np.concatenate([rich, self._rng.permutation(scarce)[: p - rich.size]])
+        if chosen.size < p:
+            spent = (remaining == 0).nonzero()[0]
+            drawn = self._rng.choice(spent, size=p - chosen.size, replace=False)
+            chosen = np.concatenate([chosen, drawn])
 
         # Each identity gives its next k unconsumed samples; one that runs
         # out is topped up with replacement from all of its samples in this
@@ -418,6 +422,23 @@ class Loader:
             self._n_consumed -= short
             own = self._pass[self._starts[slot] : self._ends[slot]]
             samples[row, fresh[row] :] = self._rng.choice(own, size=short, replace=True)
+        return samples
+
+    def next_batch(self, p: int, k: int) -> tuple[Batch, bool]:
+        """Draw a P*K batch; returns (batch, exhausted_flag)."""
+        if (p, k) != self._checked:
+            self._check(p, k)
+        remaining = self._ends - self._next
+        rich = (remaining >= k).nonzero()[0]
+        if rich.size >= p:
+            # Every chosen identity has k unconsumed samples to give.
+            chosen = self._rng.choice(rich, size=p, replace=False)
+            first = self._next[chosen]
+            samples = self._pass[first[:, None] + np.arange(k)]
+            self._next[chosen] = first + k
+            self._n_consumed += p * k
+        else:
+            samples = self._scarce_samples(p, k, remaining, rich)
         sample_indices = samples.ravel()
         batch = Batch(
             features=self._data.features[sample_indices],

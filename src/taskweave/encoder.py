@@ -6,6 +6,8 @@ float64 so finite-difference checks are clean. The training kernel
 ``accumulate`` runs one forward pass per optimizer step and hands its cache to
 the backward pass, which adds the gradient into a shape-congruent buffer; one
 Adam step (decoupled weight decay) consumes the summed buffer and zeroes it.
+Parameters, buffer and Adam moments each live in one flat arena with a view
+per layer, so the step's elementwise work is one pass over each arena.
 
 Every kernel takes either one batch, ``(n, d)`` rows with ``(n,)`` ids, or a
 stack of B equally sized batches, ``(B, n, d)`` with ``(B, n)`` ids; one
@@ -19,7 +21,8 @@ per batch would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,12 +35,53 @@ CHECKPOINT_VERSION = 1
 NORM_FLOOR = 1e-8
 
 
+def _carve(arena: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive pieces of ``arena``'s last axis, each piece in
+    the next of ``shapes``; leading axes are kept, so a ``(B, size)`` arena
+    gives one ``(B, *shape)`` view per piece."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(arena[..., start:stop].reshape(arena.shape[:-1] + shape))
+        start = stop
+    return views
+
+
+def _pack(weights, biases) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """A float64 arena holding copies of ``weights`` then ``biases`` back to
+    back, and the views of it that take their places."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in [*weights, *biases]]
+    flat = np.empty(sum(a.size for a in arrays))
+    views = _carve(flat, [a.shape for a in arrays])
+    for view, array in zip(views, arrays):
+        view[...] = array
+    return flat, views[: len(weights)], views[len(weights) :]
+
+
+def _rebuild(packed):
+    """``__reduce__`` of the packed classes: a pickled or deep-copied one is
+    rebuilt through its constructor, so it owns its own arena again."""
+    return type(packed), tuple(getattr(packed, f.name) for f in fields(packed) if f.init)
+
+
 @dataclass
 class EncoderParams:
-    """Per-layer (weight, bias) pairs; weights are (fan_in, fan_out)."""
+    """Per-layer (weight, bias) pairs; weights are (fan_in, fan_out).
+
+    The arrays are copied, when built, into one float64 arena, ``flat``: the
+    weights in layer order, then the biases. Each ``weights[i]`` and
+    ``biases[i]`` is a view of it, so in-place changes to either side show
+    on the other.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
+
+    __reduce__ = _rebuild
 
     @property
     def n_layers(self) -> int:
@@ -63,13 +107,10 @@ class EncoderParams:
                 raise NumericError("non-finite parameter entries", layer=i)
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return EncoderParams(weights=self.weights, biases=self.biases)
 
     def ravel(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
+        return self.flat.copy()
 
 
 def init_params(layer_dims: list[int], rng: np.random.Generator) -> EncoderParams:
@@ -85,11 +126,18 @@ def init_params(layer_dims: list[int], rng: np.random.Generator) -> EncoderParam
 
 @dataclass
 class GradBuffer:
-    """Parameter-shaped gradient accumulator."""
+    """Parameter-shaped gradient accumulator, packed into one arena,
+    ``flat``, in the layout of :class:`EncoderParams`."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     accumulation_count: int = 0
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
+
+    __reduce__ = _rebuild
 
     @classmethod
     def zeros_like(cls, params: EncoderParams) -> "GradBuffer":
@@ -99,19 +147,18 @@ class GradBuffer:
         )
 
     def zero(self) -> None:
-        for w in self.weights:
-            w[:] = 0.0
-        for b in self.biases:
-            b[:] = 0.0
+        self.flat.fill(0.0)
         self.accumulation_count = 0
 
     def ravel(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
+        return self.flat.copy()
 
 
 @dataclass
 class OptimState:
-    """Adam moments plus hyperparameters (decoupled weight decay)."""
+    """Adam moments plus hyperparameters (decoupled weight decay). Each
+    moment is packed into one arena, ``m`` and ``v``, in the layout of
+    :class:`EncoderParams`."""
 
     m_weights: list[np.ndarray]
     m_biases: list[np.ndarray]
@@ -123,6 +170,14 @@ class OptimState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 1e-6
+    m: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.m, self.m_weights, self.m_biases = _pack(self.m_weights, self.m_biases)
+        self.v, self.v_weights, self.v_biases = _pack(self.v_weights, self.v_biases)
+
+    __reduce__ = _rebuild
 
     @classmethod
     def for_params(cls, params: EncoderParams, **hyper) -> "OptimState":
@@ -147,6 +202,12 @@ class ForwardCache:
     norms: np.ndarray
 
 
+def _row_norms(h: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(h, axis=2)`` bit for bit (the very reduction numpy
+    makes), without its argument checks and conjugate copy."""
+    return np.sqrt(np.add.reduce(h * h, axis=2))
+
+
 def _as_stack(array: np.ndarray, trailing: int) -> np.ndarray:
     """``array`` with a leading batch axis: a single batch becomes B = 1."""
     return array[None] if array.ndim == trailing else array
@@ -168,17 +229,18 @@ def _forward(params: EncoderParams, inputs: np.ndarray) -> ForwardCache:
         # very BLAS call a lone batch makes. Flattening the stack into B·n
         # rows would not be bit-identical, since BLAS picks its kernel and
         # row tiling by the row count.
-        z = h @ w + b
+        z = h @ w
+        z += b
         if not np.isfinite(z).all():
             raise NumericError("non-finite activations", layer=i)
         h = np.tanh(z) if i < n_layers - 1 else z
         hiddens.append(h)
-    norms = np.linalg.norm(h, axis=2)
+    norms = _row_norms(h)
     low = norms < NORM_FLOOR
     if low.any():
         h = h.copy()
         h[low, 0] += NORM_FLOOR
-        norms = np.linalg.norm(h, axis=2)
+        norms = _row_norms(h)
     embeddings = (h / norms[:, :, None]).reshape(inputs.shape[:-1] + (params.output_dim,))
     return ForwardCache(hiddens=hiddens, embeddings=embeddings, norms=norms)
 
@@ -189,43 +251,63 @@ def embed(params: EncoderParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_euclidean(embeddings: np.ndarray) -> np.ndarray:
-    """Per-batch Euclidean distance matrices of a ``(B, n, e)`` stack."""
+    """Per-batch Euclidean distance matrices of a ``(B, n, e)`` stack:
+    ``sqrt(max(sq_i - 2 gram_ij + sq_j, 0))`` added left to right, with a
+    zero diagonal, computed in one buffer."""
     gram = embeddings @ embeddings.transpose(0, 2, 1)
     sq = np.diagonal(gram, axis1=1, axis2=2)
-    d2 = sq[:, :, None] - 2.0 * gram + sq[:, None, :]
+    d2 = np.multiply(gram, 2.0)
+    np.subtract(sq[:, :, None], d2, out=d2)
+    d2 += sq[:, None, :]
     np.maximum(d2, 0.0, out=d2)
-    diag = np.arange(d2.shape[1])
-    d2[:, diag, diag] = 0.0
-    return np.sqrt(d2)
+    d2.reshape(d2.shape[0], -1)[:, :: d2.shape[1] + 1] = 0.0
+    return np.sqrt(d2, out=d2)
 
 
-def hardest_distances(embeddings: np.ndarray, ids: np.ndarray):
+def id_masks(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(B, n, n)`` same-id and positive (same id, other row) masks of
+    a ``(B, n)`` id stack, one batch being B = 1. Built once per step, they
+    serve its loss pass and its accuracy pass.
+
+    Raises ContractError unless every id occurs at least twice in its batch
+    and every batch holds at least two ids: without a second id, no row is
+    a negative.
+    """
+    stack = _as_stack(np.asarray(ids), 1)
+    same = stack[:, :, None] == stack[:, None, :]
+    positive = same.copy()
+    positive.reshape(stack.shape[0], -1)[:, :: stack.shape[1] + 1] = False
+    if not positive.any(axis=2).all():
+        raise ContractError("every id in the batch must occur at least twice")
+    if same[:, 0].all(axis=1).any():
+        raise ContractError("every batch must hold at least two ids")
+    return same, positive
+
+
+def hardest_distances(embeddings: np.ndarray, ids: np.ndarray, masks=None):
     """Per-anchor hardest positive/negative distances and their indices.
 
     Ties break toward the lowest index. Every id must occur at least twice
-    in its batch. Indices count rows within the anchor's own batch; the
-    outputs have the shape of ``ids``.
+    in its batch, and every batch must hold two ids. Indices count rows
+    within the anchor's own batch; the outputs have the shape of ``ids``.
+    ``masks`` is ``id_masks(ids)`` when the caller has it already.
     """
     ids = np.asarray(ids)
     if ids.shape != embeddings.shape[:-1]:
         raise ContractError("ids must align with embedding rows")
-    stack = _as_stack(ids, 1)
-    n = stack.shape[1]
-    same = stack[:, :, None] == stack[:, None, :]
-    pos_mask = same & ~np.eye(n, dtype=bool)
-    if not pos_mask.any(axis=2).all():
-        raise ContractError("every id in the batch must occur at least twice")
+    same, positive = id_masks(ids) if masks is None else masks
+    n = same.shape[1]
     dist = _pairwise_euclidean(_as_stack(embeddings, 2))
-    pos_idx = np.where(pos_mask, dist, -np.inf).argmax(axis=2).ravel()
+    pos_idx = np.where(positive, dist, -np.inf).argmax(axis=2).ravel()
     neg_idx = np.where(same, np.inf, dist).argmin(axis=2).ravel()
-    anchor_rows = dist.reshape(-1, n)
-    anchors = np.arange(anchor_rows.shape[0])
-    d_pos, d_neg = anchor_rows[anchors, pos_idx], anchor_rows[anchors, neg_idx]
+    # Each anchor's own row of the flattened distance matrices.
+    row_start = np.arange(0, dist.size, n)
+    d_pos, d_neg = dist.take(row_start + pos_idx), dist.take(row_start + neg_idx)
     return tuple(a.reshape(ids.shape) for a in (d_pos, d_neg, pos_idx, neg_idx))
 
 
 def batch_hard_triplet(
-    embeddings: np.ndarray, ids: np.ndarray, margin: float
+    embeddings: np.ndarray, ids: np.ndarray, margin: float, masks=None
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Batch-hard triplet loss and its exact subgradient.
 
@@ -234,13 +316,14 @@ def batch_hard_triplet(
     hinge max(0, d_pos - d_neg + margin). At the hinge kink the active-side
     derivative is used; coincident pairs contribute zero direction. A stack
     of B batches gives an array of B losses, each batch's mean over its own
-    anchors.
+    anchors. ``masks`` is passed on to :func:`hardest_distances`.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    d_pos, d_neg, pos_idx, neg_idx = hardest_distances(embeddings, ids)
+    d_pos, d_neg, pos_idx, neg_idx = hardest_distances(embeddings, ids, masks)
     n, n_dims = embeddings.shape[-2:]
     violation = d_pos - d_neg + margin
-    loss = np.maximum(violation, 0.0).mean(axis=-1)
+    # The hinge mean as ``ndarray.mean`` takes it: a sum, then one division.
+    loss = np.add.reduce(np.maximum(violation, 0.0), axis=-1) / n
     # Anchors flattened batch-major; p and q are offset to their batch's rows.
     active = np.flatnonzero(violation >= 0.0)
     first_row = active - active % n
@@ -248,19 +331,28 @@ def batch_hard_triplet(
     q = neg_idx.ravel()[active] + first_row
     dp, dn = d_pos.ravel()[active], d_neg.ravel()[active]
     rows_in = embeddings.reshape(-1, n_dims)
-    u = (rows_in[active] - rows_in[p]) / np.where(dp > 0.0, dp, 1.0)[:, None]
-    v = (rows_in[active] - rows_in[q]) / np.where(dn > 0.0, dn, 1.0)[:, None]
+    anchor_in = rows_in[active]
+    pos_far, neg_far = dp > 0.0, dn > 0.0
+    all_far = pos_far.all() and neg_far.all()
+    # A coincident pair has no direction: it divides by 1.0 and is dropped.
+    u = anchor_in - rows_in[p]
+    u /= (dp if all_far else np.where(pos_far, dp, 1.0))[:, None]
+    v = anchor_in - rows_in[q]
+    v /= (dn if all_far else np.where(neg_far, dn, 1.0))[:, None]
     # Per active anchor, in anchor order: a gains u, p loses u, a loses v,
     # q gains v. One weighted bincount over (row, column) cells replays
     # exactly that sequence of float additions, each cell summed from +0.0
     # in order of appearance; batches occupy disjoint rows, so each batch
-    # sees only its own. Slots with a zero distance are dropped rather than
-    # added as zeros, which would turn a -0.0 entry into +0.0.
-    rows = np.stack([active, p, active, q], axis=1).ravel()
-    values = np.stack([u, -u, -v, v], axis=1).reshape(-1, n_dims)
-    keep = np.repeat(np.stack([dp > 0.0, dn > 0.0], axis=1), 2, axis=1).ravel()
-    cells = rows[keep, None] * n_dims + np.arange(n_dims)
-    grad = np.bincount(cells.ravel(), weights=values[keep].ravel(), minlength=rows_in.size)
+    # sees only its own.
+    rows = np.array([active, p, active, q]).T
+    values = np.concatenate([u, -u, -v, v], axis=1).reshape(active.size, 4, n_dims)
+    if not all_far:
+        # Slots with a zero distance are dropped rather than added as zeros,
+        # which would turn a -0.0 entry into +0.0.
+        keep = np.array([pos_far, pos_far, neg_far, neg_far]).T
+        rows, values = rows[keep], values[keep]
+    cells = np.arange(rows_in.size).reshape(-1, n_dims)[rows]
+    grad = np.bincount(cells.ravel(), weights=values.ravel(), minlength=rows_in.size)
     # With nothing kept, bincount returns integer zeros.
     grad = grad.astype(np.float64, copy=False) / n
     return (float(loss) if loss.ndim == 0 else loss), grad.reshape(embeddings.shape)
@@ -274,9 +366,11 @@ def backward(
 ) -> None:
     """Accumulate the exact parameter gradient of loss(normalize(forward(x)))
     into ``buffer`` given the loss gradient w.r.t. the unit-norm embeddings
-    and the forward pass that produced them. Each stacked batch's weight and
-    bias gradient is added on its own, in batch order, and counts as one
-    accumulated gradient."""
+    and the forward pass that produced them. Each stacked batch's gradient
+    is laid out as one row in the buffer's arena layout and added to the
+    arena on its own, in batch order, and counts as one accumulated
+    gradient; every entry thus sums its batches in the order a loop of
+    per-layer, per-batch adds would."""
     embeddings, hiddens = cache.embeddings, cache.hiddens
     if grad_embeddings.shape != embeddings.shape:
         raise ContractError(
@@ -286,17 +380,25 @@ def backward(
     grad_y = _as_stack(grad_embeddings, 2)
     # Jacobian of x/||x|| is (I - y y^T)/||x||, applied per row.
     inner = np.einsum("bij,bij->bi", grad_y, y)
-    g = (grad_y - inner[:, :, None] * y) / cache.norms[:, :, None]
+    g = inner[:, :, None] * y
+    np.subtract(grad_y, g, out=g)
+    g /= cache.norms[:, :, None]
     n_layers = params.n_layers
+    rows = np.empty((y.shape[0], buffer.flat.size))
+    views = _carve(rows, [w.shape for w in buffer.weights] + [b.shape for b in buffer.biases])
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            g = g * (1.0 - hiddens[i + 1] ** 2)
-        weight_grads = hiddens[i].transpose(0, 2, 1) @ g
-        for weight_grad, bias_grad in zip(weight_grads, g.sum(axis=1)):
-            buffer.weights[i] += weight_grad
-            buffer.biases[i] += bias_grad
+            # g * (1 - h**2), the product taken in the other order.
+            slope = np.square(hiddens[i + 1])
+            np.subtract(1.0, slope, out=slope)
+            slope *= g
+            g = slope
+        np.matmul(hiddens[i].transpose(0, 2, 1), g, out=views[i])
+        np.add.reduce(g, axis=1, out=views[n_layers + i])
         if i > 0:
             g = g @ params.weights[i].T
+    for row in rows:
+        buffer.flat += row
     buffer.accumulation_count += y.shape[0]
 
 
@@ -306,12 +408,14 @@ def accumulate(
     ids: np.ndarray,
     margin: float,
     buffer: GradBuffer,
+    masks=None,
 ) -> float | np.ndarray:
     """The training kernel: one forward pass, the batch-hard triplet loss on
     its embeddings, and the backward pass into ``buffer``. Returns the loss,
-    one per batch for a ``(B, n, d)`` stack."""
+    one per batch for a ``(B, n, d)`` stack. ``masks`` is ``id_masks(ids)``
+    when the caller has it already."""
     cache = _forward(params, inputs)
-    loss, grad_embeddings = batch_hard_triplet(cache.embeddings, ids, margin)
+    loss, grad_embeddings = batch_hard_triplet(cache.embeddings, ids, margin, masks)
     backward(params, cache, grad_embeddings, buffer)
     return loss
 
@@ -319,30 +423,39 @@ def accumulate(
 def adam_step(params: EncoderParams, buffer: GradBuffer, state: OptimState) -> None:
     """One bias-corrected Adam update from the summed buffer, plus decoupled
     weight decay; zeroes the buffer. Accumulated gradients are used as their
-    sum, not their mean."""
+    sum, not their mean. The update is elementwise, so one pass over the
+    packed arenas gives every entry the bits a per-layer pass would."""
     if buffer.accumulation_count < 1:
         raise ContractError("adam_step requires at least one accumulated gradient")
+    value, grad, m, v = params.flat, buffer.flat, state.m, state.v
+    if not value.shape == grad.shape == m.shape == v.shape:
+        raise ContractError("parameters, gradient buffer and moments must share one layout")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
-    groups = (
-        (params.weights, buffer.weights, state.m_weights, state.v_weights),
-        (params.biases, buffer.biases, state.m_biases, state.v_biases),
-    )
-    for values, grads, ms, vs in groups:
-        for value, grad, m, v in zip(values, grads, ms, vs):
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad**2
-            update = state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
-            if state.weight_decay:
-                update = update + state.learning_rate * state.weight_decay * value
-            value -= update
-            if not np.isfinite(value).all():
-                raise NumericError("non-finite parameters after optimizer step")
+    # lr * (m / bias1) / (sqrt(v / bias2) + eps) [+ lr * wd * value], each
+    # operation the same as written out, done in place.
+    work = np.multiply(grad, 1.0 - b1)
+    m *= b1
+    m += work
+    np.square(grad, out=work)
+    work *= 1.0 - b2
+    v *= b2
+    v += work
+    update = np.divide(m, bias1)
+    update *= state.learning_rate
+    np.divide(v, bias2, out=work)
+    np.sqrt(work, out=work)
+    work += state.epsilon
+    update /= work
+    if state.weight_decay:
+        np.multiply(value, state.learning_rate * state.weight_decay, out=work)
+        update += work
+    value -= update
+    if not np.isfinite(value).all():
+        raise NumericError("non-finite parameters after optimizer step")
     buffer.zero()
 
 

@@ -50,6 +50,9 @@ from .seeding import derive_seed, stream
 
 SUMMARY_VERSION = 1
 SUMMARY = "summary.json"
+# The summaries of the commands that rewrite files in a finished run.
+EVAL_SUMMARY = "eval_summary.json"
+ANALYZE_SUMMARY = "analyze_summary.json"
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +84,9 @@ class RunResult:
     hidden sibling ``.<name>.tmp`` and renames it over the target, so a
     killed run leaves whole files or none. Every file written is recorded
     in ``artifacts`` (relative paths, in write order). ``finish`` writes
-    ``summary.json`` last, naming every other file; a directory without
-    one holds an unfinished run. One JSON format (indent 2, sorted keys,
+    the summary, ``summary.json`` unless ``summary`` names another file,
+    last, naming every other file it wrote; a directory without it holds
+    an unfinished run or command. One JSON format (indent 2, sorted keys,
     trailing newline, finite numbers only) and one CSV format (LF, floats
     by ``repr``, an empty cell for NaN) are used throughout.
     """
@@ -90,14 +94,15 @@ class RunResult:
     output_dir: Path
     artifacts: list[str] = field(default_factory=list)
     results: dict = field(default_factory=dict)
+    summary: str = SUMMARY
 
     def __post_init__(self):
         self.output_dir = Path(self.output_dir)
 
     def start(self) -> None:
-        """Drop an earlier run's summary so this directory reads as
+        """Drop an earlier summary of the same name so the work reads as
         unfinished until :meth:`finish`."""
-        (self.output_dir / SUMMARY).unlink(missing_ok=True)
+        (self.output_dir / self.summary).unlink(missing_ok=True)
 
     def _replace(self, rel: str, data: bytes) -> None:
         if Path(rel).is_absolute() or ".." in Path(rel).parts:
@@ -141,10 +146,10 @@ class RunResult:
         self.write(rel, buf.getvalue())
 
     def finish(self, summary: dict) -> None:
-        """Write ``summary.json`` last, its ``artifacts`` being every other
-        file this run wrote."""
+        """Write the summary last, its ``artifacts`` being every other file
+        this run wrote."""
         payload = {**summary, "artifacts": sorted(self.artifacts)}
-        self._replace(SUMMARY, (_json_text(SUMMARY, payload, indent=2) + "\n").encode())
+        self._replace(self.summary, (_json_text(self.summary, payload, indent=2) + "\n").encode())
 
 
 def build_splits(config: ExperimentConfig) -> tuple[Corpus, Corpus]:

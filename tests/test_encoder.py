@@ -21,6 +21,7 @@ from taskweave.encoder import (
     batch_hard_triplet,
     embed,
     hardest_distances,
+    id_masks,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -188,6 +189,26 @@ class TestBatchHardTriplet:
         emb = circle(0, 90, 180)
         with pytest.raises(ContractError, match="twice"):
             batch_hard_triplet(emb, np.array([0, 0, 1]), 0.35)
+
+    def test_single_id_batch_rejected(self):
+        # With one id every distance is masked as same-id, and argmin used to
+        # return row 0: ids [7, 7, 7, 7] mined d_neg = 0.0 for anchor 0.
+        emb = circle(0, 90, 180, 270)
+        for call in (hardest_distances, lambda e, i: batch_hard_triplet(e, i, 0.35)):
+            with pytest.raises(ContractError, match="two ids"):
+                call(emb, np.array([7, 7, 7, 7]))
+        # In a stack, one single-id batch is enough.
+        stack = np.stack([emb, emb])
+        with pytest.raises(ContractError, match="two ids"):
+            hardest_distances(stack, np.array([[0, 0, 1, 1], [3, 3, 3, 3]]))
+
+    def test_shared_masks_give_the_same_mining(self):
+        rng = np.random.default_rng(4)
+        emb = rng.standard_normal((3, 8, 4))
+        ids = np.stack([rng.permutation(np.repeat(np.arange(4), 2)) for _ in range(3)])
+        masks = id_masks(ids)
+        for shared, own in zip(hardest_distances(emb, ids, masks), hardest_distances(emb, ids)):
+            assert shared.tobytes() == own.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rotation_invariance(self, seed):

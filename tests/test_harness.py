@@ -199,6 +199,38 @@ class TestConfig:
             with pytest.raises(ValidationError, match="config.evaluation.probe_window"):
                 config.validate()
 
+    # One id per batch mined a same-id row as the "negative"; 0 ids divided
+    # by zero; 11 ids (one more than the 10 objects classes), one positive
+    # per id and a bool passed validation and failed at the first step.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("identities", 1),
+            ("identities", 0),
+            ("identities", 11),
+            ("identities", True),
+            ("identities", 4.0),
+            ("positives", 1),
+            ("positives", 0),
+            ("positives", True),
+            ("positives", 4.0),
+        ],
+    )
+    def test_batch_shape_must_give_positives_and_negatives(self, tmp_path, field, value):
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        payload["batch"][field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=rf"config\.batch\.{field}"):
+            ExperimentConfig.from_file(path)
+
+    def test_identities_may_reach_the_smallest_class_count(self, tmp_path):
+        config = default_config(output_dir=str(tmp_path))
+        fewest = min(t.classes for t in config.tasks)
+        for identities in (2, fewest):
+            config.batch.identities = identities
+            config.validate()
+
     @pytest.mark.parametrize(
         "section, field, value",
         [
@@ -714,6 +746,15 @@ class TestValidateOnEntry:
             run_forgetting_comparison(config)
         assert files_under(out) == {"summary.json"}
 
+    @pytest.mark.parametrize("field, value", [("identities", 11), ("positives", 1)])
+    def test_batch_shape_fails_before_any_file(self, tmp_path, field, value):
+        out = self.earlier_run(tmp_path)
+        config = tiny_config(out)
+        setattr(config.batch, field, value)
+        with pytest.raises(ValidationError, match=f"config.batch.{field}"):
+            run(config)
+        assert files_under(out) == {"summary.json"}
+
     def test_seed_override_is_validated(self, tmp_path):
         out = self.earlier_run(tmp_path)
         with pytest.raises(ValidationError, match="config.seed"):
@@ -868,6 +909,69 @@ class TestCli:
         result = runner.invoke(main, ["analyze", "-c", str(config)])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "geometry" / "principal_angles.csv").exists()
+
+    def test_eval_and_analyze_leave_their_own_summaries(self, tmp_path):
+        runner = CliRunner()
+        config = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert runner.invoke(main, ["train", "-c", str(config)]).exit_code == 0
+        trained = (out / "summary.json").read_bytes()
+        checkpoint = str(out / "checkpoints" / "encoder_final.npz")
+
+        result = runner.invoke(main, ["eval", "-c", str(config)])
+        assert result.exit_code == 0, result.output
+        evaluated = json.loads((out / "eval_summary.json").read_text())
+        train_summary = json.loads(trained)
+        assert evaluated["command"] == "eval"
+        assert evaluated["checkpoint"] == checkpoint
+        assert evaluated["artifacts"] == ["tables/metrics.csv"]
+        # The same parameters and pairs: the train run's scores, under the
+        # eval table's model name.
+        assert evaluated["results"] == train_summary["results"]["scores"]
+        prefix = f"encoder+{train_summary['mode']}|"
+        assert evaluated["floored_cells"] == [
+            "encoder|" + cell.removeprefix(prefix) for cell in train_summary["floored_cells"]
+        ]
+
+        result = runner.invoke(main, ["analyze", "-c", str(config)])
+        assert result.exit_code == 0, result.output
+        analyzed = json.loads((out / "analyze_summary.json").read_text())
+        assert analyzed["command"] == "analyze"
+        assert analyzed["checkpoint"] == checkpoint
+        geometry = sorted(str(p.relative_to(out)) for p in (out / "geometry").iterdir())
+        assert analyzed["artifacts"] == geometry
+        assert analyzed["results"] == json.loads((out / "geometry" / "summary.json").read_text())
+        assert (out / "summary.json").read_bytes() == trained
+
+    @pytest.mark.parametrize(
+        "command, summary, target",
+        [
+            ("eval", "eval_summary.json", "rows_to_table"),
+            ("analyze", "analyze_summary.json", "pca"),
+        ],
+    )
+    def test_failed_command_leaves_no_summary(
+        self, tmp_path, monkeypatch, command, summary, target
+    ):
+        import taskweave.experiments as experiments
+
+        runner = CliRunner()
+        config = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert runner.invoke(main, ["train", "-c", str(config)]).exit_code == 0
+        assert runner.invoke(main, [command, "-c", str(config)]).exit_code == 0
+        assert (out / summary).exists()
+
+        def fail(*args, **kwargs):
+            raise NumericError("injected failure")
+
+        # Fails after the command has started rewriting files.
+        monkeypatch.setattr(experiments, target, fail)
+        result = runner.invoke(main, [command, "-c", str(config)])
+        assert result.exit_code == 3
+        assert "injected failure" in result.output
+        assert not (out / summary).exists()
+        assert (out / "summary.json").exists()
 
     def test_eval_without_checkpoint_fails_cleanly(self, tmp_path):
         runner = CliRunner()

@@ -13,8 +13,10 @@ import dataclasses
 import importlib
 import importlib.util
 import os
+import pickle
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from taskweave.encoder import (
     GradBuffer,
     accumulate,
     adam_step,
+    backward,
     batch_hard_triplet,
     embed,
     hardest_distances,
@@ -462,6 +465,164 @@ class TestStackedKernelMatchesPerBatch:
         assert err.value.layer == 1
         with pytest.raises(encoder.ContractError, match="ambient"):
             embed(params, np.ones((2, 4, 5)))
+
+
+def reference_adam_step(params, buffer, state, hyper):
+    """The per-array Adam step the packed one replaced: ``params``,
+    ``buffer`` and ``state`` hold plain per-layer lists."""
+    state.step += 1
+    t = state.step
+    b1, b2 = hyper["beta1"], hyper["beta2"]
+    lr, wd = hyper["learning_rate"], hyper["weight_decay"]
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    groups = (
+        (params.weights, buffer.weights, state.m_weights, state.v_weights),
+        (params.biases, buffer.biases, state.m_biases, state.v_biases),
+    )
+    for values, grads, ms, vs in groups:
+        for value, grad, m, v in zip(values, grads, ms, vs):
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad**2
+            update = lr * (m / bias1) / (np.sqrt(v / bias2) + hyper["epsilon"])
+            if wd:
+                update = update + lr * wd * value
+            value -= update
+            if not np.isfinite(value).all():
+                raise NumericError("non-finite parameters after optimizer step")
+    for array in layers(buffer):
+        array[:] = 0.0
+    buffer.accumulation_count = 0
+
+
+def per_array(arrays):
+    return [np.array(a) for a in arrays]
+
+
+def assert_same_bytes(packed, plain):
+    assert len(packed) == len(plain)
+    for a, b in zip(packed, plain):
+        assert a.tobytes() == b.tobytes()
+
+
+def layers(holder):
+    return holder.weights + holder.biases
+
+
+def moments(state):
+    return state.m_weights + state.m_biases + state.v_weights + state.v_biases
+
+
+# Few exact values make ties, signed zeros and cancellations common.
+EXACT_OR_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 1e-3]),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+class TestArenaMatchesPerArray:
+    """The packed arenas against tests-only copies of the per-array code
+    they replaced: the Adam step array by array, and the backward pass
+    adding each layer's gradient batch by batch (``reference_backward``,
+    one call per batch, in batch order). Every compare is by ``tobytes``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_steps_bitwise_equal(self, data):
+        n_layers = data.draw(st.integers(1, 3), label="layers")
+        dims = data.draw(st.lists(st.integers(1, 6), min_size=n_layers + 1, max_size=n_layers + 1))
+        n_batches = data.draw(st.integers(1, 5), label="B")
+        rows = data.draw(st.integers(2, 6), label="rows")
+        hyper = dict(
+            learning_rate=0.1,
+            beta1=0.9,
+            beta2=0.999,
+            epsilon=1e-8,
+            weight_decay=data.draw(st.sampled_from([0.0, 1e-6]), label="weight_decay"),
+        )
+        params = init_params(dims, np.random.default_rng(sum(dims)))
+        opt = encoder.OptimState.for_params(params, **hyper)
+        buffer = GradBuffer.zeros_like(params)
+        ref = SimpleNamespace(
+            weights=per_array(params.weights), biases=per_array(params.biases), n_layers=n_layers
+        )
+        moment_names = ("m_weights", "m_biases", "v_weights", "v_biases")
+        ref_opt = SimpleNamespace(
+            step=0, **{name: per_array(getattr(opt, name)) for name in moment_names}
+        )
+        # The first step adds into a buffer that already holds values,
+        # signed zeros among them.
+        for array in layers(buffer):
+            array[...] = data.draw(arrays(np.float64, array.shape, elements=EXACT_OR_FLOAT))
+        ref_buffer = SimpleNamespace(
+            weights=per_array(buffer.weights), biases=per_array(buffer.biases), accumulation_count=0
+        )
+        for _ in range(data.draw(st.integers(3, 4), label="steps")):
+            features, grads = (
+                data.draw(arrays(np.float64, (n_batches, rows, width), elements=EXACT_OR_FLOAT))
+                for width in (dims[0], dims[-1])
+            )
+            backward(params, encoder._forward(params, features), grads, buffer)
+            for x, g in zip(features, grads):
+                reference_backward(ref, x, g, ref_buffer)
+            assert buffer.accumulation_count == ref_buffer.accumulation_count == n_batches
+            assert_same_bytes(layers(buffer), layers(ref_buffer))
+
+            adam_step(params, buffer, opt)
+            reference_adam_step(ref, ref_buffer, ref_opt, hyper)
+            assert opt.step == ref_opt.step
+            assert_same_bytes(layers(params), layers(ref))
+            assert_same_bytes(moments(opt), moments(ref_opt))
+            assert_same_bytes(layers(buffer), layers(ref_buffer))
+
+    @pytest.mark.parametrize("where", ["first weight", "last bias"])
+    def test_non_finite_update_raises(self, where):
+        params = init_params([3, 4, 2], np.random.default_rng(2))
+        opt = encoder.OptimState.for_params(params)
+        buffer = GradBuffer.zeros_like(params)
+        target = buffer.weights[0] if where == "first weight" else buffer.biases[-1]
+        target.flat[0 if where == "first weight" else -1] = np.nan
+        buffer.accumulation_count = 1
+        with pytest.raises(NumericError, match="non-finite"):
+            adam_step(params, buffer, opt)
+
+    def test_every_array_is_a_view_of_its_arena(self):
+        params = init_params([3, 4, 2], np.random.default_rng(3))
+        opt = encoder.OptimState.for_params(params)
+        buffer = GradBuffer.zeros_like(params)
+        pairs = [
+            (params.flat, params.weights + params.biases),
+            (buffer.flat, buffer.weights + buffer.biases),
+            (opt.m, opt.m_weights + opt.m_biases),
+            (opt.v, opt.v_weights + opt.v_biases),
+        ]
+        for arena, views in pairs:
+            assert arena.size == sum(v.size for v in views)
+            assert np.concatenate([v.ravel() for v in views]).tobytes() == arena.tobytes()
+            assert all(np.shares_memory(arena, v) for v in views)
+        # A copy, pickled or not, owns its own arena.
+        for copy in (params.copy(), pickle.loads(pickle.dumps(params))):
+            assert copy.flat.tobytes() == params.flat.tobytes()
+            assert not np.shares_memory(copy.flat, params.flat)
+            assert all(np.shares_memory(copy.flat, w) for w in copy.weights)
+
+    def test_checkpoint_bytes_and_round_trip(self, tmp_path):
+        params = init_params([5, 7, 3], np.random.default_rng(4))
+        params.biases[0][:] = [0.5, -0.0, 0.0, 1e-300, -2.0, 3.0, -1.0]
+        plain = SimpleNamespace(weights=per_array(params.weights), biases=per_array(params.biases))
+        out = RunResult(tmp_path)
+        save_checkpoint(params, out, "arena.npz")
+        # The checkpoint format, written from plain per-layer arrays.
+        arrays = {"version": np.array([encoder.CHECKPOINT_VERSION]), "n_layers": np.array([2])}
+        for i, (w, b) in enumerate(zip(plain.weights, plain.biases)):
+            arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+        out.npz("plain.npz", arrays)
+        assert (tmp_path / "arena.npz").read_bytes() == (tmp_path / "plain.npz").read_bytes()
+        loaded = encoder.load_checkpoint(tmp_path / "arena.npz")
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert_same_bytes(layers(loaded), layers(plain))
 
 
 class TestSubsample:
