@@ -12,6 +12,10 @@ A third schedule, ``blocked``, is an explicit allocation fed to
 ``Trainer.train_step``: tasks one after another, never two in one step. It
 drives single-task pretraining and the sequential fine-tuning baseline.
 
+A balanced run's batch total depends on its loaders alone, so
+:func:`balanced_budget` finds it before any training by replaying the
+loaders through the same batch draw and epoch rule the Trainer uses.
+
 All per-batch gradients inside one step are summed into a single buffer and
 applied by exactly one optimizer update; ``Trainer.train_step`` is the only
 place that does so.
@@ -19,7 +23,7 @@ place that does so.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,6 +195,32 @@ def blocked_schedule(
             budget -= take
 
 
+def make_loaders(
+    task_data: dict[str, TaskData], curriculum: CurriculumConfig, seed: int, loader_stream: str
+) -> dict[str, Loader]:
+    """One loader per task, in task order, each drawing from its own
+    ``(seed, loader_stream, task)`` substream over the configured subsample."""
+    return {
+        name: Loader(data, stream(seed, loader_stream, name), curriculum.subsample.get(name, 1.0))
+        for name, data in task_data.items()
+    }
+
+
+def draw_step(
+    loaders: dict[str, Loader], allocations: dict[str, int], identities: int, positives: int
+) -> tuple[list[Batch], dict[str, bool]]:
+    """A step's batches, tasks in loader order and each loader in its own
+    order, and whether each task's loader exhausted during the step."""
+    batches: list[Batch] = []
+    exhausted = dict.fromkeys(loaders, False)
+    for name, loader in loaders.items():
+        for _ in range(allocations[name]):
+            batch, flag = loader.next_batch(identities, positives)
+            exhausted[name] = exhausted[name] or flag
+            batches.append(batch)
+    return batches, exhausted
+
+
 def _satisfied_anchors(
     params: EncoderParams, features: np.ndarray, labels: np.ndarray, masks=None
 ) -> np.ndarray:
@@ -254,12 +284,7 @@ class Trainer:
         self.positives = positives
         self.margin = margin
         self.seed = seed
-        self.loaders = {
-            name: Loader(
-                data, stream(seed, loader_stream, name), curriculum.subsample.get(name, 1.0)
-            )
-            for name, data in task_data.items()
-        }
+        self.loaders = make_loaders(task_data, curriculum, seed, loader_stream)
         self.buffer = GradBuffer.zeros_like(params)
         self.states = {name: TaskState() for name in task_data}
         self.alloc_rng = stream(seed, "allocation")
@@ -354,17 +379,10 @@ class Trainer:
                 alloc_list = sample_allocation(probs, self.total_batches, self.alloc_rng)
             allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
 
-        # Draw every batch of the step first (tasks in order, each loader in
-        # its own order), then run them through the kernel as one stack. The
-        # stack and its id masks serve the accuracy pass too.
-        batches: list[Batch] = []
-        exhausted = {name: False for name in self.task_names}
-        for name in self.task_names:
-            loader = self.loaders[name]
-            for _ in range(allocations[name]):
-                batch, flag = loader.next_batch(self.identities, self.positives)
-                exhausted[name] = exhausted[name] or flag
-                batches.append(batch)
+        # Draw every batch of the step first, then run them through the
+        # kernel as one stack. The stack and its id masks serve the accuracy
+        # pass too.
+        batches, exhausted = draw_step(self.loaders, allocations, self.identities, self.positives)
         if not batches:
             raise ContractError("a step needs at least one batch")
         features = np.stack([batch.features for batch in batches])
@@ -416,16 +434,60 @@ class Trainer:
                 self.train_step()
             return
 
-        seen = {name: False for name in self.task_names}
-        per_task = self.curriculum.batches_per_task
-        batch = self.identities * self.positives
-        largest = max(loader.size for loader in self.loaders.values())
-        step_cap = 10 * (largest // (per_task * batch) + 2)
-        steps = 0
-        while not all(seen.values()):
-            if steps >= step_cap:
-                raise ConfigurationError("epoch failed to exhaust all loaders (internal bound hit)")
-            report = self.train_step()
-            steps += 1
-            for name, flag in report.exhausted.items():
-                seen[name] = seen[name] or flag
+        balanced_epoch(
+            lambda: self.train_step().exhausted,
+            self.loaders,
+            self.curriculum.batches_per_task,
+            self.identities * self.positives,
+        )
+
+
+def balanced_epoch(
+    step: Callable[[], dict[str, bool]],
+    loaders: dict[str, Loader],
+    per_task: int,
+    batch_size: int,
+) -> int:
+    """The balanced epoch rule: call ``step`` (one step of ``per_task``
+    batches of ``batch_size`` samples per task, returning each task's
+    exhausted flag) until every loader has exhausted at least once. Returns
+    the number of steps; raises ConfigurationError past a step cap well
+    beyond the largest loader's pass."""
+    seen = {name: False for name in loaders}
+    largest = max(loader.size for loader in loaders.values())
+    step_cap = 10 * (largest // (per_task * batch_size) + 2)
+    steps = 0
+    while not all(seen.values()):
+        if steps >= step_cap:
+            raise ConfigurationError("epoch failed to exhaust all loaders (internal bound hit)")
+        exhausted = step()
+        steps += 1
+        for name, flag in exhausted.items():
+            seen[name] = seen[name] or flag
+    return steps
+
+
+def balanced_budget(
+    task_data: dict[str, TaskData],
+    curriculum: CurriculumConfig,
+    identities: int,
+    positives: int,
+    seed: int,
+    epochs: int,
+    loader_stream: str = "loader",
+) -> int:
+    """The batch total of ``epochs`` balanced epochs of a Trainer seeded
+    ``seed``, found before any training: the same loaders replay the same
+    draws through the same epoch rule, with no kernel call. The total
+    depends on the loaders alone, so it is the trainer's own."""
+    loaders = make_loaders(task_data, curriculum, seed, loader_stream)
+    per_task = curriculum.batches_per_task
+    allocations = dict.fromkeys(loaders, per_task)
+
+    def step() -> dict[str, bool]:
+        return draw_step(loaders, allocations, identities, positives)[1]
+
+    steps = sum(
+        balanced_epoch(step, loaders, per_task, identities * positives) for _ in range(epochs)
+    )
+    return steps * per_task * len(loaders)

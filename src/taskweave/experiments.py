@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
+from .curriculum import ADAPTIVE, BALANCED, Trainer, balanced_budget, blocked_schedule
 from .datagen import CSV_UNSAFE, Corpus, TaskData, build_corpus
 from .encoder import EncoderParams, OptimState, embed, init_params, save_checkpoint
 from .errors import ConfigurationError, ContractError, NumericError
@@ -780,11 +780,18 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     def score(model: EncoderParams) -> dict[str, float]:
         return evaluate_row(model, train_corpus, eval_corpus, config, pair_plan)
 
-    def balanced_then_sequential() -> dict:
-        balanced, balanced_trainer = fine_tune(BALANCED)
-        batches = sum(s.batches_consumed for s in balanced_trainer.reports)
+    def sequential() -> dict:
         # The blocked baseline spends the balanced run's batch total on the
-        # fine-tune tasks alone.
+        # fine-tune tasks alone; the plan replays the balanced loaders to
+        # know it before either runs.
+        batches = balanced_budget(
+            train_corpus.tasks,
+            config.curriculum,
+            config.batch.identities,
+            config.batch.positives,
+            derive_seed(config.seed, f"finetune-{BALANCED}"),
+            fg.finetune_epochs,
+        )
         blocked = params.copy()
         blocked_trainer = sequential_finetune(
             config,
@@ -797,31 +804,38 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
         )
         return {
             "batches": batches,
-            "traces": {
-                BALANCED: _records(balanced_trainer),
-                SEQUENTIAL: _records(blocked_trainer),
-            },
-            "rows": {INTERLEAVED_BALANCED: score(balanced), SEQUENTIAL: score(blocked)},
+            "trace": _records(blocked_trainer),
+            "rows": {PRETRAINED: score(params), SEQUENTIAL: score(blocked)},
         }
 
-    def pretrained_then_adaptive() -> dict:
-        pretrained_row = score(params)
-        adaptive, adaptive_trainer = fine_tune(ADAPTIVE)
+    def interleaved(mode: str, row_name: str) -> dict:
+        tuned, trainer = fine_tune(mode)
         return {
-            "traces": {ADAPTIVE: _records(adaptive_trainer)},
-            "rows": {PRETRAINED: pretrained_row, INTERLEAVED_ADAPTIVE: score(adaptive)},
+            "batches": sum(s.batches_consumed for s in trainer.reports),
+            "trace": _records(trainer),
+            "rows": {row_name: score(tuned)},
         }
 
-    # The shares are independent: the one fine-tune that needs another's
-    # result, the sequential baseline, runs after balanced in the first.
-    # The second runs in a forked child when a second CPU is free. Only rows
-    # and trace records come back, and every file is written here in one
-    # order, so the tree is the same on any number of CPUs.
-    shares = [balanced_then_sequential, pretrained_then_adaptive]
-    first, second = forked_map(lambda share: share(), shares, cpu_workers(len(shares)))
-    balanced_batches = first["batches"]
-    traces = {**first["traces"], **second["traces"]}
-    rows = {**first["rows"], **second["rows"]}
+    # The three fine-tunes are independent. The sequential item runs in
+    # this process; the interleaved ones run in a forked child each when a
+    # second CPU is free, since three near-equal items time-share two CPUs
+    # better than two processes that run two of them back to back. Only
+    # rows and trace records come back, and every file is written here in
+    # one order, so the tree is the same on any number of CPUs.
+    items = [
+        sequential,
+        partial(interleaved, BALANCED, INTERLEAVED_BALANCED),
+        partial(interleaved, ADAPTIVE, INTERLEAVED_ADAPTIVE),
+    ]
+    workers = len(items) if cpu_workers(len(items)) > 1 else 1
+    results = forked_map(lambda item: item(), items, workers)
+    planned, spent = results[0]["batches"], results[1]["batches"]
+    if spent != planned:
+        raise ContractError(
+            f"the balanced fine-tune spent {spent} batches against the {planned} planned"
+        )
+    traces = dict(zip((SEQUENTIAL, BALANCED, ADAPTIVE), (r["trace"] for r in results)))
+    rows = {name: row for r in results for name, row in r["rows"].items()}
     for mode in (BALANCED, ADAPTIVE, SEQUENTIAL):
         out.lines(f"traces/finetune_{mode}.jsonl", traces[mode])
 
@@ -846,7 +860,7 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     report = {
         "pretrain_task": fg.pretrain_task,
         "pretrain_accuracy": baseline_acc,
-        "finetune_total_batches": balanced_batches,
+        "finetune_total_batches": planned,
         "models": {
             name: {
                 "pretrain_task_accuracy": rows[name][top1_col],

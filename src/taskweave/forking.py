@@ -1,6 +1,7 @@
 """Fork-based parallel map over independent items, for the package's own
-use: the sliding-window task probes and the forgetting comparison's
-fine-tunes.
+use: the sliding-window task probes, one process per CPU
+(:func:`cpu_workers`), and the forgetting comparison's three fine-tunes,
+one process each whenever a second CPU is free.
 
 A forked child runs the same code on a copy of this process's memory, so
 every result is the serial one bit for bit, and nothing has to be picklable

@@ -155,9 +155,46 @@ def _probe_objective(
         top = np.maximum(top, Z[:, j])
     top = top[:, None]
     E = np.exp(Z - top)
-    total = E.sum(axis=1, keepdims=True)
+    total = _row_sums(E)[:, None]
     nll = (np.log(total) + top).sum() - Z.take(label_at).sum()
     return float(nll + 0.5 * (V[:-1] ** 2).sum()), E / total
+
+
+def _row_sums(E: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(E, axis=1)`` bit for bit, added column by column.
+
+    numpy sums each row from +0.0 in its pairwise order: sequential below 8
+    terms, else 8 running sums combined as a tree and then the tail, with
+    more than 128 terms split in halves rounded down to a multiple of 8.
+    Over whole columns the same adds skip a short-axis reduction's per-row
+    overhead.
+    """
+    n = E.shape[1]
+    if n < 8:
+        total = E[:, 0] + 0.0
+        for j in range(1, n):
+            total += E[:, j]
+        return total
+    total = _pairwise_columns(E, 0, n)
+    total += 0.0
+    return total
+
+
+def _pairwise_columns(E: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """The sum of the ``n >= 8`` columns of ``E`` from ``lo``, in numpy's
+    pairwise order."""
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_columns(E, lo, half) + _pairwise_columns(E, lo + half, n - half)
+    blocks = n - n % 8
+    r = [E[:, lo + j] for j in range(8)]
+    for i in range(lo + 8, lo + blocks, 8):
+        r = [r[j] + E[:, i + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(lo + blocks, lo + n):
+        total += E[:, j]
+    return total
 
 
 def _fit_multinomial(

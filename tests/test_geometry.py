@@ -5,6 +5,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from taskweave import forking, geometry
 from taskweave.errors import ContractError
@@ -419,6 +422,31 @@ class TestProbeKernelOracle:
             f, P = geometry._probe_objective(Xb, label_at, basis, V)
             f_ref, P_ref = reference_probe_objective(Xb, y, basis, V)
             assert f == f_ref and np.array_equal(P, P_ref)
+
+
+class TestRowSums:
+    """The probe objective's column-wise row sum is numpy's reduction bit for
+    bit: sequential below 8 columns, pairwise blocks of 8 above, halves past
+    128, signed zeros included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 300).flatmap(
+            lambda cols: arrays(
+                np.float64,
+                st.tuples(st.integers(1, 6), st.just(cols)),
+                elements=st.floats(-1e6, 1e6, allow_subnormal=True)
+                | st.sampled_from([0.0, -0.0, 1e-300, -1e300]),
+            )
+        )
+    )
+    def test_matches_add_reduce(self, E):
+        assert geometry._row_sums(E).tobytes() == np.add.reduce(E, axis=1).tobytes()
+
+    @pytest.mark.parametrize("cols", [1, 4, 7, 8, 15, 16, 17, 128, 129, 136, 300])
+    def test_random_rows(self, cols):
+        E = np.exp(np.random.default_rng(cols).standard_normal((500, cols)) * 4.0)
+        assert geometry._row_sums(E).tobytes() == np.add.reduce(E, axis=1).tobytes()
 
 
 class TestSlidingWindowProbe:

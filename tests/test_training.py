@@ -34,11 +34,14 @@ from taskweave.curriculum import (
     StepReport,
     Trainer,
     balanced_allocation,
+    balanced_budget,
+    balanced_epoch,
     blocked_schedule,
+    make_loaders,
     sample_allocation,
 )
 from taskweave.datagen import Loader
-from taskweave.errors import ConfigurationError, NumericError
+from taskweave.errors import ConfigurationError, ContractError, NumericError
 from taskweave.encoder import (
     GradBuffer,
     accumulate,
@@ -808,17 +811,98 @@ def forgetting_config(tmp_path, seed=3):
     return config
 
 
-@pytest.mark.skipif(
+needs_fork = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
     reason="without fork and an affinity mask the fine-tunes run in this process",
 )
+
+
+def planned_and_spent(config):
+    """The balanced fine-tune's planned batch total and the total its
+    trainer spends, under the forgetting comparison's seed name."""
+    train, _ = build_splits(config)
+    epochs = config.forgetting.finetune_epochs
+    seed = derive_seed(config.seed, "finetune-balanced")
+    b = config.batch
+    planned = balanced_budget(train.tasks, config.curriculum, b.identities, b.positives, seed, epochs)
+    params, opt = init_encoder(config)
+    trainer = make_trainer(config, BALANCED, train.tasks, params, opt, "finetune-balanced")
+    for _ in range(epochs):
+        trainer.run_epoch()
+    return planned, sum(r.batches_consumed for r in trainer.reports)
+
+
+class TestBudgetPlan:
+    """The balanced budget is known before any fine-tune runs: replaying the
+    balanced trainer's loaders through the shared epoch rule gives the
+    batch total that trainer then spends, and the comparison refuses to
+    write a fine-tune file when the two disagree."""
+
+    @pytest.mark.parametrize("seed", [72025, 3, 7])
+    def test_plan_matches_the_stock_balanced_run(self, seed):
+        planned, spent = planned_and_spent(default_config(output_dir="unused", seed=seed))
+        assert planned == spent
+        if seed == 72025:
+            assert planned == 888
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_plan_matches_the_tiny_balanced_run(self, tmp_path, epochs):
+        config = forgetting_config(tmp_path)
+        config.forgetting.finetune_epochs = epochs
+        planned, spent = planned_and_spent(config)
+        assert planned == spent
+
+    def test_plan_runs_no_kernel(self, monkeypatch, tmp_path):
+        config = forgetting_config(tmp_path)
+        train, _ = build_splits(config)
+        tracer = load_tracer(monkeypatch)
+        with tracer.Tracer() as traced:
+            planned = balanced_budget(train.tasks, config.curriculum, 4, 4, 11, 1)
+        counts = traced.counts()
+        assert counts["datagen.Loader.next_batch"] == planned
+        assert sum(counts.values()) == planned
+
+    def test_epoch_cap(self, tmp_path):
+        config = forgetting_config(tmp_path)
+        train, _ = build_splits(config)
+        loaders = make_loaders(train.tasks, config.curriculum, 1, "loader")
+        calls = []
+
+        def never_exhausts():
+            calls.append(1)
+            return dict.fromkeys(loaders, False)
+
+        with pytest.raises(ConfigurationError, match="internal bound"):
+            balanced_epoch(never_exhausts, loaders, 1, 16)
+        largest = max(loader.size for loader in loaders.values())
+        assert len(calls) == 10 * (largest // 16 + 2)
+
+    @needs_fork
+    @pytest.mark.usefixtures("leaves_no_process_or_fd")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_disagreeing_plan_writes_no_finetune_file(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        plan = experiments.balanced_budget
+        monkeypatch.setattr(experiments, "balanced_budget", lambda *a: plan(*a) + 1)
+        with pytest.raises(ContractError, match="balanced fine-tune spent"):
+            run_forgetting_comparison(forgetting_config(tmp_path))
+        assert sorted(tree_files(tmp_path)) == [
+            "checkpoints/encoder_pretrained.npz",
+            "traces/pretrain.jsonl",
+        ]
+
+
+@needs_fork
 @pytest.mark.usefixtures("leaves_no_process_or_fd")
 class TestParallelFinetunes:
-    """The forgetting comparison's fine-tunes run in two shares: this process
-    tunes balanced then sequential and scores both, a forked child scores
-    the pretrained model, tunes adaptive and scores it. The tree must be the
-    one-CPU tree byte for byte, a failure must surface as the one-CPU run
-    raises it, and no child or pipe may outlive the call."""
+    """The forgetting comparison's three fine-tunes are independent items of
+    one ``forked_map``. The sequential item runs in this process: it plans
+    the balanced budget, tunes the blocked baseline on it and scores the
+    baseline and the pretrained model. On two or more CPUs the balanced
+    and adaptive items run in a forked child each, tuning and scoring their
+    model; on one CPU all three run here, in that order. The tree must be
+    the one-CPU tree byte for byte, a failure must surface as the one-CPU
+    run raises it, and no child or pipe may outlive the call."""
 
     def force_cpus(self, monkeypatch, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -826,7 +910,7 @@ class TestParallelFinetunes:
     @pytest.mark.parametrize("seed", [3, 72025])
     def test_tree_bitwise_equal_on_any_cpu_count(self, monkeypatch, tmp_path, seed):
         trees = {}
-        for cpus in (1, 2, 3):
+        for cpus in (1, 2, 3, 4):
             self.force_cpus(monkeypatch, cpus)
             assert forking.cpu_workers(2) == min(cpus, 2)
             run_forgetting_comparison(forgetting_config(tmp_path / str(cpus), seed))
@@ -834,6 +918,7 @@ class TestParallelFinetunes:
         assert len(trees[1]) == 9
         assert trees[2] == trees[1]
         assert trees[3] == trees[1]
+        assert trees[4] == trees[1]
 
     def fail(self, monkeypatch, shares):
         """Make share 0 fail in the sequential fine-tune, share 1 in the
@@ -888,6 +973,73 @@ class TestParallelFinetunes:
             assert f"NumericError: {message}" in str(cause)
             assert caught[2].value.layer == 1
 
+    @pytest.mark.parametrize("cpus, children", [(1, 0), (2, 2), (3, 2), (4, 2)])
+    def test_one_child_per_interleaved_finetune(self, monkeypatch, tmp_path, cpus, children):
+        self.force_cpus(monkeypatch, cpus)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(forking.os, "fork", counting_fork)
+        run_forgetting_comparison(forgetting_config(tmp_path))
+        assert len(forks) == children
+
+    def test_balanced_failure_raises_as_on_one_cpu(self, monkeypatch, tmp_path):
+        run_epoch = Trainer.run_epoch
+
+        def failing_epoch(self):
+            if self.mode == BALANCED:
+                raise NumericError("non-finite balanced loss", layer=0)
+            return run_epoch(self)
+
+        monkeypatch.setattr(Trainer, "run_epoch", failing_epoch)
+        caught = {}
+        for cpus in (1, 2):
+            self.force_cpus(monkeypatch, cpus)
+            with pytest.raises(NumericError) as caught[cpus]:
+                run_forgetting_comparison(forgetting_config(tmp_path / str(cpus)))
+            assert str(caught[cpus].value) == "non-finite balanced loss (layer 0)"
+            assert caught[cpus].value.layer == 0
+        assert tree_files(tmp_path / "2") == tree_files(tmp_path / "1")
+        assert sorted(tree_files(tmp_path / "1")) == [
+            "checkpoints/encoder_pretrained.npz",
+            "traces/pretrain.jsonl",
+        ]
+        assert caught[1].value.__cause__ is None
+        cause = caught[2].value.__cause__
+        assert isinstance(cause, forking._RemoteTraceback)
+        assert "in failing_epoch" in str(cause)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_this_process_fires_every_expected_span(self, monkeypatch, tmp_path, cpus):
+        # The benchmark traces only this process, so the fine-tune kept here
+        # must reach every span its worker predicts for the workload.
+        # worker.py imports the tracer as the top-level module ``tracer``.
+        tracer = load_tracer(monkeypatch, "tracer")
+        path = ROOT / "perfbench" / "worker.py"
+        spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+        worker = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, worker)
+        spec.loader.exec_module(worker)
+        self.force_cpus(monkeypatch, cpus)
+        counts = []
+        for run_index in range(2):
+            with tracer.Tracer() as traced:
+                # Looked up on the module so the tracer's wrapper runs.
+                experiments.run_forgetting_comparison(
+                    forgetting_config(tmp_path / str(run_index))
+                )
+            counts.append(traced.counts())
+        fired = {name for name, calls in counts[0].items() if calls > 0}
+        expected = {name for name, where in worker.EXPECTED_SPANS.items() if "forgetting" in where}
+        assert fired == expected
+        assert counts[1] == counts[0]
+
     def test_missing_steps_per_epoch_fails_before_any_file(self, tmp_path):
         config = forgetting_config(tmp_path / "out")
         config.curriculum.steps_per_epoch = None
@@ -940,9 +1092,9 @@ class TestWriterSpans:
         assert counts["encoder.save_checkpoint"] == 1
 
 
-def load_tracer(monkeypatch):
+def load_tracer(monkeypatch, name="perfbench_tracer"):
     path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    spec = importlib.util.spec_from_file_location(name, path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
