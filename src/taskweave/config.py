@@ -165,7 +165,7 @@ class ExperimentConfig:
         return CorpusSpec(tasks=tuple(self.tasks), seed=seed, ambient_dim=self.ambient_dim)
 
     def validate(self) -> None:
-        from .curriculum import MODES
+        from .curriculum import ADAPTIVE, MODES
 
         _check_int(self.seed, "config.seed", 0)
         if self.curriculum.mode not in MODES:
@@ -189,6 +189,8 @@ class ExperimentConfig:
         _check_int(self.training.epochs, "config.training.epochs", 1)
         if self.curriculum.steps_per_epoch is not None:
             _check_int(self.curriculum.steps_per_epoch, "config.curriculum.steps_per_epoch", 1)
+        elif self.curriculum.mode == ADAPTIVE:
+            raise ValidationError("config.curriculum.steps_per_epoch is required in adaptive mode")
         ev = self.evaluation
         # The verification accuracy splits a task's genuine and impostor
         # pairs into 10 folds, so it needs at least 5 of each.

@@ -107,13 +107,6 @@ class StepReport:
         return {"step": self.step, "mode": self.mode, "tasks": tasks}
 
 
-def balanced_allocation(n_tasks: int, per_task: int) -> list[int]:
-    """Constant allocation: every task gets ``per_task`` batches."""
-    if n_tasks < 1 or per_task < 1:
-        raise ContractError("n_tasks and per_task must be >= 1")
-    return [per_task] * n_tasks
-
-
 def relative_improvement(
     metric_prev: float, metric_curr: float, allocation: int, epsilon: float
 ) -> float:
@@ -372,12 +365,12 @@ class Trainer:
         else:
             mode = self.mode
             if mode == BALANCED:
-                alloc_list = balanced_allocation(self.n_tasks, self.curriculum.batches_per_task)
+                allocations = dict.fromkeys(self.task_names, self.curriculum.batches_per_task)
             else:
                 scoring = self._score_tasks()
                 probs = [scoring[name].probability for name in self.task_names]
                 alloc_list = sample_allocation(probs, self.total_batches, self.alloc_rng)
-            allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
+                allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
 
         # Draw every batch of the step first, then run them through the
         # kernel as one stack. The stack and its id masks serve the accuracy

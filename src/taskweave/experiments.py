@@ -207,63 +207,20 @@ def _records(trainer: Trainer) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-# The bit generator's 32-bit words serve every population up to this size;
-# above it numpy's bounded draws switch to 64-bit words.
-_WORDS = 1 << 32
-
-
-def _word_source(rng: np.random.Generator) -> Callable[[], int]:
-    """The generator's next 32-bit word, drawn through its ``ctypes`` hook:
-    the same stream ``integers`` and ``choice`` consume, without their
-    per-call overhead."""
-    hooks = rng.bit_generator.ctypes
-    return partial(hooks.next_uint32, hooks.state)
-
-
-def _below(word: Callable[[], int], n: int) -> int:
-    """``integers(0, n)``: Lemire's bounded draw on 32-bit words, with the
-    same rejections and so the same stream position. ``n == 1`` draws
-    nothing, as in numpy."""
-    if not 0 < n <= _WORDS:
-        raise ContractError(f"a population of {n} is outside [1, 2**32], the reach of 32-bit draws")
-    if n == 1:
-        return 0
-    m = word() * n
-    if m & 0xFFFFFFFF < n:
-        floor = (_WORDS - n) % n
-        while m & 0xFFFFFFFF < floor:
-            m = word() * n
-    return m >> 32
-
-
-def _two(word: Callable[[], int], n: int) -> tuple[int, int]:
-    """``choice(n, 2, replace=False)``: Floyd's sampling of two distinct
-    values, then numpy's shuffle of the pair."""
-    a = _below(word, n - 1)
-    b = _below(word, n)
-    if b == a:
-        b = n - 1
-    return (b, a) if _below(word, 2) == 0 else (a, b)
-
-
-def _serial_pairs(sizes: list[int], n_pairs: int, rng: np.random.Generator):
-    """The pairs as positions in class-sorted rows, one draw at a time."""
-    word = _word_source(rng)
+def _choice_pairs(sizes: list[int], n_pairs: int, rng: np.random.Generator):
+    """The pairs as positions in class-sorted rows, one ``Generator`` call
+    per draw: the loop that :func:`_vector_pairs` reproduces."""
+    integers, choice = rng.integers, rng.choice
     starts = np.cumsum([0, *sizes[:-1]]).tolist()
     eligible = [c for c, size in enumerate(sizes) if size >= 2]
     genuine = np.empty((n_pairs, 2), dtype=int)
-    out = memoryview(genuine.reshape(-1))
-    for i in range(0, 2 * n_pairs, 2):
-        c = eligible[_below(word, len(eligible))]
-        a, b = _two(word, sizes[c])
-        out[i] = starts[c] + a
-        out[i + 1] = starts[c] + b
+    for i in range(n_pairs):
+        c = eligible[integers(0, len(eligible))]
+        genuine[i] = starts[c] + choice(sizes[c], size=2, replace=False)
     impostor = np.empty((n_pairs, 2), dtype=int)
-    out = memoryview(impostor.reshape(-1))
-    for i in range(0, 2 * n_pairs, 2):
-        a, b = _two(word, len(sizes))
-        out[i] = starts[a] + _below(word, sizes[a])
-        out[i + 1] = starts[b] + _below(word, sizes[b])
+    for i in range(n_pairs):
+        a, b = choice(len(sizes), size=2, replace=False)
+        impostor[i] = starts[a] + integers(0, sizes[a]), starts[b] + integers(0, sizes[b])
     return genuine, impostor
 
 
@@ -292,16 +249,21 @@ def _next_words(bit_generator: np.random.PCG64, count: int) -> np.ndarray:
 
 
 def _vector_pairs(sizes: np.ndarray, n_pairs: int, rng: np.random.Generator):
-    """:func:`_serial_pairs` computed at once on numpy arrays, or ``None``
+    """:func:`_choice_pairs` computed at once on numpy arrays, or ``None``
     with the generator untouched.
 
-    It needs a PCG64 generator and at least 3 classes of at least 3 rows
-    each. Then no population is 1, so every draw takes exactly one word: 4
-    per genuine pair (class, Floyd's two, the swap) and 5 per impostor
-    pair (Floyd's two, the swap, one member per side), and the word of each
-    draw is known before any is made. Lemire's draw of ``n`` from word
-    ``w`` is ``(w * n) >> 32`` unless ``(w * n) mod 2**32 < n``, where it
-    may reject; then the generator is restored and ``None`` returned.
+    The two calls are reproduced from the generator's 32-bit words:
+    ``integers(0, n)`` is Lemire's bounded draw (Lemire 2019, *Fast Random
+    Integer Generation in an Interval*) and ``choice(n, 2, replace=False)``
+    is Floyd's algorithm (Bentley & Floyd 1987, *A sample of brilliance*)
+    over it, then a swap. This needs a PCG64 generator and at least 3
+    classes of at least 3 rows each. Then no population is 1, so every draw
+    takes exactly one word: 4 per genuine pair (class, Floyd's two, the
+    swap) and 5 per impostor pair (Floyd's two, the swap, one member per
+    side), and the word of each draw is known before any is made. Lemire's
+    draw of ``n`` from word ``w`` is ``(w * n) >> 32`` unless
+    ``(w * n) mod 2**32 < n``, where it may reject; then the generator is
+    restored and ``None`` returned, and the caller runs the loop itself.
     """
     bit_generator = rng.bit_generator
     if not (type(bit_generator) is np.random.PCG64 and sizes.size >= 3 and sizes.min() >= 3):
@@ -344,28 +306,27 @@ def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
     (n_pairs, 2) array of row indices.
 
     The pairs and the final generator state are those of the plain loop of
-    ``Generator`` calls: per genuine pair ``choice(eligible)`` then
-    ``choice(members, 2, replace=False)``, per impostor pair
-    ``choice(classes, 2, replace=False)`` then one ``choice(members)`` per
-    side. Both calls are reproduced from the generator's 32-bit words:
-    ``integers(0, n)`` is Lemire's bounded draw (Lemire 2019, *Fast Random
-    Integer Generation in an Interval*) and ``choice(n, 2, replace=False)``
-    is Floyd's algorithm (Bentley & Floyd 1987, *A sample of brilliance*)
-    over it. Draws are positions within a class; one gather maps them to
-    rows at the end.
+    ``Generator`` calls (:func:`_choice_pairs`): per genuine pair
+    ``integers`` over the eligible classes then ``choice(members, 2,
+    replace=False)``, per impostor pair ``choice(classes, 2,
+    replace=False)`` then one ``integers`` per side. Draws are positions
+    within a class; one gather maps them to rows at the end.
 
-    With a PCG64 generator and at least 3 classes of at least 3 rows each,
-    every draw takes one word, so all of them are computed at once from
-    the generator's raw output (:func:`_vector_pairs`). If any draw might
-    have been rejected, the generator is restored and the draws are made
-    one at a time (:func:`_serial_pairs`), as they are for every other
-    generator or layout. ``tests/test_harness.py`` pins both helpers
-    against numpy (``TestExactDraws``) and both paths against the
+    :func:`_vector_pairs` computes all of them in one pass from the
+    generator's raw output. Where it cannot (another bit generator, a class
+    of fewer than 3 rows, fewer than 3 classes, or a draw that Lemire's
+    method might reject) the loop itself runs: there is no second copy of
+    numpy's draws. ``tests/test_harness.py`` pins both paths against the
     ``choice`` loop (``TestPairSampler``, ``TestVectorPairs``).
     """
     order = np.argsort(labels, kind="stable")  # rows grouped by class, ascending
     _, sizes = np.unique(labels[order], return_counts=True)
-    pairs = _vector_pairs(sizes, n_pairs, rng) or _serial_pairs(sizes.tolist(), n_pairs, rng)
+    if sizes.size < 2 or sizes.max() < 2:
+        raise ContractError(
+            "verification pairs need two classes and a class of two rows, "
+            f"got class sizes {sizes.tolist()}"
+        )
+    pairs = _vector_pairs(sizes, n_pairs, rng) or _choice_pairs(sizes.tolist(), n_pairs, rng)
     genuine, impostor = pairs
     return order[genuine], order[impostor]
 

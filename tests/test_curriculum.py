@@ -12,7 +12,6 @@ from taskweave.curriculum import (
     BALANCED,
     BLOCKED,
     Trainer,
-    balanced_allocation,
     blocked_schedule,
     distance_from_goal,
     online_accuracy,
@@ -28,15 +27,6 @@ from taskweave.seeding import stream
 
 
 class TestAllocationFormulas:
-    def test_balanced_four_tasks(self):
-        assert balanced_allocation(4, 1) == [1, 1, 1, 1]
-
-    def test_balanced_three_each(self):
-        assert balanced_allocation(4, 3) == [3, 3, 3, 3]
-
-    def test_balanced_single_task(self):
-        assert balanced_allocation(1, 5) == [5]
-
     def test_relative_improvement_direct(self):
         assert abs(relative_improvement(0.5, 0.6, 2, 1e-8) - (0.1 + 1e-8)) < 1e-12
 

@@ -1,5 +1,6 @@
 """Config parsing, the experiment runner, artifact layout, and the CLI."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,12 +19,9 @@ from taskweave.errors import ContractError, NumericError, ValidationError
 from taskweave.experiments import (
     RunResult,
     TaskPairs,
-    _below,
     _compare_forgetting,
     _cosine_auc_eval,
     _sample_pairs,
-    _two,
-    _word_source,
     build_splits,
     bundled_reference_table,
     evaluate_row,
@@ -271,6 +269,14 @@ class TestConfig:
         run(config)
         assert (tmp_path / "out" / "summary.json").is_file()
 
+    def test_adaptive_without_steps_per_epoch_fails_before_any_file(self, tmp_path):
+        config = tiny_config(tmp_path / "out")
+        config.curriculum.mode = "adaptive"
+        config.curriculum.steps_per_epoch = None
+        with pytest.raises(ValidationError, match="config.curriculum.steps_per_epoch"):
+            run(config)
+        assert not (tmp_path / "out").exists()
+
     def test_goal_for_unknown_task(self, tmp_path):
         payload = default_config(output_dir=str(tmp_path)).to_dict()
         payload["curriculum"]["goals"]["ghost_task"] = 0.9
@@ -491,6 +497,27 @@ class TestPairSampler:
         assert (labels[impostor[:, 0]] != labels[impostor[:, 1]]).all()
         assert (labels[impostor] == 1).any()
 
+    def test_single_class_has_no_impostor_pair(self):
+        with pytest.raises(ContractError, match="two classes"):
+            _sample_pairs(np.zeros(6, dtype=int), 3, np.random.default_rng(0))
+
+    def test_no_class_of_two_rows_has_no_genuine_pair(self):
+        with pytest.raises(ContractError, match="a class of two rows"):
+            _sample_pairs(np.arange(5), 3, np.random.default_rng(0))
+
+
+def eval_layout(layout: str, seed: int, output_dir) -> ExperimentConfig:
+    """The stock config, or its ``scale-scores`` variant: every class four
+    times as large and 6000 pairs per task."""
+    config = default_config(output_dir=str(output_dir), seed=seed)
+    if layout == "scale-scores":
+        config.tasks = [
+            dataclasses.replace(t, samples_per_class=4 * t.samples_per_class)
+            for t in config.tasks
+        ]
+        config.evaluation.verification_pairs = 6000
+    return config
+
 
 def same_state(a, b) -> bool:
     """Bit-generator states equal, arrays (MT19937's key) included."""
@@ -515,13 +542,13 @@ class TestVectorPairs:
     @pytest.fixture
     def serial_calls(self, monkeypatch):
         calls = []
-        original = experiments._serial_pairs
+        original = experiments._choice_pairs
 
         def recording(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(experiments, "_serial_pairs", recording)
+        monkeypatch.setattr(experiments, "_choice_pairs", recording)
         return calls
 
     @pytest.mark.parametrize("seed", range(20))
@@ -567,62 +594,45 @@ class TestVectorPairs:
 
     def test_stock_eval_tasks_take_the_vectorised_path(self, tmp_path, monkeypatch):
         def refuse(*args):
-            raise AssertionError("serial pair draws on the stock config")
+            raise AssertionError("choice-loop pair draws on the stock config")
 
-        monkeypatch.setattr(experiments, "_serial_pairs", refuse)
+        monkeypatch.setattr(experiments, "_choice_pairs", refuse)
         config = default_config(output_dir=str(tmp_path / "out"))
         _, eval_corpus = build_splits(config)
         plan = verification_pair_plan(eval_corpus, config)
         assert list(plan) == [t.name for t in config.tasks]
 
+    # The stock config at its own seed (72025) is the test above.
+    @pytest.mark.parametrize(
+        "layout, seed",
+        [(layout, seed) for layout in ("stock", "scale-scores") for seed in range(1, 21)]
+        + [("scale-scores", 72025)],
+    )
+    def test_eval_tasks_take_the_vectorised_path(self, layout, seed, tmp_path, serial_calls):
+        config = eval_layout(layout, seed, tmp_path / "out")
+        _, eval_corpus = build_splits(config)
+        verification_pair_plan(eval_corpus, config)
+        assert serial_calls == []
 
-class TestExactDraws:
-    """The sampler's helpers against the numpy calls they reproduce: equal
-    values and an equal generator state afterwards, also when the helpers
-    and the generator's own methods take turns on one stream."""
+    def test_scale_layout_falls_back_to_the_choice_loop(self, tmp_path, serial_calls):
+        # At this seed a word of the objects task (10 classes of 320 rows)
+        # might be rejected, so the one-pass draw gives way to the loop.
+        config = eval_layout("scale-scores", 859, tmp_path / "out")
+        _, eval_corpus = build_splits(config)
+        labels = eval_corpus.tasks["objects"].labels
+        rng = stream(config.seed, "pairs", "objects")
+        before = rng.bit_generator.state
+        _, sizes = np.unique(labels, return_counts=True)
+        assert experiments._vector_pairs(sizes, 6000, rng) is None
+        assert same_state(rng.bit_generator.state, before)
 
-    # Above 2**31 about half (2**31 + 1) or a quarter (3 * 2**30) of the
-    # words are rejected, which class-sized populations never reach; 2**32
-    # is the largest population that 32-bit words cover.
-    @pytest.mark.parametrize("n", [1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32])
-    def test_below_is_integers(self, n):
-        rng, reference = np.random.default_rng(n), np.random.default_rng(n)
-        word = _word_source(rng)
-        got = [_below(word, n) for _ in range(400)]
-        assert got == [int(reference.integers(0, n)) for _ in range(400)]
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 5000])
-    def test_two_is_choice_without_replacement(self, n):
-        rng, reference = np.random.default_rng(n), np.random.default_rng(n)
-        word = _word_source(rng)
-        got = [_two(word, n) for _ in range(400)]
-        expected = [tuple(reference.choice(n, size=2, replace=False).tolist()) for _ in range(400)]
-        assert got == expected
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    def test_words_share_the_generator_stream(self):
-        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-        word = _word_source(rng)
-        for n in (7, 2**31 + 1, 2, 5000):
-            assert _below(word, n) == reference.integers(0, n)
-            # A 64-bit draw in between must see the same buffered state.
-            assert rng.random() == reference.random()
-            assert _two(word, n) == tuple(reference.choice(n, size=2, replace=False))
-            assert rng.integers(0, n) == reference.integers(0, n)
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    @pytest.mark.parametrize("n", [0, 2**32 + 1, 2**40])
-    def test_population_outside_32_bit_words_raises(self, n):
-        word = _word_source(np.random.default_rng(0))
-        with pytest.raises(ContractError, match="32-bit"):
-            _below(word, n)
-        with pytest.raises(ContractError, match="32-bit"):
-            _two(word, n)
-
-    def test_single_class_has_no_impostor_pair(self):
-        with pytest.raises(ContractError, match="32-bit"):
-            _sample_pairs(np.zeros(6, dtype=int), 3, np.random.default_rng(0))
+        plan = verification_pair_plan(eval_corpus, config)
+        ((_, _, used),) = serial_calls
+        reference = stream(config.seed, "pairs", "objects")
+        expected = choice_loop_pairs(labels, 6000, reference)
+        np.testing.assert_array_equal(plan["objects"].genuine, expected[0])
+        np.testing.assert_array_equal(plan["objects"].impostor, expected[1])
+        assert same_state(used.bit_generator.state, reference.bit_generator.state)
 
 
 class TestPairPlan:

@@ -3,7 +3,8 @@
 Every name a module imports is used in that module: a minimal unused-import
 lint, so dead imports fail the test suite without an external linter.
 ``__init__.py`` is skipped: its imports are the package's public
-re-exports. No module imports another one's private names, and only
+re-exports. No module imports another one's private names, every
+module-level private name is read somewhere in the package, and only
 ``forking.py`` calls ``os.fork``.
 """
 
@@ -106,6 +107,75 @@ class TestPrivateImports:
     @pytest.mark.parametrize("module", MODULES)
     def test_module_imports_no_private_name(self, module):
         assert private_imports((SRC / module).read_text()) == []
+
+
+def _bound(stmt: ast.stmt) -> set[str]:
+    """The names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {
+        n.id
+        for target in targets
+        if target is not None
+        for n in ast.walk(target)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
+
+
+def _read(stmt: ast.stmt) -> set[str]:
+    """The names a statement reads, as a name, an attribute or inside a
+    string annotation."""
+    names = set(_annotation_names(stmt))
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level ``_names`` of ``sources`` (module name to source)
+    that no module-level statement but their own definition reads, as
+    ``module:name``. A test that uses a helper keeps nothing alive: only
+    the package's own sources are read."""
+    statements = [
+        (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
+    ]
+    reads = [_read(stmt) for _, stmt in statements]
+    return sorted(
+        f"{module}:{name}"
+        for i, (module, stmt) in enumerate(statements)
+        for name in _bound(stmt)
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in r for j, r in enumerate(reads) if j != i)
+    )
+
+
+class TestDeadPrivateNames:
+    def test_checker_finds_unread_private_names(self):
+        sources = {
+            "a": (
+                "_LIMIT = 3\n"
+                "_SPARE: int = 4\n"
+                "__version__ = '1'\n"
+                "public = 5\n"
+                "def _loop(n):\n"
+                "    return _loop(n - 1) if n else 0\n"
+                "def _kept(x) -> '_Shape':\n"
+                "    return x < _LIMIT\n"
+                "class _Shape:\n"
+                "    pass\n"
+            ),
+            "b": "def f(m):\n    return m._kept(1)\n",
+        }
+        assert dead_private_names(sources) == ["a:_SPARE", "a:_loop"]
+
+    def test_package_reads_every_private_name(self):
+        sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+        assert dead_private_names(sources) == []
 
 
 class TestForkOnlyInTheForkHelper:

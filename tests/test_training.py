@@ -33,7 +33,6 @@ from taskweave.curriculum import (
     BLOCKED,
     StepReport,
     Trainer,
-    balanced_allocation,
     balanced_budget,
     balanced_epoch,
     blocked_schedule,
@@ -283,7 +282,7 @@ class ReferenceTrainer(Trainer):
         else:
             mode = self.mode
             if mode == BALANCED:
-                alloc_list = balanced_allocation(self.n_tasks, self.curriculum.batches_per_task)
+                alloc_list = [self.curriculum.batches_per_task] * self.n_tasks
             else:
                 scoring = self._score_tasks()
                 probs = [scoring[name].probability for name in self.task_names]
