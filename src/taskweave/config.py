@@ -8,6 +8,7 @@ so adding one consumer never perturbs another's randomness.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -91,8 +92,9 @@ class CurriculumConfig:
     steps_per_epoch: int | None = None
     subsample: dict[str, float] = field(default_factory=dict)
 
-    def validate(self, n_tasks: int) -> None:
-        """Scheduler settings checked against the number of tasks trained."""
+    def validate(self, task_names: Sequence[str]) -> None:
+        """Scheduler settings checked against the tasks trained."""
+        n_tasks = len(task_names)
         if self.epsilon <= 0:
             raise ConfigurationError("epsilon must be positive")
         if self.floor < 0 or self.floor * n_tasks >= 1:
@@ -108,6 +110,9 @@ class CurriculumConfig:
         for task, goal in self.goals.items():
             if not 0.0 < goal <= 1.0:
                 raise ConfigurationError(f"goal for task {task!r} must lie in (0, 1]")
+        missing = sorted(set(task_names) - set(self.goals))
+        if missing:
+            raise ConfigurationError(f"goals missing for tasks: {missing}")
 
 
 @dataclass
@@ -174,12 +179,17 @@ class ExperimentConfig:
         if bad:
             raise ValidationError(f"unknown evaluation suite(s) {bad} in config.evaluation")
         names = {t.name for t in self.tasks}
+        self.curriculum.validate([t.name for t in self.tasks])
         for task in self.curriculum.goals:
             if task not in names:
                 raise ValidationError(f"curriculum goal names unknown task {task!r}")
-        for task in self.curriculum.subsample:
+        for task, fraction in self.curriculum.subsample.items():
             if task not in names:
                 raise ValidationError(f"subsample names unknown task {task!r}")
+            if not 0.0 < fraction <= 1.0:
+                raise ValidationError(
+                    f"config.curriculum.subsample[{task!r}] must lie in (0, 1], got {fraction!r}"
+                )
         if self.forgetting.pretrain_task and self.forgetting.pretrain_task not in names:
             raise ValidationError(
                 f"forgetting pretrain_task {self.forgetting.pretrain_task!r} is not a task"
@@ -206,6 +216,12 @@ class ExperimentConfig:
                 f"config.evaluation.far_values must be distinct numbers in (0, 1), got {fars!r}"
             )
         _check_int(ev.probe_folds, "config.evaluation.probe_folds", 2)
+        _check_int(ev.projection_max_pcs, "config.evaluation.projection_max_pcs", 1)
+        if not 0.0 < ev.variance_fraction <= 1.0:
+            raise ValidationError(
+                "config.evaluation.variance_fraction must lie in (0, 1], "
+                f"got {ev.variance_fraction!r}"
+            )
         _check_int(ev.probe_window, "config.evaluation.probe_window", 1, self.encoder.embedding_dim)
         # A batch-hard batch needs a second row per id for its positives and a
         # second id for its negatives, and every task must offer P ids.

@@ -263,10 +263,7 @@ class Trainer:
     ):
         if mode not in MODES:
             raise ConfigurationError(f"unknown curriculum mode {mode!r}")
-        curriculum.validate(len(task_data))
-        missing = sorted(set(task_data) - set(curriculum.goals))
-        if missing:
-            raise ConfigurationError(f"goals missing for tasks: {missing}")
+        curriculum.validate(list(task_data))
         self.mode = mode
         self.task_names = list(task_data)
         self.task_data = task_data
@@ -467,13 +464,13 @@ def balanced_budget(
     positives: int,
     seed: int,
     epochs: int,
-    loader_stream: str = "loader",
 ) -> int:
     """The batch total of ``epochs`` balanced epochs of a Trainer seeded
-    ``seed``, found before any training: the same loaders replay the same
-    draws through the same epoch rule, with no kernel call. The total
-    depends on the loaders alone, so it is the trainer's own."""
-    loaders = make_loaders(task_data, curriculum, seed, loader_stream)
+    ``seed``, found before any training: the same loaders, on the
+    trainer's default ``"loader"`` stream, replay the same draws through the
+    same epoch rule, with no kernel call. The total depends on the loaders
+    alone, so it is the trainer's own."""
+    loaders = make_loaders(task_data, curriculum, seed, "loader")
     per_task = curriculum.batches_per_task
     allocations = dict.fromkeys(loaders, per_task)
 

@@ -224,30 +224,6 @@ def _choice_pairs(sizes: list[int], n_pairs: int, rng: np.random.Generator):
     return genuine, impostor
 
 
-def _next_words(bit_generator: np.random.PCG64, count: int) -> np.ndarray:
-    """The next ``count`` 32-bit words of a PCG64 generator, as ``uint64``,
-    in the order its ``next_uint32`` yields them: a buffered word first,
-    then the low and the high half of each 64-bit output. The generator is
-    left where ``count`` calls of ``next_uint32`` leave it, buffer included:
-    an unused high half stays buffered, and a drained buffer keeps its
-    stale word."""
-    state = bit_generator.state
-    buffered = int(bool(state["has_uint32"] and count))
-    n_raw = (count - buffered + 1) // 2
-    raw = bit_generator.random_raw(n_raw)
-    words = np.empty(buffered + 2 * n_raw, dtype=np.uint64)
-    words[:buffered] = state["uinteger"]
-    words[buffered::2] = raw & 0xFFFFFFFF
-    words[buffered + 1 :: 2] = raw >> 32
-    if count:
-        state = bit_generator.state
-        state["has_uint32"] = int(words.size > count)
-        if n_raw:
-            state["uinteger"] = int(raw[-1] >> 32)
-        bit_generator.state = state
-    return words[:count]
-
-
 def _vector_pairs(sizes: np.ndarray, n_pairs: int, rng: np.random.Generator):
     """:func:`_choice_pairs` computed at once on numpy arrays, or ``None``
     with the generator untouched.
@@ -256,20 +232,23 @@ def _vector_pairs(sizes: np.ndarray, n_pairs: int, rng: np.random.Generator):
     ``integers(0, n)`` is Lemire's bounded draw (Lemire 2019, *Fast Random
     Integer Generation in an Interval*) and ``choice(n, 2, replace=False)``
     is Floyd's algorithm (Bentley & Floyd 1987, *A sample of brilliance*)
-    over it, then a swap. This needs a PCG64 generator and at least 3
-    classes of at least 3 rows each. Then no population is 1, so every draw
-    takes exactly one word: 4 per genuine pair (class, Floyd's two, the
-    swap) and 5 per impostor pair (Floyd's two, the swap, one member per
-    side), and the word of each draw is known before any is made. Lemire's
-    draw of ``n`` from word ``w`` is ``(w * n) >> 32`` unless
-    ``(w * n) mod 2**32 < n``, where it may reject; then the generator is
-    restored and ``None`` returned, and the caller runs the loop itself.
+    over it, then a swap. This needs at least 3 classes of at least 3 rows
+    each. Then no population is 1, so every draw takes exactly one word: 4
+    per genuine pair (class, Floyd's two, the swap) and 5 per impostor pair
+    (Floyd's two, the swap, one member per side), and the word of each draw
+    is known before any is made. ``integers(0, 2**32, dtype=np.uint32)``
+    reads those words, one ``next_uint32`` each, on any bit generator and
+    with PCG64's buffered half-word kept. Lemire's draw of ``n`` from word
+    ``w`` is ``(w * n) >> 32`` unless ``(w * n) mod 2**32 < n``, where it
+    may reject; then the generator is restored and ``None`` returned, and
+    the caller runs the loop itself.
     """
-    bit_generator = rng.bit_generator
-    if not (type(bit_generator) is np.random.PCG64 and sizes.size >= 3 and sizes.min() >= 3):
+    if not (sizes.size >= 3 and sizes.min() >= 3):
         return None
+    bit_generator = rng.bit_generator
     snapshot = bit_generator.state
-    words = _next_words(bit_generator, 9 * n_pairs)
+    # uint64, so that ``w * n`` keeps its high word on numpy 1.x as on 2.x.
+    words = rng.integers(0, 2**32, size=9 * n_pairs, dtype=np.uint32).astype(np.uint64)
     risky = np.zeros(n_pairs, dtype=bool)
     starts = np.cumsum(sizes) - sizes
 
@@ -313,7 +292,7 @@ def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
     within a class; one gather maps them to rows at the end.
 
     :func:`_vector_pairs` computes all of them in one pass from the
-    generator's raw output. Where it cannot (another bit generator, a class
+    generator's 32-bit words, on any bit generator. Where it cannot (a class
     of fewer than 3 rows, fewer than 3 classes, or a draw that Lemire's
     method might reject) the loop itself runs: there is no second copy of
     numpy's draws. ``tests/test_harness.py`` pins both paths against the

@@ -70,14 +70,14 @@ def pca(X: np.ndarray, center: bool = True, source_task: str = "") -> Subspace:
 def task_subspace(
     X: np.ndarray,
     variance_fraction: float = DEFAULT_VARIANCE_FRACTION,
-    center: bool = True,
     source_task: str = "",
 ) -> Subspace:
-    """PCA truncated at the smallest dimension whose cumulative eigenvalue
-    share reaches ``variance_fraction`` (full numerical rank at 1.0)."""
+    """Centred PCA truncated at the smallest dimension whose cumulative
+    eigenvalue share reaches ``variance_fraction`` (full numerical rank at
+    1.0)."""
     if not 0.0 < variance_fraction <= 1.0:
         raise ContractError("variance_fraction must lie in (0, 1]")
-    full = pca(X, center=center, source_task=source_task)
+    full = pca(X, source_task=source_task)
     total = full.eigvals.sum()
     if total == 0.0:
         return full.truncated(1)
@@ -161,38 +161,18 @@ def _probe_objective(
 
 
 def _row_sums(E: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(E, axis=1)`` bit for bit, added column by column.
+    """``np.add.reduce(E, axis=1)`` bit for bit.
 
-    numpy sums each row from +0.0 in its pairwise order: sequential below 8
-    terms, else 8 running sums combined as a tree and then the tail, with
-    more than 128 terms split in halves rounded down to a multiple of 8.
-    Over whole columns the same adds skip a short-axis reduction's per-row
-    overhead.
+    numpy sums each row from +0.0, sequentially below 8 terms. There the
+    same adds, column by column, skip a short-axis reduction's per-row
+    overhead; the probe has one column per task. From 8 columns on numpy's
+    pairwise order applies, and numpy's own reduction runs.
     """
     n = E.shape[1]
-    if n < 8:
-        total = E[:, 0] + 0.0
-        for j in range(1, n):
-            total += E[:, j]
-        return total
-    total = _pairwise_columns(E, 0, n)
-    total += 0.0
-    return total
-
-
-def _pairwise_columns(E: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """The sum of the ``n >= 8`` columns of ``E`` from ``lo``, in numpy's
-    pairwise order."""
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_columns(E, lo, half) + _pairwise_columns(E, lo + half, n - half)
-    blocks = n - n % 8
-    r = [E[:, lo + j] for j in range(8)]
-    for i in range(lo + 8, lo + blocks, 8):
-        r = [r[j] + E[:, i + j] for j in range(8)]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for j in range(lo + blocks, lo + n):
+    if n >= 8:
+        return np.add.reduce(E, axis=1)
+    total = E[:, 0] + 0.0
+    for j in range(1, n):
         total += E[:, j]
     return total
 

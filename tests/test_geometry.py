@@ -425,9 +425,9 @@ class TestProbeKernelOracle:
 
 
 class TestRowSums:
-    """The probe objective's column-wise row sum is numpy's reduction bit for
-    bit: sequential below 8 columns, pairwise blocks of 8 above, halves past
-    128, signed zeros included."""
+    """The probe objective's row sum is numpy's reduction bit for bit,
+    signed zeros included: a sequential column fold below 8 columns, numpy's
+    own pairwise reduction from 8 on."""
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -15,7 +15,7 @@ import taskweave
 from taskweave import experiments
 from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
-from taskweave.errors import ContractError, NumericError, ValidationError
+from taskweave.errors import ConfigurationError, ContractError, NumericError, ValidationError
 from taskweave.experiments import (
     RunResult,
     TaskPairs,
@@ -586,11 +586,23 @@ class TestVectorPairs:
         self.assert_matches_choice_loop(self.EVEN, 40, rng, reference)
         assert len(serial_calls) == 1
 
-    def test_other_bit_generators_take_the_serial_path(self, serial_calls):
-        rng = np.random.Generator(np.random.MT19937(0))
-        reference = np.random.Generator(np.random.MT19937(0))
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM],
+        ids=lambda g: g.__name__,
+    )
+    def test_other_bit_generators_take_the_vectorised_path(
+        self, bit_generator, buffered, serial_calls
+    ):
+        rng, reference = (np.random.Generator(bit_generator(0)) for _ in range(2))
+        if buffered:
+            rng.integers(0, 5)
+            reference.integers(0, 5)
+            # MT19937 makes 32-bit words natively and keeps no buffer.
+            assert rng.bit_generator.state.get("has_uint32", 1) == 1
         self.assert_matches_choice_loop(self.EVEN, 300, rng, reference)
-        assert len(serial_calls) == 1
+        assert serial_calls == []
 
     def test_stock_eval_tasks_take_the_vectorised_path(self, tmp_path, monkeypatch):
         def refuse(*args):
@@ -763,6 +775,48 @@ class TestValidateOnEntry:
         setattr(config.batch, field, value)
         with pytest.raises(ValidationError, match=f"config.batch.{field}"):
             run(config)
+        assert files_under(out) == {"summary.json"}
+
+    STOCK_GOALS = {"objects": 0.95, "faces_hq": 0.95, "faces_lq": 0.9, "persons": 0.95}
+    # (section, field, value, error, match): settings that the trainers, the
+    # loaders or the geometry suite would reject, or, for
+    # projection_max_pcs = 0, accept with empty projection tables.
+    BAD_SETTINGS = {
+        "epsilon": ("curriculum", "epsilon", 0.0, ConfigurationError, "epsilon"),
+        "floor": ("curriculum", "floor", 0.3, ConfigurationError, "floor"),
+        "goal_value": (
+            "curriculum", "goals", {**STOCK_GOALS, "faces_lq": 1.5}, ConfigurationError,
+            "goal for task 'faces_lq'",
+        ),
+        "missing_goal": (
+            "curriculum", "goals", {t: g for t, g in STOCK_GOALS.items() if t != "persons"},
+            ConfigurationError,
+            r"goals missing for tasks: \['persons'\]",
+        ),
+        "subsample": (
+            "curriculum", "subsample", {"persons": 0.0}, ValidationError,
+            r"config.curriculum.subsample\['persons'\]",
+        ),
+        "accuracy_cadence": ("curriculum", "accuracy_cadence", 0, ConfigurationError, "cadence"),
+        "probe_batches": ("curriculum", "probe_batches", 0, ConfigurationError, "probe_batches"),
+        "total_batches": ("curriculum", "total_batches", 0, ConfigurationError, "total_batches"),
+        "variance_fraction": (
+            "evaluation", "variance_fraction", 1.5, ValidationError, "variance_fraction",
+        ),
+        "projection_max_pcs": (
+            "evaluation", "projection_max_pcs", 0, ValidationError, "projection_max_pcs",
+        ),
+    }
+
+    @pytest.mark.parametrize("setting", sorted(BAD_SETTINGS))
+    @pytest.mark.parametrize("entry", [run, run_forgetting_comparison], ids=lambda f: f.__name__)
+    def test_every_setting_fails_before_any_file(self, tmp_path, entry, setting):
+        section, field, value, error, match = self.BAD_SETTINGS[setting]
+        out = self.earlier_run(tmp_path)
+        config = tiny_config(out)
+        setattr(getattr(config, section), field, value)
+        with pytest.raises(error, match=match):
+            entry(config)
         assert files_under(out) == {"summary.json"}
 
     def test_seed_override_is_validated(self, tmp_path):

@@ -1018,17 +1018,11 @@ class TestParallelFinetunes:
     def test_this_process_fires_every_expected_span(self, monkeypatch, tmp_path, cpus):
         # The benchmark traces only this process, so the fine-tune kept here
         # must reach every span its worker predicts for the workload.
-        # worker.py imports the tracer as the top-level module ``tracer``.
-        tracer = load_tracer(monkeypatch, "tracer")
-        path = ROOT / "perfbench" / "worker.py"
-        spec = importlib.util.spec_from_file_location("perfbench_worker", path)
-        worker = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, worker)
-        spec.loader.exec_module(worker)
+        worker = load_worker(monkeypatch)
         self.force_cpus(monkeypatch, cpus)
         counts = []
         for run_index in range(2):
-            with tracer.Tracer() as traced:
+            with worker.Tracer() as traced:
                 # Looked up on the module so the tracer's wrapper runs.
                 experiments.run_forgetting_comparison(
                     forgetting_config(tmp_path / str(run_index))
@@ -1098,6 +1092,33 @@ def load_tracer(monkeypatch, name="perfbench_tracer"):
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def load_worker(monkeypatch):
+    # worker.py imports the tracer as the top-level module ``tracer``.
+    load_tracer(monkeypatch, "tracer")
+    path = ROOT / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, worker)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+class TestBenchmarkConfigs:
+    """Every benchmark workload's config validates, so a stricter
+    ``validate`` cannot break the benchmark at set-up unseen."""
+
+    WORKLOADS = ("pipeline", "forgetting", "scale-scores")
+
+    @pytest.mark.parametrize("seed", [1, 72025])
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_builds_and_validates(self, monkeypatch, tmp_path, workload, seed):
+        worker = load_worker(monkeypatch)
+        assert worker.WORKLOADS == self.WORKLOADS
+        config = worker.build_config(workload, seed, tmp_path / "out")
+        config.validate()
+        assert not (tmp_path / "out").exists()
 
 
 class TestStepSpans:
