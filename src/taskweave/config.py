@@ -8,9 +8,11 @@ so adding one consumer never perturbs another's randomness.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .datagen import CorpusSpec, TaskGenSpec
 from .errors import ConfigurationError, ValidationError
@@ -24,10 +26,39 @@ def _check_keys(section: dict, allowed: set[str], path: str) -> None:
         raise ValidationError(f"unknown key(s) {unknown} in {path}")
 
 
+def _conforms(value, hint) -> bool:
+    """``value`` has the annotated type ``hint``. A bool is not a number,
+    and an int is a float."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if get_origin(hint) is dict:
+        return isinstance(value, dict) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items()
+        )
+    if args:  # a union such as ``int | None``
+        return any(_conforms(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_types(cls, values: dict, path: str) -> None:
+    """Each of ``values`` must have the annotated type of its field of the
+    dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in values and not _conforms(values[f.name], hints[f.name]):
+            raise ValidationError(
+                f"{path}.{f.name} must be of type {f.type}, got {values[f.name]!r}"
+            )
+
+
 def _section(cls, section: dict, path: str):
     """Build the dataclass ``cls`` from one JSON section whose keys must be
-    among its fields."""
+    among its fields and whose values must have the fields' types."""
     _check_keys(section, {f.name for f in fields(cls)}, path)
+    _check_types(cls, section, path)
     return cls(**section)
 
 
@@ -173,6 +204,18 @@ class ExperimentConfig:
         from .curriculum import ADAPTIVE, MODES
 
         _check_int(self.seed, "config.seed", 0)
+        opt = self.optimizer
+        for name, ok, rule in (
+            ("learning_rate", 0 < opt.learning_rate < math.inf, "a finite number > 0"),
+            ("beta1", 0 <= opt.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= opt.beta2 < 1, "in [0, 1)"),
+            ("epsilon", 0 < opt.epsilon < math.inf, "a finite number > 0"),
+            ("weight_decay", 0 <= opt.weight_decay < math.inf, "a finite number >= 0"),
+        ):
+            if not ok:
+                raise ValidationError(
+                    f"config.optimizer.{name} must be {rule}, got {getattr(opt, name)!r}"
+                )
         if self.curriculum.mode not in MODES:
             raise ValidationError(f"unknown curriculum mode {self.curriculum.mode!r}")
         bad = sorted(set(self.evaluation.suites) - {"scores", "geometry"})
@@ -242,6 +285,8 @@ class ExperimentConfig:
             raise ValidationError(f"unsupported schema_version {version!r}")
         corpus = _require(d, "corpus", "config")
         _check_keys(corpus, {"ambient_dim", "tasks"}, "config.corpus")
+        _check_types(cls, {k: d[k] for k in ("output_dir", "margin") if k in d}, "config")
+        _check_types(cls, {k: corpus[k] for k in ("ambient_dim",) if k in corpus}, "config.corpus")
         tasks = [
             _section(TaskGenSpec, t, f"config.corpus.tasks[{i}]")
             for i, t in enumerate(_require(corpus, "tasks", "config.corpus"))

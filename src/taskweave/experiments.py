@@ -207,96 +207,17 @@ def _records(trainer: Trainer) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _choice_pairs(sizes: list[int], n_pairs: int, rng: np.random.Generator):
-    """The pairs as positions in class-sorted rows, one ``Generator`` call
-    per draw: the loop that :func:`_vector_pairs` reproduces."""
-    integers, choice = rng.integers, rng.choice
-    starts = np.cumsum([0, *sizes[:-1]]).tolist()
-    eligible = [c for c, size in enumerate(sizes) if size >= 2]
-    genuine = np.empty((n_pairs, 2), dtype=int)
-    for i in range(n_pairs):
-        c = eligible[integers(0, len(eligible))]
-        genuine[i] = starts[c] + choice(sizes[c], size=2, replace=False)
-    impostor = np.empty((n_pairs, 2), dtype=int)
-    for i in range(n_pairs):
-        a, b = choice(len(sizes), size=2, replace=False)
-        impostor[i] = starts[a] + integers(0, sizes[a]), starts[b] + integers(0, sizes[b])
-    return genuine, impostor
-
-
-def _vector_pairs(sizes: np.ndarray, n_pairs: int, rng: np.random.Generator):
-    """:func:`_choice_pairs` computed at once on numpy arrays, or ``None``
-    with the generator untouched.
-
-    The two calls are reproduced from the generator's 32-bit words:
-    ``integers(0, n)`` is Lemire's bounded draw (Lemire 2019, *Fast Random
-    Integer Generation in an Interval*) and ``choice(n, 2, replace=False)``
-    is Floyd's algorithm (Bentley & Floyd 1987, *A sample of brilliance*)
-    over it, then a swap. This needs at least 3 classes of at least 3 rows
-    each. Then no population is 1, so every draw takes exactly one word: 4
-    per genuine pair (class, Floyd's two, the swap) and 5 per impostor pair
-    (Floyd's two, the swap, one member per side), and the word of each draw
-    is known before any is made. ``integers(0, 2**32, dtype=np.uint32)``
-    reads those words, one ``next_uint32`` each, on any bit generator and
-    with PCG64's buffered half-word kept. Lemire's draw of ``n`` from word
-    ``w`` is ``(w * n) >> 32`` unless ``(w * n) mod 2**32 < n``, where it
-    may reject; then the generator is restored and ``None`` returned, and
-    the caller runs the loop itself.
-    """
-    if not (sizes.size >= 3 and sizes.min() >= 3):
-        return None
-    bit_generator = rng.bit_generator
-    snapshot = bit_generator.state
-    # uint64, so that ``w * n`` keeps its high word on numpy 1.x as on 2.x.
-    words = rng.integers(0, 2**32, size=9 * n_pairs, dtype=np.uint32).astype(np.uint64)
-    risky = np.zeros(n_pairs, dtype=bool)
-    starts = np.cumsum(sizes) - sizes
-
-    def below(w: np.ndarray, n) -> np.ndarray:
-        n = np.asarray(n, dtype=np.uint64)
-        m = w * n
-        risky[:] |= (m & 0xFFFFFFFF) < n
-        return (m >> 32).astype(np.intp)
-
-    def two(w: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
-        a = below(w[:, 0], n - 1)
-        b = below(w[:, 1], n)
-        b = np.where(b == a, n - 1, b)
-        keep = below(w[:, 2], 2) == 1
-        return np.where(keep, a, b), np.where(keep, b, a)
-
-    g = words[: 4 * n_pairs].reshape(n_pairs, 4)
-    c = below(g[:, 0], sizes.size)
-    a, b = two(g[:, 1:], sizes[c])
-    genuine = np.column_stack([starts[c] + a, starts[c] + b])
-    w = words[4 * n_pairs :].reshape(n_pairs, 5)
-    a, b = two(w, sizes.size)
-    impostor = np.column_stack(
-        [starts[a] + below(w[:, 3], sizes[a]), starts[b] + below(w[:, 4], sizes[b])]
-    )
-    if risky.any():
-        bit_generator.state = snapshot
-        return None
-    return genuine, impostor
-
-
 def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
     """Index pairs for verification scoring: (genuine, impostor), each an
     (n_pairs, 2) array of row indices.
 
-    The pairs and the final generator state are those of the plain loop of
-    ``Generator`` calls (:func:`_choice_pairs`): per genuine pair
-    ``integers`` over the eligible classes then ``choice(members, 2,
-    replace=False)``, per impostor pair ``choice(classes, 2,
-    replace=False)`` then one ``integers`` per side. Draws are positions
-    within a class; one gather maps them to rows at the end.
-
-    :func:`_vector_pairs` computes all of them in one pass from the
-    generator's 32-bit words, on any bit generator. Where it cannot (a class
-    of fewer than 3 rows, fewer than 3 classes, or a draw that Lemire's
-    method might reject) the loop itself runs: there is no second copy of
-    numpy's draws. ``tests/test_harness.py`` pins both paths against the
-    ``choice`` loop (``TestPairSampler``, ``TestVectorPairs``).
+    A genuine pair is a class drawn uniformly from those of at least two
+    rows, then two distinct members of it drawn uniformly. An impostor pair
+    is two distinct classes drawn uniformly, then one member of each. Each
+    distinct draw takes ``a`` below ``n`` and ``b`` below ``n - 1`` and
+    shifts ``b`` past ``a``. Every draw is one vector ``Generator.integers``
+    call, so the pairs follow numpy's ``integers`` stream, which NEP 19 does
+    not pin across numpy versions.
     """
     order = np.argsort(labels, kind="stable")  # rows grouped by class, ascending
     _, sizes = np.unique(labels[order], return_counts=True)
@@ -305,8 +226,21 @@ def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
             "verification pairs need two classes and a class of two rows, "
             f"got class sizes {sizes.tolist()}"
         )
-    pairs = _vector_pairs(sizes, n_pairs, rng) or _choice_pairs(sizes.tolist(), n_pairs, rng)
-    genuine, impostor = pairs
+    starts = np.cumsum(sizes) - sizes
+
+    def distinct(n) -> tuple[np.ndarray, np.ndarray]:
+        a = rng.integers(0, n, size=n_pairs)
+        b = rng.integers(0, n - 1, size=n_pairs)
+        return a, b + (b >= a)
+
+    eligible = np.flatnonzero(sizes >= 2)
+    c = eligible[rng.integers(0, eligible.size, size=n_pairs)]
+    a, b = distinct(sizes[c])
+    genuine = np.column_stack([starts[c] + a, starts[c] + b])
+    ca, cb = distinct(sizes.size)
+    impostor = np.column_stack(
+        [starts[ca] + rng.integers(0, sizes[ca]), starts[cb] + rng.integers(0, sizes[cb])]
+    )
     return order[genuine], order[impostor]
 
 

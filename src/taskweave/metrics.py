@@ -47,16 +47,17 @@ def tar_at_far(genuine_scores, impostor_scores, far: float) -> float:
     _require_finite(genuine, impostor)
     if not 0.0 < far < 1.0:
         raise ContractError("far must lie in (0, 1)")
-    candidates = np.unique(impostor)
-    n = impostor.size
-    # Fraction of impostors >= each candidate, nonincreasing in the candidate.
-    counts = n - np.searchsorted(np.sort(impostor), candidates, side="left")
-    rates = counts / n
-    admissible = candidates[rates <= far]
+    ranked = np.sort(impostor)
+    n = ranked.size
+    # The first entry of each run of ties: n - i impostors score >= it, a
+    # fraction nonincreasing in i, so the first admissible start is the
+    # smallest admissible threshold.
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    admissible = starts[(n - starts) / n <= far]
     if admissible.size:
-        threshold = admissible.min()
+        threshold = ranked[admissible[0]]
     else:
-        threshold = np.nextafter(candidates.max(), np.inf)
+        threshold = np.nextafter(ranked[-1], np.inf)
     return float((genuine >= threshold).mean())
 
 

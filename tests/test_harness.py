@@ -1,8 +1,8 @@
 """Config parsing, the experiment runner, artifact layout, and the CLI."""
 
-import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +12,6 @@ import pytest
 from click.testing import CliRunner
 
 import taskweave
-from taskweave import experiments
 from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
 from taskweave.errors import ConfigurationError, ContractError, NumericError, ValidationError
@@ -259,6 +258,51 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"config.{section}.{field}"):
             ExperimentConfig.from_file(path)
 
+    # A number written as a JSON string used to raise a bare TypeError
+    # inside validate() (epsilon, subsample, variance_fraction, ambient_dim)
+    # or pass unchecked (the optimizer's fields, margin).
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("curriculum.epsilon", "1e-8"),
+            ("curriculum.subsample", {"persons": "0.5"}),
+            ("curriculum.goals", {"objects": "0.95"}),
+            ("curriculum.total_batches", "8"),
+            ("evaluation.variance_fraction", "0.9"),
+            ("evaluation.far_values", ["0.01"]),
+            ("optimizer.learning_rate", "0.1"),
+            ("optimizer.beta1", True),
+            ("optimizer.learning_rate", False),
+            ("encoder.hidden_dims", [48.0]),
+            ("encoder.embedding_dim", "24"),
+            ("corpus.tasks[0].classes", "10"),
+            ("corpus.tasks[0].within_class_spread", None),
+            ("corpus.ambient_dim", "24"),
+            ("margin", "0.35"),
+            ("output_dir", 5),
+        ],
+    )
+    def test_values_must_have_their_field_types(self, tmp_path, where, value):
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        *keys, field = re.split(r"\.|\[", where.replace("]", ""))
+        target = payload
+        for key in keys:
+            target = target[int(key) if key.isdigit() else key]
+        target[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=re.escape(f"config.{where} must be of type")):
+            ExperimentConfig.from_file(path)
+
+    def test_an_integer_is_a_number(self, tmp_path):
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        payload["optimizer"].update(learning_rate=1, beta1=0, weight_decay=0)
+        payload["evaluation"]["variance_fraction"] = 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        loaded = ExperimentConfig.from_file(path)
+        assert loaded.optimizer.learning_rate == 1 and loaded.evaluation.variance_fraction == 1
+
     def test_smallest_scoring_settings_run(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         config.curriculum.steps_per_epoch = None
@@ -447,21 +491,33 @@ class TestProjectedAuc:
             evaluate(coords)
 
 
-def choice_loop_pairs(labels, n_pairs, rng):
-    """The plain sampler: every draw a ``Generator.choice`` call."""
-    classes = np.unique(labels)
-    members = {int(c): np.flatnonzero(labels == c) for c in classes}
-    eligible = [c for c in classes if members[int(c)].size >= 2]
-    genuine = np.empty((n_pairs, 2), dtype=int)
-    for i in range(n_pairs):
-        c = int(rng.choice(eligible))
-        genuine[i] = rng.choice(members[c], size=2, replace=False)
-    impostor = np.empty((n_pairs, 2), dtype=int)
-    for i in range(n_pairs):
-        a, b = rng.choice(classes, size=2, replace=False)
-        impostor[i, 0] = rng.choice(members[int(a)])
-        impostor[i, 1] = rng.choice(members[int(b)])
-    return genuine, impostor
+def positions(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's position among the rows of its class, in row order."""
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    position = np.empty(labels.size, dtype=int)
+    position[order] = np.arange(labels.size) - np.repeat(starts, sizes)
+    return position[rows]
+
+
+def assert_near_uniform(codes: np.ndarray, n_values: int) -> None:
+    """Every one of ``n_values`` outcomes is drawn, each count within five
+    binomial standard deviations of ``codes.size / n_values``."""
+    counts = np.bincount(codes, minlength=n_values)
+    assert counts.size == n_values
+    p = 1.0 / n_values
+    assert np.abs(counts - codes.size * p).max() <= 5 * np.sqrt(codes.size * p * (1 - p))
+
+
+def assert_valid_pairs(labels: np.ndarray, genuine: np.ndarray, impostor: np.ndarray) -> None:
+    """Genuine pairs are two distinct rows of one class, impostor pairs two
+    rows of distinct classes."""
+    for pairs in (genuine, impostor):
+        assert pairs.ndim == 2 and pairs.shape[1] == 2
+        assert ((0 <= pairs) & (pairs < labels.size)).all()
+    assert (genuine[:, 0] != genuine[:, 1]).all()
+    assert (labels[genuine[:, 0]] == labels[genuine[:, 1]]).all()
+    assert (labels[impostor[:, 0]] != labels[impostor[:, 1]]).all()
 
 
 class TestPairSampler:
@@ -476,26 +532,70 @@ class TestPairSampler:
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_choice_loop(self, layout, seed):
+    def test_pairs_are_valid_and_repeat_for_a_seed(self, layout, seed):
         labels = self.LAYOUTS[layout]
-        expected = choice_loop_pairs(labels, 300, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        got = _sample_pairs(labels, 300, rng)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_array_equal(got[1], expected[1])
-        # Both samplers leave the stream at the same point.
-        reference = np.random.default_rng(seed)
-        choice_loop_pairs(labels, 300, reference)
-        assert rng.integers(0, 2**62) == reference.integers(0, 2**62)
+        genuine, impostor = _sample_pairs(labels, 300, np.random.default_rng(seed))
+        assert genuine.shape == impostor.shape == (300, 2)
+        assert_valid_pairs(labels, genuine, impostor)
+        again = _sample_pairs(labels, 300, np.random.default_rng(seed))
+        np.testing.assert_array_equal(again[0], genuine)
+        np.testing.assert_array_equal(again[1], impostor)
+
+    @pytest.mark.parametrize("layout", ["balanced", "uneven_shuffled"])
+    def test_genuine_draws_are_uniform(self, layout):
+        # Uniform over the eligible classes, then over the ordered pairs of
+        # distinct members of the class drawn.
+        labels = self.LAYOUTS[layout]
+        genuine, _ = _sample_pairs(labels, 30_000, np.random.default_rng(3))
+        classes, sizes = np.unique(labels, return_counts=True)
+        eligible = classes[sizes >= 2]
+        cls = labels[genuine[:, 0]]
+        assert_near_uniform(np.searchsorted(eligible, cls), eligible.size)
+        a, b = positions(labels, genuine[:, 0]), positions(labels, genuine[:, 1])
+        for c, size in zip(classes, sizes):
+            if size >= 2:
+                mine = cls == c
+                # Ordered pairs of distinct members, coded 0 .. size·(size − 1) − 1.
+                codes = a[mine] * (size - 1) + b[mine] - (b[mine] > a[mine])
+                assert_near_uniform(codes, size * (size - 1))
+
+    @pytest.mark.parametrize("layout", ["balanced", "uneven_shuffled"])
+    def test_impostor_draws_are_uniform(self, layout):
+        # Uniform over the ordered pairs of distinct classes, then over the
+        # members of each side's class.
+        labels = self.LAYOUTS[layout]
+        _, impostor = _sample_pairs(labels, 30_000, np.random.default_rng(4))
+        classes, sizes = np.unique(labels, return_counts=True)
+        ca = np.searchsorted(classes, labels[impostor[:, 0]])
+        cb = np.searchsorted(classes, labels[impostor[:, 1]])
+        n = classes.size
+        assert_near_uniform(ca * (n - 1) + cb - (cb > ca), n * (n - 1))
+        for side, cls in ((0, ca), (1, cb)):
+            members = positions(labels, impostor[:, side])
+            for c, size in enumerate(sizes):
+                if size >= 2:
+                    assert_near_uniform(members[cls == c], size)
 
     def test_singleton_class_never_forms_a_genuine_pair(self):
         labels = self.LAYOUTS["singleton_class"]
         genuine, impostor = _sample_pairs(labels, 500, np.random.default_rng(0))
-        assert (labels[genuine[:, 0]] == labels[genuine[:, 1]]).all()
-        assert (genuine[:, 0] != genuine[:, 1]).all()
+        assert_valid_pairs(labels, genuine, impostor)
         assert not (labels[genuine] == 1).any()
-        assert (labels[impostor[:, 0]] != labels[impostor[:, 1]]).all()
-        assert (labels[impostor] == 1).any()
+        assert (labels[impostor[:, 0]] == 1).any()
+        assert (labels[impostor[:, 1]] == 1).any()
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM],
+        ids=lambda g: g.__name__,
+    )
+    def test_every_bit_generator_draws_valid_repeatable_pairs(self, bit_generator):
+        labels = self.LAYOUTS["uneven_shuffled"]
+        genuine, impostor = _sample_pairs(labels, 300, np.random.Generator(bit_generator(5)))
+        assert_valid_pairs(labels, genuine, impostor)
+        again = _sample_pairs(labels, 300, np.random.Generator(bit_generator(5)))
+        np.testing.assert_array_equal(again[0], genuine)
+        np.testing.assert_array_equal(again[1], impostor)
 
     def test_single_class_has_no_impostor_pair(self):
         with pytest.raises(ContractError, match="two classes"):
@@ -504,147 +604,6 @@ class TestPairSampler:
     def test_no_class_of_two_rows_has_no_genuine_pair(self):
         with pytest.raises(ContractError, match="a class of two rows"):
             _sample_pairs(np.arange(5), 3, np.random.default_rng(0))
-
-
-def eval_layout(layout: str, seed: int, output_dir) -> ExperimentConfig:
-    """The stock config, or its ``scale-scores`` variant: every class four
-    times as large and 6000 pairs per task."""
-    config = default_config(output_dir=str(output_dir), seed=seed)
-    if layout == "scale-scores":
-        config.tasks = [
-            dataclasses.replace(t, samples_per_class=4 * t.samples_per_class)
-            for t in config.tasks
-        ]
-        config.evaluation.verification_pairs = 6000
-    return config
-
-
-def same_state(a, b) -> bool:
-    """Bit-generator states equal, arrays (MT19937's key) included."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
-
-
-class TestVectorPairs:
-    """The one-pass draw against the ``choice`` loop, with the generator
-    left in the same state, buffered word and stale word included."""
-
-    EVEN = np.repeat(np.arange(5), 6)
-
-    def assert_matches_choice_loop(self, labels, n_pairs, rng, reference):
-        expected = choice_loop_pairs(labels, n_pairs, reference)
-        got = _sample_pairs(labels, n_pairs, rng)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_array_equal(got[1], expected[1])
-        assert same_state(rng.bit_generator.state, reference.bit_generator.state)
-
-    @pytest.fixture
-    def serial_calls(self, monkeypatch):
-        calls = []
-        original = experiments._choice_pairs
-
-        def recording(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(experiments, "_choice_pairs", recording)
-        return calls
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_singleton_class_takes_the_serial_path(self, seed, serial_calls):
-        # An impostor side in the singleton class draws no word, so the
-        # words of later draws cannot be placed in advance.
-        labels = np.repeat(np.arange(5), [6, 1, 6, 6, 6])
-        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        self.assert_matches_choice_loop(labels, 300, rng, reference)
-        assert len(serial_calls) == 1
-
-    # 9 words per pair: 7 pairs take an odd number of words, 8 an even one,
-    # and a buffered word at the start flips which.
-    @pytest.mark.parametrize("n_pairs", [7, 8])
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_words_and_buffer_at_both_ends(self, n_pairs, buffered, serial_calls):
-        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
-        if buffered:
-            rng.integers(0, 5)
-            reference.integers(0, 5)
-            assert rng.bit_generator.state["has_uint32"] == 1
-        self.assert_matches_choice_loop(self.EVEN, n_pairs, rng, reference)
-        assert serial_calls == []
-        assert rng.bit_generator.state["has_uint32"] == (9 * n_pairs - buffered) % 2
-        # The next 32-bit draw sees the same buffer.
-        assert rng.integers(0, 2**31) == reference.integers(0, 2**31)
-
-    def test_possible_rejection_falls_back_to_the_serial_draws(self, serial_calls):
-        # A buffered word of 0 is rejected by the first draw (5 classes).
-        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-        for generator in (rng, reference):
-            state = generator.bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, 0
-            generator.bit_generator.state = state
-        self.assert_matches_choice_loop(self.EVEN, 40, rng, reference)
-        assert len(serial_calls) == 1
-
-    @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize(
-        "bit_generator",
-        [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM],
-        ids=lambda g: g.__name__,
-    )
-    def test_other_bit_generators_take_the_vectorised_path(
-        self, bit_generator, buffered, serial_calls
-    ):
-        rng, reference = (np.random.Generator(bit_generator(0)) for _ in range(2))
-        if buffered:
-            rng.integers(0, 5)
-            reference.integers(0, 5)
-            # MT19937 makes 32-bit words natively and keeps no buffer.
-            assert rng.bit_generator.state.get("has_uint32", 1) == 1
-        self.assert_matches_choice_loop(self.EVEN, 300, rng, reference)
-        assert serial_calls == []
-
-    def test_stock_eval_tasks_take_the_vectorised_path(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("choice-loop pair draws on the stock config")
-
-        monkeypatch.setattr(experiments, "_choice_pairs", refuse)
-        config = default_config(output_dir=str(tmp_path / "out"))
-        _, eval_corpus = build_splits(config)
-        plan = verification_pair_plan(eval_corpus, config)
-        assert list(plan) == [t.name for t in config.tasks]
-
-    # The stock config at its own seed (72025) is the test above.
-    @pytest.mark.parametrize(
-        "layout, seed",
-        [(layout, seed) for layout in ("stock", "scale-scores") for seed in range(1, 21)]
-        + [("scale-scores", 72025)],
-    )
-    def test_eval_tasks_take_the_vectorised_path(self, layout, seed, tmp_path, serial_calls):
-        config = eval_layout(layout, seed, tmp_path / "out")
-        _, eval_corpus = build_splits(config)
-        verification_pair_plan(eval_corpus, config)
-        assert serial_calls == []
-
-    def test_scale_layout_falls_back_to_the_choice_loop(self, tmp_path, serial_calls):
-        # At this seed a word of the objects task (10 classes of 320 rows)
-        # might be rejected, so the one-pass draw gives way to the loop.
-        config = eval_layout("scale-scores", 859, tmp_path / "out")
-        _, eval_corpus = build_splits(config)
-        labels = eval_corpus.tasks["objects"].labels
-        rng = stream(config.seed, "pairs", "objects")
-        before = rng.bit_generator.state
-        _, sizes = np.unique(labels, return_counts=True)
-        assert experiments._vector_pairs(sizes, 6000, rng) is None
-        assert same_state(rng.bit_generator.state, before)
-
-        plan = verification_pair_plan(eval_corpus, config)
-        ((_, _, used),) = serial_calls
-        reference = stream(config.seed, "pairs", "objects")
-        expected = choice_loop_pairs(labels, 6000, reference)
-        np.testing.assert_array_equal(plan["objects"].genuine, expected[0])
-        np.testing.assert_array_equal(plan["objects"].impostor, expected[1])
-        assert same_state(used.bit_generator.state, reference.bit_generator.state)
 
 
 class TestPairPlan:
@@ -667,8 +626,20 @@ class TestPairPlan:
         plan = verification_pair_plan(eval_corpus, config)
         assert list(plan) == list(eval_corpus.tasks)
         shape = (config.evaluation.verification_pairs, 2)
-        for pairs in plan.values():
+        for name, pairs in plan.items():
             assert pairs.genuine.shape == pairs.impostor.shape == shape
+            assert_valid_pairs(eval_corpus.tasks[name].labels, pairs.genuine, pairs.impostor)
+
+    def test_task_order_does_not_move_the_pairs(self, tmp_path):
+        config = tiny_config(tmp_path / "out")
+        _, eval_corpus = build_splits(config)
+        plan = verification_pair_plan(eval_corpus, config)
+        eval_corpus.tasks = dict(reversed(eval_corpus.tasks.items()))
+        reordered = verification_pair_plan(eval_corpus, config)
+        assert list(reordered) == list(reversed(list(plan)))
+        for name, pairs in plan.items():
+            np.testing.assert_array_equal(reordered[name].genuine, pairs.genuine)
+            np.testing.assert_array_equal(reordered[name].impostor, pairs.impostor)
 
 
 class TestEvaluateRow:
@@ -805,6 +776,19 @@ class TestValidateOnEntry:
         ),
         "projection_max_pcs": (
             "evaluation", "projection_max_pcs", 0, ValidationError, "projection_max_pcs",
+        ),
+        "learning_rate": (
+            "optimizer", "learning_rate", -1.0, ValidationError, "config.optimizer.learning_rate",
+        ),
+        "learning_rate_inf": (
+            "optimizer", "learning_rate", float("inf"), ValidationError,
+            "config.optimizer.learning_rate",
+        ),
+        "beta1": ("optimizer", "beta1", 1.5, ValidationError, "config.optimizer.beta1"),
+        "beta2": ("optimizer", "beta2", 1.0, ValidationError, "config.optimizer.beta2"),
+        "adam_epsilon": ("optimizer", "epsilon", 0.0, ValidationError, "config.optimizer.epsilon"),
+        "weight_decay": (
+            "optimizer", "weight_decay", -1e-6, ValidationError, "config.optimizer.weight_decay",
         ),
     }
 
@@ -1043,15 +1027,23 @@ class TestCli:
         assert result.exit_code == 2
         assert "checkpoint" in result.output
 
-    def test_invalid_config_exit_code_and_no_artifacts(self, tmp_path):
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("curriculum", "mode", "bogus"),
+            ("curriculum", "epsilon", "1e-8"),
+            ("optimizer", "learning_rate", "0.1"),
+        ],
+    )
+    def test_invalid_config_exit_code_and_no_artifacts(self, tmp_path, section, field, value):
         payload = default_config(output_dir=str(tmp_path / "out")).to_dict()
-        payload["curriculum"]["mode"] = "bogus"
+        payload[section][field] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         runner = CliRunner()
         result = runner.invoke(main, ["train", "-c", str(path)])
         assert result.exit_code == 2
-        assert "mode" in result.output
+        assert field in result.output
         assert not (tmp_path / "out").exists()
 
     def test_numeric_failure_exit_code(self, tmp_path):

@@ -91,6 +91,17 @@ class TestTarAtFar:
         for far in (0.3, 0.1, 0.02):
             assert tar_at_far(genuine, impostor, far) == oracle_tar(genuine, impostor, far)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_brute_force_sweep_on_tied_scores(self, seed):
+        # Scores on a coarse grid, so most thresholds sit inside a run of
+        # ties. No genuine score lies above the top impostor, where the
+        # oracle's threshold (top + 1) and ``nextafter(top)`` would differ.
+        rng = np.random.default_rng(seed)
+        genuine = rng.integers(0, 8, 80) / 10
+        impostor = rng.integers(0, 8, 200) / 10
+        for far in (0.5, 0.3, 0.1, 0.02, 0.001):
+            assert tar_at_far(genuine, impostor, far) == oracle_tar(genuine, impostor, far)
+
     def test_monotone_in_far(self):
         rng = np.random.default_rng(9)
         genuine = rng.normal(0.5, 0.3, 100)
