@@ -1,5 +1,6 @@
 """Config parsing, the experiment runner, artifact layout, and the CLI."""
 
+import dataclasses
 import json
 import os
 import re
@@ -606,7 +607,43 @@ class TestPairSampler:
             _sample_pairs(np.arange(5), 3, np.random.default_rng(0))
 
 
+def eval_layout(layout: str, seed: int, output_dir) -> ExperimentConfig:
+    """The stock config, or its ``scale-scores`` variant: every class four
+    times as large and 6000 pairs per task."""
+    config = default_config(output_dir=str(output_dir), seed=seed)
+    if layout == "scale-scores":
+        config.tasks = [
+            dataclasses.replace(t, samples_per_class=4 * t.samples_per_class)
+            for t in config.tasks
+        ]
+        config.evaluation.verification_pairs = 6000
+    return config
+
+
 class TestPairPlan:
+    # The eval corpora of the stock and ``scale-scores`` layouts over a
+    # range of seeds, the stock seed (72025) included.
+    @pytest.mark.parametrize(
+        "layout, seed",
+        [(layout, seed) for layout in ("stock", "scale-scores") for seed in range(1, 21)]
+        + [("stock", 72025), ("scale-scores", 72025), ("scale-scores", 859)],
+    )
+    def test_eval_tasks_draw_valid_pairs_over_every_class(self, layout, seed, tmp_path):
+        config = eval_layout(layout, seed, tmp_path / "out")
+        _, eval_corpus = build_splits(config)
+        plan = verification_pair_plan(eval_corpus, config)
+        shape = (config.evaluation.verification_pairs, 2)
+        for name, pairs in plan.items():
+            labels = eval_corpus.tasks[name].labels
+            assert pairs.genuine.shape == pairs.impostor.shape == shape
+            assert_valid_pairs(labels, pairs.genuine, pairs.impostor)
+            # Every class of the task forms a genuine pair and sits on
+            # both impostor sides.
+            classes = np.unique(labels)
+            np.testing.assert_array_equal(np.unique(labels[pairs.genuine]), classes)
+            for side in (0, 1):
+                np.testing.assert_array_equal(np.unique(labels[pairs.impostor[:, side]]), classes)
+
     def test_draws_match_per_task_streams(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         _, eval_corpus = build_splits(config)
