@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -43,40 +43,36 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _check_types(cls, values: dict, path: str) -> None:
-    """Each of ``values`` must have the annotated type of its field of the
-    dataclass ``cls``."""
-    hints = get_type_hints(cls)
-    for f in fields(cls):
-        if f.name in values and not _conforms(values[f.name], hints[f.name]):
-            raise ValidationError(
-                f"{path}.{f.name} must be of type {f.type}, got {values[f.name]!r}"
-            )
+def _check_types(obj, path: str, names=None) -> None:
+    """Each field of the dataclass instance ``obj`` named in ``names`` (all
+    of them by default) must have its annotated type."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if (names is None or f.name in names) and not _conforms(value, hints[f.name]):
+            raise ValidationError(f"{path}.{f.name} must be of type {f.type}, got {value!r}")
 
 
 def _section(cls, section: dict, path: str):
     """Build the dataclass ``cls`` from one JSON section whose keys must be
-    among its fields and whose values must have the fields' types."""
+    among its fields and include each field that has no default."""
     _check_keys(section, {f.name for f in fields(cls)}, path)
-    _check_types(cls, section, path)
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING:
+            _require(section, f.name, path)
     return cls(**section)
 
 
-def _check_int(value, path: str, low: int, high: int | None = None) -> None:
-    """``value`` must be an int (not a bool) in ``[low, high]``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or value < low
-        or (high is not None and value > high)
-    ):
+def _check_int(value: int, path: str, low: int, high: int | None = None) -> None:
+    """``value`` must lie in ``[low, high]``."""
+    if value < low or (high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValidationError(f"{path} must be an integer {bounds}, got {value!r}")
 
 
 def _require(section: dict, key: str, path: str):
     if key not in section:
-        raise ValidationError(f"missing required key {key!r} in {path}")
+        raise ValidationError(f"missing required key {path}.{key}")
     return section[key]
 
 
@@ -203,7 +199,18 @@ class ExperimentConfig:
     def validate(self) -> None:
         from .curriculum import ADAPTIVE, MODES
 
+        # Every value has its field's type before any range is checked.
+        _check_types(self, "config.corpus", ["ambient_dim"])
+        _check_types(self, "config", [f.name for f in fields(self) if f.name != "ambient_dim"])
+        for key in _SECTIONS:
+            _check_types(getattr(self, key), f"config.{key}")
+        for i, task in enumerate(self.tasks):
+            _check_types(task, f"config.corpus.tasks[{i}]")
         _check_int(self.seed, "config.seed", 0)
+        if not 0 <= self.margin < math.inf:
+            raise ValidationError(
+                f"config.margin must be a finite number >= 0, got {self.margin!r}"
+            )
         opt = self.optimizer
         for name, ok, rule in (
             ("learning_rate", 0 < opt.learning_rate < math.inf, "a finite number > 0"),
@@ -249,12 +256,7 @@ class ExperimentConfig:
         # pairs into 10 folds, so it needs at least 5 of each.
         _check_int(ev.verification_pairs, "config.evaluation.verification_pairs", 5)
         fars = ev.far_values
-        if (
-            not isinstance(fars, list)
-            or any(isinstance(f, bool) or not isinstance(f, (int, float)) for f in fars)
-            or not all(0.0 < f < 1.0 for f in fars)
-            or len(set(fars)) < len(fars)
-        ):
+        if not all(0.0 < f < 1.0 for f in fars) or len(set(fars)) < len(fars):
             raise ValidationError(
                 f"config.evaluation.far_values must be distinct numbers in (0, 1), got {fars!r}"
             )
@@ -285,8 +287,6 @@ class ExperimentConfig:
             raise ValidationError(f"unsupported schema_version {version!r}")
         corpus = _require(d, "corpus", "config")
         _check_keys(corpus, {"ambient_dim", "tasks"}, "config.corpus")
-        _check_types(cls, {k: d[k] for k in ("output_dir", "margin") if k in d}, "config")
-        _check_types(cls, {k: corpus[k] for k in ("ambient_dim",) if k in corpus}, "config.corpus")
         tasks = [
             _section(TaskGenSpec, t, f"config.corpus.tasks[{i}]")
             for i, t in enumerate(_require(corpus, "tasks", "config.corpus"))

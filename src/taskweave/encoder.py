@@ -4,10 +4,11 @@ Forward pass: affine layers with tanh between them, a linear output layer,
 then row-wise L2 normalization onto the unit sphere. All arithmetic is
 float64 so finite-difference checks are clean. The training kernel
 ``accumulate`` runs one forward pass per optimizer step and hands its cache to
-the backward pass, which adds the gradient into a shape-congruent buffer; one
-Adam step (decoupled weight decay) consumes the summed buffer and zeroes it.
-Parameters, buffer and Adam moments each live in one flat arena with a view
-per layer, so the step's elementwise work is one pass over each arena.
+the backward pass, which adds the gradient into a buffer; one Adam step
+(decoupled weight decay) consumes the summed buffer and zeroes it.
+Parameters, buffer and Adam moments each live in one flat float64 arena of
+one layout, so the step's elementwise work is one pass over each arena. Only
+the parameters also keep a view per layer, which the forward pass reads.
 
 Every kernel takes either one batch, ``(n, d)`` rows with ``(n,)`` ids, or a
 stack of B equally sized batches, ``(B, n, d)`` with ``(B, n)`` ids; one
@@ -22,7 +23,7 @@ per batch would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,23 +48,6 @@ def _carve(arena: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def _pack(weights, biases) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """A float64 arena holding copies of ``weights`` then ``biases`` back to
-    back, and the views of it that take their places."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in [*weights, *biases]]
-    flat = np.empty(sum(a.size for a in arrays))
-    views = _carve(flat, [a.shape for a in arrays])
-    for view, array in zip(views, arrays):
-        view[...] = array
-    return flat, views[: len(weights)], views[len(weights) :]
-
-
-def _rebuild(packed):
-    """``__reduce__`` of the packed classes: a pickled or deep-copied one is
-    rebuilt through its constructor, so it owns its own arena again."""
-    return type(packed), tuple(getattr(packed, f.name) for f in fields(packed) if f.init)
-
-
 @dataclass
 class EncoderParams:
     """Per-layer (weight, bias) pairs; weights are (fan_in, fan_out).
@@ -79,9 +63,17 @@ class EncoderParams:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
+        arrays = [np.asarray(a, dtype=np.float64) for a in [*self.weights, *self.biases]]
+        self.flat = np.empty(sum(a.size for a in arrays))
+        views = _carve(self.flat, [a.shape for a in arrays])
+        for view, array in zip(views, arrays):
+            view[...] = array
+        self.weights, self.biases = views[: len(self.weights)], views[len(self.weights) :]
 
-    __reduce__ = _rebuild
+    def __reduce__(self):
+        # A pickled or deep-copied one is rebuilt through the constructor,
+        # so it owns its own arena again.
+        return type(self), (self.weights, self.biases)
 
     @property
     def n_layers(self) -> int:
@@ -126,25 +118,15 @@ def init_params(layer_dims: list[int], rng: np.random.Generator) -> EncoderParam
 
 @dataclass
 class GradBuffer:
-    """Parameter-shaped gradient accumulator, packed into one arena,
-    ``flat``, in the layout of :class:`EncoderParams`."""
+    """Gradient accumulator: one float64 arena, ``flat``, in the layout of
+    :class:`EncoderParams`."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
     accumulation_count: int = 0
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
-
-    __reduce__ = _rebuild
 
     @classmethod
     def zeros_like(cls, params: EncoderParams) -> "GradBuffer":
-        return cls(
-            weights=[np.zeros_like(w) for w in params.weights],
-            biases=[np.zeros_like(b) for b in params.biases],
-        )
+        return cls(np.zeros_like(params.flat))
 
     def zero(self) -> None:
         self.flat.fill(0.0)
@@ -157,37 +139,21 @@ class GradBuffer:
 @dataclass
 class OptimState:
     """Adam moments plus hyperparameters (decoupled weight decay). Each
-    moment is packed into one arena, ``m`` and ``v``, in the layout of
+    moment, ``m`` and ``v``, is one float64 arena in the layout of
     :class:`EncoderParams`."""
 
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     learning_rate: float = 3e-5
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 1e-6
-    m: np.ndarray = field(init=False, repr=False, compare=False)
-    v: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.m, self.m_weights, self.m_biases = _pack(self.m_weights, self.m_biases)
-        self.v, self.v_weights, self.v_biases = _pack(self.v_weights, self.v_biases)
-
-    __reduce__ = _rebuild
 
     @classmethod
     def for_params(cls, params: EncoderParams, **hyper) -> "OptimState":
-        return cls(
-            m_weights=[np.zeros_like(w) for w in params.weights],
-            m_biases=[np.zeros_like(b) for b in params.biases],
-            v_weights=[np.zeros_like(w) for w in params.weights],
-            v_biases=[np.zeros_like(b) for b in params.biases],
-            **hyper,
-        )
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), **hyper)
 
 
 @dataclass
@@ -385,7 +351,7 @@ def backward(
     g /= cache.norms[:, :, None]
     n_layers = params.n_layers
     rows = np.empty((y.shape[0], buffer.flat.size))
-    views = _carve(rows, [w.shape for w in buffer.weights] + [b.shape for b in buffer.biases])
+    views = _carve(rows, [a.shape for a in params.weights + params.biases])
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             # g * (1 - h**2), the product taken in the other order.

@@ -319,7 +319,7 @@ class TestAdam:
             1.0, learning_rate=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8, weight_decay=0.0
         )
         buffer = GradBuffer.zeros_like(params)
-        buffer.weights[0][0, 0] = 0.5
+        buffer.flat[0] = 0.5  # the one weight
         buffer.accumulation_count = 1
         adam_step(params, buffer, state)
         m_hat = (0.1 * 0.5) / (1.0 - 0.9)
@@ -338,7 +338,7 @@ class TestAdam:
     def test_buffer_zeroed_and_step_counted(self):
         params, state = self.make(1.0, learning_rate=0.1)
         buffer = GradBuffer.zeros_like(params)
-        buffer.weights[0][0, 0] = 0.5
+        buffer.flat[0] = 0.5  # the one weight
         buffer.accumulation_count = 3
         adam_step(params, buffer, state)
         assert buffer.accumulation_count == 0

@@ -36,6 +36,10 @@ from taskweave.metrics import ScoreTable
 from taskweave.seeding import stream
 
 
+# The fields of a task entry that have no default.
+REQUIRED_TASK_FIELDS = ["name", "regime", "classes", "samples_per_class", "within_class_spread"]
+
+
 def tiny_config(output_dir, seed=13) -> ExperimentConfig:
     """A fast benchmark: 4 small tasks, 1 epoch, small encoder."""
     config = default_config(output_dir=str(output_dir), seed=seed)
@@ -115,6 +119,17 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match=r"colour.*config\.corpus\.tasks\[2\]"):
+            ExperimentConfig.from_file(path)
+
+    # A missing field used to escape the loader as a bare TypeError from
+    # the TaskGenSpec constructor.
+    @pytest.mark.parametrize("field", REQUIRED_TASK_FIELDS)
+    def test_missing_task_field_names_its_path(self, tmp_path, field):
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        del payload["corpus"]["tasks"][1][field]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=re.escape(f"config.corpus.tasks[1].{field}")):
             ExperimentConfig.from_file(path)
 
     def test_unknown_evaluation_suite(self, tmp_path):
@@ -394,6 +409,18 @@ class TestRun:
 
 def files_under(root: Path) -> set[str]:
     return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def set_field(config: ExperimentConfig, where: str, value) -> None:
+    """Set the field that the loader's error path ``where`` names, such as
+    ``config.corpus.tasks[0].classes``; the JSON ``corpus`` section's
+    fields live on the config itself."""
+    *keys, name = re.split(r"\.|\[", where.replace("]", ""))[1:]
+    target = config
+    for key in keys:
+        if key != "corpus":
+            target = target[int(key)] if key.isdigit() else getattr(target, key)
+    object.__setattr__(target, name, value)
 
 
 class TestArtifactWriter:
@@ -840,6 +867,42 @@ class TestValidateOnEntry:
             entry(config)
         assert files_under(out) == {"summary.json"}
 
+    # A value of the wrong type set in code used to raise a bare TypeError
+    # from a comparison in validate(), or to pass unchecked into the run.
+    WRONG_TYPES = {
+        "config.margin": "0.35",
+        "config.corpus.ambient_dim": "24",
+        "config.corpus.tasks[0].within_class_spread": "0.45",
+        "config.encoder.hidden_dims": ["16"],
+        "config.optimizer.beta1": "0.9",
+        "config.batch.identities": "4",
+        "config.curriculum.epsilon": "1e-8",
+        "config.training.epochs": "1",
+        "config.evaluation.variance_fraction": "0.9",
+        "config.forgetting.pretrain_task": 3,
+    }
+
+    @pytest.mark.parametrize("where", sorted(WRONG_TYPES))
+    @pytest.mark.parametrize("entry", [run, run_forgetting_comparison], ids=lambda f: f.__name__)
+    def test_code_built_values_are_type_checked_before_any_file(self, tmp_path, entry, where):
+        out = self.earlier_run(tmp_path)
+        config = tiny_config(out)
+        set_field(config, where, self.WRONG_TYPES[where])
+        with pytest.raises(ValidationError, match=re.escape(f"{where} must be of type")):
+            entry(config)
+        assert files_under(out) == {"summary.json"}
+
+    # A negative margin used to validate and train.
+    @pytest.mark.parametrize("margin", [-1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("entry", [run, run_forgetting_comparison], ids=lambda f: f.__name__)
+    def test_margin_must_be_finite_and_non_negative(self, tmp_path, entry, margin):
+        out = self.earlier_run(tmp_path)
+        config = tiny_config(out)
+        config.margin = margin
+        with pytest.raises(ValidationError, match="config.margin must be a finite number >= 0"):
+            entry(config)
+        assert files_under(out) == {"summary.json"}
+
     def test_seed_override_is_validated(self, tmp_path):
         out = self.earlier_run(tmp_path)
         with pytest.raises(ValidationError, match="config.seed"):
@@ -1081,6 +1144,17 @@ class TestCli:
         result = runner.invoke(main, ["train", "-c", str(path)])
         assert result.exit_code == 2
         assert field in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", REQUIRED_TASK_FIELDS)
+    def test_missing_task_field_exit_code_and_no_artifacts(self, tmp_path, field):
+        payload = default_config(output_dir=str(tmp_path / "out")).to_dict()
+        del payload["corpus"]["tasks"][0][field]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        result = CliRunner().invoke(main, ["train", "-c", str(path)])
+        assert result.exit_code == 2
+        assert f"config.corpus.tasks[0].{field}" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_numeric_failure_exit_code(self, tmp_path):

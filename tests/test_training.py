@@ -15,6 +15,7 @@ import importlib.util
 import os
 import pickle
 import sys
+from copy import deepcopy
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -92,8 +93,10 @@ def small_config(seed=3):
     return config
 
 
-def reference_backward(params, inputs, grad_embeddings, buffer):
-    """Backward pass that re-runs the forward pass it differentiates."""
+def reference_backward(params, inputs, grad_embeddings, grads):
+    """Backward pass that re-runs the forward pass it differentiates, adding
+    each layer's gradient into ``grads``: per-layer arrays, the weights in
+    layer order, then the biases."""
     h = np.asarray(inputs, dtype=np.float64)
     hiddens = [h]
     n_layers = params.n_layers
@@ -113,22 +116,23 @@ def reference_backward(params, inputs, grad_embeddings, buffer):
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             g = g * (1.0 - hiddens[i + 1] ** 2)
-        buffer.weights[i] += hiddens[i].T @ g
-        buffer.biases[i] += g.sum(axis=0)
+        grads[i] += hiddens[i].T @ g
+        grads[n_layers + i] += g.sum(axis=0)
         if i > 0:
             g = g @ params.weights[i].T
-    buffer.accumulation_count += 1
 
 
 def reference_pretrain(config, params, opt_state, data, steps, batches_per_step, seed):
     loader = Loader(data, stream(seed, "pretrain-loader", data.name))
     buffer = GradBuffer.zeros_like(params)
+    grads = arena_layers(buffer.flat, params)
     for _ in range(steps):
         for _ in range(batches_per_step):
             batch, _ = loader.next_batch(config.batch.identities, config.batch.positives)
             emb = embed(params, batch.features)
             _, grad_emb = batch_hard_triplet(emb, batch.labels, config.margin)
-            reference_backward(params, batch.features, grad_emb, buffer)
+            reference_backward(params, batch.features, grad_emb, grads)
+            buffer.accumulation_count += 1
         adam_step(params, buffer, opt_state)
 
 
@@ -137,6 +141,7 @@ def reference_sequential(config, params, opt_state, task_data, total_batches, gr
     loaders = {n: Loader(task_data[n], stream(seed, "seq-loader", n)) for n in names}
     base, extra = divmod(total_batches, len(names))
     buffer = GradBuffer.zeros_like(params)
+    grads = arena_layers(buffer.flat, params)
     for i, name in enumerate(names):
         budget = base + (1 if i < extra else 0)
         done = 0
@@ -148,7 +153,8 @@ def reference_sequential(config, params, opt_state, task_data, total_batches, gr
                 )
                 emb = embed(params, batch.features)
                 _, grad_emb = batch_hard_triplet(emb, batch.labels, config.margin)
-                reference_backward(params, batch.features, grad_emb, buffer)
+                reference_backward(params, batch.features, grad_emb, grads)
+                buffer.accumulation_count += 1
             adam_step(params, buffer, opt_state)
             done += take
 
@@ -156,10 +162,8 @@ def reference_sequential(config, params, opt_state, task_data, total_batches, gr
 def assert_same_state(params_a, opt_a, params_b, opt_b):
     for a, b in zip(params_a.weights + params_a.biases, params_b.weights + params_b.biases):
         assert np.array_equal(a, b)
-    moments_a = opt_a.m_weights + opt_a.m_biases + opt_a.v_weights + opt_a.v_biases
-    moments_b = opt_b.m_weights + opt_b.m_biases + opt_b.v_weights + opt_b.v_biases
-    for a, b in zip(moments_a, moments_b):
-        assert np.array_equal(a, b)
+    assert np.array_equal(opt_a.m, opt_b.m)
+    assert np.array_equal(opt_a.v, opt_b.v)
     assert opt_a.step == opt_b.step
 
 
@@ -417,14 +421,13 @@ class TestStackedKernelMatchesPerBatch:
         # step's batches as one sum would show in the last bits.
         rng = np.random.default_rng(7)
         stacked, single = GradBuffer.zeros_like(params), GradBuffer.zeros_like(params)
-        for a, b in zip(stacked.weights + stacked.biases, single.weights + single.biases):
+        for a, b in zip(arena_layers(stacked.flat, params), arena_layers(single.flat, params)):
             a[...] = b[...] = rng.standard_normal(a.shape)
         losses = accumulate(params, features, ids, 0.35, stacked)
         expected = [accumulate(params, x, i, 0.35, single) for x, i in zip(features, ids)]
         assert losses.tolist() == expected
         assert stacked.accumulation_count == single.accumulation_count == ids.shape[0]
-        for a, b in zip(stacked.weights + stacked.biases, single.weights + single.biases):
-            assert a.tobytes() == b.tobytes()
+        assert stacked.flat.tobytes() == single.flat.tobytes()
         embedded = embed(params, features)
         for b in range(ids.shape[0]):
             assert embedded[b].tobytes() == embed(params, features[b]).tobytes()
@@ -513,6 +516,14 @@ def layers(holder):
     return holder.weights + holder.biases
 
 
+def arena_layers(arena, params):
+    """Per-layer views of ``arena`` in ``params``' layout: the weights in
+    layer order, then the biases."""
+    shapes = [a.shape for a in layers(params)]
+    pieces = np.split(arena, np.cumsum([a.size for a in layers(params)])[:-1])
+    return [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
+
+
 def moments(state):
     return state.m_weights + state.m_biases + state.v_weights + state.v_biases
 
@@ -550,16 +561,21 @@ class TestArenaMatchesPerArray:
         ref = SimpleNamespace(
             weights=per_array(params.weights), biases=per_array(params.biases), n_layers=n_layers
         )
-        moment_names = ("m_weights", "m_biases", "v_weights", "v_biases")
+        m, v = (per_array(arena_layers(moment, params)) for moment in (opt.m, opt.v))
         ref_opt = SimpleNamespace(
-            step=0, **{name: per_array(getattr(opt, name)) for name in moment_names}
+            step=0,
+            m_weights=m[:n_layers],
+            m_biases=m[n_layers:],
+            v_weights=v[:n_layers],
+            v_biases=v[n_layers:],
         )
         # The first step adds into a buffer that already holds values,
         # signed zeros among them.
-        for array in layers(buffer):
+        for array in arena_layers(buffer.flat, params):
             array[...] = data.draw(arrays(np.float64, array.shape, elements=EXACT_OR_FLOAT))
+        grads = per_array(arena_layers(buffer.flat, params))
         ref_buffer = SimpleNamespace(
-            weights=per_array(buffer.weights), biases=per_array(buffer.biases), accumulation_count=0
+            weights=grads[:n_layers], biases=grads[n_layers:], accumulation_count=0
         )
         for _ in range(data.draw(st.integers(3, 4), label="steps")):
             features, grads = (
@@ -568,47 +584,65 @@ class TestArenaMatchesPerArray:
             )
             backward(params, encoder._forward(params, features), grads, buffer)
             for x, g in zip(features, grads):
-                reference_backward(ref, x, g, ref_buffer)
+                reference_backward(ref, x, g, layers(ref_buffer))
+                ref_buffer.accumulation_count += 1
             assert buffer.accumulation_count == ref_buffer.accumulation_count == n_batches
-            assert_same_bytes(layers(buffer), layers(ref_buffer))
+            assert_same_bytes(arena_layers(buffer.flat, params), layers(ref_buffer))
 
             adam_step(params, buffer, opt)
             reference_adam_step(ref, ref_buffer, ref_opt, hyper)
             assert opt.step == ref_opt.step
             assert_same_bytes(layers(params), layers(ref))
-            assert_same_bytes(moments(opt), moments(ref_opt))
-            assert_same_bytes(layers(buffer), layers(ref_buffer))
+            assert_same_bytes(
+                arena_layers(opt.m, params) + arena_layers(opt.v, params), moments(ref_opt)
+            )
+            assert_same_bytes(arena_layers(buffer.flat, params), layers(ref_buffer))
 
     @pytest.mark.parametrize("where", ["first weight", "last bias"])
     def test_non_finite_update_raises(self, where):
         params = init_params([3, 4, 2], np.random.default_rng(2))
         opt = encoder.OptimState.for_params(params)
         buffer = GradBuffer.zeros_like(params)
-        target = buffer.weights[0] if where == "first weight" else buffer.biases[-1]
-        target.flat[0 if where == "first weight" else -1] = np.nan
+        # The arena starts with the first weight and ends with the last bias.
+        buffer.flat[0 if where == "first weight" else -1] = np.nan
         buffer.accumulation_count = 1
         with pytest.raises(NumericError, match="non-finite"):
             adam_step(params, buffer, opt)
 
     def test_every_array_is_a_view_of_its_arena(self):
         params = init_params([3, 4, 2], np.random.default_rng(3))
-        opt = encoder.OptimState.for_params(params)
-        buffer = GradBuffer.zeros_like(params)
-        pairs = [
-            (params.flat, params.weights + params.biases),
-            (buffer.flat, buffer.weights + buffer.biases),
-            (opt.m, opt.m_weights + opt.m_biases),
-            (opt.v, opt.v_weights + opt.v_biases),
-        ]
-        for arena, views in pairs:
-            assert arena.size == sum(v.size for v in views)
-            assert np.concatenate([v.ravel() for v in views]).tobytes() == arena.tobytes()
-            assert all(np.shares_memory(arena, v) for v in views)
+        views = layers(params)
+        assert params.flat.size == sum(v.size for v in views)
+        assert np.concatenate([v.ravel() for v in views]).tobytes() == params.flat.tobytes()
+        assert all(np.shares_memory(params.flat, v) for v in views)
         # A copy, pickled or not, owns its own arena.
         for copy in (params.copy(), pickle.loads(pickle.dumps(params))):
             assert copy.flat.tobytes() == params.flat.tobytes()
             assert not np.shares_memory(copy.flat, params.flat)
             assert all(np.shares_memory(copy.flat, w) for w in copy.weights)
+
+    @pytest.mark.parametrize(
+        "clone", [deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"]
+    )
+    def test_buffer_and_moments_copy_into_their_own_arenas(self, clone):
+        rng = np.random.default_rng(3)
+        params = init_params([3, 4, 2], rng)
+        buffer = GradBuffer.zeros_like(params)
+        buffer.flat[:] = rng.standard_normal(buffer.flat.size)
+        buffer.accumulation_count = 2
+        opt = encoder.OptimState.for_params(params, learning_rate=0.1)
+        opt.m[:], opt.v[:] = rng.standard_normal((2, opt.m.size))
+        opt.step = 5
+        for original, names in ((buffer, ["flat"]), (opt, ["m", "v"])):
+            copied = clone(original)
+            assert type(copied) is type(original)
+            for f in dataclasses.fields(original):
+                a, b = getattr(copied, f.name), getattr(original, f.name)
+                if f.name in names:
+                    assert a.tobytes() == b.tobytes()
+                    assert not np.shares_memory(a, b)
+                else:
+                    assert a == b
 
     def test_checkpoint_bytes_and_round_trip(self, tmp_path):
         params = init_params([5, 7, 3], np.random.default_rng(4))
