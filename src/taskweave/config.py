@@ -21,6 +21,8 @@ SCHEMA_VERSION = 1
 
 
 def _check_keys(section: dict, allowed: set[str], path: str) -> None:
+    if not isinstance(section, dict):
+        raise ValidationError(f"{path} must be a JSON object, got {section!r}")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ValidationError(f"unknown key(s) {unknown} in {path}")
@@ -287,9 +289,14 @@ class ExperimentConfig:
             raise ValidationError(f"unsupported schema_version {version!r}")
         corpus = _require(d, "corpus", "config")
         _check_keys(corpus, {"ambient_dim", "tasks"}, "config.corpus")
+        task_sections = _require(corpus, "tasks", "config.corpus")
+        if not isinstance(task_sections, list):
+            raise ValidationError(
+                f"config.corpus.tasks must be a JSON array, got {task_sections!r}"
+            )
         tasks = [
             _section(TaskGenSpec, t, f"config.corpus.tasks[{i}]")
-            for i, t in enumerate(_require(corpus, "tasks", "config.corpus"))
+            for i, t in enumerate(task_sections)
         ]
         config = cls(
             seed=_require(d, "seed", "config"),

@@ -101,9 +101,6 @@ class EncoderParams:
     def copy(self) -> "EncoderParams":
         return EncoderParams(weights=self.weights, biases=self.biases)
 
-    def ravel(self) -> np.ndarray:
-        return self.flat.copy()
-
 
 def init_params(layer_dims: list[int], rng: np.random.Generator) -> EncoderParams:
     """Gaussian init scaled by 1/sqrt(fan_in); zero biases."""
@@ -131,9 +128,6 @@ class GradBuffer:
     def zero(self) -> None:
         self.flat.fill(0.0)
         self.accumulation_count = 0
-
-    def ravel(self) -> np.ndarray:
-        return self.flat.copy()
 
 
 @dataclass

@@ -413,68 +413,81 @@ def geometry_suite(
     pooled = np.vstack([emb[n] for n in names])
     tags = np.concatenate([np.full(emb[n].shape[0], i) for i, n in enumerate(names)])
 
-    probe_mean, probe_std = linear_task_probe(pooled, tags, folds=ev.probe_folds)
+    def analyses() -> tuple[list, dict]:
+        """Everything but the windows, computed while the children probe
+        them: the tables to write after ``probe_window.csv``, in order, as
+        (path, header, rows), and the summary. Writes no file."""
+        probe_mean, probe_std = linear_task_probe(pooled, tags, folds=ev.probe_folds)
+        subspaces = {
+            n: task_subspace(emb[n], ev.variance_fraction, source_task=n) for n in names
+        }
+        angle_rows, max_angles = [], {}
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                angles = principal_angles(subspaces[a], subspaces[b])
+                max_angles[f"{a}|{b}"] = float(angles.max())
+                angle_rows.extend([a, b, k, float(theta)] for k, theta in enumerate(angles))
+        tables = [
+            (
+                "geometry/principal_angles.csv",
+                ["task_a", "task_b", "angle_index", "angle_radians"],
+                angle_rows,
+            )
+        ]
 
-    curve = sliding_window_probe(pooled, tags, window=ev.probe_window, folds=ev.probe_folds)
+        first_within = {}
+        self_projection = {}
+        for src in names:
+            basis = pca(emb[src], center=False, source_task=src)
+            rows = []
+            for tgt in names:
+                if tgt == src:
+                    continue
+                sweep = projection_sweep(
+                    basis, emb[tgt], _cosine_auc_eval(pair_plan[tgt]), max_k=ev.projection_max_pcs
+                )
+                rows.extend([tgt, k, v, d] for k, v, d in sweep)
+                hit = next((k for k, _, d in sweep if abs(d) <= 0.02), None)
+                first_within[f"{src}->{tgt}"] = hit
+            tables.append(
+                (f"geometry/projection_{src}.csv", ["target", "k", "auc", "delta_auc"], rows)
+            )
+            # Same-task loss at the 99%-variance dimension: reported, not gated.
+            k99 = min(subspaces[src].dim, basis.dim)
+            _, delta = cross_task_projection_eval(
+                basis, k99, emb[src], _cosine_auc_eval(pair_plan[src])
+            )
+            self_projection[src] = {"k": k99, "delta_auc": float(delta)}
+
+        plane = pca(pooled)
+        coords = (pooled - plane.mean) @ plane.basis[:, :2]
+        tables.append(
+            (
+                "geometry/pc2d.csv",
+                ["task", "pc1", "pc2"],
+                [[names[int(t)], float(x), float(y)] for t, (x, y) in zip(tags, coords)],
+            )
+        )
+        summary = {
+            "task_probe_accuracy_mean": probe_mean,
+            "task_probe_accuracy_std": probe_std,
+            "subspace_dims": {n: subspaces[n].dim for n in names},
+            "max_principal_angle": max_angles,
+            "first_k_within_0.02_auc": first_within,
+            "self_projection_at_99pct": self_projection,
+        }
+        return tables, summary
+
+    curve, (tables, summary) = sliding_window_probe(
+        pooled, tags, window=ev.probe_window, folds=ev.probe_folds, alongside=analyses
+    )
     out.rows(
         "geometry/probe_window.csv",
         ["window_start_pc", "accuracy_mean", "accuracy_std"],
         [[s, m, d] for s, m, d in zip(curve.starts, curve.means, curve.stds)],
     )
-
-    subspaces = {
-        n: task_subspace(emb[n], ev.variance_fraction, source_task=n) for n in names
-    }
-    angle_rows, max_angles = [], {}
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            angles = principal_angles(subspaces[a], subspaces[b])
-            max_angles[f"{a}|{b}"] = float(angles.max())
-            angle_rows.extend([a, b, k, float(theta)] for k, theta in enumerate(angles))
-    out.rows(
-        "geometry/principal_angles.csv",
-        ["task_a", "task_b", "angle_index", "angle_radians"],
-        angle_rows,
-    )
-
-    first_within = {}
-    self_projection = {}
-    for src in names:
-        basis = pca(emb[src], center=False, source_task=src)
-        rows = []
-        for tgt in names:
-            if tgt == src:
-                continue
-            sweep = projection_sweep(
-                basis, emb[tgt], _cosine_auc_eval(pair_plan[tgt]), max_k=ev.projection_max_pcs
-            )
-            rows.extend([tgt, k, v, d] for k, v, d in sweep)
-            hit = next((k for k, _, d in sweep if abs(d) <= 0.02), None)
-            first_within[f"{src}->{tgt}"] = hit
-        out.rows(f"geometry/projection_{src}.csv", ["target", "k", "auc", "delta_auc"], rows)
-        # Same-task loss at the 99%-variance dimension: reported, not gated.
-        k99 = min(subspaces[src].dim, basis.dim)
-        _, delta = cross_task_projection_eval(
-            basis, k99, emb[src], _cosine_auc_eval(pair_plan[src])
-        )
-        self_projection[src] = {"k": k99, "delta_auc": float(delta)}
-
-    plane = pca(pooled)
-    coords = (pooled - plane.mean) @ plane.basis[:, :2]
-    out.rows(
-        "geometry/pc2d.csv",
-        ["task", "pc1", "pc2"],
-        [[names[int(t)], float(x), float(y)] for t, (x, y) in zip(tags, coords)],
-    )
-
-    summary = {
-        "task_probe_accuracy_mean": probe_mean,
-        "task_probe_accuracy_std": probe_std,
-        "subspace_dims": {n: subspaces[n].dim for n in names},
-        "max_principal_angle": max_angles,
-        "first_k_within_0.02_auc": first_within,
-        "self_projection_at_99pct": self_projection,
-    }
+    for path, header, rows in tables:
+        out.rows(path, header, rows)
     out.json("geometry/summary.json", summary)
     return summary
 

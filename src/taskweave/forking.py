@@ -1,7 +1,13 @@
 """Fork-based parallel map over independent items, for the package's own
 use: the sliding-window task probes, one process per CPU
-(:func:`cpu_workers`), and the forgetting comparison's three fine-tunes,
-one process each whenever a second CPU is free.
+(:func:`cpu_workers`), with the geometry suite's other analyses as one more
+item, and the forgetting comparison's three fine-tunes, one process each
+whenever a second CPU is free.
+
+Worker *j* (this process is worker 0) starts on item *j*. The items after
+the first ``workers`` wait in one shared queue, and whichever worker is free
+takes the next one in index order (self-scheduling), so a worker that holds
+a long item does not leave the others to idle.
 
 A forked child runs the same code on a copy of this process's memory, so
 every result is the serial one bit for bit, and nothing has to be picklable
@@ -12,6 +18,10 @@ from __future__ import annotations
 
 import os
 import pickle
+
+# Width of one queue record, the little-endian index of the first item of a
+# run of items.
+_INDEX_BYTES = 4
 
 
 def cpu_workers(n_items: int) -> int:
@@ -36,14 +46,49 @@ class _RemoteTraceback(Exception):
         return self.tb
 
 
-def _run_share(fn, items: list, first: int, stride: int):
-    """``fn`` over ``items[first::stride]`` in order, stopping at the first
-    item that raises: (results, None), or (None, (index, exception)) with
-    the failing item's index in ``items``."""
-    results = []
-    for index in range(first, len(items), stride):
+def _queue(first: int, n_items: int) -> tuple[int, int]:
+    """A pipe holding the items from ``first`` on in index order, its write
+    end closed: (read end, run). A record is the index of the first of
+    ``run`` items; a run is one item unless the items outnumber the records
+    one ``PIPE_BUF`` write holds, and a write that size fits the empty pipe
+    at once. Pipe reads are serialised, so each record goes to one reader
+    whole, and an empty read means the queue is drained."""
+    read_end, write_end = os.pipe()
+    try:
+        records = os.fpathconf(read_end, "PC_PIPE_BUF") // _INDEX_BYTES
+        run = max(1, -(-(n_items - first) // records))
+        data = b"".join(
+            start.to_bytes(_INDEX_BYTES, "little") for start in range(first, n_items, run)
+        )
+        os.write(write_end, data)
+    except BaseException:
+        os.close(read_end)
+        raise
+    finally:
+        os.close(write_end)
+    return read_end, run
+
+
+def _indices(first: int, queue: int, run: int, n_items: int):
+    """Item ``first``, then the runs of items taken from ``queue``, one run
+    at a time, until the queue is drained."""
+    yield first
+    while record := os.read(queue, _INDEX_BYTES):
+        start = int.from_bytes(record, "little")
+        yield from range(start, min(start + run, n_items))
+
+
+def _run_items(fn, items: list, first: int, queue: int, run: int):
+    """``fn`` over item ``first`` and the items this worker takes from
+    ``queue``, stopping at the first item that raises: (results, None), with
+    ``results`` mapping each index computed here to its result, or (None,
+    (index, exception)). A worker that stops takes no more items, and the
+    queue is in index order, so every item before the lowest failing one is
+    still computed by some worker."""
+    results = {}
+    for index in _indices(first, queue, run, len(items)):
         try:
-            results.append(fn(items[index]))
+            results[index] = fn(items[index])
         except Exception as exc:
             return None, (index, exc)
     return results, None
@@ -62,16 +107,16 @@ def _portable(exc: Exception) -> Exception:
     return exc
 
 
-def _serve_share(fn, items: list, first: int, stride: int, write_end: int):
-    """Body of a forked worker: pickle its share's outcome into the pipe and
-    leave by ``os._exit``, so the child never unwinds into the caller's
-    frames (a test runner, a benchmark loop). A failure travels with its
-    formatted traceback, as itself when it round-trips through pickle and
-    as a ``ChildProcessError`` stand-in when it does not. A child that
-    cannot send its outcome exits with status 1 and an empty pipe."""
+def _serve(fn, items: list, first: int, queue: int, run: int, write_end: int):
+    """Body of a forked worker: pickle its outcome into the pipe and leave
+    by ``os._exit``, so the child never unwinds into the caller's frames (a
+    test runner, a benchmark loop). A failure travels with its formatted
+    traceback, as itself when it round-trips through pickle and as a
+    ``ChildProcessError`` stand-in when it does not. A child that cannot
+    send its outcome exits with status 1 and an empty pipe."""
     status = 1
     try:
-        results, failure = _run_share(fn, items, first, stride)
+        results, failure = _run_items(fn, items, first, queue, run)
         if failure is not None:
             import traceback
 
@@ -87,11 +132,16 @@ def _serve_share(fn, items: list, first: int, stride: int, write_end: int):
 
 
 def forked_map(fn, items: list, workers: int) -> list:
-    """``[fn(x) for x in items]``, with the items dealt round-robin over
-    ``workers`` processes (1 is the plain loop).
+    """``[fn(x) for x in items]`` on ``workers`` processes (1 is the plain
+    loop), the results in item order.
 
-    This process computes ``items[0::workers]`` while ``workers - 1`` forked
-    children compute theirs and pickle the results back through a pipe each.
+    Worker *j* first computes ``items[j]``: this process is worker 0, and
+    ``workers - 1`` forked children are the others. The items from index
+    ``workers`` on are taken in index order from one queue, a pipe filled
+    before the fork, by whichever worker is free, this process included; so
+    with one item per worker every item runs where its index says. Children
+    pickle their results back through a pipe each.
+
     If items raise, the exception of the lowest failing item is raised, as
     the serial loop would raise it; one raised in a child carries the
     child's traceback as its ``__cause__``, and one whose class does not
@@ -99,6 +149,10 @@ def forked_map(fn, items: list, workers: int) -> list:
     is reaped, and every pipe closed, before this returns or raises;
     children still running then are killed.
     """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    queue, run = _queue(workers, len(items))
     pipes = {}  # pid -> read end, of children not yet read
     running = []  # children not yet reaped
     try:
@@ -107,7 +161,7 @@ def forked_map(fn, items: list, workers: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve_share(fn, items, first, workers, write_end)
+                    _serve(fn, items, first, queue, run, write_end)
             except BaseException:
                 os.close(read_end)
                 raise
@@ -115,8 +169,8 @@ def forked_map(fn, items: list, workers: int) -> list:
                 os.close(write_end)
             pipes[pid] = read_end
             running.append(pid)
-        outcomes = {0: _run_share(fn, items, 0, workers)}
-        for first, pid in enumerate(list(running), start=1):
+        outcomes = [_run_items(fn, items, 0, queue, run)]
+        for pid in list(running):
             with os.fdopen(pipes.pop(pid), "rb") as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
@@ -130,8 +184,9 @@ def forked_map(fn, items: list, workers: int) -> list:
                 index, exc, tb = failure
                 exc.__cause__ = _RemoteTraceback(tb)
                 failure = (index, exc)
-            outcomes[first] = (results, failure)
+            outcomes.append((results, failure))
     finally:
+        os.close(queue)
         for read_end in pipes.values():
             os.close(read_end)
         if running:
@@ -140,10 +195,10 @@ def forked_map(fn, items: list, workers: int) -> list:
             for pid in running:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    failures = [failure for _, failure in outcomes.values() if failure is not None]
+    failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(items)
-    for first, (share, _) in outcomes.items():
-        results[first::workers] = share
-    return results
+    results = {}
+    for share, _ in outcomes:
+        results.update(share)
+    return [results[index] for index in range(len(items))]

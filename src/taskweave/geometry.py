@@ -8,6 +8,7 @@ metrics inside another task's PC subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -323,13 +324,18 @@ def sliding_window_probe(
     task_labels,
     window: int = 3,
     folds: int = 10,
-) -> ProbeCurve:
+    *,
+    alongside: Callable[[], object] | None = None,
+) -> ProbeCurve | tuple[ProbeCurve, object]:
     """Probe task identity from each window of ``window`` consecutive PCs of
     the pooled embeddings, sliding from early to late components.
 
     The windows are independent, so they run on every CPU the process may
     use (:func:`taskweave.forking.forked_map`); the curve is the serial
-    loop's bit for bit."""
+    loop's bit for bit. ``alongside``, if given, is item 0 of that map: it
+    runs in this process while the children start on the windows, a failure
+    in it is raised before any window's, and the result is
+    ``(curve, alongside())``."""
     X = np.asarray(embeddings, dtype=np.float64)
     space = pca(X)
     if window < 1 or window > space.dim:
@@ -337,17 +343,22 @@ def sliding_window_probe(
     coords = (X - space.mean) @ space.basis
     plan = _fold_plan(task_labels, X.shape[0], folds)
     starts = list(range(space.dim - window + 1))
-    scores = forked_map(
-        lambda start: _cross_validate(coords[:, start : start + window], plan),
-        starts,
-        cpu_workers(len(starts)),
-    )
-    return ProbeCurve(
+
+    def probe(start: int) -> tuple[float, float]:
+        return _cross_validate(coords[:, start : start + window], plan)
+
+    items = [partial(probe, start) for start in starts]
+    if alongside is not None:
+        items.insert(0, alongside)
+    results = forked_map(lambda item: item(), items, cpu_workers(len(items)))
+    scores = results[-len(starts) :]
+    curve = ProbeCurve(
         window=window,
         starts=starts,
         means=[mean for mean, _ in scores],
         stds=[std for _, std in scores],
     )
+    return curve if alongside is None else (curve, results[0])
 
 
 def cross_task_projection_eval(

@@ -125,7 +125,7 @@ def test_criterion_3_gradient_oracle():
             _, grad_emb = batch_hard_triplet(emb, ids, 0.35)
             buffer = GradBuffer.zeros_like(params)
             backward(params, _forward(params, x), grad_emb, buffer)
-            analytic = buffer.ravel()
+            analytic = buffer.flat
 
             fd = np.zeros_like(analytic)
             h = 1e-6
@@ -165,9 +165,9 @@ def test_criterion_4_gradient_coupling_identity():
             backward(params, _forward(params, batch.features), grad_emb, coupled)
             solo = GradBuffer.zeros_like(params)
             backward(params, _forward(params, batch.features), grad_emb, solo)
-            singles.append(solo.ravel())
+            singles.append(solo.flat)
         assert coupled.accumulation_count == len(batches)
-        np.testing.assert_allclose(coupled.ravel(), np.sum(singles, axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coupled.flat, np.sum(singles, axis=0), rtol=0, atol=1e-12)
 
 
 def test_criterion_5_benchmark_table_indices():

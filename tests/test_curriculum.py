@@ -228,7 +228,7 @@ def make_trainer(mode, sizes=(80, 80, 80, 80), seed=5, **sched):
 
 
 def param_hash(params):
-    return hashlib.sha256(params.ravel().tobytes()).hexdigest()
+    return hashlib.sha256(params.flat.tobytes()).hexdigest()
 
 
 class TestTrainerBalanced:
@@ -407,16 +407,16 @@ class TestGradientCoupling:
             _, grad_emb = batch_hard_triplet(emb, batch.labels, 0.35)
             backward(params, _forward(params, batch.features), grad_emb, coupled)
 
-        independent = np.zeros_like(coupled.ravel())
+        independent = np.zeros_like(coupled.flat)
         for batch in batches:
             solo = GradBuffer.zeros_like(params)
             emb = embed(params, batch.features)
             _, grad_emb = batch_hard_triplet(emb, batch.labels, 0.35)
             backward(params, _forward(params, batch.features), grad_emb, solo)
-            independent = independent + solo.ravel()
+            independent = independent + solo.flat
 
         assert coupled.accumulation_count == len(batches)
-        np.testing.assert_allclose(coupled.ravel(), independent, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coupled.flat, independent, rtol=0, atol=1e-12)
 
 
 class TestDeterminism:
@@ -428,7 +428,7 @@ class TestDeterminism:
         records_a = [first.train_step().to_record() for _ in range(4)]
         records_b = [second.train_step().to_record() for _ in range(4)]
         assert records_a == records_b
-        assert np.array_equal(first.params.ravel(), second.params.ravel())
+        assert np.array_equal(first.params.flat, second.params.flat)
 
 
 class TestStepRecord:

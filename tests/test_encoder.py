@@ -240,7 +240,7 @@ class TestBackward:
         buffer = GradBuffer.zeros_like(params)
         backward(params, _forward(params, x), np.zeros((5, 3)), buffer)
         assert buffer.accumulation_count == 1
-        assert np.all(buffer.ravel() == 0.0)
+        assert np.all(buffer.flat == 0.0)
 
     def test_accumulation_is_additive(self):
         rng = np.random.default_rng(1)
@@ -252,7 +252,7 @@ class TestBackward:
         twice = GradBuffer.zeros_like(params)
         backward(params, _forward(params, x), g, twice)
         backward(params, _forward(params, x), g, twice)
-        np.testing.assert_allclose(twice.ravel(), 2.0 * once.ravel(), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(twice.flat, 2.0 * once.flat, rtol=0, atol=1e-15)
         assert twice.accumulation_count == 2
 
     def test_shape_mismatch(self):
@@ -280,7 +280,7 @@ class TestBackward:
         _, grad_emb = batch_hard_triplet(emb, ids, 0.35)
         buffer = GradBuffer.zeros_like(params)
         backward(params, _forward(params, x), grad_emb, buffer)
-        analytic = buffer.ravel()
+        analytic = buffer.flat
 
         fd = np.zeros_like(analytic)
         h = 1e-6
@@ -342,7 +342,7 @@ class TestAdam:
         buffer.accumulation_count = 3
         adam_step(params, buffer, state)
         assert buffer.accumulation_count == 0
-        assert np.all(buffer.ravel() == 0.0)
+        assert np.all(buffer.flat == 0.0)
         assert state.step == 1
 
     def test_requires_accumulation(self):

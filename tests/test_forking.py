@@ -1,6 +1,7 @@
-"""The fork helper's error path: what a failing child sends back."""
+"""The fork helper: its schedule, and what a failing child sends back."""
 
 import os
+import time
 
 import pytest
 
@@ -51,3 +52,92 @@ class TestChildExceptions:
             forking.forked_map(fail, [0, 1], 2)
         assert caught.value.args == (1,)
         assert isinstance(caught.value.__cause__, forking._RemoteTraceback)
+
+
+# Items a worker has computed so far, in this process; a forked child starts
+# from a copy of this process's list, empty while no map runs here.
+_computed = []
+
+
+def record(item):
+    """``item``'s square with the process that computed it and how many
+    items that process had computed before it in this map."""
+    result = (item * item, os.getpid(), len(_computed))
+    _computed.append(item)
+    return result
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="without fork the map is the plain loop",
+)
+@pytest.mark.usefixtures("leaves_no_process_or_fd")
+class TestSchedule:
+    """Worker j (this process is worker 0) starts on item j; the items after
+    the first ``workers`` go to whichever worker is free, and the results
+    come back in item order."""
+
+    N_ITEMS = 9
+
+    @pytest.fixture(autouse=True)
+    def fresh_record(self):
+        _computed.clear()
+        yield
+        _computed.clear()
+
+    @pytest.mark.parametrize("workers, n_items", [(1, 9), (2, 9), (3, 9), (50, 9), (8, 400)])
+    def test_worker_j_starts_on_item_j(self, workers, n_items):
+        items = list(range(n_items))
+        outcome = forking.forked_map(record, items, workers)
+        assert [square for square, _, _ in outcome] == [x * x for x in items]
+        used = min(workers, n_items)
+        first = outcome[:used]
+        assert first[0][1] == os.getpid()
+        assert len({pid for _, pid, _ in first}) == used
+        assert all(position == 0 for _, _, position in first)
+        # Each worker computed each item it took once, in the order it took
+        # them: an item read by two workers would leave a gap in one.
+        positions = {pid: [] for _, pid, _ in first}
+        for _, pid, position in outcome:
+            positions[pid].append(position)
+        assert all(taken == list(range(len(taken))) for taken in positions.values())
+        if workers == 1:
+            assert positions == {os.getpid(): items}
+
+    def test_idle_workers_take_the_queue(self):
+        # This process holds item 0 until the children have drained the
+        # queue, so every later item runs in a child.
+        def slow_first(item):
+            if item == 0:
+                time.sleep(1.0)
+            return record(item)
+
+        outcome = forking.forked_map(slow_first, list(range(self.N_ITEMS)), 3)
+        assert [pid for _, pid, _ in outcome].count(os.getpid()) == 1
+
+    @pytest.mark.parametrize(
+        "failing",
+        [{0}, {1}, {2}, {4}, {4, 5}, {3, 5}, {8}, {1, 8}, {2, 3, 7}, {6, 7, 8}],
+    )
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_lowest_failing_index_raises(self, failing, workers):
+        def fail(item):
+            if item in failing:
+                raise ValueError(f"item {item}")
+            return item
+
+        with pytest.raises(ValueError) as caught:
+            forking.forked_map(fail, list(range(self.N_ITEMS)), workers)
+        assert str(caught.value) == f"item {min(failing)}"
+
+    def test_more_items_than_queue_records(self):
+        # One PIPE_BUF write holds PIPE_BUF // 4 records, fewer than the
+        # 2998 queued items, so each record stands for a run of items.
+        items = list(range(3000))
+        queue, run = forking._queue(2, len(items))
+        os.close(queue)
+        assert run > 1
+        assert forking.forked_map(lambda x: 3 * x, items, 2) == [3 * x for x in items]
+
+    def test_no_items(self):
+        assert forking.forked_map(record, [], 3) == []

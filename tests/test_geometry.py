@@ -1,6 +1,7 @@
 """PCA, principal angles, linear probes, and cross-task projection."""
 
 import os
+import re
 import time
 
 import numpy as np
@@ -508,10 +509,11 @@ def planted_tasks(seed=29, n_tasks=4, per_task=30, dims=9):
 )
 @pytest.mark.usefixtures("leaves_no_process_or_fd")
 class TestParallelWindows:
-    """The window probes are dealt round-robin over forked workers (this
-    process takes windows 0, W, 2W, ...). The curve must be the serial
-    loop's bit for bit, a failure must surface as the serial loop would
-    raise it, and no worker or pipe may outlive the call."""
+    """The window probes run on forked workers: worker j (this process is
+    worker 0) starts on window j, and the later windows go to whichever
+    worker is free. The curve must be the serial loop's bit for bit, a
+    failure must surface as the serial loop would raise it, and no worker
+    or pipe may outlive the call."""
 
     WINDOW, FOLDS, N_WINDOWS = 3, 5, 7  # 9 PCs
 
@@ -552,26 +554,56 @@ class TestParallelWindows:
         assert np.array(curve.means).tobytes() == np.array([m for m, _ in serial]).tobytes()
         assert np.array(curve.stds).tobytes() == np.array([s for _, s in serial]).tobytes()
 
-    # With 3 workers this process runs windows 0, 3, 6, the first child 1, 4
-    # and the second child 2, 5.
+    # With 3 workers this process starts on window 0, the first child on 1
+    # and the second child on 2; windows 3 to 6 go to whichever worker is
+    # free, so only windows 0 to 2 have a fixed process.
     @pytest.mark.parametrize(
-        "failing, message",
+        "failing, lowest, where",
         [
-            ({4}, "window 4 failed in the child"),
-            ({4, 5}, "window 4 failed in the child"),
-            ({2, 4}, "window 2 failed in the child"),
-            ({1, 3}, "window 1 failed in the child"),
-            ({3, 5}, "window 3 failed in the parent"),
+            ({4}, 4, None),
+            ({4, 5}, 4, None),
+            ({2, 4}, 2, "child"),
+            ({1, 3}, 1, "child"),
+            ({3, 5}, 3, None),
+            ({0, 4}, 0, "parent"),
         ],
     )
-    def test_lowest_failing_window_raises(self, monkeypatch, failing, message):
+    def test_lowest_failing_window_raises(self, monkeypatch, failing, lowest, where):
         X, labels = planted_tasks()
         self.fail_windows(monkeypatch, X, failing)
         self.force_workers(monkeypatch, 3)
         with pytest.raises(ValueError) as caught:
             sliding_window_probe(X, labels, window=self.WINDOW, folds=self.FOLDS)
         assert type(caught.value) is ValueError
-        assert str(caught.value) == message
+        where = where or "(parent|child)"
+        assert re.fullmatch(f"window {lowest} failed in the {where}", str(caught.value))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_alongside_runs_here_and_leaves_the_curve(self, monkeypatch, workers):
+        X, labels = planted_tasks()
+        self.force_workers(monkeypatch, 1)
+        alone = sliding_window_probe(X, labels, window=self.WINDOW, folds=self.FOLDS)
+        self.force_workers(monkeypatch, workers)
+        curve, pid = sliding_window_probe(
+            X, labels, window=self.WINDOW, folds=self.FOLDS, alongside=os.getpid
+        )
+        assert pid == os.getpid()
+        assert curve.starts == alone.starts
+        assert np.array(curve.means).tobytes() == np.array(alone.means).tobytes()
+        assert np.array(curve.stds).tobytes() == np.array(alone.stds).tobytes()
+
+    def test_alongside_failure_comes_before_any_window(self, monkeypatch):
+        X, labels = planted_tasks()
+        self.fail_windows(monkeypatch, X, {0, 1})
+        self.force_workers(monkeypatch, 2)
+
+        def alongside():
+            raise KeyError("alongside")
+
+        with pytest.raises(KeyError, match="alongside"):
+            sliding_window_probe(
+                X, labels, window=self.WINDOW, folds=self.FOLDS, alongside=alongside
+            )
 
     def test_child_ending_without_a_result_raises(self, monkeypatch):
         X, labels = planted_tasks()

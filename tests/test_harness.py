@@ -121,6 +121,30 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"colour.*config\.corpus\.tasks\[2\]"):
             ExperimentConfig.from_file(path)
 
+    # A section of the wrong JSON type used to escape the loader as a bare
+    # TypeError, or to be iterated as a list of its keys.
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(encoder=5), "config.encoder must be a JSON object, got 5"),
+            (lambda p: p.update(corpus=5), "config.corpus must be a JSON object, got 5"),
+            (
+                lambda p: p["corpus"].update(tasks=[5]),
+                "config.corpus.tasks[0] must be a JSON object, got 5",
+            ),
+            (
+                lambda p: p["corpus"].update(tasks={"a": 1}),
+                "config.corpus.tasks must be a JSON array, got {'a': 1}",
+            ),
+        ],
+    )
+    def test_section_of_wrong_type_names_its_path(self, tmp_path, edit, message):
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        edit(payload)
+        with pytest.raises(ValidationError) as caught:
+            ExperimentConfig.from_dict(payload)
+        assert str(caught.value) == message
+
     # A missing field used to escape the loader as a bare TypeError from
     # the TaskGenSpec constructor.
     @pytest.mark.parametrize("field", REQUIRED_TASK_FIELDS)

@@ -159,6 +159,42 @@ class TestRocAuc:
         assert roc_auc(3 * genuine + 7, 3 * impostor + 7) == base
 
 
+def unsorted_query_auc(genuine, impostor):
+    """The rank-sum AUC searched with the genuine scores in their given
+    order, as ``roc_auc`` computed it before it sorted them."""
+    impostor_sorted = np.sort(np.asarray(impostor, dtype=np.float64))
+    genuine = np.asarray(genuine, dtype=np.float64)
+    below = np.searchsorted(impostor_sorted, genuine, side="left")
+    below_or_equal = np.searchsorted(impostor_sorted, genuine, side="right")
+    wins = below.sum() + 0.5 * (below_or_equal - below).sum()
+    return float(wins / (genuine.size * impostor_sorted.size))
+
+
+class TestRocAucOracle:
+    """Sorting the genuine scores changes only the order of the searches:
+    the win and tie counts are integers, so the AUC is bit for bit the
+    unsorted one."""
+
+    QUANTISED = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.3, 1.0])
+
+    @given(
+        st.lists(QUANTISED, min_size=1, max_size=40),
+        st.lists(QUANTISED, min_size=1, max_size=25),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unsorted_search_on_tied_scores(self, genuine, impostor):
+        value = roc_auc(genuine, impostor)
+        assert value == unsorted_query_auc(genuine, impostor)
+        assert abs(value - oracle_auc(genuine, impostor)) < 1e-12
+
+    @pytest.mark.parametrize("sizes", [(1500, 1500), (37, 1200), (900, 3)])
+    def test_matches_unsorted_search_on_random_scores(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        genuine = np.round(rng.normal(0.6, 0.3, sizes[0]), 3)
+        impostor = np.round(rng.normal(0.4, 0.3, sizes[1]), 3)
+        assert roc_auc(genuine, impostor) == unsorted_query_auc(genuine, impostor)
+
+
 class TestRankK:
     def test_gallery_contains_probes(self):
         rng = np.random.default_rng(0)

@@ -1075,6 +1075,47 @@ class TestParallelFinetunes:
         assert not (tmp_path / "out").exists()
 
 
+@needs_fork
+@pytest.mark.usefixtures("leaves_no_process_or_fd")
+class TestParallelGeometry:
+    """The geometry suite's window probes run on forked workers while this
+    process runs the suite's other analyses as item 0 of the same map. The
+    tree must be the one-CPU tree byte for byte, and every span the
+    benchmark expects must fire in this process, the same number of times
+    on any number of CPUs."""
+
+    def force_cpus(self, monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def test_tree_bitwise_equal_on_any_cpu_count(self, monkeypatch, tmp_path):
+        trees = {}
+        for cpus in (1, 2, 3):
+            self.force_cpus(monkeypatch, cpus)
+            # config.json records the config's output_dir, not this one.
+            run(default_config(output_dir="unused"), output_dir=tmp_path / str(cpus))
+            trees[cpus] = tree_files(tmp_path / str(cpus))
+        assert "geometry/probe_window.csv" in trees[1]
+        assert trees[2] == trees[1]
+        assert trees[3] == trees[1]
+
+    def test_this_process_fires_every_expected_span(self, monkeypatch, tmp_path):
+        # The benchmark traces only this process, so the analyses that run
+        # alongside the windows must stay here.
+        worker = load_worker(monkeypatch)
+        counts = {}
+        for cpus in (1, 2):
+            self.force_cpus(monkeypatch, cpus)
+            config = worker.build_config("pipeline", 72025, tmp_path / str(cpus))
+            with worker.Tracer() as traced:
+                # Looked up on the module so the tracer's wrapper runs.
+                experiments.run(config)
+            counts[cpus] = traced.counts()
+        fired = {name for name, calls in counts[1].items() if calls > 0}
+        expected = {name for name, where in worker.EXPECTED_SPANS.items() if "pipeline" in where}
+        assert fired == expected
+        assert counts[2] == counts[1]
+
+
 class TestTracerSpans:
     def test_every_span_resolves(self, monkeypatch):
         path = ROOT / "perfbench" / "tracer.py"
