@@ -249,13 +249,15 @@ def _pair_scores(embeddings: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 def _probe_gallery_split(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alternate members of every class into gallery (even) and probe (odd)."""
-    gallery, probe = [], []
-    for c in np.unique(labels):
-        rows = np.flatnonzero(labels == c)
-        gallery.extend(rows[0::2])
-        probe.extend(rows[1::2])
-    return np.asarray(probe), np.asarray(gallery)
+    """Alternate members of every class into gallery (even) and probe (odd):
+    (probe rows, gallery rows), each class by class in label order, a
+    class's rows in index order (so the gallery ids are non-decreasing)."""
+    order = np.argsort(labels, kind="stable")
+    grouped = labels[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    class_start = np.repeat(starts, np.diff(np.r_[starts, grouped.size]))
+    odd = (np.arange(grouped.size) - class_start) % 2 == 1
+    return order[odd], order[~odd]
 
 
 def _far_column(far: float) -> str:

@@ -82,14 +82,19 @@ def _run_items(fn, items: list, first: int, queue: int, run: int):
     """``fn`` over item ``first`` and the items this worker takes from
     ``queue``, stopping at the first item that raises: (results, None), with
     ``results`` mapping each index computed here to its result, or (None,
-    (index, exception)). A worker that stops takes no more items, and the
-    queue is in index order, so every item before the lowest failing one is
-    still computed by some worker."""
+    (index, exception)). A worker that stops drains the queue unread, so no
+    worker starts another item. The queue is in index order, so the items
+    left in it all come after the failing one, and every item before the
+    lowest failing one is still computed by some worker."""
     results = {}
     for index in _indices(first, queue, run, len(items)):
         try:
             results[index] = fn(items[index])
         except Exception as exc:
+            # A multiple of _INDEX_BYTES, so any reader still gets whole
+            # records.
+            while os.read(queue, 1 << 16):
+                pass
             return None, (index, exc)
     return results, None
 
@@ -143,10 +148,11 @@ def forked_map(fn, items: list, workers: int) -> list:
     pickle their results back through a pipe each.
 
     If items raise, the exception of the lowest failing item is raised, as
-    the serial loop would raise it; one raised in a child carries the
-    child's traceback as its ``__cause__``, and one whose class does not
-    unpickle comes back as a ``ChildProcessError`` naming it. Every child
-    is reaped, and every pipe closed, before this returns or raises;
+    the serial loop would raise it, once the items already started finish:
+    the worker whose item fails empties the queue. One raised in a child
+    carries the child's traceback as its ``__cause__``, and one whose class
+    does not unpickle comes back as a ``ChildProcessError`` naming it. Every
+    child is reaped, and every pipe closed, before this returns or raises;
     children still running then are killed.
     """
     workers = min(workers, len(items))

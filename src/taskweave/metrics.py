@@ -24,12 +24,17 @@ def _require_finite(*score_sets: np.ndarray) -> None:
         raise ContractError("scores must be finite")
 
 
-def pairwise_cosine(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
-    """Cosine similarity matrix between two sets of unit-norm rows."""
+def _embedding_pair(emb_a, emb_b) -> tuple[np.ndarray, np.ndarray]:
     emb_a = np.asarray(emb_a, dtype=np.float64)
     emb_b = np.asarray(emb_b, dtype=np.float64)
     if emb_a.ndim != 2 or emb_b.ndim != 2 or emb_a.shape[1] != emb_b.shape[1]:
         raise ContractError("embedding dimensions must match")
+    return emb_a, emb_b
+
+
+def pairwise_cosine(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
+    """Cosine similarity matrix between two sets of unit-norm rows."""
+    emb_a, emb_b = _embedding_pair(emb_a, emb_b)
     return emb_a @ emb_b.T
 
 
@@ -79,20 +84,21 @@ def roc_auc(genuine_scores, impostor_scores) -> float:
     return float(wins / (genuine.size * impostor.size))
 
 
-def _best_same_id(
-    sims: np.ndarray, probe_ids: np.ndarray, gallery_ids: np.ndarray
-) -> np.ndarray:
-    """Each probe's best score over the gallery items of its id. Gallery ids
-    in non-decreasing order (the callers' class-grouped galleries) form
-    column runs, reduced by one ``maximum.reduceat``; any other order takes
-    a masked maximum over the whole matrix."""
-    if gallery_ids.size and (gallery_ids[1:] >= gallery_ids[:-1]).all():
-        runs = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
-        run_best = np.maximum.reduceat(sims, runs, axis=1)
-        column = np.searchsorted(gallery_ids[runs], probe_ids)
-        return run_best[np.arange(sims.shape[0]), column]
-    same_id = probe_ids[:, None] == gallery_ids[None, :]
-    return np.where(same_id, sims, -np.inf).max(axis=1)
+# Similarities scored per block of probes in ``rank_k``: its memory is a few
+# blocks, not the N×G matrix.
+_BLOCK = 1 << 16
+
+
+def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
+    """[start, stop) bounds of consecutive blocks of ``rows`` rows (at least
+    2) over ``n`` rows. A trailing single row joins the block before it: a
+    one-row product runs as a matrix-vector product, whose bits can differ
+    from the same row of the full matrix product, while blocks of two or
+    more rows reproduce those rows bit for bit."""
+    stops = list(range(rows, n, rows))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    return list(zip([0] + stops, stops + [n]))
 
 
 def rank_k(
@@ -113,28 +119,52 @@ def rank_k(
     index < j*), with s* the best same-id score and j* the first same-id
     index reaching it, so the cost is O(N·G) for N probes and G gallery
     items. The second term is non-zero only where s* is tied, so only
-    those probes compare ids and indices. Non-finite similarities raise
-    ContractError.
+    those probes compare ids and indices. Every count compares entries of
+    one probe's row, so the probes are scored in blocks of about ``_BLOCK``
+    similarities and memory stays O(_BLOCK + N + G). Gallery ids in
+    non-decreasing order (the callers' class-grouped galleries) form column
+    runs, and s* is one ``maximum.reduceat`` per block; any other order
+    takes a masked maximum. Non-finite similarities, ids that do not align
+    with the embedding rows and an empty probe set raise ContractError.
     """
+    probe_emb, gallery_emb = _embedding_pair(probe_emb, gallery_emb)
     probe_ids = np.asarray(probe_ids)
     gallery_ids = np.asarray(gallery_ids)
+    if probe_ids.shape != probe_emb.shape[:1] or gallery_ids.shape != gallery_emb.shape[:1]:
+        raise ContractError("ids must align with embedding rows")
+    if not probe_ids.size:
+        raise ContractError("the probe set must be non-empty")
     ks = tuple(k) if isinstance(k, Sequence) else (k,)
     if not ks or min(ks) < 1:
         raise ContractError("k must be >= 1")
     missing = sorted(set(probe_ids.tolist()) - set(gallery_ids.tolist()))
     if missing:
         raise ContractError(f"probe ids absent from gallery: {missing[:5]}")
-    sims = pairwise_cosine(probe_emb, gallery_emb)
-    _require_finite(sims)
-    best = _best_same_id(sims, probe_ids, gallery_ids)[:, None]
-    ahead = np.count_nonzero(sims > best, axis=1)
-    tied = np.flatnonzero(np.count_nonzero(sims == best, axis=1) > 1)
-    if tied.size:
-        level = sims[tied] == best[tied]
-        first_best = (level & (probe_ids[tied, None] == gallery_ids[None, :])).argmax(axis=1)
-        earlier = np.arange(gallery_ids.size)[None, :] < first_best[:, None]
-        ahead[tied] += np.count_nonzero(level & earlier, axis=1)
-    rates = tuple(int(np.count_nonzero(ahead < each)) / sims.shape[0] for each in ks)
+    n, g = probe_ids.size, gallery_ids.size
+    gallery_index = np.arange(g)
+    runs = None
+    if (gallery_ids[1:] >= gallery_ids[:-1]).all():
+        runs = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
+        run_of_probe = np.searchsorted(gallery_ids[runs], probe_ids)
+    ahead = np.empty(n, dtype=np.intp)
+    for lo, hi in _row_blocks(n, max(2, _BLOCK // g)):
+        sims = pairwise_cosine(probe_emb[lo:hi], gallery_emb)
+        _require_finite(sims)
+        ids = probe_ids[lo:hi]
+        if runs is not None:
+            run_best = np.maximum.reduceat(sims, runs, axis=1)
+            best = run_best[np.arange(hi - lo), run_of_probe[lo:hi]][:, None]
+        else:
+            same_id = ids[:, None] == gallery_ids[None, :]
+            best = np.where(same_id, sims, -np.inf).max(axis=1, keepdims=True)
+        ahead[lo:hi] = np.count_nonzero(sims > best, axis=1)
+        tied = np.flatnonzero(np.count_nonzero(sims == best, axis=1) > 1)
+        if tied.size:
+            level = sims[tied] == best[tied]
+            first_best = (level & (ids[tied, None] == gallery_ids[None, :])).argmax(axis=1)
+            earlier = gallery_index[None, :] < first_best[:, None]
+            ahead[lo + tied] += np.count_nonzero(level & earlier, axis=1)
+    rates = tuple(int(np.count_nonzero(ahead < each)) / n for each in ks)
     return rates if isinstance(k, Sequence) else rates[0]
 
 

@@ -130,6 +130,31 @@ class TestSchedule:
             forking.forked_map(fail, list(range(self.N_ITEMS)), workers)
         assert str(caught.value) == f"item {min(failing)}"
 
+    def test_no_item_starts_after_one_fails(self):
+        # Every worker writes a byte per finished item. Without draining the
+        # queue, the worker that did not fail ran all 59 other items.
+        read_end, write_end = os.pipe()
+
+        def slow(item):
+            if item == 3:
+                raise ValueError("item 3")
+            time.sleep(0.01)
+            os.write(write_end, b"x")
+            return item
+
+        try:
+            try:
+                with pytest.raises(ValueError, match="item 3"):
+                    forking.forked_map(slow, list(range(60)), 2)
+            finally:
+                os.close(write_end)
+            finished = len(os.read(read_end, 1 << 16))
+        finally:
+            os.close(read_end)
+        # Items 0-2, and the item the other worker was running; the bound
+        # leaves room for a slow scheduler, far below the 59 of a full run.
+        assert 3 <= finished <= 20
+
     def test_more_items_than_queue_records(self):
         # One PIPE_BUF write holds PIPE_BUF // 4 records, fewer than the
         # 2998 queued items, so each record stands for a run of items.

@@ -21,6 +21,7 @@ from taskweave.experiments import (
     TaskPairs,
     _compare_forgetting,
     _cosine_auc_eval,
+    _probe_gallery_split,
     _sample_pairs,
     build_splits,
     bundled_reference_table,
@@ -774,6 +775,54 @@ class TestEvaluateRow:
             # Each rate is the one a single-k call on the same sets gives.
             for column, k in zip(retrieval, ks):
                 assert row[f"{name}:{column}"] == metrics.rank_k(*args[:4], k)
+
+
+    def test_scale_scores_row_equals_the_dense_ranking(self, tmp_path, monkeypatch):
+        # 1,600 probes against 1,600 gallery rows per fine task: many
+        # blocks, and the same row as the whole similarity matrix gives.
+        from taskweave import experiments
+        from test_metrics import dense_rank_k
+
+        config = eval_layout("scale-scores", 72025, tmp_path / "out")
+        train_corpus, eval_corpus = build_splits(config)
+        params, _ = init_encoder(config)
+        plan = verification_pair_plan(eval_corpus, config)
+        row = evaluate_row(params, train_corpus, eval_corpus, config, plan)
+        monkeypatch.setattr(experiments, "rank_k", dense_rank_k)
+        assert row == evaluate_row(params, train_corpus, eval_corpus, config, plan)
+
+
+def loop_probe_gallery_split(labels):
+    """The split as a loop over classes: even members of each class to the
+    gallery, odd ones to the probes."""
+    gallery, probe = [], []
+    for c in np.unique(labels):
+        rows = np.flatnonzero(labels == c)
+        gallery.extend(rows[0::2])
+        probe.extend(rows[1::2])
+    return np.asarray(probe, dtype=np.intp), np.asarray(gallery, dtype=np.intp)
+
+
+def random_labels(seed):
+    """Unsorted labels over few or many classes, so some are singletons."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    return rng.integers(0, int(rng.integers(1, n + 1)), n)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[4], [7, 7, 7, 7, 7], [3, 1, 2], [5, 0, 5, 0, 0, 9, 5], [2, 2, 0, 1, 1, 1]]
+    + [random_labels(seed) for seed in range(20)],
+)
+def test_probe_gallery_split_matches_the_class_loop(labels):
+    labels = np.asarray(labels)
+    probe, gallery = _probe_gallery_split(labels)
+    expected_probe, expected_gallery = loop_probe_gallery_split(labels)
+    np.testing.assert_array_equal(probe, expected_probe)
+    np.testing.assert_array_equal(gallery, expected_gallery)
+    # Class-grouped gallery: the ids rank_k reduces run by run.
+    assert (np.diff(labels[gallery]) >= 0).all()
 
 
 def test_import_skips_scipy_optimize():

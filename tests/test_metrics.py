@@ -1,12 +1,15 @@
 """Retrieval/verification metrics against brute-force oracles."""
 
 import tracemalloc
+from collections.abc import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskweave import metrics
 from taskweave.errors import ContractError, ValidationError
 from taskweave.experiments import RunResult
 from taskweave.metrics import (
@@ -232,6 +235,25 @@ class TestRankK:
         with pytest.raises(ContractError, match="absent"):
             rank_k(np.ones((1, 2)), [5], np.ones((2, 2)), [0, 1], 1)
 
+    @pytest.mark.parametrize(
+        "probe_ids, gallery_rows, gallery_ids, message",
+        [
+            # maximum.reduceat would fold the two extra rows into id 3's run.
+            ([0, 1], 6, [0, 1, 2, 3], "align"),
+            ([0, 1, 2], 4, [0, 1, 2, 3], "align"),
+            ([[0, 1]], 4, [0, 1, 2, 3], "align"),
+            ([], 4, [0, 1, 2, 3], "non-empty"),
+            ([], 0, [], "non-empty"),
+        ],
+    )
+    def test_rejects_misaligned_or_empty_inputs(
+        self, probe_ids, gallery_rows, gallery_ids, message
+    ):
+        probes = np.ones((2 if message == "align" else 0, 3))
+        gallery = np.ones((gallery_rows, 3))
+        with pytest.raises(ContractError, match=message):
+            rank_k(probes, probe_ids, gallery, gallery_ids, 1)
+
     def test_rank_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(4)
         gallery = rng.standard_normal((10, 4))
@@ -359,6 +381,121 @@ class TestRankKOracle:
         gallery[1, 0] = bad
         with pytest.raises(ContractError, match="finite"):
             rank_k(np.eye(2), [0, 1], gallery, [0, 1], 1)
+
+
+def dense_rank_k(probe_emb, probe_ids, gallery_emb, gallery_ids, k):
+    """``rank_k`` as it was before blocking: the whole N×G similarity matrix
+    at once."""
+    probe_ids = np.asarray(probe_ids)
+    gallery_ids = np.asarray(gallery_ids)
+    ks = tuple(k) if isinstance(k, Sequence) else (k,)
+    sims = pairwise_cosine(probe_emb, gallery_emb)
+    if (gallery_ids[1:] >= gallery_ids[:-1]).all():
+        runs = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
+        run_best = np.maximum.reduceat(sims, runs, axis=1)
+        column = np.searchsorted(gallery_ids[runs], probe_ids)
+        best = run_best[np.arange(sims.shape[0]), column][:, None]
+    else:
+        same_id = probe_ids[:, None] == gallery_ids[None, :]
+        best = np.where(same_id, sims, -np.inf).max(axis=1)[:, None]
+    ahead = np.count_nonzero(sims > best, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(sims == best, axis=1) > 1)
+    if tied.size:
+        level = sims[tied] == best[tied]
+        first_best = (level & (probe_ids[tied, None] == gallery_ids[None, :])).argmax(axis=1)
+        earlier = np.arange(gallery_ids.size)[None, :] < first_best[:, None]
+        ahead[tied] += np.count_nonzero(level & earlier, axis=1)
+    rates = tuple(int(np.count_nonzero(ahead < each)) / sims.shape[0] for each in ks)
+    return rates if isinstance(k, Sequence) else rates[0]
+
+
+def blocks_of(rows, gallery_size):
+    """Patch ``rank_k``'s block size so that each block holds ``rows``
+    probes against ``gallery_size`` gallery items."""
+    return mock.patch.object(metrics, "_BLOCK", rows * gallery_size)
+
+
+class TestBlockedRankK:
+    """``rank_k`` scores the probes in blocks of rows; small blocks must
+    give exactly the counts of the dense matrix."""
+
+    @given(tied_retrieval(), st.integers(2, 5), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_small_blocks_match_the_oracles_under_heavy_ties(self, case, rows, sort_gallery):
+        probes, probe_ids, gallery, gallery_ids, k = case
+        if sort_gallery:
+            order = np.argsort(gallery_ids, kind="stable")
+            gallery, gallery_ids = gallery[order], gallery_ids[order]
+        expected = oracle_rank_k(probes @ gallery.T, probe_ids, gallery_ids, k)
+        ks = [k, 1, gallery_ids.size + 1]
+        dense = dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks)
+        with blocks_of(rows, gallery_ids.size):
+            assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
+            assert rank_k(probes, probe_ids, gallery, gallery_ids, ks) == dense
+
+    @pytest.mark.parametrize(
+        "rows, n",
+        [(2, 1)] + [(rows, m * rows + 1) for rows in (2, 3, 4, 5) for m in (1, 2, 5)],
+    )
+    def test_trailing_single_row_joins_the_previous_block(self, rows, n):
+        blocks = metrics._row_blocks(n, rows)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+        assert all(stop - start >= 2 for start, stop in blocks) or n == 1
+        # Quantised coordinates tie many scores; few ids share them.
+        rng = np.random.default_rng(100 * rows + n)
+        gallery = rng.integers(-1, 2, (12, 3)).astype(float)
+        probes = rng.integers(-1, 2, (n, 3)).astype(float)
+        gallery_ids = rng.integers(0, 4, 12)
+        probe_ids = rng.choice(gallery_ids, n)
+        ks = [1, 2, 5, 13]
+        with blocks_of(rows, 12):
+            rates = rank_k(probes, probe_ids, gallery, gallery_ids, ks)
+        assert rates == dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks)
+        sims = probes @ gallery.T
+        assert rates == tuple(oracle_rank_k(sims, probe_ids, gallery_ids, k) for k in ks)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_similarity_in_the_last_block_raises(self, bad):
+        probes = np.eye(3)[np.arange(7) % 3]
+        probes[6, 0] = bad
+        ids = np.arange(7) % 3
+        with blocks_of(2, 3), pytest.raises(ContractError, match="finite"):
+            rank_k(probes, ids, np.eye(3), [0, 1, 2], 1)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_every_block_of_two_or_more_rows_is_the_full_products_rows(self, seed):
+        # No block has one row: that product runs as a matrix-vector
+        # product, whose bits may differ. Blocks of 2 to 40 rows, the widest
+        # at N = G = 1600, must reproduce the full product bit for bit.
+        rng = np.random.default_rng(seed)
+        gallery = rng.standard_normal((1600, 24))
+        gallery /= np.linalg.norm(gallery, axis=1, keepdims=True)
+        probes = rng.standard_normal((120, 24))
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        full = pairwise_cosine(probes, gallery)
+        for m in range(2, 41):
+            for lo in range(0, probes.shape[0] - m + 1, m):
+                block = pairwise_cosine(probes[lo : lo + m], gallery)
+                assert np.array_equal(block, full[lo : lo + m]), (m, lo)
+
+    def test_peak_memory_a_few_blocks(self):
+        # The setting of test_peak_memory_near_the_similarity_matrix: the
+        # N·G·8 bytes of scores never exist at once, only a few blocks of
+        # them and arrays of O(N + G) entries.
+        n, dim = 1600, 24
+        rng = np.random.default_rng(0)
+        ids = np.repeat(np.arange(40), n // 40)
+        gallery = rng.standard_normal((n, dim))
+        probes = gallery + 0.5 * rng.standard_normal((n, dim))
+        tracemalloc.start()
+        try:
+            rank_k(probes, ids, gallery, ids, [1, 5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * metrics._BLOCK * 8 + 256 * (n + n)
 
 
 def oracle_best_threshold(scores, labels):
