@@ -56,18 +56,24 @@ def main() -> None:
 @seed_option
 @output_option
 def gen(config_path, seed, output_dir) -> None:
-    """Generate and export the train/eval corpora."""
-    from .experiments import RunResult, build_splits
+    """Generate and export the train/eval corpora. Writes ``corpus/`` and
+    ``corpus_eval/``, then ``gen_summary.json`` last."""
+    from .experiments import GEN_SUMMARY, RunResult, build_splits
 
     try:
         config = _load_config(config_path, seed, output_dir)
+        out = RunResult(config.output_dir, summary=GEN_SUMMARY)
+        out.start()
         train, held_out = build_splits(config)
-        outdir = Path(config.output_dir)
-        train.save(RunResult(outdir), "corpus")
-        held_out.save(RunResult(outdir), "corpus_eval")
+        train.save(out, "corpus")
+        held_out.save(out, "corpus_eval")
+        samples = {"train": train.n_samples, "eval": held_out.n_samples}
+        out.finish(_command_summary(config, "gen", {"samples": samples}))
     except TaskweaveError as exc:
         _fail(exc)
-    click.echo(f"corpus: {train.n_samples} train / {held_out.n_samples} eval samples -> {outdir}")
+    click.echo(
+        f"corpus: {train.n_samples} train / {held_out.n_samples} eval samples -> {out.output_dir}"
+    )
 
 
 @main.command()
@@ -99,15 +105,15 @@ def _load_model(config, checkpoint):
     return train_corpus, eval_corpus, load_checkpoint(ckpt), ckpt
 
 
-def _command_summary(config, command: str, ckpt: Path, results: dict) -> dict:
+def _command_summary(config, command: str, results: dict, **fields) -> dict:
     from .experiments import SUMMARY_VERSION
 
     return {
         "summary_version": SUMMARY_VERSION,
         "command": command,
         "seed": config.seed,
-        "checkpoint": str(ckpt),
         "results": results,
+        **fields,
     }
 
 
@@ -129,7 +135,9 @@ def eval_cmd(config_path, seed, output_dir, checkpoint) -> None:
         row = evaluate_row(params, train_corpus, eval_corpus, config)
         table, floored = rows_to_table({"encoder": row})
         table.to_csv(out, "tables/metrics.csv")
-        out.finish({**_command_summary(config, "eval", ckpt, row), "floored_cells": floored})
+        out.finish(
+            _command_summary(config, "eval", row, checkpoint=str(ckpt), floored_cells=floored)
+        )
     except TaskweaveError as exc:
         _fail(exc)
     for column, value in row.items():
@@ -153,7 +161,7 @@ def analyze(config_path, seed, output_dir, checkpoint) -> None:
         out.start()
         _, eval_corpus, params, ckpt = _load_model(config, checkpoint)
         summary = geometry_suite(params, eval_corpus, config, out)
-        out.finish(_command_summary(config, "analyze", ckpt, summary))
+        out.finish(_command_summary(config, "analyze", summary, checkpoint=str(ckpt)))
     except TaskweaveError as exc:
         _fail(exc)
     click.echo(json.dumps(summary, indent=2, sort_keys=True))

@@ -12,9 +12,10 @@ A third schedule, ``blocked``, is an explicit allocation fed to
 ``Trainer.train_step``: tasks one after another, never two in one step. It
 drives single-task pretraining and the sequential fine-tuning baseline.
 
-A balanced run's batch total depends on its loaders alone, so
-:func:`balanced_budget` finds it before any training by replaying the
-loaders through the same batch draw and epoch rule the Trainer uses.
+A balanced run's batch total depends on its loaders alone, so a balanced
+Trainer plans it before any training (:meth:`Trainer.planned_batches`):
+fresh loaders from its own recipe replay the same batch draw and epoch
+rule its steps use.
 
 All per-batch gradients inside one step are summed into a single buffer and
 applied by exactly one optimizer update; ``Trainer.train_step`` is the only
@@ -225,21 +226,6 @@ def _satisfied_anchors(
     return (d_pos < d_neg).sum(axis=1)
 
 
-def online_accuracy(params: EncoderParams, batches: list[Batch]) -> float:
-    """Fraction of anchors, pooled over ``batches``, whose hardest positive is
-    nearer than their hardest negative: the online training-accuracy signal."""
-    anchors = sum(batch.labels.size for batch in batches)
-    sizes = np.array([batch.labels.size for batch in batches])
-    satisfied = 0
-    # Batches of one size share one stacked pass.
-    for size in np.unique(sizes):
-        group = [batches[i] for i in np.flatnonzero(sizes == size)]
-        features = np.stack([batch.features for batch in group])
-        labels = np.stack([batch.labels for batch in group])
-        satisfied += int(_satisfied_anchors(params, features, labels).sum())
-    return satisfied / anchors
-
-
 class Trainer:
     """Holds everything one training run needs and advances it stepwise.
 
@@ -274,6 +260,7 @@ class Trainer:
         self.positives = positives
         self.margin = margin
         self.seed = seed
+        self.loader_stream = loader_stream
         self.loaders = make_loaders(task_data, curriculum, seed, loader_stream)
         self.buffer = GradBuffer.zeros_like(params)
         self.states = {name: TaskState() for name in task_data}
@@ -299,8 +286,12 @@ class Trainer:
         the adaptive scorer has a starting point."""
         for name, data in self.task_data.items():
             rng = stream(self.seed, "probe", name)
+            # A task's probe batches share one P x K shape, so they stack.
             batches = [self._probe_batch(data, rng) for _ in range(self.curriculum.probe_batches)]
-            self.states[name].metric_log.append((0, online_accuracy(self.params, batches)))
+            labels = np.stack([batch.labels for batch in batches])
+            features = np.stack([batch.features for batch in batches])
+            satisfied = int(_satisfied_anchors(self.params, features, labels).sum())
+            self.states[name].metric_log.append((0, satisfied / labels.size))
 
     def _probe_batch(self, data: TaskData, rng: np.random.Generator) -> Batch:
         classes = data.classes
@@ -431,6 +422,27 @@ class Trainer:
             self.identities * self.positives,
         )
 
+    def planned_batches(self, epochs: int) -> int:
+        """The batch total of ``epochs`` balanced epochs of this trainer,
+        found before it trains: fresh loaders from its own recipe replay the
+        same draws through the same epoch rule, with no kernel call. The
+        total depends on the loaders alone, so it is the one the trainer then
+        spends. Its own loaders are not touched."""
+        if self.mode != BALANCED:
+            raise ContractError(f"only a balanced trainer plans its batches, not {self.mode!r}")
+        loaders = make_loaders(self.task_data, self.curriculum, self.seed, self.loader_stream)
+        per_task = self.curriculum.batches_per_task
+        allocations = dict.fromkeys(loaders, per_task)
+
+        def step() -> dict[str, bool]:
+            return draw_step(loaders, allocations, self.identities, self.positives)[1]
+
+        steps = sum(
+            balanced_epoch(step, loaders, per_task, self.identities * self.positives)
+            for _ in range(epochs)
+        )
+        return steps * per_task * self.n_tasks
+
 
 def balanced_epoch(
     step: Callable[[], dict[str, bool]],
@@ -455,29 +467,3 @@ def balanced_epoch(
         for name, flag in exhausted.items():
             seen[name] = seen[name] or flag
     return steps
-
-
-def balanced_budget(
-    task_data: dict[str, TaskData],
-    curriculum: CurriculumConfig,
-    identities: int,
-    positives: int,
-    seed: int,
-    epochs: int,
-) -> int:
-    """The batch total of ``epochs`` balanced epochs of a Trainer seeded
-    ``seed``, found before any training: the same loaders, on the
-    trainer's default ``"loader"`` stream, replay the same draws through the
-    same epoch rule, with no kernel call. The total depends on the loaders
-    alone, so it is the trainer's own."""
-    loaders = make_loaders(task_data, curriculum, seed, "loader")
-    per_task = curriculum.batches_per_task
-    allocations = dict.fromkeys(loaders, per_task)
-
-    def step() -> dict[str, bool]:
-        return draw_step(loaders, allocations, identities, positives)[1]
-
-    steps = sum(
-        balanced_epoch(step, loaders, per_task, identities * positives) for _ in range(epochs)
-    )
-    return steps * per_task * len(loaders)

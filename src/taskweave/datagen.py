@@ -416,12 +416,15 @@ class Loader:
         # the pass); its top-up overwrites those cells.
         samples = self._pass[np.minimum(first[:, None] + np.arange(k), self._pass.size - 1)]
         self._next[chosen] = first + fresh
-        self._n_consumed += p * k
-        for row in (fresh < k).nonzero()[0]:
-            slot, short = chosen[row], int(k - fresh[row])
-            self._n_consumed -= short
-            own = self._pass[self._starts[slot] : self._ends[slot]]
-            samples[row, fresh[row] :] = self._rng.choice(own, size=short, replace=True)
+        self._n_consumed += int(fresh.sum())
+        # One vector draw is the per-identity ``choice(own, short,
+        # replace=True)`` calls back to back: the same offsets into each
+        # identity's samples, and the same generator state after.
+        short = k - fresh
+        starts = self._starts[chosen]
+        sizes = self._ends[chosen] - starts
+        offsets = self._rng.integers(0, np.repeat(sizes, short), dtype=np.int64)
+        samples[np.arange(k) >= fresh[:, None]] = self._pass[np.repeat(starts, short) + offsets]
         return samples
 
     def next_batch(self, p: int, k: int) -> tuple[Batch, bool]:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .curriculum import ADAPTIVE, BALANCED, Trainer, balanced_budget, blocked_schedule
+from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
 from .datagen import CSV_UNSAFE, Corpus, TaskData, build_corpus
 from .encoder import EncoderParams, OptimState, embed, init_params, save_checkpoint
 from .errors import ConfigurationError, ContractError, NumericError
@@ -51,6 +51,7 @@ from .seeding import derive_seed, stream
 SUMMARY_VERSION = 1
 SUMMARY = "summary.json"
 # The summaries of the commands that rewrite files in a finished run.
+GEN_SUMMARY = "gen_summary.json"
 EVAL_SUMMARY = "eval_summary.json"
 ANALYZE_SUMMARY = "analyze_summary.json"
 
@@ -499,6 +500,18 @@ def geometry_suite(
 # ---------------------------------------------------------------------------
 
 
+def _overridden(
+    config: ExperimentConfig, seed: int | None, output_dir: str | Path | None
+) -> ExperimentConfig:
+    """A validated copy of ``config`` with the given overrides applied."""
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
+    if output_dir is not None:
+        config = dataclasses.replace(config, output_dir=str(output_dir))
+    config.validate()
+    return config
+
+
 def run(
     config: ExperimentConfig,
     seed: int | None = None,
@@ -508,12 +521,12 @@ def run(
 
     Writes the artifact tree under the configured output directory, and
     ``summary.json`` last. The config is validated before any file is
-    touched.
+    touched. ``config.json`` records the config with the ``seed`` and
+    ``output_dir`` overrides applied, so running it again rewrites the same
+    tree.
     """
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    config.validate()
-    out = RunResult(output_dir if output_dir is not None else config.output_dir)
+    config = _overridden(config, seed, output_dir)
+    out = RunResult(config.output_dir)
     out.start()
     out.json("config.json", config.to_dict())
 
@@ -621,18 +634,14 @@ def run_forgetting_comparison(
     adaptive interleaved. Reports each model's pretrain-task accuracy drop
     and expert-mode multi-task index. The config is validated, and its
     forgetting settings checked, before any file is touched."""
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    config.validate()
+    config = _overridden(config, seed, output_dir)
     if not config.forgetting.pretrain_task:
         raise ConfigurationError("forgetting comparison requires forgetting.pretrain_task")
     if config.curriculum.steps_per_epoch is None:
         raise ConfigurationError(
             "forgetting comparison requires curriculum.steps_per_epoch for its adaptive fine-tune"
         )
-    return _compare_forgetting(
-        config, RunResult(output_dir if output_dir is not None else config.output_dir)
-    )
+    return _compare_forgetting(config, RunResult(config.output_dir))
 
 
 def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
@@ -656,31 +665,24 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     out.lines("traces/pretrain.jsonl", _records(trainer))
     save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
-    def fine_tune(mode: str) -> tuple[EncoderParams, Trainer]:
+    def finetune_trainer(mode: str) -> Trainer:
         # Every fine-tune starts from a copy of the pretrained parameters
         # with a fresh optimizer.
         tuned = params.copy()
         opt = fresh_optimizer(config, tuned)
-        trainer = make_trainer(config, mode, train_corpus.tasks, tuned, opt, f"finetune-{mode}")
-        for _ in range(fg.finetune_epochs):
-            trainer.run_epoch()
-        return tuned, trainer
+        return make_trainer(config, mode, train_corpus.tasks, tuned, opt, f"finetune-{mode}")
+
+    # Built before the fork: the sequential item asks it for the total it
+    # will spend, and the balanced item trains it.
+    balanced = finetune_trainer(BALANCED)
 
     def score(model: EncoderParams) -> dict[str, float]:
         return evaluate_row(model, train_corpus, eval_corpus, config, pair_plan)
 
     def sequential() -> dict:
         # The blocked baseline spends the balanced run's batch total on the
-        # fine-tune tasks alone; the plan replays the balanced loaders to
-        # know it before either runs.
-        batches = balanced_budget(
-            train_corpus.tasks,
-            config.curriculum,
-            config.batch.identities,
-            config.batch.positives,
-            derive_seed(config.seed, f"finetune-{BALANCED}"),
-            fg.finetune_epochs,
-        )
+        # fine-tune tasks alone, planned before either runs.
+        batches = balanced.planned_batches(fg.finetune_epochs)
         blocked = params.copy()
         blocked_trainer = sequential_finetune(
             config,
@@ -697,12 +699,13 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
             "rows": {PRETRAINED: score(params), SEQUENTIAL: score(blocked)},
         }
 
-    def interleaved(mode: str, row_name: str) -> dict:
-        tuned, trainer = fine_tune(mode)
+    def interleaved(trainer: Trainer, row_name: str) -> dict:
+        for _ in range(fg.finetune_epochs):
+            trainer.run_epoch()
         return {
             "batches": sum(s.batches_consumed for s in trainer.reports),
             "trace": _records(trainer),
-            "rows": {row_name: score(tuned)},
+            "rows": {row_name: score(trainer.params)},
         }
 
     # The three fine-tunes are independent. The sequential item runs in
@@ -713,8 +716,9 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     # one order, so the tree is the same on any number of CPUs.
     items = [
         sequential,
-        partial(interleaved, BALANCED, INTERLEAVED_BALANCED),
-        partial(interleaved, ADAPTIVE, INTERLEAVED_ADAPTIVE),
+        partial(interleaved, balanced, INTERLEAVED_BALANCED),
+        # The adaptive trainer's seed pass runs the kernel, so its item builds it.
+        lambda: interleaved(finetune_trainer(ADAPTIVE), INTERLEAVED_ADAPTIVE),
     ]
     workers = len(items) if cpu_workers(len(items)) > 1 else 1
     results = forked_map(lambda item: item(), items, workers)

@@ -14,14 +14,13 @@ from taskweave.curriculum import (
     Trainer,
     blocked_schedule,
     distance_from_goal,
-    online_accuracy,
     relative_improvement,
     sample_allocation,
     task_scores_to_probabilities,
 )
 from taskweave.config import CurriculumConfig
-from taskweave.datagen import Batch, CorpusSpec, TaskGenSpec, build_corpus
-from taskweave.encoder import EncoderParams, OptimState, init_params
+from taskweave.datagen import CorpusSpec, TaskData, TaskGenSpec, build_corpus
+from taskweave.encoder import EncoderParams, OptimState, embed, init_params
 from taskweave.errors import ConfigurationError, ContractError
 from taskweave.seeding import stream
 
@@ -159,32 +158,59 @@ class TestBlockedSchedule:
             list(blocked_schedule(["a"], 4, 0))
 
 
-class TestOnlineAccuracy:
+class TestSeedPass:
+    """The adaptive trainer's step-0 accuracy of a task is the number of
+    anchors whose hardest positive is nearer than their hardest negative,
+    counted over the task's whole stack of probe batches, divided by the
+    stack's rows."""
+
     identity = EncoderParams(weights=[np.eye(2)], biases=[np.zeros(2)])
 
-    def test_satisfaction_rate(self):
-        emb = np.array([[1.0, 0.0], [0.99, 0.14], [-1.0, 0.0], [-0.99, 0.14]])
-        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        batch = Batch(features=emb, labels=np.array([0, 0, 1, 1]), task="t")
-        assert online_accuracy(self.identity, [batch]) == 1.0
+    def seeded(self, features, labels, identities, positives):
+        """The step-0 accuracy of a one-task adaptive trainer on the given
+        samples."""
+        data = {"t": TaskData("t", "fine-identity", np.array(features), np.array(labels))}
+        trainer = Trainer(
+            mode=ADAPTIVE,
+            task_data=data,
+            params=self.identity,
+            opt_state=OptimState.for_params(self.identity, learning_rate=1e-3),
+            curriculum=CurriculumConfig(goals={"t": 0.9}, total_batches=1, probe_batches=3),
+            identities=identities,
+            positives=positives,
+            margin=0.35,
+            seed=1,
+        )
+        (step, accuracy), = trainer.states["t"].metric_log
+        assert step == 0
+        return accuracy
 
-    def test_counts_pool_across_batches(self):
-        # Six satisfied anchors in one batch, four violated in the other: the
-        # pooled rate is 6 / 10, not the mean of the per-batch rates (0.5).
-        tight = Batch(
-            features=np.array(
-                [[1.0, 0.0], [0.99, 0.14], [-0.5, 0.87], [-0.6, 0.8], [-0.5, -0.87], [-0.6, -0.8]]
-            ),
-            labels=np.array([0, 0, 1, 1, 2, 2]),
-            task="t",
-        )
-        swapped = Batch(
-            features=np.array([[1.0, 0.0], [0.99, 0.14], [-1.0, 0.0], [-0.99, 0.14]]),
-            labels=np.array([0, 1, 0, 1]),
-            task="t",
-        )
-        assert online_accuracy(self.identity, [swapped]) == 0.0
-        assert online_accuracy(self.identity, [tight, swapped]) == 0.6
+    # A probe batch of P identities with K samples each holds every sample
+    # of these tasks, so its count does not depend on the draw.
+    def test_every_anchor_satisfied(self):
+        features = [[1.0, 0.0], [0.99, 0.14], [-0.5, 0.87], [-0.6, 0.8], [-0.5, -0.87], [-0.6, -0.8]]
+        assert self.seeded(features, [0, 0, 1, 1, 2, 2], 3, 2) == 1.0
+
+    def test_every_anchor_violated(self):
+        features = [[1.0, 0.0], [0.99, 0.14], [-1.0, 0.0], [-0.99, 0.14]]
+        assert self.seeded(features, [0, 1, 0, 1], 2, 2) == 0.0
+
+    def test_count_over_the_probe_stack(self):
+        trainer = make_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5, probe_batches=3)
+        for name, data in trainer.task_data.items():
+            rng = stream(trainer.seed, "probe", name)
+            satisfied = rows = 0
+            for _ in range(3):
+                batch = trainer._probe_batch(data, rng)
+                emb = embed(trainer.params, batch.features)
+                dist = np.linalg.norm(emb[:, None] - emb[None], axis=-1)
+                same = batch.labels[:, None] == batch.labels[None]
+                d_pos = np.where(same, dist, -np.inf).max(axis=1)
+                d_neg = np.where(same, np.inf, dist).min(axis=1)
+                satisfied += int((d_pos < d_neg).sum())
+                rows += batch.labels.size
+            assert rows == 3 * 10 * 4
+            assert trainer.states[name].metric_log == [(0, satisfied / rows)]
 
 
 def small_task_data(sizes=(80, 80, 80, 80), seed=5):

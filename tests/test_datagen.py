@@ -385,3 +385,23 @@ class TestLoaderOracle:
             assert loader._rng.bit_generator.state == reference._rng.bit_generator.state
             branches += reference.branches
         assert {"scarce", "spent", "top-up"} <= {name for name, n in branches.items() if n}
+
+    def test_top_up_draw_is_the_per_identity_loop(self):
+        # The loader tops up a batch's short identities with one vector
+        # ``integers`` call over each identity's sample count, repeated once
+        # per missing sample. It must give the offsets of the per-identity
+        # ``choice(n, short, replace=True)`` calls made back to back, and
+        # leave the generator in the same state.
+        meta = np.random.default_rng(0)
+        for case in range(300):
+            sizes = meta.integers(1, 40, size=meta.integers(1, 9))
+            shorts = meta.integers(0, 6, size=sizes.size)
+            loop, vector = stream(case, "top-up"), stream(case, "top-up")
+            # Earlier draws may leave half a 64-bit word buffered.
+            warm = int(meta.integers(0, 3))
+            loop.integers(0, 7, size=warm)
+            vector.integers(0, 7, size=warm)
+            expected = [loop.choice(n, size=short, replace=True) for n, short in zip(sizes, shorts)]
+            drawn = vector.integers(0, np.repeat(sizes, shorts), dtype=np.int64)
+            assert np.array_equal(drawn, np.concatenate(expected))
+            assert vector.bit_generator.state == loop.bit_generator.state

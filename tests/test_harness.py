@@ -431,6 +431,21 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["seed"] == 99
 
+    def test_output_dir_override_is_recorded(self, tmp_path):
+        config = tiny_config(tmp_path / "declared")
+        config.evaluation.suites = ["scores"]
+        before = config.to_dict()
+        out = tmp_path / "actual"
+        run(config, output_dir=out)
+        assert config.to_dict() == before
+        assert not (tmp_path / "declared").exists()
+        recorded = ExperimentConfig.from_file(out / "config.json")
+        assert recorded.output_dir == str(out)
+        first = {rel: (out / rel).read_bytes() for rel in files_under(out)}
+        # Running the recorded config again rewrites the same tree.
+        run(recorded)
+        assert {rel: (out / rel).read_bytes() for rel in files_under(out)} == first
+
 
 def files_under(root: Path) -> set[str]:
     return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
@@ -1120,6 +1135,31 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "corpus" / "manifest.json").exists()
 
+    def test_gen_leaves_its_own_summary(self, tmp_path):
+        runner = CliRunner()
+        config = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert runner.invoke(main, ["train", "-c", str(config)]).exit_code == 0
+        trained = (out / "summary.json").read_bytes()
+
+        result = runner.invoke(main, ["gen", "-c", str(config), "--seed", "5"])
+        assert result.exit_code == 0, result.output
+        generated = json.loads((out / "gen_summary.json").read_text())
+        corpora = sorted(
+            str(p.relative_to(out)) for d in ("corpus", "corpus_eval") for p in (out / d).iterdir()
+        )
+        assert generated["command"] == "gen"
+        assert generated["seed"] == 5
+        assert generated["artifacts"] == corpora
+        train, held_out = build_splits(
+            dataclasses.replace(ExperimentConfig.from_file(config), seed=5)
+        )
+        assert generated["results"] == {
+            "samples": {"train": train.n_samples, "eval": held_out.n_samples}
+        }
+        # The run's own summary still names the run's files and seed.
+        assert (out / "summary.json").read_bytes() == trained
+
     def test_train_then_eval_and_analyze(self, tmp_path):
         runner = CliRunner()
         config = self.write_config(tmp_path)
@@ -1167,6 +1207,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, summary, target",
         [
+            ("gen", "gen_summary.json", "build_splits"),
             ("eval", "eval_summary.json", "rows_to_table"),
             ("analyze", "analyze_summary.json", "pca"),
         ],

@@ -14,6 +14,7 @@ import importlib
 import importlib.util
 import os
 import pickle
+import shutil
 import sys
 from copy import deepcopy
 from pathlib import Path
@@ -34,7 +35,6 @@ from taskweave.curriculum import (
     BLOCKED,
     StepReport,
     Trainer,
-    balanced_budget,
     balanced_epoch,
     blocked_schedule,
     make_loaders,
@@ -850,25 +850,34 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+def balanced_finetune_trainer(config, train):
+    params, opt = init_encoder(config)
+    return make_trainer(config, BALANCED, train.tasks, params, opt, "finetune-balanced")
+
+
 def planned_and_spent(config):
-    """The balanced fine-tune's planned batch total and the total its
-    trainer spends, under the forgetting comparison's seed name."""
+    """The balanced fine-tune's planned batch total and the total the same
+    trainer then spends, under the forgetting comparison's seed name."""
     train, _ = build_splits(config)
     epochs = config.forgetting.finetune_epochs
-    seed = derive_seed(config.seed, "finetune-balanced")
-    b = config.batch
-    planned = balanced_budget(train.tasks, config.curriculum, b.identities, b.positives, seed, epochs)
-    params, opt = init_encoder(config)
-    trainer = make_trainer(config, BALANCED, train.tasks, params, opt, "finetune-balanced")
+    trainer = balanced_finetune_trainer(config, train)
+    planned = trainer.planned_batches(epochs)
     for _ in range(epochs):
         trainer.run_epoch()
     return planned, sum(r.batches_consumed for r in trainer.reports)
 
 
+def loader_states(trainer):
+    return {
+        name: (loader._rng.bit_generator.state, loader.order.tolist(), loader.cursor)
+        for name, loader in trainer.loaders.items()
+    }
+
+
 class TestBudgetPlan:
-    """The balanced budget is known before any fine-tune runs: replaying the
-    balanced trainer's loaders through the shared epoch rule gives the
-    batch total that trainer then spends, and the comparison refuses to
+    """The balanced trainer knows its budget before any fine-tune runs:
+    replaying fresh loaders of its own recipe through the shared epoch rule
+    gives the batch total it then spends, and the comparison refuses to
     write a fine-tune file when the two disagree."""
 
     @pytest.mark.parametrize("seed", [72025, 3, 7])
@@ -889,11 +898,30 @@ class TestBudgetPlan:
         config = forgetting_config(tmp_path)
         train, _ = build_splits(config)
         tracer = load_tracer(monkeypatch)
+        trainer = balanced_finetune_trainer(config, train)
         with tracer.Tracer() as traced:
-            planned = balanced_budget(train.tasks, config.curriculum, 4, 4, 11, 1)
+            planned = trainer.planned_batches(1)
         counts = traced.counts()
         assert counts["datagen.Loader.next_batch"] == planned
         assert sum(counts.values()) == planned
+
+    def test_planning_leaves_the_trainer_untouched(self, tmp_path):
+        config = forgetting_config(tmp_path)
+        train, _ = build_splits(config)
+        trainer = balanced_finetune_trainer(config, train)
+        before = loader_states(trainer)
+        first = trainer.planned_batches(2)
+        assert trainer.planned_batches(2) == first
+        assert loader_states(trainer) == before
+        assert trainer.reports == [] and trainer.step == 0
+
+    def test_only_a_balanced_trainer_plans(self, tmp_path):
+        config = forgetting_config(tmp_path)
+        train, _ = build_splits(config)
+        params, opt = init_encoder(config)
+        trainer = make_trainer(config, ADAPTIVE, train.tasks, params, opt, "finetune-adaptive")
+        with pytest.raises(ContractError, match="only a balanced trainer"):
+            trainer.planned_batches(1)
 
     def test_epoch_cap(self, tmp_path):
         config = forgetting_config(tmp_path)
@@ -915,8 +943,8 @@ class TestBudgetPlan:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_disagreeing_plan_writes_no_finetune_file(self, monkeypatch, tmp_path, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        plan = experiments.balanced_budget
-        monkeypatch.setattr(experiments, "balanced_budget", lambda *a: plan(*a) + 1)
+        plan = Trainer.planned_batches
+        monkeypatch.setattr(Trainer, "planned_batches", lambda *a: plan(*a) + 1)
         with pytest.raises(ContractError, match="balanced fine-tune spent"):
             run_forgetting_comparison(forgetting_config(tmp_path))
         assert sorted(tree_files(tmp_path)) == [
@@ -1089,11 +1117,13 @@ class TestParallelGeometry:
 
     def test_tree_bitwise_equal_on_any_cpu_count(self, monkeypatch, tmp_path):
         trees = {}
+        out = tmp_path / "out"
         for cpus in (1, 2, 3):
             self.force_cpus(monkeypatch, cpus)
-            # config.json records the config's output_dir, not this one.
-            run(default_config(output_dir="unused"), output_dir=tmp_path / str(cpus))
-            trees[cpus] = tree_files(tmp_path / str(cpus))
+            # One directory for every run, since config.json records it.
+            shutil.rmtree(out, ignore_errors=True)
+            run(default_config(), output_dir=out)
+            trees[cpus] = tree_files(out)
         assert "geometry/probe_window.csv" in trees[1]
         assert trees[2] == trees[1]
         assert trees[3] == trees[1]
