@@ -316,7 +316,9 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ValidationError(f"cannot read config {path}: {exc.strerror}") from None
+        except ValueError as exc:
             raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 

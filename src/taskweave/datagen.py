@@ -217,28 +217,49 @@ class Corpus:
 
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":
+        """The corpus :meth:`save` wrote under ``directory``. A missing or
+        malformed file raises ValidationError naming it."""
         directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        if manifest.get("manifest_version") != MANIFEST_VERSION:
-            raise ValidationError(
-                f"unsupported corpus manifest version {manifest.get('manifest_version')!r}"
+        path = directory / "manifest.json"
+        try:
+            manifest = json.loads(path.read_text())
+        except OSError as exc:
+            raise ValidationError(f"cannot read corpus manifest {path}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ValidationError(f"corpus manifest {path} is not valid JSON: {exc}") from None
+        version = manifest.get("manifest_version") if isinstance(manifest, dict) else None
+        if version != MANIFEST_VERSION:
+            raise ValidationError(f"{path}: unsupported corpus manifest version {version!r}")
+        try:
+            task_specs = tuple(
+                TaskGenSpec(**{f.name: t[f.name] for f in fields(TaskGenSpec)})
+                for t in manifest["tasks"]
             )
-        task_specs = tuple(
-            TaskGenSpec(**{f.name: t[f.name] for f in fields(TaskGenSpec)})
-            for t in manifest["tasks"]
-        )
-        spec = CorpusSpec(tasks=task_specs, seed=manifest["seed"], ambient_dim=manifest["ambient_dim"])
-        corpus = cls(spec=spec, split=manifest["split"])
-        for t in manifest["tasks"]:
-            features = np.load(directory / t["file"])
-            if list(features.shape) != t["shape"]:
-                raise ValidationError(f"task {t['name']!r}: stored shape mismatch")
-            corpus.tasks[t["name"]] = TaskData(
-                name=t["name"],
-                regime=t["regime"],
-                features=np.asfortranarray(features),
-                labels=np.asarray(t["labels"], dtype=np.int64),
+            spec = CorpusSpec(
+                tasks=task_specs, seed=manifest["seed"], ambient_dim=manifest["ambient_dim"]
             )
+            corpus = cls(spec=spec, split=manifest["split"])
+            for t in manifest["tasks"]:
+                file = directory / t["file"]
+                try:
+                    features = np.load(file)
+                except (OSError, ValueError, EOFError) as exc:
+                    raise ValidationError(f"cannot read corpus features {file}: {exc}") from None
+                if list(features.shape) != t["shape"]:
+                    raise ValidationError(f"{file}: task {t['name']!r}: stored shape mismatch")
+                if len(t["labels"]) != features.shape[0]:
+                    raise ValidationError(
+                        f"{path}: task {t['name']!r} has {len(t['labels'])} labels "
+                        f"for {features.shape[0]} feature rows"
+                    )
+                corpus.tasks[t["name"]] = TaskData(
+                    name=t["name"],
+                    regime=t["regime"],
+                    features=np.asfortranarray(features),
+                    labels=np.asarray(t["labels"], dtype=np.int64),
+                )
+        except KeyError as exc:
+            raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
         return corpus
 
 

@@ -23,11 +23,12 @@ per batch would.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, ValidationError
 
 CHECKPOINT_VERSION = 1
 
@@ -431,14 +432,26 @@ def save_checkpoint(params: EncoderParams, out, rel: str) -> None:
 
 
 def load_checkpoint(path) -> EncoderParams:
-    with np.load(path) as data:
-        version = int(data["version"][0])
-        if version != CHECKPOINT_VERSION:
-            raise ContractError(f"unsupported checkpoint version {version}")
-        n_layers = int(data["n_layers"][0])
-        params = EncoderParams(
-            weights=[data[f"w{i}"] for i in range(n_layers)],
-            biases=[data[f"b{i}"] for i in range(n_layers)],
-        )
+    """The parameters :func:`save_checkpoint` wrote to ``path``. A file that
+    is not such a checkpoint raises ValidationError naming ``path``."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValidationError(f"checkpoint {path} is one array, not an npz checkpoint")
+        with data:
+            version = int(data["version"][0])
+            if version != CHECKPOINT_VERSION:
+                raise ValidationError(f"checkpoint {path}: unsupported version {version}")
+            n_layers = int(data["n_layers"][0])
+            params = EncoderParams(
+                weights=[data[f"w{i}"] for i in range(n_layers)],
+                biases=[data[f"b{i}"] for i in range(n_layers)],
+            )
+    except OSError as exc:
+        raise ValidationError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise ValidationError(f"checkpoint {path}: {exc.args[0]}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"checkpoint {path} is not an npz checkpoint: {exc}") from None
     params.validate()
     return params

@@ -24,9 +24,9 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
-from .datagen import CSV_UNSAFE, Corpus, TaskData, build_corpus
-from .encoder import EncoderParams, OptimState, embed, init_params, save_checkpoint
-from .errors import ConfigurationError, ContractError, NumericError
+from .datagen import CSV_UNSAFE, Corpus, CorpusSpec, TaskData, build_corpus
+from .encoder import EncoderParams, OptimState, embed, init_params, load_checkpoint, save_checkpoint
+from .errors import ConfigurationError, ContractError, NumericError, ValidationError
 from .forking import cpu_workers, forked_map
 from .geometry import (
     cross_task_projection_eval,
@@ -50,10 +50,6 @@ from .seeding import derive_seed, stream
 
 SUMMARY_VERSION = 1
 SUMMARY = "summary.json"
-# The summaries of the commands that rewrite files in a finished run.
-GEN_SUMMARY = "gen_summary.json"
-EVAL_SUMMARY = "eval_summary.json"
-ANALYZE_SUMMARY = "analyze_summary.json"
 
 
 # ---------------------------------------------------------------------------
@@ -85,25 +81,24 @@ class RunResult:
     hidden sibling ``.<name>.tmp`` and renames it over the target, so a
     killed run leaves whole files or none. Every file written is recorded
     in ``artifacts`` (relative paths, in write order). ``finish`` writes
-    the summary, ``summary.json`` unless ``summary`` names another file,
-    last, naming every other file it wrote; a directory without it holds
-    an unfinished run or command. One JSON format (indent 2, sorted keys,
-    trailing newline, finite numbers only) and one CSV format (LF, floats
-    by ``repr``, an empty cell for NaN) are used throughout.
+    ``summary.json`` last, naming every other file it wrote; a directory
+    without it holds an unfinished run or command. One JSON format (indent
+    2, sorted keys, trailing newline, finite numbers only) and one CSV
+    format (LF, floats by ``repr``, an empty cell for NaN) are used
+    throughout.
     """
 
     output_dir: Path
     artifacts: list[str] = field(default_factory=list)
     results: dict = field(default_factory=dict)
-    summary: str = SUMMARY
 
     def __post_init__(self):
         self.output_dir = Path(self.output_dir)
 
     def start(self) -> None:
-        """Drop an earlier summary of the same name so the work reads as
-        unfinished until :meth:`finish`."""
-        (self.output_dir / self.summary).unlink(missing_ok=True)
+        """Drop an earlier summary so the work reads as unfinished until
+        :meth:`finish`."""
+        (self.output_dir / SUMMARY).unlink(missing_ok=True)
 
     def _replace(self, rel: str, data: bytes) -> None:
         if Path(rel).is_absolute() or ".." in Path(rel).parts:
@@ -150,21 +145,45 @@ class RunResult:
         """Write the summary last, its ``artifacts`` being every other file
         this run wrote."""
         payload = {**summary, "artifacts": sorted(self.artifacts)}
-        self._replace(self.summary, (_json_text(self.summary, payload, indent=2) + "\n").encode())
+        self._replace(SUMMARY, (_json_text(SUMMARY, payload, indent=2) + "\n").encode())
+
+
+def _corpus_spec(config: ExperimentConfig) -> CorpusSpec:
+    return config.corpus_spec(derive_seed(config.seed, "corpus"))
+
+
+def _layer_dims(config: ExperimentConfig) -> list[int]:
+    return [config.ambient_dim, *config.encoder.hidden_dims, config.encoder.embedding_dim]
 
 
 def build_splits(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
     """Train and eval corpora from one spec: shared class centroids, fresh
     observation noise per split."""
-    spec = config.corpus_spec(derive_seed(config.seed, "corpus"))
+    spec = _corpus_spec(config)
     train = build_corpus(spec, "train", config.batch.positives)
     held_out = build_corpus(spec, "eval", config.batch.positives)
     return train, held_out
 
 
+def load_run(run_dir: str | Path, checkpoint: str | Path | None = None):
+    """A finished run's config, train and eval corpora, parameters and
+    checkpoint path (by default the run's final one), read from ``run_dir``.
+    Input that is missing or does not fit ``config.json`` is a ValidationError."""
+    run_dir = Path(run_dir)
+    config = ExperimentConfig.from_file(run_dir / "config.json")
+    corpora = [Corpus.load(run_dir / rel) for rel in ("corpus", "corpus_eval")]
+    for corpus, split in zip(corpora, ("train", "eval")):
+        if (corpus.spec, corpus.split) != (_corpus_spec(config), split):
+            raise ValidationError(f"{run_dir}: the {split} corpus saved is not its config's")
+    ckpt = Path(checkpoint or run_dir / "checkpoints" / "encoder_final.npz")
+    params, dims = load_checkpoint(ckpt), _layer_dims(config)
+    if [w.shape for w in params.weights] != list(zip(dims, dims[1:])):
+        raise ValidationError(f"checkpoint {ckpt}: its layers do not fit the config's {dims}")
+    return config, *corpora, params, ckpt
+
+
 def init_encoder(config: ExperimentConfig) -> tuple[EncoderParams, OptimState]:
-    dims = [config.ambient_dim, *config.encoder.hidden_dims, config.encoder.embedding_dim]
-    params = init_params(dims, stream(config.seed, "encoder-init"))
+    params = init_params(_layer_dims(config), stream(config.seed, "encoder-init"))
     return params, fresh_optimizer(config, params)
 
 
@@ -500,7 +519,7 @@ def geometry_suite(
 # ---------------------------------------------------------------------------
 
 
-def _overridden(
+def overridden(
     config: ExperimentConfig, seed: int | None, output_dir: str | Path | None
 ) -> ExperimentConfig:
     """A validated copy of ``config`` with the given overrides applied."""
@@ -525,7 +544,7 @@ def run(
     ``output_dir`` overrides applied, so running it again rewrites the same
     tree.
     """
-    config = _overridden(config, seed, output_dir)
+    config = overridden(config, seed, output_dir)
     out = RunResult(config.output_dir)
     out.start()
     out.json("config.json", config.to_dict())
@@ -634,7 +653,7 @@ def run_forgetting_comparison(
     adaptive interleaved. Reports each model's pretrain-task accuracy drop
     and expert-mode multi-task index. The config is validated, and its
     forgetting settings checked, before any file is touched."""
-    config = _overridden(config, seed, output_dir)
+    config = overridden(config, seed, output_dir)
     if not config.forgetting.pretrain_task:
         raise ConfigurationError("forgetting comparison requires forgetting.pretrain_task")
     if config.curriculum.steps_per_epoch is None:
@@ -728,13 +747,14 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
             f"the balanced fine-tune spent {spent} batches against the {planned} planned"
         )
     traces = dict(zip((SEQUENTIAL, BALANCED, ADAPTIVE), (r["trace"] for r in results)))
+    order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
+    batches = dict(zip(order, (r["batches"] for r in results)))
     rows = {name: row for r in results for name, row in r["rows"].items()}
     for mode in (BALANCED, ADAPTIVE, SEQUENTIAL):
         out.lines(f"traces/finetune_{mode}.jsonl", traces[mode])
 
     top1_col = f"{fg.pretrain_task}:top1"
     baseline_acc = rows.pop(PRETRAINED)[top1_col]
-    order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
     rows = {name: rows[name] for name in order}
     table, floored = rows_to_table(rows)
     table.to_csv(out, "tables/forgetting_scores.csv")
@@ -756,6 +776,7 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
         "finetune_total_batches": planned,
         "models": {
             name: {
+                "batches": batches[name],
                 "pretrain_task_accuracy": rows[name][top1_col],
                 "pretrain_task_drop": baseline_acc - rows[name][top1_col],
                 "multitask_index_expert": table.index_for(name, EXPERT),

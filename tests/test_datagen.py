@@ -1,5 +1,6 @@
 """Corpus generation and batch loader contracts."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -255,6 +256,51 @@ class TestLoader:
         manifest.write_text(payload)
         with pytest.raises(ValidationError, match="manifest version"):
             Corpus.load(tmp_path / "c")
+
+
+class TestMalformedCorpus:
+    """Every way a saved corpus can be unreadable raises ValidationError
+    naming the file."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        build_corpus(four_task_spec()).save(RunResult(tmp_path), "c")
+        return tmp_path / "c"
+
+    def edit_manifest(self, saved, edit):
+        path = saved / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    def test_missing_manifest(self, saved):
+        (saved / "manifest.json").unlink()
+        with pytest.raises(ValidationError, match=f"cannot read corpus manifest {saved}"):
+            Corpus.load(saved)
+
+    def test_missing_features(self, saved):
+        (saved / "fine.npy").unlink()
+        with pytest.raises(ValidationError, match=f"corpus features {saved}/fine.npy"):
+            Corpus.load(saved)
+
+    def test_manifest_not_json(self, saved):
+        (saved / "manifest.json").write_text('{"manifest_version": 1,')
+        with pytest.raises(ValidationError, match="manifest.json is not valid JSON"):
+            Corpus.load(saved)
+
+    @pytest.mark.parametrize("key", ["seed", "split", "tasks", "file", "labels", "regime"])
+    def test_manifest_missing_a_key(self, saved, key):
+        def drop(manifest):
+            del (manifest if key in manifest else manifest["tasks"][1])[key]
+
+        self.edit_manifest(saved, drop)
+        with pytest.raises(ValidationError, match=f"manifest.json: missing key '{key}'"):
+            Corpus.load(saved)
+
+    def test_labels_not_one_per_row(self, saved):
+        self.edit_manifest(saved, lambda manifest: manifest["tasks"][1]["labels"].pop())
+        with pytest.raises(ValidationError, match="task 'fine' has 199 labels for 200 feature rows"):
+            Corpus.load(saved)
 
     @pytest.mark.parametrize("classes,spc,p,k", [(5, 6, 3, 2), (6, 8, 4, 4), (4, 10, 2, 3)])
     def test_coverage_fuzz(self, classes, spc, p, k):

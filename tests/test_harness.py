@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from click.testing import CliRunner
 import taskweave
 from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
+from taskweave.encoder import save_checkpoint
 from taskweave.errors import ConfigurationError, ContractError, NumericError, ValidationError
 from taskweave.experiments import (
     RunResult,
@@ -68,6 +70,10 @@ class TestConfig:
         path.write_text(json.dumps(config.to_dict()))
         loaded = ExperimentConfig.from_file(path)
         assert loaded.to_dict() == config.to_dict()
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ValidationError, match=f"cannot read config {tmp_path}/none.json"):
+            ExperimentConfig.from_file(tmp_path / "none.json")
 
     def test_unknown_top_level_key(self, tmp_path):
         payload = default_config(output_dir=str(tmp_path)).to_dict()
@@ -1121,6 +1127,11 @@ class TestScoreTableScoring:
                 assert ranking[model] < 0
 
 
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under ``root``, keyed by its path relative to ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestCli:
     def write_config(self, tmp_path) -> Path:
         config = tiny_config(tmp_path / "out")
@@ -1138,13 +1149,11 @@ class TestCli:
     def test_gen_leaves_its_own_summary(self, tmp_path):
         runner = CliRunner()
         config = self.write_config(tmp_path)
-        out = tmp_path / "out"
-        assert runner.invoke(main, ["train", "-c", str(config)]).exit_code == 0
-        trained = (out / "summary.json").read_bytes()
-
-        result = runner.invoke(main, ["gen", "-c", str(config), "--seed", "5"])
+        out = tmp_path / "gen"
+        args = ["gen", "-c", str(config), "--seed", "5", "-o", str(out)]
+        result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
-        generated = json.loads((out / "gen_summary.json").read_text())
+        generated = json.loads((out / "summary.json").read_text())
         corpora = sorted(
             str(p.relative_to(out)) for d in ("corpus", "corpus_eval") for p in (out / d).iterdir()
         )
@@ -1157,19 +1166,62 @@ class TestCli:
         assert generated["results"] == {
             "samples": {"train": train.n_samples, "eval": held_out.n_samples}
         }
-        # The run's own summary still names the run's files and seed.
-        assert (out / "summary.json").read_bytes() == trained
+        # gen may rewrite its own tree.
+        assert runner.invoke(main, args).exit_code == 0
+        assert json.loads((out / "summary.json").read_text()) == generated
+
+    @pytest.mark.parametrize("tree", ["", "eval"])
+    def test_gen_refuses_another_commands_tree(self, tmp_path, tree):
+        runner = CliRunner()
+        config = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert runner.invoke(main, ["train", "-c", str(config)]).exit_code == 0
+        assert runner.invoke(main, ["eval", str(out)]).exit_code == 0
+        before = tree_bytes(tmp_path)
+
+        args = ["gen", "-c", str(config), "--seed", "5", "-o", str(out / tree)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "another command's summary.json" in result.output
+        assert tree_bytes(tmp_path) == before
+
+    def test_eval_and_analyze_reproduce_the_run(self, tmp_path):
+        # A run at a seed other than the stock one: its own corpora, not the
+        # stock config's, must be scored.
+        runner = CliRunner()
+        run_dir = tmp_path / "R"
+        result = runner.invoke(main, ["train", "--seed", "5", "-o", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        trained = tree_bytes(run_dir)
+        listed = json.loads(trained["summary.json"])["artifacts"]
+        for command in ("eval", "analyze"):
+            result = runner.invoke(main, [command, str(run_dir)])
+            assert result.exit_code == 0, result.output
+
+        after = tree_bytes(run_dir)
+        assert after["eval/tables/metrics.csv"] == trained["tables/metrics.csv"]
+        geometry = {rel: data for rel, data in trained.items() if rel.startswith("geometry/")}
+        assert len(geometry) == 8
+        assert {
+            rel.removeprefix("analyze/"): data
+            for rel, data in after.items()
+            if rel.startswith("analyze/geometry/")
+        } == geometry
+        for rel in [*listed, "summary.json"]:
+            assert after[rel] == trained[rel], rel
+        assert all(rel.startswith(("eval/", "analyze/")) for rel in set(after) - set(trained))
 
     def test_train_then_eval_and_analyze(self, tmp_path):
         runner = CliRunner()
         config = self.write_config(tmp_path)
+        out = tmp_path / "out"
         result = runner.invoke(main, ["train", "-c", str(config)])
         assert result.exit_code == 0, result.output
-        result = runner.invoke(main, ["eval", "-c", str(config)])
+        result = runner.invoke(main, ["eval", str(out)])
         assert result.exit_code == 0, result.output
-        result = runner.invoke(main, ["analyze", "-c", str(config)])
+        result = runner.invoke(main, ["analyze", str(out)])
         assert result.exit_code == 0, result.output
-        assert (tmp_path / "out" / "geometry" / "principal_angles.csv").exists()
+        assert (out / "analyze" / "geometry" / "principal_angles.csv").exists()
 
     def test_eval_and_analyze_leave_their_own_summaries(self, tmp_path):
         runner = CliRunner()
@@ -1179,67 +1231,148 @@ class TestCli:
         trained = (out / "summary.json").read_bytes()
         checkpoint = str(out / "checkpoints" / "encoder_final.npz")
 
-        result = runner.invoke(main, ["eval", "-c", str(config)])
+        result = runner.invoke(main, ["eval", str(out)])
         assert result.exit_code == 0, result.output
-        evaluated = json.loads((out / "eval_summary.json").read_text())
+        evaluated = json.loads((out / "eval" / "summary.json").read_text())
         train_summary = json.loads(trained)
         assert evaluated["command"] == "eval"
         assert evaluated["checkpoint"] == checkpoint
         assert evaluated["artifacts"] == ["tables/metrics.csv"]
-        # The same parameters and pairs: the train run's scores, under the
-        # eval table's model name.
+        # The same parameters, corpora and pairs, under the same model name:
+        # the train run's scores and floored cells.
         assert evaluated["results"] == train_summary["results"]["scores"]
-        prefix = f"encoder+{train_summary['mode']}|"
-        assert evaluated["floored_cells"] == [
-            "encoder|" + cell.removeprefix(prefix) for cell in train_summary["floored_cells"]
-        ]
+        assert evaluated["floored_cells"] == train_summary["floored_cells"]
 
-        result = runner.invoke(main, ["analyze", "-c", str(config)])
+        result = runner.invoke(main, ["analyze", str(out)])
         assert result.exit_code == 0, result.output
-        analyzed = json.loads((out / "analyze_summary.json").read_text())
+        analyzed = json.loads((out / "analyze" / "summary.json").read_text())
         assert analyzed["command"] == "analyze"
         assert analyzed["checkpoint"] == checkpoint
-        geometry = sorted(str(p.relative_to(out)) for p in (out / "geometry").iterdir())
-        assert analyzed["artifacts"] == geometry
-        assert analyzed["results"] == json.loads((out / "geometry" / "summary.json").read_text())
+        geometry = out / "analyze" / "geometry"
+        assert analyzed["artifacts"] == sorted(
+            str(p.relative_to(out / "analyze")) for p in geometry.iterdir()
+        )
+        assert analyzed["results"] == json.loads((geometry / "summary.json").read_text())
         assert (out / "summary.json").read_bytes() == trained
 
     @pytest.mark.parametrize(
-        "command, summary, target",
-        [
-            ("gen", "gen_summary.json", "build_splits"),
-            ("eval", "eval_summary.json", "rows_to_table"),
-            ("analyze", "analyze_summary.json", "pca"),
-        ],
+        "command, target", [("gen", "build_splits"), ("eval", "rows_to_table"), ("analyze", "pca")]
     )
-    def test_failed_command_leaves_no_summary(
-        self, tmp_path, monkeypatch, command, summary, target
-    ):
+    def test_failed_command_leaves_no_summary(self, tmp_path, monkeypatch, command, target):
         import taskweave.experiments as experiments
 
         runner = CliRunner()
         config = self.write_config(tmp_path)
         out = tmp_path / "out"
-        assert runner.invoke(main, ["train", "-c", str(config)]).exit_code == 0
-        assert runner.invoke(main, [command, "-c", str(config)]).exit_code == 0
-        assert (out / summary).exists()
+        if command == "gen":
+            args, tree = ["gen", "-c", str(config)], out
+        else:
+            assert runner.invoke(main, ["train", "-c", str(config)]).exit_code == 0
+            args, tree = [command, str(out)], out / command
+        assert runner.invoke(main, args).exit_code == 0
+        assert (tree / "summary.json").exists()
 
         def fail(*args, **kwargs):
             raise NumericError("injected failure")
 
         # Fails after the command has started rewriting files.
         monkeypatch.setattr(experiments, target, fail)
-        result = runner.invoke(main, [command, "-c", str(config)])
+        result = runner.invoke(main, args)
         assert result.exit_code == 3
         assert "injected failure" in result.output
-        assert not (out / summary).exists()
-        assert (out / "summary.json").exists()
+        assert not (tree / "summary.json").exists()
+        if command != "gen":
+            assert (out / "summary.json").exists()
 
     def test_eval_without_checkpoint_fails_cleanly(self, tmp_path):
         runner = CliRunner()
-        result = runner.invoke(main, ["eval", "-c", str(self.write_config(tmp_path))])
+        out = tmp_path / "out"
+        config = self.write_config(tmp_path)
+        assert runner.invoke(main, ["train", "-c", str(config)]).exit_code == 0
+        (out / "checkpoints" / "encoder_final.npz").unlink()
+        result = runner.invoke(main, ["eval", str(out)])
         assert result.exit_code == 2
         assert "checkpoint" in result.output
+        assert not (out / "eval").exists()
+
+    def break_run(self, tmp_path, case: str) -> list[str]:
+        """Spoil one input of the trained run ``out`` and return the
+        arguments that then read it."""
+        runner = CliRunner()
+        out = tmp_path / "out"
+        ckpt = out / "checkpoints" / "encoder_final.npz"
+        if case == "other layer shapes":
+            other = RunResult(tmp_path / "other")
+            save_checkpoint(init_encoder(default_config())[0], other, "stock.npz")
+            return ["--checkpoint", str(other.output_dir / "stock.npz")]
+        if case == "not an npz":
+            bad = tmp_path / "bad.npz"
+            bad.write_text("not a checkpoint")
+            return ["--checkpoint", str(bad)]
+        if case == "one array":
+            np.save(tmp_path / "bad.npy", np.zeros(3))
+            return ["--checkpoint", str(tmp_path / "bad.npy")]
+        if case in ("no w1", "no version"):
+            arrays = dict(np.load(ckpt))
+            del arrays[case.removeprefix("no ")]
+            np.savez(tmp_path / "bad.npz", **arrays)
+            return ["--checkpoint", str(tmp_path / "bad.npz")]
+        if case == "corpus of another seed":
+            config = str(tmp_path / "config.json")
+            args = ["gen", "-c", config, "--seed", "6", "-o", str(tmp_path / "g")]
+            assert runner.invoke(main, args).exit_code == 0
+            shutil.rmtree(out / "corpus")
+            shutil.copytree(tmp_path / "g" / "corpus", out / "corpus")
+        elif case == "splits swapped":
+            (out / "corpus").rename(tmp_path / "swap")
+            (out / "corpus_eval").rename(out / "corpus")
+            (tmp_path / "swap").rename(out / "corpus_eval")
+        elif case == "corpus file missing":
+            (out / "corpus_eval" / "persons.npy").unlink()
+        else:  # no config.json
+            (out / "config.json").unlink()
+        return []
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("other layer shapes", "do not fit"),
+            ("not an npz", "bad.npz is not an npz checkpoint"),
+            ("one array", "bad.npy is one array, not an npz checkpoint"),
+            ("no w1", "bad.npz: w1"),
+            ("no version", "bad.npz: version"),
+            ("corpus of another seed", "train corpus saved is not its config's"),
+            ("splits swapped", "train corpus saved is not its config's"),
+            ("corpus file missing", "persons.npy"),
+            ("no config.json", "config.json"),
+        ],
+    )
+    def test_bad_run_input_exits_2_and_writes_nothing(self, tmp_path, command, case, message):
+        runner = CliRunner()
+        out = tmp_path / "out"
+        config = self.write_config(tmp_path)
+        assert runner.invoke(main, ["train", "-c", str(config)]).exit_code == 0
+        # An earlier summary of the command must survive the refusal too.
+        assert runner.invoke(main, [command, str(out)]).exit_code == 0
+        extra = self.break_run(tmp_path, case)
+        before = tree_bytes(tmp_path)
+        result = runner.invoke(main, [command, str(out), *extra])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_forgetting_tree_is_not_a_run(self, tmp_path, command):
+        runner = CliRunner()
+        config = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert runner.invoke(main, ["compare-forgetting", "-c", str(config)]).exit_code == 0
+        before = tree_bytes(tmp_path)
+        result = runner.invoke(main, [command, str(out)])
+        assert result.exit_code == 2, result.output
+        assert str(out / "config.json") in result.output
+        assert tree_bytes(tmp_path) == before
 
     @pytest.mark.parametrize(
         "section, field, value",
@@ -1280,7 +1413,7 @@ class TestCli:
         data = dict(np.load(ckpt))
         data["w0"][0, 0] = np.inf
         np.savez(ckpt, **data)
-        result = runner.invoke(main, ["eval", "-c", str(config_path)])
+        result = runner.invoke(main, ["eval", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "non-finite" in result.output
 
@@ -1293,10 +1426,10 @@ class TestCli:
         monkeypatch.setattr(
             experiments, "linear_task_probe", lambda *a, **k: (float("nan"), 0.0)
         )
-        result = runner.invoke(main, ["analyze", "-c", str(config_path)])
+        result = runner.invoke(main, ["analyze", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "geometry/summary.json" in result.output
-        assert not (tmp_path / "out" / "geometry" / "summary.json").exists()
+        assert not (tmp_path / "out" / "analyze" / "geometry" / "summary.json").exists()
 
     def test_score_table_default(self):
         runner = CliRunner()

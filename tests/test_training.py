@@ -12,6 +12,7 @@ Trainer must reproduce its losses and accuracies as well.
 import dataclasses
 import importlib
 import importlib.util
+import json
 import os
 import pickle
 import shutil
@@ -739,6 +740,7 @@ def reference_forgetting_comparison(config):
         trainer.run_epoch()
     out.lines("traces/finetune_adaptive.jsonl", (r.to_record() for r in trainer.reports))
     models[INTERLEAVED_ADAPTIVE] = adaptive_params
+    adaptive_batches = sum(s.batches_consumed for s in trainer.reports)
 
     sequential_params = params.copy()
     opt = fresh_optimizer(config, sequential_params)
@@ -753,6 +755,7 @@ def reference_forgetting_comparison(config):
     models[SEQUENTIAL] = sequential_params
 
     order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
+    batches = dict(zip(order, [balanced_batches, balanced_batches, adaptive_batches]))
     rows = {
         name: evaluate_row(models[name], train_corpus, eval_corpus, config, pair_plan)
         for name in order
@@ -774,6 +777,7 @@ def reference_forgetting_comparison(config):
         "finetune_total_batches": balanced_batches,
         "models": {
             name: {
+                "batches": batches[name],
                 "pretrain_task_accuracy": rows[name][top1_col],
                 "pretrain_task_drop": baseline_acc - rows[name][top1_col],
                 "multitask_index_expert": table.index_for(name, EXPERT),
@@ -951,6 +955,34 @@ class TestBudgetPlan:
             "checkpoints/encoder_pretrained.npz",
             "traces/pretrain.jsonl",
         ]
+
+
+class TestBatchesPerModel:
+    """Each model's entry in the forgetting report gives the batches its
+    fine-tune spent: the sum of the allocations in its trace."""
+
+    TRACES = {
+        SEQUENTIAL: "finetune_sequential",
+        INTERLEAVED_BALANCED: "finetune_balanced",
+        INTERLEAVED_ADAPTIVE: "finetune_adaptive",
+    }
+
+    @pytest.mark.parametrize("stock", [False, True], ids=["tiny", "stock"])
+    def test_batches_are_the_trace_allocations(self, tmp_path, stock):
+        config = default_config() if stock else forgetting_config(tmp_path)
+        run_forgetting_comparison(config, output_dir=tmp_path)
+        report = json.loads((tmp_path / "forgetting_report.json").read_text())
+        batches = {name: entry["batches"] for name, entry in report["models"].items()}
+        for name, trace in self.TRACES.items():
+            lines = (tmp_path / "traces" / f"{trace}.jsonl").read_text().splitlines()
+            records = [json.loads(line) for line in lines]
+            spent = sum(t["allocation"] for r in records for t in r["tasks"].values())
+            assert batches[name] == spent, name
+        assert report["finetune_total_batches"] == batches[SEQUENTIAL]
+        if stock:
+            assert batches == {
+                SEQUENTIAL: 888, INTERLEAVED_BALANCED: 888, INTERLEAVED_ADAPTIVE: 800
+            }
 
 
 @needs_fork
