@@ -1,0 +1,117 @@
+"""The artifact writer: every file a command leaves goes through
+:class:`RunResult`, which writes it atomically, records it in the manifest
+and writes ``summary.json`` last. Floats are formatted by ``repr`` and JSON
+keys sorted, so identical (config, seed) pairs reproduce byte-identical
+tables and traces.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+import os
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from .datagen import CSV_UNSAFE
+from .errors import ContractError, NumericError, ValidationError
+
+SUMMARY_VERSION = 1
+SUMMARY = "summary.json"
+
+
+def _json_text(rel: str, payload, indent: int | None = None) -> str:
+    try:
+        return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{rel}: non-finite number in JSON payload ({exc})") from None
+
+
+def _csv_cell(rel: str, value) -> str:
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(float(value))
+    text = str(value)
+    if any(c in text for c in CSV_UNSAFE):
+        raise ContractError(f"{rel}: cell {text!r} would need CSV quoting")
+    return text
+
+
+@dataclass
+class RunResult:
+    """A run's output directory, and the only way files reach it.
+
+    ``write`` creates parent directories on demand, writes the bytes to a
+    hidden sibling ``.<name>.tmp`` and renames it over the target, so a
+    killed run leaves whole files or none. Every file written is recorded
+    in ``artifacts`` (relative paths, in write order). ``finish`` writes
+    ``summary.json`` last, naming every other file it wrote; a directory
+    without it holds an unfinished run or command. One JSON format (indent
+    2, sorted keys, trailing newline, finite numbers only) and one CSV
+    format (LF, floats by ``repr``, an empty cell for NaN) are used
+    throughout.
+    """
+
+    output_dir: Path
+    artifacts: list[str] = field(default_factory=list)
+    results: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.output_dir = Path(self.output_dir)
+
+    def start(self) -> None:
+        """Drop an earlier summary so the work reads as unfinished until
+        :meth:`finish`. A tree that ``eval`` or ``analyze`` scored is refused."""
+        for tree in ("eval", "analyze"):
+            if (self.output_dir / tree / SUMMARY).exists():
+                raise ValidationError(f"{self.output_dir} holds {tree}/{SUMMARY} of a scored run")
+        (self.output_dir / SUMMARY).unlink(missing_ok=True)
+
+    def _replace(self, rel: str, data: bytes) -> None:
+        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+            raise ContractError(f"artifact path {rel!r} leaves the output directory")
+        path = self.output_dir / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    def write(self, rel: str, data: bytes) -> None:
+        self._replace(rel, data)
+        self.artifacts.append(rel)
+
+    def json(self, rel: str, payload) -> None:
+        self.write(rel, (_json_text(rel, payload, indent=2) + "\n").encode())
+
+    def lines(self, rel: str, records) -> None:
+        """JSONL, one record per line; zero records make an empty file."""
+        self.write(rel, "".join(_json_text(rel, r) + "\n" for r in records).encode())
+
+    def rows(self, rel: str, header: list[str], rows) -> None:
+        text = "".join(
+            ",".join(_csv_cell(rel, v) for v in row) + "\n" for row in [header, *rows]
+        )
+        self.write(rel, text.encode())
+
+    def npy(self, rel: str, array: np.ndarray) -> None:
+        # np.save appends ".npy" to a str path, so serialise to bytes first.
+        buf = io.BytesIO()
+        np.save(buf, array)
+        self.write(rel, buf.getvalue())
+
+    def npz(self, rel: str, arrays: dict[str, np.ndarray]) -> None:
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        self.write(rel, buf.getvalue())
+
+    def finish(self, summary: dict) -> None:
+        """Write the summary last, its ``artifacts`` being every other file
+        this run wrote."""
+        payload = {**summary, "artifacts": sorted(self.artifacts)}
+        self._replace(SUMMARY, (_json_text(SUMMARY, payload, indent=2) + "\n").encode())

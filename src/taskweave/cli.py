@@ -69,7 +69,8 @@ def gen(config_path, seed, output_dir) -> None:
     """Generate and export the train/eval corpora. Writes ``corpus/`` and
     ``corpus_eval/``, then ``summary.json`` last. Refuses a directory
     whose ``summary.json`` another command wrote."""
-    from .experiments import SUMMARY, RunResult, build_splits, overridden
+    from .artifacts import SUMMARY, RunResult
+    from .experiments import build_splits, overridden
 
     config = overridden(_load_config(config_path), seed, output_dir)
     out = RunResult(config.output_dir)
@@ -96,7 +97,8 @@ def gen(config_path, seed, output_dir) -> None:
 @seed_option
 @output_option
 def train(config_path, seed, output_dir) -> None:
-    """Run the configured experiment end to end (corpus, training, suites)."""
+    """Run the configured experiment end to end (corpus, training, suites).
+    Refuses a run that ``eval`` or ``analyze`` scored."""
     from .experiments import run
 
     result = run(_load_config(config_path), seed=seed, output_dir=output_dir)
@@ -104,7 +106,7 @@ def train(config_path, seed, output_dir) -> None:
 
 
 def _command_summary(config, command: str, results: dict, **fields) -> dict:
-    from .experiments import SUMMARY_VERSION
+    from .artifacts import SUMMARY_VERSION
 
     return {
         "summary_version": SUMMARY_VERSION,
@@ -115,24 +117,32 @@ def _command_summary(config, command: str, results: dict, **fields) -> dict:
     }
 
 
+def _score_run(run_dir, checkpoint, command: str, suite: str) -> dict:
+    """Run ``suite`` on a run's checkpoint and corpora into ``RUN/<command>/``,
+    its ``summary.json`` last, by the code the run scored itself with."""
+    from .artifacts import RunResult
+    from .experiments import load_run, score_suites
+
+    config, train_corpus, eval_corpus, params, ckpt = load_run(run_dir, checkpoint)
+    out = RunResult(Path(run_dir) / command)
+    out.start()
+    floored = score_suites(out, config, [suite], train_corpus, eval_corpus, params)
+    fields = {"floored_cells": floored} if suite == "scores" else {}
+    results = out.results[suite]
+    out.finish(_command_summary(config, command, results, checkpoint=str(ckpt), **fields))
+    return results
+
+
 @main.command("eval")
 @run_argument
 @checkpoint_option
 def eval_cmd(run_dir, checkpoint) -> None:
     """Score a run's checkpoint on the run's own corpora. Writes
     ``RUN/eval/tables/metrics.csv``, then ``RUN/eval/summary.json`` last."""
-    from .experiments import RunResult, evaluate_row, load_run, rows_to_table
-
-    config, train_corpus, eval_corpus, params, ckpt = load_run(run_dir, checkpoint)
-    out = RunResult(Path(run_dir) / "eval")
-    out.start()
-    row = evaluate_row(params, train_corpus, eval_corpus, config)
-    table, floored = rows_to_table({f"encoder+{config.curriculum.mode}": row})
-    table.to_csv(out, "tables/metrics.csv")
-    out.finish(_command_summary(config, "eval", row, checkpoint=str(ckpt), floored_cells=floored))
+    row = _score_run(run_dir, checkpoint, "eval", "scores")
     for column, value in row.items():
         click.echo(f"{column}: {value:.4f}")
-    click.echo(f"table -> {out.output_dir / 'tables' / 'metrics.csv'}")
+    click.echo(f"table -> {Path(run_dir) / 'eval' / 'tables' / 'metrics.csv'}")
 
 
 @main.command()
@@ -142,13 +152,7 @@ def analyze(run_dir, checkpoint) -> None:
     """Run the embedding-geometry suite on a run's checkpoint and eval
     corpus. Writes ``RUN/analyze/geometry/``, then
     ``RUN/analyze/summary.json`` last."""
-    from .experiments import RunResult, geometry_suite, load_run
-
-    config, _, eval_corpus, params, ckpt = load_run(run_dir, checkpoint)
-    out = RunResult(Path(run_dir) / "analyze")
-    out.start()
-    summary = geometry_suite(params, eval_corpus, config, out)
-    out.finish(_command_summary(config, "analyze", summary, checkpoint=str(ckpt)))
+    summary = _score_run(run_dir, checkpoint, "analyze", "geometry")
     click.echo(json.dumps(summary, indent=2, sort_keys=True))
 
 
@@ -157,7 +161,8 @@ def analyze(run_dir, checkpoint) -> None:
 @seed_option
 @output_option
 def compare_forgetting(config_path, seed, output_dir) -> None:
-    """Pretrain, then compare sequential vs interleaved fine-tuning."""
+    """Pretrain, then compare sequential vs interleaved fine-tuning.
+    Refuses a run that ``eval`` or ``analyze`` scored."""
     from .experiments import run_forgetting_comparison
 
     config = _load_config(config_path)
@@ -178,10 +183,10 @@ def compare_forgetting(config_path, seed, output_dir) -> None:
               help="JSON mapping column -> human reference (human mode).")
 def score_table(table, mode, human_refs) -> None:
     """Rank a score table by multi-task index."""
-    from .experiments import bundled_reference_table, score_paper_table
+    from .experiments import bundled_reference_table, load_human_references, score_paper_table
 
     table_path = Path(table) if table else bundled_reference_table()
-    refs = json.loads(Path(human_refs).read_text()) if human_refs else None
+    refs = load_human_references(human_refs) if human_refs else None
     ranking = score_paper_table(table_path, mode, refs)
     for rank, (model, index) in enumerate(ranking, start=1):
         click.echo(f"{rank:2d}. {model:20s} {index:+.5f}")

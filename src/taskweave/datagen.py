@@ -189,7 +189,7 @@ class Corpus:
 
     def save(self, out, rel: str) -> None:
         """Export as per-task binary matrices plus a JSON manifest, written
-        through the artifact writer ``out`` (an ``experiments.RunResult``)
+        through the artifact writer ``out`` (an ``artifacts.RunResult``)
         under the directory ``rel``.
 
         The round trip through :meth:`load` is bit-exact.

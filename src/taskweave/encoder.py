@@ -422,7 +422,7 @@ def adam_step(params: EncoderParams, buffer: GradBuffer, state: OptimState) -> N
 
 def save_checkpoint(params: EncoderParams, out, rel: str) -> None:
     """Versioned binary checkpoint, written through the artifact writer
-    ``out`` (an ``experiments.RunResult``) to ``rel``; round trip is
+    ``out`` (an ``artifacts.RunResult``) to ``rel``; round trip is
     bit-exact."""
     arrays = {"version": np.array([CHECKPOINT_VERSION]), "n_layers": np.array([params.n_layers])}
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):

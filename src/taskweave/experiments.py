@@ -1,151 +1,36 @@
-"""Experiment orchestration: training runs, evaluation suites, geometry
-analysis, the forgetting comparison, and benchmark-table scoring.
-
-Every file a run leaves goes through :class:`RunResult`, which writes it
-atomically, records it in the run's manifest and writes ``summary.json``
-last. Floats are formatted by ``repr`` and JSON keys sorted, so identical
-(config, seed) pairs reproduce byte-identical tables and traces.
+"""Experiment orchestration: corpus and trainer builders, training runs,
+the forgetting comparison, and benchmark-table scoring. Each model is
+embedded once (:func:`embed_tasks`) and scored by :mod:`taskweave.scoring`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
-import os
-from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import SUMMARY_VERSION, RunResult
 from .config import ExperimentConfig
 from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
-from .datagen import CSV_UNSAFE, Corpus, CorpusSpec, TaskData, build_corpus
+from .datagen import Corpus, CorpusSpec, TaskData, build_corpus
 from .encoder import EncoderParams, OptimState, embed, init_params, load_checkpoint, save_checkpoint
-from .errors import ConfigurationError, ContractError, NumericError, ValidationError
+from .errors import ConfigurationError, ContractError, ValidationError
 from .forking import cpu_workers, forked_map
-from .geometry import (
-    cross_task_projection_eval,
-    linear_task_probe,
-    pca,
-    principal_angles,
-    projection_sweep,
-    sliding_window_probe,
-    task_subspace,
-)
-from .metrics import (
-    EXPERT,
-    HUMAN,
-    ScoreTable,
-    rank_k,
-    roc_auc,
-    tar_at_far,
-    verification_accuracy,
+from .metrics import EXPERT, HUMAN, ScoreTable
+from .scoring import (
+    TaskPairs,
+    centroid_tasks,
+    evaluate_row,
+    geometry_headlines,
+    rows_to_table,
+    verification_pair_plan,
 )
 from .seeding import derive_seed, stream
-
-SUMMARY_VERSION = 1
-SUMMARY = "summary.json"
-
-
-# ---------------------------------------------------------------------------
-# Artifacts
-# ---------------------------------------------------------------------------
-
-
-def _json_text(rel: str, payload, indent: int | None = None) -> str:
-    try:
-        return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"{rel}: non-finite number in JSON payload ({exc})") from None
-
-
-def _csv_cell(rel: str, value) -> str:
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(float(value))
-    text = str(value)
-    if any(c in text for c in CSV_UNSAFE):
-        raise ContractError(f"{rel}: cell {text!r} would need CSV quoting")
-    return text
-
-
-@dataclass
-class RunResult:
-    """A run's output directory, and the only way files reach it.
-
-    ``write`` creates parent directories on demand, writes the bytes to a
-    hidden sibling ``.<name>.tmp`` and renames it over the target, so a
-    killed run leaves whole files or none. Every file written is recorded
-    in ``artifacts`` (relative paths, in write order). ``finish`` writes
-    ``summary.json`` last, naming every other file it wrote; a directory
-    without it holds an unfinished run or command. One JSON format (indent
-    2, sorted keys, trailing newline, finite numbers only) and one CSV
-    format (LF, floats by ``repr``, an empty cell for NaN) are used
-    throughout.
-    """
-
-    output_dir: Path
-    artifacts: list[str] = field(default_factory=list)
-    results: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.output_dir = Path(self.output_dir)
-
-    def start(self) -> None:
-        """Drop an earlier summary so the work reads as unfinished until
-        :meth:`finish`."""
-        (self.output_dir / SUMMARY).unlink(missing_ok=True)
-
-    def _replace(self, rel: str, data: bytes) -> None:
-        if Path(rel).is_absolute() or ".." in Path(rel).parts:
-            raise ContractError(f"artifact path {rel!r} leaves the output directory")
-        path = self.output_dir / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.tmp")
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    def write(self, rel: str, data: bytes) -> None:
-        self._replace(rel, data)
-        self.artifacts.append(rel)
-
-    def json(self, rel: str, payload) -> None:
-        self.write(rel, (_json_text(rel, payload, indent=2) + "\n").encode())
-
-    def lines(self, rel: str, records) -> None:
-        """JSONL, one record per line; zero records make an empty file."""
-        self.write(rel, "".join(_json_text(rel, r) + "\n" for r in records).encode())
-
-    def rows(self, rel: str, header: list[str], rows) -> None:
-        text = "".join(
-            ",".join(_csv_cell(rel, v) for v in row) + "\n" for row in [header, *rows]
-        )
-        self.write(rel, text.encode())
-
-    def npy(self, rel: str, array: np.ndarray) -> None:
-        # np.save appends ".npy" to a str path, so serialise to bytes first.
-        buf = io.BytesIO()
-        np.save(buf, array)
-        self.write(rel, buf.getvalue())
-
-    def npz(self, rel: str, arrays: dict[str, np.ndarray]) -> None:
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        self.write(rel, buf.getvalue())
-
-    def finish(self, summary: dict) -> None:
-        """Write the summary last, its ``artifacts`` being every other file
-        this run wrote."""
-        payload = {**summary, "artifacts": sorted(self.artifacts)}
-        self._replace(SUMMARY, (_json_text(SUMMARY, payload, indent=2) + "\n").encode())
 
 
 def _corpus_spec(config: ExperimentConfig) -> CorpusSpec:
@@ -222,296 +107,50 @@ def _records(trainer: Trainer) -> list[dict]:
     return [r.to_record() for r in trainer.reports]
 
 
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-
-def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
-    """Index pairs for verification scoring: (genuine, impostor), each an
-    (n_pairs, 2) array of row indices.
-
-    A genuine pair is a class drawn uniformly from those of at least two
-    rows, then two distinct members of it drawn uniformly. An impostor pair
-    is two distinct classes drawn uniformly, then one member of each. Each
-    distinct draw takes ``a`` below ``n`` and ``b`` below ``n - 1`` and
-    shifts ``b`` past ``a``. Every draw is one vector ``Generator.integers``
-    call, so the pairs follow numpy's ``integers`` stream, which NEP 19 does
-    not pin across numpy versions.
-    """
-    order = np.argsort(labels, kind="stable")  # rows grouped by class, ascending
-    _, sizes = np.unique(labels[order], return_counts=True)
-    if sizes.size < 2 or sizes.max() < 2:
-        raise ContractError(
-            "verification pairs need two classes and a class of two rows, "
-            f"got class sizes {sizes.tolist()}"
-        )
-    starts = np.cumsum(sizes) - sizes
-
-    def distinct(n) -> tuple[np.ndarray, np.ndarray]:
-        a = rng.integers(0, n, size=n_pairs)
-        b = rng.integers(0, n - 1, size=n_pairs)
-        return a, b + (b >= a)
-
-    eligible = np.flatnonzero(sizes >= 2)
-    c = eligible[rng.integers(0, eligible.size, size=n_pairs)]
-    a, b = distinct(sizes[c])
-    genuine = np.column_stack([starts[c] + a, starts[c] + b])
-    ca, cb = distinct(sizes.size)
-    impostor = np.column_stack(
-        [starts[ca] + rng.integers(0, sizes[ca]), starts[cb] + rng.integers(0, sizes[cb])]
-    )
-    return order[genuine], order[impostor]
-
-
-def _pair_scores(embeddings: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", embeddings[pairs[:, 0]], embeddings[pairs[:, 1]])
-
-
-def _probe_gallery_split(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alternate members of every class into gallery (even) and probe (odd):
-    (probe rows, gallery rows), each class by class in label order, a
-    class's rows in index order (so the gallery ids are non-decreasing)."""
-    order = np.argsort(labels, kind="stable")
-    grouped = labels[order]
-    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    class_start = np.repeat(starts, np.diff(np.r_[starts, grouped.size]))
-    odd = (np.arange(grouped.size) - class_start) % 2 == 1
-    return order[odd], order[~odd]
-
-
-def _far_column(far: float) -> str:
-    return f"tar_far{far:g}"
-
-
-@dataclass
-class TaskPairs:
-    genuine: np.ndarray
-    impostor: np.ndarray
-
-
-def verification_pair_plan(
-    eval_corpus: Corpus, config: ExperimentConfig
-) -> dict[str, TaskPairs]:
-    """Fixed per-task verification pairs, shared by every model under one
-    master seed so scores stay comparable. Each task draws from its own
-    ``stream(seed, "pairs", task)``, so the pairs do not depend on the
-    order of the tasks."""
-    n_pairs = config.evaluation.verification_pairs
-    return {
-        name: TaskPairs(*_sample_pairs(data.labels, n_pairs, stream(config.seed, "pairs", name)))
-        for name, data in eval_corpus.tasks.items()
-    }
-
-
-# Each regime's metrics in column order. "top<k>" ranks every eval sample
-# against the train-class centroids; "rank<k>" ranks the probe half of the
-# eval set against its gallery half; "tar" expands to one column per
-# configured FAR. A task's retrieval metrics share one ``rank_k`` call.
-REGIME_METRICS = {
-    "coarse-category": ("top1", "top5"),
-    "fine-identity": ("auc", "ver_acc", "rank1", "tar"),
-    "fine-identity-degraded": ("auc", "rank1", "rank5"),
-    "intermediate": ("auc", "rank1", "tar"),
-}
-RETRIEVAL_K = {"top1": 1, "top5": 5, "rank1": 1, "rank5": 5}
-
-
-def _class_centroids(params: EncoderParams, data: TaskData) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm mean embedding of each class, and the classes."""
-    emb = embed(params, data.features)
-    classes = np.unique(data.labels)
-    centroids = np.stack([emb[data.labels == c].mean(axis=0) for c in classes])
-    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
-    return centroids, classes
-
-
-def evaluate_row(
-    params: EncoderParams,
-    train_corpus: Corpus,
-    eval_corpus: Corpus,
-    config: ExperimentConfig,
-    pair_plan: dict[str, TaskPairs] | None = None,
-) -> dict[str, float]:
-    """All configured metrics for one model, keyed by 'task:metric'."""
-    if pair_plan is None:
-        pair_plan = verification_pair_plan(eval_corpus, config)
-    row: dict[str, float] = {}
-    for name, data in eval_corpus.tasks.items():
-        metrics = REGIME_METRICS[data.regime]
-        emb = embed(params, data.features)
-        labels = data.labels
-        hits: dict[str, float] = {}
-        retrieval = [m for m in metrics if m in RETRIEVAL_K]
-        if retrieval:
-            if retrieval[0].startswith("top"):
-                gallery = _class_centroids(params, train_corpus.tasks[name])
-                probes = (emb, labels)
-            else:
-                probe, kept = _probe_gallery_split(labels)
-                gallery = (emb[kept], labels[kept])
-                probes = (emb[probe], labels[probe])
-            ks = [RETRIEVAL_K[m] for m in retrieval]
-            hits.update(zip(retrieval, rank_k(*probes, *gallery, ks)))
-        if len(retrieval) < len(metrics):
-            pairs = pair_plan[name]
-            genuine = _pair_scores(emb, pairs.genuine)
-            impostor = _pair_scores(emb, pairs.impostor)
-        for metric in metrics:
-            if metric in hits:
-                row[f"{name}:{metric}"] = hits[metric]
-            elif metric == "auc":
-                row[f"{name}:auc"] = roc_auc(genuine, impostor)
-            elif metric == "ver_acc":
-                scores = np.concatenate([genuine, impostor])
-                truth = np.concatenate([np.ones(genuine.size, bool), np.zeros(impostor.size, bool)])
-                # Interleave so every fold carries both kinds of pair.
-                order = np.argsort(np.tile(np.arange(genuine.size), 2), kind="stable")
-                row[f"{name}:ver_acc"] = verification_accuracy(scores[order], truth[order])
-            else:  # tar
-                for far in config.evaluation.far_values:
-                    row[f"{name}:{_far_column(far)}"] = tar_at_far(genuine, impostor, far)
-    return row
-
-
-SCORE_FLOOR = 1e-9
-
-
-def rows_to_table(rows: dict[str, dict[str, float]]) -> tuple[ScoreTable, list[str]]:
-    """The score table of some models' rows, and the ``model|task:metric``
-    cells it floored.
-
-    Retrieval scores can be exactly 0 early in training; they are floored
-    at ``SCORE_FLOOR`` to stay valid table entries, and named so the
-    summary can say which numbers are not measurements.
-    """
-    models = list(rows)
-    columns = list(rows[models[0]])
-    values = np.array([[rows[m][c] for c in columns] for m in models])
-    floored = [
-        f"{models[i]}|{columns[j]}" for i, j in zip(*np.nonzero(values < SCORE_FLOOR))
-    ]
-    values = np.maximum(values, SCORE_FLOOR)
-    return ScoreTable(models=models, columns=columns, values=values), floored
-
-
-# ---------------------------------------------------------------------------
-# Geometry suite
-# ---------------------------------------------------------------------------
-
-
-def _cosine_auc_eval(pairs: TaskPairs) -> Callable[[np.ndarray], float]:
-    """Verification AUC of projected coordinates, scored by cosine on the
-    re-normalised rows. A row that projects to zero has no direction and
-    raises ContractError instead of scoring NaN."""
-
-    def closure(coords: np.ndarray) -> float:
-        norms = np.linalg.norm(coords, axis=1, keepdims=True)
-        if not (norms > 0.0).all():
-            raise ContractError("a projected embedding has zero norm; its cosine is undefined")
-        normed = coords / norms
-        return roc_auc(_pair_scores(normed, pairs.genuine), _pair_scores(normed, pairs.impostor))
-
-    return closure
+def embed_tasks(params: EncoderParams, tasks: dict[str, TaskData]) -> dict[str, np.ndarray]:
+    """Each task's embeddings under ``params``, by name: what the scores of
+    :mod:`taskweave.scoring` take."""
+    return {name: embed(params, data.features) for name, data in tasks.items()}
 
 
 def geometry_suite(
-    params: EncoderParams,
-    eval_corpus: Corpus,
+    eval_emb: dict[str, np.ndarray],
+    pair_plan: dict[str, TaskPairs],
     config: ExperimentConfig,
     out: RunResult,
-    pair_plan: dict[str, TaskPairs] | None = None,
 ) -> dict:
-    """Run the embedding-space analyses and write their artifact files
-    through ``out`` under ``geometry/``.
-
-    Returns headline numbers for the run summary.
-    """
-    if pair_plan is None:
-        pair_plan = verification_pair_plan(eval_corpus, config)
-    ev = config.evaluation
-    emb = {name: embed(params, data.features) for name, data in eval_corpus.tasks.items()}
-    names = list(emb)
-    pooled = np.vstack([emb[n] for n in names])
-    tags = np.concatenate([np.full(emb[n].shape[0], i) for i, n in enumerate(names)])
-
-    def analyses() -> tuple[list, dict]:
-        """Everything but the windows, computed while the children probe
-        them: the tables to write after ``probe_window.csv``, in order, as
-        (path, header, rows), and the summary. Writes no file."""
-        probe_mean, probe_std = linear_task_probe(pooled, tags, folds=ev.probe_folds)
-        subspaces = {
-            n: task_subspace(emb[n], ev.variance_fraction, source_task=n) for n in names
-        }
-        angle_rows, max_angles = [], {}
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                angles = principal_angles(subspaces[a], subspaces[b])
-                max_angles[f"{a}|{b}"] = float(angles.max())
-                angle_rows.extend([a, b, k, float(theta)] for k, theta in enumerate(angles))
-        tables = [
-            (
-                "geometry/principal_angles.csv",
-                ["task_a", "task_b", "angle_index", "angle_radians"],
-                angle_rows,
-            )
-        ]
-
-        first_within = {}
-        self_projection = {}
-        for src in names:
-            basis = pca(emb[src], center=False, source_task=src)
-            rows = []
-            for tgt in names:
-                if tgt == src:
-                    continue
-                sweep = projection_sweep(
-                    basis, emb[tgt], _cosine_auc_eval(pair_plan[tgt]), max_k=ev.projection_max_pcs
-                )
-                rows.extend([tgt, k, v, d] for k, v, d in sweep)
-                hit = next((k for k, _, d in sweep if abs(d) <= 0.02), None)
-                first_within[f"{src}->{tgt}"] = hit
-            tables.append(
-                (f"geometry/projection_{src}.csv", ["target", "k", "auc", "delta_auc"], rows)
-            )
-            # Same-task loss at the 99%-variance dimension: reported, not gated.
-            k99 = min(subspaces[src].dim, basis.dim)
-            _, delta = cross_task_projection_eval(
-                basis, k99, emb[src], _cosine_auc_eval(pair_plan[src])
-            )
-            self_projection[src] = {"k": k99, "delta_auc": float(delta)}
-
-        plane = pca(pooled)
-        coords = (pooled - plane.mean) @ plane.basis[:, :2]
-        tables.append(
-            (
-                "geometry/pc2d.csv",
-                ["task", "pc1", "pc2"],
-                [[names[int(t)], float(x), float(y)] for t, (x, y) in zip(tags, coords)],
-            )
-        )
-        summary = {
-            "task_probe_accuracy_mean": probe_mean,
-            "task_probe_accuracy_std": probe_std,
-            "subspace_dims": {n: subspaces[n].dim for n in names},
-            "max_principal_angle": max_angles,
-            "first_k_within_0.02_auc": first_within,
-            "self_projection_at_99pct": self_projection,
-        }
-        return tables, summary
-
-    curve, (tables, summary) = sliding_window_probe(
-        pooled, tags, window=ev.probe_window, folds=ev.probe_folds, alongside=analyses
-    )
-    out.rows(
-        "geometry/probe_window.csv",
-        ["window_start_pc", "accuracy_mean", "accuracy_std"],
-        [[s, m, d] for s, m, d in zip(curve.starts, curve.means, curve.stds)],
-    )
+    """Write the geometry headlines of the eval embeddings through ``out``
+    under ``geometry/``; return their summary."""
+    tables, summary = geometry_headlines(eval_emb, pair_plan, config)
     for path, header, rows in tables:
         out.rows(path, header, rows)
     out.json("geometry/summary.json", summary)
     return summary
+
+
+def score_suites(
+    out: RunResult,
+    config: ExperimentConfig,
+    suites: list[str],
+    train_corpus: Corpus,
+    eval_corpus: Corpus,
+    params: EncoderParams,
+) -> list[str]:
+    """Score ``params`` by each of ``suites`` through ``out``, the eval split
+    embedded once for all: ``tables/metrics.csv`` and ``geometry/``, their
+    results in ``out.results``. Returns the score table's floored cells."""
+    pair_plan = verification_pair_plan(eval_corpus, config)
+    eval_emb = embed_tasks(params, eval_corpus.tasks)
+    floored: list[str] = []
+    if "scores" in suites:
+        train_emb = embed_tasks(params, centroid_tasks(train_corpus))
+        row = evaluate_row(eval_emb, train_emb, eval_corpus, train_corpus, pair_plan, config)
+        table, floored = rows_to_table({f"encoder+{config.curriculum.mode}": row})
+        table.to_csv(out, "tables/metrics.csv")
+        out.results["scores"] = row
+    if "geometry" in suites:
+        out.results["geometry"] = geometry_suite(eval_emb, pair_plan, config, out)
+    return floored
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +179,9 @@ def run(
 
     Writes the artifact tree under the configured output directory, and
     ``summary.json`` last. The config is validated before any file is
-    touched. ``config.json`` records the config with the ``seed`` and
-    ``output_dir`` overrides applied, so running it again rewrites the same
-    tree.
+    touched, and a tree that ``eval`` or ``analyze`` scored is refused.
+    ``config.json`` records the config with the ``seed`` and ``output_dir``
+    overrides applied, so running it again rewrites the same tree.
     """
     config = overridden(config, seed, output_dir)
     out = RunResult(config.output_dir)
@@ -561,16 +200,7 @@ def run(
     out.lines("traces/scheduler.jsonl", _records(trainer))
     save_checkpoint(params, out, "checkpoints/encoder_final.npz")
 
-    pair_plan = verification_pair_plan(eval_corpus, config)
-    floored: list[str] = []
-    if "scores" in config.evaluation.suites:
-        row = evaluate_row(params, train_corpus, eval_corpus, config, pair_plan)
-        table, floored = rows_to_table({f"encoder+{mode}": row})
-        table.to_csv(out, "tables/metrics.csv")
-        out.results["scores"] = row
-    if "geometry" in config.evaluation.suites:
-        out.results["geometry"] = geometry_suite(params, eval_corpus, config, out, pair_plan)
-
+    floored = score_suites(out, config, config.evaluation.suites, train_corpus, eval_corpus, params)
     out.finish(
         {
             "summary_version": SUMMARY_VERSION,
@@ -696,7 +326,9 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     balanced = finetune_trainer(BALANCED)
 
     def score(model: EncoderParams) -> dict[str, float]:
-        return evaluate_row(model, train_corpus, eval_corpus, config, pair_plan)
+        eval_emb = embed_tasks(model, eval_corpus.tasks)
+        train_emb = embed_tasks(model, centroid_tasks(train_corpus))
+        return evaluate_row(eval_emb, train_emb, eval_corpus, train_corpus, pair_plan, config)
 
     def sequential() -> dict:
         # The blocked baseline spends the balanced run's batch total on the
@@ -806,9 +438,19 @@ def bundled_reference_table() -> Path:
     return Path(resources.files("taskweave.data") / "reference_scores.csv")
 
 
-def bundled_human_references() -> dict[str, float]:
-    text = (resources.files("taskweave.data") / "human_references.json").read_text()
-    return json.loads(text)
+def load_human_references(path: str | Path | None = None) -> dict[str, float]:
+    """Human reference values by column, from ``path`` or the bundled file.
+    Anything but a JSON object of finite numbers is a ValidationError."""
+    path = Path(path or resources.files("taskweave.data") / "human_references.json")
+    try:
+        refs = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{path}: not a readable JSON file ({exc})") from None
+    if not isinstance(refs, dict) or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in refs.values()
+    ):
+        raise ValidationError(f"{path}: must be a JSON object of column names to finite numbers")
+    return refs
 
 
 def score_paper_table(
@@ -819,5 +461,5 @@ def score_paper_table(
     """Rank a published score table by multi-task index, best first."""
     table = ScoreTable.from_csv(table_file)
     if mode == HUMAN and human_refs is None:
-        human_refs = bundled_human_references()
+        human_refs = load_human_references()
     return table.ranking(mode, human_refs)

@@ -300,7 +300,7 @@ class ScoreTable:
 
     def to_csv(self, out, rel: str) -> None:
         """Write through the artifact writer ``out`` (an
-        ``experiments.RunResult``) to ``rel``; missing entries are empty
+        ``artifacts.RunResult``) to ``rel``; missing entries are empty
         cells."""
         header = ["model"] + (["group"] if self.groups else []) + self.columns
         rows = [

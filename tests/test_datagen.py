@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from taskweave.artifacts import RunResult
 from taskweave.datagen import (
     Batch,
     Corpus,
@@ -16,7 +17,6 @@ from taskweave.datagen import (
     build_corpus,
 )
 from taskweave.errors import ConfigurationError, ValidationError
-from taskweave.experiments import RunResult
 from taskweave.seeding import stream
 
 

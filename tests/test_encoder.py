@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from taskweave.artifacts import RunResult
 from taskweave.encoder import (
     EncoderParams,
     GradBuffer,
@@ -27,7 +28,6 @@ from taskweave.encoder import (
     save_checkpoint,
 )
 from taskweave.errors import ContractError, NumericError
-from taskweave.experiments import RunResult
 
 
 def circle(*degrees):

@@ -14,33 +14,49 @@ import pytest
 from click.testing import CliRunner
 
 import taskweave
+from taskweave import experiments, scoring
+from taskweave.artifacts import RunResult
 from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
-from taskweave.encoder import save_checkpoint
+from taskweave.curriculum import Trainer
+from taskweave.encoder import embed, save_checkpoint
 from taskweave.errors import ConfigurationError, ContractError, NumericError, ValidationError
 from taskweave.experiments import (
-    RunResult,
-    TaskPairs,
     _compare_forgetting,
-    _cosine_auc_eval,
-    _probe_gallery_split,
-    _sample_pairs,
     build_splits,
     bundled_reference_table,
-    evaluate_row,
+    embed_tasks,
     init_encoder,
-    rows_to_table,
     run,
     run_forgetting_comparison,
     score_paper_table,
-    verification_pair_plan,
 )
 from taskweave.metrics import ScoreTable
+from taskweave.scoring import (
+    TaskPairs,
+    _cosine_auc_eval,
+    _probe_gallery_split,
+    _sample_pairs,
+    centroid_tasks,
+    evaluate_row,
+    geometry_headlines,
+    rows_to_table,
+    verification_pair_plan,
+)
 from taskweave.seeding import stream
 
 
 # The fields of a task entry that have no default.
 REQUIRED_TASK_FIELDS = ["name", "regime", "classes", "samples_per_class", "within_class_spread"]
+
+
+def score_params(params, train_corpus, eval_corpus, config, plan=None) -> dict[str, float]:
+    """The score row of ``params``: the eval tasks and the centroid train
+    tasks embedded, then scored under ``plan`` (by default the config's)."""
+    plan = plan or verification_pair_plan(eval_corpus, config)
+    eval_emb = embed_tasks(params, eval_corpus.tasks)
+    train_emb = embed_tasks(params, centroid_tasks(train_corpus))
+    return evaluate_row(eval_emb, train_emb, eval_corpus, train_corpus, plan, config)
 
 
 def tiny_config(output_dir, seed=13) -> ExperimentConfig:
@@ -421,11 +437,10 @@ class TestRun:
         manifest = tmp_path / "out" / "corpus" / "manifest.json"
         before = manifest.read_bytes()
         from taskweave.encoder import load_checkpoint
-        from taskweave.experiments import build_splits, evaluate_row
 
         train_corpus, eval_corpus = build_splits(config)
         params = load_checkpoint(tmp_path / "out" / "checkpoints" / "encoder_final.npz")
-        evaluate_row(params, train_corpus, eval_corpus, config)
+        score_params(params, train_corpus, eval_corpus, config)
         assert manifest.read_bytes() == before
 
     def test_seed_override_leaves_config_unchanged(self, tmp_path):
@@ -536,8 +551,6 @@ class TestManifest:
         assert summary["floored_cells"] == []
 
     def test_killed_run_leaves_no_summary_and_no_temp_file(self, tmp_path, monkeypatch):
-        import taskweave.experiments as experiments
-
         outdir = tmp_path / "out"
         run(tiny_config(outdir))
         assert (outdir / "summary.json").is_file()
@@ -545,7 +558,7 @@ class TestManifest:
         def killed(*args, **kwargs):
             raise RuntimeError("killed mid-analysis")
 
-        monkeypatch.setattr(experiments, "principal_angles", killed)
+        monkeypatch.setattr(scoring, "principal_angles", killed)
         with pytest.raises(RuntimeError, match="killed"):
             run(tiny_config(outdir))
         left = files_under(outdir)
@@ -766,7 +779,7 @@ class TestEvaluateRow:
         config.evaluation.far_values = [0.001, 0.01]
         train_corpus, eval_corpus = build_splits(config)
         params, _ = init_encoder(config)
-        row = evaluate_row(params, train_corpus, eval_corpus, config)
+        row = score_params(params, train_corpus, eval_corpus, config)
         expected = [
             f"{name}:{column}"
             for name, data in eval_corpus.tasks.items()
@@ -775,7 +788,7 @@ class TestEvaluateRow:
         assert list(row) == expected
 
     def test_one_ranking_per_task(self, tmp_path, monkeypatch):
-        from taskweave import experiments, metrics
+        from taskweave import metrics
 
         calls = []
 
@@ -783,11 +796,11 @@ class TestEvaluateRow:
             calls.append(args)
             return metrics.rank_k(*args)
 
-        monkeypatch.setattr(experiments, "rank_k", recording)
+        monkeypatch.setattr(scoring, "rank_k", recording)
         config = tiny_config(tmp_path / "out")
         train_corpus, eval_corpus = build_splits(config)
         params, _ = init_encoder(config)
-        row = evaluate_row(params, train_corpus, eval_corpus, config)
+        row = score_params(params, train_corpus, eval_corpus, config)
         assert len(calls) == len(eval_corpus.tasks)
         for (name, data), args in zip(eval_corpus.tasks.items(), calls):
             retrieval = [c for c in self.COLUMNS[data.regime] if c[:3] in ("top", "ran")]
@@ -801,16 +814,15 @@ class TestEvaluateRow:
     def test_scale_scores_row_equals_the_dense_ranking(self, tmp_path, monkeypatch):
         # 1,600 probes against 1,600 gallery rows per fine task: many
         # blocks, and the same row as the whole similarity matrix gives.
-        from taskweave import experiments
         from test_metrics import dense_rank_k
 
         config = eval_layout("scale-scores", 72025, tmp_path / "out")
         train_corpus, eval_corpus = build_splits(config)
         params, _ = init_encoder(config)
         plan = verification_pair_plan(eval_corpus, config)
-        row = evaluate_row(params, train_corpus, eval_corpus, config, plan)
-        monkeypatch.setattr(experiments, "rank_k", dense_rank_k)
-        assert row == evaluate_row(params, train_corpus, eval_corpus, config, plan)
+        row = score_params(params, train_corpus, eval_corpus, config, plan)
+        monkeypatch.setattr(scoring, "rank_k", dense_rank_k)
+        assert row == score_params(params, train_corpus, eval_corpus, config, plan)
 
 
 def loop_probe_gallery_split(labels):
@@ -1072,6 +1084,70 @@ class TestForgettingComparison:
         assert max(sum(step.values()) for step in per_step) <= cap
 
 
+class TestScoringCore:
+    """The scores are functions of embeddings: a stock run embeds its eval
+    split once for both suites, and the raw inputs score with no encoder."""
+
+    @pytest.fixture(scope="class")
+    def stock_run(self, tmp_path_factory):
+        """A stock ``run()`` with both suites, and for each ``embed`` call
+        it made whether it came from outside a training step."""
+        outside: list[bool] = []
+        depth = [0]
+        train_step = Trainer.train_step
+
+        def counted_step(trainer, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return train_step(trainer, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def counted_embed(params, features):
+            outside.append(depth[0] == 0)
+            return embed(params, features)
+
+        config = default_config(output_dir=str(tmp_path_factory.mktemp("stock")))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Trainer, "train_step", counted_step)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("taskweave") and getattr(module, "embed", None) is embed:
+                    patch.setattr(module, "embed", counted_embed)
+            result = run(config)
+        return config, result, outside
+
+    def test_a_run_embeds_each_eval_task_once(self, stock_run):
+        config, _, outside = stock_run
+        assert config.evaluation.suites == ["scores", "geometry"]
+        # Four eval tasks and the one coarse train task behind the centroids.
+        assert sum(outside) == 5
+
+    def test_raw_inputs_score_like_a_trained_encoder(self, stock_run):
+        config, result, _ = stock_run
+        train_corpus, eval_corpus = build_splits(config)
+
+        def unit_rows(tasks):
+            return {
+                n: d.features / np.linalg.norm(d.features, axis=1, keepdims=True)
+                for n, d in tasks.items()
+            }
+
+        plan = verification_pair_plan(eval_corpus, config)
+        raw = unit_rows(eval_corpus.tasks)
+        centroids = unit_rows(centroid_tasks(train_corpus))
+        row = evaluate_row(raw, centroids, eval_corpus, train_corpus, plan, config)
+        assert list(row) == list(result.results["scores"])
+        assert all(np.isfinite(v) for v in row.values())
+
+        tables, summary = geometry_headlines(raw, plan, config)
+        geometry = {rel for rel in result.artifacts if rel.startswith("geometry/")}
+        assert {path for path, _, _ in tables} == geometry - {"geometry/summary.json"}
+        assert summary.keys() == result.results["geometry"].keys()
+        # The tasks sit in disjoint ambient blocks, so the task probe needs
+        # no training to separate them.
+        assert summary["task_probe_accuracy_mean"] == 1.0
+
+
 class TestFlooredCells:
     def test_zero_retrieval_score_is_floored_and_named(self):
         rows = {
@@ -1259,8 +1335,6 @@ class TestCli:
         "command, target", [("gen", "build_splits"), ("eval", "rows_to_table"), ("analyze", "pca")]
     )
     def test_failed_command_leaves_no_summary(self, tmp_path, monkeypatch, command, target):
-        import taskweave.experiments as experiments
-
         runner = CliRunner()
         config = self.write_config(tmp_path)
         out = tmp_path / "out"
@@ -1276,7 +1350,7 @@ class TestCli:
             raise NumericError("injected failure")
 
         # Fails after the command has started rewriting files.
-        monkeypatch.setattr(experiments, target, fail)
+        monkeypatch.setattr(scoring if target == "pca" else experiments, target, fail)
         result = runner.invoke(main, args)
         assert result.exit_code == 3
         assert "injected failure" in result.output
@@ -1418,18 +1492,55 @@ class TestCli:
         assert "non-finite" in result.output
 
     def test_non_finite_json_exit_code(self, tmp_path, monkeypatch):
-        import taskweave.experiments as experiments
-
         runner = CliRunner()
         config_path = self.write_config(tmp_path)
         assert runner.invoke(main, ["train", "-c", str(config_path)]).exit_code == 0
         monkeypatch.setattr(
-            experiments, "linear_task_probe", lambda *a, **k: (float("nan"), 0.0)
+            scoring, "linear_task_probe", lambda *a, **k: (float("nan"), 0.0)
         )
         result = runner.invoke(main, ["analyze", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "geometry/summary.json" in result.output
         assert not (tmp_path / "out" / "analyze" / "geometry" / "summary.json").exists()
+
+    @pytest.mark.parametrize("pipeline", ["train", "compare-forgetting"])
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_training_over_a_scored_run_exits_2_and_writes_nothing(
+        self, tmp_path, command, pipeline
+    ):
+        runner = CliRunner()
+        config = str(self.write_config(tmp_path))
+        run_dir = str(tmp_path / "R")
+        result = runner.invoke(main, ["train", "-c", config, "--seed", "5", "-o", run_dir])
+        assert result.exit_code == 0, result.output
+        assert runner.invoke(main, [command, run_dir]).exit_code == 0
+        before = tree_bytes(tmp_path)
+        result = runner.invoke(main, [pipeline, "-c", config, "--seed", "6", "-o", run_dir])
+        assert result.exit_code == 2, result.output
+        assert f"{command}/summary.json" in result.output
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{\n  "lfw_acc": 0.983,\n', '{"lfw_acc": "x"}', '{"lfw_acc": NaN}', "[1, 2]"],
+        ids=["truncated", "string", "nan", "list"],
+    )
+    def test_bad_human_refs_exit_2(self, tmp_path, text):
+        path = tmp_path / "refs.json"
+        path.write_text(text)
+        args = ["score-table", "--mode", "human", "--human-refs", str(path)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}" in result.output
+
+    def test_human_refs_file_ranks_like_the_bundled_one(self, tmp_path):
+        path = tmp_path / "refs.json"
+        path.write_text(json.dumps(experiments.load_human_references()))
+        runner = CliRunner()
+        bundled = runner.invoke(main, ["score-table", "--mode", "human"])
+        given = runner.invoke(main, ["score-table", "--mode", "human", "--human-refs", str(path)])
+        assert bundled.exit_code == given.exit_code == 0
+        assert given.output == bundled.output
 
     def test_score_table_default(self):
         runner = CliRunner()

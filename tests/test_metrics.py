@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskweave import metrics
+from taskweave.artifacts import RunResult
 from taskweave.errors import ContractError, ValidationError
-from taskweave.experiments import RunResult
 from taskweave.metrics import (
     EXPERT,
     HUMAN,

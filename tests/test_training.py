@@ -54,25 +54,22 @@ from taskweave.encoder import (
     init_params,
     save_checkpoint,
 )
+from taskweave.artifacts import SUMMARY_VERSION, RunResult
 from taskweave.experiments import (
     INTERLEAVED_ADAPTIVE,
     INTERLEAVED_BALANCED,
     SEQUENTIAL,
-    SUMMARY_VERSION,
-    RunResult,
     build_splits,
-    evaluate_row,
     fresh_optimizer,
     init_encoder,
     make_trainer,
     pretrain_encoder,
-    rows_to_table,
     run,
     run_forgetting_comparison,
     sequential_finetune,
-    verification_pair_plan,
 )
 from taskweave.metrics import EXPERT
+from taskweave.scoring import evaluate_row, rows_to_table, verification_pair_plan
 from taskweave.seeding import derive_seed, stream
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -692,6 +689,18 @@ def reference_trainer(config, mode, task_data, params, opt_state, seed, loader_s
     )
 
 
+def reference_row(params, train_corpus, eval_corpus, config, pair_plan):
+    """One model's score row: every eval task and the coarse train tasks
+    behind the class centroids embedded, then scored."""
+    eval_emb = {n: embed(params, d.features) for n, d in eval_corpus.tasks.items()}
+    train_emb = {
+        n: embed(params, d.features)
+        for n, d in train_corpus.tasks.items()
+        if d.regime == "coarse-category"
+    }
+    return evaluate_row(eval_emb, train_emb, eval_corpus, train_corpus, pair_plan, config)
+
+
 def reference_forgetting_comparison(config):
     """The forgetting pipeline as it was written before its fine-tunes shared
     one loop: a blocked pretraining, three hand-written fine-tune blocks, and
@@ -716,7 +725,7 @@ def reference_forgetting_comparison(config):
     save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
     top1_col = f"{fg.pretrain_task}:top1"
-    baseline_row = evaluate_row(params, train_corpus, eval_corpus, config, pair_plan)
+    baseline_row = reference_row(params, train_corpus, eval_corpus, config, pair_plan)
     baseline_acc = baseline_row[top1_col]
 
     finetune_tasks = {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task}
@@ -757,7 +766,7 @@ def reference_forgetting_comparison(config):
     order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
     batches = dict(zip(order, [balanced_batches, balanced_batches, adaptive_batches]))
     rows = {
-        name: evaluate_row(models[name], train_corpus, eval_corpus, config, pair_plan)
+        name: reference_row(models[name], train_corpus, eval_corpus, config, pair_plan)
         for name in order
     }
     table, floored = rows_to_table(rows)
