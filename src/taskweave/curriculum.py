@@ -17,9 +17,12 @@ Trainer plans it before any training (:meth:`Trainer.planned_batches`):
 fresh loaders from its own recipe replay the same batch draw and epoch
 rule its steps use.
 
-All per-batch gradients inside one step are summed into a single buffer and
-applied by exactly one optimizer update; ``Trainer.train_step`` is the only
-place that does so.
+Every schedule the lab trains (the curriculum run, pretraining, the
+sequential baseline and both interleaved fine-tunes) is one ``Trainer``,
+built from the experiment config with a fresh optimizer of its own; no
+other module builds an optimizer state. All per-batch gradients inside one
+step are summed into a single buffer and applied by exactly one optimizer
+update; ``Trainer.train_step`` is the only place that does so.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CurriculumConfig
+from .config import CurriculumConfig, ExperimentConfig
 from .datagen import Batch, Loader, TaskData
 from .encoder import (
     EncoderParams,
@@ -57,9 +60,6 @@ class TaskState:
 
     metric_log: list[tuple[int, float]] = field(default_factory=list)
     last_allocation: int | None = None
-
-    def latest_accuracy(self) -> float | None:
-        return self.metric_log[-1][1] if self.metric_log else None
 
 
 @dataclass
@@ -229,39 +229,39 @@ def _satisfied_anchors(
 class Trainer:
     """Holds everything one training run needs and advances it stepwise.
 
-    ``mode`` picks the allocation of a plain ``train_step()``; a step given
-    an explicit allocation runs that instead. ``loader_stream`` names the
-    seeding substream of the per-task loaders.
+    It reads the schedule from ``config.curriculum``, the batch shape from
+    ``config.batch`` and the triplet margin from ``config.margin``, and it
+    trains ``params`` in place under a fresh optimizer built from
+    ``config.optimizer``. ``mode`` picks the allocation of a plain
+    ``train_step()``; a step given an explicit allocation runs that instead.
+    ``seed`` is the integer every substream of the run derives from, and
+    ``loader_stream`` names the seeding substream of the per-task loaders.
     """
 
     def __init__(
         self,
+        config: ExperimentConfig,
         mode: str,
         task_data: dict[str, TaskData],
         params: EncoderParams,
-        opt_state: OptimState,
-        curriculum: CurriculumConfig,
-        identities: int,
-        positives: int,
-        margin: float,
         seed: int,
         loader_stream: str = "loader",
     ):
         if mode not in MODES:
             raise ConfigurationError(f"unknown curriculum mode {mode!r}")
-        curriculum.validate(list(task_data))
+        config.curriculum.validate(list(task_data))
         self.mode = mode
         self.task_names = list(task_data)
         self.task_data = task_data
         self.params = params
-        self.opt_state = opt_state
-        self.curriculum = curriculum
-        self.identities = identities
-        self.positives = positives
-        self.margin = margin
+        self.opt_state = OptimState.for_params(params, **vars(config.optimizer))
+        self.curriculum = config.curriculum
+        self.identities = config.batch.identities
+        self.positives = config.batch.positives
+        self.margin = config.margin
         self.seed = seed
         self.loader_stream = loader_stream
-        self.loaders = make_loaders(task_data, curriculum, seed, loader_stream)
+        self.loaders = make_loaders(task_data, self.curriculum, seed, loader_stream)
         self.buffer = GradBuffer.zeros_like(params)
         self.states = {name: TaskState() for name in task_data}
         self.alloc_rng = stream(seed, "allocation")

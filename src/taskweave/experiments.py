@@ -1,4 +1,4 @@
-"""Experiment orchestration: corpus and trainer builders, training runs,
+"""Experiment orchestration: corpus builders, training runs,
 the forgetting comparison, and benchmark-table scoring. Each model is
 embedded once (:func:`embed_tasks`) and scored by :mod:`taskweave.scoring`.
 """
@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import SUMMARY_VERSION, RunResult
+from .artifacts import SUMMARY, SUMMARY_VERSION, RunResult
 from .config import ExperimentConfig
 from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
 from .datagen import Corpus, CorpusSpec, TaskData, build_corpus
-from .encoder import EncoderParams, OptimState, embed, init_params, load_checkpoint, save_checkpoint
+from .encoder import EncoderParams, embed, init_params, load_checkpoint, save_checkpoint
 from .errors import ConfigurationError, ContractError, ValidationError
 from .forking import cpu_workers, forked_map
 from .metrics import EXPERT, HUMAN, ScoreTable
@@ -53,8 +53,23 @@ def build_splits(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
 def load_run(run_dir: str | Path, checkpoint: str | Path | None = None):
     """A finished run's config, train and eval corpora, parameters and
     checkpoint path (by default the run's final one), read from ``run_dir``.
-    Input that is missing or does not fit ``config.json`` is a ValidationError."""
+    Each file read from the run must be listed in its ``summary.json``, so a
+    tree that another command rewrote is refused. Input that is missing,
+    unlisted or does not fit ``config.json`` is a ValidationError."""
     run_dir = Path(run_dir)
+    summary = run_dir / SUMMARY
+    try:
+        listed = set(json.loads(summary.read_text())["artifacts"])
+    except OSError as exc:
+        raise ValidationError(f"{summary}: {exc.strerror} (an unfinished run)") from None
+    except (ValueError, KeyError, TypeError):
+        raise ValidationError(f"{summary} does not list the run's files") from None
+    required = ["config.json", "corpus/manifest.json", "corpus_eval/manifest.json"]
+    if checkpoint is None:
+        required.append("checkpoints/encoder_final.npz")
+    for rel in required:
+        if rel not in listed:
+            raise ValidationError(f"{run_dir / rel} is not listed in {summary}")
     config = ExperimentConfig.from_file(run_dir / "config.json")
     corpora = [Corpus.load(run_dir / rel) for rel in ("corpus", "corpus_eval")]
     for corpus, split in zip(corpora, ("train", "eval")):
@@ -67,38 +82,8 @@ def load_run(run_dir: str | Path, checkpoint: str | Path | None = None):
     return config, *corpora, params, ckpt
 
 
-def init_encoder(config: ExperimentConfig) -> tuple[EncoderParams, OptimState]:
-    params = init_params(_layer_dims(config), stream(config.seed, "encoder-init"))
-    return params, fresh_optimizer(config, params)
-
-
-def fresh_optimizer(config: ExperimentConfig, params: EncoderParams) -> OptimState:
-    return OptimState.for_params(params, **vars(config.optimizer))
-
-
-def make_trainer(
-    config: ExperimentConfig,
-    mode: str,
-    task_data: dict[str, TaskData],
-    params: EncoderParams,
-    opt_state: OptimState,
-    seed_name: str,
-    loader_stream: str = "loader",
-) -> Trainer:
-    """The one Trainer builder: its seed is derived from the master seed by
-    ``seed_name``, its loaders draw from the ``loader_stream`` substream."""
-    return Trainer(
-        mode=mode,
-        task_data=task_data,
-        params=params,
-        opt_state=opt_state,
-        curriculum=config.curriculum,
-        identities=config.batch.identities,
-        positives=config.batch.positives,
-        margin=config.margin,
-        seed=derive_seed(config.seed, seed_name),
-        loader_stream=loader_stream,
-    )
+def init_encoder(config: ExperimentConfig) -> EncoderParams:
+    return init_params(_layer_dims(config), stream(config.seed, "encoder-init"))
 
 
 def _records(trainer: Trainer) -> list[dict]:
@@ -192,9 +177,9 @@ def run(
     train_corpus.save(out, "corpus")
     eval_corpus.save(out, "corpus_eval")
 
-    params, opt_state = init_encoder(config)
+    params = init_encoder(config)
     mode = config.curriculum.mode
-    trainer = make_trainer(config, mode, train_corpus.tasks, params, opt_state, "train")
+    trainer = Trainer(config, mode, train_corpus.tasks, params, derive_seed(config.seed, "train"))
     for _ in range(config.training.epochs):
         trainer.run_epoch()
     out.lines("traces/scheduler.jsonl", _records(trainer))
@@ -214,57 +199,35 @@ def run(
     return out
 
 
-def _blocked_training(
-    config: ExperimentConfig,
-    params: EncoderParams,
-    opt_state: OptimState,
-    task_data: dict[str, TaskData],
-    total_batches: int,
-    group_size: int,
-    seed_name: str,
-    loader_stream: str,
-) -> Trainer:
-    """The blocked schedule over ``task_data``, run on one Trainer: tasks one
-    after another, ``total_batches`` in steps of at most ``group_size``."""
-    trainer = make_trainer(config, BALANCED, task_data, params, opt_state, seed_name, loader_stream)
-    for allocation in blocked_schedule(list(task_data), total_batches, group_size):
+def pretrain_encoder(config: ExperimentConfig, params: EncoderParams, data: TaskData) -> Trainer:
+    """Single-task fit producing the shared starting point for the forgetting
+    comparison: ``config.forgetting.pretrain_steps`` blocked steps of
+    ``pretrain_batches_per_step`` batches each, training ``params`` in place."""
+    fg = config.forgetting
+    seed = derive_seed(config.seed, "pretrain")
+    trainer = Trainer(config, BALANCED, {data.name: data}, params, seed, "pretrain-loader")
+    total = fg.pretrain_steps * fg.pretrain_batches_per_step
+    for allocation in blocked_schedule([data.name], total, fg.pretrain_batches_per_step):
         trainer.train_step(allocation)
     return trainer
-
-
-def pretrain_encoder(
-    config: ExperimentConfig,
-    params: EncoderParams,
-    opt_state: OptimState,
-    data: TaskData,
-    steps: int,
-    batches_per_step: int,
-    seed_name: str,
-) -> Trainer:
-    """Single-task fit producing the shared starting point for the forgetting
-    comparison: ``steps`` blocked steps of ``batches_per_step`` batches each."""
-    tasks = {data.name: data}
-    total = steps * batches_per_step
-    return _blocked_training(
-        config, params, opt_state, tasks, total, batches_per_step, seed_name, "pretrain-loader"
-    )
 
 
 def sequential_finetune(
     config: ExperimentConfig,
     params: EncoderParams,
-    opt_state: OptimState,
     task_data: dict[str, TaskData],
     total_batches: int,
-    group_size: int,
-    seed_name: str,
 ) -> Trainer:
-    """Blocked baseline: tasks one after another, same optimizer settings,
-    same accumulation group size, and the same total batch count as the
-    interleaved runs; only the curriculum differs."""
-    return _blocked_training(
-        config, params, opt_state, task_data, total_batches, group_size, seed_name, "seq-loader"
-    )
+    """Blocked baseline: tasks one after another, ``total_batches`` in steps
+    of as many batches as an interleaved step takes, with the same optimizer
+    settings as the interleaved runs; only the curriculum differs. Trains
+    ``params`` in place."""
+    seed = derive_seed(config.seed, "finetune-sequential")
+    trainer = Trainer(config, BALANCED, task_data, params, seed, "seq-loader")
+    group = len(config.tasks) * config.curriculum.batches_per_task
+    for allocation in blocked_schedule(list(task_data), total_batches, group):
+        trainer.train_step(allocation)
+    return trainer
 
 
 SEQUENTIAL = "sequential"
@@ -301,25 +264,15 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
 
     train_corpus, eval_corpus = build_splits(config)
     pair_plan = verification_pair_plan(eval_corpus, config)
-    params, opt_state = init_encoder(config)
-    trainer = pretrain_encoder(
-        config,
-        params,
-        opt_state,
-        train_corpus.tasks[fg.pretrain_task],
-        fg.pretrain_steps,
-        fg.pretrain_batches_per_step,
-        "pretrain",
-    )
+    params = init_encoder(config)
+    trainer = pretrain_encoder(config, params, train_corpus.tasks[fg.pretrain_task])
     out.lines("traces/pretrain.jsonl", _records(trainer))
     save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
     def finetune_trainer(mode: str) -> Trainer:
-        # Every fine-tune starts from a copy of the pretrained parameters
-        # with a fresh optimizer.
-        tuned = params.copy()
-        opt = fresh_optimizer(config, tuned)
-        return make_trainer(config, mode, train_corpus.tasks, tuned, opt, f"finetune-{mode}")
+        # Every fine-tune starts from a copy of the pretrained parameters.
+        seed = derive_seed(config.seed, f"finetune-{mode}")
+        return Trainer(config, mode, train_corpus.tasks, params.copy(), seed)
 
     # Built before the fork: the sequential item asks it for the total it
     # will spend, and the balanced item trains it.
@@ -334,20 +287,12 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
         # The blocked baseline spends the balanced run's batch total on the
         # fine-tune tasks alone, planned before either runs.
         batches = balanced.planned_batches(fg.finetune_epochs)
-        blocked = params.copy()
-        blocked_trainer = sequential_finetune(
-            config,
-            blocked,
-            fresh_optimizer(config, blocked),
-            {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task},
-            total_batches=batches,
-            group_size=len(train_corpus.tasks) * config.curriculum.batches_per_task,
-            seed_name="finetune-sequential",
-        )
+        tasks = {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task}
+        blocked = sequential_finetune(config, params.copy(), tasks, batches)
         return {
             "batches": batches,
-            "trace": _records(blocked_trainer),
-            "rows": {PRETRAINED: score(params), SEQUENTIAL: score(blocked)},
+            "trace": _records(blocked),
+            "rows": {PRETRAINED: score(params), SEQUENTIAL: score(blocked.params)},
         }
 
     def interleaved(trainer: Trainer, row_name: str) -> dict:

@@ -27,7 +27,6 @@ class Subspace:
     basis: np.ndarray  # (ambient, k)
     eigvals: np.ndarray  # (k,), nonincreasing
     mean: np.ndarray  # (ambient,), zero for uncentered bases
-    source_task: str = ""
 
     @property
     def dim(self) -> int:
@@ -40,10 +39,10 @@ class Subspace:
     def truncated(self, k: int) -> "Subspace":
         if not 1 <= k <= self.dim:
             raise ContractError(f"k = {k} outside the basis rank {self.dim}")
-        return Subspace(self.basis[:, :k], self.eigvals[:k], self.mean, self.source_task)
+        return Subspace(self.basis[:, :k], self.eigvals[:k], self.mean)
 
 
-def pca(X: np.ndarray, center: bool = True, source_task: str = "") -> Subspace:
+def pca(X: np.ndarray, center: bool = True) -> Subspace:
     """Full-rank principal components via SVD.
 
     Columns follow the sign convention that each one's largest-magnitude
@@ -60,25 +59,16 @@ def pca(X: np.ndarray, center: bool = True, source_task: str = "") -> Subspace:
     basis = vt.T
     flip = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])] < 0
     basis[:, flip] *= -1.0
-    return Subspace(
-        basis=basis,
-        eigvals=s**2 / (X.shape[0] - 1),
-        mean=mean,
-        source_task=source_task,
-    )
+    return Subspace(basis=basis, eigvals=s**2 / (X.shape[0] - 1), mean=mean)
 
 
-def task_subspace(
-    X: np.ndarray,
-    variance_fraction: float = DEFAULT_VARIANCE_FRACTION,
-    source_task: str = "",
-) -> Subspace:
+def task_subspace(X: np.ndarray, variance_fraction: float = DEFAULT_VARIANCE_FRACTION) -> Subspace:
     """Centred PCA truncated at the smallest dimension whose cumulative
     eigenvalue share reaches ``variance_fraction`` (full numerical rank at
     1.0)."""
     if not 0.0 < variance_fraction <= 1.0:
         raise ContractError("variance_fraction must lie in (0, 1]")
-    full = pca(X, source_task=source_task)
+    full = pca(X)
     total = full.eigvals.sum()
     if total == 0.0:
         return full.truncated(1)

@@ -225,9 +225,7 @@ def geometry_headlines(
         """Everything but the windows, computed while the children probe
         them: the tables that follow ``probe_window.csv`` and the summary."""
         probe_mean, probe_std = linear_task_probe(pooled, tags, folds=ev.probe_folds)
-        subspaces = {
-            n: task_subspace(emb[n], ev.variance_fraction, source_task=n) for n in names
-        }
+        subspaces = {n: task_subspace(emb[n], ev.variance_fraction) for n in names}
         angle_rows, max_angles = [], {}
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
@@ -245,7 +243,7 @@ def geometry_headlines(
         first_within = {}
         self_projection = {}
         for src in names:
-            basis = pca(emb[src], center=False, source_task=src)
+            basis = pca(emb[src], center=False)
             rows = []
             for tgt in names:
                 if tgt == src:

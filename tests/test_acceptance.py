@@ -12,6 +12,7 @@ import pytest
 
 from taskweave.config import default_config
 from taskweave.curriculum import (
+    Trainer,
     distance_from_goal,
     relative_improvement,
     task_scores_to_probabilities,
@@ -29,7 +30,6 @@ from taskweave.experiments import (
     build_splits,
     bundled_reference_table,
     init_encoder,
-    make_trainer,
     run,
     run_forgetting_comparison,
     score_paper_table,
@@ -37,7 +37,7 @@ from taskweave.experiments import (
 )
 from taskweave.geometry import Subspace, linear_task_probe, pca, principal_angles, projection_sweep
 from taskweave.metrics import ScoreTable, multitask_index, roc_auc
-from taskweave.seeding import stream
+from taskweave.seeding import derive_seed, stream
 
 
 @contextmanager
@@ -56,8 +56,9 @@ def benchmark_model(tmp_path_factory):
     shared by the separability and reconstruction criteria."""
     config = default_config(output_dir=str(tmp_path_factory.mktemp("benchmark")))
     train_corpus, eval_corpus = build_splits(config)
-    params, opt_state = init_encoder(config)
-    trainer = make_trainer(config, "balanced", train_corpus.tasks, params, opt_state, "train")
+    params = init_encoder(config)
+    seed = derive_seed(config.seed, "train")
+    trainer = Trainer(config, "balanced", train_corpus.tasks, params, seed)
     for _ in range(config.training.epochs):
         trainer.run_epoch()
     return config, eval_corpus, params
@@ -151,7 +152,7 @@ def test_criterion_4_gradient_coupling_identity():
     with criterion(4, "summed buffer equals elementwise sum of per-batch gradients within 1e-12"):
         config = default_config(output_dir="unused")
         train_corpus, _ = build_splits(config)
-        params, _ = init_encoder(config)
+        params = init_encoder(config)
         batches = []
         for name, data in train_corpus.tasks.items():
             loader = Loader(data, stream(41, "coupling", name))
@@ -270,7 +271,7 @@ def test_criterion_9_subspace_reconstruction(benchmark_model):
 
         first_within = {}
         for src in names:
-            basis = pca(emb[src], center=False, source_task=src)
+            basis = pca(emb[src], center=False)
             for tgt in names:
                 if tgt == src:
                     continue

@@ -18,9 +18,9 @@ from taskweave.curriculum import (
     sample_allocation,
     task_scores_to_probabilities,
 )
-from taskweave.config import CurriculumConfig
+from taskweave.config import BatchConfig, CurriculumConfig, ExperimentConfig, OptimizerConfig
 from taskweave.datagen import CorpusSpec, TaskData, TaskGenSpec, build_corpus
-from taskweave.encoder import EncoderParams, OptimState, embed, init_params
+from taskweave.encoder import EncoderParams, embed, init_params
 from taskweave.errors import ConfigurationError, ContractError
 from taskweave.seeding import stream
 
@@ -158,6 +158,20 @@ class TestBlockedSchedule:
             list(blocked_schedule(["a"], 4, 0))
 
 
+def trainer_config(curriculum, identities=10, positives=4, **optimizer):
+    """An unvalidated experiment config that sets only what a Trainer reads:
+    the schedule, the batch shape and the optimizer (the margin is 0.35)."""
+    return ExperimentConfig(
+        seed=0,
+        output_dir="unused",
+        tasks=[],
+        ambient_dim=0,
+        batch=BatchConfig(identities, positives),
+        curriculum=curriculum,
+        optimizer=OptimizerConfig(**optimizer),
+    )
+
+
 class TestSeedPass:
     """The adaptive trainer's step-0 accuracy of a task is the number of
     anchors whose hardest positive is nearer than their hardest negative,
@@ -170,17 +184,9 @@ class TestSeedPass:
         """The step-0 accuracy of a one-task adaptive trainer on the given
         samples."""
         data = {"t": TaskData("t", "fine-identity", np.array(features), np.array(labels))}
-        trainer = Trainer(
-            mode=ADAPTIVE,
-            task_data=data,
-            params=self.identity,
-            opt_state=OptimState.for_params(self.identity, learning_rate=1e-3),
-            curriculum=CurriculumConfig(goals={"t": 0.9}, total_batches=1, probe_batches=3),
-            identities=identities,
-            positives=positives,
-            margin=0.35,
-            seed=1,
-        )
+        curriculum = CurriculumConfig(goals={"t": 0.9}, total_batches=1, probe_batches=3)
+        config = trainer_config(curriculum, identities, positives, learning_rate=1e-3)
+        trainer = Trainer(config, ADAPTIVE, data, self.identity, seed=1)
         (step, accuracy), = trainer.states["t"].metric_log
         assert step == 0
         return accuracy
@@ -196,7 +202,7 @@ class TestSeedPass:
         assert self.seeded(features, [0, 1, 0, 1], 2, 2) == 0.0
 
     def test_count_over_the_probe_stack(self):
-        trainer = make_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5, probe_batches=3)
+        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5, probe_batches=3)
         for name, data in trainer.task_data.items():
             rng = stream(trainer.seed, "probe", name)
             satisfied = rows = 0
@@ -230,27 +236,17 @@ def small_task_data(sizes=(80, 80, 80, 80), seed=5):
     return build_corpus(spec, positives_per_id=2).tasks
 
 
-def make_trainer(mode, sizes=(80, 80, 80, 80), seed=5, **sched):
+def small_trainer(mode, sizes=(80, 80, 80, 80), seed=5, **sched):
     data = small_task_data(sizes, seed)
     params = init_params([8, 12, 6], stream(seed, "init"))
-    opt = OptimState.for_params(params, learning_rate=1e-3)
     defaults = dict(
         goals={name: 0.9 for name in data},
         batches_per_task=1,
         probe_batches=1,
     )
     defaults.update(sched)
-    return Trainer(
-        mode=mode,
-        task_data=data,
-        params=params,
-        opt_state=opt,
-        curriculum=CurriculumConfig(**defaults),
-        identities=10,
-        positives=4,
-        margin=0.35,
-        seed=seed,
-    )
+    config = trainer_config(CurriculumConfig(**defaults), learning_rate=1e-3)
+    return Trainer(config, mode, data, params, seed)
 
 
 def param_hash(params):
@@ -259,7 +255,7 @@ def param_hash(params):
 
 class TestTrainerBalanced:
     def test_constant_allocation_and_single_update(self):
-        trainer = make_trainer(BALANCED)
+        trainer = small_trainer(BALANCED)
         before = param_hash(trainer.params)
         report = trainer.train_step()
         assert list(report.allocations.values()) == [1, 1, 1, 1]
@@ -268,7 +264,7 @@ class TestTrainerBalanced:
         assert param_hash(trainer.params) != before
 
     def test_epoch_ends_when_all_exhausted(self):
-        trainer = make_trainer(BALANCED)
+        trainer = small_trainer(BALANCED)
         trainer.run_epoch()
         # 80 samples per task at P*K = 40 means two steps exhaust everything.
         assert len(trainer.reports) == 2
@@ -276,25 +272,25 @@ class TestTrainerBalanced:
         assert all(final.exhausted.values())
 
     def test_uneven_sizes_refresh_smaller_task(self):
-        trainer = make_trainer(BALANCED, sizes=(80, 160))
+        trainer = small_trainer(BALANCED, sizes=(80, 160))
         trainer.run_epoch()
         assert len(trainer.reports) == 4
         assert trainer.loaders["t0"].refreshes >= 1
 
     def test_allocations_identical_every_step(self):
-        trainer = make_trainer(BALANCED)
+        trainer = small_trainer(BALANCED)
         allocations = [tuple(trainer.train_step().allocations.values()) for _ in range(5)]
         assert len(set(allocations)) == 1
 
     def test_accuracies_logged_every_step(self):
-        trainer = make_trainer(BALANCED)
+        trainer = small_trainer(BALANCED)
         report = trainer.train_step()
         assert all(a is not None for a in report.accuracies.values())
         assert all(len(s.metric_log) == 1 for s in trainer.states.values())
 
 
     def test_trainer_keeps_every_step_report(self):
-        trainer = make_trainer(BALANCED)
+        trainer = small_trainer(BALANCED)
         trainer.run_epoch()
         first = list(trainer.reports)
         extra = trainer.train_step({"t0": 2})
@@ -308,28 +304,28 @@ class TestTrainerBalanced:
 
 class TestTrainerAdaptive:
     def test_initial_accuracies_seeded(self):
-        trainer = make_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5)
+        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5)
         assert all(s.metric_log and s.metric_log[0][0] == 0 for s in trainer.states.values())
 
     def test_allocations_sum_to_total(self):
-        trainer = make_trainer(ADAPTIVE, total_batches=6, steps_per_epoch=5)
+        trainer = small_trainer(ADAPTIVE, total_batches=6, steps_per_epoch=5)
         for _ in range(8):
             report = trainer.train_step()
             assert report.batches_consumed == 6
             assert trainer.opt_state.step == report.step
 
     def test_step_budget_epoch(self):
-        trainer = make_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=10)
+        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=10)
         trainer.run_epoch()
         assert len(trainer.reports) == 10
 
     def test_missing_step_budget_rejected(self):
-        trainer = make_trainer(ADAPTIVE, total_batches=4)
+        trainer = small_trainer(ADAPTIVE, total_batches=4)
         with pytest.raises(ConfigurationError, match="steps_per_epoch"):
             trainer.run_epoch()
 
     def test_zero_allocation_reuses_logged_accuracy(self):
-        trainer = make_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=30)
+        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=30)
         starved_step = None
         starved_task = None
         for _ in range(30):
@@ -337,7 +333,7 @@ class TestTrainerAdaptive:
             zero = [t for t, a in report.allocations.items() if a == 0]
             if zero:
                 starved_step, starved_task = report.step, zero[0]
-                logged = trainer.states[starved_task].latest_accuracy()
+                logged = trainer.states[starved_task].metric_log[-1][1]
                 assert report.accuracies[starved_task] is None
                 next_report = trainer.train_step()
                 used = next_report.scoring[starved_task].goal_distance
@@ -347,7 +343,7 @@ class TestTrainerAdaptive:
         assert starved_step is not None, "30 adaptive steps never starved a task"
 
     def test_probabilities_respect_floor(self):
-        trainer = make_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5, floor=0.1)
+        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5, floor=0.1)
         for _ in range(5):
             report = trainer.train_step()
             probs = [s.probability for s in report.scoring.values()]
@@ -355,7 +351,7 @@ class TestTrainerAdaptive:
             assert abs(sum(probs) - 1.0) <= 1e-12
 
     def test_empty_metric_log_is_a_configuration_error(self):
-        trainer = make_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5)
+        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5)
         trainer.states["t0"].metric_log.clear()
         with pytest.raises(ConfigurationError, match="no logged accuracy"):
             trainer.train_step()
@@ -363,26 +359,15 @@ class TestTrainerAdaptive:
     def test_goals_required_for_every_task(self):
         data = small_task_data()
         params = init_params([8, 12, 6], stream(1, "init"))
-        opt = OptimState.for_params(params)
         goals = {name: 0.9 for name in data}
         goals.pop("t3")
         with pytest.raises(ConfigurationError, match="t3"):
-            Trainer(
-                mode=BALANCED,
-                task_data=data,
-                params=params,
-                opt_state=opt,
-                curriculum=CurriculumConfig(goals=goals),
-                identities=10,
-                positives=4,
-                margin=0.35,
-                seed=1,
-            )
+            Trainer(trainer_config(CurriculumConfig(goals=goals)), BALANCED, data, params, seed=1)
 
 
 class TestTrainerBlocked:
     def test_explicit_allocation_reports_blocked(self):
-        trainer = make_trainer(BALANCED)
+        trainer = small_trainer(BALANCED)
         report = trainer.train_step({"t1": 2})
         assert report.mode == BLOCKED
         assert report.allocations == {"t0": 0, "t1": 2, "t2": 0, "t3": 0}
@@ -391,28 +376,39 @@ class TestTrainerBlocked:
         assert report.to_record()["mode"] == "blocked"
 
     def test_unknown_task_rejected(self):
-        trainer = make_trainer(BALANCED)
+        trainer = small_trainer(BALANCED)
         with pytest.raises(ContractError, match="ghost"):
             trainer.train_step({"ghost": 1})
 
     def test_single_task_trainer(self):
         data = {"t0": small_task_data()["t0"]}
         params = init_params([8, 12, 6], stream(2, "init"))
-        trainer = Trainer(
-            mode=BALANCED,
-            task_data=data,
-            params=params,
-            opt_state=OptimState.for_params(params),
-            curriculum=CurriculumConfig(goals={"t0": 0.9}),
-            identities=10,
-            positives=4,
-            margin=0.35,
-            seed=2,
-        )
+        config = trainer_config(CurriculumConfig(goals={"t0": 0.9}))
+        trainer = Trainer(config, BALANCED, data, params, seed=2)
         for allocation in blocked_schedule(["t0"], 6, 2):
             report = trainer.train_step(allocation)
         assert trainer.opt_state.step == 3
         assert report.batches_consumed == 2
+
+
+class TestFreshOptimizer:
+    def test_new_trainer_on_trained_params_starts_fresh(self):
+        data = small_task_data()
+        params = init_params([8, 12, 6], stream(4, "init"))
+        hyper = dict(learning_rate=1e-3, beta1=0.8, beta2=0.99, epsilon=1e-7, weight_decay=0.0)
+        config = trainer_config(CurriculumConfig(goals=dict.fromkeys(data, 0.9)), **hyper)
+        trained = Trainer(config, BALANCED, data, params, seed=4)
+        for _ in range(3):
+            trained.train_step()
+        assert trained.opt_state.step == 3 and trained.opt_state.m.any()
+
+        fresh = Trainer(config, BALANCED, data, trained.params, seed=4).opt_state
+        assert fresh is not trained.opt_state
+        assert fresh.step == 0
+        assert fresh.m.shape == fresh.v.shape == params.flat.shape
+        assert not fresh.m.any() and not fresh.v.any()
+        assert {name: getattr(fresh, name) for name in hyper} == vars(config.optimizer) == hyper
+        assert trained.opt_state.step == 3
 
 
 class TestGradientCoupling:
@@ -449,8 +445,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("mode", [BALANCED, ADAPTIVE])
     def test_identical_runs(self, mode):
         kwargs = dict(total_batches=4, steps_per_epoch=4) if mode == ADAPTIVE else {}
-        first = make_trainer(mode, **kwargs)
-        second = make_trainer(mode, **kwargs)
+        first = small_trainer(mode, **kwargs)
+        second = small_trainer(mode, **kwargs)
         records_a = [first.train_step().to_record() for _ in range(4)]
         records_b = [second.train_step().to_record() for _ in range(4)]
         assert records_a == records_b
@@ -459,7 +455,7 @@ class TestDeterminism:
 
 class TestStepRecord:
     def test_record_schema(self):
-        trainer = make_trainer(BALANCED)
+        trainer = small_trainer(BALANCED)
         record = trainer.train_step().to_record()
         assert set(record) == {"step", "mode", "tasks"}
         for entry in record["tasks"].values():

@@ -43,7 +43,7 @@ from taskweave.scoring import (
     rows_to_table,
     verification_pair_plan,
 )
-from taskweave.seeding import stream
+from taskweave.seeding import derive_seed, stream
 
 
 # The fields of a task entry that have no default.
@@ -778,7 +778,7 @@ class TestEvaluateRow:
         config = tiny_config(tmp_path / "out")
         config.evaluation.far_values = [0.001, 0.01]
         train_corpus, eval_corpus = build_splits(config)
-        params, _ = init_encoder(config)
+        params = init_encoder(config)
         row = score_params(params, train_corpus, eval_corpus, config)
         expected = [
             f"{name}:{column}"
@@ -799,7 +799,7 @@ class TestEvaluateRow:
         monkeypatch.setattr(scoring, "rank_k", recording)
         config = tiny_config(tmp_path / "out")
         train_corpus, eval_corpus = build_splits(config)
-        params, _ = init_encoder(config)
+        params = init_encoder(config)
         row = score_params(params, train_corpus, eval_corpus, config)
         assert len(calls) == len(eval_corpus.tasks)
         for (name, data), args in zip(eval_corpus.tasks.items(), calls):
@@ -818,7 +818,7 @@ class TestEvaluateRow:
 
         config = eval_layout("scale-scores", 72025, tmp_path / "out")
         train_corpus, eval_corpus = build_splits(config)
-        params, _ = init_encoder(config)
+        params = init_encoder(config)
         plan = verification_pair_plan(eval_corpus, config)
         row = score_params(params, train_corpus, eval_corpus, config, plan)
         monkeypatch.setattr(scoring, "rank_k", dense_rank_k)
@@ -1167,13 +1167,11 @@ class TestFlooredCells:
 
 class TestSubsample:
     def test_subsample_fraction_shrinks_loader(self, tmp_path):
-        from taskweave.experiments import build_splits, init_encoder, make_trainer
-
         config = tiny_config(tmp_path / "out")
         config.curriculum.subsample = {"persons": 0.5}
         train_corpus, _ = build_splits(config)
-        params, opt_state = init_encoder(config)
-        trainer = make_trainer(config, "balanced", train_corpus.tasks, params, opt_state, "t")
+        seed = derive_seed(config.seed, "t")
+        trainer = Trainer(config, "balanced", train_corpus.tasks, init_encoder(config), seed)
         full = train_corpus.tasks["persons"].n_samples
         assert trainer.loaders["persons"].size == full // 2
         assert trainer.loaders["objects"].size == train_corpus.tasks["objects"].n_samples
@@ -1377,7 +1375,7 @@ class TestCli:
         ckpt = out / "checkpoints" / "encoder_final.npz"
         if case == "other layer shapes":
             other = RunResult(tmp_path / "other")
-            save_checkpoint(init_encoder(default_config())[0], other, "stock.npz")
+            save_checkpoint(init_encoder(default_config()), other, "stock.npz")
             return ["--checkpoint", str(other.output_dir / "stock.npz")]
         if case == "not an npz":
             bad = tmp_path / "bad.npz"
@@ -1403,6 +1401,14 @@ class TestCli:
             (tmp_path / "swap").rename(out / "corpus_eval")
         elif case == "corpus file missing":
             (out / "corpus_eval" / "persons.npy").unlink()
+        elif case == "no summary.json":
+            (out / "summary.json").unlink()
+        elif case == "summary.json not JSON":
+            (out / "summary.json").write_text("{")
+        elif case == "final checkpoint unlisted":
+            summary = json.loads((out / "summary.json").read_text())
+            summary["artifacts"].remove("checkpoints/encoder_final.npz")
+            (out / "summary.json").write_text(json.dumps(summary))
         else:  # no config.json
             (out / "config.json").unlink()
         return []
@@ -1420,6 +1426,9 @@ class TestCli:
             ("splits swapped", "train corpus saved is not its config's"),
             ("corpus file missing", "persons.npy"),
             ("no config.json", "config.json"),
+            ("no summary.json", "summary.json: No such file or directory (an unfinished run)"),
+            ("summary.json not JSON", "summary.json does not list the run's files"),
+            ("final checkpoint unlisted", "encoder_final.npz is not listed in"),
         ],
     )
     def test_bad_run_input_exits_2_and_writes_nothing(self, tmp_path, command, case, message):
@@ -1434,6 +1443,22 @@ class TestCli:
         result = runner.invoke(main, [command, str(out), *extra])
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_run_replaced_by_a_forgetting_comparison_is_refused(self, tmp_path, command):
+        # The comparison leaves the train run's config.json and final
+        # checkpoint on disk, but its summary.json does not list them.
+        runner = CliRunner()
+        config = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        for first in ("train", "compare-forgetting"):
+            assert runner.invoke(main, [first, "-c", str(config)]).exit_code == 0
+        assert (out / "checkpoints" / "encoder_final.npz").is_file()
+        before = tree_bytes(tmp_path)
+        result = runner.invoke(main, [command, str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"{out / 'config.json'} is not listed in {out / 'summary.json'}" in result.output
         assert tree_bytes(tmp_path) == before
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])

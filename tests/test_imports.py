@@ -4,8 +4,9 @@ Every name a module imports is used in that module: a minimal unused-import
 lint, so dead imports fail the test suite without an external linter.
 ``__init__.py`` is skipped: its imports are the package's public
 re-exports. No module imports another one's private names, every
-module-level private name is read somewhere in the package, and only
-``forking.py`` calls ``os.fork``.
+module-level private name is read somewhere in the package, only
+``forking.py`` calls ``os.fork``, and only ``curriculum.py`` builds an
+``OptimState``: each Trainer makes its own fresh optimizer.
 """
 
 import ast
@@ -97,6 +98,29 @@ def fork_calls(source: str) -> int:
         return isinstance(func, ast.Name) and func.id in aliases
 
     return sum(is_fork(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call))
+
+
+def optim_state_builds(source: str) -> int:
+    """Calls in ``source`` that build an ``OptimState``: ``OptimState(...)``
+    or ``OptimState.for_params(...)``, by the class name, a name it is
+    imported as, or an attribute of a module."""
+    tree = ast.parse(source)
+    names = {"OptimState"} | {
+        a.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name == "OptimState" and a.asname
+    }
+
+    def is_build(func: ast.expr) -> bool:
+        if isinstance(func, ast.Attribute) and func.attr == "for_params":
+            func = func.value
+        if isinstance(func, ast.Attribute):
+            return func.attr == "OptimState"
+        return isinstance(func, ast.Name) and func.id in names
+
+    return sum(is_build(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call))
 
 
 class TestPrivateImports:
@@ -194,3 +218,24 @@ class TestForkOnlyInTheForkHelper:
     def test_only_forking_calls_fork(self, module):
         expected = 1 if module == "forking.py" else 0
         assert fork_calls((SRC / module).read_text()) == expected
+
+
+class TestOptimStateOnlyInTheTrainer:
+    def test_checker_counts_optim_state_builds(self):
+        source = (
+            "import taskweave.encoder as enc\n"
+            "from .encoder import OptimState as Adam\n"
+            "OptimState(m, v)\n"
+            "Adam.for_params(p)\n"
+            "enc.OptimState.for_params(p, learning_rate=1.0)\n"
+            "isinstance(s, OptimState)\n"
+            "OptimState.step\n"
+            "def f() -> 'OptimState':\n"
+            "    return cls(m, v)\n"
+        )
+        assert optim_state_builds(source) == 3
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_only_curriculum_builds_optim_state(self, module):
+        expected = 1 if module == "curriculum.py" else 0
+        assert optim_state_builds((SRC / module).read_text()) == expected

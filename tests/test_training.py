@@ -60,9 +60,7 @@ from taskweave.experiments import (
     INTERLEAVED_BALANCED,
     SEQUENTIAL,
     build_splits,
-    fresh_optimizer,
     init_encoder,
-    make_trainer,
     pretrain_encoder,
     run,
     run_forgetting_comparison,
@@ -120,12 +118,19 @@ def reference_backward(params, inputs, grad_embeddings, grads):
             g = g @ params.weights[i].T
 
 
-def reference_pretrain(config, params, opt_state, data, steps, batches_per_step, seed):
+def reference_optimizer(config, params):
+    """The fresh Adam state a Trainer builds for itself, for the reference
+    loops to step."""
+    return encoder.OptimState.for_params(params, **vars(config.optimizer))
+
+
+def reference_pretrain(config, params, opt_state, data, seed):
+    fg = config.forgetting
     loader = Loader(data, stream(seed, "pretrain-loader", data.name))
     buffer = GradBuffer.zeros_like(params)
     grads = arena_layers(buffer.flat, params)
-    for _ in range(steps):
-        for _ in range(batches_per_step):
+    for _ in range(fg.pretrain_steps):
+        for _ in range(fg.pretrain_batches_per_step):
             batch, _ = loader.next_batch(config.batch.identities, config.batch.positives)
             emb = embed(params, batch.features)
             _, grad_emb = batch_hard_triplet(emb, batch.labels, config.margin)
@@ -169,38 +174,59 @@ class TestReferenceLoops:
     @pytest.mark.parametrize("steps, per_step", [(5, 2), (4, 1)])
     def test_pretrain_matches_reference(self, steps, per_step):
         config = small_config()
+        config.forgetting.pretrain_steps = steps
+        config.forgetting.pretrain_batches_per_step = per_step
         train, _ = build_splits(config)
         data = train.tasks["objects"]
-        params, opt = init_encoder(config)
-        ref_params, ref_opt = params.copy(), fresh_optimizer(config, params)
-        pretrain_encoder(config, params, opt, data, steps, per_step, "pretrain")
+        params = init_encoder(config)
+        ref_params, ref_opt = params.copy(), reference_optimizer(config, params)
+        trainer = pretrain_encoder(config, params, data)
         seed = derive_seed(config.seed, "pretrain")
-        reference_pretrain(config, ref_params, ref_opt, data, steps, per_step, seed=seed)
-        assert opt.step == steps
-        assert_same_state(params, opt, ref_params, ref_opt)
+        reference_pretrain(config, ref_params, ref_opt, data, seed=seed)
+        assert trainer.opt_state.step == steps
+        assert_same_state(params, trainer.opt_state, ref_params, ref_opt)
 
-    # 11 batches over 3 tasks: budgets 4, 4, 3 (uneven divmod); groups of 3
-    # leave a partial last group of 1 for the first two tasks.
-    @pytest.mark.parametrize("total, group", [(11, 3), (12, 4), (2, 5)])
-    def test_sequential_matches_reference(self, total, group):
+    # The step size is one interleaved step's batch count: 4 or 8 on the 4
+    # tasks. 17 batches over 3 tasks: budgets 6, 6, 5 (uneven divmod) in
+    # steps of 4 leave a partial last step each; 25 give 9, 8, 8 in steps
+    # of 8; 2 give 1, 1, 0.
+    @pytest.mark.parametrize("total, per_task", [(17, 1), (25, 2), (2, 2)])
+    def test_sequential_matches_reference(self, total, per_task):
+        config = small_config()
+        config.curriculum.batches_per_task = per_task
+        train, _ = build_splits(config)
+        tasks = {n: d for n, d in train.tasks.items() if n != "objects"}
+        params = init_encoder(config)
+        ref_params, ref_opt = params.copy(), reference_optimizer(config, params)
+        trainer = sequential_finetune(config, params, tasks, total)
+        seed = derive_seed(config.seed, "finetune-sequential")
+        step = len(config.tasks) * per_task
+        reference_sequential(config, ref_params, ref_opt, tasks, total, step, seed=seed)
+        assert_same_state(params, trainer.opt_state, ref_params, ref_opt)
+
+    # Steps of 1 to 3 batches, driven through the Trainer by hand: 11
+    # batches over 3 tasks give budgets 4, 4, 3.
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    def test_blocked_steps_match_reference(self, group):
         config = small_config()
         train, _ = build_splits(config)
         tasks = {n: d for n, d in train.tasks.items() if n != "objects"}
-        params, opt = init_encoder(config)
-        ref_params, ref_opt = params.copy(), fresh_optimizer(config, params)
-        sequential_finetune(config, params, opt, tasks, total, group, "finetune-sequential")
+        params = init_encoder(config)
+        ref_params, ref_opt = params.copy(), reference_optimizer(config, params)
         seed = derive_seed(config.seed, "finetune-sequential")
-        reference_sequential(config, ref_params, ref_opt, tasks, total, group, seed=seed)
-        assert_same_state(params, opt, ref_params, ref_opt)
+        trainer = Trainer(config, BALANCED, tasks, params, seed, "seq-loader")
+        for allocation in blocked_schedule(list(tasks), 11, group):
+            trainer.train_step(allocation)
+        reference_sequential(config, ref_params, ref_opt, tasks, 11, group, seed=seed)
+        assert_same_state(params, trainer.opt_state, ref_params, ref_opt)
 
     def test_sequential_step_count(self):
         config = small_config()
         train, _ = build_splits(config)
         tasks = {n: d for n, d in train.tasks.items() if n != "objects"}
-        params, opt = init_encoder(config)
-        trainer = sequential_finetune(config, params, opt, tasks, 7, 2, "finetune-sequential")
-        # Budgets 3, 2, 2 in groups of at most 2: steps of 2, 1 | 2 | 2.
-        assert trainer.step == opt.step == 4
+        trainer = sequential_finetune(config, init_encoder(config), tasks, 17)
+        # Budgets 6, 6, 5 in steps of at most 4: steps of 4, 2 | 4, 2 | 4, 1.
+        assert trainer.step == trainer.opt_state.step == 6
 
 
 class TestOneForwardPerBatch:
@@ -224,8 +250,8 @@ class TestOneForwardPerBatch:
         config = small_config()
         config.curriculum.accuracy_cadence = cadence
         train, _ = build_splits(config)
-        params, opt = init_encoder(config)
-        trainer = make_trainer(config, "balanced", train.tasks, params, opt, "t")
+        seed = derive_seed(config.seed, "t")
+        trainer = Trainer(config, BALANCED, train.tasks, init_encoder(config), seed)
         batch = config.batch.identities * config.batch.positives
         reports = [trainer.train_step() for _ in range(3)]
         expected = [r.batches_consumed * batch for r in reports for _ in range(passes)]
@@ -236,8 +262,8 @@ class TestOneForwardPerBatch:
         config.curriculum.accuracy_cadence = 10**6
         config.curriculum.total_batches = 5
         train, _ = build_splits(config)
-        params, opt = init_encoder(config)
-        trainer = make_trainer(config, "adaptive", train.tasks, params, opt, "t")
+        seed = derive_seed(config.seed, "t")
+        trainer = Trainer(config, ADAPTIVE, train.tasks, init_encoder(config), seed)
         forward_rows.clear()  # the step-0 probe pass
         assert sum(trainer.train_step().batches_consumed for _ in range(3)) == 15
         assert forward_rows == [5 * config.batch.identities * config.batch.positives] * 3
@@ -245,14 +271,16 @@ class TestOneForwardPerBatch:
     def test_pretrain_and_sequential(self, forward_rows):
         config = small_config()
         config.curriculum.accuracy_cadence = 10**6
+        config.forgetting.pretrain_steps = 3
+        config.forgetting.pretrain_batches_per_step = 2
         batch = config.batch.identities * config.batch.positives
         train, _ = build_splits(config)
-        params, opt = init_encoder(config)
-        pretrain_encoder(config, params, opt, train.tasks["objects"], 3, 2, "pretrain")
+        params = init_encoder(config)
+        pretrain_encoder(config, params, train.tasks["objects"])
         assert forward_rows == [2 * batch] * 3
         tasks = {n: d for n, d in train.tasks.items() if n != "objects"}
-        sequential_finetune(config, params, opt, tasks, 7, 3, "finetune-sequential")
-        # Budgets 3, 2, 2 in groups of at most 3: one step per task.
+        sequential_finetune(config, params, tasks, 7)
+        # Budgets 3, 2, 2 in steps of at most 4: one step per task.
         assert forward_rows[3:] == [3 * batch, 2 * batch, 2 * batch]
 
 
@@ -314,23 +342,8 @@ class ReferenceTrainer(Trainer):
 
 
 def trainer_and_reference(config, mode, tasks):
-    params, opt = init_encoder(config)
-    pair = []
-    for cls in (Trainer, ReferenceTrainer):
-        pair.append(
-            cls(
-                mode=mode,
-                task_data=tasks,
-                params=params.copy(),
-                opt_state=fresh_optimizer(config, params),
-                curriculum=config.curriculum,
-                identities=config.batch.identities,
-                positives=config.batch.positives,
-                margin=config.margin,
-                seed=41,
-            )
-        )
-    return pair
+    params = init_encoder(config)
+    return [cls(config, mode, tasks, params.copy(), seed=41) for cls in (Trainer, ReferenceTrainer)]
 
 
 def assert_same_steps(trainer, reference, allocations):
@@ -665,28 +678,13 @@ class TestSubsample:
         config.curriculum.subsample = {"persons": 0.5}
         train, _ = build_splits(config)
         tasks = {n: d for n, d in train.tasks.items() if n != "objects"}
-        params, opt = init_encoder(config)
-        interleaved = make_trainer(config, "balanced", train.tasks, params.copy(), opt, "t")
-        opt = fresh_optimizer(config, params)
-        blocked = sequential_finetune(config, params, opt, tasks, 3, 1, "finetune-sequential")
+        params = init_encoder(config)
+        seed = derive_seed(config.seed, "t")
+        interleaved = Trainer(config, BALANCED, train.tasks, params.copy(), seed)
+        blocked = sequential_finetune(config, params, tasks, 3)
         full = train.tasks["persons"].n_samples
         assert blocked.loaders["persons"].size == interleaved.loaders["persons"].size == full // 2
         assert blocked.loaders["faces_hq"].size == train.tasks["faces_hq"].n_samples
-
-
-def reference_trainer(config, mode, task_data, params, opt_state, seed, loader_stream="loader"):
-    return Trainer(
-        mode=mode,
-        task_data=task_data,
-        params=params,
-        opt_state=opt_state,
-        curriculum=config.curriculum,
-        identities=config.batch.identities,
-        positives=config.batch.positives,
-        margin=config.margin,
-        seed=seed,
-        loader_stream=loader_stream,
-    )
 
 
 def reference_row(params, train_corpus, eval_corpus, config, pair_plan):
@@ -711,13 +709,11 @@ def reference_forgetting_comparison(config):
 
     train_corpus, eval_corpus = build_splits(config)
     pair_plan = verification_pair_plan(eval_corpus, config)
-    params, opt_state = init_encoder(config)
+    params = init_encoder(config)
     data = train_corpus.tasks[fg.pretrain_task]
     seed = derive_seed(config.seed, "pretrain")
     tasks = {data.name: data}
-    pretrainer = reference_trainer(
-        config, BALANCED, tasks, params, opt_state, seed, "pretrain-loader"
-    )
+    pretrainer = Trainer(config, BALANCED, tasks, params, seed, "pretrain-loader")
     budget = fg.pretrain_steps * fg.pretrain_batches_per_step
     for allocation in blocked_schedule([data.name], budget, fg.pretrain_batches_per_step):
         pretrainer.train_step(allocation)
@@ -732,9 +728,8 @@ def reference_forgetting_comparison(config):
     models = {}
 
     balanced_params = params.copy()
-    opt = fresh_optimizer(config, balanced_params)
     seed = derive_seed(config.seed, "finetune-balanced")
-    trainer = reference_trainer(config, BALANCED, train_corpus.tasks, balanced_params, opt, seed)
+    trainer = Trainer(config, BALANCED, train_corpus.tasks, balanced_params, seed)
     for _ in range(fg.finetune_epochs):
         trainer.run_epoch()
     balanced_batches = sum(s.batches_consumed for s in trainer.reports)
@@ -742,9 +737,8 @@ def reference_forgetting_comparison(config):
     models[INTERLEAVED_BALANCED] = balanced_params
 
     adaptive_params = params.copy()
-    opt = fresh_optimizer(config, adaptive_params)
     seed = derive_seed(config.seed, "finetune-adaptive")
-    trainer = reference_trainer(config, ADAPTIVE, train_corpus.tasks, adaptive_params, opt, seed)
+    trainer = Trainer(config, ADAPTIVE, train_corpus.tasks, adaptive_params, seed)
     for _ in range(fg.finetune_epochs):
         trainer.run_epoch()
     out.lines("traces/finetune_adaptive.jsonl", (r.to_record() for r in trainer.reports))
@@ -752,11 +746,8 @@ def reference_forgetting_comparison(config):
     adaptive_batches = sum(s.batches_consumed for s in trainer.reports)
 
     sequential_params = params.copy()
-    opt = fresh_optimizer(config, sequential_params)
     seed = derive_seed(config.seed, "finetune-sequential")
-    trainer = reference_trainer(
-        config, BALANCED, finetune_tasks, sequential_params, opt, seed, "seq-loader"
-    )
+    trainer = Trainer(config, BALANCED, finetune_tasks, sequential_params, seed, "seq-loader")
     group = len(train_corpus.tasks) * config.curriculum.batches_per_task
     for allocation in blocked_schedule(list(finetune_tasks), balanced_batches, group):
         trainer.train_step(allocation)
@@ -864,8 +855,8 @@ needs_fork = pytest.mark.skipif(
 
 
 def balanced_finetune_trainer(config, train):
-    params, opt = init_encoder(config)
-    return make_trainer(config, BALANCED, train.tasks, params, opt, "finetune-balanced")
+    seed = derive_seed(config.seed, "finetune-balanced")
+    return Trainer(config, BALANCED, train.tasks, init_encoder(config), seed)
 
 
 def planned_and_spent(config):
@@ -931,8 +922,8 @@ class TestBudgetPlan:
     def test_only_a_balanced_trainer_plans(self, tmp_path):
         config = forgetting_config(tmp_path)
         train, _ = build_splits(config)
-        params, opt = init_encoder(config)
-        trainer = make_trainer(config, ADAPTIVE, train.tasks, params, opt, "finetune-adaptive")
+        seed = derive_seed(config.seed, "finetune-adaptive")
+        trainer = Trainer(config, ADAPTIVE, train.tasks, init_encoder(config), seed)
         with pytest.raises(ContractError, match="only a balanced trainer"):
             trainer.planned_batches(1)
 
@@ -1278,8 +1269,8 @@ class TestStepSpans:
         config = small_config()
         config.curriculum.accuracy_cadence = cadence
         train, _ = build_splits(config)
-        params, opt = init_encoder(config)
-        trainer = make_trainer(config, "balanced", train.tasks, params, opt, "t")
+        seed = derive_seed(config.seed, "t")
+        trainer = Trainer(config, BALANCED, train.tasks, init_encoder(config), seed)
         with tracer.Tracer() as traced:
             trainer.train_step()
         counts = traced.counts()
