@@ -7,6 +7,7 @@ tables and traces.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -28,6 +29,28 @@ def _json_text(rel: str, payload, indent: int | None = None) -> str:
         return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"{rel}: non-finite number in JSON payload ({exc})") from None
+
+
+def _leaves(rel: str) -> bool:
+    """Whether the artifact path ``rel`` is absolute or climbs out by ``..``."""
+    return Path(rel).is_absolute() or ".." in Path(rel).parts
+
+
+def listed_artifacts(output_dir: Path) -> list[str] | None:
+    """The files that ``summary.json`` in ``output_dir`` lists, or None when
+    it does not parse as such a list. A summary that cannot be read raises
+    OSError, and a listed path that leaves the directory a ValidationError."""
+    summary = Path(output_dir) / SUMMARY
+    try:
+        listed = json.loads(summary.read_text())["artifacts"]
+    except (ValueError, KeyError, TypeError):
+        listed = None
+    if not isinstance(listed, list) or not all(isinstance(rel, str) for rel in listed):
+        return None
+    for rel in listed:
+        if _leaves(rel):
+            raise ValidationError(f"{summary} lists {rel!r}, outside {output_dir}")
+    return listed
 
 
 def _csv_cell(rel: str, value) -> str:
@@ -62,15 +85,22 @@ class RunResult:
         self.output_dir = Path(self.output_dir)
 
     def start(self) -> None:
-        """Drop an earlier summary so the work reads as unfinished until
-        :meth:`finish`. A tree that ``eval`` or ``analyze`` scored is refused."""
+        """Delete the files an earlier summary lists, then the summary, so the
+        work reads as unfinished until :meth:`finish`. A tree that ``eval`` or
+        ``analyze`` scored, or a summary listing a path outside the tree, is
+        refused before anything is deleted."""
         for tree in ("eval", "analyze"):
             if (self.output_dir / tree / SUMMARY).exists():
                 raise ValidationError(f"{self.output_dir} holds {tree}/{SUMMARY} of a scored run")
+        listed = []
+        with contextlib.suppress(OSError):  # no summary to read
+            listed = listed_artifacts(self.output_dir) or []
+        for rel in listed:
+            (self.output_dir / rel).unlink(missing_ok=True)
         (self.output_dir / SUMMARY).unlink(missing_ok=True)
 
     def _replace(self, rel: str, data: bytes) -> None:
-        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+        if _leaves(rel):
             raise ContractError(f"artifact path {rel!r} leaves the output directory")
         path = self.output_dir / rel
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -110,8 +140,10 @@ class RunResult:
         np.savez(buf, **arrays)
         self.write(rel, buf.getvalue())
 
-    def finish(self, summary: dict) -> None:
-        """Write the summary last, its ``artifacts`` being every other file
-        this run wrote."""
-        payload = {**summary, "artifacts": sorted(self.artifacts)}
+    def finish(self, seed: int, results: dict, **fields) -> None:
+        """Write ``summary.json`` last: the command's own ``fields``, the
+        ``summary_version``, ``seed``, ``results`` and ``artifacts``, the
+        last being every other file this run wrote."""
+        payload = dict(fields, summary_version=SUMMARY_VERSION, seed=seed, results=results)
+        payload["artifacts"] = sorted(self.artifacts)
         self._replace(SUMMARY, (_json_text(SUMMARY, payload, indent=2) + "\n").encode())

@@ -86,7 +86,7 @@ def gen(config_path, seed, output_dir) -> None:
     train.save(out, "corpus")
     held_out.save(out, "corpus_eval")
     samples = {"train": train.n_samples, "eval": held_out.n_samples}
-    out.finish(_command_summary(config, "gen", {"samples": samples}))
+    out.finish(config.seed, {"samples": samples}, command="gen")
     click.echo(
         f"corpus: {train.n_samples} train / {held_out.n_samples} eval samples -> {out.output_dir}"
     )
@@ -105,18 +105,6 @@ def train(config_path, seed, output_dir) -> None:
     click.echo(f"run complete -> {result.output_dir / 'summary.json'}")
 
 
-def _command_summary(config, command: str, results: dict, **fields) -> dict:
-    from .artifacts import SUMMARY_VERSION
-
-    return {
-        "summary_version": SUMMARY_VERSION,
-        "command": command,
-        "seed": config.seed,
-        "results": results,
-        **fields,
-    }
-
-
 def _score_run(run_dir, checkpoint, command: str, suite: str) -> dict:
     """Run ``suite`` on a run's checkpoint and corpora into ``RUN/<command>/``,
     its ``summary.json`` last, by the code the run scored itself with."""
@@ -129,7 +117,7 @@ def _score_run(run_dir, checkpoint, command: str, suite: str) -> dict:
     floored = score_suites(out, config, [suite], train_corpus, eval_corpus, params)
     fields = {"floored_cells": floored} if suite == "scores" else {}
     results = out.results[suite]
-    out.finish(_command_summary(config, command, results, checkpoint=str(ckpt), **fields))
+    out.finish(config.seed, results, command=command, checkpoint=str(ckpt), **fields)
     return results
 
 

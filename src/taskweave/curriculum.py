@@ -22,7 +22,8 @@ sequential baseline and both interleaved fine-tunes) is one ``Trainer``,
 built from the experiment config with a fresh optimizer of its own; no
 other module builds an optimizer state. All per-batch gradients inside one
 step are summed into a single buffer and applied by exactly one optimizer
-update; ``Trainer.train_step`` is the only place that does so.
+update; ``Trainer.train_step`` is the only place that does so. It returns
+the step's trace record, the plain dict that a ``traces/*.jsonl`` line holds.
 """
 
 from __future__ import annotations
@@ -62,50 +63,8 @@ class TaskState:
     last_allocation: int | None = None
 
 
-@dataclass
-class TaskScore:
-    improvement: float
-    goal_distance: float
-    score: float
-    probability: float
-
-
-@dataclass
-class StepReport:
-    step: int
-    mode: str
-    allocations: dict[str, int]
-    losses: dict[str, float]
-    exhausted: dict[str, bool]
-    accuracies: dict[str, float | None]
-    scoring: dict[str, TaskScore] | None
-
-    @property
-    def batches_consumed(self) -> int:
-        return sum(self.allocations.values())
-
-    def to_record(self) -> dict:
-        """JSON-ready trace record; the replay conformance surface."""
-        tasks = {}
-        for name in self.allocations:
-            entry = {
-                "allocation": self.allocations[name],
-                "loss": self.losses[name],
-                "accuracy": self.accuracies[name],
-                "exhausted": self.exhausted[name],
-            }
-            if self.scoring is not None:
-                s = self.scoring[name]
-                entry.update(
-                    improvement=s.improvement,
-                    goal_distance=s.goal_distance,
-                    score=s.score,
-                    probability=s.probability,
-                )
-            else:
-                entry.update(improvement=None, goal_distance=None, score=None, probability=None)
-            tasks[name] = entry
-        return {"step": self.step, "mode": self.mode, "tasks": tasks}
+# A task's scored fields in a step that the adaptive scorer did not allocate.
+_UNSCORED = dict.fromkeys(("improvement", "goal_distance", "score", "probability"))
 
 
 def relative_improvement(
@@ -266,8 +225,8 @@ class Trainer:
         self.states = {name: TaskState() for name in task_data}
         self.alloc_rng = stream(seed, "allocation")
         self.step = 0
-        # Every step's report, in order: the run's scheduler trace.
-        self.reports: list[StepReport] = []
+        # Every step's record, in order: the run's scheduler trace.
+        self.reports: list[dict] = []
         if mode == ADAPTIVE:
             self.seed_initial_accuracies()
 
@@ -304,9 +263,10 @@ class Trainer:
         rows = np.asarray(rows)
         return Batch(features=data.features[rows], labels=data.labels[rows], task=data.name)
 
-    def _score_tasks(self) -> dict[str, TaskScore]:
+    def _score_tasks(self) -> dict[str, dict[str, float]]:
+        """The scored fields of each task's step record, as Python floats."""
         eps = self.curriculum.epsilon
-        raw = {}
+        scored = {}
         for name in self.task_names:
             state = self.states[name]
             log = state.metric_log
@@ -316,34 +276,30 @@ class Trainer:
                 )
             curr = log[-1][1]
             prev = log[-2][1] if len(log) >= 2 else curr
-            alloc = state.last_allocation
-            if alloc is None:
-                alloc = 1
-            if alloc >= 1:
-                improvement = relative_improvement(prev, curr, alloc, eps)
-            else:
-                # No batches last step means no measured improvement.
-                improvement = eps
+            alloc = 1 if state.last_allocation is None else state.last_allocation
+            # No batches last step means no measured improvement.
+            improvement = relative_improvement(prev, curr, alloc, eps) if alloc >= 1 else eps
             goal_dist = distance_from_goal(self.curriculum.goals[name], curr)
-            raw[name] = (improvement, goal_dist, goal_dist / improvement)
+            score = goal_dist / improvement
+            scored[name] = {"improvement": improvement, "goal_distance": goal_dist, "score": score}
         probs = task_scores_to_probabilities(
-            [raw[name][2] for name in self.task_names], self.curriculum.floor
+            [scored[name]["score"] for name in self.task_names], self.curriculum.floor
         )
-        return {
-            name: TaskScore(*raw[name], float(prob))
-            for name, prob in zip(self.task_names, probs)
-        }
+        for name, prob in zip(self.task_names, probs):
+            scored[name]["probability"] = float(prob)
+        return scored
 
-    def train_step(self, allocations: dict[str, int] | None = None) -> StepReport:
+    def train_step(self, allocations: dict[str, int] | None = None) -> dict:
         """One gradient-coupled step: allocate, draw the batches, accumulate
         them in one stacked kernel call, update once, then measure online
         accuracy on the just-used batches in one more stacked pass.
 
         ``allocations`` (batches per task) overrides the mode's allocation;
-        such a step reports mode ``blocked``.
-        """
+        such a step reports mode ``blocked``. Returns the step's trace record,
+        which joins ``self.reports``; a task's unmeasured or unscored fields
+        are None."""
         self.step += 1
-        scoring = None
+        scoring = dict.fromkeys(self.task_names, _UNSCORED)
         if allocations is not None:
             unknown = sorted(set(allocations) - set(self.task_names))
             if unknown:
@@ -356,7 +312,7 @@ class Trainer:
                 allocations = dict.fromkeys(self.task_names, self.curriculum.batches_per_task)
             else:
                 scoring = self._score_tasks()
-                probs = [scoring[name].probability for name in self.task_names]
+                probs = [scoring[name]["probability"] for name in self.task_names]
                 alloc_list = sample_allocation(probs, self.total_batches, self.alloc_rng)
                 allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
 
@@ -374,39 +330,39 @@ class Trainer:
         ).tolist()
         adam_step(self.params, self.buffer, self.opt_state)
 
-        losses = {name: 0.0 for name in self.task_names}
-        accuracies: dict[str, float | None] = {name: None for name in self.task_names}
         measured = self.step % self.curriculum.accuracy_cadence == 0
         if measured:
             satisfied = _satisfied_anchors(self.params, features, labels, masks).tolist()
             anchors = self.identities * self.positives
+        tasks = {}
         start = 0
         for name in self.task_names:
             # A task's batches are consecutive in the stack.
             stop = start + allocations[name]
-            for loss in batch_losses[start:stop]:
-                losses[name] += loss
+            loss = 0.0
+            for batch_loss in batch_losses[start:stop]:
+                loss += batch_loss
+            accuracy = None
             if measured and stop > start:
-                accuracies[name] = sum(satisfied[start:stop]) / (anchors * (stop - start))
-                self.states[name].metric_log.append((self.step, accuracies[name]))
+                accuracy = sum(satisfied[start:stop]) / (anchors * (stop - start))
+                self.states[name].metric_log.append((self.step, accuracy))
             self.states[name].last_allocation = allocations[name]
+            tasks[name] = {
+                "allocation": allocations[name],
+                "loss": loss,
+                "accuracy": accuracy,
+                "exhausted": exhausted[name],
+                **scoring[name],
+            }
             start = stop
 
-        report = StepReport(
-            step=self.step,
-            mode=mode,
-            allocations=allocations,
-            losses=losses,
-            exhausted=exhausted,
-            accuracies=accuracies,
-            scoring=scoring,
-        )
-        self.reports.append(report)
-        return report
+        record = {"step": self.step, "mode": mode, "tasks": tasks}
+        self.reports.append(record)
+        return record
 
     def run_epoch(self) -> None:
         """Balanced: step until every loader has exhausted at least once.
-        Adaptive: run the configured number of steps. The steps' reports
+        Adaptive: run the configured number of steps. The steps' records
         join ``self.reports``."""
         if self.mode == ADAPTIVE:
             if self.curriculum.steps_per_epoch is None:
@@ -416,7 +372,7 @@ class Trainer:
             return
 
         balanced_epoch(
-            lambda: self.train_step().exhausted,
+            lambda: {name: t["exhausted"] for name, t in self.train_step()["tasks"].items()},
             self.loaders,
             self.curriculum.batches_per_task,
             self.identities * self.positives,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import SUMMARY, SUMMARY_VERSION, RunResult
+from .artifacts import SUMMARY, RunResult, listed_artifacts
 from .config import ExperimentConfig
 from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
 from .datagen import Corpus, CorpusSpec, TaskData, build_corpus
@@ -59,11 +59,11 @@ def load_run(run_dir: str | Path, checkpoint: str | Path | None = None):
     run_dir = Path(run_dir)
     summary = run_dir / SUMMARY
     try:
-        listed = set(json.loads(summary.read_text())["artifacts"])
+        listed = listed_artifacts(run_dir)
     except OSError as exc:
         raise ValidationError(f"{summary}: {exc.strerror} (an unfinished run)") from None
-    except (ValueError, KeyError, TypeError):
-        raise ValidationError(f"{summary} does not list the run's files") from None
+    if listed is None:
+        raise ValidationError(f"{summary} does not list the run's files")
     required = ["config.json", "corpus/manifest.json", "corpus_eval/manifest.json"]
     if checkpoint is None:
         required.append("checkpoints/encoder_final.npz")
@@ -84,12 +84,6 @@ def load_run(run_dir: str | Path, checkpoint: str | Path | None = None):
 
 def init_encoder(config: ExperimentConfig) -> EncoderParams:
     return init_params(_layer_dims(config), stream(config.seed, "encoder-init"))
-
-
-def _records(trainer: Trainer) -> list[dict]:
-    """The trainer's step reports as trace records: plain data that a forked
-    share can pickle back."""
-    return [r.to_record() for r in trainer.reports]
 
 
 def embed_tasks(params: EncoderParams, tasks: dict[str, TaskData]) -> dict[str, np.ndarray]:
@@ -182,20 +176,12 @@ def run(
     trainer = Trainer(config, mode, train_corpus.tasks, params, derive_seed(config.seed, "train"))
     for _ in range(config.training.epochs):
         trainer.run_epoch()
-    out.lines("traces/scheduler.jsonl", _records(trainer))
+    out.lines("traces/scheduler.jsonl", trainer.reports)
     save_checkpoint(params, out, "checkpoints/encoder_final.npz")
 
     floored = score_suites(out, config, config.evaluation.suites, train_corpus, eval_corpus, params)
-    out.finish(
-        {
-            "summary_version": SUMMARY_VERSION,
-            "seed": config.seed,
-            "mode": mode,
-            "steps": len(trainer.reports),
-            "floored_cells": floored,
-            "results": out.results,
-        }
-    )
+    steps = len(trainer.reports)
+    out.finish(config.seed, out.results, mode=mode, steps=steps, floored_cells=floored)
     return out
 
 
@@ -266,7 +252,7 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     pair_plan = verification_pair_plan(eval_corpus, config)
     params = init_encoder(config)
     trainer = pretrain_encoder(config, params, train_corpus.tasks[fg.pretrain_task])
-    out.lines("traces/pretrain.jsonl", _records(trainer))
+    out.lines("traces/pretrain.jsonl", trainer.reports)
     save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
     def finetune_trainer(mode: str) -> Trainer:
@@ -291,7 +277,7 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
         blocked = sequential_finetune(config, params.copy(), tasks, batches)
         return {
             "batches": batches,
-            "trace": _records(blocked),
+            "trace": blocked.reports,
             "rows": {PRETRAINED: score(params), SEQUENTIAL: score(blocked.params)},
         }
 
@@ -299,8 +285,8 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
         for _ in range(fg.finetune_epochs):
             trainer.run_epoch()
         return {
-            "batches": sum(s.batches_consumed for s in trainer.reports),
-            "trace": _records(trainer),
+            "batches": sum(t["allocation"] for r in trainer.reports for t in r["tasks"].values()),
+            "trace": trainer.reports,
             "rows": {row_name: score(trainer.params)},
         }
 
@@ -363,14 +349,7 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     }
     out.json("forgetting_report.json", report)
     out.results = report
-    out.finish(
-        {
-            "summary_version": SUMMARY_VERSION,
-            "seed": config.seed,
-            "floored_cells": floored,
-            "results": report,
-        }
-    )
+    out.finish(config.seed, report, floored_cells=floored)
     return out
 
 

@@ -1,12 +1,15 @@
 """Scheduler formulas, two-stage normalization, and trainer behavior."""
 
 import hashlib
+import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskweave.artifacts import RunResult
 from taskweave.curriculum import (
     ADAPTIVE,
     BALANCED,
@@ -253,13 +256,22 @@ def param_hash(params):
     return hashlib.sha256(params.flat.tobytes()).hexdigest()
 
 
+def allocations(record):
+    """A step record's batches per task, in task order."""
+    return {name: task["allocation"] for name, task in record["tasks"].items()}
+
+
+def batches_spent(record):
+    return sum(allocations(record).values())
+
+
 class TestTrainerBalanced:
     def test_constant_allocation_and_single_update(self):
         trainer = small_trainer(BALANCED)
         before = param_hash(trainer.params)
         report = trainer.train_step()
-        assert list(report.allocations.values()) == [1, 1, 1, 1]
-        assert report.batches_consumed == 4
+        assert allocations(report) == {"t0": 1, "t1": 1, "t2": 1, "t3": 1}
+        assert batches_spent(report) == 4
         assert trainer.opt_state.step == 1
         assert param_hash(trainer.params) != before
 
@@ -269,7 +281,7 @@ class TestTrainerBalanced:
         # 80 samples per task at P*K = 40 means two steps exhaust everything.
         assert len(trainer.reports) == 2
         final = trainer.reports[-1]
-        assert all(final.exhausted.values())
+        assert all(task["exhausted"] for task in final["tasks"].values())
 
     def test_uneven_sizes_refresh_smaller_task(self):
         trainer = small_trainer(BALANCED, sizes=(80, 160))
@@ -279,13 +291,13 @@ class TestTrainerBalanced:
 
     def test_allocations_identical_every_step(self):
         trainer = small_trainer(BALANCED)
-        allocations = [tuple(trainer.train_step().allocations.values()) for _ in range(5)]
-        assert len(set(allocations)) == 1
+        steps = [tuple(allocations(trainer.train_step()).values()) for _ in range(5)]
+        assert len(set(steps)) == 1
 
     def test_accuracies_logged_every_step(self):
         trainer = small_trainer(BALANCED)
         report = trainer.train_step()
-        assert all(a is not None for a in report.accuracies.values())
+        assert all(task["accuracy"] is not None for task in report["tasks"].values())
         assert all(len(s.metric_log) == 1 for s in trainer.states.values())
 
 
@@ -298,8 +310,8 @@ class TestTrainerBalanced:
         assert len(first) == 2
         assert trainer.reports[:3] == first + [extra]
         assert len(trainer.reports) > 3
-        assert [r.step for r in trainer.reports] == list(range(1, len(trainer.reports) + 1))
-        assert extra.mode == "blocked"
+        assert [r["step"] for r in trainer.reports] == list(range(1, len(trainer.reports) + 1))
+        assert extra["mode"] == "blocked"
 
 
 class TestTrainerAdaptive:
@@ -311,8 +323,8 @@ class TestTrainerAdaptive:
         trainer = small_trainer(ADAPTIVE, total_batches=6, steps_per_epoch=5)
         for _ in range(8):
             report = trainer.train_step()
-            assert report.batches_consumed == 6
-            assert trainer.opt_state.step == report.step
+            assert batches_spent(report) == 6
+            assert trainer.opt_state.step == report["step"]
 
     def test_step_budget_epoch(self):
         trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=10)
@@ -330,13 +342,13 @@ class TestTrainerAdaptive:
         starved_task = None
         for _ in range(30):
             report = trainer.train_step()
-            zero = [t for t, a in report.allocations.items() if a == 0]
+            zero = [t for t, a in allocations(report).items() if a == 0]
             if zero:
-                starved_step, starved_task = report.step, zero[0]
+                starved_step, starved_task = report["step"], zero[0]
                 logged = trainer.states[starved_task].metric_log[-1][1]
-                assert report.accuracies[starved_task] is None
+                assert report["tasks"][starved_task]["accuracy"] is None
                 next_report = trainer.train_step()
-                used = next_report.scoring[starved_task].goal_distance
+                used = next_report["tasks"][starved_task]["goal_distance"]
                 expected = distance_from_goal(trainer.curriculum.goals[starved_task], logged)
                 assert used == expected
                 break
@@ -346,7 +358,7 @@ class TestTrainerAdaptive:
         trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5, floor=0.1)
         for _ in range(5):
             report = trainer.train_step()
-            probs = [s.probability for s in report.scoring.values()]
+            probs = [task["probability"] for task in report["tasks"].values()]
             assert min(probs) >= 0.1 - 1e-12
             assert abs(sum(probs) - 1.0) <= 1e-12
 
@@ -369,11 +381,11 @@ class TestTrainerBlocked:
     def test_explicit_allocation_reports_blocked(self):
         trainer = small_trainer(BALANCED)
         report = trainer.train_step({"t1": 2})
-        assert report.mode == BLOCKED
-        assert report.allocations == {"t0": 0, "t1": 2, "t2": 0, "t3": 0}
-        assert report.accuracies["t1"] is not None and report.accuracies["t0"] is None
+        assert report["mode"] == BLOCKED == "blocked"
+        assert allocations(report) == {"t0": 0, "t1": 2, "t2": 0, "t3": 0}
+        tasks = report["tasks"]
+        assert tasks["t1"]["accuracy"] is not None and tasks["t0"]["accuracy"] is None
         assert trainer.opt_state.step == 1
-        assert report.to_record()["mode"] == "blocked"
 
     def test_unknown_task_rejected(self):
         trainer = small_trainer(BALANCED)
@@ -388,7 +400,7 @@ class TestTrainerBlocked:
         for allocation in blocked_schedule(["t0"], 6, 2):
             report = trainer.train_step(allocation)
         assert trainer.opt_state.step == 3
-        assert report.batches_consumed == 2
+        assert batches_spent(report) == 2
 
 
 class TestFreshOptimizer:
@@ -447,8 +459,8 @@ class TestDeterminism:
         kwargs = dict(total_batches=4, steps_per_epoch=4) if mode == ADAPTIVE else {}
         first = small_trainer(mode, **kwargs)
         second = small_trainer(mode, **kwargs)
-        records_a = [first.train_step().to_record() for _ in range(4)]
-        records_b = [second.train_step().to_record() for _ in range(4)]
+        records_a = [first.train_step() for _ in range(4)]
+        records_b = [second.train_step() for _ in range(4)]
         assert records_a == records_b
         assert np.array_equal(first.params.flat, second.params.flat)
 
@@ -456,7 +468,7 @@ class TestDeterminism:
 class TestStepRecord:
     def test_record_schema(self):
         trainer = small_trainer(BALANCED)
-        record = trainer.train_step().to_record()
+        record = trainer.train_step()
         assert set(record) == {"step", "mode", "tasks"}
         for entry in record["tasks"].values():
             assert set(entry) == {
@@ -469,3 +481,32 @@ class TestStepRecord:
                 "score",
                 "probability",
             }
+
+    @pytest.mark.parametrize(
+        "mode, allocation",
+        [(BALANCED, None), (ADAPTIVE, None), (BALANCED, {"t1": 2, "t3": 1})],
+        ids=["balanced", "adaptive", "blocked"],
+    )
+    def test_the_step_returns_its_trace_line(self, tmp_path, mode, allocation):
+        kwargs = dict(total_batches=4, steps_per_epoch=3) if mode == ADAPTIVE else {}
+        trainer = small_trainer(mode, **kwargs)
+        records = [trainer.train_step(allocation) for _ in range(3)]
+        assert records == trainer.reports
+        assert [r["mode"] for r in records] == [BLOCKED if allocation else mode] * 3
+        scored = [task["probability"] is not None for task in records[0]["tasks"].values()]
+        assert all(scored) if mode == ADAPTIVE and not allocation else not any(scored)
+        RunResult(tmp_path).lines("trace.jsonl", records)
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        assert typed([json.loads(line) for line in lines]) == typed(records)
+        # The forked fine-tunes send their records back pickled.
+        assert typed(pickle.loads(pickle.dumps(records))) == typed(records)
+
+
+def typed(value):
+    """``value`` with every leaf paired with its type, so that equality
+    also tells a numpy float or an int from a Python float."""
+    if isinstance(value, dict):
+        return {key: typed(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [typed(v) for v in value]
+    return type(value), value

@@ -531,10 +531,46 @@ class TestArtifactWriter:
     def test_finish_writes_summary_outside_manifest(self, tmp_path):
         out = RunResult(tmp_path)
         out.write("a.txt", b"a")
-        out.finish({"seed": 1})
+        out.finish(1, {"k": 2.5}, command="x")
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary == {"seed": 1, "artifacts": ["a.txt"]}
+        assert summary == {
+            "summary_version": 1,
+            "seed": 1,
+            "results": {"k": 2.5},
+            "command": "x",
+            "artifacts": ["a.txt"],
+        }
         assert out.artifacts == ["a.txt"]
+
+    def test_start_deletes_what_the_summary_lists(self, tmp_path):
+        first = RunResult(tmp_path)
+        for rel in ("a.txt", "x/b.txt", "x/y/c.txt"):
+            first.write(rel, b"old")
+        (tmp_path / "x" / "unlisted.txt").write_bytes(b"kept")
+        first.finish(1, {})
+        RunResult(tmp_path).start()
+        assert files_under(tmp_path) == {"x/unlisted.txt"}
+
+    @pytest.mark.parametrize("rel", ["../escape.txt", "/abs.txt"])
+    def test_start_refuses_a_listed_path_outside_the_tree(self, tmp_path, rel):
+        first = RunResult(tmp_path / "out")
+        first.write("a.txt", b"a")
+        first.finish(1, {})
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        summary["artifacts"].insert(0, rel)
+        (tmp_path / "out" / "summary.json").write_text(json.dumps(summary))
+        (tmp_path / "escape.txt").write_bytes(b"outside")
+        before = tree_bytes(tmp_path)
+        with pytest.raises(ValidationError, match=re.escape(repr(rel))):
+            RunResult(tmp_path / "out").start()
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("text", ["{", '{"artifacts": "a.txt"}', "[]", '{"artifacts": [1]}'])
+    def test_start_reads_an_unparseable_summary_as_listing_nothing(self, tmp_path, text):
+        (tmp_path / "a.txt").write_bytes(b"a")
+        (tmp_path / "summary.json").write_text(text)
+        RunResult(tmp_path).start()
+        assert files_under(tmp_path) == {"a.txt"}
 
 
 class TestManifest:
@@ -564,7 +600,10 @@ class TestManifest:
         left = files_under(outdir)
         assert "summary.json" not in left
         assert not [f for f in left if f.endswith(".tmp")]
-        assert "geometry/probe_window.csv" in left
+        # What the killed run wrote stays; the first run's files were
+        # deleted when the second started.
+        assert "traces/scheduler.jsonl" in left
+        assert not [f for f in left if f.startswith("geometry/")]
 
 
 class TestProjectedAuc:
@@ -1447,19 +1486,33 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     def test_run_replaced_by_a_forgetting_comparison_is_refused(self, tmp_path, command):
-        # The comparison leaves the train run's config.json and final
-        # checkpoint on disk, but its summary.json does not list them.
+        # The comparison deletes the train run's config.json and final
+        # checkpoint, and its summary.json does not list them.
         runner = CliRunner()
         config = self.write_config(tmp_path)
         out = tmp_path / "out"
         for first in ("train", "compare-forgetting"):
             assert runner.invoke(main, [first, "-c", str(config)]).exit_code == 0
-        assert (out / "checkpoints" / "encoder_final.npz").is_file()
+        assert not (out / "checkpoints" / "encoder_final.npz").exists()
         before = tree_bytes(tmp_path)
         result = runner.invoke(main, [command, str(out)])
         assert result.exit_code == 2, result.output
         assert f"{out / 'config.json'} is not listed in {out / 'summary.json'}" in result.output
         assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "first, second", [("train", "compare-forgetting"), ("compare-forgetting", "train")]
+    )
+    def test_a_tree_rewritten_by_another_command_is_a_fresh_tree(self, tmp_path, first, second):
+        runner = CliRunner()
+        config = str(self.write_config(tmp_path))
+        out = tmp_path / "out"
+        for command in (first, second):
+            assert runner.invoke(main, [command, "-c", config]).exit_code == 0
+        rewritten = tree_bytes(out)
+        shutil.rmtree(out)
+        assert runner.invoke(main, [second, "-c", config]).exit_code == 0
+        assert rewritten == tree_bytes(out)
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     def test_forgetting_tree_is_not_a_run(self, tmp_path, command):

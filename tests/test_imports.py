@@ -5,8 +5,10 @@ lint, so dead imports fail the test suite without an external linter.
 ``__init__.py`` is skipped: its imports are the package's public
 re-exports. No module imports another one's private names, every
 module-level private name is read somewhere in the package, only
-``forking.py`` calls ``os.fork``, and only ``curriculum.py`` builds an
-``OptimState``: each Trainer makes its own fresh optimizer.
+``forking.py`` calls ``os.fork``, only ``curriculum.py`` builds an
+``OptimState``: each Trainer makes its own fresh optimizer, and only
+``artifacts.py`` names ``SUMMARY_VERSION``: ``RunResult.finish`` stamps it
+on every summary.
 """
 
 import ast
@@ -121,6 +123,17 @@ def optim_state_builds(source: str) -> int:
         return isinstance(func, ast.Name) and func.id in names
 
     return sum(is_build(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call))
+
+
+def summary_version_names(source: str) -> int:
+    """The places ``source`` names ``SUMMARY_VERSION``: as a name, as an
+    attribute or in an import."""
+    return sum(
+        (isinstance(node, ast.Name) and node.id == "SUMMARY_VERSION")
+        or (isinstance(node, ast.Attribute) and node.attr == "SUMMARY_VERSION")
+        or (isinstance(node, ast.alias) and node.name == "SUMMARY_VERSION")
+        for node in ast.walk(ast.parse(source))
+    )
 
 
 class TestPrivateImports:
@@ -239,3 +252,20 @@ class TestOptimStateOnlyInTheTrainer:
     def test_only_curriculum_builds_optim_state(self, module):
         expected = 1 if module == "curriculum.py" else 0
         assert optim_state_builds((SRC / module).read_text()) == expected
+
+
+class TestSummaryVersionOnlyInTheWriter:
+    def test_checker_counts_summary_version_names(self):
+        source = (
+            "import taskweave.artifacts as a\n"
+            "from .artifacts import SUMMARY_VERSION as V\n"
+            "a.SUMMARY_VERSION\n"
+            "SUMMARY_VERSION = 2\n"
+            "summary = {'summary_version': V, 'SUMMARY_VERSION': 1}\n"
+        )
+        assert summary_version_names(source) == 3
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_only_artifacts_names_summary_version(self, module):
+        names = summary_version_names((SRC / module).read_text())
+        assert bool(names) == (module == "artifacts.py")

@@ -34,7 +34,6 @@ from taskweave.curriculum import (
     ADAPTIVE,
     BALANCED,
     BLOCKED,
-    StepReport,
     Trainer,
     balanced_epoch,
     blocked_schedule,
@@ -54,7 +53,7 @@ from taskweave.encoder import (
     init_params,
     save_checkpoint,
 )
-from taskweave.artifacts import SUMMARY_VERSION, RunResult
+from taskweave.artifacts import RunResult
 from taskweave.experiments import (
     INTERLEAVED_ADAPTIVE,
     INTERLEAVED_BALANCED,
@@ -87,6 +86,15 @@ def small_config(seed=3):
     config.batch.positives = 4
     config.validate()
     return config
+
+
+# The scored fields of a task's step record, in a step that was not scored.
+UNSCORED = dict.fromkeys(("improvement", "goal_distance", "score", "probability"))
+
+
+def batches_spent(records):
+    """The batches that a list of step records allocated."""
+    return sum(task["allocation"] for record in records for task in record["tasks"].values())
 
 
 def reference_backward(params, inputs, grad_embeddings, grads):
@@ -254,7 +262,7 @@ class TestOneForwardPerBatch:
         trainer = Trainer(config, BALANCED, train.tasks, init_encoder(config), seed)
         batch = config.batch.identities * config.batch.positives
         reports = [trainer.train_step() for _ in range(3)]
-        expected = [r.batches_consumed * batch for r in reports for _ in range(passes)]
+        expected = [batches_spent([r]) * batch for r in reports for _ in range(passes)]
         assert forward_rows == expected
 
     def test_adaptive_steps(self, forward_rows):
@@ -265,7 +273,7 @@ class TestOneForwardPerBatch:
         seed = derive_seed(config.seed, "t")
         trainer = Trainer(config, ADAPTIVE, train.tasks, init_encoder(config), seed)
         forward_rows.clear()  # the step-0 probe pass
-        assert sum(trainer.train_step().batches_consumed for _ in range(3)) == 15
+        assert batches_spent([trainer.train_step() for _ in range(3)]) == 15
         assert forward_rows == [5 * config.batch.identities * config.batch.positives] * 3
 
     def test_pretrain_and_sequential(self, forward_rows):
@@ -305,7 +313,7 @@ class ReferenceTrainer(Trainer):
 
     def train_step(self, allocations=None):
         self.step += 1
-        scoring = None
+        scoring = dict.fromkeys(self.task_names, UNSCORED)
         if allocations is not None:
             mode = BLOCKED
             allocations = {name: int(allocations.get(name, 0)) for name in self.task_names}
@@ -315,7 +323,7 @@ class ReferenceTrainer(Trainer):
                 alloc_list = [self.curriculum.batches_per_task] * self.n_tasks
             else:
                 scoring = self._score_tasks()
-                probs = [scoring[name].probability for name in self.task_names]
+                probs = [scoring[name]["probability"] for name in self.task_names]
                 alloc_list = sample_allocation(probs, self.total_batches, self.alloc_rng)
             allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
         losses = {name: 0.0 for name in self.task_names}
@@ -338,7 +346,17 @@ class ReferenceTrainer(Trainer):
                     self.states[name].metric_log.append((self.step, accuracies[name]))
         for name in self.task_names:
             self.states[name].last_allocation = allocations[name]
-        return StepReport(self.step, mode, allocations, losses, exhausted, accuracies, scoring)
+        tasks = {
+            name: {
+                "allocation": allocations[name],
+                "loss": losses[name],
+                "accuracy": accuracies[name],
+                "exhausted": exhausted[name],
+                **scoring[name],
+            }
+            for name in self.task_names
+        }
+        return {"step": self.step, "mode": mode, "tasks": tasks}
 
 
 def trainer_and_reference(config, mode, tasks):
@@ -350,9 +368,9 @@ def assert_same_steps(trainer, reference, allocations):
     for allocation in allocations:
         report = trainer.train_step(allocation)
         expected = reference.train_step(allocation)
-        # The records hold every loss, accuracy, flag and adaptive score.
-        assert report.to_record() == expected.to_record()
-        assert report.losses == expected.losses
+        # The records hold every allocation, loss, accuracy, flag and
+        # adaptive score.
+        assert report == expected
     assert_same_state(trainer.params, trainer.opt_state, reference.params, reference.opt_state)
     for name in trainer.task_names:
         assert trainer.states[name].metric_log == reference.states[name].metric_log
@@ -717,7 +735,7 @@ def reference_forgetting_comparison(config):
     budget = fg.pretrain_steps * fg.pretrain_batches_per_step
     for allocation in blocked_schedule([data.name], budget, fg.pretrain_batches_per_step):
         pretrainer.train_step(allocation)
-    out.lines("traces/pretrain.jsonl", (r.to_record() for r in pretrainer.reports))
+    out.lines("traces/pretrain.jsonl", pretrainer.reports)
     save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
     top1_col = f"{fg.pretrain_task}:top1"
@@ -732,8 +750,8 @@ def reference_forgetting_comparison(config):
     trainer = Trainer(config, BALANCED, train_corpus.tasks, balanced_params, seed)
     for _ in range(fg.finetune_epochs):
         trainer.run_epoch()
-    balanced_batches = sum(s.batches_consumed for s in trainer.reports)
-    out.lines("traces/finetune_balanced.jsonl", (r.to_record() for r in trainer.reports))
+    balanced_batches = batches_spent(trainer.reports)
+    out.lines("traces/finetune_balanced.jsonl", trainer.reports)
     models[INTERLEAVED_BALANCED] = balanced_params
 
     adaptive_params = params.copy()
@@ -741,9 +759,9 @@ def reference_forgetting_comparison(config):
     trainer = Trainer(config, ADAPTIVE, train_corpus.tasks, adaptive_params, seed)
     for _ in range(fg.finetune_epochs):
         trainer.run_epoch()
-    out.lines("traces/finetune_adaptive.jsonl", (r.to_record() for r in trainer.reports))
+    out.lines("traces/finetune_adaptive.jsonl", trainer.reports)
     models[INTERLEAVED_ADAPTIVE] = adaptive_params
-    adaptive_batches = sum(s.batches_consumed for s in trainer.reports)
+    adaptive_batches = batches_spent(trainer.reports)
 
     sequential_params = params.copy()
     seed = derive_seed(config.seed, "finetune-sequential")
@@ -751,7 +769,7 @@ def reference_forgetting_comparison(config):
     group = len(train_corpus.tasks) * config.curriculum.batches_per_task
     for allocation in blocked_schedule(list(finetune_tasks), balanced_batches, group):
         trainer.train_step(allocation)
-    out.lines("traces/finetune_sequential.jsonl", (r.to_record() for r in trainer.reports))
+    out.lines("traces/finetune_sequential.jsonl", trainer.reports)
     models[SEQUENTIAL] = sequential_params
 
     order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
@@ -786,14 +804,7 @@ def reference_forgetting_comparison(config):
         },
     }
     out.json("forgetting_report.json", report)
-    out.finish(
-        {
-            "summary_version": SUMMARY_VERSION,
-            "seed": config.seed,
-            "floored_cells": floored,
-            "results": report,
-        }
-    )
+    out.finish(config.seed, report, floored_cells=floored)
 
 
 def tree_files(root):
@@ -868,7 +879,7 @@ def planned_and_spent(config):
     planned = trainer.planned_batches(epochs)
     for _ in range(epochs):
         trainer.run_epoch()
-    return planned, sum(r.batches_consumed for r in trainer.reports)
+    return planned, batches_spent(trainer.reports)
 
 
 def loader_states(trainer):
