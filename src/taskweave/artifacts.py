@@ -85,10 +85,11 @@ class RunResult:
         self.output_dir = Path(self.output_dir)
 
     def start(self) -> None:
-        """Delete the files an earlier summary lists, then the summary, so the
-        work reads as unfinished until :meth:`finish`. A tree that ``eval`` or
-        ``analyze`` scored, or a summary listing a path outside the tree, is
-        refused before anything is deleted."""
+        """Delete the files an earlier summary lists and the directories that
+        leaves empty, then the summary, so the work reads as unfinished until
+        :meth:`finish`. A tree that ``eval`` or ``analyze`` scored, or a
+        summary listing a path outside the tree, is refused before anything
+        is deleted."""
         for tree in ("eval", "analyze"):
             if (self.output_dir / tree / SUMMARY).exists():
                 raise ValidationError(f"{self.output_dir} holds {tree}/{SUMMARY} of a scored run")
@@ -97,9 +98,15 @@ class RunResult:
             listed = listed_artifacts(self.output_dir) or []
         for rel in listed:
             (self.output_dir / rel).unlink(missing_ok=True)
+            # Each parent the file leaves empty, below the output directory.
+            for parent in Path(rel).parents[:-1]:
+                try:
+                    (self.output_dir / parent).rmdir()
+                except OSError:  # not empty, or already gone
+                    break
         (self.output_dir / SUMMARY).unlink(missing_ok=True)
 
-    def _replace(self, rel: str, data: bytes) -> None:
+    def _replace(self, rel: str, data: bytes | memoryview) -> None:
         if _leaves(rel):
             raise ContractError(f"artifact path {rel!r} leaves the output directory")
         path = self.output_dir / rel
@@ -112,7 +119,7 @@ class RunResult:
             tmp.unlink(missing_ok=True)
             raise
 
-    def write(self, rel: str, data: bytes) -> None:
+    def write(self, rel: str, data: bytes | memoryview) -> None:
         self._replace(rel, data)
         self.artifacts.append(rel)
 
@@ -133,12 +140,12 @@ class RunResult:
         # np.save appends ".npy" to a str path, so serialise to bytes first.
         buf = io.BytesIO()
         np.save(buf, array)
-        self.write(rel, buf.getvalue())
+        self.write(rel, buf.getbuffer())
 
     def npz(self, rel: str, arrays: dict[str, np.ndarray]) -> None:
         buf = io.BytesIO()
         np.savez(buf, **arrays)
-        self.write(rel, buf.getvalue())
+        self.write(rel, buf.getbuffer())
 
     def finish(self, seed: int, results: dict, **fields) -> None:
         """Write ``summary.json`` last: the command's own ``fields``, the

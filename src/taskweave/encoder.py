@@ -194,7 +194,7 @@ def _forward(params: EncoderParams, inputs: np.ndarray) -> ForwardCache:
         z += b
         if not np.isfinite(z).all():
             raise NumericError("non-finite activations", layer=i)
-        h = np.tanh(z) if i < n_layers - 1 else z
+        h = np.tanh(z, out=z) if i < n_layers - 1 else z
         hiddens.append(h)
     norms = _row_norms(h)
     low = norms < NORM_FLOOR

@@ -1,6 +1,8 @@
 """Experiment orchestration: corpus builders, training runs,
 the forgetting comparison, and benchmark-table scoring. Each model is
-embedded once (:func:`embed_tasks`) and scored by :mod:`taskweave.scoring`.
+embedded once, a task at a time (:class:`TaskEmbeddings`) or all at once
+(:func:`embed_tasks`) for the geometry suite, and scored by
+:mod:`taskweave.scoring`.
 """
 
 from __future__ import annotations
@@ -8,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Iterator, Mapping
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -92,6 +95,25 @@ def embed_tasks(params: EncoderParams, tasks: dict[str, TaskData]) -> dict[str, 
     return {name: embed(params, data.features) for name, data in tasks.items()}
 
 
+class TaskEmbeddings(Mapping):
+    """Each task's embeddings under ``params``, by name, computed on lookup
+    and never kept: :func:`~taskweave.scoring.evaluate_row` reads each task
+    once, so through this it holds one task's embeddings at a time."""
+
+    def __init__(self, params: EncoderParams, tasks: dict[str, TaskData]):
+        self.params = params
+        self.tasks = tasks
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return embed(self.params, self.tasks[name].features)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.tasks)
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+
 def geometry_suite(
     eval_emb: dict[str, np.ndarray],
     pair_plan: dict[str, TaskPairs],
@@ -111,19 +133,28 @@ def score_suites(
     out: RunResult,
     config: ExperimentConfig,
     suites: list[str],
-    train_corpus: Corpus,
+    centroid_data: dict[str, TaskData],
     eval_corpus: Corpus,
     params: EncoderParams,
 ) -> list[str]:
-    """Score ``params`` by each of ``suites`` through ``out``, the eval split
-    embedded once for all: ``tables/metrics.csv`` and ``geometry/``, their
-    results in ``out.results``. Returns the score table's floored cells."""
+    """Score ``params`` by each of ``suites`` through ``out``:
+    ``tables/metrics.csv`` and ``geometry/``, their results in
+    ``out.results``. Returns the score table's floored cells.
+
+    It holds the parameters, the eval split and ``centroid_data``, the
+    train tasks of :func:`~taskweave.scoring.centroid_tasks`: all the train
+    data the scores read. Each eval task is embedded once. The geometry
+    suite reads all tasks together, so with it every task is embedded up
+    front and kept for both suites. The scores alone embed each task when
+    they score it, so one task's embeddings, with its probe, gallery and
+    pair copies, are alive at a time."""
     pair_plan = verification_pair_plan(eval_corpus, config)
-    eval_emb = embed_tasks(params, eval_corpus.tasks)
+    tasks = eval_corpus.tasks
+    eval_emb = embed_tasks(params, tasks) if "geometry" in suites else TaskEmbeddings(params, tasks)
     floored: list[str] = []
     if "scores" in suites:
-        train_emb = embed_tasks(params, centroid_tasks(train_corpus))
-        row = evaluate_row(eval_emb, train_emb, eval_corpus, train_corpus, pair_plan, config)
+        train_emb = TaskEmbeddings(params, centroid_data)
+        row = evaluate_row(eval_emb, train_emb, eval_corpus, centroid_data, pair_plan, config)
         table, floored = rows_to_table({f"encoder+{config.curriculum.mode}": row})
         table.to_csv(out, "tables/metrics.csv")
         out.results["scores"] = row
@@ -149,6 +180,28 @@ def overridden(
     return config
 
 
+def _train(
+    config: ExperimentConfig, out: RunResult
+) -> tuple[EncoderParams, int, dict[str, TaskData], Corpus]:
+    """Build and save both splits, train the encoder by the configured
+    curriculum, and write its trace and final checkpoint. Returns what
+    scoring reads: the parameters, the step count, the train tasks of
+    :func:`~taskweave.scoring.centroid_tasks` and the eval corpus. The
+    trainer and the other train tasks die with this frame."""
+    train_corpus, eval_corpus = build_splits(config)
+    train_corpus.save(out, "corpus")
+    eval_corpus.save(out, "corpus_eval")
+
+    params = init_encoder(config)
+    mode = config.curriculum.mode
+    trainer = Trainer(config, mode, train_corpus.tasks, params, derive_seed(config.seed, "train"))
+    for _ in range(config.training.epochs):
+        trainer.run_epoch()
+    out.lines("traces/scheduler.jsonl", trainer.reports)
+    save_checkpoint(params, out, "checkpoints/encoder_final.npz")
+    return params, len(trainer.reports), centroid_tasks(train_corpus), eval_corpus
+
+
 def run(
     config: ExperimentConfig,
     seed: int | None = None,
@@ -161,26 +214,21 @@ def run(
     touched, and a tree that ``eval`` or ``analyze`` scored is refused.
     ``config.json`` records the config with the ``seed`` and ``output_dir``
     overrides applied, so running it again rewrites the same tree.
+
+    Two phases run in turn, each holding only what it reads. Training
+    (:func:`_train`) holds both splits, the trainer and the parameters.
+    Scoring (:func:`score_suites`) then holds the parameters, the eval
+    split, the train task behind the "top<k>" centroids, and one eval
+    task's embeddings at a time, or every task's with the geometry suite.
     """
     config = overridden(config, seed, output_dir)
     out = RunResult(config.output_dir)
     out.start()
     out.json("config.json", config.to_dict())
 
-    train_corpus, eval_corpus = build_splits(config)
-    train_corpus.save(out, "corpus")
-    eval_corpus.save(out, "corpus_eval")
-
-    params = init_encoder(config)
-    mode = config.curriculum.mode
-    trainer = Trainer(config, mode, train_corpus.tasks, params, derive_seed(config.seed, "train"))
-    for _ in range(config.training.epochs):
-        trainer.run_epoch()
-    out.lines("traces/scheduler.jsonl", trainer.reports)
-    save_checkpoint(params, out, "checkpoints/encoder_final.npz")
-
-    floored = score_suites(out, config, config.evaluation.suites, train_corpus, eval_corpus, params)
-    steps = len(trainer.reports)
+    params, steps, centroid_data, eval_corpus = _train(config, out)
+    suites, mode = config.evaluation.suites, config.curriculum.mode
+    floored = score_suites(out, config, suites, centroid_data, eval_corpus, params)
     out.finish(config.seed, out.results, mode=mode, steps=steps, floored_cells=floored)
     return out
 
@@ -264,10 +312,12 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     # will spend, and the balanced item trains it.
     balanced = finetune_trainer(BALANCED)
 
+    centroid_data = centroid_tasks(train_corpus)
+
     def score(model: EncoderParams) -> dict[str, float]:
-        eval_emb = embed_tasks(model, eval_corpus.tasks)
-        train_emb = embed_tasks(model, centroid_tasks(train_corpus))
-        return evaluate_row(eval_emb, train_emb, eval_corpus, train_corpus, pair_plan, config)
+        eval_emb = TaskEmbeddings(model, eval_corpus.tasks)
+        train_emb = TaskEmbeddings(model, centroid_data)
+        return evaluate_row(eval_emb, train_emb, eval_corpus, centroid_data, pair_plan, config)
 
     def sequential() -> dict:
         # The blocked baseline spends the balanced run's batch total on the

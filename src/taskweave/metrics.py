@@ -84,8 +84,9 @@ def roc_auc(genuine_scores, impostor_scores) -> float:
     return float(wins / (genuine.size * impostor.size))
 
 
-# Similarities scored per block of probes in ``rank_k``: its memory is a few
-# blocks, not the N×G matrix.
+# Elements per block of rows: ``rank_k`` scores about this many similarities
+# per block of probes, and the pair scores gather about this many per side,
+# so their memory is a few blocks, not the N×G matrix or the whole pair set.
 _BLOCK = 1 << 16
 
 
@@ -93,12 +94,20 @@ def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
     """[start, stop) bounds of consecutive blocks of ``rows`` rows (at least
     2) over ``n`` rows. A trailing single row joins the block before it: a
     one-row product runs as a matrix-vector product, whose bits can differ
-    from the same row of the full matrix product, while blocks of two or
-    more rows reproduce those rows bit for bit."""
+    from the same row of the full matrix product. Blocks of two or more rows
+    reproduce those rows bit for bit at the shapes the tests check, though
+    not at every shape: a BLAS may pick its kernel by the row count."""
     stops = list(range(rows, n, rows))
     if stops and n - stops[-1] == 1:
         stops.pop()
     return list(zip([0] + stops, stops + [n]))
+
+
+def row_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """[start, stop) bounds of blocks over ``n`` rows of ``width`` elements
+    each, about ``_BLOCK`` elements a block, by :func:`_row_blocks`: at
+    least two rows a block and no one-row tail."""
+    return _row_blocks(n, max(2, _BLOCK // width))
 
 
 def rank_k(
@@ -147,7 +156,7 @@ def rank_k(
         runs = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
         run_of_probe = np.searchsorted(gallery_ids[runs], probe_ids)
     ahead = np.empty(n, dtype=np.intp)
-    for lo, hi in _row_blocks(n, max(2, _BLOCK // g)):
+    for lo, hi in row_blocks(n, g):
         sims = pairwise_cosine(probe_emb[lo:hi], gallery_emb)
         _require_finite(sims)
         ids = probe_ids[lo:hi]

@@ -1,11 +1,14 @@
 """Scores of an embedding space: the verification pair plan, the score row
 and table, and the geometry headlines. Each takes embeddings (task name to
 rows aligned with the task's corpus rows), never encoder parameters, and
-writes no file, so any encoder, or none, is scored by the same code."""
+writes no file, so any encoder, or none, is scored by the same code. The
+score row reads each task's embeddings once and scores one task at a time,
+its pair scores in row blocks, so a mapping that embeds on lookup keeps
+scoring memory to one task's working set."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,7 @@ from .geometry import (
     sliding_window_probe,
     task_subspace,
 )
-from .metrics import ScoreTable, rank_k, roc_auc, tar_at_far, verification_accuracy
+from .metrics import ScoreTable, rank_k, roc_auc, row_blocks, tar_at_far, verification_accuracy
 from .seeding import stream
 
 
@@ -64,7 +67,15 @@ def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
 
 
 def _pair_scores(embeddings: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", embeddings[pairs[:, 0]], embeddings[pairs[:, 1]])
+    """The dot product of each pair's two rows. The pairs are gathered in
+    row blocks (:func:`~taskweave.metrics.row_blocks`), so the gathered rows
+    take a block's memory, not the pair set's; each score is its own row's
+    reduction, the same bits in any block."""
+    scores = np.empty(pairs.shape[0])
+    for lo, hi in row_blocks(pairs.shape[0], embeddings.shape[1]):
+        block = pairs[lo:hi]
+        scores[lo:hi] = np.einsum("ij,ij->i", embeddings[block[:, 0]], embeddings[block[:, 1]])
+    return scores
 
 
 def _probe_gallery_split(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,53 +136,75 @@ def _class_centroids(emb: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     return centroids, classes
 
 
+def task_scores(
+    data: TaskData,
+    emb: np.ndarray,
+    pairs: TaskPairs,
+    config: ExperimentConfig,
+    centroids: tuple[np.ndarray, np.ndarray] | None = None,
+) -> dict[str, float]:
+    """The configured metrics of one eval task, keyed by 'task:metric'.
+
+    ``emb`` embeds the task's rows and ``pairs`` are its verification
+    pairs. ``centroids`` (unit-norm train-class centroids and their classes)
+    is the gallery a "top<k>" task ranks against. The probe and gallery
+    copies made here die with the call."""
+    name, labels = data.name, data.labels
+    metrics = REGIME_METRICS[data.regime]
+    row: dict[str, float] = {}
+    hits: dict[str, float] = {}
+    retrieval = [m for m in metrics if m in RETRIEVAL_K]
+    if retrieval:
+        if retrieval[0].startswith("top"):
+            gallery = centroids
+            probes = (emb, labels)
+        else:
+            probe, kept = _probe_gallery_split(labels)
+            gallery = (emb[kept], labels[kept])
+            probes = (emb[probe], labels[probe])
+        ks = [RETRIEVAL_K[m] for m in retrieval]
+        hits.update(zip(retrieval, rank_k(*probes, *gallery, ks)))
+    if len(retrieval) < len(metrics):
+        genuine = _pair_scores(emb, pairs.genuine)
+        impostor = _pair_scores(emb, pairs.impostor)
+    for metric in metrics:
+        if metric in hits:
+            row[f"{name}:{metric}"] = hits[metric]
+        elif metric == "auc":
+            row[f"{name}:auc"] = roc_auc(genuine, impostor)
+        elif metric == "ver_acc":
+            scores = np.concatenate([genuine, impostor])
+            truth = np.concatenate([np.ones(genuine.size, bool), np.zeros(impostor.size, bool)])
+            # Interleave so every fold carries both kinds of pair.
+            order = np.argsort(np.tile(np.arange(genuine.size), 2), kind="stable")
+            row[f"{name}:ver_acc"] = verification_accuracy(scores[order], truth[order])
+        else:  # tar
+            for far in config.evaluation.far_values:
+                row[f"{name}:tar_far{far:g}"] = tar_at_far(genuine, impostor, far)
+    return row
+
+
 def evaluate_row(
-    eval_emb: dict[str, np.ndarray],
-    train_emb: dict[str, np.ndarray],
+    eval_emb: Mapping[str, np.ndarray],
+    train_emb: Mapping[str, np.ndarray],
     eval_corpus: Corpus,
-    train_corpus: Corpus,
+    centroid_data: dict[str, TaskData],
     pair_plan: dict[str, TaskPairs],
     config: ExperimentConfig,
 ) -> dict[str, float]:
     """All configured metrics of one embedding space, keyed by 'task:metric'.
 
     ``eval_emb`` embeds every eval task and ``train_emb`` the train tasks of
-    :func:`centroid_tasks`; the corpora give their labels and regimes."""
+    :func:`centroid_tasks`, ``centroid_data``; the tasks give their labels
+    and regimes. The eval tasks are scored one at a time by
+    :func:`task_scores`, each mapping read once per task, so a mapping that
+    embeds on lookup holds one task's embeddings at a time."""
     row: dict[str, float] = {}
     for name, data in eval_corpus.tasks.items():
-        metrics = REGIME_METRICS[data.regime]
-        emb = eval_emb[name]
-        labels = data.labels
-        hits: dict[str, float] = {}
-        retrieval = [m for m in metrics if m in RETRIEVAL_K]
-        if retrieval:
-            if retrieval[0].startswith("top"):
-                gallery = _class_centroids(train_emb[name], train_corpus.tasks[name].labels)
-                probes = (emb, labels)
-            else:
-                probe, kept = _probe_gallery_split(labels)
-                gallery = (emb[kept], labels[kept])
-                probes = (emb[probe], labels[probe])
-            ks = [RETRIEVAL_K[m] for m in retrieval]
-            hits.update(zip(retrieval, rank_k(*probes, *gallery, ks)))
-        if len(retrieval) < len(metrics):
-            pairs = pair_plan[name]
-            genuine = _pair_scores(emb, pairs.genuine)
-            impostor = _pair_scores(emb, pairs.impostor)
-        for metric in metrics:
-            if metric in hits:
-                row[f"{name}:{metric}"] = hits[metric]
-            elif metric == "auc":
-                row[f"{name}:auc"] = roc_auc(genuine, impostor)
-            elif metric == "ver_acc":
-                scores = np.concatenate([genuine, impostor])
-                truth = np.concatenate([np.ones(genuine.size, bool), np.zeros(impostor.size, bool)])
-                # Interleave so every fold carries both kinds of pair.
-                order = np.argsort(np.tile(np.arange(genuine.size), 2), kind="stable")
-                row[f"{name}:ver_acc"] = verification_accuracy(scores[order], truth[order])
-            else:  # tar
-                for far in config.evaluation.far_values:
-                    row[f"{name}:tar_far{far:g}"] = tar_at_far(genuine, impostor, far)
+        centroids = None
+        if name in centroid_data:
+            centroids = _class_centroids(train_emb[name], centroid_data[name].labels)
+        row.update(task_scores(data, eval_emb[name], pair_plan[name], config, centroids))
     return row
 
 

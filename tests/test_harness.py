@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from taskweave.experiments import (
     run,
     run_forgetting_comparison,
     score_paper_table,
+    score_suites,
 )
 from taskweave.metrics import ScoreTable
 from taskweave.scoring import (
@@ -55,8 +57,9 @@ def score_params(params, train_corpus, eval_corpus, config, plan=None) -> dict[s
     tasks embedded, then scored under ``plan`` (by default the config's)."""
     plan = plan or verification_pair_plan(eval_corpus, config)
     eval_emb = embed_tasks(params, eval_corpus.tasks)
-    train_emb = embed_tasks(params, centroid_tasks(train_corpus))
-    return evaluate_row(eval_emb, train_emb, eval_corpus, train_corpus, plan, config)
+    centroid_data = centroid_tasks(train_corpus)
+    train_emb = embed_tasks(params, centroid_data)
+    return evaluate_row(eval_emb, train_emb, eval_corpus, centroid_data, plan, config)
 
 
 def tiny_config(output_dir, seed=13) -> ExperimentConfig:
@@ -443,6 +446,37 @@ class TestRun:
         score_params(params, train_corpus, eval_corpus, config)
         assert manifest.read_bytes() == before
 
+    def test_scoring_holds_no_trainer_and_one_task_at_a_time(self, tmp_path, monkeypatch):
+        # Weak references to every trainer run() builds and every embedding
+        # its scoring computes: the trainer must be gone when scoring
+        # starts, and each embedding before the next one is computed.
+        trainers, embeddings, alive_at_embed = [], [], []
+
+        def tracked_trainer(*args, **kwargs):
+            trainer = Trainer(*args, **kwargs)
+            trainers.append(weakref.ref(trainer))
+            return trainer
+
+        def tracked_embed(params, inputs):
+            alive_at_embed.append(sum(ref() is not None for ref in embeddings))
+            emb = embed(params, inputs)
+            embeddings.append(weakref.ref(emb))
+            return emb
+
+        def checked_score_suites(*args):
+            assert len(trainers) == 1 and trainers[0]() is None
+            return score_suites(*args)
+
+        monkeypatch.setattr(experiments, "Trainer", tracked_trainer)
+        monkeypatch.setattr(experiments, "embed", tracked_embed)
+        monkeypatch.setattr(experiments, "score_suites", checked_score_suites)
+        config = tiny_config(tmp_path / "out")
+        config.evaluation.suites = ["scores"]
+        run(config)
+        # The centroid train task and the four eval tasks, once each.
+        assert alive_at_embed == [0] * 5
+        assert all(ref() is None for ref in embeddings)
+
     def test_seed_override_leaves_config_unchanged(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         config.evaluation.suites = ["scores"]
@@ -470,6 +504,10 @@ class TestRun:
 
 def files_under(root: Path) -> set[str]:
     return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def dirs_under(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_dir()}
 
 
 def set_field(config: ExperimentConfig, where: str, value) -> None:
@@ -1173,8 +1211,8 @@ class TestScoringCore:
 
         plan = verification_pair_plan(eval_corpus, config)
         raw = unit_rows(eval_corpus.tasks)
-        centroids = unit_rows(centroid_tasks(train_corpus))
-        row = evaluate_row(raw, centroids, eval_corpus, train_corpus, plan, config)
+        centroid_data = centroid_tasks(train_corpus)
+        row = evaluate_row(raw, unit_rows(centroid_data), eval_corpus, centroid_data, plan, config)
         assert list(row) == list(result.results["scores"])
         assert all(np.isfinite(v) for v in row.values())
 
@@ -1513,6 +1551,19 @@ class TestCli:
         shutil.rmtree(out)
         assert runner.invoke(main, [second, "-c", config]).exit_code == 0
         assert rewritten == tree_bytes(out)
+
+    def test_a_comparison_over_a_run_leaves_no_empty_directory(self, tmp_path):
+        runner = CliRunner()
+        config = str(self.write_config(tmp_path))
+        target = tmp_path / "t"
+        for command in ("train", "compare-forgetting"):
+            assert runner.invoke(main, [command, "-c", config, "-o", str(target)]).exit_code == 0
+        rewritten = dirs_under(target)
+        assert [d for d in rewritten if not any((target / d).iterdir())] == []
+        fresh = tmp_path / "fresh"
+        result = runner.invoke(main, ["compare-forgetting", "-c", config, "-o", str(fresh)])
+        assert result.exit_code == 0
+        assert rewritten == dirs_under(fresh)
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     def test_forgetting_tree_is_not_a_run(self, tmp_path, command):

@@ -24,6 +24,7 @@ from taskweave.metrics import (
     tar_at_far,
     verification_accuracy,
 )
+from taskweave.scoring import _pair_scores
 
 
 class TestPairwiseCosine:
@@ -496,6 +497,34 @@ class TestBlockedRankK:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * metrics._BLOCK * 8 + 256 * (n + n)
+
+
+@st.composite
+def around_a_boundary(draw):
+    """(rows per block, count): a count of whole blocks and one row short,
+    exact or one row over, the last being the one-row tail that joins the
+    block before it."""
+    rows = draw(st.integers(2, 6))
+    count = draw(st.integers(1, 4)) * rows + draw(st.integers(-1, 1))
+    return rows, count
+
+
+class TestBlockedPairScores:
+    """The pair scores are gathered in blocks of rows; any blocks must give
+    the one-shot result bit for bit."""
+
+    @given(around_a_boundary(), st.integers(2, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_blocked_pair_scores_are_the_one_shot_bits(self, case, n, dim, seed):
+        rows, n_pairs = case
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((n, dim))
+        pairs = rng.integers(0, n, (n_pairs, 2))
+        one_shot = np.einsum("ij,ij->i", emb[pairs[:, 0]], emb[pairs[:, 1]])
+        with mock.patch.object(metrics, "_BLOCK", rows * dim):
+            assert (len(metrics.row_blocks(n_pairs, dim)) > 1) == (n_pairs > rows + 1)
+            blocked = _pair_scores(emb, pairs)
+        assert blocked.tobytes() == one_shot.tobytes()
 
 
 def oracle_best_threshold(scores, labels):

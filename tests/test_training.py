@@ -709,12 +709,9 @@ def reference_row(params, train_corpus, eval_corpus, config, pair_plan):
     """One model's score row: every eval task and the coarse train tasks
     behind the class centroids embedded, then scored."""
     eval_emb = {n: embed(params, d.features) for n, d in eval_corpus.tasks.items()}
-    train_emb = {
-        n: embed(params, d.features)
-        for n, d in train_corpus.tasks.items()
-        if d.regime == "coarse-category"
-    }
-    return evaluate_row(eval_emb, train_emb, eval_corpus, train_corpus, pair_plan, config)
+    coarse = {n: d for n, d in train_corpus.tasks.items() if d.regime == "coarse-category"}
+    train_emb = {n: embed(params, d.features) for n, d in coarse.items()}
+    return evaluate_row(eval_emb, train_emb, eval_corpus, coarse, pair_plan, config)
 
 
 def reference_forgetting_comparison(config):
