@@ -8,12 +8,13 @@ tables and traces.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -29,6 +30,40 @@ def _json_text(rel: str, payload, indent: int | None = None) -> str:
         return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"{rel}: non-finite number in JSON payload ({exc})") from None
+
+
+# Step records a trace sink holds before it encodes them. Encoding each
+# record between two training steps, instead of a group at a time, cost
+# the scale-scores benchmark about 3 % of its wall time.
+_TRACE_GROUP = 32
+
+
+class JsonLines:
+    """A trace sink: each record it is called with becomes one line of the
+    JSONL file ``rel`` (compact, sorted keys, finite numbers only; ``rel``
+    names the file in errors), handed to ``write`` as text, or kept for
+    :meth:`text` when there is no ``write``. The records are encoded
+    ``_TRACE_GROUP`` at a time; :meth:`flush` encodes the rest."""
+
+    def __init__(self, rel: str, write: Callable[[str], object] | None = None):
+        self.rel = rel
+        self.parts: list[str] = []
+        self.write = self.parts.append if write is None else write
+        self.pending: list[dict] = []
+
+    def __call__(self, record: dict) -> None:
+        self.pending.append(record)
+        if len(self.pending) == _TRACE_GROUP:
+            self.flush()
+
+    def flush(self) -> None:
+        self.write("".join(_json_text(self.rel, r) + "\n" for r in self.pending))
+        self.pending.clear()
+
+    def text(self) -> str:
+        """Every line so far, of a sink built without ``write``."""
+        self.flush()
+        return "".join(self.parts)
 
 
 def _leaves(rel: str) -> bool:
@@ -66,10 +101,12 @@ def _csv_cell(rel: str, value) -> str:
 class RunResult:
     """A run's output directory, and the only way files reach it.
 
-    ``write`` creates parent directories on demand, writes the bytes to a
+    Each writer creates parent directories on demand, writes the bytes to a
     hidden sibling ``.<name>.tmp`` and renames it over the target, so a
-    killed run leaves whole files or none. Every file written is recorded
-    in ``artifacts`` (relative paths, in write order). ``finish`` writes
+    failed run leaves whole files or none, and a killed one at most a
+    ``.tmp`` file, which the next ``start`` deletes. Every file written is
+    recorded in ``artifacts`` (relative paths, in the order they are put in
+    place). ``finish`` writes
     ``summary.json`` last, naming every other file it wrote; a directory
     without it holds an unfinished run or command. One JSON format (indent
     2, sorted keys, trailing newline, finite numbers only) and one CSV
@@ -85,18 +122,19 @@ class RunResult:
         self.output_dir = Path(self.output_dir)
 
     def start(self) -> None:
-        """Delete the files an earlier summary lists and the directories that
-        leaves empty, then the summary, so the work reads as unfinished until
-        :meth:`finish`. A tree that ``eval`` or ``analyze`` scored, or a
-        summary listing a path outside the tree, is refused before anything
-        is deleted."""
+        """Delete the files an earlier summary lists, the ``.*.tmp`` files a
+        killed process left, and the directories that leaves empty, then the
+        summary, so the work reads as unfinished until :meth:`finish`. A tree
+        that ``eval`` or ``analyze`` scored, or a summary listing a path
+        outside the tree, is refused before anything is deleted."""
         for tree in ("eval", "analyze"):
             if (self.output_dir / tree / SUMMARY).exists():
                 raise ValidationError(f"{self.output_dir} holds {tree}/{SUMMARY} of a scored run")
         listed = []
         with contextlib.suppress(OSError):  # no summary to read
             listed = listed_artifacts(self.output_dir) or []
-        for rel in listed:
+        stale = [p.relative_to(self.output_dir) for p in self.output_dir.rglob(".*.tmp")]
+        for rel in [*listed, *stale]:
             (self.output_dir / rel).unlink(missing_ok=True)
             # Each parent the file leaves empty, below the output directory.
             for parent in Path(rel).parents[:-1]:
@@ -106,29 +144,49 @@ class RunResult:
                     break
         (self.output_dir / SUMMARY).unlink(missing_ok=True)
 
-    def _replace(self, rel: str, data: bytes | memoryview) -> None:
+    @contextlib.contextmanager
+    def _replacing(self, rel: str) -> Iterator[BinaryIO]:
+        """A binary file that becomes ``rel`` when the block ends: it is the
+        hidden sibling ``.<name>.tmp``, renamed over ``rel`` on success and
+        unlinked on any exception."""
         if _leaves(rel):
             raise ContractError(f"artifact path {rel!r} leaves the output directory")
         path = self.output_dir / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.tmp")
         try:
-            tmp.write_bytes(data)
+            with tmp.open("wb") as fh:
+                yield fh
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
 
-    def write(self, rel: str, data: bytes | memoryview) -> None:
-        self._replace(rel, data)
+    @contextlib.contextmanager
+    def _artifact(self, rel: str) -> Iterator[BinaryIO]:
+        """:meth:`_replacing`; ``rel`` joins ``artifacts`` once it is in place."""
+        with self._replacing(rel) as fh:
+            yield fh
         self.artifacts.append(rel)
+
+    def write(self, rel: str, data: bytes | memoryview) -> None:
+        with self._artifact(rel) as fh:
+            fh.write(data)
 
     def json(self, rel: str, payload) -> None:
         self.write(rel, (_json_text(rel, payload, indent=2) + "\n").encode())
 
-    def lines(self, rel: str, records) -> None:
-        """JSONL, one record per line; zero records make an empty file."""
-        self.write(rel, "".join(_json_text(rel, r) + "\n" for r in records).encode())
+    @contextlib.contextmanager
+    def stream(self, rel: str) -> Iterator[JsonLines]:
+        """A JSONL file written while its records are made: yields a sink
+        (:class:`JsonLines`) that writes each record it takes as one line.
+        The lines go to ``.<name>.tmp``, renamed over ``rel`` when the block
+        ends, so ``rel`` holds every line or is absent; an exception in the
+        block unlinks the ``.tmp``. Zero records make an empty file."""
+        with self._artifact(rel) as fh:
+            sink = JsonLines(rel, lambda text: fh.write(text.encode()))
+            yield sink
+            sink.flush()
 
     def rows(self, rel: str, header: list[str], rows) -> None:
         text = "".join(
@@ -136,16 +194,15 @@ class RunResult:
         )
         self.write(rel, text.encode())
 
+    # np.save and np.savez take the open file, not a path (np.save appends
+    # ".npy" to a str path), so the array goes to disk with no copy in memory.
     def npy(self, rel: str, array: np.ndarray) -> None:
-        # np.save appends ".npy" to a str path, so serialise to bytes first.
-        buf = io.BytesIO()
-        np.save(buf, array)
-        self.write(rel, buf.getbuffer())
+        with self._artifact(rel) as fh:
+            np.save(fh, array)
 
     def npz(self, rel: str, arrays: dict[str, np.ndarray]) -> None:
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        self.write(rel, buf.getbuffer())
+        with self._artifact(rel) as fh:
+            np.savez(fh, **arrays)
 
     def finish(self, seed: int, results: dict, **fields) -> None:
         """Write ``summary.json`` last: the command's own ``fields``, the
@@ -153,4 +210,5 @@ class RunResult:
         last being every other file this run wrote."""
         payload = dict(fields, summary_version=SUMMARY_VERSION, seed=seed, results=results)
         payload["artifacts"] = sorted(self.artifacts)
-        self._replace(SUMMARY, (_json_text(SUMMARY, payload, indent=2) + "\n").encode())
+        with self._replacing(SUMMARY) as fh:
+            fh.write((_json_text(SUMMARY, payload, indent=2) + "\n").encode())

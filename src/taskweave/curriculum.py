@@ -23,7 +23,9 @@ built from the experiment config with a fresh optimizer of its own; no
 other module builds an optimizer state. All per-batch gradients inside one
 step are summed into a single buffer and applied by exactly one optimizer
 update; ``Trainer.train_step`` is the only place that does so. It returns
-the step's trace record, the plain dict that a ``traces/*.jsonl`` line holds.
+the step's trace record, the plain dict that a ``traces/*.jsonl`` line holds,
+and hands it to the trainer's trace sink; the trainer itself keeps counts,
+not records.
 """
 
 from __future__ import annotations
@@ -195,6 +197,9 @@ class Trainer:
     ``train_step()``; a step given an explicit allocation runs that instead.
     ``seed`` is the integer every substream of the run derives from, and
     ``loader_stream`` names the seeding substream of the per-task loaders.
+    ``trace``, when given, takes each step's record, a fresh dict, as the
+    step ends (an ``artifacts.JsonLines``); the trainer keeps only the
+    counts ``step`` and ``batches`` (batches spent).
     """
 
     def __init__(
@@ -205,6 +210,7 @@ class Trainer:
         params: EncoderParams,
         seed: int,
         loader_stream: str = "loader",
+        trace: Callable[[dict], None] | None = None,
     ):
         if mode not in MODES:
             raise ConfigurationError(f"unknown curriculum mode {mode!r}")
@@ -224,9 +230,9 @@ class Trainer:
         self.buffer = GradBuffer.zeros_like(params)
         self.states = {name: TaskState() for name in task_data}
         self.alloc_rng = stream(seed, "allocation")
+        self.trace = trace
         self.step = 0
-        # Every step's record, in order: the run's scheduler trace.
-        self.reports: list[dict] = []
+        self.batches = 0
         if mode == ADAPTIVE:
             self.seed_initial_accuracies()
 
@@ -296,8 +302,8 @@ class Trainer:
 
         ``allocations`` (batches per task) overrides the mode's allocation;
         such a step reports mode ``blocked``. Returns the step's trace record,
-        which joins ``self.reports``; a task's unmeasured or unscored fields
-        are None."""
+        which also goes to the trace sink; a task's unmeasured or unscored
+        fields are None."""
         self.step += 1
         scoring = dict.fromkeys(self.task_names, _UNSCORED)
         if allocations is not None:
@@ -356,14 +362,15 @@ class Trainer:
             }
             start = stop
 
+        self.batches += len(batches)
         record = {"step": self.step, "mode": mode, "tasks": tasks}
-        self.reports.append(record)
+        if self.trace is not None:
+            self.trace(record)
         return record
 
     def run_epoch(self) -> None:
         """Balanced: step until every loader has exhausted at least once.
-        Adaptive: run the configured number of steps. The steps' records
-        join ``self.reports``."""
+        Adaptive: run the configured number of steps."""
         if self.mode == ADAPTIVE:
             if self.curriculum.steps_per_epoch is None:
                 raise ConfigurationError("adaptive mode requires steps_per_epoch")

@@ -17,13 +17,16 @@ matrix product is a batched matmul, one BLAS product per batch; the other
 arithmetic is row-wise; the triplet mining and its scatter stay inside each
 batch; and the backward pass adds each batch's gradient into the buffer on
 its own, in batch order. So a stacked call gives, bit for bit, what one call
-per batch would.
+per batch would. ``embed`` keeps no cache for a backward pass, and it runs
+``(N, d)`` rows in blocks of a fixed row count, so the single batch it
+matches bit for bit is the B = 1 stack ``x[None]``.
 """
 
 from __future__ import annotations
 
 import math
 import zipfile
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,16 +177,17 @@ def _as_stack(array: np.ndarray, trailing: int) -> np.ndarray:
     return array[None] if array.ndim == trailing else array
 
 
-def _forward(params: EncoderParams, inputs: np.ndarray) -> ForwardCache:
-    """Forward pass through every layer, then row-wise projection to the unit
-    sphere. Rows whose norm falls below NORM_FLOOR are nudged along the first
-    basis vector before normalizing."""
+def _checked_width(params: EncoderParams, inputs: np.ndarray) -> None:
     if inputs.ndim not in (2, 3) or inputs.shape[-1] != params.input_dim:
         raise ContractError(
             f"input width {inputs.shape[-1]} does not match ambient dim {params.input_dim}"
         )
-    h = _as_stack(np.asarray(inputs, dtype=np.float64), 2)
-    hiddens = [h]
+
+
+def _layers(params: EncoderParams, h: np.ndarray) -> Iterator[np.ndarray]:
+    """Each layer's output for the ``(B, n, fan_in)`` stack ``h``, in layer
+    order: the affine map, then tanh (in place) on every layer but the last.
+    Each is computed when the next is asked for."""
     n_layers = params.n_layers
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         # A batched matmul: each batch gets its own (n, fan_in) product, the
@@ -195,20 +199,69 @@ def _forward(params: EncoderParams, inputs: np.ndarray) -> ForwardCache:
         if not np.isfinite(z).all():
             raise NumericError("non-finite activations", layer=i)
         h = np.tanh(z, out=z) if i < n_layers - 1 else z
-        hiddens.append(h)
+        yield h
+
+
+def _unit_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the raw output stack ``h`` projected to the unit sphere,
+    and their norms. Rows whose norm falls below NORM_FLOOR are nudged along
+    the first basis vector (in a copy) before normalizing."""
     norms = _row_norms(h)
     low = norms < NORM_FLOOR
     if low.any():
         h = h.copy()
         h[low, 0] += NORM_FLOOR
         norms = _row_norms(h)
-    embeddings = (h / norms[:, :, None]).reshape(inputs.shape[:-1] + (params.output_dim,))
+    return h / norms[:, :, None], norms
+
+
+def _forward(params: EncoderParams, inputs: np.ndarray) -> ForwardCache:
+    """Forward pass through every layer, then row-wise projection to the unit
+    sphere, keeping what the backward pass reads."""
+    _checked_width(params, inputs)
+    h = _as_stack(np.asarray(inputs, dtype=np.float64), 2)
+    hiddens = [h, *_layers(params, h)]
+    embeddings, norms = _unit_rows(hiddens[-1])
+    embeddings = embeddings.reshape(inputs.shape[:-1] + (params.output_dim,))
     return ForwardCache(hiddens=hiddens, embeddings=embeddings, norms=norms)
 
 
+def _embed_stack(params: EncoderParams, h: np.ndarray) -> np.ndarray:
+    """The unit-norm embeddings of the ``(B, n, d)`` stack ``h``, by the
+    arithmetic of :func:`_forward`, holding one or two layers' outputs at a
+    time instead of a cache."""
+    for h in _layers(params, h):
+        pass  # each layer's output replaces the one before
+    return _unit_rows(h)[0]
+
+
+# Rows per block of a 2-D ``embed``. Every block's products have exactly
+# this many rows, the tail block zero-padded, so a row's embedding does not
+# depend on the rows embedded with it.
+EMBED_ROWS = 256
+
+
 def embed(params: EncoderParams, inputs: np.ndarray) -> np.ndarray:
-    """Forward pass followed by row-wise L2 normalization."""
-    return _forward(params, inputs).embeddings
+    """Forward pass followed by row-wise L2 normalization, keeping no
+    activations for a backward pass.
+
+    A ``(B, n, d)`` stack runs as it is, one product per batch, as the
+    training kernel runs it. ``(N, d)`` rows run in blocks of exactly
+    ``EMBED_ROWS`` rows, the last one zero-padded: each row's embedding has
+    the same bits alone, shuffled or among any other rows, and the memory
+    taken is the result and a few blocks, whatever N."""
+    _checked_width(params, inputs)
+    if inputs.ndim == 3:
+        return _embed_stack(params, np.asarray(inputs, dtype=np.float64))
+    n = inputs.shape[0]
+    out = np.empty((n, params.output_dim))
+    block = np.empty((1, EMBED_ROWS, params.input_dim))
+    for lo in range(0, n, EMBED_ROWS):
+        rows = min(EMBED_ROWS, n - lo)
+        block[0, :rows] = inputs[lo : lo + rows]
+        block[0, rows:] = 0.0
+        out[lo : lo + rows] = _embed_stack(params, block)[0, :rows]
+    return out
 
 
 def _pairwise_euclidean(embeddings: np.ndarray) -> np.ndarray:

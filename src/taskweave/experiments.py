@@ -1,8 +1,7 @@
 """Experiment orchestration: corpus builders, training runs,
 the forgetting comparison, and benchmark-table scoring. Each model is
-embedded once, a task at a time (:class:`TaskEmbeddings`) or all at once
-(:func:`embed_tasks`) for the geometry suite, and scored by
-:mod:`taskweave.scoring`.
+embedded once, a task at a time on lookup or all at once for the geometry
+suite (:func:`embed_tasks`), and scored by :mod:`taskweave.scoring`.
 """
 
 from __future__ import annotations
@@ -10,14 +9,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Mapping
 from functools import partial
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import SUMMARY, RunResult, listed_artifacts
+from .artifacts import SUMMARY, JsonLines, RunResult, listed_artifacts
 from .config import ExperimentConfig
 from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
 from .datagen import Corpus, CorpusSpec, TaskData, build_corpus
@@ -26,8 +25,9 @@ from .errors import ConfigurationError, ContractError, ValidationError
 from .forking import cpu_workers, forked_map
 from .metrics import EXPERT, HUMAN, ScoreTable
 from .scoring import (
+    OnLookup,
     TaskPairs,
-    centroid_tasks,
+    class_centroids,
     evaluate_row,
     geometry_headlines,
     rows_to_table,
@@ -44,13 +44,13 @@ def _layer_dims(config: ExperimentConfig) -> list[int]:
     return [config.ambient_dim, *config.encoder.hidden_dims, config.encoder.embedding_dim]
 
 
-def build_splits(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
-    """Train and eval corpora from one spec: shared class centroids, fresh
-    observation noise per split."""
+def build_splits(config: ExperimentConfig, splits=("train", "eval")) -> tuple[Corpus, ...]:
+    """The corpora of ``splits``, by default train and eval, from one spec:
+    shared class centroids, fresh observation noise per split. Each split is
+    a function of (spec, split) alone, so building one at a time gives the
+    same corpora."""
     spec = _corpus_spec(config)
-    train = build_corpus(spec, "train", config.batch.positives)
-    held_out = build_corpus(spec, "eval", config.batch.positives)
-    return train, held_out
+    return tuple(build_corpus(spec, split, config.batch.positives) for split in splits)
 
 
 def load_run(run_dir: str | Path, checkpoint: str | Path | None = None):
@@ -89,34 +89,27 @@ def init_encoder(config: ExperimentConfig) -> EncoderParams:
     return init_params(_layer_dims(config), stream(config.seed, "encoder-init"))
 
 
-def embed_tasks(params: EncoderParams, tasks: dict[str, TaskData]) -> dict[str, np.ndarray]:
+def embed_tasks(
+    params: EncoderParams, tasks: dict[str, TaskData], on_lookup: bool = False
+) -> Mapping[str, np.ndarray]:
     """Each task's embeddings under ``params``, by name: what the scores of
-    :mod:`taskweave.scoring` take."""
-    return {name: embed(params, data.features) for name, data in tasks.items()}
+    :mod:`taskweave.scoring` take. A dict embeds every task now; with
+    ``on_lookup``, a :class:`~taskweave.scoring.OnLookup` embeds a task
+    each time it is looked up and keeps nothing."""
+    embedded = OnLookup(lambda data: embed(params, data.features), tasks)
+    return embedded if on_lookup else dict(embedded)
 
 
-class TaskEmbeddings(Mapping):
-    """Each task's embeddings under ``params``, by name, computed on lookup
-    and never kept: :func:`~taskweave.scoring.evaluate_row` reads each task
-    once, so through this it holds one task's embeddings at a time."""
-
-    def __init__(self, params: EncoderParams, tasks: dict[str, TaskData]):
-        self.params = params
-        self.tasks = tasks
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return embed(self.params, self.tasks[name].features)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tasks)
-
-    def __len__(self) -> int:
-        return len(self.tasks)
+def train_centroids(params: EncoderParams, train_corpus: Corpus) -> dict:
+    """The "top<k>" tasks' unit-norm train-class centroids under ``params``
+    (:func:`~taskweave.scoring.class_centroids`): all of the train split
+    that scoring reads, each of its tasks embedded on lookup."""
+    return class_centroids(embed_tasks(params, train_corpus.tasks, on_lookup=True), train_corpus)
 
 
 def geometry_suite(
     eval_emb: dict[str, np.ndarray],
-    pair_plan: dict[str, TaskPairs],
+    pair_plan: Mapping[str, TaskPairs],
     config: ExperimentConfig,
     out: RunResult,
 ) -> dict:
@@ -133,7 +126,7 @@ def score_suites(
     out: RunResult,
     config: ExperimentConfig,
     suites: list[str],
-    centroid_data: dict[str, TaskData],
+    centroids: dict,
     eval_corpus: Corpus,
     params: EncoderParams,
 ) -> list[str]:
@@ -141,20 +134,19 @@ def score_suites(
     ``tables/metrics.csv`` and ``geometry/``, their results in
     ``out.results``. Returns the score table's floored cells.
 
-    It holds the parameters, the eval split and ``centroid_data``, the
-    train tasks of :func:`~taskweave.scoring.centroid_tasks`: all the train
-    data the scores read. Each eval task is embedded once. The geometry
-    suite reads all tasks together, so with it every task is embedded up
-    front and kept for both suites. The scores alone embed each task when
-    they score it, so one task's embeddings, with its probe, gallery and
-    pair copies, are alive at a time."""
-    pair_plan = verification_pair_plan(eval_corpus, config)
-    tasks = eval_corpus.tasks
-    eval_emb = embed_tasks(params, tasks) if "geometry" in suites else TaskEmbeddings(params, tasks)
+    It holds the parameters, the eval split and ``centroids``, the
+    :func:`train_centroids` of the same parameters: no train data. Each
+    eval task is embedded once. The geometry suite reads all tasks
+    together, so with it every task is embedded, and the pair plan drawn,
+    up front and kept for both suites. The scores alone embed each task and
+    draw its pairs when they score it, so one task's embeddings and pairs,
+    with its probe, gallery and pair-score copies, are alive at a time."""
+    on_lookup = "geometry" not in suites
+    pair_plan = verification_pair_plan(eval_corpus, config, on_lookup=on_lookup)
+    eval_emb = embed_tasks(params, eval_corpus.tasks, on_lookup=on_lookup)
     floored: list[str] = []
     if "scores" in suites:
-        train_emb = TaskEmbeddings(params, centroid_data)
-        row = evaluate_row(eval_emb, train_emb, eval_corpus, centroid_data, pair_plan, config)
+        row = evaluate_row(eval_emb, eval_corpus, centroids, pair_plan, config)
         table, floored = rows_to_table({f"encoder+{config.curriculum.mode}": row})
         table.to_csv(out, "tables/metrics.csv")
         out.results["scores"] = row
@@ -180,26 +172,23 @@ def overridden(
     return config
 
 
-def _train(
-    config: ExperimentConfig, out: RunResult
-) -> tuple[EncoderParams, int, dict[str, TaskData], Corpus]:
-    """Build and save both splits, train the encoder by the configured
-    curriculum, and write its trace and final checkpoint. Returns what
-    scoring reads: the parameters, the step count, the train tasks of
-    :func:`~taskweave.scoring.centroid_tasks` and the eval corpus. The
-    trainer and the other train tasks die with this frame."""
-    train_corpus, eval_corpus = build_splits(config)
+def _train(config: ExperimentConfig, out: RunResult) -> tuple[EncoderParams, int, dict]:
+    """Build and save the train split, train the encoder by the configured
+    curriculum with its trace streamed to ``traces/scheduler.jsonl``, and
+    write the final checkpoint. Returns what scoring reads of training: the
+    parameters, the step count and the :func:`train_centroids`. The
+    trainer and the train split die with this frame."""
+    (train_corpus,) = build_splits(config, ["train"])
     train_corpus.save(out, "corpus")
-    eval_corpus.save(out, "corpus_eval")
-
     params = init_encoder(config)
-    mode = config.curriculum.mode
-    trainer = Trainer(config, mode, train_corpus.tasks, params, derive_seed(config.seed, "train"))
-    for _ in range(config.training.epochs):
-        trainer.run_epoch()
-    out.lines("traces/scheduler.jsonl", trainer.reports)
+    seed = derive_seed(config.seed, "train")
+    with out.stream("traces/scheduler.jsonl") as trace:
+        mode = config.curriculum.mode
+        trainer = Trainer(config, mode, train_corpus.tasks, params, seed, trace=trace)
+        for _ in range(config.training.epochs):
+            trainer.run_epoch()
     save_checkpoint(params, out, "checkpoints/encoder_final.npz")
-    return params, len(trainer.reports), centroid_tasks(train_corpus), eval_corpus
+    return params, trainer.step, train_centroids(params, train_corpus)
 
 
 def run(
@@ -215,31 +204,42 @@ def run(
     ``config.json`` records the config with the ``seed`` and ``output_dir``
     overrides applied, so running it again rewrites the same tree.
 
-    Two phases run in turn, each holding only what it reads. Training
-    (:func:`_train`) holds both splits, the trainer and the parameters.
-    Scoring (:func:`score_suites`) then holds the parameters, the eval
-    split, the train task behind the "top<k>" centroids, and one eval
-    task's embeddings at a time, or every task's with the geometry suite.
+    The phases run in turn, each holding only what it reads. Training
+    (:func:`_train`) holds the train split, the trainer and the parameters;
+    its trace goes to disk a step at a time. It ends with the "top<k>"
+    train-class centroids, and the train split is dropped. The eval split
+    is built and saved next, and scoring (:func:`score_suites`) holds it,
+    the parameters, the centroids and one eval task's embeddings and pairs
+    at a time, or every task's with the geometry suite.
     """
     config = overridden(config, seed, output_dir)
     out = RunResult(config.output_dir)
     out.start()
     out.json("config.json", config.to_dict())
 
-    params, steps, centroid_data, eval_corpus = _train(config, out)
+    params, steps, centroids = _train(config, out)
+    (eval_corpus,) = build_splits(config, ["eval"])
+    eval_corpus.save(out, "corpus_eval")
     suites, mode = config.evaluation.suites, config.curriculum.mode
-    floored = score_suites(out, config, suites, centroid_data, eval_corpus, params)
+    floored = score_suites(out, config, suites, centroids, eval_corpus, params)
     out.finish(config.seed, out.results, mode=mode, steps=steps, floored_cells=floored)
     return out
 
 
-def pretrain_encoder(config: ExperimentConfig, params: EncoderParams, data: TaskData) -> Trainer:
+def pretrain_encoder(
+    config: ExperimentConfig,
+    params: EncoderParams,
+    data: TaskData,
+    trace: Callable[[dict], None] | None = None,
+) -> Trainer:
     """Single-task fit producing the shared starting point for the forgetting
     comparison: ``config.forgetting.pretrain_steps`` blocked steps of
-    ``pretrain_batches_per_step`` batches each, training ``params`` in place."""
+    ``pretrain_batches_per_step`` batches each, training ``params`` in place.
+    ``trace`` takes each step's record."""
     fg = config.forgetting
     seed = derive_seed(config.seed, "pretrain")
-    trainer = Trainer(config, BALANCED, {data.name: data}, params, seed, "pretrain-loader")
+    tasks = {data.name: data}
+    trainer = Trainer(config, BALANCED, tasks, params, seed, "pretrain-loader", trace)
     total = fg.pretrain_steps * fg.pretrain_batches_per_step
     for allocation in blocked_schedule([data.name], total, fg.pretrain_batches_per_step):
         trainer.train_step(allocation)
@@ -251,13 +251,14 @@ def sequential_finetune(
     params: EncoderParams,
     task_data: dict[str, TaskData],
     total_batches: int,
+    trace: Callable[[dict], None] | None = None,
 ) -> Trainer:
     """Blocked baseline: tasks one after another, ``total_batches`` in steps
     of as many batches as an interleaved step takes, with the same optimizer
     settings as the interleaved runs; only the curriculum differs. Trains
-    ``params`` in place."""
+    ``params`` in place; ``trace`` takes each step's record."""
     seed = derive_seed(config.seed, "finetune-sequential")
-    trainer = Trainer(config, BALANCED, task_data, params, seed, "seq-loader")
+    trainer = Trainer(config, BALANCED, task_data, params, seed, "seq-loader", trace)
     group = len(config.tasks) * config.curriculum.batches_per_task
     for allocation in blocked_schedule(list(task_data), total_batches, group):
         trainer.train_step(allocation)
@@ -299,35 +300,36 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     train_corpus, eval_corpus = build_splits(config)
     pair_plan = verification_pair_plan(eval_corpus, config)
     params = init_encoder(config)
-    trainer = pretrain_encoder(config, params, train_corpus.tasks[fg.pretrain_task])
-    out.lines("traces/pretrain.jsonl", trainer.reports)
+    with out.stream("traces/pretrain.jsonl") as trace:
+        pretrain_encoder(config, params, train_corpus.tasks[fg.pretrain_task], trace)
     save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
     def finetune_trainer(mode: str) -> Trainer:
-        # Every fine-tune starts from a copy of the pretrained parameters.
+        # Every fine-tune starts from a copy of the pretrained parameters,
+        # and encodes its trace where it trains.
         seed = derive_seed(config.seed, f"finetune-{mode}")
-        return Trainer(config, mode, train_corpus.tasks, params.copy(), seed)
+        trace = JsonLines(f"traces/finetune_{mode}.jsonl")
+        return Trainer(config, mode, train_corpus.tasks, params.copy(), seed, trace=trace)
 
     # Built before the fork: the sequential item asks it for the total it
     # will spend, and the balanced item trains it.
     balanced = finetune_trainer(BALANCED)
 
-    centroid_data = centroid_tasks(train_corpus)
-
     def score(model: EncoderParams) -> dict[str, float]:
-        eval_emb = TaskEmbeddings(model, eval_corpus.tasks)
-        train_emb = TaskEmbeddings(model, centroid_data)
-        return evaluate_row(eval_emb, train_emb, eval_corpus, centroid_data, pair_plan, config)
+        eval_emb = embed_tasks(model, eval_corpus.tasks, on_lookup=True)
+        centroids = train_centroids(model, train_corpus)
+        return evaluate_row(eval_emb, eval_corpus, centroids, pair_plan, config)
 
     def sequential() -> dict:
         # The blocked baseline spends the balanced run's batch total on the
         # fine-tune tasks alone, planned before either runs.
         batches = balanced.planned_batches(fg.finetune_epochs)
         tasks = {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task}
-        blocked = sequential_finetune(config, params.copy(), tasks, batches)
+        trace = JsonLines(f"traces/finetune_{SEQUENTIAL}.jsonl")
+        blocked = sequential_finetune(config, params.copy(), tasks, batches, trace)
         return {
             "batches": batches,
-            "trace": blocked.reports,
+            "trace": trace.text(),
             "rows": {PRETRAINED: score(params), SEQUENTIAL: score(blocked.params)},
         }
 
@@ -335,8 +337,8 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
         for _ in range(fg.finetune_epochs):
             trainer.run_epoch()
         return {
-            "batches": sum(t["allocation"] for r in trainer.reports for t in r["tasks"].values()),
-            "trace": trainer.reports,
+            "batches": trainer.batches,
+            "trace": trainer.trace.text(),
             "rows": {row_name: score(trainer.params)},
         }
 
@@ -344,8 +346,9 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     # this process; the interleaved ones run in a forked child each when a
     # second CPU is free, since three near-equal items time-share two CPUs
     # better than two processes that run two of them back to back. Only
-    # rows and trace records come back, and every file is written here in
-    # one order, so the tree is the same on any number of CPUs.
+    # rows, batch counts and trace text come back, and every file is
+    # written here in one order, so the tree is the same on any number of
+    # CPUs.
     items = [
         sequential,
         partial(interleaved, balanced, INTERLEAVED_BALANCED),
@@ -364,7 +367,7 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     batches = dict(zip(order, (r["batches"] for r in results)))
     rows = {name: row for r in results for name, row in r["rows"].items()}
     for mode in (BALANCED, ADAPTIVE, SEQUENTIAL):
-        out.lines(f"traces/finetune_{mode}.jsonl", traces[mode])
+        out.write(f"traces/finetune_{mode}.jsonl", traces[mode].encode())
 
     top1_col = f"{fg.pretrain_task}:top1"
     baseline_acc = rows.pop(PRETRAINED)[top1_col]

@@ -132,9 +132,11 @@ def rank_k(
     one probe's row, so the probes are scored in blocks of about ``_BLOCK``
     similarities and memory stays O(_BLOCK + N + G). Gallery ids in
     non-decreasing order (the callers' class-grouped galleries) form column
-    runs, and s* is one ``maximum.reduceat`` per block; any other order
-    takes a masked maximum. Non-finite similarities, ids that do not align
-    with the embedding rows and an empty probe set raise ContractError.
+    runs, and s* is the maximum of the probe's own run, gathered for the
+    block's probes alone; any other order takes a masked maximum over the
+    whole row. Both take the maximum of the same entries, so s* is the same.
+    Non-finite similarities, ids that do not align with the embedding rows
+    and an empty probe set raise ContractError.
     """
     probe_emb, gallery_emb = _embedding_pair(probe_emb, gallery_emb)
     probe_ids = np.asarray(probe_ids)
@@ -151,18 +153,23 @@ def rank_k(
         raise ContractError(f"probe ids absent from gallery: {missing[:5]}")
     n, g = probe_ids.size, gallery_ids.size
     gallery_index = np.arange(g)
-    runs = None
-    if (gallery_ids[1:] >= gallery_ids[:-1]).all():
-        runs = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
-        run_of_probe = np.searchsorted(gallery_ids[runs], probe_ids)
+    sorted_runs = bool((gallery_ids[1:] >= gallery_ids[:-1]).all())
+    if sorted_runs:
+        # Each probe's run of same-id columns: its first column and length.
+        starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
+        run = np.searchsorted(gallery_ids[starts], probe_ids)
+        run_start, run_length = starts[run], np.diff(np.r_[starts, g])[run]
     ahead = np.empty(n, dtype=np.intp)
     for lo, hi in row_blocks(n, g):
         sims = pairwise_cosine(probe_emb[lo:hi], gallery_emb)
         _require_finite(sims)
         ids = probe_ids[lo:hi]
-        if runs is not None:
-            run_best = np.maximum.reduceat(sims, runs, axis=1)
-            best = run_best[np.arange(hi - lo), run_of_probe[lo:hi]][:, None]
+        if sorted_runs:
+            offsets = np.arange(run_length[lo:hi].max())
+            inside = offsets < run_length[lo:hi, None]
+            columns = np.minimum(run_start[lo:hi, None] + offsets, g - 1)
+            gathered = np.take_along_axis(sims, columns, axis=1)
+            best = np.where(inside, gathered, -np.inf).max(axis=1, keepdims=True)
         else:
             same_id = ids[:, None] == gallery_ids[None, :]
             best = np.where(same_id, sims, -np.inf).max(axis=1, keepdims=True)
@@ -173,6 +180,7 @@ def rank_k(
             first_best = (level & (ids[tied, None] == gallery_ids[None, :])).argmax(axis=1)
             earlier = gallery_index[None, :] < first_best[:, None]
             ahead[lo + tied] += np.count_nonzero(level & earlier, axis=1)
+        del sims  # so that one block of similarities is alive at a time
     rates = tuple(int(np.count_nonzero(ahead < each)) / n for each in ks)
     return rates if isinstance(k, Sequence) else rates[0]
 

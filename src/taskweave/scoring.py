@@ -2,13 +2,14 @@
 and table, and the geometry headlines. Each takes embeddings (task name to
 rows aligned with the task's corpus rows), never encoder parameters, and
 writes no file, so any encoder, or none, is scored by the same code. The
-score row reads each task's embeddings once and scores one task at a time,
-its pair scores in row blocks, so a mapping that embeds on lookup keeps
-scoring memory to one task's working set."""
+score row reads each task's embeddings and pairs once and scores one task at
+a time, its pair scores in row blocks, so mappings that compute a task's
+value on lookup (:class:`OnLookup`) keep scoring memory to one task's
+working set."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +97,42 @@ class TaskPairs:
     impostor: np.ndarray
 
 
+class OnLookup(Mapping):
+    """``compute(data)`` for each of ``tasks``, by name, computed when it is
+    looked up and never kept: :func:`evaluate_row` reads each task once, so
+    through this it holds one task's value at a time."""
+
+    def __init__(self, compute: Callable[[TaskData], object], tasks: dict[str, TaskData]):
+        self.compute = compute
+        self.tasks = tasks
+
+    def __getitem__(self, name: str):
+        return self.compute(self.tasks[name])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.tasks)
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+
 def verification_pair_plan(
-    eval_corpus: Corpus, config: ExperimentConfig
-) -> dict[str, TaskPairs]:
+    eval_corpus: Corpus, config: ExperimentConfig, on_lookup: bool = False
+) -> Mapping[str, TaskPairs]:
     """Fixed per-task verification pairs, shared by every model under one
     master seed so scores stay comparable. Each task draws from its own
     ``stream(seed, "pairs", task)``, so the pairs do not depend on the
-    order of the tasks."""
+    order of the tasks, nor on when they are drawn: a dict drawn up front,
+    or with ``on_lookup`` an :class:`OnLookup` that draws a task's pairs
+    each time it is looked up, the same pairs every time."""
     n_pairs = config.evaluation.verification_pairs
-    return {
-        name: TaskPairs(*_sample_pairs(data.labels, n_pairs, stream(config.seed, "pairs", name)))
-        for name, data in eval_corpus.tasks.items()
-    }
+
+    def draw(data: TaskData) -> TaskPairs:
+        rng = stream(config.seed, "pairs", data.name)
+        return TaskPairs(*_sample_pairs(data.labels, n_pairs, rng))
+
+    plan = OnLookup(draw, eval_corpus.tasks)
+    return plan if on_lookup else dict(plan)
 
 
 # Each regime's metrics in column order. "top<k>" ranks every eval sample
@@ -123,17 +148,22 @@ REGIME_METRICS = {
 RETRIEVAL_K = {"top1": 1, "top5": 5, "rank1": 1, "rank5": 5}
 
 
-def centroid_tasks(train_corpus: Corpus) -> dict[str, TaskData]:
-    """The train tasks whose class centroids "top<k>" ranks against."""
-    return {n: d for n, d in train_corpus.tasks.items() if REGIME_METRICS[d.regime][0] == "top1"}
-
-
-def _class_centroids(emb: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm mean embedding of each class, and the classes."""
-    classes = np.unique(labels)
-    centroids = np.stack([emb[labels == c].mean(axis=0) for c in classes])
-    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
-    return centroids, classes
+def class_centroids(
+    train_emb: Mapping[str, np.ndarray], train_corpus: Corpus
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The gallery each "top<k>" task ranks against: the unit-norm mean
+    embedding of each of its train classes, and the classes, by task name.
+    ``train_emb`` embeds the train tasks; only the "top<k>" ones are read,
+    each once."""
+    centroids = {}
+    for name, data in train_corpus.tasks.items():
+        if REGIME_METRICS[data.regime][0] == "top1":
+            emb, labels = train_emb[name], data.labels
+            classes = np.unique(labels)
+            means = np.stack([emb[labels == c].mean(axis=0) for c in classes])
+            means /= np.linalg.norm(means, axis=1, keepdims=True)
+            centroids[name] = (means, classes)
+    return centroids
 
 
 def task_scores(
@@ -148,7 +178,7 @@ def task_scores(
     ``emb`` embeds the task's rows and ``pairs`` are its verification
     pairs. ``centroids`` (unit-norm train-class centroids and their classes)
     is the gallery a "top<k>" task ranks against. The probe and gallery
-    copies made here die with the call."""
+    copies made here die before the pair scores gather their rows."""
     name, labels = data.name, data.labels
     metrics = REGIME_METRICS[data.regime]
     row: dict[str, float] = {}
@@ -164,6 +194,7 @@ def task_scores(
             probes = (emb[probe], labels[probe])
         ks = [RETRIEVAL_K[m] for m in retrieval]
         hits.update(zip(retrieval, rank_k(*probes, *gallery, ks)))
+        del probes, gallery
     if len(retrieval) < len(metrics):
         genuine = _pair_scores(emb, pairs.genuine)
         impostor = _pair_scores(emb, pairs.impostor)
@@ -186,25 +217,23 @@ def task_scores(
 
 def evaluate_row(
     eval_emb: Mapping[str, np.ndarray],
-    train_emb: Mapping[str, np.ndarray],
     eval_corpus: Corpus,
-    centroid_data: dict[str, TaskData],
-    pair_plan: dict[str, TaskPairs],
+    centroids: dict[str, tuple[np.ndarray, np.ndarray]],
+    pair_plan: Mapping[str, TaskPairs],
     config: ExperimentConfig,
 ) -> dict[str, float]:
     """All configured metrics of one embedding space, keyed by 'task:metric'.
 
-    ``eval_emb`` embeds every eval task and ``train_emb`` the train tasks of
-    :func:`centroid_tasks`, ``centroid_data``; the tasks give their labels
-    and regimes. The eval tasks are scored one at a time by
-    :func:`task_scores`, each mapping read once per task, so a mapping that
-    embeds on lookup holds one task's embeddings at a time."""
+    ``eval_emb`` embeds every eval task, whose labels and regimes the eval
+    corpus gives; ``centroids`` are the same space's
+    :func:`class_centroids`. The eval tasks are scored one at a time by
+    :func:`task_scores`, ``eval_emb`` and ``pair_plan`` each read once per
+    task, so mappings that compute on lookup hold one task's embeddings and
+    pairs at a time."""
     row: dict[str, float] = {}
     for name, data in eval_corpus.tasks.items():
-        centroids = None
-        if name in centroid_data:
-            centroids = _class_centroids(train_emb[name], centroid_data[name].labels)
-        row.update(task_scores(data, eval_emb[name], pair_plan[name], config, centroids))
+        gallery = centroids.get(name)
+        row.update(task_scores(data, eval_emb[name], pair_plan[name], config, gallery))
     return row
 
 

@@ -1,5 +1,6 @@
 """Scheduler formulas, two-stage normalization, and trainer behavior."""
 
+import gc
 import hashlib
 import json
 import pickle
@@ -239,7 +240,7 @@ def small_task_data(sizes=(80, 80, 80, 80), seed=5):
     return build_corpus(spec, positives_per_id=2).tasks
 
 
-def small_trainer(mode, sizes=(80, 80, 80, 80), seed=5, **sched):
+def small_trainer(mode, sizes=(80, 80, 80, 80), seed=5, trace=None, **sched):
     data = small_task_data(sizes, seed)
     params = init_params([8, 12, 6], stream(seed, "init"))
     defaults = dict(
@@ -249,7 +250,7 @@ def small_trainer(mode, sizes=(80, 80, 80, 80), seed=5, **sched):
     )
     defaults.update(sched)
     config = trainer_config(CurriculumConfig(**defaults), learning_rate=1e-3)
-    return Trainer(config, mode, data, params, seed)
+    return Trainer(config, mode, data, params, seed, trace=trace)
 
 
 def param_hash(params):
@@ -276,17 +277,18 @@ class TestTrainerBalanced:
         assert param_hash(trainer.params) != before
 
     def test_epoch_ends_when_all_exhausted(self):
-        trainer = small_trainer(BALANCED)
+        records = []
+        trainer = small_trainer(BALANCED, trace=records.append)
         trainer.run_epoch()
         # 80 samples per task at P*K = 40 means two steps exhaust everything.
-        assert len(trainer.reports) == 2
-        final = trainer.reports[-1]
+        assert len(records) == trainer.step == 2
+        final = records[-1]
         assert all(task["exhausted"] for task in final["tasks"].values())
 
     def test_uneven_sizes_refresh_smaller_task(self):
         trainer = small_trainer(BALANCED, sizes=(80, 160))
         trainer.run_epoch()
-        assert len(trainer.reports) == 4
+        assert trainer.step == 4
         assert trainer.loaders["t0"].refreshes >= 1
 
     def test_allocations_identical_every_step(self):
@@ -301,17 +303,38 @@ class TestTrainerBalanced:
         assert all(len(s.metric_log) == 1 for s in trainer.states.values())
 
 
-    def test_trainer_keeps_every_step_report(self):
-        trainer = small_trainer(BALANCED)
+    def test_trace_takes_every_step_record(self):
+        records = []
+        trainer = small_trainer(BALANCED, trace=records.append)
         trainer.run_epoch()
-        first = list(trainer.reports)
+        first = list(records)
         extra = trainer.train_step({"t0": 2})
         trainer.run_epoch()
         assert len(first) == 2
-        assert trainer.reports[:3] == first + [extra]
-        assert len(trainer.reports) > 3
-        assert [r["step"] for r in trainer.reports] == list(range(1, len(trainer.reports) + 1))
+        assert records[:3] == first + [extra]
+        assert len(records) == trainer.step > 3
+        assert [r["step"] for r in records] == list(range(1, len(records) + 1))
+        assert trainer.batches == sum(batches_spent(r) for r in records)
         assert extra["mode"] == "blocked"
+
+    @pytest.mark.parametrize("mode", [BALANCED, ADAPTIVE])
+    def test_trainer_keeps_no_records(self, mode):
+        # The records go to the sink as JSON text; once the steps are over,
+        # no step record may be alive anywhere, the trainer included.
+        lines = []
+        trainer = small_trainer(
+            mode, total_batches=4, steps_per_epoch=6, trace=lambda r: lines.append(json.dumps(r))
+        )
+        trainer.run_epoch()
+        trainer.train_step({"t0": 1})
+        gc.collect()
+        record_keys = {"step", "mode", "tasks"}
+        alive = [o for o in gc.get_objects() if isinstance(o, dict) and set(o) == record_keys]
+        assert alive == []
+        assert len(lines) == trainer.step > 1
+        assert trainer.batches == sum(
+            t["allocation"] for line in lines for t in json.loads(line)["tasks"].values()
+        )
 
 
 class TestTrainerAdaptive:
@@ -329,7 +352,7 @@ class TestTrainerAdaptive:
     def test_step_budget_epoch(self):
         trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=10)
         trainer.run_epoch()
-        assert len(trainer.reports) == 10
+        assert trainer.step == 10
 
     def test_missing_step_budget_rejected(self):
         trainer = small_trainer(ADAPTIVE, total_batches=4)
@@ -489,13 +512,13 @@ class TestStepRecord:
     )
     def test_the_step_returns_its_trace_line(self, tmp_path, mode, allocation):
         kwargs = dict(total_batches=4, steps_per_epoch=3) if mode == ADAPTIVE else {}
-        trainer = small_trainer(mode, **kwargs)
-        records = [trainer.train_step(allocation) for _ in range(3)]
-        assert records == trainer.reports
+        out = RunResult(tmp_path)
+        with out.stream("trace.jsonl") as trace:
+            trainer = small_trainer(mode, trace=trace, **kwargs)
+            records = [trainer.train_step(allocation) for _ in range(3)]
         assert [r["mode"] for r in records] == [BLOCKED if allocation else mode] * 3
         scored = [task["probability"] is not None for task in records[0]["tasks"].values()]
         assert all(scored) if mode == ADAPTIVE and not allocation else not any(scored)
-        RunResult(tmp_path).lines("trace.jsonl", records)
         lines = (tmp_path / "trace.jsonl").read_text().splitlines()
         assert typed([json.loads(line) for line in lines]) == typed(records)
         # The forked fine-tunes send their records back pickled.

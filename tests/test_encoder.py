@@ -5,6 +5,8 @@ case is enumerated from chord lengths on the unit circle; the Adam scalar
 case is evaluated by explicit arithmetic on the update recurrence.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from taskweave.artifacts import RunResult
 from taskweave.encoder import (
+    EMBED_ROWS,
     EncoderParams,
     GradBuffer,
     OptimState,
@@ -87,6 +90,8 @@ class TestEmbed:
         out = embed(params, doubled)
         np.testing.assert_array_equal(out[:4], out[4:])
 
+    # The zero rows that pad the block meet the infinite weight as 0 * inf.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_nonfinite_activation_names_layer(self):
         params = init_params([4, 5, 3], np.random.default_rng(2))
         params.weights[1][0, 0] = np.inf
@@ -98,6 +103,63 @@ class TestEmbed:
         params = init_params([4, 3], np.random.default_rng(3))
         with pytest.raises(ContractError, match="ambient"):
             embed(params, np.ones((2, 5)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_rows_bits_do_not_depend_on_the_other_rows(self, data):
+        # Any layer widths of 1 to 128, and row counts on both sides of the
+        # block size: a row embeds to the same bits alone, shuffled, and
+        # among any other rows, in C or Fortran order.
+        dims = data.draw(st.lists(st.integers(1, 128), min_size=2, max_size=4), label="dims")
+        rows = st.one_of(
+            st.integers(1, 9),
+            st.sampled_from([EMBED_ROWS - 1, EMBED_ROWS, EMBED_ROWS + 1, 2 * EMBED_ROWS + 1]),
+            st.integers(1, 3 * EMBED_ROWS),
+        )
+        n, m = data.draw(rows, label="n"), data.draw(rows, label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = init_params(dims, rng)
+        x = rng.standard_normal((n, dims[0]))
+        if data.draw(st.booleans(), label="fortran"):
+            x = np.asfortranarray(x)
+        full = embed(params, x)
+        assert full.shape == (n, dims[-1])
+        order = rng.permutation(n)
+        assert embed(params, x[order]).tobytes() == full[order].tobytes()
+        i = data.draw(st.integers(0, n - 1), label="row")
+        assert embed(params, x[i : i + 1]).tobytes() == full[i : i + 1].tobytes()
+        others = rng.standard_normal((m, dims[0]))
+        j = data.draw(st.integers(0, m), label="position")
+        among = embed(params, np.insert(others, j, x[i], axis=0))
+        assert among[j].tobytes() == full[i].tobytes()
+
+    def test_memory_is_the_result_and_a_few_blocks(self):
+        # A scale-scores eval task: 3,200 rows at widths 24 -> 48 -> 24. A
+        # forward pass that kept every layer for a backward pass would take
+        # more than three times the result.
+        rng = np.random.default_rng(4)
+        params = init_params([24, 48, 24], rng)
+        x = np.asfortranarray(rng.standard_normal((3200, 24)))
+        embed(params, x)
+        tracemalloc.start()
+        try:
+            out = embed(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = EMBED_ROWS * 48 * 8
+        assert peak <= out.nbytes + 4 * block
+
+    def test_a_stack_keeps_its_batches(self):
+        # A (B, n, d) stack runs as B products of n rows, as training runs
+        # it; no padding is added.
+        rng = np.random.default_rng(5)
+        params = init_params([6, 9, 4], rng)
+        stack = rng.standard_normal((3, 10, 6))
+        out = embed(params, stack)
+        assert out.shape == (3, 10, 4)
+        for b in range(3):
+            assert out[b].tobytes() == _forward(params, stack[b]).embeddings.tobytes()
 
 
 class TestBatchHardTriplet:

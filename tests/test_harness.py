@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import weakref
@@ -32,6 +33,7 @@ from taskweave.experiments import (
     run_forgetting_comparison,
     score_paper_table,
     score_suites,
+    train_centroids,
 )
 from taskweave.metrics import ScoreTable
 from taskweave.scoring import (
@@ -39,7 +41,7 @@ from taskweave.scoring import (
     _cosine_auc_eval,
     _probe_gallery_split,
     _sample_pairs,
-    centroid_tasks,
+    class_centroids,
     evaluate_row,
     geometry_headlines,
     rows_to_table,
@@ -53,13 +55,13 @@ REQUIRED_TASK_FIELDS = ["name", "regime", "classes", "samples_per_class", "withi
 
 
 def score_params(params, train_corpus, eval_corpus, config, plan=None) -> dict[str, float]:
-    """The score row of ``params``: the eval tasks and the centroid train
-    tasks embedded, then scored under ``plan`` (by default the config's)."""
+    """The score row of ``params``: the eval tasks embedded and scored,
+    against the train-class centroids, under ``plan`` (by default the
+    config's)."""
     plan = plan or verification_pair_plan(eval_corpus, config)
     eval_emb = embed_tasks(params, eval_corpus.tasks)
-    centroid_data = centroid_tasks(train_corpus)
-    train_emb = embed_tasks(params, centroid_data)
-    return evaluate_row(eval_emb, train_emb, eval_corpus, centroid_data, plan, config)
+    centroids = train_centroids(params, train_corpus)
+    return evaluate_row(eval_emb, eval_corpus, centroids, plan, config)
 
 
 def tiny_config(output_dir, seed=13) -> ExperimentConfig:
@@ -477,6 +479,64 @@ class TestRun:
         assert alive_at_embed == [0] * 5
         assert all(ref() is None for ref in embeddings)
 
+    @pytest.mark.parametrize("suites", [["scores"], ["scores", "geometry"]])
+    def test_each_split_is_alive_only_in_its_phase(self, tmp_path, monkeypatch, suites):
+        # Weak references to every array of each split that run() builds:
+        # no eval array is alive while the trainer is built, and no train
+        # array when scoring starts (the centroids are all it keeps).
+        arrays = {"train": [], "eval": []}
+
+        def tracked_build_splits(*args):
+            corpora = build_splits(*args)
+            for corpus in corpora:
+                for data in corpus.tasks.values():
+                    arrays[corpus.split].extend(map(weakref.ref, (data.features, data.labels)))
+            return corpora
+
+        def alive(split):
+            return [ref for ref in arrays[split] if ref() is not None]
+
+        def checked_trainer(*args, **kwargs):
+            assert len(arrays["train"]) == 8 and alive("eval") == []
+            return Trainer(*args, **kwargs)
+
+        def checked_score_suites(*args):
+            assert len(arrays["eval"]) == 8 and alive("train") == []
+            return score_suites(*args)
+
+        monkeypatch.setattr(experiments, "build_splits", tracked_build_splits)
+        monkeypatch.setattr(experiments, "Trainer", checked_trainer)
+        monkeypatch.setattr(experiments, "score_suites", checked_score_suites)
+        config = tiny_config(tmp_path / "out")
+        config.evaluation.suites = suites
+        run(config)
+        assert (tmp_path / "out" / "summary.json").is_file()
+
+    def test_scores_draw_each_tasks_pairs_when_they_score_it(self, tmp_path, monkeypatch):
+        # Without the geometry suite, one task's pairs are alive at a time,
+        # and they are the pairs the plan drawn up front holds.
+        drawn, alive_at_draw = [], []
+        sample_pairs = scoring._sample_pairs
+
+        def tracked(*args):
+            alive_at_draw.append(sum(ref() is not None for ref in drawn))
+            pairs = sample_pairs(*args)
+            drawn.extend(map(weakref.ref, pairs))
+            return pairs
+
+        monkeypatch.setattr(scoring, "_sample_pairs", tracked)
+        config = tiny_config(tmp_path / "out")
+        config.evaluation.suites = ["scores"]
+        run(config)
+        assert alive_at_draw == [0, 0, 0, 0]
+        _, eval_corpus = build_splits(config)
+        lazy = verification_pair_plan(eval_corpus, config, on_lookup=True)
+        plan = verification_pair_plan(eval_corpus, config)
+        assert list(lazy) == list(plan)
+        for name, pairs in plan.items():
+            assert lazy[name].genuine.tobytes() == pairs.genuine.tobytes()
+            assert lazy[name].impostor.tobytes() == pairs.impostor.tobytes()
+
     def test_seed_override_leaves_config_unchanged(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         config.evaluation.suites = ["scores"]
@@ -532,21 +592,45 @@ class TestArtifactWriter:
 
     def test_jsonl_nan_raises_numeric_error(self, tmp_path):
         out = RunResult(tmp_path)
-        with pytest.raises(NumericError, match="t.jsonl"):
-            out.lines("t.jsonl", [{"loss": 1.0}, {"loss": float("inf")}])
+        with pytest.raises(NumericError, match="t.jsonl"), out.stream("t.jsonl") as trace:
+            trace({"loss": 1.0})
+            trace({"loss": float("inf")})
         assert files_under(tmp_path) == set()
+        assert out.artifacts == []
 
     def test_formats(self, tmp_path):
         out = RunResult(tmp_path)
         out.json("a.json", {"b": 1, "a": 0.1})
-        out.lines("empty.jsonl", [])
-        out.lines("two.jsonl", [{"y": 1, "x": 2}, {}])
+        with out.stream("empty.jsonl"):
+            pass
+        with out.stream("two.jsonl") as trace:
+            trace({"y": 1, "x": 2})
+            trace({})
         out.rows("t.csv", ["name", "k", "v"], [["p", 3, np.float64(0.1)], ["q", 4, np.nan]])
         assert (tmp_path / "a.json").read_bytes() == b'{\n  "a": 0.1,\n  "b": 1\n}\n'
         assert (tmp_path / "empty.jsonl").read_bytes() == b""
         assert (tmp_path / "two.jsonl").read_bytes() == b'{"x": 2, "y": 1}\n{}\n'
         assert (tmp_path / "t.csv").read_bytes() == b"name,k,v\np,3,0.1\nq,4,\n"
         assert out.artifacts == ["a.json", "empty.jsonl", "two.jsonl", "t.csv"]
+
+    def test_a_stream_is_whole_or_absent(self, tmp_path):
+        (tmp_path / "t").mkdir()
+        (tmp_path / "t" / "a.jsonl").write_bytes(b"old contents")
+        out = RunResult(tmp_path)
+        with out.stream("t/a.jsonl") as trace:
+            trace({"step": 1})
+            # Until the block ends the lines go to the hidden sibling.
+            assert files_under(tmp_path) == {"t/a.jsonl", "t/.a.jsonl.tmp"}
+            assert (tmp_path / "t" / "a.jsonl").read_bytes() == b"old contents"
+            assert out.artifacts == []
+        assert files_under(tmp_path) == {"t/a.jsonl"}
+        assert (tmp_path / "t" / "a.jsonl").read_bytes() == b'{"step": 1}\n'
+        assert out.artifacts == ["t/a.jsonl"]
+        with pytest.raises(RuntimeError, match="mid-stream"), out.stream("t/b.jsonl") as trace:
+            trace({"step": 1})
+            raise RuntimeError("mid-stream")
+        assert files_under(tmp_path) == {"t/a.jsonl"}
+        assert out.artifacts == ["t/a.jsonl"]
 
     def test_replaces_an_earlier_file(self, tmp_path):
         (tmp_path / "x").mkdir()
@@ -603,6 +687,32 @@ class TestArtifactWriter:
             RunResult(tmp_path / "out").start()
         assert tree_bytes(tmp_path) == before
 
+    def test_trace_lines_are_encoded_a_group_at_a_time(self, tmp_path):
+        from taskweave.artifacts import _TRACE_GROUP, JsonLines
+
+        writes = []
+        sink = JsonLines("t.jsonl", writes.append)
+        records = [{"step": i, "loss": i / 7} for i in range(2 * _TRACE_GROUP + 3)]
+        for i, record in enumerate(records, start=1):
+            sink(record)
+            assert len(writes) == i // _TRACE_GROUP
+        sink.flush()
+        assert [text.count("\n") for text in writes] == [_TRACE_GROUP, _TRACE_GROUP, 3]
+        lines = "".join(writes).splitlines()
+        assert [json.loads(line) for line in lines] == records
+
+    def test_start_deletes_stale_temp_files(self, tmp_path):
+        # The hidden siblings a killed writer leaves, and the directories
+        # they alone kept; other hidden files stay.
+        for rel in ("traces/.scheduler.jsonl.tmp", "x/y/.c.npy.tmp", ".summary.json.tmp"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_bytes(b"partial")
+        (tmp_path / "x" / ".kept").write_bytes(b"kept")
+        (tmp_path / "x" / "kept.tmp").write_bytes(b"kept")
+        RunResult(tmp_path).start()
+        assert files_under(tmp_path) == {"x/.kept", "x/kept.tmp"}
+        assert dirs_under(tmp_path) == {"x"}
+
     @pytest.mark.parametrize("text", ["{", '{"artifacts": "a.txt"}', "[]", '{"artifacts": [1]}'])
     def test_start_reads_an_unparseable_summary_as_listing_nothing(self, tmp_path, text):
         (tmp_path / "a.txt").write_bytes(b"a")
@@ -642,6 +752,56 @@ class TestManifest:
         # deleted when the second started.
         assert "traces/scheduler.jsonl" in left
         assert not [f for f in left if f.startswith("geometry/")]
+
+
+    def test_a_run_failing_mid_training_leaves_no_trace(self, tmp_path, monkeypatch):
+        train_step = Trainer.train_step
+
+        def failing(trainer, *args, **kwargs):
+            if trainer.step == 2:
+                raise RuntimeError("failed mid-training")
+            return train_step(trainer, *args, **kwargs)
+
+        monkeypatch.setattr(Trainer, "train_step", failing)
+        outdir = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="mid-training"):
+            run(tiny_config(outdir))
+        assert [f for f in files_under(outdir) if f.startswith("traces/") or ".tmp" in f] == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the killed run is a forked child")
+    def test_a_run_after_a_killed_one_writes_a_fresh_tree(self, tmp_path, monkeypatch):
+        # A run killed by SIGKILL while it streams its trace leaves the
+        # trace's .tmp sibling, which no summary lists; the next run's
+        # start deletes it.
+        fresh = tmp_path / "fresh"
+        run(tiny_config(fresh))
+        train_step = Trainer.train_step
+
+        def killed(trainer, *args, **kwargs):
+            if trainer.step == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train_step(trainer, *args, **kwargs)
+
+        outdir = tmp_path / "out"
+        monkeypatch.setattr(Trainer, "train_step", killed)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                run(tiny_config(outdir))
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert "traces/.scheduler.jsonl.tmp" in files_under(outdir)
+        monkeypatch.undo()
+        run(tiny_config(outdir))
+        # config.json records the output directory; every other file and
+        # every directory is the fresh run's.
+        rewritten, expected = tree_bytes(outdir), tree_bytes(fresh)
+        assert rewritten.keys() == expected.keys()
+        del rewritten["config.json"], expected["config.json"]
+        assert rewritten == expected
+        assert dirs_under(outdir) == dirs_under(fresh)
 
 
 class TestProjectedAuc:
@@ -1211,8 +1371,8 @@ class TestScoringCore:
 
         plan = verification_pair_plan(eval_corpus, config)
         raw = unit_rows(eval_corpus.tasks)
-        centroid_data = centroid_tasks(train_corpus)
-        row = evaluate_row(raw, unit_rows(centroid_data), eval_corpus, centroid_data, plan, config)
+        centroids = class_centroids(unit_rows(train_corpus.tasks), train_corpus)
+        row = evaluate_row(raw, eval_corpus, centroids, plan, config)
         assert list(row) == list(result.results["scores"])
         assert all(np.isfinite(v) for v in row.values())
 

@@ -6,9 +6,10 @@ lint, so dead imports fail the test suite without an external linter.
 re-exports. No module imports another one's private names, every
 module-level private name is read somewhere in the package, only
 ``forking.py`` calls ``os.fork``, only ``curriculum.py`` builds an
-``OptimState``: each Trainer makes its own fresh optimizer, and only
+``OptimState``: each Trainer makes its own fresh optimizer, only
 ``artifacts.py`` names ``SUMMARY_VERSION``: ``RunResult.finish`` stamps it
-on every summary.
+on every summary, and only ``artifacts.py`` writes files: every file a
+command leaves goes through ``RunResult``, atomically and into the manifest.
 """
 
 import ast
@@ -269,3 +270,52 @@ class TestSummaryVersionOnlyInTheWriter:
     def test_only_artifacts_names_summary_version(self, module):
         names = summary_version_names((SRC / module).read_text())
         assert bool(names) == (module == "artifacts.py")
+
+
+def file_writes(source: str) -> int:
+    """Calls in ``source`` that write a file: ``open(...)`` or
+    ``<path>.open(...)`` with a mode that writes (``w``, ``a``, ``x`` or
+    ``+``, given by position or as ``mode=``), and ``write_bytes`` or
+    ``write_text`` on anything. ``os.fdopen`` on a pipe is not a file."""
+
+    def writes(node: ast.Call) -> bool:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_bytes", "write_text"):
+            return True
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "open":
+            return False
+        # The builtin takes the file first and the mode second; a path's
+        # ``open`` takes the mode first.
+        modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+        modes += [k.value for k in node.keywords if k.arg == "mode"]
+        return any(
+            isinstance(m, ast.Constant) and isinstance(m.value, str) and set(m.value) & set("wax+")
+            for m in modes
+        )
+
+    return sum(writes(node) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call))
+
+
+class TestOnlyTheWriterWritesFiles:
+    def test_checker_counts_file_writes(self):
+        source = (
+            "import os\n"
+            "open(p, 'w')\n"
+            "open(p, mode='ab')\n"
+            "path.open('wb')\n"
+            "path.open(mode='r+')\n"
+            "path.write_bytes(b'')\n"
+            "Path(p).write_text('')\n"
+            "open(p)\n"
+            "open(p, 'rb')\n"
+            "path.open(newline='')\n"
+            "os.fdopen(fd, 'wb')\n"
+            "fh.write('')\n"
+        )
+        assert file_writes(source) == 6
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_only_artifacts_writes_files(self, module):
+        writes = file_writes((SRC / module).read_text())
+        assert bool(writes) == (module == "artifacts.py")

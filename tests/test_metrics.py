@@ -384,14 +384,14 @@ class TestRankKOracle:
             rank_k(np.eye(2), [0, 1], gallery, [0, 1], 1)
 
 
-def dense_rank_k(probe_emb, probe_ids, gallery_emb, gallery_ids, k):
+def dense_rank_k(probe_emb, probe_ids, gallery_emb, gallery_ids, k, masked=False):
     """``rank_k`` as it was before blocking: the whole N×G similarity matrix
-    at once."""
+    at once. ``masked`` takes the masked maximum for sorted gallery ids too."""
     probe_ids = np.asarray(probe_ids)
     gallery_ids = np.asarray(gallery_ids)
     ks = tuple(k) if isinstance(k, Sequence) else (k,)
     sims = pairwise_cosine(probe_emb, gallery_emb)
-    if (gallery_ids[1:] >= gallery_ids[:-1]).all():
+    if not masked and (gallery_ids[1:] >= gallery_ids[:-1]).all():
         runs = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
         run_best = np.maximum.reduceat(sims, runs, axis=1)
         column = np.searchsorted(gallery_ids[runs], probe_ids)
@@ -430,9 +430,28 @@ class TestBlockedRankK:
         expected = oracle_rank_k(probes @ gallery.T, probe_ids, gallery_ids, k)
         ks = [k, 1, gallery_ids.size + 1]
         dense = dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks)
+        # Sorted gallery ids take each probe's best same-id score from its
+        # own run of columns: the maximum of the entries the masked maximum
+        # over the whole row takes.
+        assert dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks, masked=True) == dense
         with blocks_of(rows, gallery_ids.size):
             assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
             assert rank_k(probes, probe_ids, gallery, gallery_ids, ks) == dense
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_runs_of_every_length_match_the_masked_maximum(self, seed):
+        # Class-grouped galleries with runs of 1 to 12 columns, scores
+        # quantised so that many tie, in blocks of 7 probes.
+        rng = np.random.default_rng(seed)
+        gallery_ids = np.repeat(np.arange(30), rng.integers(1, 13, 30))
+        gallery = rng.integers(-2, 3, (gallery_ids.size, 4)).astype(float)
+        probe_ids = rng.choice(gallery_ids, 50)
+        probes = gallery[rng.integers(0, gallery_ids.size, 50)]
+        probes += rng.integers(-1, 2, probes.shape)
+        ks = [1, 2, 5, 20]
+        masked = dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks, masked=True)
+        with blocks_of(7, gallery_ids.size):
+            assert rank_k(probes, probe_ids, gallery, gallery_ids, ks) == masked
 
     @pytest.mark.parametrize(
         "rows, n",
