@@ -14,8 +14,9 @@ drives single-task pretraining and the sequential fine-tuning baseline.
 
 A balanced run's batch total depends on its loaders alone, so a balanced
 Trainer plans it before any training (:meth:`Trainer.planned_batches`):
-fresh loaders from its own recipe replay the same batch draw and epoch
-rule its steps use.
+fresh loaders from its own recipe replay the draws its steps make
+(:meth:`Loader.draw`, without gathering any rows) through the same epoch
+rule.
 
 Every schedule the lab trains (the curriculum run, pretraining, the
 sequential baseline and both interleaved fine-tunes) is one ``Trainer``,
@@ -176,6 +177,19 @@ def draw_step(
     return batches, exhausted
 
 
+def block_masks(stack: int, identities: int, positives: int) -> tuple[np.ndarray, np.ndarray]:
+    """The id masks of any stack of ``stack`` loader batches of P =
+    ``identities`` identities of K = ``positives`` rows each: by the
+    Loader's batch contract, those of ``np.repeat(np.arange(P), K)`` in
+    every batch, whatever the labels. ``id_masks`` builds and checks them;
+    they are read-only."""
+    ids = np.tile(np.repeat(np.arange(identities), positives), (stack, 1))
+    masks = id_masks(ids)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 def _satisfied_anchors(
     params: EncoderParams, features: np.ndarray, labels: np.ndarray, masks=None
 ) -> np.ndarray:
@@ -233,6 +247,9 @@ class Trainer:
         self.trace = trace
         self.step = 0
         self.batches = 0
+        # A stack's id masks depend on its size alone (the Loader's batch
+        # contract); built on first use, read-only.
+        self._masks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if mode == ADAPTIVE:
             self.seed_initial_accuracies()
 
@@ -324,13 +341,16 @@ class Trainer:
 
         # Draw every batch of the step first, then run them through the
         # kernel as one stack. The stack and its id masks serve the accuracy
-        # pass too.
+        # pass too; the masks depend on the stack size alone.
         batches, exhausted = draw_step(self.loaders, allocations, self.identities, self.positives)
         if not batches:
             raise ContractError("a step needs at least one batch")
         features = np.stack([batch.features for batch in batches])
         labels = np.stack([batch.labels for batch in batches])
-        masks = id_masks(labels)
+        stack = len(batches)
+        if stack not in self._masks:
+            self._masks[stack] = block_masks(stack, self.identities, self.positives)
+        masks = self._masks[stack]
         batch_losses = accumulate(
             self.params, features, labels, self.margin, self.buffer, masks
         ).tolist()
@@ -388,17 +408,22 @@ class Trainer:
     def planned_batches(self, epochs: int) -> int:
         """The batch total of ``epochs`` balanced epochs of this trainer,
         found before it trains: fresh loaders from its own recipe replay the
-        same draws through the same epoch rule, with no kernel call. The
-        total depends on the loaders alone, so it is the one the trainer then
-        spends. Its own loaders are not touched."""
+        same draws through the same epoch rule, with no kernel call and no
+        gathered rows (:meth:`Loader.draw` leaves a loader where
+        :meth:`Loader.next_batch` would). The total depends on the loaders
+        alone, so it is the one the trainer then spends. Its own loaders are
+        not touched."""
         if self.mode != BALANCED:
             raise ContractError(f"only a balanced trainer plans its batches, not {self.mode!r}")
         loaders = make_loaders(self.task_data, self.curriculum, self.seed, self.loader_stream)
         per_task = self.curriculum.batches_per_task
-        allocations = dict.fromkeys(loaders, per_task)
 
         def step() -> dict[str, bool]:
-            return draw_step(loaders, allocations, self.identities, self.positives)[1]
+            exhausted = {}
+            for name, loader in loaders.items():
+                flags = [loader.draw(self.identities, self.positives)[1] for _ in range(per_task)]
+                exhausted[name] = any(flags)
+            return exhausted
 
         steps = sum(
             balanced_epoch(step, loaders, per_task, self.identities * self.positives)

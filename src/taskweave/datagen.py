@@ -347,6 +347,15 @@ class Loader:
     P*K batch contract is unconditional: identities short of K unconsumed
     samples are topped up (with replacement) from their already-consumed
     samples, and missing identities are filled from fully-consumed ones.
+
+    Every batch holds P distinct identities of K consecutive rows each:
+    row ``i`` belongs to the batch's ``i // K``-th identity. Its id masks
+    are therefore the (P, K) block pattern whatever the labels are, so a
+    stack of B batches has the masks of ``np.repeat(np.arange(P), K)``
+    tiled B times; ``Trainer`` builds them once per stack size on that.
+
+    :meth:`draw` makes a batch's random choices and returns its sample
+    indices; :meth:`next_batch` is a draw and the gather of its rows.
     """
 
     def __init__(
@@ -365,8 +374,13 @@ class Loader:
             self._indices = np.sort(rng.choice(data.n_samples, size=keep, replace=False))
         else:
             self._indices = np.arange(data.n_samples)
-        counts = np.bincount(data.labels[self._indices])
-        self._smallest_class = int(counts[counts > 0].min())
+        # Each sample's identity as a dense small-int id, so any integer
+        # labels, negative or sparse ones included, lay a pass out alike.
+        _, dense = np.unique(data.labels[self._indices], return_inverse=True)
+        self._ids = np.zeros(data.n_samples, dtype=np.min_scalar_type(dense.max()))
+        self._ids[self._indices] = dense
+        self._counts = np.bincount(dense)
+        self._smallest_class = int(self._counts.min())
         self.refreshes = 0
         # The last (P, K) that passed _check.
         self._checked: tuple[int, int] | None = None
@@ -387,14 +401,15 @@ class Loader:
         # ``_pass`` holds the pass's sample indices slot after slot, each
         # slot's in pass order: slot j owns ``_starts[j]:_ends[j]``, of which
         # ``_next[j]:_ends[j]`` are still unconsumed.
-        _, first, inverse = np.unique(
-            self._data.labels[self.order], return_index=True, return_inverse=True
-        )
-        slot_of_label = np.empty(first.size, dtype=int)
-        slot_of_label[np.argsort(first)] = np.arange(first.size)
-        slots = slot_of_label[inverse]
-        self._pass = self.order[np.argsort(slots, kind="stable")]
-        sizes = np.bincount(slots)
+        ids = self._ids[self.order]
+        first = np.full(self._counts.size, self.size)
+        np.minimum.at(first, ids, np.arange(ids.size))
+        by_slot = np.argsort(first)
+        slot_of_id = np.empty_like(ids, shape=by_slot.size)
+        slot_of_id[by_slot] = np.arange(by_slot.size)
+        # A stable sort of small ints is a radix sort.
+        self._pass = self.order[np.argsort(slot_of_id[ids], kind="stable")]
+        sizes = self._counts[by_slot]
         self._ends = np.cumsum(sizes)
         self._starts = self._ends - sizes
         self._next = self._starts.copy()
@@ -448,8 +463,10 @@ class Loader:
         samples[np.arange(k) >= fresh[:, None]] = self._pass[np.repeat(starts, short) + offsets]
         return samples
 
-    def next_batch(self, p: int, k: int) -> tuple[Batch, bool]:
-        """Draw a P*K batch; returns (batch, exhausted_flag)."""
+    def draw(self, p: int, k: int) -> tuple[np.ndarray, bool]:
+        """The random choices of a P*K batch, without its rows: returns the
+        ``(P*K,)`` sample indices and the exhausted flag, and leaves the
+        loader where :meth:`next_batch` would."""
         if (p, k) != self._checked:
             self._check(p, k)
         remaining = self._ends - self._next
@@ -463,14 +480,18 @@ class Loader:
             self._n_consumed += p * k
         else:
             samples = self._scarce_samples(p, k, remaining, rich)
-        sample_indices = samples.ravel()
+        exhausted = self._n_consumed == len(self.order)
+        if exhausted:
+            self.refreshes += 1
+            self._refresh()
+        return samples.ravel(), exhausted
+
+    def next_batch(self, p: int, k: int) -> tuple[Batch, bool]:
+        """Draw a P*K batch; returns (batch, exhausted_flag)."""
+        sample_indices, exhausted = self.draw(p, k)
         batch = Batch(
             features=self._data.features[sample_indices],
             labels=self._data.labels[sample_indices],
             task=self.task,
         )
-        exhausted = self._n_consumed == len(self.order)
-        if exhausted:
-            self.refreshes += 1
-            self._refresh()
         return batch, exhausted

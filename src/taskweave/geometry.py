@@ -315,10 +315,12 @@ def sliding_window_probe(
     window: int = 3,
     folds: int = 10,
     *,
+    space: Subspace | None = None,
     alongside: Callable[[], object] | None = None,
 ) -> ProbeCurve | tuple[ProbeCurve, object]:
     """Probe task identity from each window of ``window`` consecutive PCs of
     the pooled embeddings, sliding from early to late components.
+    ``space`` is ``pca(embeddings)`` when the caller has it already.
 
     The windows are independent, so they run on every CPU the process may
     use (:func:`taskweave.forking.forked_map`); the curve is the serial
@@ -327,7 +329,8 @@ def sliding_window_probe(
     in it is raised before any window's, and the result is
     ``(curve, alongside())``."""
     X = np.asarray(embeddings, dtype=np.float64)
-    space = pca(X)
+    if space is None:
+        space = pca(X)
     if window < 1 or window > space.dim:
         raise ContractError(f"window must lie in [1, {space.dim}]")
     coords = (X - space.mean) @ space.basis
@@ -356,16 +359,20 @@ def cross_task_projection_eval(
     k: int,
     target_embeddings: np.ndarray,
     target_eval: Callable[[np.ndarray], float],
+    full_value: float | None = None,
 ) -> tuple[float, float]:
     """Evaluate a target-task metric inside the top-k source-task PCs.
 
     Target embeddings are expressed in the k-dimensional source coordinates
     (centered by the source mean if the source basis was centered) and fed to
     ``target_eval``; returns the metric there and its signed delta from the
-    full-space value.
+    full-space value, ``target_eval(target_embeddings)``, which the caller
+    may pass as ``full_value`` when it has it already.
     """
     X = _target_matrix(source, target_embeddings)
-    return _projected_eval(source, k, X, target_eval, target_eval(X))
+    if full_value is None:
+        full_value = target_eval(X)
+    return _projected_eval(source, k, X, target_eval, full_value)
 
 
 def _target_matrix(source: Subspace, target_embeddings: np.ndarray) -> np.ndarray:
@@ -392,12 +399,14 @@ def projection_sweep(
     target_embeddings: np.ndarray,
     target_eval: Callable[[np.ndarray], float],
     max_k: int | None = None,
+    full_value: float | None = None,
 ) -> list[tuple[int, float, float]]:
     """(k, value, delta) for k = 1 .. min(max_k, source rank), as
     :func:`cross_task_projection_eval` gives them; the full-space value is
-    computed once for the whole sweep."""
+    computed once for the whole sweep, or passed in as ``full_value``."""
     X = _target_matrix(source, target_embeddings)
-    full_value = target_eval(X)
+    if full_value is None:
+        full_value = target_eval(X)
     top = source.dim if max_k is None else min(max_k, source.dim)
     return [
         (k, *_projected_eval(source, k, X, target_eval, full_value)) for k in range(1, top + 1)

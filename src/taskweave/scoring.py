@@ -277,11 +277,14 @@ def geometry_headlines(
     emb: dict[str, np.ndarray], pair_plan: dict[str, TaskPairs], config: ExperimentConfig
 ) -> tuple[list, dict]:
     """The geometry suite of the eval embeddings ``emb``: its tables, in
-    write order as (path, header, rows), and its summary. Writes no file."""
+    write order as (path, header, rows), and its summary. Writes no file.
+    The pooled PCA serves the window probes and ``pc2d.csv``; each task's
+    full-space AUC serves every projection onto it."""
     ev = config.evaluation
     names = list(emb)
     pooled = np.vstack([emb[n] for n in names])
     tags = np.concatenate([np.full(emb[n].shape[0], i) for i, n in enumerate(names)])
+    plane = pca(pooled)
 
     def analyses() -> tuple[list, dict]:
         """Everything but the windows, computed while the children probe
@@ -302,6 +305,8 @@ def geometry_headlines(
             )
         ]
 
+        evals = {n: _cosine_auc_eval(pair_plan[n]) for n in names}
+        full_auc = {n: evals[n](emb[n]) for n in names}
         first_within = {}
         self_projection = {}
         for src in names:
@@ -311,7 +316,7 @@ def geometry_headlines(
                 if tgt == src:
                     continue
                 sweep = projection_sweep(
-                    basis, emb[tgt], _cosine_auc_eval(pair_plan[tgt]), max_k=ev.projection_max_pcs
+                    basis, emb[tgt], evals[tgt], ev.projection_max_pcs, full_auc[tgt]
                 )
                 rows.extend([tgt, k, v, d] for k, v, d in sweep)
                 hit = next((k for k, _, d in sweep if abs(d) <= 0.02), None)
@@ -321,12 +326,9 @@ def geometry_headlines(
             )
             # Same-task loss at the 99%-variance dimension: reported, not gated.
             k99 = min(subspaces[src].dim, basis.dim)
-            _, delta = cross_task_projection_eval(
-                basis, k99, emb[src], _cosine_auc_eval(pair_plan[src])
-            )
+            _, delta = cross_task_projection_eval(basis, k99, emb[src], evals[src], full_auc[src])
             self_projection[src] = {"k": k99, "delta_auc": float(delta)}
 
-        plane = pca(pooled)
         coords = (pooled - plane.mean) @ plane.basis[:, :2]
         tables.append(
             (
@@ -346,7 +348,7 @@ def geometry_headlines(
         return tables, summary
 
     curve, (tables, summary) = sliding_window_probe(
-        pooled, tags, window=ev.probe_window, folds=ev.probe_folds, alongside=analyses
+        pooled, tags, window=ev.probe_window, folds=ev.probe_folds, space=plane, alongside=analyses
     )
     window = (
         "geometry/probe_window.csv",

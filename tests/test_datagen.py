@@ -5,8 +5,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from taskweave.artifacts import RunResult
+from taskweave.curriculum import block_masks
 from taskweave.datagen import (
     Batch,
     Corpus,
@@ -16,7 +19,8 @@ from taskweave.datagen import (
     TaskGenSpec,
     build_corpus,
 )
-from taskweave.errors import ConfigurationError, ValidationError
+from taskweave.encoder import id_masks
+from taskweave.errors import ConfigurationError, ContractError, ValidationError
 from taskweave.seeding import stream
 
 
@@ -392,10 +396,33 @@ class ReferenceLoader(Loader):
         return batch, exhausted
 
 
-def ragged_task(sizes):
-    labels = np.repeat(np.arange(len(sizes)), sizes)
+# Identity labels a loader must treat alike: dense ids, sparse ones, and
+# sparse ones with negatives in no sorted order (37 is invertible mod 41).
+LABELINGS = {
+    "dense": lambda ids: ids,
+    "sparse": lambda ids: 1000 * ids + 3,
+    "negative": lambda ids: (37 * ids) % 41 - 20,
+}
+
+
+def ragged_task(sizes, labeling="dense"):
+    labels = LABELINGS[labeling](np.repeat(np.arange(len(sizes)), sizes))
     # Each feature row names its sample, so equal batches mean equal draws.
     return TaskData("t", "fine-identity", np.arange(labels.size, dtype=float)[:, None], labels)
+
+
+def unique_layout(order, labels):
+    """A pass's layout as the loader first built it, sorting by label:
+    identities get slots in order of first appearance in ``order``, and
+    ``_pass`` holds each slot's samples in pass order, slot after slot.
+    Returns ``(_pass, _starts, _ends)``."""
+    _, first, inverse = np.unique(labels[order], return_index=True, return_inverse=True)
+    slot_of_label = np.empty(first.size, dtype=int)
+    slot_of_label[np.argsort(first)] = np.arange(first.size)
+    slots = slot_of_label[inverse]
+    sizes = np.bincount(slots)
+    ends = np.cumsum(sizes)
+    return order[np.argsort(slots, kind="stable")], ends - sizes, ends
 
 
 class TestLoaderOracle:
@@ -413,13 +440,15 @@ class TestLoaderOracle:
         ((30,) * 4 + (5,) * 4, 0.9, 8, 2),
     ]
 
-    def test_batches_and_flags_match_reference(self):
+    @pytest.mark.parametrize("labeling", sorted(LABELINGS))
+    def test_batches_and_flags_match_reference(self, labeling):
         branches = Counter()
         for case, (sizes, fraction, p, k) in enumerate(self.CASES):
-            data = ragged_task(sizes)
+            data = ragged_task(sizes, labeling)
             loader = Loader(data, stream(case, "oracle"), fraction)
             reference = ReferenceLoader(data, stream(case, "oracle"), fraction)
             assert np.array_equal(loader._indices, reference._indices)
+            masks = block_masks(1, p, k)
             for _ in range(60):
                 batch, flag = loader.next_batch(p, k)
                 expected, expected_flag = reference.next_batch(p, k)
@@ -427,6 +456,13 @@ class TestLoaderOracle:
                 assert np.array_equal(batch.labels, expected.labels)
                 assert flag is expected_flag
                 assert loader.cursor == reference.cursor
+                for got, want in zip(id_masks(batch.labels[None]), masks):
+                    assert np.array_equal(got, want)
+                layout = unique_layout(loader.order, data.labels)
+                for got, want in zip((loader._pass, loader._starts, loader._ends), layout):
+                    assert np.array_equal(got, want)
+                if loader.cursor == 0:
+                    assert np.array_equal(loader._next, loader._starts)
             assert loader.refreshes == reference.refreshes > 1
             assert loader._rng.bit_generator.state == reference._rng.bit_generator.state
             branches += reference.branches
@@ -451,3 +487,59 @@ class TestLoaderOracle:
             drawn = vector.integers(0, np.repeat(sizes, shorts), dtype=np.int64)
             assert np.array_equal(drawn, np.concatenate(expected))
             assert vector.bit_generator.state == loop.bit_generator.state
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_draw_leaves_the_loader_where_next_batch_does(self, case):
+        sizes, fraction, p, k = self.CASES[case]
+        data = ragged_task(sizes, "negative")
+        drawing = Loader(data, stream(case, "draw"), fraction)
+        batching = Loader(data, stream(case, "draw"), fraction)
+        for _ in range(60):
+            samples, flag = drawing.draw(p, k)
+            batch, expected_flag = batching.next_batch(p, k)
+            assert np.array_equal(samples, batch.features[:, 0])
+            assert flag is expected_flag
+            assert drawing.cursor == batching.cursor
+            assert drawing.refreshes == batching.refreshes
+            assert drawing._rng.bit_generator.state == batching._rng.bit_generator.state
+        assert np.array_equal(drawing._next, batching._next)
+        assert drawing.refreshes > 1
+
+
+@st.composite
+def loader_cases(draw):
+    """A ragged task, a subsample fraction, a (P, K) with P near the number
+    of identities, and a labeling: the scarce, spent and top-up branches
+    all come up."""
+    k = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(k, k + 6), min_size=2, max_size=9))
+    fraction = draw(st.sampled_from([1.0, 1.0, 0.9, 0.75]))
+    p = max(2, len(sizes) - draw(st.integers(0, 2)))
+    return sizes, fraction, p, k, draw(st.sampled_from(sorted(LABELINGS)))
+
+
+class TestBlockMasks:
+    """Every loader batch is P distinct identities of K consecutive rows,
+    so its id masks are the block masks of (P, K), and a stack of B batches
+    has the block masks of B."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(loader_cases(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_every_stack_has_the_block_masks(self, case, stack, seed):
+        sizes, fraction, p, k, labeling = case
+        loader = Loader(ragged_task(sizes, labeling), stream(seed, "masks"), fraction)
+        assume(p * k <= loader.size and loader._smallest_class >= k and p <= loader._ends.size)
+        masks = block_masks(stack, p, k)
+        for _ in range(40 // stack):
+            labels = np.stack([loader.next_batch(p, k)[0].labels for _ in range(stack)])
+            for got, want in zip(id_masks(labels), masks):
+                assert np.array_equal(got, want)
+
+    def test_block_masks_are_read_only_and_checked(self):
+        same, positive = block_masks(3, 4, 2)
+        assert same.shape == positive.shape == (3, 8, 8)
+        assert not same.flags.writeable and not positive.flags.writeable
+        with pytest.raises(ContractError, match="at least twice"):
+            block_masks(2, 4, 1)
+        with pytest.raises(ContractError, match="two ids"):
+            block_masks(2, 1, 4)

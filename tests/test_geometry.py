@@ -3,6 +3,7 @@
 import os
 import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from taskweave import forking, geometry
+from taskweave import forking, geometry, scoring
+from taskweave.config import default_config
 from taskweave.errors import ContractError
+from taskweave.experiments import build_splits
 from taskweave.geometry import (
     ProbeCurve,
     cross_task_projection_eval,
@@ -23,6 +26,7 @@ from taskweave.geometry import (
     task_subspace,
 )
 from taskweave.metrics import roc_auc
+from taskweave.scoring import geometry_headlines, verification_pair_plan
 
 
 def basis_vectors(dim, *indices):
@@ -705,6 +709,49 @@ class TestCrossTaskProjection:
         assert len(full_calls) == 1
         per_k = [(k, *cross_task_projection_eval(basis, k, target, evaluator)) for k in range(1, 6)]
         assert sweep == per_k
+        # A full-space value passed in is not evaluated again.
+        full = evaluator(target)
+        full_calls.clear()
+        assert projection_sweep(basis, target, counting, max_k=5, full_value=full) == sweep
+        assert cross_task_projection_eval(basis, 3, target, counting, full) == per_k[2][1:]
+        assert full_calls == []
+
+    def test_suite_computes_shared_values_once(self, monkeypatch, tmp_path):
+        # Per suite: one PCA of the pooled embeddings, for the window probes
+        # and pc2d.csv, and one full-space AUC per task, for its three
+        # sweeps as a target and its self-projection.
+        config = default_config(output_dir=str(tmp_path))
+        _, eval_corpus = build_splits(config)
+        emb = {
+            name: data.features / np.linalg.norm(data.features, axis=1, keepdims=True)
+            for name, data in eval_corpus.tasks.items()
+        }
+        pooled_rows = sum(e.shape[0] for e in emb.values())
+        pooled_pcas = []
+
+        def counting_pca(X, center=True):
+            if X.shape[0] == pooled_rows:
+                pooled_pcas.append(center)
+            return pca(X, center)
+
+        full_space = Counter()
+        make_eval = scoring._cosine_auc_eval
+
+        def counting_eval(pairs):
+            closure = make_eval(pairs)
+
+            def counted(coords):
+                full_space.update(name for name, e in emb.items() if coords is e)
+                return closure(coords)
+
+            return counted
+
+        monkeypatch.setattr(geometry, "pca", counting_pca)
+        monkeypatch.setattr(scoring, "pca", counting_pca)
+        monkeypatch.setattr(scoring, "_cosine_auc_eval", counting_eval)
+        geometry_headlines(emb, verification_pair_plan(eval_corpus, config), config)
+        assert pooled_pcas == [True]
+        assert full_space == dict.fromkeys(emb, 1)
 
     def test_k_beyond_rank_rejected(self):
         rng = np.random.default_rng(18)

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import taskweave.encoder as encoder
-from taskweave import experiments, forking
+from taskweave import curriculum, experiments, forking
 from taskweave.config import default_config
 from taskweave.curriculum import (
     ADAPTIVE,
@@ -50,6 +50,7 @@ from taskweave.encoder import (
     batch_hard_triplet,
     embed,
     hardest_distances,
+    id_masks,
     init_params,
     save_checkpoint,
 )
@@ -403,6 +404,30 @@ class TestStackedStepMatchesReference:
         train, _ = build_splits(config)
         trainer, reference = trainer_and_reference(config, "balanced", train.tasks)
         assert_same_steps(trainer, reference, blocked_schedule(trainer.task_names, 11, 3))
+
+
+class TestStepMasks:
+    def test_built_once_per_stack_size(self, monkeypatch):
+        # Balanced steps stack 4 batches; blocked steps of at most 3 stack 3,
+        # then the remainder's 2. Each size builds its masks once.
+        config = small_config()
+        train, _ = build_splits(config)
+        trainer = Trainer(config, BALANCED, train.tasks, init_encoder(config), seed=41)
+        built = []
+
+        def counted(ids):
+            built.append(ids.shape)
+            return id_masks(ids)
+
+        monkeypatch.setattr(curriculum, "id_masks", counted)
+        for _ in range(3):
+            trainer.train_step()
+        for allocation in blocked_schedule(trainer.task_names, 10, 3):
+            trainer.train_step(allocation)
+        assert built == [(4, 16), (3, 16), (2, 16)]
+        assert sorted(trainer._masks) == [2, 3, 4]
+        for masks in trainer._masks.values():
+            assert not any(mask.flags.writeable for mask in masks)
 
 
 def triplet_stack(data, max_batches=4):
@@ -931,11 +956,21 @@ class TestBudgetPlan:
         train, _ = build_splits(config)
         tracer = load_tracer(monkeypatch)
         trainer = balanced_finetune_trainer(config, train)
+        draws = []
+        draw = Loader.draw
+
+        def spy(loader, p, k):
+            draws.append(loader.task)
+            return draw(loader, p, k)
+
+        monkeypatch.setattr(Loader, "draw", spy)
         with tracer.Tracer() as traced:
             planned = trainer.planned_batches(1)
-        counts = traced.counts()
-        assert counts["datagen.Loader.next_batch"] == planned
-        assert sum(counts.values()) == planned
+        # Planning draws each batch and gathers none: no span fires, not
+        # even ``Loader.next_batch``.
+        assert sum(traced.counts().values()) == 0
+        assert len(draws) == planned
+        assert sorted(set(draws)) == sorted(train.tasks)
 
     def test_planning_leaves_the_trainer_untouched(self, tmp_path):
         config = forgetting_config(tmp_path)
