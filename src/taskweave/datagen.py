@@ -247,20 +247,33 @@ class Corpus:
                     raise ValidationError(f"cannot read corpus features {file}: {exc}") from None
                 if list(features.shape) != t["shape"]:
                     raise ValidationError(f"{file}: task {t['name']!r}: stored shape mismatch")
-                if len(t["labels"]) != features.shape[0]:
+                labels = _int64_labels(t["labels"], f"{path}: task {t['name']!r}")
+                if labels.size != features.shape[0]:
                     raise ValidationError(
-                        f"{path}: task {t['name']!r} has {len(t['labels'])} labels "
+                        f"{path}: task {t['name']!r} has {labels.size} labels "
                         f"for {features.shape[0]} feature rows"
                     )
                 corpus.tasks[t["name"]] = TaskData(
                     name=t["name"],
                     regime=t["regime"],
                     features=np.asfortranarray(features),
-                    labels=np.asarray(t["labels"], dtype=np.int64),
+                    labels=labels,
                 )
         except KeyError as exc:
             raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
         return corpus
+
+
+def _int64_labels(labels, where: str) -> np.ndarray:
+    """A manifest's label list as int64. Only JSON integers that fit in
+    int64 are labels: numpy would truncate 1.5, read true or "3" as
+    integers, and fail with a bare error on "x", null or 2**70."""
+    if not isinstance(labels, list) or not set(map(type, labels)) <= {int}:
+        raise ValidationError(f"{where}: labels must be a list of JSON integers")
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError(f"{where}: a label does not fit in int64") from None
 
 
 def _centroid_blocks(spec: CorpusSpec) -> dict[str, slice]:

@@ -110,6 +110,20 @@ def row_blocks(n: int, width: int) -> list[tuple[int, int]]:
     return _row_blocks(n, max(2, _BLOCK // width))
 
 
+def _ranks_ahead(sims: np.ndarray, first_best: np.ndarray) -> np.ndarray:
+    """Gallery items ranked ahead of each row's first best same-id column
+    j* = ``first_best``: #(score > s*) + #(score == s* and index < j*),
+    with s* the score at j*. The second term is non-zero only where s* is
+    tied, so only those rows compare indices."""
+    best = np.take_along_axis(sims, first_best[:, None], axis=1)
+    ahead = np.count_nonzero(sims > best, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(sims == best, axis=1) > 1)
+    if tied.size:
+        earlier = np.arange(sims.shape[1]) < first_best[tied, None]
+        ahead[tied] += np.count_nonzero((sims[tied] == best[tied]) & earlier, axis=1)
+    return ahead
+
+
 def rank_k(
     probe_emb: np.ndarray,
     probe_ids,
@@ -123,18 +137,21 @@ def rank_k(
 
     Gallery items are ordered by score descending, ties by gallery index
     ascending (the order of a stable argsort of the negated scores). A probe
-    hits when its best same-id item ranks below ``k`` in that order. The
-    rank is counted, not sorted for: #(score > s*) + #(score == s* and
-    index < j*), with s* the best same-id score and j* the first same-id
-    index reaching it, so the cost is O(N·G) for N probes and G gallery
-    items. The second term is non-zero only where s* is tied, so only
-    those probes compare ids and indices. Every count compares entries of
-    one probe's row, so the probes are scored in blocks of about ``_BLOCK``
-    similarities and memory stays O(_BLOCK + N + G). Gallery ids in
-    non-decreasing order (the callers' class-grouped galleries) form column
-    runs, and s* is the maximum of the probe's own run, gathered for the
-    block's probes alone; any other order takes a masked maximum over the
-    whole row. Both take the maximum of the same entries, so s* is the same.
+    hits when its best same-id item ranks below ``k`` in that order. With
+    s* the best same-id score and j* the first same-id index reaching it,
+    the rank is #(score > s*) + #(score == s* and index < j*). It is 0
+    exactly when j* is the row's first maximum, so one argmax per probe
+    decides rank-1, and the rank is counted, not sorted for, only for the
+    probes that argmax misses and only when some k > 1: O(N·G) for N probes
+    and G gallery items. The same argmax finds a row's NaN or +inf and a
+    row minimum its -inf, which checks every similarity without a pass of
+    its own. Every step reads one probe's row, so the probes are scored in
+    blocks of about ``_BLOCK`` similarities and memory stays
+    O(_BLOCK + N + G). Gallery ids in non-decreasing order (the callers'
+    class-grouped galleries) form column runs, and j* is the first maximum
+    of the probe's own run, gathered for the block's probes alone; any
+    other order takes the first maximum of the masked row. Both search the
+    same entries in the same order, so j* is the same.
     Non-finite similarities, ids that do not align with the embedding rows
     and an empty probe set raise ContractError.
     """
@@ -152,34 +169,37 @@ def rank_k(
     if missing:
         raise ContractError(f"probe ids absent from gallery: {missing[:5]}")
     n, g = probe_ids.size, gallery_ids.size
-    gallery_index = np.arange(g)
     sorted_runs = bool((gallery_ids[1:] >= gallery_ids[:-1]).all())
     if sorted_runs:
         # Each probe's run of same-id columns: its first column and length.
         starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
         run = np.searchsorted(gallery_ids[starts], probe_ids)
         run_start, run_length = starts[run], np.diff(np.r_[starts, g])[run]
-    ahead = np.empty(n, dtype=np.intp)
+    count_ranks = max(ks) > 1
+    ahead = np.zeros(n, dtype=np.intp)
     for lo, hi in row_blocks(n, g):
         sims = pairwise_cosine(probe_emb[lo:hi], gallery_emb)
-        _require_finite(sims)
-        ids = probe_ids[lo:hi]
+        top = sims.argmax(axis=1)
+        # argmax finds a row's first NaN and its +inf, the minimum its -inf.
+        _require_finite(np.take_along_axis(sims, top[:, None], axis=1), sims.min(axis=1))
         if sorted_runs:
             offsets = np.arange(run_length[lo:hi].max())
             inside = offsets < run_length[lo:hi, None]
             columns = np.minimum(run_start[lo:hi, None] + offsets, g - 1)
             gathered = np.take_along_axis(sims, columns, axis=1)
-            best = np.where(inside, gathered, -np.inf).max(axis=1, keepdims=True)
+            first_best = run_start[lo:hi] + np.where(inside, gathered, -np.inf).argmax(axis=1)
         else:
-            same_id = ids[:, None] == gallery_ids[None, :]
-            best = np.where(same_id, sims, -np.inf).max(axis=1, keepdims=True)
-        ahead[lo:hi] = np.count_nonzero(sims > best, axis=1)
-        tied = np.flatnonzero(np.count_nonzero(sims == best, axis=1) > 1)
-        if tied.size:
-            level = sims[tied] == best[tied]
-            first_best = (level & (ids[tied, None] == gallery_ids[None, :])).argmax(axis=1)
-            earlier = gallery_index[None, :] < first_best[:, None]
-            ahead[lo + tied] += np.count_nonzero(level & earlier, axis=1)
+            same_id = probe_ids[lo:hi, None] == gallery_ids[None, :]
+            first_best = np.where(same_id, sims, -np.inf).argmax(axis=1)
+        missed = np.flatnonzero(top != first_best)
+        ahead[lo + missed] = 1  # a missed probe has at least one item ahead
+        if count_ranks and missed.size:
+            if missed.size * 8 <= hi - lo:
+                # A copy of at most an eighth of the rows takes no more memory
+                # than a boolean over the block.
+                ahead[lo + missed] = _ranks_ahead(sims[missed], first_best[missed])
+            else:
+                ahead[lo:hi] = _ranks_ahead(sims, first_best)
         del sims  # so that one block of similarities is alive at a time
     rates = tuple(int(np.count_nonzero(ahead < each)) / n for each in ks)
     return rates if isinstance(k, Sequence) else rates[0]
@@ -328,26 +348,42 @@ class ScoreTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ScoreTable":
+        """Read a table written by ``to_csv``. A file that is not such a
+        table raises ValidationError naming it."""
         path = Path(path)
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0][0] != "model":
-            raise ValidationError("score table must start with a 'model' header column")
+        try:
+            with path.open(newline="") as fh:
+                rows = list(csv.reader(fh))
+        except (OSError, ValueError, csv.Error) as exc:
+            raise ValidationError(f"{path}: not a readable CSV file ({exc})") from None
+        if not rows or rows[0][:1] != ["model"]:
+            raise ValidationError(f"{path}: score table must start with a 'model' header column")
         header = rows[0]
         has_group = len(header) > 1 and header[1] == "group"
         first_col = 2 if has_group else 1
         columns = header[first_col:]
         models, groups, values = [], {}, []
-        for row in rows[1:]:
+        for number, row in enumerate(rows[1:], start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}: row {number} has {len(row)} cells, the header {len(header)}"
+                )
             models.append(row[0])
             if has_group:
                 groups[row[0]] = row[1]
-            values.append([float(v) if v else np.nan for v in row[first_col:]])
-        return cls(
-            models=models,
-            columns=columns,
-            values=np.asarray(values),
-            groups=groups if has_group else None,
-        )
+            try:
+                values.append([float(v) if v else np.nan for v in row[first_col:]])
+            except ValueError:
+                message = f"{path}: row {number} has a cell that is not a number"
+                raise ValidationError(message) from None
+        try:
+            return cls(
+                models=models,
+                columns=columns,
+                values=np.asarray(values),
+                groups=groups if has_group else None,
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None

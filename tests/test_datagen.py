@@ -306,6 +306,39 @@ class TestMalformedCorpus:
         with pytest.raises(ValidationError, match="task 'fine' has 199 labels for 200 feature rows"):
             Corpus.load(saved)
 
+    @pytest.mark.parametrize(
+        "label, problem",
+        [
+            (1.5, "list of JSON integers"),
+            (True, "list of JSON integers"),
+            ("3", "list of JSON integers"),
+            ("x", "list of JSON integers"),
+            (None, "list of JSON integers"),
+            (2**70, "does not fit in int64"),
+            (-(2**63) - 1, "does not fit in int64"),
+        ],
+    )
+    def test_labels_must_be_int64_integers(self, saved, label, problem):
+        def edit(manifest):
+            manifest["tasks"][1]["labels"][7] = label
+
+        self.edit_manifest(saved, edit)
+        with pytest.raises(ValidationError, match=f"manifest.json: task 'fine': .*{problem}"):
+            Corpus.load(saved)
+
+    def test_labels_not_a_list(self, saved):
+        self.edit_manifest(saved, lambda manifest: manifest["tasks"][1].update(labels=5))
+        with pytest.raises(ValidationError, match="task 'fine': labels must be a list"):
+            Corpus.load(saved)
+
+    def test_int64_extreme_labels_load(self, saved):
+        def edit(manifest):
+            manifest["tasks"][1]["labels"][:2] = [2**63 - 1, -(2**63)]
+
+        self.edit_manifest(saved, edit)
+        labels = Corpus.load(saved).tasks["fine"].labels
+        assert labels.dtype == np.int64 and labels[:2].tolist() == [2**63 - 1, -(2**63)]
+
     @pytest.mark.parametrize("classes,spc,p,k", [(5, 6, 3, 2), (6, 8, 4, 4), (4, 10, 2, 3)])
     def test_coverage_fuzz(self, classes, spc, p, k):
         spec = CorpusSpec(

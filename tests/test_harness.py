@@ -1822,6 +1822,18 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert f"error: {path}" in result.output
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\nmodel,x\na,0.5\n", "model,x\na,abc\n", "model,x,y\na,0.5\n", "model,x\na,1.5\n"],
+        ids=["empty", "blank-header", "word", "short-row", "out-of-range"],
+    )
+    def test_bad_score_table_exit_2(self, tmp_path, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["score-table", "--table", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}" in result.output
+
     def test_human_refs_file_ranks_like_the_bundled_one(self, tmp_path):
         path = tmp_path / "refs.json"
         path.write_text(json.dumps(experiments.load_human_references()))

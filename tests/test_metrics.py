@@ -376,12 +376,33 @@ class TestRankKOracle:
             rank_k(np.eye(2), [0, 1], np.eye(2), [0, 1], ks)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_similarities(self, bad):
+        # One probe, scoring (1, bad): no 0·inf turns a finite score into
+        # NaN beside it, so -inf is the row's minimum and not its argmax.
         gallery = np.eye(2)
         gallery[1, 0] = bad
         with pytest.raises(ContractError, match="finite"):
-            rank_k(np.eye(2), [0, 1], gallery, [0, 1], 1)
+            rank_k(np.eye(2)[:1], [0], gallery, [0, 1], 1)
+
+    @pytest.mark.parametrize(
+        "probes, ks, rates",
+        [
+            (np.eye(4), 1, 1.0),
+            (np.eye(4), [1, 5], (1.0, 1.0)),
+            (np.eye(4)[[1, 0, 3, 2]], 1, 0.0),
+        ],
+        ids=["hits", "hits-rank5", "misses"],
+    )
+    @pytest.mark.parametrize("gallery_ids", [[0, 1, 2, 3], [3, 1, 0, 2]], ids=["runs", "masked"])
+    def test_argmax_decides_rank_one_without_counting(self, probes, ks, rates, gallery_ids):
+        # Each probe's first maximum is or is not its first best same-id
+        # column; either decides rank-1, and with every probe a hit it
+        # decides rank-5 too. No row of similarities is counted, whether
+        # the gallery ids form sorted runs or not.
+        with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as spy:
+            assert rank_k(probes, gallery_ids, np.eye(4), gallery_ids, ks) == rates
+        assert all(np.ndim(call.args[0]) == 1 for call in spy.call_args_list)
 
 
 def dense_rank_k(probe_emb, probe_ids, gallery_emb, gallery_ids, k, masked=False):
@@ -476,13 +497,17 @@ class TestBlockedRankK:
         assert rates == tuple(oracle_rank_k(sims, probe_ids, gallery_ids, k) for k in ks)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_similarity_in_the_last_block_raises(self, bad):
+        # The last probe scores (1, 0, ±inf) against the gallery: its third
+        # coordinate, ±1e300, times the gallery's 1e300 overflows beside
+        # finite scores, so -inf is found by the row minimum alone. A NaN
+        # coordinate makes the whole row NaN.
         probes = np.eye(3)[np.arange(7) % 3]
-        probes[6, 0] = bad
+        probes[6, 2] = bad if np.isnan(bad) else np.copysign(1e300, bad)
         ids = np.arange(7) % 3
         with blocks_of(2, 3), pytest.raises(ContractError, match="finite"):
-            rank_k(probes, ids, np.eye(3), [0, 1, 2], 1)
+            rank_k(probes, ids, np.diag([1.0, 1.0, 1e300]), [0, 1, 2], 1)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_every_block_of_two_or_more_rows_is_the_full_products_rows(self, seed):
@@ -516,6 +541,27 @@ class TestBlockedRankK:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * metrics._BLOCK * 8 + 256 * (n + n)
+
+    def test_peak_memory_when_almost_every_probe_misses(self):
+        # Each probe's nearest gallery rows belong to the next id, so the
+        # argmax misses almost every probe and rank-5 needs counts. They run
+        # over the block in place: beside the block of similarities only a
+        # temporary of at most half a block and arrays of O(N + G) entries
+        # are alive, where a copy of every missed row would add most of a
+        # block.
+        n, dim = 1600, 24
+        rng = np.random.default_rng(0)
+        ids = np.repeat(np.arange(40), n // 40)
+        gallery = rng.standard_normal((n, dim))
+        probes = gallery + 0.5 * rng.standard_normal((n, dim))
+        tracemalloc.start()
+        try:
+            rank1, _ = rank_k(probes, (ids + 1) % 40, gallery, ids, [1, 5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rank1 < 0.01
+        assert peak <= 1.5 * metrics._BLOCK * 8 + 64 * (n + n)
 
 
 @st.composite
