@@ -110,20 +110,6 @@ def row_blocks(n: int, width: int) -> list[tuple[int, int]]:
     return _row_blocks(n, max(2, _BLOCK // width))
 
 
-def _ranks_ahead(sims: np.ndarray, first_best: np.ndarray) -> np.ndarray:
-    """Gallery items ranked ahead of each row's first best same-id column
-    j* = ``first_best``: #(score > s*) + #(score == s* and index < j*),
-    with s* the score at j*. The second term is non-zero only where s* is
-    tied, so only those rows compare indices."""
-    best = np.take_along_axis(sims, first_best[:, None], axis=1)
-    ahead = np.count_nonzero(sims > best, axis=1)
-    tied = np.flatnonzero(np.count_nonzero(sims == best, axis=1) > 1)
-    if tied.size:
-        earlier = np.arange(sims.shape[1]) < first_best[tied, None]
-        ahead[tied] += np.count_nonzero((sims[tied] == best[tied]) & earlier, axis=1)
-    return ahead
-
-
 def rank_k(
     probe_emb: np.ndarray,
     probe_ids,
@@ -141,9 +127,9 @@ def rank_k(
     s* the best same-id score and j* the first same-id index reaching it,
     the rank is #(score > s*) + #(score == s* and index < j*). It is 0
     exactly when j* is the row's first maximum, so one argmax per probe
-    decides rank-1, and the rank is counted, not sorted for, only for the
-    probes that argmax misses and only when some k > 1: O(N·G) for N probes
-    and G gallery items. The same argmax finds a row's NaN or +inf and a
+    decides rank-1, and the rank is counted, not sorted for, only when some
+    k > 1 and only in the blocks where that argmax misses a probe: O(N·G)
+    for N probes and G gallery items. The same argmax finds a row's NaN or +inf and a
     row minimum its -inf, which checks every similarity without a pass of
     its own. Every step reads one probe's row, so the probes are scored in
     blocks of about ``_BLOCK`` similarities and memory stays
@@ -191,15 +177,18 @@ def rank_k(
         else:
             same_id = probe_ids[lo:hi, None] == gallery_ids[None, :]
             first_best = np.where(same_id, sims, -np.inf).argmax(axis=1)
-        missed = np.flatnonzero(top != first_best)
-        ahead[lo + missed] = 1  # a missed probe has at least one item ahead
-        if count_ranks and missed.size:
-            if missed.size * 8 <= hi - lo:
-                # A copy of at most an eighth of the rows takes no more memory
-                # than a boolean over the block.
-                ahead[lo + missed] = _ranks_ahead(sims[missed], first_best[missed])
-            else:
-                ahead[lo:hi] = _ranks_ahead(sims, first_best)
+        missed = top != first_best
+        if not (count_ranks and missed.any()):
+            ahead[lo:hi] = missed  # a missed probe has at least one item ahead
+        else:
+            # #(> s*) + #(== s*, index < j*); the second term is non-zero
+            # only where s* is tied, so only those rows compare indices.
+            best = np.take_along_axis(sims, first_best[:, None], axis=1)
+            ahead[lo:hi] = np.count_nonzero(sims > best, axis=1)
+            tied = np.flatnonzero(np.count_nonzero(sims == best, axis=1) > 1)
+            if tied.size:
+                earlier = np.arange(g) < first_best[tied, None]
+                ahead[lo + tied] += np.count_nonzero((sims[tied] == best[tied]) & earlier, axis=1)
         del sims  # so that one block of similarities is alive at a time
     rates = tuple(int(np.count_nonzero(ahead < each)) / n for each in ks)
     return rates if isinstance(k, Sequence) else rates[0]
