@@ -109,14 +109,16 @@ def _score_run(run_dir, checkpoint, command: str, suite: str) -> dict:
     """Run ``suite`` on a run's checkpoint and corpora into ``RUN/<command>/``,
     its ``summary.json`` last, by the code the run scored itself with."""
     from .artifacts import RunResult
-    from .experiments import load_run, score_suites, train_centroids
+    from .experiments import encoder_embedder, load_run, score_suites
+    from .scoring import class_centroids
 
     config, train_corpus, eval_corpus, params, ckpt = load_run(run_dir, checkpoint)
-    centroids = train_centroids(params, train_corpus)
+    embedder = encoder_embedder(params)
+    centroids = class_centroids(embedder, train_corpus)
     del train_corpus  # the scores read only its centroids
     out = RunResult(Path(run_dir) / command)
     out.start()
-    floored = score_suites(out, config, [suite], centroids, eval_corpus, params)
+    floored = score_suites(out, config, [suite], centroids, eval_corpus, embedder)
     fields = {"floored_cells": floored} if suite == "scores" else {}
     results = out.results[suite]
     out.finish(config.seed, results, command=command, checkpoint=str(ckpt), **fields)

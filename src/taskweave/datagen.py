@@ -218,7 +218,9 @@ class Corpus:
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":
         """The corpus :meth:`save` wrote under ``directory``. A missing or
-        malformed file raises ValidationError naming it."""
+        malformed file raises ValidationError naming it, as does a task
+        whose features are not in the ``<name>.npy`` that :meth:`save`
+        writes."""
         directory = Path(directory)
         path = directory / "manifest.json"
         try:
@@ -231,16 +233,21 @@ class Corpus:
         if version != MANIFEST_VERSION:
             raise ValidationError(f"{path}: unsupported corpus manifest version {version!r}")
         try:
+            tasks = manifest["tasks"]
+            if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
+                raise ValidationError(f"{path}: tasks must be a list of JSON objects")
             task_specs = tuple(
-                TaskGenSpec(**{f.name: t[f.name] for f in fields(TaskGenSpec)})
-                for t in manifest["tasks"]
+                TaskGenSpec(**{f.name: t[f.name] for f in fields(TaskGenSpec)}) for t in tasks
             )
             spec = CorpusSpec(
                 tasks=task_specs, seed=manifest["seed"], ambient_dim=manifest["ambient_dim"]
             )
             corpus = cls(spec=spec, split=manifest["split"])
-            for t in manifest["tasks"]:
-                file = directory / t["file"]
+            for t in tasks:
+                fname = f"{t['name']}.npy"
+                if t["file"] != fname:
+                    raise ValidationError(f"{path}: task {t['name']!r}: file must be {fname!r}")
+                file = directory / fname
                 try:
                     features = np.load(file)
                 except (OSError, ValueError, EOFError) as exc:

@@ -1,7 +1,7 @@
 """Experiment orchestration: corpus builders, training runs,
 the forgetting comparison, and benchmark-table scoring. Each model is
-embedded once, a task at a time on lookup or all at once for the geometry
-suite (:func:`embed_tasks`), and scored by :mod:`taskweave.scoring`.
+scored through its embedder (:func:`encoder_embedder`) by
+:mod:`taskweave.scoring`, each eval task embedded once.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -25,8 +25,7 @@ from .errors import ConfigurationError, ContractError, ValidationError
 from .forking import cpu_workers, forked_map
 from .metrics import EXPERT, HUMAN, ScoreTable
 from .scoring import (
-    OnLookup,
-    TaskPairs,
+    Embedder,
     class_centroids,
     evaluate_row,
     geometry_headlines,
@@ -74,10 +73,14 @@ def load_run(run_dir: str | Path, checkpoint: str | Path | None = None):
         if rel not in listed:
             raise ValidationError(f"{run_dir / rel} is not listed in {summary}")
     config = ExperimentConfig.from_file(run_dir / "config.json")
-    corpora = [Corpus.load(run_dir / rel) for rel in ("corpus", "corpus_eval")]
-    for corpus, split in zip(corpora, ("train", "eval")):
+    splits = {"train": "corpus", "eval": "corpus_eval"}
+    corpora = [Corpus.load(run_dir / rel) for rel in splits.values()]
+    for corpus, (split, rel) in zip(corpora, splits.items()):
         if (corpus.spec, corpus.split) != (_corpus_spec(config), split):
             raise ValidationError(f"{run_dir}: the {split} corpus saved is not its config's")
+        for name in corpus.tasks:
+            if (features := f"{rel}/{name}.npy") not in listed:
+                raise ValidationError(f"{run_dir / features} is not listed in {summary}")
     ckpt = Path(checkpoint or run_dir / "checkpoints" / "encoder_final.npz")
     params, dims = load_checkpoint(ckpt), _layer_dims(config)
     if [w.shape for w in params.weights] != list(zip(dims, dims[1:])):
@@ -89,33 +92,19 @@ def init_encoder(config: ExperimentConfig) -> EncoderParams:
     return init_params(_layer_dims(config), stream(config.seed, "encoder-init"))
 
 
-def embed_tasks(
-    params: EncoderParams, tasks: dict[str, TaskData], on_lookup: bool = False
-) -> Mapping[str, np.ndarray]:
-    """Each task's embeddings under ``params``, by name: what the scores of
-    :mod:`taskweave.scoring` take. A dict embeds every task now; with
-    ``on_lookup``, a :class:`~taskweave.scoring.OnLookup` embeds a task
-    each time it is looked up and keeps nothing."""
-    embedded = OnLookup(lambda data: embed(params, data.features), tasks)
-    return embedded if on_lookup else dict(embedded)
-
-
-def train_centroids(params: EncoderParams, train_corpus: Corpus) -> dict:
-    """The "top<k>" tasks' unit-norm train-class centroids under ``params``
-    (:func:`~taskweave.scoring.class_centroids`): all of the train split
-    that scoring reads, each of its tasks embedded on lookup."""
-    return class_centroids(embed_tasks(params, train_corpus.tasks, on_lookup=True), train_corpus)
+def encoder_embedder(params: EncoderParams) -> Embedder:
+    """The embedder of ``params``: a task's rows through the encoder."""
+    return lambda data: embed(params, data.features)
 
 
 def geometry_suite(
-    eval_emb: dict[str, np.ndarray],
-    pair_plan: Mapping[str, TaskPairs],
-    config: ExperimentConfig,
-    out: RunResult,
+    eval_emb: dict[str, np.ndarray], eval_corpus: Corpus, config: ExperimentConfig, out: RunResult
 ) -> dict:
-    """Write the geometry headlines of the eval embeddings through ``out``
-    under ``geometry/``; return their summary."""
-    tables, summary = geometry_headlines(eval_emb, pair_plan, config)
+    """Write the geometry headlines of the eval embeddings, with each eval
+    task's verification pairs, through ``out`` under ``geometry/``; return
+    their summary."""
+    pairs = {n: verification_pair_plan(d, config) for n, d in eval_corpus.tasks.items()}
+    tables, summary = geometry_headlines(eval_emb, pairs, config)
     for path, header, rows in tables:
         out.rows(path, header, rows)
     out.json("geometry/summary.json", summary)
@@ -128,30 +117,30 @@ def score_suites(
     suites: list[str],
     centroids: dict,
     eval_corpus: Corpus,
-    params: EncoderParams,
+    embedder: Embedder,
 ) -> list[str]:
-    """Score ``params`` by each of ``suites`` through ``out``:
+    """Score ``embedder`` by each of ``suites`` through ``out``:
     ``tables/metrics.csv`` and ``geometry/``, their results in
     ``out.results``. Returns the score table's floored cells.
 
-    It holds the parameters, the eval split and ``centroids``, the
-    :func:`train_centroids` of the same parameters: no train data. Each
-    eval task is embedded once. The geometry suite reads all tasks
-    together, so with it every task is embedded, and the pair plan drawn,
-    up front and kept for both suites. The scores alone embed each task and
-    draw its pairs when they score it, so one task's embeddings and pairs,
-    with its probe, gallery and pair-score copies, are alive at a time."""
-    on_lookup = "geometry" not in suites
-    pair_plan = verification_pair_plan(eval_corpus, config, on_lookup=on_lookup)
-    eval_emb = embed_tasks(params, eval_corpus.tasks, on_lookup=on_lookup)
+    It holds the embedder, the eval split and ``centroids``, the
+    :func:`~taskweave.scoring.class_centroids` of the same embedder: no
+    train data. Each eval task is embedded once. The geometry suite reads
+    all tasks together, so with it every task is embedded up front and kept
+    for both suites. The scores alone embed each task when they score it,
+    so one task's embeddings, with its pairs and its probe, gallery and
+    pair-score copies, are alive at a time."""
+    if "geometry" in suites:
+        eval_emb = {name: embedder(data) for name, data in eval_corpus.tasks.items()}
+        embedder = lambda data: eval_emb[data.name]
     floored: list[str] = []
     if "scores" in suites:
-        row = evaluate_row(eval_emb, eval_corpus, centroids, pair_plan, config)
+        row = evaluate_row(embedder, eval_corpus, centroids, config)
         table, floored = rows_to_table({f"encoder+{config.curriculum.mode}": row})
         table.to_csv(out, "tables/metrics.csv")
         out.results["scores"] = row
     if "geometry" in suites:
-        out.results["geometry"] = geometry_suite(eval_emb, pair_plan, config, out)
+        out.results["geometry"] = geometry_suite(eval_emb, eval_corpus, config, out)
     return floored
 
 
@@ -176,8 +165,9 @@ def _train(config: ExperimentConfig, out: RunResult) -> tuple[EncoderParams, int
     """Build and save the train split, train the encoder by the configured
     curriculum with its trace streamed to ``traces/scheduler.jsonl``, and
     write the final checkpoint. Returns what scoring reads of training: the
-    parameters, the step count and the :func:`train_centroids`. The
-    trainer and the train split die with this frame."""
+    parameters, the step count and their
+    :func:`~taskweave.scoring.class_centroids`. The trainer and the train
+    split die with this frame."""
     (train_corpus,) = build_splits(config, ["train"])
     train_corpus.save(out, "corpus")
     params = init_encoder(config)
@@ -188,7 +178,7 @@ def _train(config: ExperimentConfig, out: RunResult) -> tuple[EncoderParams, int
         for _ in range(config.training.epochs):
             trainer.run_epoch()
     save_checkpoint(params, out, "checkpoints/encoder_final.npz")
-    return params, trainer.step, train_centroids(params, train_corpus)
+    return params, trainer.step, class_centroids(encoder_embedder(params), train_corpus)
 
 
 def run(
@@ -210,7 +200,7 @@ def run(
     train-class centroids, and the train split is dropped. The eval split
     is built and saved next, and scoring (:func:`score_suites`) holds it,
     the parameters, the centroids and one eval task's embeddings and pairs
-    at a time, or every task's with the geometry suite.
+    at a time, or every task's embeddings with the geometry suite.
     """
     config = overridden(config, seed, output_dir)
     out = RunResult(config.output_dir)
@@ -221,7 +211,8 @@ def run(
     (eval_corpus,) = build_splits(config, ["eval"])
     eval_corpus.save(out, "corpus_eval")
     suites, mode = config.evaluation.suites, config.curriculum.mode
-    floored = score_suites(out, config, suites, centroids, eval_corpus, params)
+    embedder = encoder_embedder(params)
+    floored = score_suites(out, config, suites, centroids, eval_corpus, embedder)
     out.finish(config.seed, out.results, mode=mode, steps=steps, floored_cells=floored)
     return out
 
@@ -298,7 +289,6 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     out.start()
 
     train_corpus, eval_corpus = build_splits(config)
-    pair_plan = verification_pair_plan(eval_corpus, config)
     params = init_encoder(config)
     with out.stream("traces/pretrain.jsonl") as trace:
         pretrain_encoder(config, params, train_corpus.tasks[fg.pretrain_task], trace)
@@ -316,9 +306,8 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     balanced = finetune_trainer(BALANCED)
 
     def score(model: EncoderParams) -> dict[str, float]:
-        eval_emb = embed_tasks(model, eval_corpus.tasks, on_lookup=True)
-        centroids = train_centroids(model, train_corpus)
-        return evaluate_row(eval_emb, eval_corpus, centroids, pair_plan, config)
+        embedder = encoder_embedder(model)
+        return evaluate_row(embedder, eval_corpus, class_centroids(embedder, train_corpus), config)
 
     def sequential() -> dict:
         # The blocked baseline spends the balanced run's batch total on the

@@ -1,15 +1,16 @@
-"""Scores of an embedding space: the verification pair plan, the score row
-and table, and the geometry headlines. Each takes embeddings (task name to
-rows aligned with the task's corpus rows), never encoder parameters, and
-writes no file, so any encoder, or none, is scored by the same code. The
-score row reads each task's embeddings and pairs once and scores one task at
-a time, its pair scores in row blocks, so mappings that compute a task's
-value on lookup (:class:`OnLookup`) keep scoring memory to one task's
-working set."""
+"""Scores of an embedding space: the verification pairs, the score row and
+table, and the geometry headlines. An embedding space is an embedder, a
+function from a task's :class:`~taskweave.datagen.TaskData` to its unit-norm
+rows, aligned with the task's corpus rows: an encoder's ``embed``, or the
+unit-normed raw inputs. No score takes encoder parameters or writes a file,
+so any encoder, or none, is scored by the same code. The score row calls
+the embedder once per task and keeps nothing: it scores one task at a time,
+draws the task's pairs only when a metric reads them, and gathers its pair
+scores in row blocks, so scoring memory is one task's working set."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,42 +98,16 @@ class TaskPairs:
     impostor: np.ndarray
 
 
-class OnLookup(Mapping):
-    """``compute(data)`` for each of ``tasks``, by name, computed when it is
-    looked up and never kept: :func:`evaluate_row` reads each task once, so
-    through this it holds one task's value at a time."""
-
-    def __init__(self, compute: Callable[[TaskData], object], tasks: dict[str, TaskData]):
-        self.compute = compute
-        self.tasks = tasks
-
-    def __getitem__(self, name: str):
-        return self.compute(self.tasks[name])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tasks)
-
-    def __len__(self) -> int:
-        return len(self.tasks)
+Embedder = Callable[[TaskData], np.ndarray]
 
 
-def verification_pair_plan(
-    eval_corpus: Corpus, config: ExperimentConfig, on_lookup: bool = False
-) -> Mapping[str, TaskPairs]:
-    """Fixed per-task verification pairs, shared by every model under one
+def verification_pair_plan(data: TaskData, config: ExperimentConfig) -> TaskPairs:
+    """One task's fixed verification pairs, shared by every model under one
     master seed so scores stay comparable. Each task draws from its own
-    ``stream(seed, "pairs", task)``, so the pairs do not depend on the
-    order of the tasks, nor on when they are drawn: a dict drawn up front,
-    or with ``on_lookup`` an :class:`OnLookup` that draws a task's pairs
-    each time it is looked up, the same pairs every time."""
-    n_pairs = config.evaluation.verification_pairs
-
-    def draw(data: TaskData) -> TaskPairs:
-        rng = stream(config.seed, "pairs", data.name)
-        return TaskPairs(*_sample_pairs(data.labels, n_pairs, rng))
-
-    plan = OnLookup(draw, eval_corpus.tasks)
-    return plan if on_lookup else dict(plan)
+    ``stream(seed, "pairs", task)``, so its pairs depend neither on the
+    other tasks nor on when, or how often, they are drawn."""
+    rng = stream(config.seed, "pairs", data.name)
+    return TaskPairs(*_sample_pairs(data.labels, config.evaluation.verification_pairs, rng))
 
 
 # Each regime's metrics in column order. "top<k>" ranks every eval sample
@@ -149,16 +124,15 @@ RETRIEVAL_K = {"top1": 1, "top5": 5, "rank1": 1, "rank5": 5}
 
 
 def class_centroids(
-    train_emb: Mapping[str, np.ndarray], train_corpus: Corpus
+    embedder: Embedder, train_corpus: Corpus
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The gallery each "top<k>" task ranks against: the unit-norm mean
     embedding of each of its train classes, and the classes, by task name.
-    ``train_emb`` embeds the train tasks; only the "top<k>" ones are read,
-    each once."""
+    Only the "top<k>" train tasks are embedded, each once."""
     centroids = {}
     for name, data in train_corpus.tasks.items():
         if REGIME_METRICS[data.regime][0] == "top1":
-            emb, labels = train_emb[name], data.labels
+            emb, labels = embedder(data), data.labels
             classes = np.unique(labels)
             means = np.stack([emb[labels == c].mean(axis=0) for c in classes])
             means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -169,16 +143,15 @@ def class_centroids(
 def task_scores(
     data: TaskData,
     emb: np.ndarray,
-    pairs: TaskPairs,
     config: ExperimentConfig,
     centroids: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[str, float]:
     """The configured metrics of one eval task, keyed by 'task:metric'.
 
-    ``emb`` embeds the task's rows and ``pairs`` are its verification
-    pairs. ``centroids`` (unit-norm train-class centroids and their classes)
-    is the gallery a "top<k>" task ranks against. The probe and gallery
-    copies made here die before the pair scores gather their rows."""
+    ``emb`` embeds the task's rows. ``centroids`` (unit-norm train-class
+    centroids and their classes) is the gallery a "top<k>" task ranks
+    against. The task's verification pairs are drawn only when its regime
+    has a pair metric, after the probe and gallery copies made here die."""
     name, labels = data.name, data.labels
     metrics = REGIME_METRICS[data.regime]
     row: dict[str, float] = {}
@@ -196,6 +169,7 @@ def task_scores(
         hits.update(zip(retrieval, rank_k(*probes, *gallery, ks)))
         del probes, gallery
     if len(retrieval) < len(metrics):
+        pairs = verification_pair_plan(data, config)
         genuine = _pair_scores(emb, pairs.genuine)
         impostor = _pair_scores(emb, pairs.impostor)
     for metric in metrics:
@@ -216,24 +190,19 @@ def task_scores(
 
 
 def evaluate_row(
-    eval_emb: Mapping[str, np.ndarray],
+    embedder: Embedder,
     eval_corpus: Corpus,
     centroids: dict[str, tuple[np.ndarray, np.ndarray]],
-    pair_plan: Mapping[str, TaskPairs],
     config: ExperimentConfig,
 ) -> dict[str, float]:
     """All configured metrics of one embedding space, keyed by 'task:metric'.
 
-    ``eval_emb`` embeds every eval task, whose labels and regimes the eval
-    corpus gives; ``centroids`` are the same space's
-    :func:`class_centroids`. The eval tasks are scored one at a time by
-    :func:`task_scores`, ``eval_emb`` and ``pair_plan`` each read once per
-    task, so mappings that compute on lookup hold one task's embeddings and
-    pairs at a time."""
+    ``centroids`` are the same space's :func:`class_centroids`. The eval
+    tasks are scored one at a time by :func:`task_scores`, each embedded as
+    it is scored, so one task's embeddings are alive at a time."""
     row: dict[str, float] = {}
     for name, data in eval_corpus.tasks.items():
-        gallery = centroids.get(name)
-        row.update(task_scores(data, eval_emb[name], pair_plan[name], config, gallery))
+        row.update(task_scores(data, embedder(data), config, centroids.get(name)))
     return row
 
 
@@ -274,10 +243,11 @@ def _cosine_auc_eval(pairs: TaskPairs) -> Callable[[np.ndarray], float]:
 
 
 def geometry_headlines(
-    emb: dict[str, np.ndarray], pair_plan: dict[str, TaskPairs], config: ExperimentConfig
+    emb: dict[str, np.ndarray], pairs: dict[str, TaskPairs], config: ExperimentConfig
 ) -> tuple[list, dict]:
-    """The geometry suite of the eval embeddings ``emb``: its tables, in
-    write order as (path, header, rows), and its summary. Writes no file.
+    """The geometry suite of the eval embeddings ``emb`` and their
+    verification ``pairs``, by task: its tables, in write order as (path,
+    header, rows), and its summary. Writes no file.
     The pooled PCA serves the window probes and ``pc2d.csv``; each task's
     full-space AUC serves every projection onto it."""
     ev = config.evaluation
@@ -305,7 +275,7 @@ def geometry_headlines(
             )
         ]
 
-        evals = {n: _cosine_auc_eval(pair_plan[n]) for n in names}
+        evals = {n: _cosine_auc_eval(pairs[n]) for n in names}
         full_auc = {n: evals[n](emb[n]) for n in names}
         first_within = {}
         self_projection = {}

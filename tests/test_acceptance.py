@@ -250,12 +250,12 @@ def test_criterion_8_principal_angle_analytics():
 def test_criterion_9_subspace_reconstruction(benchmark_model):
     with criterion(9, "full cross-task basis preserves AUC to 1e-10; analog curves reported"):
         config, eval_corpus, params = benchmark_model
-        pair_plan = verification_pair_plan(eval_corpus, config)
+        plan = {n: verification_pair_plan(d, config) for n, d in eval_corpus.tasks.items()}
         names = list(eval_corpus.tasks)
         emb = {n: embed(params, eval_corpus.tasks[n].features) for n in names}
 
         def auc_eval(task):
-            pairs = pair_plan[task]
+            pairs = plan[task]
 
             def closure(coords):
                 normed = coords / np.linalg.norm(coords, axis=1, keepdims=True)

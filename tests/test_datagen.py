@@ -301,6 +301,26 @@ class TestMalformedCorpus:
         with pytest.raises(ValidationError, match=f"manifest.json: missing key '{key}'"):
             Corpus.load(saved)
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("tasks", 5, "tasks must be a list of JSON objects"),
+            ("tasks", [5], "tasks must be a list of JSON objects"),
+            ("tasks", {"a": 1}, "tasks must be a list of JSON objects"),
+            ("file", 5, "task 'fine': file must be 'fine.npy'"),
+            ("file", None, "task 'fine': file must be 'fine.npy'"),
+            ("file", "coarse.npy", "task 'fine': file must be 'fine.npy'"),
+            ("file", "../c/fine.npy", "task 'fine': file must be 'fine.npy'"),
+        ],
+    )
+    def test_manifest_of_the_wrong_shape(self, saved, field, value, problem):
+        def edit(manifest):
+            (manifest if field in manifest else manifest["tasks"][1])[field] = value
+
+        self.edit_manifest(saved, edit)
+        with pytest.raises(ValidationError, match=f"manifest.json: {problem}"):
+            Corpus.load(saved)
+
     def test_labels_not_one_per_row(self, saved):
         self.edit_manifest(saved, lambda manifest: manifest["tasks"][1]["labels"].pop())
         with pytest.raises(ValidationError, match="task 'fine' has 199 labels for 200 feature rows"):

@@ -749,7 +749,8 @@ class TestCrossTaskProjection:
         monkeypatch.setattr(geometry, "pca", counting_pca)
         monkeypatch.setattr(scoring, "pca", counting_pca)
         monkeypatch.setattr(scoring, "_cosine_auc_eval", counting_eval)
-        geometry_headlines(emb, verification_pair_plan(eval_corpus, config), config)
+        pairs = {n: verification_pair_plan(d, config) for n, d in eval_corpus.tasks.items()}
+        geometry_headlines(emb, pairs, config)
         assert pooled_pcas == [True]
         assert full_space == dict.fromkeys(emb, 1)
 

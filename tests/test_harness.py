@@ -27,13 +27,12 @@ from taskweave.experiments import (
     _compare_forgetting,
     build_splits,
     bundled_reference_table,
-    embed_tasks,
+    encoder_embedder,
     init_encoder,
     run,
     run_forgetting_comparison,
     score_paper_table,
     score_suites,
-    train_centroids,
 )
 from taskweave.metrics import ScoreTable
 from taskweave.scoring import (
@@ -54,14 +53,11 @@ from taskweave.seeding import derive_seed, stream
 REQUIRED_TASK_FIELDS = ["name", "regime", "classes", "samples_per_class", "within_class_spread"]
 
 
-def score_params(params, train_corpus, eval_corpus, config, plan=None) -> dict[str, float]:
-    """The score row of ``params``: the eval tasks embedded and scored,
-    against the train-class centroids, under ``plan`` (by default the
-    config's)."""
-    plan = plan or verification_pair_plan(eval_corpus, config)
-    eval_emb = embed_tasks(params, eval_corpus.tasks)
-    centroids = train_centroids(params, train_corpus)
-    return evaluate_row(eval_emb, eval_corpus, centroids, plan, config)
+def score_params(params, train_corpus, eval_corpus, config) -> dict[str, float]:
+    """The score row of ``params``: the eval tasks embedded and scored
+    against the train-class centroids."""
+    embedder = encoder_embedder(params)
+    return evaluate_row(embedder, eval_corpus, class_centroids(embedder, train_corpus), config)
 
 
 def tiny_config(output_dir, seed=13) -> ExperimentConfig:
@@ -513,29 +509,32 @@ class TestRun:
         assert (tmp_path / "out" / "summary.json").is_file()
 
     def test_scores_draw_each_tasks_pairs_when_they_score_it(self, tmp_path, monkeypatch):
-        # Without the geometry suite, one task's pairs are alive at a time,
-        # and they are the pairs the plan drawn up front holds.
-        drawn, alive_at_draw = [], []
+        # Without the geometry suite, one task's pairs are alive at a time.
+        # Only the three tasks with a pair metric draw them, not the coarse
+        # one, and each draw is its task's own stream's.
+        drawn, alive_at_draw, draws = [], [], []
         sample_pairs = scoring._sample_pairs
 
         def tracked(*args):
             alive_at_draw.append(sum(ref() is not None for ref in drawn))
             pairs = sample_pairs(*args)
             drawn.extend(map(weakref.ref, pairs))
+            draws.append([p.tobytes() for p in pairs])
             return pairs
 
         monkeypatch.setattr(scoring, "_sample_pairs", tracked)
         config = tiny_config(tmp_path / "out")
         config.evaluation.suites = ["scores"]
         run(config)
-        assert alive_at_draw == [0, 0, 0, 0]
+        assert alive_at_draw == [0, 0, 0]
         _, eval_corpus = build_splits(config)
-        lazy = verification_pair_plan(eval_corpus, config, on_lookup=True)
-        plan = verification_pair_plan(eval_corpus, config)
-        assert list(lazy) == list(plan)
-        for name, pairs in plan.items():
-            assert lazy[name].genuine.tobytes() == pairs.genuine.tobytes()
-            assert lazy[name].impostor.tobytes() == pairs.impostor.tobytes()
+        n_pairs = config.evaluation.verification_pairs
+        expected = [
+            [p.tobytes() for p in sample_pairs(d.labels, n_pairs, stream(config.seed, "pairs", n))]
+            for n, d in eval_corpus.tasks.items()
+            if d.regime != "coarse-category"
+        ]
+        assert len(expected) == 3 and draws == expected
 
     def test_seed_override_leaves_config_unchanged(self, tmp_path):
         config = tiny_config(tmp_path / "out")
@@ -954,10 +953,9 @@ class TestPairPlan:
     def test_eval_tasks_draw_valid_pairs_over_every_class(self, layout, seed, tmp_path):
         config = eval_layout(layout, seed, tmp_path / "out")
         _, eval_corpus = build_splits(config)
-        plan = verification_pair_plan(eval_corpus, config)
         shape = (config.evaluation.verification_pairs, 2)
-        for name, pairs in plan.items():
-            labels = eval_corpus.tasks[name].labels
+        for data in eval_corpus.tasks.values():
+            pairs, labels = verification_pair_plan(data, config), data.labels
             assert pairs.genuine.shape == pairs.impostor.shape == shape
             assert_valid_pairs(labels, pairs.genuine, pairs.impostor)
             # Every class of the task forms a genuine pair and sits on
@@ -970,7 +968,7 @@ class TestPairPlan:
     def test_draws_match_per_task_streams(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         _, eval_corpus = build_splits(config)
-        plan = verification_pair_plan(eval_corpus, config)
+        plan = {n: verification_pair_plan(d, config) for n, d in eval_corpus.tasks.items()}
         # Draw order does not matter: each task has its own stream.
         for name in reversed(list(eval_corpus.tasks)):
             rng = stream(config.seed, "pairs", name)
@@ -983,20 +981,19 @@ class TestPairPlan:
     def test_plan_holds_every_eval_task(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         _, eval_corpus = build_splits(config)
-        plan = verification_pair_plan(eval_corpus, config)
-        assert list(plan) == list(eval_corpus.tasks)
         shape = (config.evaluation.verification_pairs, 2)
-        for name, pairs in plan.items():
+        for data in eval_corpus.tasks.values():
+            pairs = verification_pair_plan(data, config)
             assert pairs.genuine.shape == pairs.impostor.shape == shape
-            assert_valid_pairs(eval_corpus.tasks[name].labels, pairs.genuine, pairs.impostor)
+            assert_valid_pairs(data.labels, pairs.genuine, pairs.impostor)
 
     def test_task_order_does_not_move_the_pairs(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         _, eval_corpus = build_splits(config)
-        plan = verification_pair_plan(eval_corpus, config)
-        eval_corpus.tasks = dict(reversed(eval_corpus.tasks.items()))
-        reordered = verification_pair_plan(eval_corpus, config)
-        assert list(reordered) == list(reversed(list(plan)))
+        tasks = eval_corpus.tasks
+        plan = {n: verification_pair_plan(d, config) for n, d in tasks.items()}
+        # Drawn again in reverse order, after every task has drawn once.
+        reordered = {n: verification_pair_plan(tasks[n], config) for n in reversed(list(tasks))}
         for name, pairs in plan.items():
             np.testing.assert_array_equal(reordered[name].genuine, pairs.genuine)
             np.testing.assert_array_equal(reordered[name].impostor, pairs.impostor)
@@ -1056,10 +1053,9 @@ class TestEvaluateRow:
         config = eval_layout("scale-scores", 72025, tmp_path / "out")
         train_corpus, eval_corpus = build_splits(config)
         params = init_encoder(config)
-        plan = verification_pair_plan(eval_corpus, config)
-        row = score_params(params, train_corpus, eval_corpus, config, plan)
+        row = score_params(params, train_corpus, eval_corpus, config)
         monkeypatch.setattr(scoring, "rank_k", dense_rank_k)
-        assert row == score_params(params, train_corpus, eval_corpus, config, plan)
+        assert row == score_params(params, train_corpus, eval_corpus, config)
 
 
 def loop_probe_gallery_split(labels):
@@ -1363,20 +1359,17 @@ class TestScoringCore:
         config, result, _ = stock_run
         train_corpus, eval_corpus = build_splits(config)
 
-        def unit_rows(tasks):
-            return {
-                n: d.features / np.linalg.norm(d.features, axis=1, keepdims=True)
-                for n, d in tasks.items()
-            }
+        def raw_inputs(data):
+            return data.features / np.linalg.norm(data.features, axis=1, keepdims=True)
 
-        plan = verification_pair_plan(eval_corpus, config)
-        raw = unit_rows(eval_corpus.tasks)
-        centroids = class_centroids(unit_rows(train_corpus.tasks), train_corpus)
-        row = evaluate_row(raw, eval_corpus, centroids, plan, config)
+        centroids = class_centroids(raw_inputs, train_corpus)
+        row = evaluate_row(raw_inputs, eval_corpus, centroids, config)
         assert list(row) == list(result.results["scores"])
         assert all(np.isfinite(v) for v in row.values())
 
-        tables, summary = geometry_headlines(raw, plan, config)
+        raw = {n: raw_inputs(d) for n, d in eval_corpus.tasks.items()}
+        pairs = {n: verification_pair_plan(d, config) for n, d in eval_corpus.tasks.items()}
+        tables, summary = geometry_headlines(raw, pairs, config)
         geometry = {rel for rel in result.artifacts if rel.startswith("geometry/")}
         assert {path for path, _, _ in tables} == geometry - {"geometry/summary.json"}
         assert summary.keys() == result.results["geometry"].keys()
@@ -1638,6 +1631,19 @@ class TestCli:
             (tmp_path / "swap").rename(out / "corpus_eval")
         elif case == "corpus file missing":
             (out / "corpus_eval" / "persons.npy").unlink()
+        elif case == "tasks not a list of objects":
+            manifest = json.loads((out / "corpus_eval" / "manifest.json").read_text())
+            manifest["tasks"] = [5]
+            (out / "corpus_eval" / "manifest.json").write_text(json.dumps(manifest))
+        elif case == "features of the other split":
+            # The other split's file exists and is listed, with the same shape.
+            manifest = json.loads((out / "corpus" / "manifest.json").read_text())
+            manifest["tasks"][0]["file"] = "../corpus_eval/objects.npy"
+            (out / "corpus" / "manifest.json").write_text(json.dumps(manifest))
+        elif case == "features unlisted":
+            summary = json.loads((out / "summary.json").read_text())
+            summary["artifacts"].remove("corpus/objects.npy")
+            (out / "summary.json").write_text(json.dumps(summary))
         elif case == "no summary.json":
             (out / "summary.json").unlink()
         elif case == "summary.json not JSON":
@@ -1662,6 +1668,9 @@ class TestCli:
             ("corpus of another seed", "train corpus saved is not its config's"),
             ("splits swapped", "train corpus saved is not its config's"),
             ("corpus file missing", "persons.npy"),
+            ("tasks not a list of objects", "tasks must be a list of JSON objects"),
+            ("features of the other split", "task 'objects': file must be 'objects.npy'"),
+            ("features unlisted", "corpus/objects.npy is not listed in"),
             ("no config.json", "config.json"),
             ("no summary.json", "summary.json: No such file or directory (an unfinished run)"),
             ("summary.json not JSON", "summary.json does not list the run's files"),

@@ -67,7 +67,7 @@ from taskweave.experiments import (
     sequential_finetune,
 )
 from taskweave.metrics import EXPERT
-from taskweave.scoring import class_centroids, evaluate_row, rows_to_table, verification_pair_plan
+from taskweave.scoring import class_centroids, evaluate_row, rows_to_table
 from taskweave.seeding import derive_seed, stream
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -735,14 +735,14 @@ class TestSubsample:
         assert blocked.loaders["faces_hq"].size == train.tasks["faces_hq"].n_samples
 
 
-def reference_row(params, train_corpus, eval_corpus, config, pair_plan):
+def reference_row(params, train_corpus, eval_corpus, config):
     """One model's score row: every eval task and the coarse train tasks
-    behind the class centroids embedded, then scored."""
+    behind the class centroids embedded up front, then scored."""
     eval_emb = {n: embed(params, d.features) for n, d in eval_corpus.tasks.items()}
     coarse = {n: d for n, d in train_corpus.tasks.items() if d.regime == "coarse-category"}
     train_emb = {n: embed(params, d.features) for n, d in coarse.items()}
-    centroids = class_centroids(train_emb, train_corpus)
-    return evaluate_row(eval_emb, eval_corpus, centroids, pair_plan, config)
+    centroids = class_centroids(lambda d: train_emb[d.name], train_corpus)
+    return evaluate_row(lambda d: eval_emb[d.name], eval_corpus, centroids, config)
 
 
 def write_lines(out, rel, records):
@@ -760,7 +760,6 @@ def reference_forgetting_comparison(config):
     out.start()
 
     train_corpus, eval_corpus = build_splits(config)
-    pair_plan = verification_pair_plan(eval_corpus, config)
     params = init_encoder(config)
     data = train_corpus.tasks[fg.pretrain_task]
     seed = derive_seed(config.seed, "pretrain")
@@ -774,7 +773,7 @@ def reference_forgetting_comparison(config):
     save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
     top1_col = f"{fg.pretrain_task}:top1"
-    baseline_row = reference_row(params, train_corpus, eval_corpus, config, pair_plan)
+    baseline_row = reference_row(params, train_corpus, eval_corpus, config)
     baseline_acc = baseline_row[top1_col]
 
     finetune_tasks = {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task}
@@ -817,7 +816,7 @@ def reference_forgetting_comparison(config):
     order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
     batches = dict(zip(order, [balanced_batches, balanced_batches, adaptive_batches]))
     rows = {
-        name: reference_row(models[name], train_corpus, eval_corpus, config, pair_plan)
+        name: reference_row(models[name], train_corpus, eval_corpus, config)
         for name in order
     }
     table, floored = rows_to_table(rows)
