@@ -12,9 +12,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
-from .datagen import CorpusSpec, TaskGenSpec
+from .datagen import CorpusSpec, TaskGenSpec, check_types
 from .errors import ConfigurationError, ValidationError
 
 SCHEMA_VERSION = 1
@@ -26,33 +25,6 @@ def _check_keys(section: dict, allowed: set[str], path: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ValidationError(f"unknown key(s) {unknown} in {path}")
-
-
-def _conforms(value, hint) -> bool:
-    """``value`` has the annotated type ``hint``. A bool is not a number,
-    and an int is a float."""
-    args = get_args(hint)
-    if get_origin(hint) is list:
-        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
-    if get_origin(hint) is dict:
-        return isinstance(value, dict) and all(
-            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items()
-        )
-    if args:  # a union such as ``int | None``
-        return any(_conforms(value, arg) for arg in args)
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _check_types(obj, path: str, names=None) -> None:
-    """Each field of the dataclass instance ``obj`` named in ``names`` (all
-    of them by default) must have its annotated type."""
-    hints = get_type_hints(type(obj))
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if (names is None or f.name in names) and not _conforms(value, hints[f.name]):
-            raise ValidationError(f"{path}.{f.name} must be of type {f.type}, got {value!r}")
 
 
 def _section(cls, section: dict, path: str):
@@ -202,12 +174,12 @@ class ExperimentConfig:
         from .curriculum import ADAPTIVE, MODES
 
         # Every value has its field's type before any range is checked.
-        _check_types(self, "config.corpus", ["ambient_dim"])
-        _check_types(self, "config", [f.name for f in fields(self) if f.name != "ambient_dim"])
+        check_types(self, "config.corpus", ["ambient_dim"])
+        check_types(self, "config", [f.name for f in fields(self) if f.name != "ambient_dim"])
         for key in _SECTIONS:
-            _check_types(getattr(self, key), f"config.{key}")
+            check_types(getattr(self, key), f"config.{key}")
         for i, task in enumerate(self.tasks):
-            _check_types(task, f"config.corpus.tasks[{i}]")
+            check_types(task, f"config.corpus.tasks[{i}]")
         _check_int(self.seed, "config.seed", 0)
         if not 0 <= self.margin < math.inf:
             raise ValidationError(
@@ -269,6 +241,9 @@ class ExperimentConfig:
                 "config.evaluation.variance_fraction must lie in (0, 1], "
                 f"got {ev.variance_fraction!r}"
             )
+        for i, width in enumerate(self.encoder.hidden_dims):
+            _check_int(width, f"config.encoder.hidden_dims[{i}]", 1)
+        _check_int(self.encoder.embedding_dim, "config.encoder.embedding_dim", 1)
         _check_int(ev.probe_window, "config.evaluation.probe_window", 1, self.encoder.embedding_dim)
         # A batch-hard batch needs a second row per id for its positives and a
         # second id for its negatives, and every task must offer P ids.

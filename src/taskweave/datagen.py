@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,6 +48,35 @@ DEGRADATION_SHIFT_SCALE = 3.0
 
 # Characters a CSV cell cannot hold unquoted; the artifact writer quotes none.
 CSV_UNSAFE = ',"\r\n'
+
+
+def _conforms(value, hint) -> bool:
+    """``value`` has the annotated type ``hint``. A bool is not a number,
+    and an int is a float."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if get_origin(hint) is dict:
+        return isinstance(value, dict) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items()
+        )
+    if args:  # a union such as ``int | None``
+        return any(_conforms(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def check_types(obj, path: str, names=None) -> None:
+    """Each field of the dataclass instance ``obj`` named in ``names`` (all
+    of them by default) must have its annotated type: the check of a config
+    section, and of a corpus manifest's fields. ``path`` names ``obj`` in
+    the error."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if (names is None or f.name in names) and not _conforms(value, hints[f.name]):
+            raise ValidationError(f"{path}.{f.name} must be of type {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +248,8 @@ class Corpus:
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":
         """The corpus :meth:`save` wrote under ``directory``. A missing or
-        malformed file raises ValidationError naming it, as does a task
+        malformed file raises ValidationError naming it, as does a field of
+        the wrong type, a task recipe that does not validate, or a task
         whose features are not in the ``<name>.npy`` that :meth:`save`
         writes."""
         directory = Path(directory)
@@ -239,10 +270,18 @@ class Corpus:
             task_specs = tuple(
                 TaskGenSpec(**{f.name: t[f.name] for f in fields(TaskGenSpec)}) for t in tasks
             )
+            for i, task in enumerate(task_specs):
+                check_types(task, f"{path}: tasks[{i}]")
+                try:
+                    task.validate()
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}: {exc}") from None
             spec = CorpusSpec(
                 tasks=task_specs, seed=manifest["seed"], ambient_dim=manifest["ambient_dim"]
             )
+            check_types(spec, f"{path}: corpus", ["seed", "ambient_dim"])
             corpus = cls(spec=spec, split=manifest["split"])
+            check_types(corpus, f"{path}: corpus", ["split"])
             for t in tasks:
                 fname = f"{t['name']}.npy"
                 if t["file"] != fname:

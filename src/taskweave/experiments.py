@@ -257,9 +257,15 @@ def sequential_finetune(
 
 
 SEQUENTIAL = "sequential"
-PRETRAINED = "pretrained"
 INTERLEAVED_BALANCED = "interleaved-balanced"
 INTERLEAVED_ADAPTIVE = "interleaved-adaptive"
+# The fine-tunes in report order: each row's name, and the name its trace
+# file and seed use.
+FINETUNES = {
+    SEQUENTIAL: SEQUENTIAL,
+    INTERLEAVED_BALANCED: BALANCED,
+    INTERLEAVED_ADAPTIVE: ADAPTIVE,
+}
 
 
 def run_forgetting_comparison(
@@ -309,27 +315,21 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
         embedder = encoder_embedder(model)
         return evaluate_row(embedder, eval_corpus, class_centroids(embedder, train_corpus), config)
 
-    def sequential() -> dict:
+    # Each fine-tune's item gives its (score row, batches spent, trace text).
+    def sequential() -> tuple[dict[str, float], tuple]:
         # The blocked baseline spends the balanced run's batch total on the
-        # fine-tune tasks alone, planned before either runs.
+        # fine-tune tasks alone, planned before either runs. Its item also
+        # scores the pretrained model, and gives that row first.
         batches = balanced.planned_batches(fg.finetune_epochs)
         tasks = {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task}
         trace = JsonLines(f"traces/finetune_{SEQUENTIAL}.jsonl")
         blocked = sequential_finetune(config, params.copy(), tasks, batches, trace)
-        return {
-            "batches": batches,
-            "trace": trace.text(),
-            "rows": {PRETRAINED: score(params), SEQUENTIAL: score(blocked.params)},
-        }
+        return score(params), (score(blocked.params), batches, trace.text())
 
-    def interleaved(trainer: Trainer, row_name: str) -> dict:
+    def interleaved(trainer: Trainer) -> tuple[dict[str, float], int, str]:
         for _ in range(fg.finetune_epochs):
             trainer.run_epoch()
-        return {
-            "batches": trainer.batches,
-            "trace": trainer.trace.text(),
-            "rows": {row_name: score(trainer.params)},
-        }
+        return score(trainer.params), trainer.batches, trainer.trace.text()
 
     # The three fine-tunes are independent. The sequential item runs in
     # this process; the interleaved ones run in a forked child each when a
@@ -340,53 +340,44 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
     # CPUs.
     items = [
         sequential,
-        partial(interleaved, balanced, INTERLEAVED_BALANCED),
+        partial(interleaved, balanced),
         # The adaptive trainer's seed pass runs the kernel, so its item builds it.
-        lambda: interleaved(finetune_trainer(ADAPTIVE), INTERLEAVED_ADAPTIVE),
+        lambda: interleaved(finetune_trainer(ADAPTIVE)),
     ]
     workers = len(items) if cpu_workers(len(items)) > 1 else 1
-    results = forked_map(lambda item: item(), items, workers)
-    planned, spent = results[0]["batches"], results[1]["batches"]
+    (pretrained, first), *rest = forked_map(lambda item: item(), items, workers)
+    finetunes = dict(zip(FINETUNES, [first, *rest]))
+    planned, spent = finetunes[SEQUENTIAL][1], finetunes[INTERLEAVED_BALANCED][1]
     if spent != planned:
         raise ContractError(
             f"the balanced fine-tune spent {spent} batches against the {planned} planned"
         )
-    traces = dict(zip((SEQUENTIAL, BALANCED, ADAPTIVE), (r["trace"] for r in results)))
-    order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
-    batches = dict(zip(order, (r["batches"] for r in results)))
-    rows = {name: row for r in results for name, row in r["rows"].items()}
-    for mode in (BALANCED, ADAPTIVE, SEQUENTIAL):
-        out.write(f"traces/finetune_{mode}.jsonl", traces[mode].encode())
+    for name, (_, _, trace) in finetunes.items():
+        out.write(f"traces/finetune_{FINETUNES[name]}.jsonl", trace.encode())
 
-    top1_col = f"{fg.pretrain_task}:top1"
-    baseline_acc = rows.pop(PRETRAINED)[top1_col]
-    rows = {name: rows[name] for name in order}
-    table, floored = rows_to_table(rows)
+    table, floored = rows_to_table({name: row for name, (row, _, _) in finetunes.items()})
     table.to_csv(out, "tables/forgetting_scores.csv")
-    indexed_rows = [
-        [name]
-        + [float(v) for v in table.row(name)]
-        + [table.index_for(name, EXPERT)]
-        for name in order
-    ]
+    expert = {name: table.index_for(name, EXPERT) for name in finetunes}
     out.rows(
         "tables/forgetting_scores_indexed.csv",
         ["model"] + table.columns + ["multitask_index_expert"],
-        indexed_rows,
+        [[name, *map(float, table.row(name)), expert[name]] for name in finetunes],
     )
 
+    top1_col = f"{fg.pretrain_task}:top1"
+    baseline_acc = pretrained[top1_col]
     report = {
         "pretrain_task": fg.pretrain_task,
         "pretrain_accuracy": baseline_acc,
         "finetune_total_batches": planned,
         "models": {
             name: {
-                "batches": batches[name],
-                "pretrain_task_accuracy": rows[name][top1_col],
-                "pretrain_task_drop": baseline_acc - rows[name][top1_col],
-                "multitask_index_expert": table.index_for(name, EXPERT),
+                "batches": batches,
+                "pretrain_task_accuracy": row[top1_col],
+                "pretrain_task_drop": baseline_acc - row[top1_col],
+                "multitask_index_expert": expert[name],
             }
-            for name in order
+            for name, (row, batches, _) in finetunes.items()
         },
     }
     out.json("forgetting_report.json", report)

@@ -369,26 +369,11 @@ def cross_task_projection_eval(
     full-space value, ``target_eval(target_embeddings)``, which the caller
     may pass as ``full_value`` when it has it already.
     """
-    X = _target_matrix(source, target_embeddings)
-    if full_value is None:
-        full_value = target_eval(X)
-    return _projected_eval(source, k, X, target_eval, full_value)
-
-
-def _target_matrix(source: Subspace, target_embeddings: np.ndarray) -> np.ndarray:
     X = np.asarray(target_embeddings, dtype=np.float64)
     if X.shape[1] != source.ambient_dim:
         raise ContractError("target embeddings must live in the source ambient space")
-    return X
-
-
-def _projected_eval(
-    source: Subspace,
-    k: int,
-    X: np.ndarray,
-    target_eval: Callable[[np.ndarray], float],
-    full_value: float,
-) -> tuple[float, float]:
+    if full_value is None:
+        full_value = target_eval(X)
     sub = source.truncated(k)
     value = target_eval((X - sub.mean) @ sub.basis)
     return float(value), float(value - full_value)
@@ -404,10 +389,13 @@ def projection_sweep(
     """(k, value, delta) for k = 1 .. min(max_k, source rank), as
     :func:`cross_task_projection_eval` gives them; the full-space value is
     computed once for the whole sweep, or passed in as ``full_value``."""
-    X = _target_matrix(source, target_embeddings)
+    X = np.asarray(target_embeddings, dtype=np.float64)
+    if X.shape[1] != source.ambient_dim:
+        raise ContractError("target embeddings must live in the source ambient space")
     if full_value is None:
         full_value = target_eval(X)
     top = source.dim if max_k is None else min(max_k, source.dim)
     return [
-        (k, *_projected_eval(source, k, X, target_eval, full_value)) for k in range(1, top + 1)
+        (k, *cross_task_projection_eval(source, k, X, target_eval, full_value))
+        for k in range(1, top + 1)
     ]

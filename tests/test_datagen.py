@@ -311,6 +311,14 @@ class TestMalformedCorpus:
             ("file", None, "task 'fine': file must be 'fine.npy'"),
             ("file", "coarse.npy", "task 'fine': file must be 'fine.npy'"),
             ("file", "../c/fine.npy", "task 'fine': file must be 'fine.npy'"),
+            # Each used to load, and a bad regime to fail later as a bare
+            # KeyError in scoring.
+            ("samples_per_class", "x", r"tasks\[1\].samples_per_class must be of type int"),
+            ("regime", 5, r"tasks\[1\].regime must be of type str"),
+            ("regime", "fine", "task 'fine': unknown regime 'fine'"),
+            ("seed", "x", "corpus.seed must be of type int"),
+            ("ambient_dim", None, "corpus.ambient_dim must be of type int"),
+            ("split", 5, "corpus.split must be of type str"),
         ],
     )
     def test_manifest_of_the_wrong_shape(self, saved, field, value, problem):

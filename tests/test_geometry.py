@@ -761,6 +761,19 @@ class TestCrossTaskProjection:
         with pytest.raises(ContractError):
             cross_task_projection_eval(basis, basis.dim + 1, target, evaluator)
 
+    @pytest.mark.parametrize("full_value", [None, 0.5])
+    def test_target_of_another_width_is_rejected_unevaluated(self, full_value):
+        rng = np.random.default_rng(20)
+        basis = pca(rng.standard_normal((30, 5)), center=False)
+        target = rng.standard_normal((12, 6))
+        calls = []
+        evaluator = lambda coords: calls.append(coords) or 0.5
+        with pytest.raises(ContractError, match="source ambient space"):
+            cross_task_projection_eval(basis, 1, target, evaluator, full_value)
+        with pytest.raises(ContractError, match="source ambient space"):
+            projection_sweep(basis, target, evaluator, full_value=full_value)
+        assert calls == []
+
 
 class TestProbeCurveType:
     def test_len(self):

@@ -19,33 +19,18 @@ and lists the moved files, with before and after values, in CHANGES.md.
 """
 
 import hashlib
-import importlib.util
 import json
 import operator
 import os
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+from conftest import load_worker, tree_bytes
 
-ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 SEED = 72025
 WORKLOADS = ("pipeline", "forgetting", "scale-scores")
-
-
-def load_worker(setitem):
-    """``perfbench/worker.py``, loaded by path. It imports the tracer as the
-    top-level module ``tracer``; ``setitem(sys.modules, name, module)``
-    registers both modules (``monkeypatch.setitem`` undoes that after a
-    test)."""
-    for name, rel in (("tracer", "tracer.py"), ("perfbench_worker", "worker.py")):
-        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / rel)
-        module = importlib.util.module_from_spec(spec)
-        setitem(sys.modules, name, module)
-        spec.loader.exec_module(module)
-    return module
 
 
 def machine() -> dict[str, str]:
@@ -61,9 +46,7 @@ def tree_digests(worker) -> dict[str, dict[str, str]]:
         root = Path(workload)
         worker.execute(workload, worker.build_config(workload, SEED, root))
         trees[workload] = {
-            str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(root.rglob("*"))
-            if path.is_file()
+            rel: hashlib.sha256(data).hexdigest() for rel, data in tree_bytes(root).items()
         }
     return trees
 

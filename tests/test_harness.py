@@ -10,12 +10,14 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import taskweave
+from conftest import tree_bytes
 from taskweave import experiments, scoring
 from taskweave.artifacts import RunResult
 from taskweave.cli import main
@@ -1193,7 +1195,77 @@ class TestValidateOnEntry:
         "weight_decay": (
             "optimizer", "weight_decay", -1e-6, ValidationError, "config.optimizer.weight_decay",
         ),
+        # A negative width used to fail in numpy after config.json and the
+        # train corpus were written, and a zero width to train.
+        "hidden_dims": (
+            "encoder", "hidden_dims", [-3], ValidationError, r"config.encoder.hidden_dims\[0\]",
+        ),
+        "hidden_dims_zero": (
+            "encoder", "hidden_dims", [16, 0], ValidationError, r"config.encoder.hidden_dims\[1\]",
+        ),
+        "embedding_dim": (
+            "encoder", "embedding_dim", 0, ValidationError, "config.encoder.embedding_dim",
+        ),
+        "identities": ("batch", "identities", 7, ValidationError, "config.batch.identities"),
+        "positives": ("batch", "positives", 1, ValidationError, "config.batch.positives"),
+        "batches_per_task": (
+            "curriculum", "batches_per_task", 0, ConfigurationError, "batches_per_task",
+        ),
+        "steps_per_epoch": (
+            "curriculum", "steps_per_epoch", 0, ValidationError,
+            "config.curriculum.steps_per_epoch",
+        ),
+        "epochs": ("training", "epochs", 0, ValidationError, "config.training.epochs"),
+        "verification_pairs": (
+            "evaluation", "verification_pairs", 4, ValidationError,
+            "config.evaluation.verification_pairs",
+        ),
+        "far_values": (
+            "evaluation", "far_values", [1e-2, 1.0], ValidationError,
+            "config.evaluation.far_values",
+        ),
+        "probe_window": (
+            "evaluation", "probe_window", 9, ValidationError, "config.evaluation.probe_window",
+        ),
+        "probe_folds": (
+            "evaluation", "probe_folds", 1, ValidationError, "config.evaluation.probe_folds",
+        ),
+        "pretrain_steps": (
+            "forgetting", "pretrain_steps", 0, ValidationError, "config.forgetting.pretrain_steps",
+        ),
+        "pretrain_batches_per_step": (
+            "forgetting", "pretrain_batches_per_step", 0, ValidationError,
+            "config.forgetting.pretrain_batches_per_step",
+        ),
+        "finetune_epochs": (
+            "forgetting", "finetune_epochs", 0, ValidationError,
+            "config.forgetting.finetune_epochs",
+        ),
     }
+    # Numeric section fields with no out-of-range value, each with the
+    # reason; none today.
+    UNRANGED: dict[tuple[str, str], str] = {}
+
+    def test_every_numeric_field_has_a_bad_setting(self):
+        # A numeric field added to a config section fails here until
+        # validate() bounds it and BAD_SETTINGS shows it, or UNRANGED says
+        # why it has no bound.
+        def numeric(hint):
+            return hint in (int, float) or any(numeric(arg) for arg in get_args(hint))
+
+        config = tiny_config("unused")
+        sections = [f.name for f in dataclasses.fields(config)]
+        sections = [s for s in sections if dataclasses.is_dataclass(getattr(config, s))]
+        fields = {
+            (section, name)
+            for section in sections
+            for name, hint in get_type_hints(type(getattr(config, section))).items()
+            if numeric(hint)
+        }
+        covered = {(section, field) for section, field, *_ in self.BAD_SETTINGS.values()}
+        assert ("encoder", "hidden_dims") in fields
+        assert sorted(fields - covered - set(self.UNRANGED)) == []
+        assert covered | set(self.UNRANGED) <= fields
 
     @pytest.mark.parametrize("setting", sorted(BAD_SETTINGS))
     @pytest.mark.parametrize("entry", [run, run_forgetting_comparison], ids=lambda f: f.__name__)
@@ -1429,11 +1501,6 @@ class TestScoreTableScoring:
         for model, group in table.groups.items():
             if group == "zeroshot":
                 assert ranking[model] < 0
-
-
-def tree_bytes(root: Path) -> dict[str, bytes]:
-    """Every file under ``root``, keyed by its path relative to ``root``."""
-    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 class TestCli:

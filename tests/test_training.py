@@ -11,14 +11,11 @@ Trainer must reproduce its losses and accuracies as well.
 
 import dataclasses
 import importlib
-import importlib.util
 import json
 import os
 import pickle
 import shutil
-import sys
 from copy import deepcopy
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import taskweave.encoder as encoder
+from conftest import load_tracer, load_worker, tree_bytes
 from taskweave import curriculum, experiments, forking
 from taskweave.config import default_config
 from taskweave.curriculum import (
@@ -69,8 +67,6 @@ from taskweave.experiments import (
 from taskweave.metrics import EXPERT
 from taskweave.scoring import class_centroids, evaluate_row, rows_to_table
 from taskweave.seeding import derive_seed, stream
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config(seed=3):
@@ -848,14 +844,6 @@ def reference_forgetting_comparison(config):
     out.finish(config.seed, report, floored_cells=floored)
 
 
-def tree_files(root):
-    return {
-        str(path.relative_to(root)): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-    }
-
-
 class TestForgettingMatchesReference:
     """The one fine-tune loop and the shared blocked body write, byte for
     byte, the files of the hand-written pipeline they replaced."""
@@ -871,12 +859,12 @@ class TestForgettingMatchesReference:
         config.output_dir = str(tmp_path / "reference")
         reference_forgetting_comparison(config)
         run_forgetting_comparison(config, output_dir=tmp_path / "refactored")
-        expected = tree_files(tmp_path / "reference")
+        expected = tree_bytes(tmp_path / "reference")
         assert len(expected) == 9
-        assert tree_files(tmp_path / "refactored") == expected
+        assert tree_bytes(tmp_path / "refactored") == expected
 
     def test_each_blocked_phase_runs_once(self, monkeypatch, tmp_path):
-        tracer = load_tracer(monkeypatch)
+        tracer = load_tracer(monkeypatch.setitem)
         config = small_config()
         config.output_dir = str(tmp_path / "out")
         config.evaluation.verification_pairs = 100
@@ -953,7 +941,7 @@ class TestBudgetPlan:
     def test_plan_runs_no_kernel(self, monkeypatch, tmp_path):
         config = forgetting_config(tmp_path)
         train, _ = build_splits(config)
-        tracer = load_tracer(monkeypatch)
+        tracer = load_tracer(monkeypatch.setitem)
         trainer = balanced_finetune_trainer(config, train)
         draws = []
         draw = Loader.draw
@@ -1013,7 +1001,7 @@ class TestBudgetPlan:
         monkeypatch.setattr(Trainer, "planned_batches", lambda *a: plan(*a) + 1)
         with pytest.raises(ContractError, match="balanced fine-tune spent"):
             run_forgetting_comparison(forgetting_config(tmp_path))
-        assert sorted(tree_files(tmp_path)) == [
+        assert sorted(tree_bytes(tmp_path)) == [
             "checkpoints/encoder_pretrained.npz",
             "traces/pretrain.jsonl",
         ]
@@ -1051,11 +1039,13 @@ class TestBatchesPerModel:
 @pytest.mark.usefixtures("leaves_no_process_or_fd")
 class TestParallelFinetunes:
     """The forgetting comparison's three fine-tunes are independent items of
-    one ``forked_map``. The sequential item runs in this process: it plans
-    the balanced budget, tunes the blocked baseline on it and scores the
-    baseline and the pretrained model. On two or more CPUs the balanced
-    and adaptive items run in a forked child each, tuning and scoring their
-    model; on one CPU all three run here, in that order. The tree must be
+    one ``forked_map``, each giving back its model's score row, its batch
+    count and its trace text. The sequential item runs in this process: it
+    plans the balanced budget, tunes the blocked baseline on it and scores
+    the baseline, and gives the pretrained model's score row beside its
+    own. On two or more CPUs the balanced and adaptive items run in a
+    forked child each, tuning and scoring their model; on one CPU all
+    three run here, in that order. The tree must be
     the one-CPU tree byte for byte, a failure must surface as the one-CPU
     run raises it, and no child or pipe may outlive the call."""
 
@@ -1069,7 +1059,7 @@ class TestParallelFinetunes:
             self.force_cpus(monkeypatch, cpus)
             assert forking.cpu_workers(2) == min(cpus, 2)
             run_forgetting_comparison(forgetting_config(tmp_path / str(cpus), seed))
-            trees[cpus] = tree_files(tmp_path / str(cpus))
+            trees[cpus] = tree_bytes(tmp_path / str(cpus))
         assert len(trees[1]) == 9
         assert trees[2] == trees[1]
         assert trees[3] == trees[1]
@@ -1112,8 +1102,8 @@ class TestParallelFinetunes:
             assert type(caught[cpus].value) is error
             assert str(caught[cpus].value) == message
         # Only the pretraining's files are written before the fine-tunes.
-        assert tree_files(tmp_path / "2") == tree_files(tmp_path / "1")
-        assert sorted(tree_files(tmp_path / "1")) == [
+        assert tree_bytes(tmp_path / "2") == tree_bytes(tmp_path / "1")
+        assert sorted(tree_bytes(tmp_path / "1")) == [
             "checkpoints/encoder_pretrained.npz",
             "traces/pretrain.jsonl",
         ]
@@ -1160,8 +1150,8 @@ class TestParallelFinetunes:
                 run_forgetting_comparison(forgetting_config(tmp_path / str(cpus)))
             assert str(caught[cpus].value) == "non-finite balanced loss (layer 0)"
             assert caught[cpus].value.layer == 0
-        assert tree_files(tmp_path / "2") == tree_files(tmp_path / "1")
-        assert sorted(tree_files(tmp_path / "1")) == [
+        assert tree_bytes(tmp_path / "2") == tree_bytes(tmp_path / "1")
+        assert sorted(tree_bytes(tmp_path / "1")) == [
             "checkpoints/encoder_pretrained.npz",
             "traces/pretrain.jsonl",
         ]
@@ -1174,7 +1164,7 @@ class TestParallelFinetunes:
     def test_this_process_fires_every_expected_span(self, monkeypatch, tmp_path, cpus):
         # The benchmark traces only this process, so the fine-tune kept here
         # must reach every span its worker predicts for the workload.
-        worker = load_worker(monkeypatch)
+        worker = load_worker(monkeypatch.setitem)
         self.force_cpus(monkeypatch, cpus)
         counts = []
         for run_index in range(2):
@@ -1217,7 +1207,7 @@ class TestParallelGeometry:
             # One directory for every run, since config.json records it.
             shutil.rmtree(out, ignore_errors=True)
             run(default_config(), output_dir=out)
-            trees[cpus] = tree_files(out)
+            trees[cpus] = tree_bytes(out)
         assert "geometry/probe_window.csv" in trees[1]
         assert trees[2] == trees[1]
         assert trees[3] == trees[1]
@@ -1225,7 +1215,7 @@ class TestParallelGeometry:
     def test_this_process_fires_every_expected_span(self, monkeypatch, tmp_path):
         # The benchmark traces only this process, so the analyses that run
         # alongside the windows must stay here.
-        worker = load_worker(monkeypatch)
+        worker = load_worker(monkeypatch.setitem)
         counts = {}
         for cpus in (1, 2):
             self.force_cpus(monkeypatch, cpus)
@@ -1242,11 +1232,7 @@ class TestParallelGeometry:
 
 class TestTracerSpans:
     def test_every_span_resolves(self, monkeypatch):
-        path = ROOT / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, tracer)
-        spec.loader.exec_module(tracer)
+        tracer = load_tracer(monkeypatch.setitem)
         missing = []
         for layer, names in tracer.SPANS.items():
             module = importlib.import_module(f"taskweave.{layer}")
@@ -1269,7 +1255,7 @@ class TestWriterSpans:
         [(run, 2), (run_forgetting_comparison, 0)],
     )
     def test_save_spans_fire(self, monkeypatch, tmp_path, pipeline, corpus_saves):
-        tracer = load_tracer(monkeypatch)
+        tracer = load_tracer(monkeypatch.setitem)
         config = small_config()
         config.output_dir = str(tmp_path / "out")
         config.training.epochs = 1
@@ -1284,26 +1270,6 @@ class TestWriterSpans:
         assert counts["encoder.save_checkpoint"] == 1
 
 
-def load_tracer(monkeypatch, name="perfbench_tracer"):
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
-    return tracer
-
-
-def load_worker(monkeypatch):
-    # worker.py imports the tracer as the top-level module ``tracer``.
-    load_tracer(monkeypatch, "tracer")
-    path = ROOT / "perfbench" / "worker.py"
-    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
-    worker = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, worker)
-    spec.loader.exec_module(worker)
-    return worker
-
-
 class TestBenchmarkConfigs:
     """Every benchmark workload's config validates, so a stricter
     ``validate`` cannot break the benchmark at set-up unseen."""
@@ -1313,7 +1279,7 @@ class TestBenchmarkConfigs:
     @pytest.mark.parametrize("seed", [1, 72025])
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_builds_and_validates(self, monkeypatch, tmp_path, workload, seed):
-        worker = load_worker(monkeypatch)
+        worker = load_worker(monkeypatch.setitem)
         assert worker.WORKLOADS == self.WORKLOADS
         config = worker.build_config(workload, seed, tmp_path / "out")
         config.validate()
@@ -1327,7 +1293,7 @@ class TestStepSpans:
 
     @pytest.mark.parametrize("cadence, accuracy_passes", [(10**6, 0), (1, 1)])
     def test_one_step(self, monkeypatch, cadence, accuracy_passes):
-        tracer = load_tracer(monkeypatch)
+        tracer = load_tracer(monkeypatch.setitem)
         config = small_config()
         config.curriculum.accuracy_cadence = cadence
         train, _ = build_splits(config)
