@@ -97,6 +97,13 @@ def _csv_cell(rel: str, value) -> str:
     return text
 
 
+def csv_text(rel: str, header: list[str], rows) -> str:
+    """The CSV file ``rel`` of ``header`` and ``rows``, as text: one line per
+    row, cells joined by commas, floats by ``repr`` and NaN as an empty cell.
+    ``rel`` names the file in the error for a cell that would need quoting."""
+    return "".join(",".join(_csv_cell(rel, v) for v in row) + "\n" for row in [header, *rows])
+
+
 @dataclass
 class RunResult:
     """A run's output directory, and the only way files reach it.
@@ -189,10 +196,7 @@ class RunResult:
             sink.flush()
 
     def rows(self, rel: str, header: list[str], rows) -> None:
-        text = "".join(
-            ",".join(_csv_cell(rel, v) for v in row) + "\n" for row in [header, *rows]
-        )
-        self.write(rel, text.encode())
+        self.write(rel, csv_text(rel, header, rows).encode())
 
     # np.save and np.savez take the open file, not a path (np.save appends
     # ".npy" to a str path), so the array goes to disk with no copy in memory.

@@ -139,12 +139,24 @@ class CorpusSpec:
         raise KeyError(name)
 
     def validate(self, positives_per_id: int = 4) -> None:
-        """Check all corpus invariants.
+        """Check all corpus invariants: :meth:`validate_recipe`, and the
+        batch shape's.
 
         ``positives_per_id`` is the K of the intended P*K batch structure;
         every class must hold at least 2*K samples so batching never
         degenerates.
         """
+        self.validate_recipe()
+        for t in self.tasks:
+            if t.samples_per_class < 2 * positives_per_id:
+                raise ValidationError(
+                    f"task {t.name!r}: samples_per_class must be >= 2*K = {2 * positives_per_id}"
+                )
+
+    def validate_recipe(self) -> None:
+        """Check the invariants that need no batch shape: the task count and
+        names, the ambient dimension and seed, each task's recipe, the
+        degraded tasks' twins and the task spreads."""
         if len(self.tasks) < 2:
             raise ValidationError("corpus needs at least 2 tasks")
         names = [t.name for t in self.tasks]
@@ -157,10 +169,6 @@ class CorpusSpec:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         for t in self.tasks:
             t.validate()
-            if t.samples_per_class < 2 * positives_per_id:
-                raise ValidationError(
-                    f"task {t.name!r}: samples_per_class must be >= 2*K = {2 * positives_per_id}"
-                )
         by_name = {t.name: t for t in self.tasks}
         for t in self.tasks:
             if t.regime != "fine-identity-degraded":
@@ -249,9 +257,9 @@ class Corpus:
     def load(cls, directory: str | Path) -> "Corpus":
         """The corpus :meth:`save` wrote under ``directory``. A missing or
         malformed file raises ValidationError naming it, as does a field of
-        the wrong type, a task recipe that does not validate, or a task
-        whose features are not in the ``<name>.npy`` that :meth:`save`
-        writes."""
+        the wrong type, a recipe that fails :meth:`CorpusSpec.validate_recipe`
+        (the batch shape is not the manifest's to check), or a task whose
+        features are not in the ``<name>.npy`` that :meth:`save` writes."""
         directory = Path(directory)
         path = directory / "manifest.json"
         try:
@@ -272,14 +280,14 @@ class Corpus:
             )
             for i, task in enumerate(task_specs):
                 check_types(task, f"{path}: tasks[{i}]")
-                try:
-                    task.validate()
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}: {exc}") from None
             spec = CorpusSpec(
                 tasks=task_specs, seed=manifest["seed"], ambient_dim=manifest["ambient_dim"]
             )
             check_types(spec, f"{path}: corpus", ["seed", "ambient_dim"])
+            try:
+                spec.validate_recipe()
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from None
             corpus = cls(spec=spec, split=manifest["split"])
             check_types(corpus, f"{path}: corpus", ["split"])
             for t in tasks:

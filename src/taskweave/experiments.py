@@ -105,8 +105,8 @@ def geometry_suite(
     their summary."""
     pairs = {n: verification_pair_plan(d, config) for n, d in eval_corpus.tasks.items()}
     tables, summary = geometry_headlines(eval_emb, pairs, config)
-    for path, header, rows in tables:
-        out.rows(path, header, rows)
+    for path, text in tables:
+        out.write(path, text.encode())
     out.json("geometry/summary.json", summary)
     return summary
 
@@ -300,11 +300,14 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
         pretrain_encoder(config, params, train_corpus.tasks[fg.pretrain_task], trace)
     save_checkpoint(params, out, "checkpoints/encoder_pretrained.npz")
 
+    def trace_file(mode: str) -> str:
+        return f"traces/finetune_{mode}.jsonl"
+
     def finetune_trainer(mode: str) -> Trainer:
         # Every fine-tune starts from a copy of the pretrained parameters,
         # and encodes its trace where it trains.
         seed = derive_seed(config.seed, f"finetune-{mode}")
-        trace = JsonLines(f"traces/finetune_{mode}.jsonl")
+        trace = JsonLines(trace_file(mode))
         return Trainer(config, mode, train_corpus.tasks, params.copy(), seed, trace=trace)
 
     # Built before the fork: the sequential item asks it for the total it
@@ -322,7 +325,7 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
         # scores the pretrained model, and gives that row first.
         batches = balanced.planned_batches(fg.finetune_epochs)
         tasks = {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task}
-        trace = JsonLines(f"traces/finetune_{SEQUENTIAL}.jsonl")
+        trace = JsonLines(trace_file(SEQUENTIAL))
         blocked = sequential_finetune(config, params.copy(), tasks, batches, trace)
         return score(params), (score(blocked.params), batches, trace.text())
 
@@ -353,7 +356,7 @@ def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
             f"the balanced fine-tune spent {spent} batches against the {planned} planned"
         )
     for name, (_, _, trace) in finetunes.items():
-        out.write(f"traces/finetune_{FINETUNES[name]}.jsonl", trace.encode())
+        out.write(trace_file(FINETUNES[name]), trace.encode())
 
     table, floored = rows_to_table({name: row for name, (row, _, _) in finetunes.items()})
     table.to_csv(out, "tables/forgetting_scores.csv")

@@ -168,6 +168,18 @@ def _row_sums(E: np.ndarray) -> np.ndarray:
     return total
 
 
+def _row_weighted(Xb: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``Xb * a[:, None]`` bit for bit: each row of ``Xb`` scaled by its
+    weight, C-contiguous as that product is for the C-contiguous rows the
+    fit passes. The same products in the same layout, so a gemm on the
+    result sees the same operands, without the broadcast's length-p inner
+    loop per row. The caller uses it within one statement, so the buffer
+    dies with its Hessian block."""
+    w = np.repeat(a, Xb.shape[1])
+    w *= Xb.ravel()
+    return w.reshape(Xb.shape)
+
+
 def _fit_multinomial(
     Xb: np.ndarray, y: np.ndarray, basis: np.ndarray, start: np.ndarray | None = None
 ) -> np.ndarray:
@@ -198,8 +210,7 @@ def _fit_multinomial(
         curv = P @ products
         H = np.empty((K * p, K * p))
         for col, (j, k) in enumerate(pairs):
-            a = curv[:, col] - PB[:, j] * PB[:, k]
-            block = (Xb * a[:, None]).T @ Xb
+            block = _row_weighted(Xb, curv[:, col] - PB[:, j] * PB[:, k]).T @ Xb
             H[j * p : (j + 1) * p, k * p : (k + 1) * p] = block
             H[k * p : (k + 1) * p, j * p : (j + 1) * p] = block.T
         H[diagonal] += ridge

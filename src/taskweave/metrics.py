@@ -85,8 +85,9 @@ def roc_auc(genuine_scores, impostor_scores) -> float:
 
 
 # Elements per block of rows: ``rank_k`` scores about this many similarities
-# per block of probes, and the pair scores gather about this many per side,
-# so their memory is a few blocks, not the N×G matrix or the whole pair set.
+# per block of probes, and the pair scores gather about this many over both
+# sides of a block of pairs, so their memory is a few blocks, not the N×G
+# matrix or the whole pair set.
 _BLOCK = 1 << 16
 
 

@@ -6,7 +6,9 @@ unit-normed raw inputs. No score takes encoder parameters or writes a file,
 so any encoder, or none, is scored by the same code. The score row calls
 the embedder once per task and keeps nothing: it scores one task at a time,
 draws the task's pairs only when a metric reads them, and gathers its pair
-scores in row blocks, so scoring memory is one task's working set."""
+scores in row blocks, so scoring memory is one task's working set. The
+geometry suite's projected AUC lays out a task's pair indices once, genuine
+then impostor, and scores both kinds in one pass per projection."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import csv_text
 from .config import ExperimentConfig
 from .datagen import Corpus, TaskData
 from .errors import ContractError
@@ -68,15 +71,18 @@ def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
     return order[genuine], order[impostor]
 
 
-def _pair_scores(embeddings: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """The dot product of each pair's two rows. The pairs are gathered in
-    row blocks (:func:`~taskweave.metrics.row_blocks`), so the gathered rows
-    take a block's memory, not the pair set's; each score is its own row's
-    reduction, the same bits in any block."""
-    scores = np.empty(pairs.shape[0])
-    for lo, hi in row_blocks(pairs.shape[0], embeddings.shape[1]):
-        block = pairs[lo:hi]
-        scores[lo:hi] = np.einsum("ij,ij->i", embeddings[block[:, 0]], embeddings[block[:, 1]])
+def _pair_scores(embeddings: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The dot product of rows ``left[i]`` and ``right[i]``, for each pair
+    ``i``. Both sides are gathered by ``take`` in row blocks of about
+    ``_BLOCK`` elements together (:func:`~taskweave.metrics.row_blocks`), so
+    the gathered rows take a block's memory, not the pair set's; each score
+    is its own row's reduction, the same bits in any block."""
+    scores = np.empty(left.size)
+    for lo, hi in row_blocks(left.size, 2 * embeddings.shape[1]):
+        # One statement, so a block's gathered rows die before the next's.
+        scores[lo:hi] = np.einsum(
+            "ij,ij->i", embeddings.take(left[lo:hi], axis=0), embeddings.take(right[lo:hi], axis=0)
+        )
     return scores
 
 
@@ -170,8 +176,8 @@ def task_scores(
         del probes, gallery
     if len(retrieval) < len(metrics):
         pairs = verification_pair_plan(data, config)
-        genuine = _pair_scores(emb, pairs.genuine)
-        impostor = _pair_scores(emb, pairs.impostor)
+        genuine = _pair_scores(emb, *pairs.genuine.T)
+        impostor = _pair_scores(emb, *pairs.impostor.T)
     for metric in metrics:
         if metric in hits:
             row[f"{name}:{metric}"] = hits[metric]
@@ -230,14 +236,19 @@ def rows_to_table(rows: dict[str, dict[str, float]]) -> tuple[ScoreTable, list[s
 def _cosine_auc_eval(pairs: TaskPairs) -> Callable[[np.ndarray], float]:
     """Verification AUC of projected coordinates, scored by cosine on the
     re-normalised rows. A row that projects to zero has no direction and
-    raises ContractError instead of scoring NaN."""
+    raises ContractError instead of scoring NaN. The left and right rows of
+    the task's pairs, genuine then impostor, are laid out once, contiguous,
+    and each evaluation scores them in one pass."""
+    left, right = np.concatenate([pairs.genuine, pairs.impostor]).T.copy()
+    n_genuine = pairs.genuine.shape[0]
 
     def closure(coords: np.ndarray) -> float:
-        norms = np.linalg.norm(coords, axis=1, keepdims=True)
+        # np.linalg.norm's own reduction for real rows, without its dispatch.
+        norms = np.sqrt(np.add.reduce(coords * coords, axis=1, keepdims=True))
         if not (norms > 0.0).all():
             raise ContractError("a projected embedding has zero norm; its cosine is undefined")
-        normed = coords / norms
-        return roc_auc(_pair_scores(normed, pairs.genuine), _pair_scores(normed, pairs.impostor))
+        scores = _pair_scores(coords / norms, left, right)
+        return roc_auc(scores[:n_genuine], scores[n_genuine:])
 
     return closure
 
@@ -247,10 +258,16 @@ def geometry_headlines(
 ) -> tuple[list, dict]:
     """The geometry suite of the eval embeddings ``emb`` and their
     verification ``pairs``, by task: its tables, in write order as (path,
-    header, rows), and its summary. Writes no file.
+    CSV text), and its summary. Writes no file.
     The pooled PCA serves the window probes and ``pc2d.csv``; each task's
-    full-space AUC serves every projection onto it."""
+    full-space AUC serves every projection onto it. Every table but the
+    window curve is formatted with the analyses, in item 0 of the window
+    map, so only the curve's few rows are formatted after it."""
     ev = config.evaluation
+
+    def table(path: str, header: list[str], rows: list) -> tuple[str, str]:
+        return path, csv_text(path, header, rows)
+
     names = list(emb)
     pooled = np.vstack([emb[n] for n in names])
     tags = np.concatenate([np.full(emb[n].shape[0], i) for i, n in enumerate(names)])
@@ -268,7 +285,7 @@ def geometry_headlines(
                 max_angles[f"{a}|{b}"] = float(angles.max())
                 angle_rows.extend([a, b, k, float(theta)] for k, theta in enumerate(angles))
         tables = [
-            (
+            table(
                 "geometry/principal_angles.csv",
                 ["task_a", "task_b", "angle_index", "angle_radians"],
                 angle_rows,
@@ -292,7 +309,7 @@ def geometry_headlines(
                 hit = next((k for k, _, d in sweep if abs(d) <= 0.02), None)
                 first_within[f"{src}->{tgt}"] = hit
             tables.append(
-                (f"geometry/projection_{src}.csv", ["target", "k", "auc", "delta_auc"], rows)
+                table(f"geometry/projection_{src}.csv", ["target", "k", "auc", "delta_auc"], rows)
             )
             # Same-task loss at the 99%-variance dimension: reported, not gated.
             k99 = min(subspaces[src].dim, basis.dim)
@@ -301,10 +318,10 @@ def geometry_headlines(
 
         coords = (pooled - plane.mean) @ plane.basis[:, :2]
         tables.append(
-            (
+            table(
                 "geometry/pc2d.csv",
                 ["task", "pc1", "pc2"],
-                [[names[int(t)], float(x), float(y)] for t, (x, y) in zip(tags, coords)],
+                [[names[t], x, y] for t, (x, y) in zip(tags.tolist(), coords.tolist())],
             )
         )
         summary = {
@@ -320,7 +337,7 @@ def geometry_headlines(
     curve, (tables, summary) = sliding_window_probe(
         pooled, tags, window=ev.probe_window, folds=ev.probe_folds, space=plane, alongside=analyses
     )
-    window = (
+    window = table(
         "geometry/probe_window.csv",
         ["window_start_pc", "accuracy_mean", "accuracy_std"],
         [[s, m, d] for s, m, d in zip(curve.starts, curve.means, curve.stds)],

@@ -329,6 +329,33 @@ class TestMalformedCorpus:
         with pytest.raises(ValidationError, match=f"manifest.json: {problem}"):
             Corpus.load(saved)
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda m: m.update(ambient_dim=-1), "ambient_dim must be positive"),
+            (lambda m: m.update(seed=-5), "seed must fit in an unsigned 64-bit integer"),
+            (
+                lambda m: m["tasks"][2].update(twin="nobody"),
+                "task 'fine_lq': twin 'nobody' does not exist",
+            ),
+        ],
+        ids=["negative ambient_dim", "negative seed", "twin of no task"],
+    )
+    def test_manifest_recipe_that_does_not_validate(self, saved, edit, problem):
+        # Each used to load: only each task's own recipe was validated.
+        self.edit_manifest(saved, edit)
+        with pytest.raises(ValidationError, match=f"manifest.json: {problem}"):
+            Corpus.load(saved)
+
+    def test_batch_shape_is_not_the_manifests_to_check(self, tmp_path):
+        # Classes of 4 samples suit a K of 2, not the default K of 4: the
+        # build checks K, the load does not.
+        spec = four_task_spec(samples_per_class=4)
+        with pytest.raises(ValidationError, match="samples_per_class must be >= 2\\*K = 8"):
+            build_corpus(spec)
+        build_corpus(spec, positives_per_id=2).save(RunResult(tmp_path), "c")
+        assert Corpus.load(tmp_path / "c").spec == spec
+
     def test_labels_not_one_per_row(self, saved):
         self.edit_manifest(saved, lambda manifest: manifest["tasks"][1]["labels"].pop())
         with pytest.raises(ValidationError, match="task 'fine' has 199 labels for 200 feature rows"):

@@ -429,6 +429,30 @@ class TestProbeKernelOracle:
             assert f == f_ref and np.array_equal(P, P_ref)
 
 
+class TestRowWeighted:
+    """The Hessian blocks' weighted rows are the broadcast ``Xb * a[:, None]``
+    bit for bit and C-contiguous like it, so each block's gemm sees the same
+    operands; at the stock shapes a training fold has 2,880 rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 32),
+        st.integers(1, 40) | st.integers(2_870, 2_890),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, -0.0, 1e-300, -1e300, np.inf]),
+    )
+    def test_matches_the_broadcast(self, p, n, seed, special):
+        rng = np.random.default_rng(seed)
+        Xb = np.ascontiguousarray(rng.standard_normal((n, p)) * 10.0 ** rng.integers(-3, 4, (n, p)))
+        a = rng.standard_normal(n)
+        Xb.flat[rng.integers(0, Xb.size)] = special
+        a[rng.integers(0, n)] = special
+        with np.errstate(all="ignore"):  # overflow and inf * 0 round alike
+            weighted, broadcast = geometry._row_weighted(Xb, a), Xb * a[:, None]
+        assert weighted.flags.c_contiguous and weighted.shape == broadcast.shape
+        assert weighted.tobytes() == broadcast.tobytes()
+
+
 class TestRowSums:
     """The probe objective's row sum is numpy's reduction bit for bit,
     signed zeros included: a sequential column fold below 8 columns, numpy's

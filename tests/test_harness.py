@@ -11,6 +11,7 @@ import sys
 import weakref
 from pathlib import Path
 from typing import get_args, get_type_hints
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from click.testing import CliRunner
 
 import taskweave
 from conftest import tree_bytes
-from taskweave import experiments, scoring
-from taskweave.artifacts import RunResult
+from taskweave import experiments, metrics, scoring
+from taskweave.artifacts import RunResult, csv_text
 from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
 from taskweave.curriculum import Trainer
@@ -36,7 +37,7 @@ from taskweave.experiments import (
     score_paper_table,
     score_suites,
 )
-from taskweave.metrics import ScoreTable
+from taskweave.metrics import ScoreTable, roc_auc
 from taskweave.scoring import (
     TaskPairs,
     _cosine_auc_eval,
@@ -599,6 +600,14 @@ class TestArtifactWriter:
         assert files_under(tmp_path) == set()
         assert out.artifacts == []
 
+    def test_csv_text_is_what_rows_writes(self, tmp_path):
+        header = ["task", "k", "value"]
+        rows = [["a", 1, 0.1], ["b", np.int64(2), np.float64(-0.0)], ["c", 3, np.nan]]
+        RunResult(tmp_path).rows("t.csv", header, rows)
+        assert (tmp_path / "t.csv").read_bytes() == csv_text("t.csv", header, rows).encode()
+        with pytest.raises(ContractError, match="t.csv: cell 'a,b' would need CSV quoting"):
+            csv_text("t.csv", header, [["a,b", 1, 0.5]])
+
     def test_formats(self, tmp_path):
         out = RunResult(tmp_path)
         out.json("a.json", {"b": 1, "a": 0.1})
@@ -806,6 +815,26 @@ class TestManifest:
 
 
 class TestProjectedAuc:
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 12, 24])
+    @pytest.mark.parametrize("n_pairs, block", [(1500, None), (301, 40), (97, 7)])
+    def test_one_pass_is_the_two_call_auc(self, width, n_pairs, block):
+        """Genuine and impostor pairs scored in one pass give the AUC of the
+        two score sets scored apart, bit for bit, over any row blocks."""
+        rng = np.random.default_rng(1000 * width + n_pairs)
+        labels = np.repeat(np.arange(40), 20)
+        coords = rng.standard_normal((labels.size, width))
+        pairs = TaskPairs(*_sample_pairs(labels, n_pairs, rng))
+        normed = coords / np.linalg.norm(coords, axis=1, keepdims=True)
+
+        def scores(pairs):
+            return np.einsum("ij,ij->i", normed[pairs[:, 0]], normed[pairs[:, 1]])
+
+        with mock.patch.object(metrics, "_BLOCK", block or metrics._BLOCK):
+            if block:
+                assert len(metrics.row_blocks(2 * n_pairs, 2 * width)) > 2
+            auc = _cosine_auc_eval(pairs)(coords)
+        assert auc == roc_auc(scores(pairs.genuine), scores(pairs.impostor))
+
     def test_zero_norm_projected_row_raises(self):
         pairs = TaskPairs(genuine=np.array([[0, 1]]), impostor=np.array([[0, 2]]))
         evaluate = _cosine_auc_eval(pairs)
@@ -1443,7 +1472,7 @@ class TestScoringCore:
         pairs = {n: verification_pair_plan(d, config) for n, d in eval_corpus.tasks.items()}
         tables, summary = geometry_headlines(raw, pairs, config)
         geometry = {rel for rel in result.artifacts if rel.startswith("geometry/")}
-        assert {path for path, _, _ in tables} == geometry - {"geometry/summary.json"}
+        assert {path for path, _ in tables} == geometry - {"geometry/summary.json"}
         assert summary.keys() == result.results["geometry"].keys()
         # The tasks sit in disjoint ambient blocks, so the task probe needs
         # no training to separate them.
@@ -1702,6 +1731,10 @@ class TestCli:
             manifest = json.loads((out / "corpus_eval" / "manifest.json").read_text())
             manifest["tasks"] = [5]
             (out / "corpus_eval" / "manifest.json").write_text(json.dumps(manifest))
+        elif case == "negative ambient_dim":
+            manifest = json.loads((out / "corpus_eval" / "manifest.json").read_text())
+            manifest["ambient_dim"] = -1
+            (out / "corpus_eval" / "manifest.json").write_text(json.dumps(manifest))
         elif case == "features of the other split":
             # The other split's file exists and is listed, with the same shape.
             manifest = json.loads((out / "corpus" / "manifest.json").read_text())
@@ -1736,6 +1769,7 @@ class TestCli:
             ("splits swapped", "train corpus saved is not its config's"),
             ("corpus file missing", "persons.npy"),
             ("tasks not a list of objects", "tasks must be a list of JSON objects"),
+            ("negative ambient_dim", "ambient_dim must be positive"),
             ("features of the other split", "task 'objects': file must be 'objects.npy'"),
             ("features unlisted", "corpus/objects.npy is not listed in"),
             ("no config.json", "config.json"),

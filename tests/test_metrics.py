@@ -575,8 +575,9 @@ def around_a_boundary(draw):
 
 
 class TestBlockedPairScores:
-    """The pair scores are gathered in blocks of rows; any blocks must give
-    the one-shot result bit for bit."""
+    """The pair scores are gathered in blocks of rows, both sides of a block
+    together about ``_BLOCK`` elements; any blocks must give the one-shot
+    result bit for bit."""
 
     @given(around_a_boundary(), st.integers(2, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -586,9 +587,9 @@ class TestBlockedPairScores:
         emb = rng.standard_normal((n, dim))
         pairs = rng.integers(0, n, (n_pairs, 2))
         one_shot = np.einsum("ij,ij->i", emb[pairs[:, 0]], emb[pairs[:, 1]])
-        with mock.patch.object(metrics, "_BLOCK", rows * dim):
-            assert (len(metrics.row_blocks(n_pairs, dim)) > 1) == (n_pairs > rows + 1)
-            blocked = _pair_scores(emb, pairs)
+        with mock.patch.object(metrics, "_BLOCK", 2 * rows * dim):
+            assert (len(metrics.row_blocks(n_pairs, 2 * dim)) > 1) == (n_pairs > rows + 1)
+            blocked = _pair_scores(emb, pairs[:, 0], pairs[:, 1])
         assert blocked.tobytes() == one_shot.tobytes()
 
 
