@@ -8,13 +8,12 @@ so adding one consumer never perturbs another's randomness.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Sequence
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
-from .datagen import CorpusSpec, TaskGenSpec, check_types
-from .errors import ConfigurationError, ValidationError
+from .datagen import Bound, CorpusSpec, TaskGenSpec, check_fields, ranged
+from .errors import ValidationError
 
 SCHEMA_VERSION = 1
 
@@ -37,11 +36,10 @@ def _section(cls, section: dict, path: str):
     return cls(**section)
 
 
-def _check_int(value: int, path: str, low: int, high: int | None = None) -> None:
-    """``value`` must lie in ``[low, high]``."""
-    if value < low or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValidationError(f"{path} must be an integer {bounds}, got {value!r}")
+def _capped(cls, name: str, high: int) -> Bound:
+    """The declared range of the field ``name`` of ``cls``, with the upper
+    end ``high``: a bound that another field sets."""
+    return replace(cls.__dataclass_fields__[name].metadata["range"], high=high)
 
 
 def _require(section: dict, key: str, path: str):
@@ -52,23 +50,25 @@ def _require(section: dict, key: str, path: str):
 
 @dataclass
 class EncoderConfig:
-    hidden_dims: list[int] = field(default_factory=lambda: [32])
-    embedding_dim: int = 16
+    hidden_dims: list[int] = ranged(Bound(1), default_factory=lambda: [32])
+    embedding_dim: int = ranged(Bound(1), default=16)
 
 
 @dataclass
 class OptimizerConfig:
-    learning_rate: float = 3e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 1e-6
+    learning_rate: float = ranged(Bound(0, low_open=True), default=3e-5)
+    beta1: float = ranged(Bound(0, 1, high_open=True), default=0.9)
+    beta2: float = ranged(Bound(0, 1, high_open=True), default=0.999)
+    epsilon: float = ranged(Bound(0, low_open=True), default=1e-8)
+    weight_decay: float = ranged(Bound(0), default=1e-6)
 
 
 @dataclass
 class BatchConfig:
-    identities: int = 10
-    positives: int = 4
+    # A batch-hard batch needs a second id for its negatives and a second
+    # row per id for its positives; every task must offer P ids.
+    identities: int = ranged(Bound(2), default=10)
+    positives: int = ranged(Bound(2), default=4)
 
 
 @dataclass
@@ -83,61 +83,56 @@ class CurriculumConfig:
     """
 
     mode: str = "balanced"
-    goals: dict[str, float] = field(default_factory=dict)
-    batches_per_task: int = 1
-    total_batches: int | None = None
-    epsilon: float = 1e-8
-    floor: float = 0.05
-    accuracy_cadence: int = 1
-    probe_batches: int = 2
-    steps_per_epoch: int | None = None
-    subsample: dict[str, float] = field(default_factory=dict)
+    goals: dict[str, float] = ranged(Bound(0, 1, low_open=True), default_factory=dict)
+    batches_per_task: int = ranged(Bound(1), default=1)
+    total_batches: int | None = ranged(Bound(1), default=None)
+    epsilon: float = ranged(Bound(0, low_open=True), default=1e-8)
+    floor: float = ranged(Bound(0), default=0.05)
+    accuracy_cadence: int = ranged(Bound(1), default=1)
+    probe_batches: int = ranged(Bound(1), default=2)
+    steps_per_epoch: int | None = ranged(Bound(1), default=None)
+    subsample: dict[str, float] = ranged(Bound(0, 1, low_open=True), default_factory=dict)
 
     def validate(self, task_names: Sequence[str]) -> None:
-        """Scheduler settings checked against the tasks trained."""
-        n_tasks = len(task_names)
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
-        if self.floor < 0 or self.floor * n_tasks >= 1:
-            raise ConfigurationError("floor must satisfy 0 <= floor and floor * n_tasks < 1")
-        if self.batches_per_task < 1:
-            raise ConfigurationError("batches_per_task must be >= 1")
-        if self.total_batches is not None and self.total_batches < 1:
-            raise ConfigurationError("total_batches must be >= 1")
-        if self.accuracy_cadence < 1:
-            raise ConfigurationError("accuracy_cadence must be >= 1")
-        if self.probe_batches < 1:
-            raise ConfigurationError("probe_batches must be >= 1")
-        for task, goal in self.goals.items():
-            if not 0.0 < goal <= 1.0:
-                raise ConfigurationError(f"goal for task {task!r} must lie in (0, 1]")
+        """Each field's type and range, then the rules that depend on the
+        tasks trained: ``floor * n_tasks < 1``, and a goal for every task."""
+        check_fields(self, "config.curriculum")
+        if self.floor * len(task_names) >= 1:
+            raise ValidationError(
+                "config.curriculum.floor must satisfy floor * n_tasks < 1, "
+                f"got {self.floor!r} for {len(task_names)} tasks"
+            )
         missing = sorted(set(task_names) - set(self.goals))
         if missing:
-            raise ConfigurationError(f"goals missing for tasks: {missing}")
+            raise ValidationError(f"config.curriculum.goals has no goal for tasks {missing}")
 
 
 @dataclass
 class TrainingConfig:
-    epochs: int = 5
+    epochs: int = ranged(Bound(1), default=5)
 
 
 @dataclass
 class EvaluationConfig:
     suites: list[str] = field(default_factory=lambda: ["scores", "geometry"])
-    verification_pairs: int = 1500
-    far_values: list[float] = field(default_factory=lambda: [1e-2, 1e-3])
-    probe_window: int = 3
-    probe_folds: int = 10
-    variance_fraction: float = 0.99
-    projection_max_pcs: int = 200
+    # The verification accuracy splits a task's genuine and impostor pairs
+    # into 10 folds, so it needs at least 5 of each.
+    verification_pairs: int = ranged(Bound(5), default=1500)
+    far_values: list[float] = ranged(
+        Bound(0, 1, low_open=True, high_open=True), default_factory=lambda: [1e-2, 1e-3]
+    )
+    probe_window: int = ranged(Bound(1), default=3)
+    probe_folds: int = ranged(Bound(2), default=10)
+    variance_fraction: float = ranged(Bound(0, 1, low_open=True), default=0.99)
+    projection_max_pcs: int = ranged(Bound(1), default=200)
 
 
 @dataclass
 class ForgettingConfig:
     pretrain_task: str = ""
-    pretrain_steps: int = 60
-    pretrain_batches_per_step: int = 1
-    finetune_epochs: int = 5
+    pretrain_steps: int = ranged(Bound(1), default=60)
+    pretrain_batches_per_step: int = ranged(Bound(1), default=1)
+    finetune_epochs: int = ranged(Bound(1), default=5)
 
 
 # JSON sections of the config, each loaded into its dataclass by field name.
@@ -154,14 +149,14 @@ _SECTIONS = {
 
 @dataclass
 class ExperimentConfig:
-    seed: int
+    seed: int = ranged(Bound(0))
     output_dir: str
     tasks: list[TaskGenSpec]
-    ambient_dim: int
+    ambient_dim: int  # its range is the corpus spec's
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     batch: BatchConfig = field(default_factory=BatchConfig)
-    margin: float = 0.35
+    margin: float = ranged(Bound(0), default=0.35)
     curriculum: CurriculumConfig = field(default_factory=CurriculumConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
@@ -173,84 +168,42 @@ class ExperimentConfig:
     def validate(self) -> None:
         from .curriculum import ADAPTIVE, MODES
 
-        # Every value has its field's type before any range is checked.
-        check_types(self, "config.corpus", ["ambient_dim"])
-        check_types(self, "config", [f.name for f in fields(self) if f.name != "ambient_dim"])
+        # Every field has its type and its declared range before any rule
+        # that relates fields runs.
+        check_fields(self, "config", [f.name for f in fields(self) if f.name != "ambient_dim"])
+        check_fields(self.corpus_spec(seed=0), "config.corpus", ["ambient_dim"])
         for key in _SECTIONS:
-            check_types(getattr(self, key), f"config.{key}")
+            check_fields(getattr(self, key), f"config.{key}")
         for i, task in enumerate(self.tasks):
-            check_types(task, f"config.corpus.tasks[{i}]")
-        _check_int(self.seed, "config.seed", 0)
-        if not 0 <= self.margin < math.inf:
-            raise ValidationError(
-                f"config.margin must be a finite number >= 0, got {self.margin!r}"
-            )
-        opt = self.optimizer
-        for name, ok, rule in (
-            ("learning_rate", 0 < opt.learning_rate < math.inf, "a finite number > 0"),
-            ("beta1", 0 <= opt.beta1 < 1, "in [0, 1)"),
-            ("beta2", 0 <= opt.beta2 < 1, "in [0, 1)"),
-            ("epsilon", 0 < opt.epsilon < math.inf, "a finite number > 0"),
-            ("weight_decay", 0 <= opt.weight_decay < math.inf, "a finite number >= 0"),
-        ):
-            if not ok:
-                raise ValidationError(
-                    f"config.optimizer.{name} must be {rule}, got {getattr(opt, name)!r}"
-                )
+            check_fields(task, f"config.corpus.tasks[{i}]")
         if self.curriculum.mode not in MODES:
             raise ValidationError(f"unknown curriculum mode {self.curriculum.mode!r}")
         bad = sorted(set(self.evaluation.suites) - {"scores", "geometry"})
         if bad:
             raise ValidationError(f"unknown evaluation suite(s) {bad} in config.evaluation")
-        names = {t.name for t in self.tasks}
-        self.curriculum.validate([t.name for t in self.tasks])
-        for task in self.curriculum.goals:
-            if task not in names:
-                raise ValidationError(f"curriculum goal names unknown task {task!r}")
-        for task, fraction in self.curriculum.subsample.items():
-            if task not in names:
-                raise ValidationError(f"subsample names unknown task {task!r}")
-            if not 0.0 < fraction <= 1.0:
-                raise ValidationError(
-                    f"config.curriculum.subsample[{task!r}] must lie in (0, 1], got {fraction!r}"
-                )
-        if self.forgetting.pretrain_task and self.forgetting.pretrain_task not in names:
-            raise ValidationError(
-                f"forgetting pretrain_task {self.forgetting.pretrain_task!r} is not a task"
-            )
-        for name in ("pretrain_steps", "pretrain_batches_per_step", "finetune_epochs"):
-            _check_int(getattr(self.forgetting, name), f"config.forgetting.{name}", 1)
-        _check_int(self.training.epochs, "config.training.epochs", 1)
-        if self.curriculum.steps_per_epoch is not None:
-            _check_int(self.curriculum.steps_per_epoch, "config.curriculum.steps_per_epoch", 1)
-        elif self.curriculum.mode == ADAPTIVE:
+        names = [t.name for t in self.tasks]
+        self.curriculum.validate(names)
+        pretrain = self.forgetting.pretrain_task
+        for where, named in (
+            ("curriculum.goals", self.curriculum.goals),
+            ("curriculum.subsample", self.curriculum.subsample),
+            ("forgetting.pretrain_task", [pretrain] if pretrain else []),
+        ):
+            unknown = sorted(set(named) - set(names))
+            if unknown:
+                raise ValidationError(f"config.{where} names no task of the corpus: {unknown}")
+        if self.curriculum.mode == ADAPTIVE and self.curriculum.steps_per_epoch is None:
             raise ValidationError("config.curriculum.steps_per_epoch is required in adaptive mode")
-        ev = self.evaluation
-        # The verification accuracy splits a task's genuine and impostor
-        # pairs into 10 folds, so it needs at least 5 of each.
-        _check_int(ev.verification_pairs, "config.evaluation.verification_pairs", 5)
-        fars = ev.far_values
-        if not all(0.0 < f < 1.0 for f in fars) or len(set(fars)) < len(fars):
-            raise ValidationError(
-                f"config.evaluation.far_values must be distinct numbers in (0, 1), got {fars!r}"
-            )
-        _check_int(ev.probe_folds, "config.evaluation.probe_folds", 2)
-        _check_int(ev.projection_max_pcs, "config.evaluation.projection_max_pcs", 1)
-        if not 0.0 < ev.variance_fraction <= 1.0:
-            raise ValidationError(
-                "config.evaluation.variance_fraction must lie in (0, 1], "
-                f"got {ev.variance_fraction!r}"
-            )
-        for i, width in enumerate(self.encoder.hidden_dims):
-            _check_int(width, f"config.encoder.hidden_dims[{i}]", 1)
-        _check_int(self.encoder.embedding_dim, "config.encoder.embedding_dim", 1)
-        _check_int(ev.probe_window, "config.evaluation.probe_window", 1, self.encoder.embedding_dim)
-        # A batch-hard batch needs a second row per id for its positives and a
-        # second id for its negatives, and every task must offer P ids.
-        _check_int(self.batch.positives, "config.batch.positives", 2)
+        fars = self.evaluation.far_values
+        if len(set(fars)) < len(fars):
+            raise ValidationError(f"config.evaluation.far_values must be distinct, got {fars!r}")
+        _capped(EvaluationConfig, "probe_window", self.encoder.embedding_dim).check(
+            self.evaluation.probe_window, "config.evaluation.probe_window"
+        )
         self.corpus_spec(seed=0).validate(self.batch.positives)
-        fewest = min(t.classes for t in self.tasks)
-        _check_int(self.batch.identities, "config.batch.identities", 2, fewest)
+        _capped(BatchConfig, "identities", min(t.classes for t in self.tasks)).check(
+            self.batch.identities, "config.batch.identities"
+        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -24,7 +24,9 @@ statistics rather than merely blurring them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -67,16 +69,75 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def check_types(obj, path: str, names=None) -> None:
+def _numbers(value, hint, path: str) -> list:
+    """The ``(path, number, number type)`` of each number in a field of
+    the annotated type ``hint``: a list's entries, a dict's values, an
+    optional's value when it is set, or the field's value."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return [(f"{path}[{i}]", v, args[0]) for i, v in enumerate(value)]
+    if get_origin(hint) is dict:
+        return [(f"{path}[{k!r}]", v, args[1]) for k, v in value.items()]
+    return [] if value is None else [(path, value, args[0] if args else hint)]
+
+
+def _invalid(path: str, rule: str, value) -> ValidationError:
+    """The error of every field check; ``path`` names the field."""
+    return ValidationError(f"{path} must be {rule}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Bound:
+    """The range of a numeric field, from ``low`` to ``high``; an end is
+    included unless it is open. Its ``str`` is the range as the messages
+    state it: ``>= 1``, ``> 0``, ``in [1, 8]``, ``in [0, 1)``, ``in (0, 1]``."""
+
+    low: float
+    high: float = math.inf
+    low_open: bool = False
+    high_open: bool = False
+
+    def __str__(self) -> str:
+        if self.high == math.inf:
+            return f"{'>' if self.low_open else '>='} {self.low}"
+        left = "(" if self.low_open else "["
+        right = ")" if self.high_open else "]"
+        return f"in {left}{self.low}, {self.high}{right}"
+
+    def check(self, value, path: str, number: type = int) -> None:
+        """``value``, of the field that ``path`` names, must lie in this
+        range, and be finite if the field holds a ``float``."""
+        above = self.low < value if self.low_open else self.low <= value
+        below = value < self.high if self.high_open else value <= self.high
+        if not (above and below) or (isinstance(value, float) and not math.isfinite(value)):
+            noun = "a finite number" if number is float else "an integer"
+            raise _invalid(path, f"{noun} {self}", value)
+
+
+def ranged(bound: Bound, **kwargs):
+    """A dataclass field whose numbers must lie in ``bound``; ``kwargs``
+    are :func:`dataclasses.field`'s."""
+    return field(metadata={"range": bound}, **kwargs)
+
+
+_type_hints = cache(get_type_hints)
+
+
+def check_fields(obj, path: str, names=None) -> None:
     """Each field of the dataclass instance ``obj`` named in ``names`` (all
-    of them by default) must have its annotated type: the check of a config
-    section, and of a corpus manifest's fields. ``path`` names ``obj`` in
-    the error."""
-    hints = get_type_hints(type(obj))
+    of them by default) must have its annotated type, and then lie in its
+    declared range (:func:`ranged`): the check of a config section, and of
+    a corpus recipe's fields. ``path`` names ``obj`` in the error."""
+    hints = _type_hints(type(obj))
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if (names is None or f.name in names) and not _conforms(value, hints[f.name]):
-            raise ValidationError(f"{path}.{f.name} must be of type {f.type}, got {value!r}")
+        if names is not None and f.name not in names:
+            continue
+        value, where = getattr(obj, f.name), f"{path}.{f.name}"
+        if not _conforms(value, hints[f.name]):
+            raise _invalid(where, f"of type {f.type}", value)
+        if "range" in f.metadata:
+            for at, number, kind in _numbers(value, hints[f.name], where):
+                f.metadata["range"].check(number, at, kind)
 
 
 @dataclass(frozen=True)
@@ -85,11 +146,11 @@ class TaskGenSpec:
 
     name: str
     regime: str
-    classes: int
-    samples_per_class: int
-    within_class_spread: float
-    between_class_spread: float = 1.0
-    degradation_noise: float = 0.0
+    classes: int = ranged(Bound(2))
+    samples_per_class: int = ranged(Bound(2))
+    within_class_spread: float = ranged(Bound(0))
+    between_class_spread: float = ranged(Bound(0, low_open=True), default=1.0)
+    degradation_noise: float = ranged(Bound(0), default=0.0)
     twin: str | None = None  # required for fine-identity-degraded
 
     def validate(self) -> None:
@@ -102,16 +163,6 @@ class TaskGenSpec:
             )
         if self.regime not in REGIMES:
             raise ValidationError(f"task {self.name!r}: unknown regime {self.regime!r}")
-        if self.classes < 2:
-            raise ValidationError(f"task {self.name!r}: classes must be >= 2")
-        if self.samples_per_class < 2:
-            raise ValidationError(f"task {self.name!r}: samples_per_class must be >= 2")
-        if self.within_class_spread < 0:
-            raise ValidationError(f"task {self.name!r}: within_class_spread must be >= 0")
-        if self.between_class_spread <= 0:
-            raise ValidationError(f"task {self.name!r}: between_class_spread must be > 0")
-        if self.degradation_noise < 0:
-            raise ValidationError(f"task {self.name!r}: degradation_noise must be >= 0")
         degraded = self.regime == "fine-identity-degraded"
         if degraded and self.twin is None:
             raise ValidationError(f"task {self.name!r}: degraded regime requires a twin task")
@@ -126,8 +177,8 @@ class CorpusSpec:
     """Full corpus description: task recipes, ambient dimension, seed."""
 
     tasks: tuple[TaskGenSpec, ...]
-    seed: int
-    ambient_dim: int
+    seed: int = ranged(Bound(0, 2**64 - 1))
+    ambient_dim: int = ranged(Bound(1))
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -154,19 +205,19 @@ class CorpusSpec:
                 )
 
     def validate_recipe(self) -> None:
-        """Check the invariants that need no batch shape: the task count and
-        names, the ambient dimension and seed, each task's recipe, the
-        degraded tasks' twins and the task spreads."""
+        """Check the invariants that need no batch shape: the seed's, the
+        ambient dimension's and every task field's type and range, then the
+        task count and names, each task's recipe, the degraded tasks' twins
+        and the task spreads."""
+        check_fields(self, "corpus", ["seed", "ambient_dim"])
+        for i, task in enumerate(self.tasks):
+            check_fields(task, f"tasks[{i}]")
         if len(self.tasks) < 2:
             raise ValidationError("corpus needs at least 2 tasks")
         names = [t.name for t in self.tasks]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"duplicate task names: {dupes}")
-        if self.ambient_dim < 1:
-            raise ValidationError("ambient_dim must be positive")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
         for t in self.tasks:
             t.validate()
         by_name = {t.name: t for t in self.tasks}
@@ -278,18 +329,15 @@ class Corpus:
             task_specs = tuple(
                 TaskGenSpec(**{f.name: t[f.name] for f in fields(TaskGenSpec)}) for t in tasks
             )
-            for i, task in enumerate(task_specs):
-                check_types(task, f"{path}: tasks[{i}]")
             spec = CorpusSpec(
                 tasks=task_specs, seed=manifest["seed"], ambient_dim=manifest["ambient_dim"]
             )
-            check_types(spec, f"{path}: corpus", ["seed", "ambient_dim"])
             try:
                 spec.validate_recipe()
             except ValidationError as exc:
                 raise ValidationError(f"{path}: {exc}") from None
             corpus = cls(spec=spec, split=manifest["split"])
-            check_types(corpus, f"{path}: corpus", ["split"])
+            check_fields(corpus, f"{path}: corpus", ["split"])
             for t in tasks:
                 fname = f"{t['name']}.npy"
                 if t["file"] != fname:
@@ -431,8 +479,6 @@ class Loader:
         rng: np.random.Generator,
         subsample_fraction: float = 1.0,
     ):
-        if not 0.0 < subsample_fraction <= 1.0:
-            raise ConfigurationError("subsample_fraction must lie in (0, 1]")
         self.task = data.name
         self._data = data
         self._rng = rng

@@ -25,7 +25,7 @@ from taskweave.curriculum import (
 from taskweave.config import BatchConfig, CurriculumConfig, ExperimentConfig, OptimizerConfig
 from taskweave.datagen import CorpusSpec, TaskData, TaskGenSpec, build_corpus
 from taskweave.encoder import EncoderParams, embed, init_params
-from taskweave.errors import ConfigurationError, ContractError
+from taskweave.errors import ConfigurationError, ContractError, ValidationError
 from taskweave.seeding import stream
 
 
@@ -396,7 +396,7 @@ class TestTrainerAdaptive:
         params = init_params([8, 12, 6], stream(1, "init"))
         goals = {name: 0.9 for name in data}
         goals.pop("t3")
-        with pytest.raises(ConfigurationError, match="t3"):
+        with pytest.raises(ValidationError, match=r"config.curriculum.goals .*'t3'"):
             Trainer(trainer_config(CurriculumConfig(goals=goals)), BALANCED, data, params, seed=1)
 
 

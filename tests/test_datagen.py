@@ -332,14 +332,54 @@ class TestMalformedCorpus:
     @pytest.mark.parametrize(
         "edit, problem",
         [
-            (lambda m: m.update(ambient_dim=-1), "ambient_dim must be positive"),
-            (lambda m: m.update(seed=-5), "seed must fit in an unsigned 64-bit integer"),
+            (
+                lambda m: m.update(ambient_dim=-1),
+                "corpus.ambient_dim must be an integer >= 1, got -1",
+            ),
+            (
+                lambda m: m.update(seed=-5),
+                r"corpus.seed must be an integer in \[0, 18446744073709551615\], got -5",
+            ),
             (
                 lambda m: m["tasks"][2].update(twin="nobody"),
                 "task 'fine_lq': twin 'nobody' does not exist",
             ),
+            (
+                lambda m: m["tasks"][1].update(classes=1),
+                r"tasks\[1\].classes must be an integer >= 2, got 1",
+            ),
+            (
+                lambda m: m["tasks"][3].update(samples_per_class=1),
+                r"tasks\[3\].samples_per_class must be an integer >= 2, got 1",
+            ),
+            (
+                lambda m: m["tasks"][3].update(within_class_spread=-0.1),
+                r"tasks\[3\].within_class_spread must be a finite number >= 0, got -0.1",
+            ),
+            (
+                lambda m: m["tasks"][3].update(within_class_spread=float("nan")),
+                r"tasks\[3\].within_class_spread must be a finite number >= 0, got nan",
+            ),
+            (
+                lambda m: m["tasks"][3].update(between_class_spread=0),
+                r"tasks\[3\].between_class_spread must be a finite number > 0, got 0",
+            ),
+            (
+                lambda m: m["tasks"][2].update(degradation_noise=-0.1),
+                r"tasks\[2\].degradation_noise must be a finite number >= 0, got -0.1",
+            ),
         ],
-        ids=["negative ambient_dim", "negative seed", "twin of no task"],
+        ids=[
+            "negative ambient_dim",
+            "negative seed",
+            "twin of no task",
+            "one class",
+            "one sample per class",
+            "negative within_class_spread",
+            "NaN within_class_spread",
+            "zero between_class_spread",
+            "negative degradation_noise",
+        ],
     )
     def test_manifest_recipe_that_does_not_validate(self, saved, edit, problem):
         # Each used to load: only each task's own recipe was validated.

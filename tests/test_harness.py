@@ -25,7 +25,7 @@ from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
 from taskweave.curriculum import Trainer
 from taskweave.encoder import embed, save_checkpoint
-from taskweave.errors import ConfigurationError, ContractError, NumericError, ValidationError
+from taskweave.errors import ContractError, NumericError, ValidationError
 from taskweave.experiments import (
     _compare_forgetting,
     build_splits,
@@ -1157,56 +1157,106 @@ class TestValidateOnEntry:
         (out / "summary.json").write_text("{}")
         return out
 
-    def test_run(self, tmp_path):
-        out = self.earlier_run(tmp_path)
-        config = tiny_config(out)
-        config.training.epochs = 0
-        with pytest.raises(ValidationError, match="config.training.epochs"):
-            run(config)
-        assert files_under(out) == {"summary.json"}
-
-    def test_forgetting_comparison(self, tmp_path):
-        out = self.earlier_run(tmp_path)
-        config = tiny_config(out)
-        config.forgetting.finetune_epochs = 0
-        with pytest.raises(ValidationError, match="config.forgetting.finetune_epochs"):
-            run_forgetting_comparison(config)
-        assert files_under(out) == {"summary.json"}
-
-    @pytest.mark.parametrize("field, value", [("identities", 11), ("positives", 1)])
-    def test_batch_shape_fails_before_any_file(self, tmp_path, field, value):
-        out = self.earlier_run(tmp_path)
-        config = tiny_config(out)
-        setattr(config.batch, field, value)
-        with pytest.raises(ValidationError, match=f"config.batch.{field}"):
-            run(config)
-        assert files_under(out) == {"summary.json"}
-
     STOCK_GOALS = {"objects": 0.95, "faces_hq": 0.95, "faces_lq": 0.9, "persons": 0.95}
     # (section, field, value, error, match): settings that the trainers, the
-    # loaders or the geometry suite would reject, or, for
-    # projection_max_pcs = 0, accept with empty projection tables.
+    # loaders, the corpus build or the geometry suite would reject, or, for
+    # projection_max_pcs = 0, accept with empty projection tables. The
+    # section is the field's path below ``config``: "" for a top-level
+    # field, "corpus.tasks[i]" for a task's. A NaN passes every comparison
+    # that does not ask for a finite number, and json reads the NaN literal.
     BAD_SETTINGS = {
-        "epsilon": ("curriculum", "epsilon", 0.0, ConfigurationError, "epsilon"),
-        "floor": ("curriculum", "floor", 0.3, ConfigurationError, "floor"),
+        "seed": ("", "seed", -1, ValidationError, "config.seed"),
+        "ambient_dim": ("", "ambient_dim", 0, ValidationError, "config.corpus.ambient_dim"),
+        "margin": ("", "margin", -1.0, ValidationError, "config.margin"),
+        "margin_nan": ("", "margin", float("nan"), ValidationError, "config.margin"),
+        "classes": (
+            "corpus.tasks[0]", "classes", 1, ValidationError, r"config.corpus.tasks\[0\].classes",
+        ),
+        "samples_per_class": (
+            "corpus.tasks[3]", "samples_per_class", 1, ValidationError,
+            r"config.corpus.tasks\[3\].samples_per_class",
+        ),
+        "within_class_spread": (
+            "corpus.tasks[3]", "within_class_spread", -0.1, ValidationError,
+            r"config.corpus.tasks\[3\].within_class_spread",
+        ),
+        "within_class_spread_nan": (
+            "corpus.tasks[3]", "within_class_spread", float("nan"), ValidationError,
+            r"config.corpus.tasks\[3\].within_class_spread",
+        ),
+        "between_class_spread": (
+            "corpus.tasks[3]", "between_class_spread", 0.0, ValidationError,
+            r"config.corpus.tasks\[3\].between_class_spread",
+        ),
+        "between_class_spread_nan": (
+            "corpus.tasks[3]", "between_class_spread", float("nan"), ValidationError,
+            r"config.corpus.tasks\[3\].between_class_spread",
+        ),
+        "between_class_spread_inf": (
+            "corpus.tasks[3]", "between_class_spread", float("inf"), ValidationError,
+            r"config.corpus.tasks\[3\].between_class_spread",
+        ),
+        # tasks[2] is the degraded twin, the one task whose noise may be set.
+        "degradation_noise": (
+            "corpus.tasks[2]", "degradation_noise", -0.1, ValidationError,
+            r"config.corpus.tasks\[2\].degradation_noise",
+        ),
+        "degradation_noise_nan": (
+            "corpus.tasks[2]", "degradation_noise", float("nan"), ValidationError,
+            r"config.corpus.tasks\[2\].degradation_noise",
+        ),
+        "degradation_noise_inf": (
+            "corpus.tasks[2]", "degradation_noise", float("inf"), ValidationError,
+            r"config.corpus.tasks\[2\].degradation_noise",
+        ),
+        "epsilon": ("curriculum", "epsilon", 0.0, ValidationError, "config.curriculum.epsilon"),
+        "epsilon_nan": (
+            "curriculum", "epsilon", float("nan"), ValidationError, "config.curriculum.epsilon",
+        ),
+        "epsilon_inf": (
+            "curriculum", "epsilon", float("inf"), ValidationError, "config.curriculum.epsilon",
+        ),
+        "floor": ("curriculum", "floor", 0.3, ValidationError, "config.curriculum.floor"),
+        "floor_nan": (
+            "curriculum", "floor", float("nan"), ValidationError, "config.curriculum.floor",
+        ),
         "goal_value": (
-            "curriculum", "goals", {**STOCK_GOALS, "faces_lq": 1.5}, ConfigurationError,
-            "goal for task 'faces_lq'",
+            "curriculum", "goals", {**STOCK_GOALS, "faces_lq": 1.5}, ValidationError,
+            r"config.curriculum.goals\['faces_lq'\]",
+        ),
+        "goal_value_nan": (
+            "curriculum", "goals", {**STOCK_GOALS, "faces_lq": float("nan")}, ValidationError,
+            r"config.curriculum.goals\['faces_lq'\]",
         ),
         "missing_goal": (
             "curriculum", "goals", {t: g for t, g in STOCK_GOALS.items() if t != "persons"},
-            ConfigurationError,
-            r"goals missing for tasks: \['persons'\]",
+            ValidationError,
+            r"config.curriculum.goals has no goal for tasks \['persons'\]",
         ),
         "subsample": (
             "curriculum", "subsample", {"persons": 0.0}, ValidationError,
             r"config.curriculum.subsample\['persons'\]",
         ),
-        "accuracy_cadence": ("curriculum", "accuracy_cadence", 0, ConfigurationError, "cadence"),
-        "probe_batches": ("curriculum", "probe_batches", 0, ConfigurationError, "probe_batches"),
-        "total_batches": ("curriculum", "total_batches", 0, ConfigurationError, "total_batches"),
+        "subsample_nan": (
+            "curriculum", "subsample", {"persons": float("nan")}, ValidationError,
+            r"config.curriculum.subsample\['persons'\]",
+        ),
+        "accuracy_cadence": (
+            "curriculum", "accuracy_cadence", 0, ValidationError,
+            "config.curriculum.accuracy_cadence",
+        ),
+        "probe_batches": (
+            "curriculum", "probe_batches", 0, ValidationError, "config.curriculum.probe_batches",
+        ),
+        "total_batches": (
+            "curriculum", "total_batches", 0, ValidationError, "config.curriculum.total_batches",
+        ),
         "variance_fraction": (
             "evaluation", "variance_fraction", 1.5, ValidationError, "variance_fraction",
+        ),
+        "variance_fraction_nan": (
+            "evaluation", "variance_fraction", float("nan"), ValidationError,
+            "config.evaluation.variance_fraction",
         ),
         "projection_max_pcs": (
             "evaluation", "projection_max_pcs", 0, ValidationError, "projection_max_pcs",
@@ -1218,11 +1268,28 @@ class TestValidateOnEntry:
             "optimizer", "learning_rate", float("inf"), ValidationError,
             "config.optimizer.learning_rate",
         ),
+        "learning_rate_nan": (
+            "optimizer", "learning_rate", float("nan"), ValidationError,
+            "config.optimizer.learning_rate",
+        ),
         "beta1": ("optimizer", "beta1", 1.5, ValidationError, "config.optimizer.beta1"),
+        "beta1_nan": (
+            "optimizer", "beta1", float("nan"), ValidationError, "config.optimizer.beta1",
+        ),
         "beta2": ("optimizer", "beta2", 1.0, ValidationError, "config.optimizer.beta2"),
+        "beta2_nan": (
+            "optimizer", "beta2", float("nan"), ValidationError, "config.optimizer.beta2",
+        ),
         "adam_epsilon": ("optimizer", "epsilon", 0.0, ValidationError, "config.optimizer.epsilon"),
+        "adam_epsilon_nan": (
+            "optimizer", "epsilon", float("nan"), ValidationError, "config.optimizer.epsilon",
+        ),
         "weight_decay": (
             "optimizer", "weight_decay", -1e-6, ValidationError, "config.optimizer.weight_decay",
+        ),
+        "weight_decay_nan": (
+            "optimizer", "weight_decay", float("nan"), ValidationError,
+            "config.optimizer.weight_decay",
         ),
         # A negative width used to fail in numpy after config.json and the
         # train corpus were written, and a zero width to train.
@@ -1235,10 +1302,12 @@ class TestValidateOnEntry:
         "embedding_dim": (
             "encoder", "embedding_dim", 0, ValidationError, "config.encoder.embedding_dim",
         ),
+        # tiny_config's fewest classes is 6.
         "identities": ("batch", "identities", 7, ValidationError, "config.batch.identities"),
         "positives": ("batch", "positives", 1, ValidationError, "config.batch.positives"),
         "batches_per_task": (
-            "curriculum", "batches_per_task", 0, ConfigurationError, "batches_per_task",
+            "curriculum", "batches_per_task", 0, ValidationError,
+            "config.curriculum.batches_per_task",
         ),
         "steps_per_epoch": (
             "curriculum", "steps_per_epoch", 0, ValidationError,
@@ -1252,6 +1321,10 @@ class TestValidateOnEntry:
         "far_values": (
             "evaluation", "far_values", [1e-2, 1.0], ValidationError,
             "config.evaluation.far_values",
+        ),
+        "far_values_nan": (
+            "evaluation", "far_values", [1e-2, float("nan")], ValidationError,
+            r"config.evaluation.far_values\[1\]",
         ),
         "probe_window": (
             "evaluation", "probe_window", 9, ValidationError, "config.evaluation.probe_window",
@@ -1271,30 +1344,42 @@ class TestValidateOnEntry:
             "config.forgetting.finetune_epochs",
         ),
     }
-    # Numeric section fields with no out-of-range value, each with the
-    # reason; none today.
-    UNRANGED: dict[tuple[str, str], str] = {}
+    # Numeric fields that declare no range, each with the reason.
+    UNRANGED: dict[tuple[str, str], str] = {
+        ("", "ambient_dim"): (
+            "its range is declared once, on CorpusSpec.ambient_dim, which validate() "
+            "checks as config.corpus.ambient_dim"
+        ),
+    }
 
     def test_every_numeric_field_has_a_bad_setting(self):
-        # A numeric field added to a config section fails here until
-        # validate() bounds it and BAD_SETTINGS shows it, or UNRANGED says
-        # why it has no bound.
+        # A numeric field added to the config, a section or a task recipe
+        # fails here until it declares its range and BAD_SETTINGS holds a
+        # value out of it, or UNRANGED says why it has no range. The bad
+        # values are written by hand, not derived from the declarations.
         def numeric(hint):
             return hint in (int, float) or any(numeric(arg) for arg in get_args(hint))
 
         config = tiny_config("unused")
-        sections = [f.name for f in dataclasses.fields(config)]
-        sections = [s for s in sections if dataclasses.is_dataclass(getattr(config, s))]
-        fields = {
-            (section, name)
-            for section in sections
-            for name, hint in get_type_hints(type(getattr(config, section))).items()
-            if numeric(hint)
+        owners = {"": config, "corpus.tasks": config.tasks[0]}
+        for f in dataclasses.fields(config):
+            if dataclasses.is_dataclass(getattr(config, f.name)):
+                owners[f.name] = getattr(config, f.name)
+        ranged = {}
+        for section, owner in owners.items():
+            hints = get_type_hints(type(owner))
+            for f in dataclasses.fields(owner):
+                if numeric(hints[f.name]):
+                    ranged[(section, f.name)] = "range" in f.metadata
+        covered = {
+            (re.sub(r"\[\d+\]", "", section), field)
+            for section, field, *_ in self.BAD_SETTINGS.values()
         }
-        covered = {(section, field) for section, field, *_ in self.BAD_SETTINGS.values()}
-        assert ("encoder", "hidden_dims") in fields
-        assert sorted(fields - covered - set(self.UNRANGED)) == []
-        assert covered | set(self.UNRANGED) <= fields
+        walked = {("", "margin"), ("encoder", "hidden_dims"), ("corpus.tasks", "classes")}
+        assert walked <= ranged.keys()
+        assert sorted(key for key, has in ranged.items() if not has) == sorted(self.UNRANGED)
+        assert sorted(key for key, has in ranged.items() if has and key not in covered) == []
+        assert covered <= ranged.keys()
 
     @pytest.mark.parametrize("setting", sorted(BAD_SETTINGS))
     @pytest.mark.parametrize("entry", [run, run_forgetting_comparison], ids=lambda f: f.__name__)
@@ -1302,7 +1387,7 @@ class TestValidateOnEntry:
         section, field, value, error, match = self.BAD_SETTINGS[setting]
         out = self.earlier_run(tmp_path)
         config = tiny_config(out)
-        setattr(getattr(config, section), field, value)
+        set_field(config, ".".join(filter(None, ["config", section, field])), value)
         with pytest.raises(error, match=match):
             entry(config)
         assert files_under(out) == {"summary.json"}
@@ -1540,6 +1625,20 @@ class TestCli:
         path.write_text(json.dumps(config.to_dict()))
         return path
 
+    def test_non_finite_config_value_exits_2_and_writes_nothing(self, tmp_path):
+        # json reads the NaN literal; a NaN epsilon used to pass validation
+        # and exit 3 when config.json was written.
+        path = self.write_config(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["curriculum"]["epsilon"] = float("nan")
+        path.write_text(json.dumps(payload))
+        assert '"epsilon": NaN' in path.read_text()
+        before = tree_bytes(tmp_path)
+        result = CliRunner().invoke(main, ["train", "-c", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "config.curriculum.epsilon must be a finite number > 0, got nan" in result.output
+        assert tree_bytes(tmp_path) == before
+
     def test_gen(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, ["gen", "-c", str(self.write_config(tmp_path))])
@@ -1769,7 +1868,7 @@ class TestCli:
             ("splits swapped", "train corpus saved is not its config's"),
             ("corpus file missing", "persons.npy"),
             ("tasks not a list of objects", "tasks must be a list of JSON objects"),
-            ("negative ambient_dim", "ambient_dim must be positive"),
+            ("negative ambient_dim", "corpus.ambient_dim must be an integer >= 1, got -1"),
             ("features of the other split", "task 'objects': file must be 'objects.npy'"),
             ("features unlisted", "corpus/objects.npy is not listed in"),
             ("no config.json", "config.json"),
