@@ -231,7 +231,7 @@ class ExperimentConfig:
             output_dir=_require(d, "output_dir", "config"),
             tasks=tasks,
             ambient_dim=_require(corpus, "ambient_dim", "config.corpus"),
-            margin=d.get("margin", 0.35),
+            margin=d.get("margin", cls.__dataclass_fields__["margin"].default),
             **{
                 key: _section(section, d.get(key, {}), f"config.{key}")
                 for key, section in _SECTIONS.items()

@@ -31,13 +31,14 @@ not records.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import CurriculumConfig, ExperimentConfig
-from .datagen import Batch, Loader, TaskData
+from .datagen import Batch, Loader, TaskData, distinct_choice
 from .encoder import (
     EncoderParams,
     GradBuffer,
@@ -94,6 +95,18 @@ def distance_from_goal(goal: float, accuracy: float) -> float:
     return max(0.0, (goal - accuracy) / goal)
 
 
+def _float_sum(values: list[float]) -> float:
+    """numpy's float64 sum of ``values``, bit for bit. numpy adds fewer than
+    8 values left to right, and sums more in its pairwise order, so those
+    go through numpy itself."""
+    if len(values) >= 8:
+        return float(np.add.reduce(np.array(values)))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def task_scores_to_probabilities(scores, floor: float) -> np.ndarray:
     """Two-stage normalization of nonnegative scores into probabilities.
 
@@ -101,36 +114,46 @@ def task_scores_to_probabilities(scores, floor: float) -> np.ndarray:
     pins every task below ``floor`` to exactly ``floor`` and redistributes the
     remaining mass over the others in proportion to their stage-1 share,
     iterating until no new task falls below the floor.
+
+    The arithmetic runs on Python floats, a few times cheaper than numpy
+    calls for a handful of tasks, and every sum adds in numpy's order
+    (:func:`_float_sum`), so the result is the float64 array that the same
+    steps in numpy give, bit for bit.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.size
+    scores = [float(s) for s in scores]
+    n = len(scores)
     if n == 0:
         raise ContractError("scores must be non-empty")
-    if (scores < 0).any() or not np.isfinite(scores).all():
+    if not all(0 <= s < math.inf for s in scores):
         raise ContractError("scores must be finite and nonnegative")
     if floor < 0 or floor * n >= 1.0:
         raise ConfigurationError("floor must satisfy 0 <= floor and floor * n < 1")
-    total = scores.sum()
-    p_hat = np.full(n, 1.0 / n) if total == 0 else scores / total
-    pinned = p_hat < floor
+    total = _float_sum(scores)
+    if total == math.inf:
+        raise ContractError("scores must have a finite sum")
+    p_hat = [1.0 / n] * n if total == 0 else [s / total for s in scores]
+    pinned = [q < floor for q in p_hat]
     while True:
-        mass = 1.0 - floor * pinned.sum()
-        unpinned_share = p_hat[~pinned].sum()
-        p = np.where(pinned, floor, p_hat * (mass / unpinned_share))
-        newly = ~pinned & (p < floor)
-        if not newly.any():
-            return p
-        pinned |= newly
+        mass = 1.0 - floor * sum(pinned)
+        scale = mass / _float_sum([q for q, pin in zip(p_hat, pinned) if not pin])
+        p = [floor if pin else q * scale for q, pin in zip(p_hat, pinned)]
+        grown = [pin or q < floor for q, pin in zip(p, pinned)]
+        if grown == pinned:
+            return np.array(p)
+        pinned = grown
 
 
 def sample_allocation(probabilities, total: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial draw of ``total`` batch slots over tasks."""
-    p = np.asarray(probabilities, dtype=np.float64)
+    """Multinomial draw of ``total`` batch slots over tasks; the
+    probabilities are renormalized by their float64 sum, on Python floats
+    as in :func:`task_scores_to_probabilities`."""
+    p = [float(q) for q in probabilities]
     if total < 1:
         raise ContractError("total must be >= 1")
-    if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
+    mass = _float_sum(p)
+    if any(q < 0 for q in p) or abs(mass - 1.0) > 1e-9:
         raise ContractError("probabilities must be nonnegative and sum to 1")
-    return rng.multinomial(total, p / p.sum())
+    return rng.multinomial(total, [q / mass for q in p])
 
 
 def blocked_schedule(
@@ -278,11 +301,11 @@ class Trainer:
     def _probe_batch(self, data: TaskData, rng: np.random.Generator) -> Batch:
         classes = data.classes
         p = min(self.identities, len(classes))
-        chosen = rng.choice(classes, size=p, replace=False)
+        chosen = distinct_choice(rng, classes, p)
         rows = []
         for lab in chosen:
             members = np.flatnonzero(data.labels == lab)
-            rows.extend(rng.choice(members, size=self.positives, replace=False))
+            rows.extend(distinct_choice(rng, members, self.positives))
         rows = np.asarray(rows)
         return Batch(features=data.features[rows], labels=data.labels[rows], task=data.name)
 
@@ -308,8 +331,8 @@ class Trainer:
         probs = task_scores_to_probabilities(
             [scored[name]["score"] for name in self.task_names], self.curriculum.floor
         )
-        for name, prob in zip(self.task_names, probs):
-            scored[name]["probability"] = float(prob)
+        for name, prob in zip(self.task_names, probs.tolist()):
+            scored[name]["probability"] = prob
         return scored
 
     def train_step(self, allocations: dict[str, int] | None = None) -> dict:

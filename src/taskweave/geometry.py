@@ -365,6 +365,29 @@ def sliding_window_probe(
     return curve if alongside is None else (curve, results[0])
 
 
+def _projections(
+    source: Subspace,
+    ks,
+    target_embeddings: np.ndarray,
+    target_eval: Callable[[np.ndarray], float],
+    full_value: float | None,
+) -> list[tuple[int, float, float]]:
+    """(k, value, delta) for each k of ``ks``, as
+    :func:`cross_task_projection_eval` defines them. A target of another
+    width than the source is rejected before ``target_eval`` is called."""
+    X = np.asarray(target_embeddings, dtype=np.float64)
+    if X.shape[1] != source.ambient_dim:
+        raise ContractError("target embeddings must live in the source ambient space")
+    if full_value is None:
+        full_value = target_eval(X)
+    points = []
+    for k in ks:
+        sub = source.truncated(k)
+        value = target_eval((X - sub.mean) @ sub.basis)
+        points.append((k, float(value), float(value - full_value)))
+    return points
+
+
 def cross_task_projection_eval(
     source: Subspace,
     k: int,
@@ -380,14 +403,8 @@ def cross_task_projection_eval(
     full-space value, ``target_eval(target_embeddings)``, which the caller
     may pass as ``full_value`` when it has it already.
     """
-    X = np.asarray(target_embeddings, dtype=np.float64)
-    if X.shape[1] != source.ambient_dim:
-        raise ContractError("target embeddings must live in the source ambient space")
-    if full_value is None:
-        full_value = target_eval(X)
-    sub = source.truncated(k)
-    value = target_eval((X - sub.mean) @ sub.basis)
-    return float(value), float(value - full_value)
+    [(_, value, delta)] = _projections(source, [k], target_embeddings, target_eval, full_value)
+    return value, delta
 
 
 def projection_sweep(
@@ -400,13 +417,5 @@ def projection_sweep(
     """(k, value, delta) for k = 1 .. min(max_k, source rank), as
     :func:`cross_task_projection_eval` gives them; the full-space value is
     computed once for the whole sweep, or passed in as ``full_value``."""
-    X = np.asarray(target_embeddings, dtype=np.float64)
-    if X.shape[1] != source.ambient_dim:
-        raise ContractError("target embeddings must live in the source ambient space")
-    if full_value is None:
-        full_value = target_eval(X)
     top = source.dim if max_k is None else min(max_k, source.dim)
-    return [
-        (k, *cross_task_projection_eval(source, k, X, target_eval, full_value))
-        for k in range(1, top + 1)
-    ]
+    return _projections(source, range(1, top + 1), target_embeddings, target_eval, full_value)

@@ -127,6 +127,86 @@ class TestSampleAllocation:
         np.testing.assert_allclose(draws.mean(axis=0), 2.0, atol=0.05)
 
 
+def numpy_probabilities(scores, floor):
+    """``task_scores_to_probabilities`` as it was written in numpy, checks
+    left out, with the number of pinning rounds it took."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.size
+    total = scores.sum()
+    p_hat = np.full(n, 1.0 / n) if total == 0 else scores / total
+    pinned = p_hat < floor
+    rounds = 1
+    while True:
+        mass = 1.0 - floor * pinned.sum()
+        unpinned_share = p_hat[~pinned].sum()
+        p = np.where(pinned, floor, p_hat * (mass / unpinned_share))
+        newly = ~pinned & (p < floor)
+        if not newly.any():
+            return p, rounds
+        pinned |= newly
+        rounds += 1
+
+
+def numpy_allocation(probabilities, total, rng):
+    """``sample_allocation`` as it was written in numpy, checks left out."""
+    p = np.asarray(probabilities, dtype=np.float64)
+    return rng.multinomial(total, p / p.sum())
+
+
+def scheduler_cases():
+    """(scores, floor) for 2 to 20 tasks: all zeros, and stage-1 shares
+    near the floor at score scales from 1e-3 to 1e7, so that pinning some
+    tasks pushes others below the floor over several rounds."""
+    meta = np.random.default_rng(33)
+    for n in range(2, 21):
+        yield [0.0] * n, 0.5 / n
+        yield [-0.0] * (n - 1) + [2.5], 0.9 / n
+        for _ in range(150):
+            floor = float(meta.uniform(0, 1 / n))
+            scores = floor * meta.uniform(0.5, 1.5, size=n)
+            scores[meta.integers(n)] += meta.exponential()
+            scores *= 10.0 ** meta.integers(-3, 8)
+            yield scores.tolist(), floor
+
+
+class TestFloatScheduler:
+    """The scheduler runs on Python floats; every probability and every
+    allocation must be the numpy code's, bit for bit."""
+
+    def test_probabilities_and_allocations_are_the_numpy_ones(self):
+        rounds_seen, tasks_seen = set(), set()
+        for case, (scores, floor) in enumerate(scheduler_cases()):
+            expected, rounds = numpy_probabilities(scores, floor)
+            p = task_scores_to_probabilities(scores, floor)
+            assert p.dtype == np.float64
+            assert p.tobytes() == expected.tobytes(), (scores, floor)
+            by_floats, by_numpy = stream(case, "allocation"), stream(case, "allocation")
+            total = len(scores) + case % 7
+            alloc = sample_allocation(p.tolist(), total, by_floats)
+            assert np.array_equal(alloc, numpy_allocation(expected, total, by_numpy))
+            assert by_floats.bit_generator.state == by_numpy.bit_generator.state
+            rounds_seen.add(rounds)
+            tasks_seen.add(len(scores))
+        # Cascades of up to three further pinning rounds; numpy sums 8 and
+        # more values pairwise.
+        assert rounds_seen >= {1, 2, 3, 4}
+        assert tasks_seen == set(range(2, 21))
+
+    def test_the_iterative_cascade(self):
+        # 0.101 is above the floor until 0.049 is pinned and takes its mass.
+        scores, floor = [0.85, 0.101, 0.049], 0.1
+        expected, rounds = numpy_probabilities(scores, floor)
+        assert rounds == 2
+        assert task_scores_to_probabilities(scores, floor).tobytes() == expected.tobytes()
+
+    def test_a_sum_beyond_float_range_is_rejected(self):
+        # Each score is finite but their total is not; the numpy code gave
+        # every task the floor here, with a RuntimeWarning, and the
+        # allocation then failed.
+        with pytest.raises(ContractError, match="finite sum"):
+            task_scores_to_probabilities([1e308] * 4, 0.05)
+
+
 class TestBlockedSchedule:
     def test_uneven_budget_and_partial_groups(self):
         steps = list(blocked_schedule(["a", "b", "c"], 11, 3))

@@ -18,6 +18,7 @@ from taskweave.datagen import (
     TaskData,
     TaskGenSpec,
     build_corpus,
+    distinct_choice,
 )
 from taskweave.encoder import id_masks
 from taskweave.errors import ConfigurationError, ContractError, ValidationError
@@ -151,6 +152,36 @@ class TestRoundTrip:
             assert np.array_equal(loaded.tasks[name].features, corpus.tasks[name].features)
             assert loaded.tasks[name].features.dtype == np.float64
             assert np.array_equal(loaded.tasks[name].labels, corpus.tasks[name].labels)
+
+    # The writer encodes the label arrays apart from the rest of the
+    # manifest; the bytes must be the plain indent-2 text of the whole.
+    @pytest.mark.parametrize(
+        "relabel",
+        [
+            lambda labels: labels[:0],
+            lambda labels: labels - 7,
+            lambda labels: labels + 2**31 + 1,
+            lambda labels: np.where(labels % 2, 2**63 - 1 - labels, -(2**63) + labels),
+        ],
+        ids=["empty", "negative", "above-2**31", "int64-extremes"],
+    )
+    def test_manifest_is_the_indent_2_text(self, tmp_path, relabel):
+        corpus = build_corpus(four_task_spec())
+        fine = corpus.tasks["fine"]
+        labels = relabel(fine.labels)
+        corpus.tasks["fine"] = TaskData(
+            "fine", fine.regime, np.asfortranarray(fine.features[: labels.size]), labels
+        )
+        corpus.save(RunResult(tmp_path), "corpus")
+        written = (tmp_path / "corpus" / "manifest.json").read_text()
+        manifest = json.loads(written)
+        assert written == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert manifest["tasks"][1]["labels"] == labels.tolist()
+        loaded = Corpus.load(tmp_path / "corpus")
+        for name, data in corpus.tasks.items():
+            assert loaded.tasks[name].labels.dtype == np.int64
+            assert np.array_equal(loaded.tasks[name].labels, data.labels)
+            assert np.array_equal(loaded.tasks[name].features, data.features)
 
 
 def make_loader(classes=20, samples_per_class=4, seed=3):
@@ -632,6 +663,31 @@ class TestLoaderOracle:
             assert drawing._rng.bit_generator.state == batching._rng.bit_generator.state
         assert np.array_equal(drawing._next, batching._next)
         assert drawing.refreshes > 1
+
+
+class TestDistinctChoice:
+    # The loader's identity draws and the trainer's probe batches pick
+    # positions into an array instead of passing the array to ``choice``.
+    # Both must give the same values and leave the generator in the same
+    # state, after earlier draws that may leave half a 64-bit word buffered.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=200),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+    )
+    def test_positions_give_the_array_draw(self, values, data, seed, warm):
+        items = np.array(values, dtype=np.int64)
+        size = data.draw(st.integers(0, items.size), label="size")
+        by_array, by_position = np.random.default_rng(seed), np.random.default_rng(seed)
+        by_array.integers(0, 7, size=warm)
+        by_position.integers(0, 7, size=warm)
+        expected = by_array.choice(items, size=size, replace=False)
+        drawn = distinct_choice(by_position, items, size)
+        assert drawn.dtype == expected.dtype
+        assert np.array_equal(drawn, expected)
+        assert by_position.bit_generator.state == by_array.bit_generator.state
 
 
 @st.composite

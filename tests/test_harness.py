@@ -20,10 +20,11 @@ from click.testing import CliRunner
 import taskweave
 from conftest import tree_bytes
 from taskweave import experiments, metrics, scoring
-from taskweave.artifacts import RunResult, csv_text
+from taskweave.artifacts import RunResult, _json_text, csv_text
 from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
 from taskweave.curriculum import Trainer
+from taskweave.datagen import Bound, ranged
 from taskweave.encoder import embed, save_checkpoint
 from taskweave.errors import ContractError, NumericError, ValidationError
 from taskweave.experiments import (
@@ -90,6 +91,18 @@ class TestConfig:
         path.write_text(json.dumps(config.to_dict()))
         loaded = ExperimentConfig.from_file(path)
         assert loaded.to_dict() == config.to_dict()
+
+    def test_absent_margin_takes_the_field_default(self, tmp_path):
+        # A config file without a margin gets the one the field declares,
+        # whatever that is: the loader spells no default of its own.
+        @dataclasses.dataclass
+        class Wider(ExperimentConfig):
+            margin: float = ranged(Bound(0), default=0.5)
+
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        del payload["margin"]
+        assert ExperimentConfig.from_dict(payload).margin == 0.35
+        assert Wider.from_dict(payload).margin == 0.5
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match=f"cannot read config {tmp_path}/none.json"):
@@ -591,6 +604,53 @@ class TestArtifactWriter:
             out.json("tables/bad.json", {"a": [1.0, {"b": float("nan")}]})
         assert not (tmp_path / "out").exists()
         assert out.artifacts == []
+
+    # A 1-D integer array is written as its list; the text must be what
+    # json gives that list, at any depth, indented or on one line.
+    INT_ARRAYS = {
+        "top": np.array([3, -1, 2**40], dtype=np.int64),
+        "nested": {"deep": [np.arange(4, dtype=np.uint8), {"x": np.array([], dtype=np.int32)}]},
+        "mixed": [1.5, "a, b", np.array([7]), None],
+    }
+
+    @pytest.mark.parametrize("indent", [None, 2, 4])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            INT_ARRAYS,
+            np.array([5, 6]),
+            [np.array([2**63 - 1]), np.array([-(2**63)])],
+            # Strings that start with NUL, as the writer's marks do.
+            {"a": np.array([1, 2]), "b": "\x000", "c": ["\x00", np.array([9])]},
+            {"\x00key": np.array([0, 0])},
+            {"plain": [1, 2], "s": "\x001"},
+        ],
+    )
+    def test_integer_arrays_are_written_as_their_lists(self, payload, indent):
+        def listed(value):
+            if isinstance(value, dict):
+                return {k: listed(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [listed(v) for v in value]
+            return value.tolist() if isinstance(value, np.ndarray) else value
+
+        expected = json.dumps(listed(payload), indent=indent, sort_keys=True)
+        assert _json_text("t.json", payload, indent) == expected
+
+    def test_integer_arrays_reach_files_and_trace_lines(self, tmp_path):
+        out = RunResult(tmp_path)
+        out.json("a.json", {"labels": np.array([2, -3])})
+        with out.stream("t.jsonl") as trace:
+            trace({"ids": np.array([1, 2])})
+        assert (tmp_path / "a.json").read_text() == '{\n  "labels": [\n    2,\n    -3\n  ]\n}\n'
+        assert (tmp_path / "t.jsonl").read_text() == '{"ids": [1, 2]}\n'
+
+    @pytest.mark.parametrize(
+        "value", [np.zeros((2, 2), dtype=int), np.array([1.0]), np.array([True]), {1, 2}]
+    )
+    def test_other_objects_are_not_serializable(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json_text("t.json", {"v": value}, 2)
 
     def test_jsonl_nan_raises_numeric_error(self, tmp_path):
         out = RunResult(tmp_path)
@@ -1158,6 +1218,7 @@ class TestValidateOnEntry:
         return out
 
     STOCK_GOALS = {"objects": 0.95, "faces_hq": 0.95, "faces_lq": 0.9, "persons": 0.95}
+    MARGIN_RULE = "config.margin must be a finite number >= 0"
     # (section, field, value, error, match): settings that the trainers, the
     # loaders, the corpus build or the geometry suite would reject, or, for
     # projection_max_pcs = 0, accept with empty projection tables. The
@@ -1167,8 +1228,9 @@ class TestValidateOnEntry:
     BAD_SETTINGS = {
         "seed": ("", "seed", -1, ValidationError, "config.seed"),
         "ambient_dim": ("", "ambient_dim", 0, ValidationError, "config.corpus.ambient_dim"),
-        "margin": ("", "margin", -1.0, ValidationError, "config.margin"),
-        "margin_nan": ("", "margin", float("nan"), ValidationError, "config.margin"),
+        "margin": ("", "margin", -1.0, ValidationError, MARGIN_RULE),
+        "margin_nan": ("", "margin", float("nan"), ValidationError, MARGIN_RULE),
+        "margin_inf": ("", "margin", float("inf"), ValidationError, MARGIN_RULE),
         "classes": (
             "corpus.tasks[0]", "classes", 1, ValidationError, r"config.corpus.tasks\[0\].classes",
         ),
@@ -1414,17 +1476,6 @@ class TestValidateOnEntry:
         config = tiny_config(out)
         set_field(config, where, self.WRONG_TYPES[where])
         with pytest.raises(ValidationError, match=re.escape(f"{where} must be of type")):
-            entry(config)
-        assert files_under(out) == {"summary.json"}
-
-    # A negative margin used to validate and train.
-    @pytest.mark.parametrize("margin", [-1.0, float("inf"), float("nan")])
-    @pytest.mark.parametrize("entry", [run, run_forgetting_comparison], ids=lambda f: f.__name__)
-    def test_margin_must_be_finite_and_non_negative(self, tmp_path, entry, margin):
-        out = self.earlier_run(tmp_path)
-        config = tiny_config(out)
-        config.margin = margin
-        with pytest.raises(ValidationError, match="config.margin must be a finite number >= 0"):
             entry(config)
         assert files_under(out) == {"summary.json"}
 
