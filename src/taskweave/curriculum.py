@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import CurriculumConfig, ExperimentConfig
-from .datagen import Batch, Loader, TaskData, distinct_choice
+from .datagen import Batch, Loader, TaskData
 from .encoder import (
     EncoderParams,
     GradBuffer,
@@ -293,19 +293,19 @@ class Trainer:
             rng = stream(self.seed, "probe", name)
             # A task's probe batches share one P x K shape, so they stack.
             batches = [self._probe_batch(data, rng) for _ in range(self.curriculum.probe_batches)]
-            labels = np.stack([batch.labels for batch in batches])
-            features = np.stack([batch.features for batch in batches])
+            labels = np.array([batch.labels for batch in batches])
+            features = np.array([batch.features for batch in batches])
             satisfied = int(_satisfied_anchors(self.params, features, labels).sum())
             self.states[name].metric_log.append((0, satisfied / labels.size))
 
     def _probe_batch(self, data: TaskData, rng: np.random.Generator) -> Batch:
         classes = data.classes
         p = min(self.identities, len(classes))
-        chosen = distinct_choice(rng, classes, p)
+        chosen = rng.choice(classes, size=p, replace=False)
         rows = []
         for lab in chosen:
             members = np.flatnonzero(data.labels == lab)
-            rows.extend(distinct_choice(rng, members, self.positives))
+            rows.extend(rng.choice(members, size=self.positives, replace=False))
         rows = np.asarray(rows)
         return Batch(features=data.features[rows], labels=data.labels[rows], task=data.name)
 
@@ -368,8 +368,8 @@ class Trainer:
         batches, exhausted = draw_step(self.loaders, allocations, self.identities, self.positives)
         if not batches:
             raise ContractError("a step needs at least one batch")
-        features = np.stack([batch.features for batch in batches])
-        labels = np.stack([batch.labels for batch in batches])
+        features = np.array([batch.features for batch in batches])
+        labels = np.array([batch.labels for batch in batches])
         stack = len(batches)
         if stack not in self._masks:
             self._masks[stack] = block_masks(stack, self.identities, self.positives)

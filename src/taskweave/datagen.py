@@ -442,13 +442,6 @@ def build_corpus(spec: CorpusSpec, split: str = "train", positives_per_id: int =
     return corpus
 
 
-def distinct_choice(rng: np.random.Generator, items: np.ndarray, size: int) -> np.ndarray:
-    """``size`` distinct entries of the 1-D array ``items``, drawn as
-    positions into it: the values of ``rng.choice(items, size,
-    replace=False)``, leaving ``rng`` in the same state."""
-    return items[rng.choice(items.size, size=size, replace=False)]
-
-
 @dataclass
 class Batch:
     """P identities x K positives from a single task."""
@@ -560,7 +553,7 @@ class Loader:
         chosen = np.concatenate([rich, self._rng.permutation(scarce)[: p - rich.size]])
         if chosen.size < p:
             spent = (remaining == 0).nonzero()[0]
-            drawn = distinct_choice(self._rng, spent, p - chosen.size)
+            drawn = self._rng.choice(spent, size=p - chosen.size, replace=False)
             chosen = np.concatenate([chosen, drawn])
 
         # Each identity gives its next k unconsumed samples; one that runs
@@ -593,7 +586,7 @@ class Loader:
         rich = (remaining >= k).nonzero()[0]
         if rich.size >= p:
             # Every chosen identity has k unconsumed samples to give.
-            chosen = distinct_choice(self._rng, rich, p)
+            chosen = self._rng.choice(rich, size=p, replace=False)
             first = self._next[chosen]
             samples = self._pass[first[:, None] + np.arange(k)]
             self._next[chosen] = first + k

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, NumericError, ValidationError
+from .metrics import padded_blocks
 
 CHECKPOINT_VERSION = 1
 
@@ -235,9 +236,8 @@ def _embed_stack(params: EncoderParams, h: np.ndarray) -> np.ndarray:
     return _unit_rows(h)[0]
 
 
-# Rows per block of a 2-D ``embed``. Every block's products have exactly
-# this many rows, the tail block zero-padded, so a row's embedding does not
-# depend on the rows embedded with it.
+# Rows per zero-padded block of a 2-D ``embed``: every block's products have
+# this many rows, so a row's embedding does not depend on the rows beside it.
 EMBED_ROWS = 256
 
 
@@ -246,21 +246,16 @@ def embed(params: EncoderParams, inputs: np.ndarray) -> np.ndarray:
     activations for a backward pass.
 
     A ``(B, n, d)`` stack runs as it is, one product per batch, as the
-    training kernel runs it. ``(N, d)`` rows run in blocks of exactly
-    ``EMBED_ROWS`` rows, the last one zero-padded: each row's embedding has
-    the same bits alone, shuffled or among any other rows, and the memory
-    taken is the result and a few blocks, whatever N."""
+    training kernel runs it. ``(N, d)`` rows run in the padded blocks of
+    exactly ``EMBED_ROWS`` rows of :func:`~taskweave.metrics.padded_blocks`:
+    each row's embedding has the same bits alone, shuffled or among any other
+    rows, and the memory taken is the result and a few blocks, whatever N."""
     _checked_width(params, inputs)
     if inputs.ndim == 3:
         return _embed_stack(params, np.asarray(inputs, dtype=np.float64))
-    n = inputs.shape[0]
-    out = np.empty((n, params.output_dim))
-    block = np.empty((1, EMBED_ROWS, params.input_dim))
-    for lo in range(0, n, EMBED_ROWS):
-        rows = min(EMBED_ROWS, n - lo)
-        block[0, :rows] = inputs[lo : lo + rows]
-        block[0, rows:] = 0.0
-        out[lo : lo + rows] = _embed_stack(params, block)[0, :rows]
+    out = np.empty((inputs.shape[0], params.output_dim))
+    for lo, hi, block in padded_blocks(inputs, EMBED_ROWS):
+        out[lo:hi] = _embed_stack(params, block[None])[0, : hi - lo]
     return out
 
 

@@ -21,7 +21,7 @@ from .config import ExperimentConfig
 from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
 from .datagen import Corpus, CorpusSpec, TaskData, build_corpus
 from .encoder import EncoderParams, embed, init_params, load_checkpoint, save_checkpoint
-from .errors import ConfigurationError, ContractError, ValidationError
+from .errors import ContractError, ValidationError
 from .forking import cpu_workers, forked_map
 from .metrics import EXPERT, HUMAN, ScoreTable
 from .scoring import (
@@ -280,11 +280,9 @@ def run_forgetting_comparison(
     forgetting settings checked, before any file is touched."""
     config = overridden(config, seed, output_dir)
     if not config.forgetting.pretrain_task:
-        raise ConfigurationError("forgetting comparison requires forgetting.pretrain_task")
+        raise ValidationError("config.forgetting.pretrain_task is required to compare forgetting")
     if config.curriculum.steps_per_epoch is None:
-        raise ConfigurationError(
-            "forgetting comparison requires curriculum.steps_per_epoch for its adaptive fine-tune"
-        )
+        raise ValidationError("config.curriculum.steps_per_epoch is required to compare forgetting")
     return _compare_forgetting(config, RunResult(config.output_dir))
 
 

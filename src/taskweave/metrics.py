@@ -2,12 +2,16 @@
 
 All similarity comparisons use cosine on unit-norm embeddings. Ranking ties
 break toward the lower gallery index so every metric is deterministic.
+
+Blocked products follow one rule, :func:`padded_blocks`: blocks of exactly
+B rows, the tail zero-padded, so a row's result has the same bits wherever
+it sits. ``encoder.embed`` and :func:`similarity_blocks` use it.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,31 +88,41 @@ def roc_auc(genuine_scores, impostor_scores) -> float:
     return float(wins / (genuine.size * impostor.size))
 
 
-# Elements per block of rows: ``rank_k`` scores about this many similarities
-# per block of probes, and the pair scores gather about this many over both
-# sides of a block of pairs, so their memory is a few blocks, not the N×G
-# matrix or the whole pair set.
-_BLOCK = 1 << 16
+# Elements per block: ``similarity_blocks`` holds about this many at once,
+# and the pair scores gather about this many over both sides of a slice, so
+# their memory is a few blocks, not the N×G matrix or the whole pair set.
+BLOCK = 1 << 16
 
 
-def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
-    """[start, stop) bounds of consecutive blocks of ``rows`` rows (at least
-    2) over ``n`` rows. A trailing single row joins the block before it: a
-    one-row product runs as a matrix-vector product, whose bits can differ
-    from the same row of the full matrix product. Blocks of two or more rows
-    reproduce those rows bit for bit at the shapes the tests check, though
-    not at every shape: a BLAS may pick its kernel by the row count."""
-    stops = list(range(rows, n, rows))
-    if stops and n - stops[-1] == 1:
-        stops.pop()
-    return list(zip([0] + stops, stops + [n]))
+def padded_blocks(rows: np.ndarray, size: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(lo, hi, block)`` over ``rows``: ``block`` is exactly ``size`` rows,
+    ``rows[lo:hi]`` then zeros, so every product of a block has one shape.
+    The blocks are one float64 buffer, refilled: each is valid until the next."""
+    block = np.empty((size, *rows.shape[1:]))
+    for lo in range(0, rows.shape[0], size):
+        hi = min(lo + size, rows.shape[0])
+        block[: hi - lo] = rows[lo:hi]
+        block[hi - lo :] = 0.0
+        yield lo, hi, block
 
 
-def row_blocks(n: int, width: int) -> list[tuple[int, int]]:
-    """[start, stop) bounds of blocks over ``n`` rows of ``width`` elements
-    each, about ``_BLOCK`` elements a block, by :func:`_row_blocks`: at
-    least two rows a block and no one-row tail."""
-    return _row_blocks(n, max(2, _BLOCK // width))
+def similarity_blocks(
+    probe_emb: np.ndarray, gallery_emb: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(lo, hi, sims)`` over blocks of probes, ``sims[i]`` the cosines of
+    probe ``lo + i`` to every gallery row: ``gallery_emb @ block.T`` for a
+    padded block of B probes, B a multiple of 8 fixed by the gallery's shape,
+    copied probe-major. So a probe's row has the same bits alone, shuffled or
+    among any other probes. The block and both products are preallocated,
+    about ``BLOCK`` elements together; each ``sims`` is valid until the next."""
+    g, d = gallery_emb.shape
+    size = max(8, round(BLOCK / (8 * (2 * g + d))) * 8)
+    by_gallery, sims = np.empty((g, size)), np.empty((size, g))
+    for lo, hi, block in padded_blocks(probe_emb, size):
+        # Not out=sims.T: numpy runs that as the probe-major product.
+        np.matmul(gallery_emb, block.T, out=by_gallery)
+        np.copyto(sims, by_gallery.T)
+        yield lo, hi, sims[: hi - lo]
 
 
 def rank_k(
@@ -133,8 +147,8 @@ def rank_k(
     for N probes and G gallery items. The same argmax finds a row's NaN or +inf and a
     row minimum its -inf, which checks every similarity without a pass of
     its own. Every step reads one probe's row, so the probes are scored in
-    blocks of about ``_BLOCK`` similarities and memory stays
-    O(_BLOCK + N + G). Gallery ids in non-decreasing order (the callers'
+    the fixed blocks of :func:`similarity_blocks`, and memory stays
+    O(BLOCK + N + G). Gallery ids in non-decreasing order (the callers'
     class-grouped galleries) form column runs, and j* is the first maximum
     of the probe's own run, gathered for the block's probes alone; any
     other order takes the first maximum of the masked row. Both search the
@@ -164,8 +178,7 @@ def rank_k(
         run_start, run_length = starts[run], np.diff(np.r_[starts, g])[run]
     count_ranks = max(ks) > 1
     ahead = np.zeros(n, dtype=np.intp)
-    for lo, hi in row_blocks(n, g):
-        sims = pairwise_cosine(probe_emb[lo:hi], gallery_emb)
+    for lo, hi, sims in similarity_blocks(probe_emb, gallery_emb):
         top = sims.argmax(axis=1)
         # argmax finds a row's first NaN and its +inf, the minimum its -inf.
         _require_finite(np.take_along_axis(sims, top[:, None], axis=1), sims.min(axis=1))
@@ -190,7 +203,6 @@ def rank_k(
             if tied.size:
                 earlier = np.arange(g) < first_best[tied, None]
                 ahead[lo + tied] += np.count_nonzero((sims[tied] == best[tied]) & earlier, axis=1)
-        del sims  # so that one block of similarities is alive at a time
     rates = tuple(int(np.count_nonzero(ahead < each)) / n for each in ks)
     return rates if isinstance(k, Sequence) else rates[0]
 

@@ -6,7 +6,7 @@ unit-normed raw inputs. No score takes encoder parameters or writes a file,
 so any encoder, or none, is scored by the same code. The score row calls
 the embedder once per task and keeps nothing: it scores one task at a time,
 draws the task's pairs only when a metric reads them, and gathers its pair
-scores in row blocks, so scoring memory is one task's working set. The
+scores in slices, so scoring memory is one task's working set. The
 geometry suite's projected AUC lays out a task's pair indices once, genuine
 then impostor, and scores both kinds in one pass per projection."""
 
@@ -30,7 +30,7 @@ from .geometry import (
     sliding_window_probe,
     task_subspace,
 )
-from .metrics import ScoreTable, rank_k, roc_auc, row_blocks, tar_at_far, verification_accuracy
+from .metrics import BLOCK, ScoreTable, rank_k, roc_auc, tar_at_far, verification_accuracy
 from .seeding import stream
 
 
@@ -73,15 +73,17 @@ def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
 
 def _pair_scores(embeddings: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The dot product of rows ``left[i]`` and ``right[i]``, for each pair
-    ``i``. Both sides are gathered by ``take`` in row blocks of about
-    ``_BLOCK`` elements together (:func:`~taskweave.metrics.row_blocks`), so
-    the gathered rows take a block's memory, not the pair set's; each score
-    is its own row's reduction, the same bits in any block."""
+    ``i``. Both sides are gathered by ``take`` in plain slices of pairs, about
+    ``BLOCK`` elements over both sides, so the gathered rows take a block's
+    memory, not the pair set's. Each score is its own row's reduction, the
+    same bits in any slice, a one-pair one included, so no slice is padded."""
     scores = np.empty(left.size)
-    for lo, hi in row_blocks(left.size, 2 * embeddings.shape[1]):
+    step = max(1, BLOCK // (2 * embeddings.shape[1]))
+    for lo in range(0, left.size, step):
+        block = slice(lo, lo + step)
         # One statement, so a block's gathered rows die before the next's.
-        scores[lo:hi] = np.einsum(
-            "ij,ij->i", embeddings.take(left[lo:hi], axis=0), embeddings.take(right[lo:hi], axis=0)
+        scores[block] = np.einsum(
+            "ij,ij->i", embeddings.take(left[block], axis=0), embeddings.take(right[block], axis=0)
         )
     return scores
 

@@ -18,7 +18,6 @@ from taskweave.datagen import (
     TaskData,
     TaskGenSpec,
     build_corpus,
-    distinct_choice,
 )
 from taskweave.encoder import id_masks
 from taskweave.errors import ConfigurationError, ContractError, ValidationError
@@ -663,31 +662,6 @@ class TestLoaderOracle:
             assert drawing._rng.bit_generator.state == batching._rng.bit_generator.state
         assert np.array_equal(drawing._next, batching._next)
         assert drawing.refreshes > 1
-
-
-class TestDistinctChoice:
-    # The loader's identity draws and the trainer's probe batches pick
-    # positions into an array instead of passing the array to ``choice``.
-    # Both must give the same values and leave the generator in the same
-    # state, after earlier draws that may leave half a 64-bit word buffered.
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=200),
-        st.data(),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 3),
-    )
-    def test_positions_give_the_array_draw(self, values, data, seed, warm):
-        items = np.array(values, dtype=np.int64)
-        size = data.draw(st.integers(0, items.size), label="size")
-        by_array, by_position = np.random.default_rng(seed), np.random.default_rng(seed)
-        by_array.integers(0, 7, size=warm)
-        by_position.integers(0, 7, size=warm)
-        expected = by_array.choice(items, size=size, replace=False)
-        drawn = distinct_choice(by_position, items, size)
-        assert drawn.dtype == expected.dtype
-        assert np.array_equal(drawn, expected)
-        assert by_position.bit_generator.state == by_array.bit_generator.state
 
 
 @st.composite

@@ -19,7 +19,7 @@ from click.testing import CliRunner
 
 import taskweave
 from conftest import tree_bytes
-from taskweave import experiments, metrics, scoring
+from taskweave import experiments, scoring
 from taskweave.artifacts import RunResult, _json_text, csv_text
 from taskweave.cli import main
 from taskweave.config import ExperimentConfig, default_config
@@ -889,9 +889,7 @@ class TestProjectedAuc:
         def scores(pairs):
             return np.einsum("ij,ij->i", normed[pairs[:, 0]], normed[pairs[:, 1]])
 
-        with mock.patch.object(metrics, "_BLOCK", block or metrics._BLOCK):
-            if block:
-                assert len(metrics.row_blocks(2 * n_pairs, 2 * width)) > 2
+        with mock.patch.object(scoring, "BLOCK", block or scoring.BLOCK):
             auc = _cosine_auc_eval(pairs)(coords)
         assert auc == roc_auc(scores(pairs.genuine), scores(pairs.impostor))
 

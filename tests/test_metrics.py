@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskweave import metrics
+from taskweave import metrics, scoring
 from taskweave.artifacts import RunResult
 from taskweave.errors import ContractError, ValidationError
 from taskweave.metrics import (
@@ -21,6 +21,7 @@ from taskweave.metrics import (
     pairwise_cosine,
     rank_k,
     roc_auc,
+    similarity_blocks,
     tar_at_far,
     verification_accuracy,
 )
@@ -431,23 +432,102 @@ def dense_rank_k(probe_emb, probe_ids, gallery_emb, gallery_ids, k, masked=False
     return rates if isinstance(k, Sequence) else rates[0]
 
 
-def blocks_of(rows, gallery_size):
-    """Patch ``rank_k``'s block size so that each block holds ``rows``
-    probes against ``gallery_size`` gallery items."""
-    return mock.patch.object(metrics, "_BLOCK", rows * gallery_size)
+def block_rows(gallery_size, width):
+    """The probes per block of ``similarity_blocks`` against a gallery of
+    ``gallery_size`` rows of ``width``: the multiple of 8, at least 8,
+    nearest to holding the padded block and both its products in ``BLOCK``
+    elements."""
+    return max(8, round(metrics.BLOCK / (8 * (2 * gallery_size + width))) * 8)
+
+
+def blocks_of(rows, gallery):
+    """Patch the block size so that each block holds ``rows`` probes, a
+    multiple of 8, against ``gallery``."""
+    return mock.patch.object(metrics, "BLOCK", rows * (2 * gallery.shape[0] + gallery.shape[1]))
+
+
+def kernel_sims(probes, gallery):
+    """Every probe's similarities, assembled from ``similarity_blocks``;
+    each block must hold ``block_rows`` probes, the last one at most."""
+    out = np.empty((probes.shape[0], gallery.shape[0]))
+    sizes = []
+    for lo, hi, sims in similarity_blocks(probes, gallery):
+        out[lo:hi] = sims
+        sizes.append(hi - lo)
+    rows = block_rows(*gallery.shape)
+    assert rows % 8 == 0 and set(sizes[:-1]) <= {rows} and sizes[-1] <= rows
+    return out
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+class TestSimilarityBlocks:
+    """Each block of probes is one gallery-major product of exactly B rows,
+    the tail zero-padded: a probe's similarities must have the same bits
+    wherever it sits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_probes_bits_do_not_depend_on_the_other_probes(self, data):
+        # Widths 1 to 128; galleries that put B far above its floor of 8
+        # (16 to 64 rows) and at it (over 2,048 rows); probe counts on both
+        # sides of B. A probe gets the same bits alone, shuffled and among
+        # any other probes, in C or Fortran order.
+        width = data.draw(st.integers(1, 128), label="width")
+        size = data.draw(st.one_of(st.integers(16, 64), st.integers(2049, 2300)), label="gallery")
+        rows = block_rows(size, width)
+        counts = st.one_of(
+            st.integers(1, 9),
+            st.sampled_from([rows - 1, rows, rows + 1, 2 * rows + 1]),
+            st.integers(1, 3 * rows),
+        )
+        n, m = data.draw(counts, label="n"), data.draw(counts, label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        gallery = unit_rows(rng.standard_normal((size, width)))
+        probes = unit_rows(rng.standard_normal((n, width)))
+        if data.draw(st.booleans(), label="fortran"):
+            probes = np.asfortranarray(probes)
+        full = kernel_sims(probes, gallery)
+        order = rng.permutation(n)
+        assert kernel_sims(probes[order], gallery).tobytes() == full[order].tobytes()
+        i = data.draw(st.integers(0, n - 1), label="row")
+        assert kernel_sims(probes[i : i + 1], gallery).tobytes() == full[i : i + 1].tobytes()
+        others = unit_rows(rng.standard_normal((m, width)))
+        j = data.draw(st.integers(0, m), label="position")
+        among = kernel_sims(np.insert(others, j, probes[i], axis=0), gallery)
+        assert among[j].tobytes() == full[i].tobytes()
+
+    @pytest.mark.parametrize("size", [10, 400, 1600])
+    def test_stock_width_gives_the_dense_products_bits(self, size):
+        # At width 24, blocks of 8 to 40 probes reproduce the dense product
+        # bit for bit, so moving rank_k onto the kernel moved no score.
+        rng = np.random.default_rng(size)
+        gallery = unit_rows(rng.standard_normal((size, 24)))
+        probes = unit_rows(rng.standard_normal((120, 24)))
+        dense = pairwise_cosine(probes, gallery)
+        assert kernel_sims(probes, gallery).tobytes() == dense.tobytes()
+        for rows in range(8, 41, 8):
+            with blocks_of(rows, gallery):
+                assert kernel_sims(probes, gallery).tobytes() == dense.tobytes(), rows
 
 
 class TestBlockedRankK:
     """``rank_k`` scores the probes in blocks of rows; small blocks must
     give exactly the counts of the dense matrix."""
 
-    @given(tied_retrieval(), st.integers(2, 5), st.booleans())
+    @given(tied_retrieval(), st.sampled_from([8, 16]), st.integers(1, 4), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_small_blocks_match_the_oracles_under_heavy_ties(self, case, rows, sort_gallery):
+    def test_small_blocks_match_the_oracles_under_heavy_ties(
+        self, case, rows, copies, sort_gallery
+    ):
         probes, probe_ids, gallery, gallery_ids, k = case
         if sort_gallery:
             order = np.argsort(gallery_ids, kind="stable")
             gallery, gallery_ids = gallery[order], gallery_ids[order]
+        # Up to four copies of the probe set, so that it spans several blocks.
+        probes, probe_ids = np.tile(probes, (copies, 1)), np.tile(probe_ids, copies)
         expected = oracle_rank_k(probes @ gallery.T, probe_ids, gallery_ids, k)
         ks = [k, 1, gallery_ids.size + 1]
         dense = dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks)
@@ -455,14 +535,14 @@ class TestBlockedRankK:
         # own run of columns: the maximum of the entries the masked maximum
         # over the whole row takes.
         assert dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks, masked=True) == dense
-        with blocks_of(rows, gallery_ids.size):
+        with blocks_of(rows, gallery):
             assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
             assert rank_k(probes, probe_ids, gallery, gallery_ids, ks) == dense
 
     @pytest.mark.parametrize("seed", range(3))
     def test_runs_of_every_length_match_the_masked_maximum(self, seed):
         # Class-grouped galleries with runs of 1 to 12 columns, scores
-        # quantised so that many tie, in blocks of 7 probes.
+        # quantised so that many tie, in blocks of 8 probes.
         rng = np.random.default_rng(seed)
         gallery_ids = np.repeat(np.arange(30), rng.integers(1, 13, 30))
         gallery = rng.integers(-2, 3, (gallery_ids.size, 4)).astype(float)
@@ -471,30 +551,33 @@ class TestBlockedRankK:
         probes += rng.integers(-1, 2, probes.shape)
         ks = [1, 2, 5, 20]
         masked = dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks, masked=True)
-        with blocks_of(7, gallery_ids.size):
+        with blocks_of(8, gallery):
             assert rank_k(probes, probe_ids, gallery, gallery_ids, ks) == masked
 
-    @pytest.mark.parametrize(
-        "rows, n",
-        [(2, 1)] + [(rows, m * rows + 1) for rows in (2, 3, 4, 5) for m in (1, 2, 5)],
-    )
-    def test_trailing_single_row_joins_the_previous_block(self, rows, n):
-        blocks = metrics._row_blocks(n, rows)
-        assert blocks[0][0] == 0 and blocks[-1][1] == n
-        assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
-        assert all(stop - start >= 2 for start, stop in blocks) or n == 1
-        # Quantised coordinates tie many scores; few ids share them.
-        rng = np.random.default_rng(100 * rows + n)
-        gallery = rng.integers(-1, 2, (12, 3)).astype(float)
-        probes = rng.integers(-1, 2, (n, 3)).astype(float)
-        gallery_ids = rng.integers(0, 4, 12)
-        probe_ids = rng.choice(gallery_ids, n)
-        ks = [1, 2, 5, 13]
-        with blocks_of(rows, 12):
-            rates = rank_k(probes, probe_ids, gallery, gallery_ids, ks)
+    @pytest.mark.parametrize("sort_gallery", [True, False], ids=["runs", "masked"])
+    @pytest.mark.parametrize("width, noise", [(24, 1.5), (64, 3.0)])
+    def test_unchanged_under_a_probe_permutation_and_any_block_size(
+        self, width, noise, sort_gallery
+    ):
+        # 250 noisy probes of a 400-row gallery of 40 ids, so that many
+        # probes miss and rank-k is counted.
+        rng = np.random.default_rng(width)
+        gallery_ids = np.repeat(np.arange(40), 10)
+        if not sort_gallery:
+            gallery_ids = rng.permutation(gallery_ids)
+        gallery = unit_rows(rng.standard_normal((400, width)))
+        pick = rng.integers(0, 400, 250)
+        probes = unit_rows(gallery[pick] + noise * rng.standard_normal((250, width)) / np.sqrt(width))
+        probe_ids = gallery_ids[pick]
+        ks = [1, 2, 5, 20]
+        rates = rank_k(probes, probe_ids, gallery, gallery_ids, ks)
+        assert 0.2 < rates[0] < 0.9
         assert rates == dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks)
-        sims = probes @ gallery.T
-        assert rates == tuple(oracle_rank_k(sims, probe_ids, gallery_ids, k) for k in ks)
+        order = rng.permutation(250)
+        assert rank_k(probes[order], probe_ids[order], gallery, gallery_ids, ks) == rates
+        for rows in (8, 16, 24, 64, 256):
+            with blocks_of(rows, gallery):
+                assert rank_k(probes, probe_ids, gallery, gallery_ids, ks) == rates, rows
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -503,27 +586,12 @@ class TestBlockedRankK:
         # coordinate, ±1e300, times the gallery's 1e300 overflows beside
         # finite scores, so -inf is found by the row minimum alone. A NaN
         # coordinate makes the whole row NaN.
-        probes = np.eye(3)[np.arange(7) % 3]
-        probes[6, 2] = bad if np.isnan(bad) else np.copysign(1e300, bad)
-        ids = np.arange(7) % 3
-        with blocks_of(2, 3), pytest.raises(ContractError, match="finite"):
-            rank_k(probes, ids, np.diag([1.0, 1.0, 1e300]), [0, 1, 2], 1)
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_every_block_of_two_or_more_rows_is_the_full_products_rows(self, seed):
-        # No block has one row: that product runs as a matrix-vector
-        # product, whose bits may differ. Blocks of 2 to 40 rows, the widest
-        # at N = G = 1600, must reproduce the full product bit for bit.
-        rng = np.random.default_rng(seed)
-        gallery = rng.standard_normal((1600, 24))
-        gallery /= np.linalg.norm(gallery, axis=1, keepdims=True)
-        probes = rng.standard_normal((120, 24))
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        full = pairwise_cosine(probes, gallery)
-        for m in range(2, 41):
-            for lo in range(0, probes.shape[0] - m + 1, m):
-                block = pairwise_cosine(probes[lo : lo + m], gallery)
-                assert np.array_equal(block, full[lo : lo + m]), (m, lo)
+        probes = np.eye(3)[np.arange(17) % 3]
+        probes[16, 2] = bad if np.isnan(bad) else np.copysign(1e300, bad)
+        ids = np.arange(17) % 3
+        gallery = np.diag([1.0, 1.0, 1e300])
+        with blocks_of(8, gallery), pytest.raises(ContractError, match="finite"):
+            rank_k(probes, ids, gallery, [0, 1, 2], 1)
 
     def test_peak_memory_a_few_blocks(self):
         # The setting of test_peak_memory_near_the_similarity_matrix: the
@@ -540,15 +608,15 @@ class TestBlockedRankK:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * metrics._BLOCK * 8 + 256 * (n + n)
+        assert peak <= 4 * metrics.BLOCK * 8 + 256 * (n + n)
 
     def test_peak_memory_when_almost_every_probe_misses(self):
         # Each probe's nearest gallery rows belong to the next id, so the
         # argmax misses almost every probe and rank-5 needs counts. They run
-        # over the block in place: beside the block of similarities only a
-        # temporary of at most half a block and arrays of O(N + G) entries
-        # are alive, where a copy of every missed row would add most of a
-        # block.
+        # over the block in place: beside the kernel's buffers, about one
+        # block together, only temporaries of at most half a block and
+        # arrays of O(N + G) entries are alive, where a copy of every missed
+        # row would add most of a block.
         n, dim = 1600, 24
         rng = np.random.default_rng(0)
         ids = np.repeat(np.arange(40), n // 40)
@@ -561,23 +629,22 @@ class TestBlockedRankK:
         finally:
             tracemalloc.stop()
         assert rank1 < 0.01
-        assert peak <= 1.5 * metrics._BLOCK * 8 + 64 * (n + n)
+        assert peak <= 1.5 * metrics.BLOCK * 8 + 64 * (n + n)
 
 
 @st.composite
 def around_a_boundary(draw):
-    """(rows per block, count): a count of whole blocks and one row short,
-    exact or one row over, the last being the one-row tail that joins the
-    block before it."""
+    """(pairs per block, count): a count of whole blocks and one pair
+    short, exact or one pair over, the last leaving a one-pair tail."""
     rows = draw(st.integers(2, 6))
     count = draw(st.integers(1, 4)) * rows + draw(st.integers(-1, 1))
     return rows, count
 
 
 class TestBlockedPairScores:
-    """The pair scores are gathered in blocks of rows, both sides of a block
-    together about ``_BLOCK`` elements; any blocks must give the one-shot
-    result bit for bit."""
+    """The pair scores are gathered in plain slices of pairs, both sides of
+    a slice together about ``BLOCK`` elements; any slices, a one-pair tail
+    included, must give the one-shot result bit for bit."""
 
     @given(around_a_boundary(), st.integers(2, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -587,8 +654,7 @@ class TestBlockedPairScores:
         emb = rng.standard_normal((n, dim))
         pairs = rng.integers(0, n, (n_pairs, 2))
         one_shot = np.einsum("ij,ij->i", emb[pairs[:, 0]], emb[pairs[:, 1]])
-        with mock.patch.object(metrics, "_BLOCK", 2 * rows * dim):
-            assert (len(metrics.row_blocks(n_pairs, 2 * dim)) > 1) == (n_pairs > rows + 1)
+        with mock.patch.object(scoring, "BLOCK", 2 * rows * dim):
             blocked = _pair_scores(emb, pairs[:, 0], pairs[:, 1])
         assert blocked.tobytes() == one_shot.tobytes()
 

@@ -39,7 +39,7 @@ from taskweave.curriculum import (
     sample_allocation,
 )
 from taskweave.datagen import Loader
-from taskweave.errors import ConfigurationError, ContractError, NumericError
+from taskweave.errors import ConfigurationError, ContractError, NumericError, ValidationError
 from taskweave.encoder import (
     GradBuffer,
     accumulate,
@@ -1182,7 +1182,14 @@ class TestParallelFinetunes:
     def test_missing_steps_per_epoch_fails_before_any_file(self, tmp_path):
         config = forgetting_config(tmp_path / "out")
         config.curriculum.steps_per_epoch = None
-        with pytest.raises(ConfigurationError, match="steps_per_epoch"):
+        with pytest.raises(ValidationError, match="config.curriculum.steps_per_epoch"):
+            run_forgetting_comparison(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_pretrain_task_fails_before_any_file(self, tmp_path):
+        config = forgetting_config(tmp_path / "out")
+        config.forgetting.pretrain_task = ""
+        with pytest.raises(ValidationError, match="config.forgetting.pretrain_task"):
             run_forgetting_comparison(config)
         assert not (tmp_path / "out").exists()
 
