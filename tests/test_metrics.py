@@ -18,6 +18,7 @@ from taskweave.metrics import (
     ScoreTable,
     _best_threshold,
     multitask_index,
+    padded_blocks,
     pairwise_cosine,
     rank_k,
     roc_auc,
@@ -376,6 +377,26 @@ class TestRankKOracle:
         with pytest.raises(ContractError, match="k must be"):
             rank_k(np.eye(2), [0, 1], np.eye(2), [0, 1], ks)
 
+    @pytest.mark.parametrize(
+        "rows, n", [(8, 1)] + [(rows, m * rows + 1) for rows in (8, 16) for m in (1, 2, 5)]
+    )
+    def test_a_one_probe_tail_is_padded_to_a_full_block(self, rows, n):
+        # The last block holds a single probe, padded to ``rows`` rows, so
+        # it runs as the same product as every other block.
+        rng = np.random.default_rng(100 * rows + n)
+        # Quantised coordinates tie many scores; few ids share them.
+        gallery = rng.integers(-1, 2, (12, 3)).astype(float)
+        probes = rng.integers(-1, 2, (n, 3)).astype(float)
+        gallery_ids = rng.integers(0, 4, 12)
+        probe_ids = rng.choice(gallery_ids, n)
+        ks = [1, 2, 5, 13]
+        with blocks_of(rows, gallery):
+            assert [hi - lo for lo, hi, _ in similarity_blocks(probes, gallery)][-1] == 1
+            rates = rank_k(probes, probe_ids, gallery, gallery_ids, ks)
+        assert rates == dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks)
+        sims = probes @ gallery.T
+        assert rates == tuple(oracle_rank_k(sims, probe_ids, gallery_ids, k) for k in ks)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_similarities(self, bad):
@@ -461,6 +482,35 @@ def kernel_sims(probes, gallery):
 
 def unit_rows(x):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+class TestPaddedBlocks:
+    """``padded_blocks`` cuts rows into blocks of exactly ``size`` rows, the
+    tail zero-padded, all in one reused float64 buffer."""
+
+    @pytest.mark.parametrize(
+        "size, n",
+        [(1, 1), (1, 3)]
+        + [(size, m * size + d) for size in (3, 8) for m in (1, 2) for d in (-1, 0, 1)],
+    )
+    def test_blocks_tile_the_rows_and_pad_the_tail(self, size, n):
+        rows = np.arange(1, 2 * n + 1).reshape(n, 2)
+        seen, buffers = [], set()
+        for lo, hi, block in padded_blocks(rows, size):
+            assert block.shape == (size, 2) and block.dtype == np.float64
+            assert np.array_equal(block[: hi - lo], rows[lo:hi])
+            assert not block[hi - lo :].any()
+            seen.append((lo, hi))
+            buffers.add(id(block))
+        starts = range(0, n, size)
+        assert seen == [(lo, min(lo + size, n)) for lo in starts]
+        assert len(buffers) == 1
+
+    def test_stacked_rows_keep_their_trailing_shape(self):
+        rows = np.ones((5, 2, 3))
+        blocks = [block.copy() for _, _, block in padded_blocks(rows, 4)]
+        assert [b.shape for b in blocks] == [(4, 2, 3), (4, 2, 3)]
+        assert blocks[1][:1].all() and not blocks[1][1:].any()
 
 
 class TestSimilarityBlocks:
@@ -567,7 +617,8 @@ class TestBlockedRankK:
             gallery_ids = rng.permutation(gallery_ids)
         gallery = unit_rows(rng.standard_normal((400, width)))
         pick = rng.integers(0, 400, 250)
-        probes = unit_rows(gallery[pick] + noise * rng.standard_normal((250, width)) / np.sqrt(width))
+        jitter = noise * rng.standard_normal((250, width)) / np.sqrt(width)
+        probes = unit_rows(gallery[pick] + jitter)
         probe_ids = gallery_ids[pick]
         ks = [1, 2, 5, 20]
         rates = rank_k(probes, probe_ids, gallery, gallery_ids, ks)
