@@ -49,7 +49,7 @@ from .encoder import (
     hardest_distances,
     id_masks,
 )
-from .errors import ConfigurationError, ContractError
+from .errors import ContractError, ValidationError
 from .seeding import stream
 
 BALANCED = "balanced"
@@ -127,7 +127,7 @@ def task_scores_to_probabilities(scores, floor: float) -> np.ndarray:
     if not all(0 <= s < math.inf for s in scores):
         raise ContractError("scores must be finite and nonnegative")
     if floor < 0 or floor * n >= 1.0:
-        raise ConfigurationError("floor must satisfy 0 <= floor and floor * n < 1")
+        raise ContractError("floor must satisfy 0 <= floor and floor * n < 1")
     total = _float_sum(scores)
     if total == math.inf:
         raise ContractError("scores must have a finite sum")
@@ -250,7 +250,7 @@ class Trainer:
         trace: Callable[[dict], None] | None = None,
     ):
         if mode not in MODES:
-            raise ConfigurationError(f"unknown curriculum mode {mode!r}")
+            raise ContractError(f"unknown curriculum mode {mode!r}")
         config.curriculum.validate(list(task_data))
         self.mode = mode
         self.task_names = list(task_data)
@@ -317,7 +317,7 @@ class Trainer:
             state = self.states[name]
             log = state.metric_log
             if not log:
-                raise ConfigurationError(
+                raise ContractError(
                     f"task {name!r} has no logged accuracy; seed initial accuracies first"
                 )
             curr = log[-1][1]
@@ -416,7 +416,9 @@ class Trainer:
         Adaptive: run the configured number of steps."""
         if self.mode == ADAPTIVE:
             if self.curriculum.steps_per_epoch is None:
-                raise ConfigurationError("adaptive mode requires steps_per_epoch")
+                raise ValidationError(
+                    "config.curriculum.steps_per_epoch is required in adaptive mode"
+                )
             for _ in range(self.curriculum.steps_per_epoch):
                 self.train_step()
             return
@@ -464,7 +466,7 @@ def balanced_epoch(
     """The balanced epoch rule: call ``step`` (one step of ``per_task``
     batches of ``batch_size`` samples per task, returning each task's
     exhausted flag) until every loader has exhausted at least once. Returns
-    the number of steps; raises ConfigurationError past a step cap well
+    the number of steps; raises ContractError past a step cap well
     beyond the largest loader's pass."""
     seen = {name: False for name in loaders}
     largest = max(loader.size for loader in loaders.values())
@@ -472,7 +474,7 @@ def balanced_epoch(
     steps = 0
     while not all(seen.values()):
         if steps >= step_cap:
-            raise ConfigurationError("epoch failed to exhaust all loaders (internal bound hit)")
+            raise ContractError("epoch failed to exhaust all loaders (internal bound hit)")
         exhausted = step()
         steps += 1
         for name, flag in exhausted.items():

@@ -32,7 +32,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .seeding import stream
 
 REGIMES = ("coarse-category", "fine-identity", "fine-identity-degraded", "intermediate")
@@ -531,13 +531,13 @@ class Loader:
         """Whether P*K batches fit this loader's samples; what it checks
         never changes, so a shape is checked once."""
         if p * k > self.size:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"task {self.task!r}: batch P*K = {p * k} exceeds dataset size {self.size}"
             )
         if self._smallest_class < k:
-            raise ConfigurationError(f"task {self.task!r}: every class needs >= K = {k} samples")
+            raise ValidationError(f"task {self.task!r}: every class needs >= K = {k} samples")
         if p > self._ends.size:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"task {self.task!r}: P = {p} exceeds the {self._ends.size} available identities"
             )
         self._checked = (p, k)

@@ -137,18 +137,18 @@ class GradBuffer:
 
 @dataclass
 class OptimState:
-    """Adam moments plus hyperparameters (decoupled weight decay). Each
-    moment, ``m`` and ``v``, is one float64 arena in the layout of
-    :class:`EncoderParams`."""
+    """Adam moments plus hyperparameters (decoupled weight decay), the
+    latter those of ``config.OptimizerConfig``. Each moment, ``m`` and
+    ``v``, is one float64 arena in the layout of :class:`EncoderParams`."""
 
     m: np.ndarray
     v: np.ndarray
+    learning_rate: float
+    beta1: float
+    beta2: float
+    epsilon: float
+    weight_decay: float
     step: int = 0
-    learning_rate: float = 3e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 1e-6
 
     @classmethod
     def for_params(cls, params: EncoderParams, **hyper) -> "OptimState":

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all taskweave modules."""
+"""Exception hierarchy shared by all taskweave modules: a setting or input
+from outside that fails is a ``ValidationError``, a broken precondition of a
+call a ``ContractError``, a non-finite computation a ``NumericError``."""
 
 
 class TaskweaveError(Exception):
@@ -6,21 +8,15 @@ class TaskweaveError(Exception):
 
 
 class ValidationError(TaskweaveError):
-    """A spec, config, or corpus description failed validation.
-
-    The message names the offending field.
-    """
-
-
-class ConfigurationError(TaskweaveError):
-    """A structurally valid object was used with incompatible settings
-    (e.g. batch size exceeding dataset size, floor * n_tasks >= 1)."""
+    """A setting or input from outside failed validation: a spec, config,
+    corpus or file, or settings that do not fit together (a batch larger
+    than a task's samples). The message names the offending field."""
 
 
 class ContractError(TaskweaveError):
     """A caller violated an operation precondition (shape mismatch,
     single-occurrence identity in a triplet batch, probe id missing
-    from the gallery, ...)."""
+    from the gallery, a gallery out of id order, ...)."""
 
 
 class NumericError(TaskweaveError):

@@ -279,17 +279,12 @@ def run_forgetting_comparison(
     and expert-mode multi-task index. The config is validated, and its
     forgetting settings checked, before any file is touched."""
     config = overridden(config, seed, output_dir)
-    if not config.forgetting.pretrain_task:
+    fg = config.forgetting
+    if not fg.pretrain_task:
         raise ValidationError("config.forgetting.pretrain_task is required to compare forgetting")
     if config.curriculum.steps_per_epoch is None:
         raise ValidationError("config.curriculum.steps_per_epoch is required to compare forgetting")
-    return _compare_forgetting(config, RunResult(config.output_dir))
-
-
-def _compare_forgetting(config: ExperimentConfig, out: RunResult) -> RunResult:
-    """The body of :func:`run_forgetting_comparison`, on a config taken as
-    it is."""
-    fg = config.forgetting
+    out = RunResult(config.output_dir)
     out.start()
 
     train_corpus, eval_corpus = build_splits(config)

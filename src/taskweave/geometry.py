@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ContractError
 from .forking import cpu_workers, forked_map
 
-DEFAULT_VARIANCE_FRACTION = 0.99
 _RANK_TOL = 1e-12
 
 
@@ -62,7 +61,7 @@ def pca(X: np.ndarray, center: bool = True) -> Subspace:
     return Subspace(basis=basis, eigvals=s**2 / (X.shape[0] - 1), mean=mean)
 
 
-def task_subspace(X: np.ndarray, variance_fraction: float = DEFAULT_VARIANCE_FRACTION) -> Subspace:
+def task_subspace(X: np.ndarray, variance_fraction: float) -> Subspace:
     """Centred PCA truncated at the smallest dimension whose cumulative
     eigenvalue share reaches ``variance_fraction`` (full numerical rank at
     1.0)."""
@@ -289,7 +288,7 @@ def _cross_validate(X: np.ndarray, plan) -> tuple[float, float]:
 def linear_task_probe(
     embeddings: np.ndarray,
     task_labels,
-    folds: int = 10,
+    folds: int,
 ) -> tuple[float, float]:
     """Stratified k-fold CV accuracy of a linear classifier predicting the
     task an embedding came from. Returns (mean, std) across folds.
@@ -323,8 +322,8 @@ class ProbeCurve:
 def sliding_window_probe(
     embeddings: np.ndarray,
     task_labels,
-    window: int = 3,
-    folds: int = 10,
+    window: int,
+    folds: int,
     *,
     space: Subspace | None = None,
     alongside: Callable[[], object] | None = None,

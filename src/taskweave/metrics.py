@@ -1,7 +1,8 @@
 """Retrieval and verification metrics plus multi-task scoring indices.
 
-All similarity comparisons use cosine on unit-norm embeddings. Ranking ties
-break toward the lower gallery index so every metric is deterministic.
+All similarity comparisons use cosine on unit-norm embeddings, read from
+one entry, :func:`similarity_blocks`. Ranking ties break toward the lower
+gallery index so every metric is deterministic.
 
 Blocked products follow one rule, :func:`padded_blocks`: blocks of exactly
 B rows, the tail zero-padded, so a row's result has the same bits wherever
@@ -34,12 +35,6 @@ def _embedding_pair(emb_a, emb_b) -> tuple[np.ndarray, np.ndarray]:
     if emb_a.ndim != 2 or emb_b.ndim != 2 or emb_a.shape[1] != emb_b.shape[1]:
         raise ContractError("embedding dimensions must match")
     return emb_a, emb_b
-
-
-def pairwise_cosine(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
-    """Cosine similarity matrix between two sets of unit-norm rows."""
-    emb_a, emb_b = _embedding_pair(emb_a, emb_b)
-    return emb_a @ emb_b.T
 
 
 def tar_at_far(genuine_scores, impostor_scores, far: float) -> float:
@@ -144,17 +139,16 @@ def rank_k(
     exactly when j* is the row's first maximum, so one argmax per probe
     decides rank-1, and the rank is counted, not sorted for, only when some
     k > 1 and only in the blocks where that argmax misses a probe: O(N·G)
-    for N probes and G gallery items. The same argmax finds a row's NaN or +inf and a
-    row minimum its -inf, which checks every similarity without a pass of
-    its own. Every step reads one probe's row, so the probes are scored in
-    the fixed blocks of :func:`similarity_blocks`, and memory stays
-    O(BLOCK + N + G). Gallery ids in non-decreasing order (the callers'
-    class-grouped galleries) form column runs, and j* is the first maximum
-    of the probe's own run, gathered for the block's probes alone; any
-    other order takes the first maximum of the masked row. Both search the
-    same entries in the same order, so j* is the same.
-    Non-finite similarities, ids that do not align with the embedding rows
-    and an empty probe set raise ContractError.
+    for N probes and G gallery items. The same argmax finds a row's NaN or
+    +inf and a row minimum its -inf, which checks every similarity without a
+    pass of its own. Every step reads one probe's row, so the probes are
+    scored in the fixed blocks of :func:`similarity_blocks`, and memory stays
+    O(BLOCK + N + G). The gallery must be grouped by id in ascending order,
+    as the callers' class-grouped galleries are: each id's columns form one
+    run, and j* is the first maximum of the probe's own run, gathered for the
+    block's probes alone.
+    Gallery ids out of order, non-finite similarities, ids that do not align
+    with the embedding rows and an empty probe set raise ContractError.
     """
     probe_emb, gallery_emb = _embedding_pair(probe_emb, gallery_emb)
     probe_ids = np.asarray(probe_ids)
@@ -166,31 +160,27 @@ def rank_k(
     ks = tuple(k) if isinstance(k, Sequence) else (k,)
     if not ks or min(ks) < 1:
         raise ContractError("k must be >= 1")
+    if not (gallery_ids[1:] >= gallery_ids[:-1]).all():
+        raise ContractError("the gallery must be grouped by id, in ascending order")
     missing = sorted(set(probe_ids.tolist()) - set(gallery_ids.tolist()))
     if missing:
         raise ContractError(f"probe ids absent from gallery: {missing[:5]}")
     n, g = probe_ids.size, gallery_ids.size
-    sorted_runs = bool((gallery_ids[1:] >= gallery_ids[:-1]).all())
-    if sorted_runs:
-        # Each probe's run of same-id columns: its first column and length.
-        starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
-        run = np.searchsorted(gallery_ids[starts], probe_ids)
-        run_start, run_length = starts[run], np.diff(np.r_[starts, g])[run]
+    # Each probe's run of same-id columns: its first column and length.
+    starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
+    run = np.searchsorted(gallery_ids[starts], probe_ids)
+    run_start, run_length = starts[run], np.diff(np.r_[starts, g])[run]
     count_ranks = max(ks) > 1
     ahead = np.zeros(n, dtype=np.intp)
     for lo, hi, sims in similarity_blocks(probe_emb, gallery_emb):
         top = sims.argmax(axis=1)
         # argmax finds a row's first NaN and its +inf, the minimum its -inf.
         _require_finite(np.take_along_axis(sims, top[:, None], axis=1), sims.min(axis=1))
-        if sorted_runs:
-            offsets = np.arange(run_length[lo:hi].max())
-            inside = offsets < run_length[lo:hi, None]
-            columns = np.minimum(run_start[lo:hi, None] + offsets, g - 1)
-            gathered = np.take_along_axis(sims, columns, axis=1)
-            first_best = run_start[lo:hi] + np.where(inside, gathered, -np.inf).argmax(axis=1)
-        else:
-            same_id = probe_ids[lo:hi, None] == gallery_ids[None, :]
-            first_best = np.where(same_id, sims, -np.inf).argmax(axis=1)
+        offsets = np.arange(run_length[lo:hi].max())
+        inside = offsets < run_length[lo:hi, None]
+        columns = np.minimum(run_start[lo:hi, None] + offsets, g - 1)
+        gathered = np.take_along_axis(sims, columns, axis=1)
+        first_best = run_start[lo:hi] + np.where(inside, gathered, -np.inf).argmax(axis=1)
         missed = top != first_best
         if not (count_ranks and missed.any()):
             ahead[lo:hi] = missed  # a missed probe has at least one item ahead

@@ -25,7 +25,7 @@ from taskweave.curriculum import (
 from taskweave.config import BatchConfig, CurriculumConfig, ExperimentConfig, OptimizerConfig
 from taskweave.datagen import CorpusSpec, TaskData, TaskGenSpec, build_corpus
 from taskweave.encoder import EncoderParams, embed, init_params
-from taskweave.errors import ConfigurationError, ContractError, ValidationError
+from taskweave.errors import ContractError, ValidationError
 from taskweave.seeding import stream
 
 
@@ -90,7 +90,7 @@ class TestScoresToProbabilities:
         np.testing.assert_allclose(p, [0.8, 0.1, 0.1], atol=1e-12)
 
     def test_floor_too_large(self):
-        with pytest.raises(ConfigurationError, match="floor"):
+        with pytest.raises(ContractError, match="floor"):
             task_scores_to_probabilities([1, 1, 1], 0.4)
 
     def test_negative_scores_rejected(self):
@@ -347,6 +347,10 @@ def batches_spent(record):
 
 
 class TestTrainerBalanced:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractError, match="unknown curriculum mode 'blocked'"):
+            small_trainer("blocked")
+
     def test_constant_allocation_and_single_update(self):
         trainer = small_trainer(BALANCED)
         before = param_hash(trainer.params)
@@ -436,7 +440,7 @@ class TestTrainerAdaptive:
 
     def test_missing_step_budget_rejected(self):
         trainer = small_trainer(ADAPTIVE, total_batches=4)
-        with pytest.raises(ConfigurationError, match="steps_per_epoch"):
+        with pytest.raises(ValidationError, match="config.curriculum.steps_per_epoch"):
             trainer.run_epoch()
 
     def test_zero_allocation_reuses_logged_accuracy(self):
@@ -465,10 +469,10 @@ class TestTrainerAdaptive:
             assert min(probs) >= 0.1 - 1e-12
             assert abs(sum(probs) - 1.0) <= 1e-12
 
-    def test_empty_metric_log_is_a_configuration_error(self):
+    def test_empty_metric_log_is_a_contract_error(self):
         trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5)
         trainer.states["t0"].metric_log.clear()
-        with pytest.raises(ConfigurationError, match="no logged accuracy"):
+        with pytest.raises(ContractError, match="no logged accuracy"):
             trainer.train_step()
 
     def test_goals_required_for_every_task(self):

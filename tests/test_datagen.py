@@ -20,7 +20,7 @@ from taskweave.datagen import (
     build_corpus,
 )
 from taskweave.encoder import id_masks
-from taskweave.errors import ConfigurationError, ContractError, ValidationError
+from taskweave.errors import ContractError, ValidationError
 from taskweave.seeding import stream
 
 
@@ -247,12 +247,12 @@ class TestLoader:
 
     def test_batch_too_large(self):
         loader = make_loader()
-        with pytest.raises(ConfigurationError, match="exceeds dataset size"):
+        with pytest.raises(ValidationError, match="exceeds dataset size"):
             loader.next_batch(30, 4)
 
     def test_more_identities_than_classes(self):
         loader = make_loader(classes=8, samples_per_class=8)
-        with pytest.raises(ConfigurationError, match="identities"):
+        with pytest.raises(ValidationError, match="identities"):
             loader.next_batch(9, 4)
 
     def test_subsample_fraction(self):
@@ -267,7 +267,7 @@ class TestLoader:
         spec = four_task_spec()
         corpus = build_corpus(spec)
         loader = Loader(corpus.tasks["fine"], stream(2, "x"), subsample_fraction=0.12)
-        with pytest.raises(ConfigurationError, match="class"):
+        with pytest.raises(ValidationError, match="class"):
             loader.next_batch(2, 4)
 
     def test_smallest_class_bounds_k(self):
@@ -279,7 +279,7 @@ class TestLoader:
         batch, _ = loader.next_batch(3, 3)
         assert batch.labels.size == 9
         for _ in range(2):
-            with pytest.raises(ConfigurationError, match="every class needs >= K = 4"):
+            with pytest.raises(ValidationError, match="every class needs >= K = 4"):
                 loader.next_batch(2, 4)
 
     def test_manifest_version_checked(self, tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from taskweave.artifacts import RunResult
+from taskweave.config import OptimizerConfig
 from taskweave.encoder import (
     EMBED_ROWS,
     EncoderParams,
@@ -364,8 +365,9 @@ class TestBackward:
 
 class TestAdam:
     def make(self, w, **hyper):
+        # Hyperparameters not given take the config's defaults.
         params = EncoderParams(weights=[np.array([[w]])], biases=[np.zeros(1)])
-        state = OptimState.for_params(params, **hyper)
+        state = OptimState.for_params(params, **{**vars(OptimizerConfig()), **hyper})
         return params, state
 
     def test_zero_gradient_no_decay_is_identity(self):

@@ -199,14 +199,14 @@ class TestLinearTaskProbe:
         centers = 10.0 * np.eye(4)[:, :3]
         X = np.vstack([c + 0.1 * rng.standard_normal((30, 3)) for c in centers])
         labels = np.repeat(np.arange(4), 30)
-        mean, std = linear_task_probe(X, labels)
+        mean, std = linear_task_probe(X, labels, folds=10)
         assert mean == 1.0
 
     def test_shuffled_labels_at_chance(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((400, 5))
         labels = rng.integers(0, 4, 400)
-        mean, _ = linear_task_probe(X, labels)
+        mean, _ = linear_task_probe(X, labels, folds=10)
         assert abs(mean - 0.25) < 0.1
 
     def test_one_dimensional_overlap_matches_threshold_oracle(self):
@@ -217,7 +217,7 @@ class TestLinearTaskProbe:
         b = rng.uniform(1.0 - q, 2.0 - q, n)
         X = np.concatenate([a, b])[:, None]
         labels = np.repeat([0, 1], n)
-        mean, _ = linear_task_probe(X, labels)
+        mean, _ = linear_task_probe(X, labels, folds=10)
         # Brute-force optimal threshold on the sampled data.
         thresholds = np.linspace(1.0 - q, 1.0, 200)
         oracle = max(
@@ -349,7 +349,7 @@ class TestNewtonProbeSolver:
 
     def test_single_task_rejected(self):
         with pytest.raises(ContractError, match="two tasks"):
-            linear_task_probe(np.ones((20, 2)), np.zeros(20, dtype=int))
+            linear_task_probe(np.ones((20, 2)), np.zeros(20, dtype=int), folds=10)
 
 
 def reference_probe_objective(Xb, y, basis, V):
@@ -520,7 +520,7 @@ class TestSlidingWindowProbe:
     def test_window_too_large(self):
         X, labels = self.make_planted(dims=6)
         with pytest.raises(ContractError, match="window"):
-            sliding_window_probe(X, labels, window=7)
+            sliding_window_probe(X, labels, window=7, folds=10)
 
 
 def planted_tasks(seed=29, n_tasks=4, per_task=30, dims=9):

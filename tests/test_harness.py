@@ -28,7 +28,6 @@ from taskweave.datagen import Bound, ranged
 from taskweave.encoder import embed, save_checkpoint
 from taskweave.errors import ContractError, NumericError, ValidationError
 from taskweave.experiments import (
-    _compare_forgetting,
     build_splits,
     bundled_reference_table,
     encoder_embedder,
@@ -1146,6 +1145,32 @@ class TestEvaluateRow:
         monkeypatch.setattr(scoring, "rank_k", dense_rank_k)
         assert row == score_params(params, train_corpus, eval_corpus, config)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_any_row_order_gives_rank_k_a_grouped_gallery(self, tmp_path, seed):
+        # rank_k refuses a gallery out of id order. Both galleries the
+        # scores build, train-class centroids and the gallery half of the
+        # split, are grouped by class whatever order the rows come in.
+        config = tiny_config(tmp_path / "out")
+        config.evaluation.far_values = [0.001, 0.01]
+        train_corpus, eval_corpus = build_splits(config)
+        rng = np.random.default_rng(seed)
+
+        def shuffled(data):
+            order = rng.permutation(data.n_samples)
+            features, labels = data.features[order], data.labels[order]
+            return dataclasses.replace(data, features=features, labels=labels)
+
+        train_corpus.tasks = {name: shuffled(d) for name, d in train_corpus.tasks.items()}
+        embedder = encoder_embedder(init_encoder(config))
+        centroids = class_centroids(embedder, train_corpus)
+        regimes = set()
+        for name, data in eval_corpus.tasks.items():
+            data = shuffled(data)
+            row = scoring.task_scores(data, embedder(data), config, centroids.get(name))
+            assert list(row) == [f"{name}:{c}" for c in self.COLUMNS[data.regime]]
+            regimes.add(data.regime)
+        assert regimes == set(self.COLUMNS)
+
 
 def loop_probe_gallery_split(labels):
     """The split as a loop over classes: even members of each class to the
@@ -1493,12 +1518,13 @@ class TestForgettingComparison:
         run_forgetting_comparison(config, seed=99)
         assert config.to_dict() == before
 
-    def test_zero_finetune_leaves_models_identical(self, tmp_path):
-        # validate() rejects a fine-tune of zero epochs, so this calls the
-        # comparison's body, one level below the validating entry point.
+    def test_zero_finetune_leaves_models_identical(self, tmp_path, monkeypatch):
+        # validate() rejects a fine-tune of zero epochs, so the comparison
+        # takes this config as it is.
+        monkeypatch.setattr(experiments, "overridden", lambda config, seed, output_dir: config)
         config = tiny_config(tmp_path / "out")
         config.forgetting.finetune_epochs = 0
-        result = _compare_forgetting(config, RunResult(tmp_path / "out"))
+        result = run_forgetting_comparison(config)
         models = result.results["models"]
         assert set(models) == {"sequential", "interleaved-balanced", "interleaved-adaptive"}
         for stats in models.values():

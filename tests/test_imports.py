@@ -4,7 +4,8 @@ Every name a module imports is used in that module: a minimal unused-import
 lint, so dead imports fail the test suite without an external linter.
 ``__init__.py`` is skipped: its imports are the package's public
 re-exports. No module imports another one's private names, every
-module-level private name is read somewhere in the package, only
+module-level name is read somewhere in the package (or exported by
+``taskweave.__all__``, or a click command), only
 ``forking.py`` calls ``os.fork``, only ``curriculum.py`` builds an
 ``OptimState``: each Trainer makes its own fresh optimizer, only
 ``artifacts.py`` names ``SUMMARY_VERSION``: ``RunResult.finish`` stamps it
@@ -16,6 +17,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import taskweave
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "taskweave"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -173,11 +176,21 @@ def _read(stmt: ast.stmt) -> set[str]:
     return names
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """The module-level ``_names`` of ``sources`` (module name to source)
-    that no module-level statement but their own definition reads, as
-    ``module:name``. A test that uses a helper keeps nothing alive: only
-    the package's own sources are read."""
+def _click_command(stmt: ast.stmt) -> bool:
+    """Whether ``stmt`` defines a click command, ``@<group>.command(...)``:
+    the group reaches it, not its name."""
+    return isinstance(stmt, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+        for d in stmt.decorator_list
+    )
+
+
+def dead_names(sources: dict[str, str], exported=()) -> list[str]:
+    """The module-level names of ``sources`` (module name to source) that no
+    module-level statement but their own definition reads, as
+    ``module:name``. Dunder names, the ``exported`` names and click commands
+    are exempt. A test that uses a name keeps nothing alive: only the
+    package's own sources are read."""
     statements = [
         (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
     ]
@@ -185,21 +198,23 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
     return sorted(
         f"{module}:{name}"
         for i, (module, stmt) in enumerate(statements)
+        if not _click_command(stmt)
         for name in _bound(stmt)
-        if name.startswith("_")
-        and not name.startswith("__")
+        if not name.startswith("__")
+        and name not in exported
         and not any(name in r for j, r in enumerate(reads) if j != i)
     )
 
 
-class TestDeadPrivateNames:
-    def test_checker_finds_unread_private_names(self):
+class TestDeadNames:
+    def test_checker_finds_unread_names(self):
         sources = {
             "a": (
                 "_LIMIT = 3\n"
                 "_SPARE: int = 4\n"
                 "__version__ = '1'\n"
                 "public = 5\n"
+                "EXPORTED = 6\n"
                 "def _loop(n):\n"
                 "    return _loop(n - 1) if n else 0\n"
                 "def _kept(x) -> '_Shape':\n"
@@ -207,13 +222,24 @@ class TestDeadPrivateNames:
                 "class _Shape:\n"
                 "    pass\n"
             ),
-            "b": "def f(m):\n    return m._kept(1)\n",
+            "b": (
+                "import click\n"
+                "@click.group()\n"
+                "def main():\n"
+                "    pass\n"
+                "@main.command('run')\n"
+                "def run_cmd():\n"
+                "    pass\n"
+                "def f(m):\n"
+                "    return m._kept(1)\n"
+            ),
         }
-        assert dead_private_names(sources) == ["a:_SPARE", "a:_loop"]
+        expected = ["a:_SPARE", "a:_loop", "a:public", "b:f"]
+        assert dead_names(sources, exported=["EXPORTED"]) == expected
 
-    def test_package_reads_every_private_name(self):
-        sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-        assert dead_private_names(sources) == []
+    def test_package_reads_every_name(self):
+        sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+        assert dead_names(sources, exported=taskweave.__all__) == []
 
 
 class TestForkOnlyInTheForkHelper:

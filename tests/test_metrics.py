@@ -19,7 +19,6 @@ from taskweave.metrics import (
     _best_threshold,
     multitask_index,
     padded_blocks,
-    pairwise_cosine,
     rank_k,
     roc_auc,
     similarity_blocks,
@@ -27,30 +26,6 @@ from taskweave.metrics import (
     verification_accuracy,
 )
 from taskweave.scoring import _pair_scores
-
-
-class TestPairwiseCosine:
-    def test_self_similarity_diagonal(self):
-        rng = np.random.default_rng(0)
-        emb = rng.standard_normal((6, 4))
-        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        sims = pairwise_cosine(emb, emb)
-        np.testing.assert_allclose(np.diag(sims), 1.0, atol=1e-12)
-        np.testing.assert_allclose(sims, sims.T, atol=1e-12)
-
-    def test_orthogonal_vectors(self):
-        a = np.array([[1.0, 0.0]])
-        b = np.array([[0.0, 1.0]])
-        assert pairwise_cosine(a, b)[0, 0] == 0.0
-
-    def test_sixty_degrees(self):
-        a = np.array([[1.0, 0.0]])
-        b = np.array([[np.cos(np.pi / 3), np.sin(np.pi / 3)]])
-        assert abs(pairwise_cosine(a, b)[0, 0] - 0.5) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            pairwise_cosine(np.ones((2, 3)), np.ones((2, 4)))
 
 
 def oracle_tar(genuine, impostor, far):
@@ -234,6 +209,10 @@ class TestRankK:
         probe_ids = np.array([0, 1, 2, 3, 0, 1])
         assert rank_k(probes, probe_ids, gallery, gallery_ids, 10) == 1.0
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ContractError, match="dimensions"):
+            rank_k(np.ones((2, 3)), [0, 1], np.ones((2, 4)), [0, 1], 1)
+
     def test_probe_id_missing_from_gallery(self):
         with pytest.raises(ContractError, match="absent"):
             rank_k(np.ones((1, 2)), [5], np.ones((2, 2)), [0, 1], 1)
@@ -305,22 +284,36 @@ def tied_retrieval(draw):
     )
 
 
+def sorted_gallery(gallery, gallery_ids):
+    """The gallery rows and ids grouped by id in ascending order, as
+    ``rank_k`` requires: a stable sort keeps each id's rows in their order."""
+    order = np.argsort(gallery_ids, kind="stable")
+    return gallery[order], gallery_ids[order]
+
+
 class TestRankKOracle:
-    @given(tied_retrieval())
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=12), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_stable_argsort_under_heavy_ties(self, case):
-        probes, probe_ids, gallery, gallery_ids, k = case
-        sims = probes @ gallery.T
-        expected = oracle_rank_k(sims, probe_ids, gallery_ids, k)
-        assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
+    def test_a_descent_in_the_gallery_ids_is_refused(self, ids, data):
+        # Any gallery with one id below the id before it, wherever that is
+        # and whatever the other ids are, raises before any similarity.
+        i = data.draw(st.integers(1, len(ids) - 1), label="descent")
+        ids[i] = ids[i - 1] - data.draw(st.integers(1, 3), label="drop")
+        gallery_ids = np.array(ids)
+        probe_ids = np.array(data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4)))
+        rng = np.random.default_rng(len(ids))
+        gallery = rng.standard_normal((gallery_ids.size, 3))
+        probes = rng.standard_normal((probe_ids.size, 3))
+        with mock.patch.object(metrics, "similarity_blocks") as kernel:
+            with pytest.raises(ContractError, match="grouped by id, in ascending order"):
+                rank_k(probes, probe_ids, gallery, gallery_ids, [1, 5])
+        kernel.assert_not_called()
 
     @given(tied_retrieval())
     @settings(max_examples=300, deadline=None)
     def test_matches_stable_argsort_with_sorted_gallery_ids(self, case):
-        # Non-decreasing gallery ids take the per-run maximum.
         probes, probe_ids, gallery, gallery_ids, k = case
-        order = np.argsort(gallery_ids, kind="stable")
-        gallery, gallery_ids = gallery[order], gallery_ids[order]
+        gallery, gallery_ids = sorted_gallery(gallery, gallery_ids)
         sims = probes @ gallery.T
         expected = oracle_rank_k(sims, probe_ids, gallery_ids, k)
         assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
@@ -357,7 +350,7 @@ class TestRankKOracle:
         rng = np.random.default_rng(seed)
         gallery = rng.standard_normal((40, 6))
         probes = rng.standard_normal((25, 6))
-        gallery_ids = rng.integers(0, 8, 40)
+        gallery_ids = np.sort(rng.integers(0, 8, 40))
         probe_ids = rng.choice(gallery_ids, 25)
         sims = probes @ gallery.T
         for k in (1, 2, 5, 40, 41):
@@ -368,6 +361,7 @@ class TestRankKOracle:
     @settings(max_examples=100, deadline=None)
     def test_several_k_share_one_ranking(self, case):
         probes, probe_ids, gallery, gallery_ids, _ = case
+        gallery, gallery_ids = sorted_gallery(gallery, gallery_ids)
         ks = [1, 5, 2, gallery_ids.size + 1]
         rates = rank_k(probes, probe_ids, gallery, gallery_ids, ks)
         assert rates == tuple(rank_k(probes, probe_ids, gallery, gallery_ids, k) for k in ks)
@@ -387,7 +381,7 @@ class TestRankKOracle:
         # Quantised coordinates tie many scores; few ids share them.
         gallery = rng.integers(-1, 2, (12, 3)).astype(float)
         probes = rng.integers(-1, 2, (n, 3)).astype(float)
-        gallery_ids = rng.integers(0, 4, 12)
+        gallery_ids = np.sort(rng.integers(0, 4, 12))
         probe_ids = rng.choice(gallery_ids, n)
         ks = [1, 2, 5, 13]
         with blocks_of(rows, gallery):
@@ -416,25 +410,26 @@ class TestRankKOracle:
         ],
         ids=["hits", "hits-rank5", "misses"],
     )
-    @pytest.mark.parametrize("gallery_ids", [[0, 1, 2, 3], [3, 1, 0, 2]], ids=["runs", "masked"])
-    def test_argmax_decides_rank_one_without_counting(self, probes, ks, rates, gallery_ids):
+    def test_argmax_decides_rank_one_without_counting(self, probes, ks, rates):
         # Each probe's first maximum is or is not its first best same-id
         # column; either decides rank-1, and with every probe a hit it
-        # decides rank-5 too. No row of similarities is counted, whether
-        # the gallery ids form sorted runs or not.
+        # decides rank-5 too. No row of similarities is counted.
+        ids = [0, 1, 2, 3]
         with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as spy:
-            assert rank_k(probes, gallery_ids, np.eye(4), gallery_ids, ks) == rates
+            assert rank_k(probes, ids, np.eye(4), ids, ks) == rates
         assert all(np.ndim(call.args[0]) == 1 for call in spy.call_args_list)
 
 
 def dense_rank_k(probe_emb, probe_ids, gallery_emb, gallery_ids, k, masked=False):
     """``rank_k`` as it was before blocking: the whole N×G similarity matrix
-    at once. ``masked`` takes the masked maximum for sorted gallery ids too."""
+    at once, the gallery ids sorted. Each probe's best same-id score is the
+    maximum of its id's run of columns, or with ``masked`` the maximum of
+    the row with every other id's columns masked out."""
     probe_ids = np.asarray(probe_ids)
     gallery_ids = np.asarray(gallery_ids)
     ks = tuple(k) if isinstance(k, Sequence) else (k,)
-    sims = pairwise_cosine(probe_emb, gallery_emb)
-    if not masked and (gallery_ids[1:] >= gallery_ids[:-1]).all():
+    sims = probe_emb @ gallery_emb.T
+    if not masked:
         runs = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
         run_best = np.maximum.reduceat(sims, runs, axis=1)
         column = np.searchsorted(gallery_ids[runs], probe_ids)
@@ -556,7 +551,7 @@ class TestSimilarityBlocks:
         rng = np.random.default_rng(size)
         gallery = unit_rows(rng.standard_normal((size, 24)))
         probes = unit_rows(rng.standard_normal((120, 24)))
-        dense = pairwise_cosine(probes, gallery)
+        dense = probes @ gallery.T
         assert kernel_sims(probes, gallery).tobytes() == dense.tobytes()
         for rows in range(8, 41, 8):
             with blocks_of(rows, gallery):
@@ -567,23 +562,18 @@ class TestBlockedRankK:
     """``rank_k`` scores the probes in blocks of rows; small blocks must
     give exactly the counts of the dense matrix."""
 
-    @given(tied_retrieval(), st.sampled_from([8, 16]), st.integers(1, 4), st.booleans())
+    @given(tied_retrieval(), st.sampled_from([8, 16]), st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
-    def test_small_blocks_match_the_oracles_under_heavy_ties(
-        self, case, rows, copies, sort_gallery
-    ):
+    def test_small_blocks_match_the_oracles_under_heavy_ties(self, case, rows, copies):
         probes, probe_ids, gallery, gallery_ids, k = case
-        if sort_gallery:
-            order = np.argsort(gallery_ids, kind="stable")
-            gallery, gallery_ids = gallery[order], gallery_ids[order]
+        gallery, gallery_ids = sorted_gallery(gallery, gallery_ids)
         # Up to four copies of the probe set, so that it spans several blocks.
         probes, probe_ids = np.tile(probes, (copies, 1)), np.tile(probe_ids, copies)
         expected = oracle_rank_k(probes @ gallery.T, probe_ids, gallery_ids, k)
         ks = [k, 1, gallery_ids.size + 1]
         dense = dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks)
-        # Sorted gallery ids take each probe's best same-id score from its
-        # own run of columns: the maximum of the entries the masked maximum
-        # over the whole row takes.
+        # Each probe's best same-id score from its own run of columns is
+        # the maximum of the entries the masked maximum over the row takes.
         assert dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks, masked=True) == dense
         with blocks_of(rows, gallery):
             assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
@@ -604,17 +594,12 @@ class TestBlockedRankK:
         with blocks_of(8, gallery):
             assert rank_k(probes, probe_ids, gallery, gallery_ids, ks) == masked
 
-    @pytest.mark.parametrize("sort_gallery", [True, False], ids=["runs", "masked"])
     @pytest.mark.parametrize("width, noise", [(24, 1.5), (64, 3.0)])
-    def test_unchanged_under_a_probe_permutation_and_any_block_size(
-        self, width, noise, sort_gallery
-    ):
+    def test_unchanged_under_a_probe_permutation_and_any_block_size(self, width, noise):
         # 250 noisy probes of a 400-row gallery of 40 ids, so that many
         # probes miss and rank-k is counted.
         rng = np.random.default_rng(width)
         gallery_ids = np.repeat(np.arange(40), 10)
-        if not sort_gallery:
-            gallery_ids = rng.permutation(gallery_ids)
         gallery = unit_rows(rng.standard_normal((400, width)))
         pick = rng.integers(0, 400, 250)
         jitter = noise * rng.standard_normal((250, width)) / np.sqrt(width)

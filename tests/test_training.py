@@ -27,7 +27,7 @@ from hypothesis.extra.numpy import arrays
 import taskweave.encoder as encoder
 from conftest import load_tracer, load_worker, tree_bytes
 from taskweave import curriculum, experiments, forking
-from taskweave.config import default_config
+from taskweave.config import OptimizerConfig, default_config
 from taskweave.curriculum import (
     ADAPTIVE,
     BALANCED,
@@ -39,7 +39,7 @@ from taskweave.curriculum import (
     sample_allocation,
 )
 from taskweave.datagen import Loader
-from taskweave.errors import ConfigurationError, ContractError, NumericError, ValidationError
+from taskweave.errors import ContractError, NumericError, ValidationError
 from taskweave.encoder import (
     GradBuffer,
     accumulate,
@@ -656,7 +656,7 @@ class TestArenaMatchesPerArray:
     @pytest.mark.parametrize("where", ["first weight", "last bias"])
     def test_non_finite_update_raises(self, where):
         params = init_params([3, 4, 2], np.random.default_rng(2))
-        opt = encoder.OptimState.for_params(params)
+        opt = encoder.OptimState.for_params(params, **vars(OptimizerConfig()))
         buffer = GradBuffer.zeros_like(params)
         # The arena starts with the first weight and ends with the last bias.
         buffer.flat[0 if where == "first weight" else -1] = np.nan
@@ -685,7 +685,8 @@ class TestArenaMatchesPerArray:
         buffer = GradBuffer.zeros_like(params)
         buffer.flat[:] = rng.standard_normal(buffer.flat.size)
         buffer.accumulation_count = 2
-        opt = encoder.OptimState.for_params(params, learning_rate=0.1)
+        hyper = vars(dataclasses.replace(OptimizerConfig(), learning_rate=0.1))
+        opt = encoder.OptimState.for_params(params, **hyper)
         opt.m[:], opt.v[:] = rng.standard_normal((2, opt.m.size))
         opt.step = 5
         for original, names in ((buffer, ["flat"]), (opt, ["m", "v"])):
@@ -987,7 +988,7 @@ class TestBudgetPlan:
             calls.append(1)
             return dict.fromkeys(loaders, False)
 
-        with pytest.raises(ConfigurationError, match="internal bound"):
+        with pytest.raises(ContractError, match="internal bound"):
             balanced_epoch(never_exhausts, loaders, 1, 16)
         largest = max(loader.size for loader in loaders.values())
         assert len(calls) == 10 * (largest // 16 + 2)
