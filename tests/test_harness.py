@@ -1714,6 +1714,15 @@ class TestCli:
         assert "config.curriculum.epsilon must be a finite number > 0, got nan" in result.output
         assert tree_bytes(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "error, status", [(ValidationError, 2), (ContractError, 2), (NumericError, 3)]
+    )
+    def test_each_error_class_ends_with_its_exit_status(self, error, status):
+        with mock.patch.object(experiments, "run", side_effect=error("refused")):
+            result = CliRunner().invoke(main, ["train"])
+        assert result.exit_code == status, result.output
+        assert "error: refused" in result.output
+
     def test_gen(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, ["gen", "-c", str(self.write_config(tmp_path))])

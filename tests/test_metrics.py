@@ -544,6 +544,20 @@ class TestSimilarityBlocks:
         among = kernel_sims(np.insert(others, j, probes[i], axis=0), gallery)
         assert among[j].tobytes() == full[i].tobytes()
 
+    def test_self_similarity_diagonal(self):
+        emb = unit_rows(np.random.default_rng(0).standard_normal((6, 4)))
+        sims = kernel_sims(emb, emb)
+        np.testing.assert_allclose(np.diag(sims), 1.0, atol=1e-12)
+        np.testing.assert_allclose(sims, sims.T, atol=1e-12)
+
+    def test_orthogonal_vectors(self):
+        assert kernel_sims(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))[0, 0] == 0.0
+
+    def test_sixty_degrees(self):
+        a = np.array([[1.0, 0.0]])
+        b = np.array([[np.cos(np.pi / 3), np.sin(np.pi / 3)]])
+        assert abs(kernel_sims(a, b)[0, 0] - 0.5) < 1e-12
+
     @pytest.mark.parametrize("size", [10, 400, 1600])
     def test_stock_width_gives_the_dense_products_bits(self, size):
         # At width 24, blocks of 8 to 40 probes reproduce the dense product
