@@ -37,6 +37,10 @@ def _int_list(value) -> list[int]:
 # integer array in an indented payload does.
 _MARK = '"\\u0000'
 
+# The encoder of every text on one line, built once; ``json.dumps`` would
+# build one for each trace record.
+_COMPACT = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_int_list)
+
 
 def _json_text(rel: str, payload, indent: int | None = None) -> str:
     """``payload`` as JSON text with sorted keys and finite numbers only,
@@ -50,30 +54,32 @@ def _json_text(rel: str, payload, indent: int | None = None) -> str:
     encoder and indented by string replacement: the pure-Python encoder
     takes three to six times as long over a corpus manifest's labels."""
 
-    def dumps(default) -> str:
+    def dumps(encoder: json.JSONEncoder) -> str:
         try:
-            return json.dumps(
-                payload, indent=indent, sort_keys=True, allow_nan=False, default=default
-            )
+            return encoder.encode(payload)
         except ValueError as exc:
             raise NumericError(f"{rel}: non-finite number in JSON payload ({exc})") from None
 
     if indent is None:
-        return dumps(_int_list)
+        return dumps(_COMPACT)
+
+    def indented(default) -> json.JSONEncoder:
+        return json.JSONEncoder(indent=indent, sort_keys=True, allow_nan=False, default=default)
+
     lists = []
 
     def mark(value):
         lists.append(_int_list(value))
         return f"\x00{len(lists) - 1}"
 
-    parts = dumps(mark).split(_MARK)
+    parts = dumps(indented(mark)).split(_MARK)
     # The encoder's closures form a reference cycle that keeps ``mark``
     # until the next collection; it must not keep the lists too.
     found = lists.copy()
     lists.clear()
     if len(parts) != len(found) + 1:
         # A string of the payload starts with NUL too: no marks to replace.
-        return dumps(_int_list)
+        return dumps(indented(_int_list))
     pieces = [parts[0]]
     for i, (values, part) in enumerate(zip(found, parts[1:])):
         listed = json.dumps(values)

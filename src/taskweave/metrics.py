@@ -1,8 +1,8 @@
 """Retrieval and verification metrics plus multi-task scoring indices.
 
 All similarity comparisons use cosine on unit-norm embeddings, read from
-one entry, :func:`similarity_blocks`. Ranking ties break toward the lower
-gallery index so every metric is deterministic.
+one entry, :func:`similarity_blocks`. Ranks count only strictly higher
+scores, so a tie decides no rank and every metric is deterministic.
 
 Blocked products follow one rule, :func:`padded_blocks`: blocks of exactly
 B rows, the tail zero-padded, so a row's result has the same bits wherever
@@ -131,22 +131,17 @@ def rank_k(
     matches; for a sequence of ``k``, one fraction per k, in order, from a
     single ranking.
 
-    Gallery items are ordered by score descending, ties by gallery index
-    ascending (the order of a stable argsort of the negated scores). A probe
-    hits when its best same-id item ranks below ``k`` in that order. With
-    s* the best same-id score and j* the first same-id index reaching it,
-    the rank is #(score > s*) + #(score == s* and index < j*). It is 0
-    exactly when j* is the row's first maximum, so one argmax per probe
-    decides rank-1, and the rank is counted, not sorted for, only when some
-    k > 1 and only in the blocks where that argmax misses a probe: O(N·G)
-    for N probes and G gallery items. The same argmax finds a row's NaN or
-    +inf and a row minimum its -inf, which checks every similarity without a
-    pass of its own. Every step reads one probe's row, so the probes are
-    scored in the fixed blocks of :func:`similarity_blocks`, and memory stays
-    O(BLOCK + N + G). The gallery must be grouped by id in ascending order,
-    as the callers' class-grouped galleries are: each id's columns form one
-    run, and j* is the first maximum of the probe's own run, gathered for the
-    block's probes alone.
+    A probe ranks within k when fewer than k gallery items score strictly
+    above its best same-id item. A tie never counts against a probe, so no
+    rate depends on the gallery's order or on its id values. The gallery
+    must be grouped by id in ascending order, as the callers' class-grouped
+    galleries are, so that one ``maximum.reduceat`` over each block of
+    :func:`similarity_blocks` gives every id's best score. A probe misses
+    rank-1 when another id's best is above its own. The items above are
+    counted, in one comparison pass, only when some k > 1 and only in the
+    blocks with a miss: O(N·G) time for N probes and G gallery items, and
+    O(BLOCK + N + G) memory. The per-id maxima carry a row's NaN or +inf
+    and its minimum its -inf, so no pass checks the similarities alone.
     Gallery ids out of order, non-finite similarities, ids that do not align
     with the embedding rows and an empty probe set raise ContractError.
     """
@@ -165,34 +160,22 @@ def rank_k(
     missing = sorted(set(probe_ids.tolist()) - set(gallery_ids.tolist()))
     if missing:
         raise ContractError(f"probe ids absent from gallery: {missing[:5]}")
-    n, g = probe_ids.size, gallery_ids.size
-    # Each probe's run of same-id columns: its first column and length.
+    n = probe_ids.size
     starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
     run = np.searchsorted(gallery_ids[starts], probe_ids)
-    run_start, run_length = starts[run], np.diff(np.r_[starts, g])[run]
     count_ranks = max(ks) > 1
     ahead = np.zeros(n, dtype=np.intp)
     for lo, hi, sims in similarity_blocks(probe_emb, gallery_emb):
-        top = sims.argmax(axis=1)
-        # argmax finds a row's first NaN and its +inf, the minimum its -inf.
-        _require_finite(np.take_along_axis(sims, top[:, None], axis=1), sims.min(axis=1))
-        offsets = np.arange(run_length[lo:hi].max())
-        inside = offsets < run_length[lo:hi, None]
-        columns = np.minimum(run_start[lo:hi, None] + offsets, g - 1)
-        gathered = np.take_along_axis(sims, columns, axis=1)
-        first_best = run_start[lo:hi] + np.where(inside, gathered, -np.inf).argmax(axis=1)
-        missed = top != first_best
-        if not (count_ranks and missed.any()):
-            ahead[lo:hi] = missed  # a missed probe has at least one item ahead
-        else:
-            # #(> s*) + #(== s*, index < j*); the second term is non-zero
-            # only where s* is tied, so only those rows compare indices.
-            best = np.take_along_axis(sims, first_best[:, None], axis=1)
+        per_id = np.maximum.reduceat(sims, starts, axis=1)
+        top = per_id.max(axis=1)
+        # maximum carries a row's NaN and its +inf, the minimum its -inf.
+        _require_finite(top, sims.min(axis=1))
+        best = np.take_along_axis(per_id, run[lo:hi, None], axis=1)
+        missed = top > best[:, 0]
+        if count_ranks and missed.any():
             ahead[lo:hi] = np.count_nonzero(sims > best, axis=1)
-            tied = np.flatnonzero(np.count_nonzero(sims == best, axis=1) > 1)
-            if tied.size:
-                earlier = np.arange(g) < first_best[tied, None]
-                ahead[lo + tied] += np.count_nonzero((sims[tied] == best[tied]) & earlier, axis=1)
+        else:
+            ahead[lo:hi] = missed  # a missed probe has at least one item ahead
     rates = tuple(int(np.count_nonzero(ahead < each)) / n for each in ks)
     return rates if isinstance(k, Sequence) else rates[0]
 

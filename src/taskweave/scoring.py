@@ -186,11 +186,10 @@ def task_scores(
         elif metric == "auc":
             row[f"{name}:auc"] = roc_auc(genuine, impostor)
         elif metric == "ver_acc":
-            scores = np.concatenate([genuine, impostor])
-            truth = np.concatenate([np.ones(genuine.size, bool), np.zeros(impostor.size, bool)])
             # Interleave so every fold carries both kinds of pair.
-            order = np.argsort(np.tile(np.arange(genuine.size), 2), kind="stable")
-            row[f"{name}:ver_acc"] = verification_accuracy(scores[order], truth[order])
+            scores = np.column_stack([genuine, impostor]).ravel()
+            truth = np.tile([True, False], genuine.size)
+            row[f"{name}:ver_acc"] = verification_accuracy(scores, truth)
         else:  # tar
             for far in config.evaluation.far_values:
                 row[f"{name}:tar_far{far:g}"] = tar_at_far(genuine, impostor, far)

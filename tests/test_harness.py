@@ -623,6 +623,15 @@ class TestArtifactWriter:
             {"a": np.array([1, 2]), "b": "\x000", "c": ["\x00", np.array([9])]},
             {"\x00key": np.array([0, 0])},
             {"plain": [1, 2], "s": "\x001"},
+            # A step record: nested floats at the edges of repr, None, bools
+            # and text outside ASCII, written by the one compact encoder.
+            {
+                "step": 7,
+                "tasks": {"b": {"loss": 0.1, "accuracy": None}, "a": {"loss": -0.0}},
+                "weights": [1e-300, 1.7976931348623157e308, 2.0**-1074],
+                "exhausted": [True, False],
+                "note": "é\n\"",
+            },
         ],
     )
     def test_integer_arrays_are_written_as_their_lists(self, payload, indent):
@@ -651,11 +660,12 @@ class TestArtifactWriter:
         with pytest.raises(TypeError, match="is not JSON serializable"):
             _json_text("t.json", {"v": value}, 2)
 
-    def test_jsonl_nan_raises_numeric_error(self, tmp_path):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_jsonl_nan_raises_numeric_error(self, tmp_path, bad):
         out = RunResult(tmp_path)
         with pytest.raises(NumericError, match="t.jsonl"), out.stream("t.jsonl") as trace:
             trace({"loss": 1.0})
-            trace({"loss": float("inf")})
+            trace({"loss": {"deep": [bad]}})
         assert files_under(tmp_path) == set()
         assert out.artifacts == []
 

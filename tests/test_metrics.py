@@ -247,17 +247,6 @@ class TestRankK:
         assert base == scaled
 
 
-def oracle_rank_k(sims, probe_ids, gallery_ids, k):
-    """Per-probe stable argsort of the negated scores: ties keep gallery
-    order."""
-    k = min(k, gallery_ids.size)
-    hits = 0
-    for i in range(sims.shape[0]):
-        top = np.argsort(-sims[i], kind="stable")[:k]
-        hits += bool((gallery_ids[top] == probe_ids[i]).any())
-    return hits / sims.shape[0]
-
-
 @st.composite
 def tied_retrieval(draw):
     """Probe/gallery embeddings whose cosines take only a few values:
@@ -311,12 +300,28 @@ class TestRankKOracle:
 
     @given(tied_retrieval())
     @settings(max_examples=300, deadline=None)
-    def test_matches_stable_argsort_with_sorted_gallery_ids(self, case):
+    def test_matches_the_strict_oracle_with_sorted_gallery_ids(self, case):
         probes, probe_ids, gallery, gallery_ids, k = case
         gallery, gallery_ids = sorted_gallery(gallery, gallery_ids)
-        sims = probes @ gallery.T
-        expected = oracle_rank_k(sims, probe_ids, gallery_ids, k)
+        expected = dense_rank_k(probes, probe_ids, gallery, gallery_ids, k, masked=True)
         assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
+
+    @given(tied_retrieval(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_relabeling_the_ids_changes_no_rate(self, case, data):
+        # Renaming the ids by a permutation of their values and regrouping
+        # the gallery by a stable sort moves tied items of different ids
+        # past each other; a rate that belongs to the scores stays.
+        probes, probe_ids, gallery, gallery_ids, k = case
+        values = np.unique(gallery_ids)
+        renamed = np.array(data.draw(st.permutations(values.tolist()), label="renamed"))
+
+        def rates(relabel):
+            ordered = sorted_gallery(gallery, relabel(gallery_ids))
+            return rank_k(probes, relabel(probe_ids), *ordered, [1, 2, k])
+
+        relabeled = rates(lambda ids: renamed[np.searchsorted(values, ids)])
+        assert relabeled == rates(lambda ids: ids)
 
     def test_peak_memory_near_the_similarity_matrix(self):
         # N = G = 1600, 40 ids in class-grouped gallery order: the scores
@@ -335,15 +340,17 @@ class TestRankKOracle:
             tracemalloc.stop()
         assert peak <= 1.25 * n * n * 8
 
-    def test_tie_with_earlier_impostor_misses(self):
-        # All scores tie; gallery index decides. The same-id item sits at
-        # index 2, behind two different-id items.
-        gallery = np.ones((3, 1))
+    def test_an_impostor_tied_with_the_best_same_id_item_is_not_ahead(self):
+        # All scores tie: no item scores strictly above the same-id one, so
+        # every probe ranks 0, wherever its id sits in the gallery.
         gallery_ids = np.array([0, 1, 2])
         probes = np.ones((1, 1))
-        assert rank_k(probes, [2], gallery, gallery_ids, 2) == 0.0
-        assert rank_k(probes, [2], gallery, gallery_ids, 3) == 1.0
-        assert rank_k(probes, [0], gallery, gallery_ids, 1) == 1.0
+        for probe_id in gallery_ids:
+            assert rank_k(probes, [probe_id], np.ones((3, 1)), gallery_ids, [1, 2]) == (1.0, 1.0)
+        # Scores (2, 1, 1): only id 0 is ahead of id 2, whatever the index
+        # of the tied id 1, so the counted rank is 1.
+        gallery = np.array([[2.0], [1.0], [1.0]])
+        assert rank_k(probes, [2], gallery, gallery_ids, [1, 2]) == (0.0, 1.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_oracle_on_random_scores(self, seed):
@@ -352,9 +359,8 @@ class TestRankKOracle:
         probes = rng.standard_normal((25, 6))
         gallery_ids = np.sort(rng.integers(0, 8, 40))
         probe_ids = rng.choice(gallery_ids, 25)
-        sims = probes @ gallery.T
         for k in (1, 2, 5, 40, 41):
-            expected = oracle_rank_k(sims, probe_ids, gallery_ids, k)
+            expected = dense_rank_k(probes, probe_ids, gallery, gallery_ids, k, masked=True)
             assert rank_k(probes, probe_ids, gallery, gallery_ids, k) == expected
 
     @given(tied_retrieval())
@@ -388,8 +394,7 @@ class TestRankKOracle:
             assert [hi - lo for lo, hi, _ in similarity_blocks(probes, gallery)][-1] == 1
             rates = rank_k(probes, probe_ids, gallery, gallery_ids, ks)
         assert rates == dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks)
-        sims = probes @ gallery.T
-        assert rates == tuple(oracle_rank_k(sims, probe_ids, gallery_ids, k) for k in ks)
+        assert rates == dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks, masked=True)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -410,9 +415,9 @@ class TestRankKOracle:
         ],
         ids=["hits", "hits-rank5", "misses"],
     )
-    def test_argmax_decides_rank_one_without_counting(self, probes, ks, rates):
-        # Each probe's first maximum is or is not its first best same-id
-        # column; either decides rank-1, and with every probe a hit it
+    def test_per_id_maxima_decide_rank_one_without_counting(self, probes, ks, rates):
+        # Another id's best score is or is not above the probe's own id's
+        # best; either decides rank-1, and with every probe a hit it
         # decides rank-5 too. No row of similarities is counted.
         ids = [0, 1, 2, 3]
         with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as spy:
@@ -421,10 +426,11 @@ class TestRankKOracle:
 
 
 def dense_rank_k(probe_emb, probe_ids, gallery_emb, gallery_ids, k, masked=False):
-    """``rank_k`` as it was before blocking: the whole N×G similarity matrix
-    at once, the gallery ids sorted. Each probe's best same-id score is the
-    maximum of its id's run of columns, or with ``masked`` the maximum of
-    the row with every other id's columns masked out."""
+    """The strict rule on the whole N×G similarity matrix at once, the
+    gallery ids sorted: a probe ranks within k when fewer than k items score
+    strictly above its best same-id score. That score is the maximum of its
+    id's run of columns, or with ``masked`` the maximum of the row with every
+    other id's columns masked out."""
     probe_ids = np.asarray(probe_ids)
     gallery_ids = np.asarray(gallery_ids)
     ks = tuple(k) if isinstance(k, Sequence) else (k,)
@@ -438,12 +444,6 @@ def dense_rank_k(probe_emb, probe_ids, gallery_emb, gallery_ids, k, masked=False
         same_id = probe_ids[:, None] == gallery_ids[None, :]
         best = np.where(same_id, sims, -np.inf).max(axis=1)[:, None]
     ahead = np.count_nonzero(sims > best, axis=1)
-    tied = np.flatnonzero(np.count_nonzero(sims == best, axis=1) > 1)
-    if tied.size:
-        level = sims[tied] == best[tied]
-        first_best = (level & (probe_ids[tied, None] == gallery_ids[None, :])).argmax(axis=1)
-        earlier = np.arange(gallery_ids.size)[None, :] < first_best[:, None]
-        ahead[tied] += np.count_nonzero(level & earlier, axis=1)
     rates = tuple(int(np.count_nonzero(ahead < each)) / sims.shape[0] for each in ks)
     return rates if isinstance(k, Sequence) else rates[0]
 
@@ -583,7 +583,7 @@ class TestBlockedRankK:
         gallery, gallery_ids = sorted_gallery(gallery, gallery_ids)
         # Up to four copies of the probe set, so that it spans several blocks.
         probes, probe_ids = np.tile(probes, (copies, 1)), np.tile(probe_ids, copies)
-        expected = oracle_rank_k(probes @ gallery.T, probe_ids, gallery_ids, k)
+        expected = dense_rank_k(probes, probe_ids, gallery, gallery_ids, k, masked=True)
         ks = [k, 1, gallery_ids.size + 1]
         dense = dense_rank_k(probes, probe_ids, gallery, gallery_ids, ks)
         # Each probe's best same-id score from its own run of columns is
