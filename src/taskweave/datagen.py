@@ -33,6 +33,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ValidationError
+from .metrics import distinct
 from .seeding import stream
 
 REGIMES = ("coarse-category", "fine-identity", "fine-identity-degraded", "intermediate")
@@ -250,7 +251,12 @@ class CorpusSpec:
 
 @dataclass
 class TaskData:
-    """One task's realized samples: features are n x ambient, column-major."""
+    """One task's realized samples: features are n x ambient, column-major.
+
+    ``classes`` comes from ``metrics.distinct``, not plain ``np.unique``,
+    whose masked-array check imports ``numpy.ma`` (about 1.2 MB resident);
+    the package never loads it.
+    """
 
     name: str
     regime: str
@@ -263,7 +269,7 @@ class TaskData:
 
     @property
     def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
+        return distinct(self.labels)
 
 
 @dataclass
@@ -419,23 +425,28 @@ def build_corpus(spec: CorpusSpec, split: str = "train", positives_per_id: int =
     for task in ordered:
         n = task.classes * task.samples_per_class
         labels = np.repeat(np.arange(task.classes), task.samples_per_class)
+        # Built in place in the noise buffer z, so a task holds one array
+        # beside its column-major copy. IEEE + and * commute: every value has
+        # the bits of twin + noise * (z + shift) or centroids[labels] + spread * z.
         if task.regime == "fine-identity-degraded":
             twin_features = built[by_name[task.twin].name].features
             rng = stream(spec.seed, "degrade", split, task.name)
             # Spread plus a systematic shift, both scaled by degradation_noise
             # (zero noise = exact twin copy).
-            features = twin_features + task.degradation_noise * (
-                rng.standard_normal(twin_features.shape) + DEGRADATION_SHIFT_SCALE
-            )
+            features = rng.standard_normal(twin_features.shape)
+            features += DEGRADATION_SHIFT_SCALE
+            features *= task.degradation_noise
+            features += twin_features
         else:
             centroids = _task_centroids(spec, task, blocks[task.name])
             rng = stream(spec.seed, "samples", split, task.name)
-            noise = task.within_class_spread * rng.standard_normal((n, spec.ambient_dim))
-            features = centroids[labels] + noise
+            features = rng.standard_normal((n, spec.ambient_dim))
+            features *= task.within_class_spread
+            features += centroids[labels]
         built[task.name] = TaskData(
             name=task.name,
             regime=task.regime,
-            features=np.asfortranarray(np.ascontiguousarray(features, dtype=np.float64)),
+            features=np.asfortranarray(features),
             labels=labels,
         )
     corpus.tasks = {task.name: built[task.name] for task in spec.tasks}

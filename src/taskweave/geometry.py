@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ContractError
 from .forking import cpu_workers, forked_map
+from .metrics import distinct
 
 _RANK_TOL = 1e-12
 
@@ -241,7 +242,7 @@ def _stratified_folds(y: np.ndarray, folds: int) -> np.ndarray:
     """Fold id per sample: within each class, samples cycle through folds in
     index order, so splits are deterministic and class-balanced."""
     assignment = np.empty(y.size, dtype=int)
-    for cls in np.unique(y):
+    for cls in distinct(y):
         members = np.flatnonzero(y == cls)
         assignment[members] = np.arange(members.size) % folds
     return assignment

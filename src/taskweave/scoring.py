@@ -30,7 +30,15 @@ from .geometry import (
     sliding_window_probe,
     task_subspace,
 )
-from .metrics import BLOCK, ScoreTable, rank_k, roc_auc, tar_at_far, verification_accuracy
+from .metrics import (
+    BLOCK,
+    ScoreTable,
+    distinct,
+    rank_k,
+    roc_auc,
+    tar_at_far,
+    verification_accuracy,
+)
 from .seeding import stream
 
 
@@ -141,7 +149,7 @@ def class_centroids(
     for name, data in train_corpus.tasks.items():
         if REGIME_METRICS[data.regime][0] == "top1":
             emb, labels = embedder(data), data.labels
-            classes = np.unique(labels)
+            classes = distinct(labels)
             means = np.stack([emb[labels == c].mean(axis=0) for c in classes])
             means /= np.linalg.norm(means, axis=1, keepdims=True)
             centroids[name] = (means, classes)

@@ -1,6 +1,8 @@
 """Corpus generation and batch loader contracts."""
 
+import dataclasses
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,14 +11,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taskweave.artifacts import RunResult
+from taskweave.config import default_config
 from taskweave.curriculum import block_masks
 from taskweave.datagen import (
+    DEGRADATION_SHIFT_SCALE,
     Batch,
     Corpus,
     CorpusSpec,
     Loader,
     TaskData,
     TaskGenSpec,
+    _centroid_blocks,
+    _task_centroids,
     build_corpus,
 )
 from taskweave.encoder import id_masks
@@ -93,6 +99,86 @@ class TestBuildCorpus:
     def test_task_order_follows_spec(self):
         corpus = build_corpus(four_task_spec())
         assert list(corpus.tasks) == ["coarse", "fine", "fine_lq", "mid"]
+
+
+def reference_features(spec, split):
+    """Each task's features by the two plain expressions, one temporary per
+    operation, then a contiguous and a column-major copy."""
+    blocks = _centroid_blocks(spec)
+    features = {}
+    for task in sorted(spec.tasks, key=lambda t: t.regime == "fine-identity-degraded"):
+        if task.regime == "fine-identity-degraded":
+            twin = features[task.twin]
+            rng = stream(spec.seed, "degrade", split, task.name)
+            built = twin + task.degradation_noise * (
+                rng.standard_normal(twin.shape) + DEGRADATION_SHIFT_SCALE
+            )
+        else:
+            n = task.classes * task.samples_per_class
+            labels = np.repeat(np.arange(task.classes), task.samples_per_class)
+            centroids = _task_centroids(spec, task, blocks[task.name])
+            rng = stream(spec.seed, "samples", split, task.name)
+            noise = task.within_class_spread * rng.standard_normal((n, spec.ambient_dim))
+            built = centroids[labels] + noise
+        features[task.name] = np.asfortranarray(np.ascontiguousarray(built, dtype=np.float64))
+    return features
+
+
+class TestBuildCorpusReference:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        split=st.sampled_from(["train", "eval"]),
+        ambient_dim=st.sampled_from([3, 4, 12, 25, 64]),
+        samples_per_class=st.sampled_from([8, 11]),
+        noise=st.sampled_from([0.0, 0.3, 1.0, 7.5]),
+        spread=st.sampled_from([0.05, 0.2, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_features_are_the_reference_bits(
+        self, seed, split, ambient_dim, samples_per_class, noise, spread
+    ):
+        tasks = tuple(
+            dataclasses.replace(
+                t,
+                samples_per_class=samples_per_class,
+                within_class_spread=max(spread, t.within_class_spread)
+                if t.regime == "coarse-category"
+                else spread,
+                degradation_noise=noise if t.twin else t.degradation_noise,
+            )
+            for t in four_task_spec().tasks
+        )
+        spec = CorpusSpec(tasks=tasks, seed=seed, ambient_dim=ambient_dim)
+        corpus = build_corpus(spec, split)
+        expected = reference_features(spec, split)
+        for name, data in corpus.tasks.items():
+            assert data.features.dtype == np.float64
+            assert data.features.flags.f_contiguous
+            assert data.features.shape == expected[name].shape
+            assert data.features.tobytes() == expected[name].tobytes()
+
+    @pytest.mark.parametrize("scale", [1, 4])
+    def test_peak_memory_is_one_task_above_the_corpus(self, scale):
+        # The stock corpus (scale 1) and the scale-scores one (scale 4): a
+        # task's features are built in one buffer, so the peak above what
+        # build_corpus returns is that buffer beside the column-major copy,
+        # about one task array, not the 2-3.5 that a temporary per
+        # operation held.
+        config = default_config(output_dir="unused")
+        tasks = tuple(
+            dataclasses.replace(t, samples_per_class=scale * t.samples_per_class)
+            for t in config.tasks
+        )
+        spec = CorpusSpec(tasks=tasks, seed=5, ambient_dim=config.ambient_dim)
+        build_corpus(spec)  # caches and lazy imports load outside the trace
+        tracemalloc.start()
+        try:
+            corpus = build_corpus(spec)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = max(t.features.nbytes for t in corpus.tasks.values())
+        assert peak - current <= 1.5 * largest
 
 
 class TestSpecValidation:

@@ -1215,29 +1215,62 @@ def test_probe_gallery_split_matches_the_class_loop(labels):
     assert (np.diff(labels[gallery]) >= 0).all()
 
 
-def test_import_skips_scipy_optimize():
+def fresh_interpreter(code: str) -> str:
+    """The last line ``code`` prints, run by a fresh interpreter that imports
+    the package from this tree."""
     src = str(Path(taskweave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, taskweave.experiments; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def loaded(modules) -> str:
+    """Code that prints which of ``modules`` the interpreter has loaded."""
+    return f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
+
+
+def test_import_skips_scipy_optimize():
+    code = "import sys, taskweave.experiments; " + loaded(["scipy.optimize"])
+    assert fresh_interpreter(code) == "[]"
 
 
 def test_import_loads_no_process_pools():
     # The window probes fork with os alone; multiprocessing or
     # concurrent.futures would add to every start-up and to the peak RSS.
-    src = str(Path(taskweave.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, taskweave.experiments; " + loaded(["multiprocessing", "concurrent.futures"])
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # Plain np.unique(x) imports numpy.ma for its masked-array check: about
+    # 1.2 MB resident and 14 ms. One CPU keeps the window probes and the
+    # fine-tunes in this process, so every path the commands take runs here.
+    config = tiny_config(tmp_path / "run")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    assert config.evaluation.suites == ["scores", "geometry"]
+    commands = [
+        ["gen", "-c", str(path), "-o", str(tmp_path / "gen")],
+        ["train", "-c", str(path)],
+        ["eval", config.output_dir],
+        ["analyze", config.output_dir],
+        ["compare-forgetting", "-c", str(path), "-o", str(tmp_path / "forgetting")],
+        ["score-table", "--mode", "expert"],
+        ["score-table", "--mode", "human"],
+    ]
     code = (
-        "import sys, taskweave.experiments; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from taskweave.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        + loaded(["numpy.ma", "scipy.optimize", "multiprocessing", "concurrent.futures"])
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert fresh_interpreter(code) == "[]"
+    assert (tmp_path / "run" / "analyze" / "summary.json").exists()
+    assert (tmp_path / "forgetting" / "forgetting_report.json").exists()
 
 
 class TestValidateOnEntry:

@@ -17,6 +17,7 @@ from taskweave.metrics import (
     HUMAN,
     ScoreTable,
     _best_threshold,
+    distinct,
     multitask_index,
     padded_blocks,
     rank_k,
@@ -707,6 +708,48 @@ class TestBlockedPairScores:
         with mock.patch.object(scoring, "BLOCK", 2 * rows * dim):
             blocked = _pair_scores(emb, pairs[:, 0], pairs[:, 1])
         assert blocked.tobytes() == one_shot.tobytes()
+
+
+# Labels: negative, sparse (far apart) and dense ids, drawn from a few values
+# so repeats are common. Scores: ties, both zeros and extreme magnitudes.
+LABEL_VALUES = st.sampled_from([-(2**40), -7, -1, 0, 1, 2, 3, 1000, 2**40]) | st.integers(-5, 5)
+SCORE_VALUES = st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.5, -0.5]
+) | st.floats(allow_nan=False)
+
+
+class TestDistinctOracle:
+    """``distinct`` is plain ``np.unique`` in value, dtype and bits."""
+
+    @staticmethod
+    def assert_unique(values):
+        expected, got = np.unique(values), distinct(values)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @given(st.lists(LABEL_VALUES, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_int_labels(self, labels):
+        self.assert_unique(np.array(labels, dtype=np.int64))
+
+    @given(st.lists(SCORE_VALUES, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_float_scores(self, scores):
+        self.assert_unique(np.array(scores, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([4]),
+            np.full(500, -3),
+            np.repeat(np.arange(400), 8)[::-1],
+            np.array([0.0, -0.0, -0.0, 0.0]),
+            np.array([-0.0, 1e-300, 0.0, -1e-300, 1e300, -1e300, 1e-300]),
+            np.array([], dtype=np.int64),
+        ],
+    )
+    def test_edge_cases(self, values):
+        self.assert_unique(values)
 
 
 def oracle_best_threshold(scores, labels):
