@@ -25,73 +25,20 @@ SUMMARY_VERSION = 1
 SUMMARY = "summary.json"
 
 
-def _int_list(value) -> list[int]:
-    """The values of ``value``, a 1-D integer ndarray; any other object is
-    a TypeError, as ``json`` makes it."""
-    if not (isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iu"):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return value.tolist()
-
-
-# How ``json`` begins a string that starts with NUL, as the mark of each
-# integer array in an indented payload does.
-_MARK = '"\\u0000'
-
-# The encoder of every text on one line, built once; ``json.dumps`` would
+# The two encoders of every JSON text, built once; ``json.dumps`` would
 # build one for each trace record.
-_COMPACT = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_int_list)
+_COMPACT = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_INDENTED = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
-def _json_text(rel: str, payload, indent: int | None = None) -> str:
+def _json_text(rel: str, payload, indented: bool = False) -> str:
     """``payload`` as JSON text with sorted keys and finite numbers only,
-    indented by ``indent`` spaces or on one line; ``rel`` names the file in
-    the error. A 1-D integer ndarray in ``payload`` is written as the list
-    of its values: the text is ``json.dumps``'s for the payload with each
-    such array as its ``tolist()``.
-
-    ``json`` has a C encoder only for text on one line. Indented, each
-    array goes in as a mark string, and its list is then encoded by the C
-    encoder and indented by string replacement: the pure-Python encoder
-    takes three to six times as long over a corpus manifest's labels."""
-
-    def dumps(encoder: json.JSONEncoder) -> str:
-        try:
-            return encoder.encode(payload)
-        except ValueError as exc:
-            raise NumericError(f"{rel}: non-finite number in JSON payload ({exc})") from None
-
-    if indent is None:
-        return dumps(_COMPACT)
-
-    def indented(default) -> json.JSONEncoder:
-        return json.JSONEncoder(indent=indent, sort_keys=True, allow_nan=False, default=default)
-
-    lists = []
-
-    def mark(value):
-        lists.append(_int_list(value))
-        return f"\x00{len(lists) - 1}"
-
-    parts = dumps(indented(mark)).split(_MARK)
-    # The encoder's closures form a reference cycle that keeps ``mark``
-    # until the next collection; it must not keep the lists too.
-    found = lists.copy()
-    lists.clear()
-    if len(parts) != len(found) + 1:
-        # A string of the payload starts with NUL too: no marks to replace.
-        return dumps(indented(_int_list))
-    pieces = [parts[0]]
-    for i, (values, part) in enumerate(zip(found, parts[1:])):
-        listed = json.dumps(values)
-        if values:
-            # The items go one indent deeper than the line of the mark.
-            line = pieces[-1][pieces[-1].rfind("\n") + 1 :]
-            pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-            inner = pad + " " * indent
-            listed = "[" + inner + listed[1:-1].replace(", ", "," + inner) + pad + "]"
-        # ``part`` starts with the rest of the mark: its number and quote.
-        pieces += [listed, part[len(str(i)) + 1 :]]
-    return "".join(pieces)
+    indented by 2 spaces or on one line; ``rel`` names the file in the
+    error."""
+    try:
+        return (_INDENTED if indented else _COMPACT).encode(payload)
+    except ValueError as exc:
+        raise NumericError(f"{rel}: non-finite number in JSON payload ({exc})") from None
 
 
 # Step records a trace sink holds before it encodes them. Encoding each
@@ -243,7 +190,7 @@ class RunResult:
             fh.write(data)
 
     def json(self, rel: str, payload) -> None:
-        self.write(rel, (_json_text(rel, payload, indent=2) + "\n").encode())
+        self.write(rel, (_json_text(rel, payload, indented=True) + "\n").encode())
 
     @contextlib.contextmanager
     def stream(self, rel: str) -> Iterator[JsonLines]:
@@ -277,4 +224,4 @@ class RunResult:
         payload = dict(fields, summary_version=SUMMARY_VERSION, seed=seed, results=results)
         payload["artifacts"] = sorted(self.artifacts)
         with self._replacing(SUMMARY) as fh:
-            fh.write((_json_text(SUMMARY, payload, indent=2) + "\n").encode())
+            fh.write((_json_text(SUMMARY, payload, indented=True) + "\n").encode())

@@ -25,20 +25,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ContractError, ValidationError
 from .metrics import distinct
 from .seeding import stream
 
 REGIMES = ("coarse-category", "fine-identity", "fine-identity-degraded", "intermediate")
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 # Each task's centroid cloud sits this many between-class spreads from the
 # origin along its block coordinates, keeping task regions disjoint.
@@ -184,12 +184,6 @@ class CorpusSpec:
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
 
-    def task(self, name: str) -> TaskGenSpec:
-        for t in self.tasks:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
     def validate(self, positives_per_id: int = 4) -> None:
         """Check all corpus invariants: :meth:`validate_recipe`, and the
         batch shape's.
@@ -283,42 +277,46 @@ class Corpus:
         return sum(t.n_samples for t in self.tasks.values())
 
     def save(self, out, rel: str) -> None:
-        """Export as per-task binary matrices plus a JSON manifest, written
-        through the artifact writer ``out`` (an ``artifacts.RunResult``)
-        under the directory ``rel``.
-
-        The round trip through :meth:`load` is bit-exact.
+        """Export as per-task binary matrices plus a JSON manifest of the
+        recipe and the split, written through the artifact writer ``out`` (an
+        ``artifacts.RunResult``) under the directory ``rel``, each file where
+        :func:`corpus_file` puts it. The tasks must be the spec's, in its
+        order, each with its recipe's labels and feature shape; any other
+        corpus raises ContractError before a file is written. The round trip
+        through :meth:`load` is bit-exact.
         """
-        manifest = {
-            "manifest_version": MANIFEST_VERSION,
-            "seed": self.spec.seed,
-            "ambient_dim": self.spec.ambient_dim,
-            "split": self.split,
-            "tasks": [],
-        }
+        if list(self.tasks) != [t.name for t in self.spec.tasks]:
+            raise ContractError(f"corpus tasks {list(self.tasks)} are not its spec's")
+        for task in self.spec.tasks:
+            data = self.tasks[task.name]
+            shape, labels = _shape(self.spec, task), _labels(task)
+            if data.features.shape != shape or not np.array_equal(data.labels, labels):
+                raise ContractError(f"task {task.name!r}: labels or feature shape not the recipe's")
         for name, data in self.tasks.items():
-            spec = self.spec.task(name)
-            fname = f"{name}.npy"
-            out.npy(f"{rel}/{fname}", data.features)
-            manifest["tasks"].append(
-                {
-                    **{f.name: getattr(spec, f.name) for f in fields(TaskGenSpec)},
-                    "shape": list(data.features.shape),
-                    "labels": data.labels,
-                    "file": fname,
-                }
-            )
-        out.json(f"{rel}/manifest.json", manifest)
+            out.npy(corpus_file(rel, name), data.features)
+        out.json(
+            corpus_file(rel),
+            {
+                "manifest_version": MANIFEST_VERSION,
+                "seed": self.spec.seed,
+                "ambient_dim": self.spec.ambient_dim,
+                "split": self.split,
+                "tasks": [asdict(t) for t in self.spec.tasks],
+            },
+        )
 
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":
-        """The corpus :meth:`save` wrote under ``directory``. A missing or
-        malformed file raises ValidationError naming it, as does a field of
-        the wrong type, a recipe that fails :meth:`CorpusSpec.validate_recipe`
-        (the batch shape is not the manifest's to check), or a task whose
-        features are not in the ``<name>.npy`` that :meth:`save` writes."""
+        """The corpus :meth:`save` wrote under ``directory``: the manifest's
+        recipe and split, each task's features from its ``<name>.npy`` and
+        its labels from the recipe. A missing or malformed file raises
+        ValidationError naming it, as does a manifest of another version, a
+        field of the wrong type, a recipe that fails
+        :meth:`CorpusSpec.validate_recipe` (the batch shape is not the
+        manifest's to check), or features of another shape than the
+        recipe's."""
         directory = Path(directory)
-        path = directory / "manifest.json"
+        path = Path(corpus_file(directory))
         try:
             manifest = json.loads(path.read_text())
         except OSError as exc:
@@ -343,45 +341,41 @@ class Corpus:
             except ValidationError as exc:
                 raise ValidationError(f"{path}: {exc}") from None
             corpus = cls(spec=spec, split=manifest["split"])
-            check_fields(corpus, f"{path}: corpus", ["split"])
-            for t in tasks:
-                fname = f"{t['name']}.npy"
-                if t["file"] != fname:
-                    raise ValidationError(f"{path}: task {t['name']!r}: file must be {fname!r}")
-                file = directory / fname
-                try:
-                    features = np.load(file)
-                except (OSError, ValueError, EOFError) as exc:
-                    raise ValidationError(f"cannot read corpus features {file}: {exc}") from None
-                if list(features.shape) != t["shape"]:
-                    raise ValidationError(f"{file}: task {t['name']!r}: stored shape mismatch")
-                labels = _int64_labels(t["labels"], f"{path}: task {t['name']!r}")
-                if labels.size != features.shape[0]:
-                    raise ValidationError(
-                        f"{path}: task {t['name']!r} has {labels.size} labels "
-                        f"for {features.shape[0]} feature rows"
-                    )
-                corpus.tasks[t["name"]] = TaskData(
-                    name=t["name"],
-                    regime=t["regime"],
-                    features=np.asfortranarray(features),
-                    labels=labels,
-                )
         except KeyError as exc:
             raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
+        check_fields(corpus, f"{path}: corpus", ["split"])
+        for task in spec.tasks:
+            file = Path(corpus_file(directory, task.name))
+            try:
+                features = np.load(file)
+            except (OSError, ValueError, EOFError) as exc:
+                raise ValidationError(f"cannot read corpus features {file}: {exc}") from None
+            if features.shape != _shape(spec, task):
+                raise ValidationError(f"{file}: task {task.name!r}: stored shape mismatch")
+            corpus.tasks[task.name] = TaskData(
+                name=task.name,
+                regime=task.regime,
+                features=np.asfortranarray(features),
+                labels=_labels(task),
+            )
         return corpus
 
 
-def _int64_labels(labels, where: str) -> np.ndarray:
-    """A manifest's label list as int64. Only JSON integers that fit in
-    int64 are labels: numpy would truncate 1.5, read true or "3" as
-    integers, and fail with a bare error on "x", null or 2**70."""
-    if not isinstance(labels, list) or not set(map(type, labels)) <= {int}:
-        raise ValidationError(f"{where}: labels must be a list of JSON integers")
-    try:
-        return np.array(labels, dtype=np.int64)
-    except OverflowError:
-        raise ValidationError(f"{where}: a label does not fit in int64") from None
+def corpus_file(rel: str | Path, task: str | None = None) -> str:
+    """The path of a saved corpus's file under the directory ``rel``: task
+    ``task``'s features, or the manifest when ``task`` is None."""
+    return f"{rel}/manifest.json" if task is None else f"{rel}/{task}.npy"
+
+
+def _labels(task: TaskGenSpec) -> np.ndarray:
+    """A task's labels: class c holds rows c * s to (c + 1) * s - 1, where s
+    is ``samples_per_class``."""
+    return np.repeat(np.arange(task.classes, dtype=np.int64), task.samples_per_class)
+
+
+def _shape(spec: CorpusSpec, task: TaskGenSpec) -> tuple[int, int]:
+    """A task's feature shape: a row per sample, a column per coordinate."""
+    return (task.classes * task.samples_per_class, spec.ambient_dim)
 
 
 def _centroid_blocks(spec: CorpusSpec) -> dict[str, slice]:
@@ -423,8 +417,7 @@ def build_corpus(spec: CorpusSpec, split: str = "train", positives_per_id: int =
     built: dict[str, TaskData] = {}
     ordered = sorted(spec.tasks, key=lambda t: t.regime == "fine-identity-degraded")
     for task in ordered:
-        n = task.classes * task.samples_per_class
-        labels = np.repeat(np.arange(task.classes), task.samples_per_class)
+        labels = _labels(task)
         # Built in place in the noise buffer z, so a task holds one array
         # beside its column-major copy. IEEE + and * commute: every value has
         # the bits of twin + noise * (z + shift) or centroids[labels] + spread * z.
@@ -440,7 +433,7 @@ def build_corpus(spec: CorpusSpec, split: str = "train", positives_per_id: int =
         else:
             centroids = _task_centroids(spec, task, blocks[task.name])
             rng = stream(spec.seed, "samples", split, task.name)
-            features = rng.standard_normal((n, spec.ambient_dim))
+            features = rng.standard_normal(_shape(spec, task))
             features *= task.within_class_spread
             features += centroids[labels]
         built[task.name] = TaskData(

@@ -19,7 +19,7 @@ import numpy as np
 from .artifacts import SUMMARY, JsonLines, RunResult, listed_artifacts
 from .config import ExperimentConfig
 from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
-from .datagen import Corpus, CorpusSpec, TaskData, build_corpus
+from .datagen import Corpus, CorpusSpec, TaskData, build_corpus, corpus_file
 from .encoder import EncoderParams, embed, init_params, load_checkpoint, save_checkpoint
 from .errors import ContractError, ValidationError
 from .forking import cpu_workers, forked_map
@@ -66,20 +66,20 @@ def load_run(run_dir: str | Path, checkpoint: str | Path | None = None):
         raise ValidationError(f"{summary}: {exc.strerror} (an unfinished run)") from None
     if listed is None:
         raise ValidationError(f"{summary} does not list the run's files")
-    required = ["config.json", "corpus/manifest.json", "corpus_eval/manifest.json"]
+    splits = {"train": "corpus", "eval": "corpus_eval"}
+    required = ["config.json", *(corpus_file(rel) for rel in splits.values())]
     if checkpoint is None:
         required.append("checkpoints/encoder_final.npz")
     for rel in required:
         if rel not in listed:
             raise ValidationError(f"{run_dir / rel} is not listed in {summary}")
     config = ExperimentConfig.from_file(run_dir / "config.json")
-    splits = {"train": "corpus", "eval": "corpus_eval"}
     corpora = [Corpus.load(run_dir / rel) for rel in splits.values()]
     for corpus, (split, rel) in zip(corpora, splits.items()):
         if (corpus.spec, corpus.split) != (_corpus_spec(config), split):
             raise ValidationError(f"{run_dir}: the {split} corpus saved is not its config's")
         for name in corpus.tasks:
-            if (features := f"{rel}/{name}.npy") not in listed:
+            if (features := corpus_file(rel, name)) not in listed:
                 raise ValidationError(f"{run_dir / features} is not listed in {summary}")
     ckpt = Path(checkpoint or run_dir / "checkpoints" / "encoder_final.npz")
     params, dims = load_checkpoint(ckpt), _layer_dims(config)

@@ -63,16 +63,16 @@ def _sample_pairs(labels: np.ndarray, n_pairs: int, rng: np.random.Generator):
         )
     starts = np.cumsum(sizes) - sizes
 
-    def distinct(n) -> tuple[np.ndarray, np.ndarray]:
+    def distinct_pair(n) -> tuple[np.ndarray, np.ndarray]:
         a = rng.integers(0, n, size=n_pairs)
         b = rng.integers(0, n - 1, size=n_pairs)
         return a, b + (b >= a)
 
     eligible = np.flatnonzero(sizes >= 2)
     c = eligible[rng.integers(0, eligible.size, size=n_pairs)]
-    a, b = distinct(sizes[c])
+    a, b = distinct_pair(sizes[c])
     genuine = np.column_stack([starts[c] + a, starts[c] + b])
-    ca, cb = distinct(sizes.size)
+    ca, cb = distinct_pair(sizes.size)
     impostor = np.column_stack(
         [starts[ca] + rng.integers(0, sizes[ca]), starts[cb] + rng.integers(0, sizes[cb])]
     )

@@ -15,7 +15,10 @@ change that moves numbers on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists the moved files, with before and after values, in CHANGES.md.
+and lists the moved files, with before and after values, in CHANGES.md. So
+does a declared change of a file format that moves no number, such as a
+new corpus manifest version: it regenerates the file and lists the moved
+files in CHANGES.md, and every other digest stays as it was.
 """
 
 import hashlib
