@@ -26,6 +26,7 @@ from taskweave.datagen import (
     _centroid_blocks,
     _task_centroids,
     build_corpus,
+    corpus_file,
 )
 from taskweave.encoder import id_masks
 from taskweave.errors import ContractError, ValidationError
@@ -296,14 +297,36 @@ class TestRoundTrip:
                 data, features=np.asfortranarray(data.features[:-1]), labels=data.labels[:-1]
             ),
             lambda data: dataclasses.replace(data, features=np.asfortranarray(data.features[:, 1:])),
-            None,
+            lambda data: dataclasses.replace(
+                data, features=np.asfortranarray(np.vstack([data.features, data.features[-1:]]))
+            ),
+            lambda data: dataclasses.replace(data, labels=data.labels[:-1]),
+            lambda data: dataclasses.replace(data, features=np.asfortranarray(data.features.T)),
+            "missing",
+            "extra",
+            "reordered",
         ],
-        ids=["relabelled", "shifted labels", "truncated", "narrower", "task missing"],
+        ids=[
+            "relabelled",
+            "shifted labels",
+            "truncated",
+            "narrower",
+            "one row more",
+            "one label short",
+            "transposed",
+            "task missing",
+            "task not in the spec",
+            "tasks reordered",
+        ],
     )
     def test_save_refuses_a_corpus_that_is_not_its_recipes(self, tmp_path, edit):
         corpus = build_corpus(four_task_spec())
-        if edit is None:
+        if edit == "missing":
             del corpus.tasks["fine"]
+        elif edit == "extra":
+            corpus.tasks["extra"] = dataclasses.replace(corpus.tasks["mid"], name="extra")
+        elif edit == "reordered":
+            corpus.tasks = dict(reversed(corpus.tasks.items()))
         else:
             corpus.tasks["fine"] = edit(corpus.tasks["fine"])
         out = RunResult(tmp_path / "out")
@@ -311,6 +334,19 @@ class TestRoundTrip:
             corpus.save(out, "c")
         assert not (tmp_path / "out").exists()
         assert out.artifacts == []
+
+    @pytest.mark.parametrize("rel", ["corpus", "corpus_eval", "runs/a"])
+    def test_files_are_where_corpus_file_puts_them(self, tmp_path, rel):
+        corpus = build_corpus(four_task_spec())
+        out = RunResult(tmp_path)
+        corpus.save(out, rel)
+        names = ["coarse", "fine", "fine_lq", "mid"]
+        expected = [corpus_file(rel, name) for name in names] + [corpus_file(rel)]
+        assert expected == [f"{rel}/{name}.npy" for name in names] + [f"{rel}/manifest.json"]
+        assert sorted(out.artifacts) == sorted(expected)
+        assert {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()} == set(
+            expected
+        )
 
 
 def make_loader(classes=20, samples_per_class=4, seed=3):
@@ -423,6 +459,32 @@ class TestLoader:
         with pytest.raises(ValidationError, match="unsupported corpus manifest version 1"):
             Corpus.load(tmp_path / "c")
 
+    @pytest.mark.parametrize(
+        "edit, shown",
+        [
+            (lambda m: m.update(manifest_version=0), "0"),
+            (lambda m: m.update(manifest_version=3), "3"),
+            (lambda m: m.update(manifest_version="2"), "'2'"),
+            (lambda m: m.update(manifest_version=None), "None"),
+            (lambda m: m.pop("manifest_version"), "None"),
+        ],
+        ids=["0", "3", "the string 2", "null", "missing"],
+    )
+    def test_other_manifest_versions_are_refused(self, tmp_path, edit, shown):
+        build_corpus(four_task_spec()).save(RunResult(tmp_path), "c")
+        path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match=f"unsupported corpus manifest version {shown}$"):
+            Corpus.load(tmp_path / "c")
+
+    def test_manifest_that_is_not_an_object_is_refused(self, tmp_path):
+        build_corpus(four_task_spec()).save(RunResult(tmp_path), "c")
+        (tmp_path / "c" / "manifest.json").write_text("[2]")
+        with pytest.raises(ValidationError, match="unsupported corpus manifest version None"):
+            Corpus.load(tmp_path / "c")
+
 
 class TestMalformedCorpus:
     """Every way a saved corpus can be unreadable raises ValidationError
@@ -454,7 +516,10 @@ class TestMalformedCorpus:
         with pytest.raises(ValidationError, match="manifest.json is not valid JSON"):
             Corpus.load(saved)
 
-    @pytest.mark.parametrize("key", ["seed", "split", "tasks", "regime", "samples_per_class"])
+    @pytest.mark.parametrize(
+        "key",
+        ["seed", "ambient_dim", "split", "tasks", *(f.name for f in dataclasses.fields(TaskGenSpec))],
+    )
     def test_manifest_missing_a_key(self, saved, key):
         def drop(manifest):
             del (manifest if key in manifest else manifest["tasks"][1])[key]
@@ -558,6 +623,39 @@ class TestMalformedCorpus:
         # A valid recipe that is not the one the features were built from.
         self.edit_manifest(saved, lambda manifest: manifest["tasks"][3].update(samples_per_class=10))
         with pytest.raises(ValidationError, match=f"{saved}/mid.npy: task 'mid': stored shape mismatch"):
+            Corpus.load(saved)
+
+    @pytest.mark.parametrize(
+        "edit, task",
+        [
+            (lambda m: m["tasks"][3].update(classes=11), "mid"),
+            (lambda m: m["tasks"][3].update(samples_per_class=19), "mid"),
+            (lambda m: m.update(ambient_dim=13), "coarse"),
+        ],
+        ids=["one class more", "one sample per class fewer", "one dimension more"],
+    )
+    def test_recipe_of_another_shape(self, saved, edit, task):
+        self.edit_manifest(saved, edit)
+        with pytest.raises(ValidationError, match=f"{saved}/{task}.npy: task '{task}': stored shape"):
+            Corpus.load(saved)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda x: x[:-1],
+            lambda x: np.vstack([x, x[-1:]]),
+            lambda x: x[:, :-1],
+            lambda x: x.T,
+            lambda x: x.ravel(),
+            lambda x: x[None],
+        ],
+        ids=["one row short", "one row more", "one column short", "transposed", "flat", "3-D"],
+    )
+    def test_stored_features_of_another_shape(self, saved, edit):
+        np.save(saved / "fine_lq.npy", edit(np.load(saved / "fine_lq.npy")))
+        with pytest.raises(
+            ValidationError, match=f"{saved}/fine_lq.npy: task 'fine_lq': stored shape mismatch"
+        ):
             Corpus.load(saved)
 
     @pytest.mark.parametrize("classes,spc,p,k", [(5, 6, 3, 2), (6, 8, 4, 4), (4, 10, 2, 3)])

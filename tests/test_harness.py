@@ -1931,6 +1931,13 @@ class TestCli:
             (tmp_path / "swap").rename(out / "corpus_eval")
         elif case == "corpus file missing":
             (out / "corpus_eval" / "persons.npy").unlink()
+        elif case == "features of another shape":
+            features = np.load(out / "corpus" / "objects.npy")
+            np.save(out / "corpus" / "objects.npy", features[:-1])
+        elif case == "version-1 manifest":
+            manifest = json.loads((out / "corpus" / "manifest.json").read_text())
+            manifest["manifest_version"] = 1
+            (out / "corpus" / "manifest.json").write_text(json.dumps(manifest))
         elif case == "tasks not a list of objects":
             manifest = json.loads((out / "corpus_eval" / "manifest.json").read_text())
             manifest["tasks"] = [5]
@@ -1967,6 +1974,8 @@ class TestCli:
             ("corpus of another seed", "train corpus saved is not its config's"),
             ("splits swapped", "train corpus saved is not its config's"),
             ("corpus file missing", "persons.npy"),
+            ("features of another shape", "task 'objects': stored shape mismatch"),
+            ("version-1 manifest", "unsupported corpus manifest version 1"),
             ("tasks not a list of objects", "tasks must be a list of JSON objects"),
             ("negative ambient_dim", "corpus.ambient_dim must be an integer >= 1, got -1"),
             ("features unlisted", "corpus/objects.npy is not listed in"),
