@@ -78,7 +78,8 @@ class CurriculumConfig:
     ``goals`` maps task name to target accuracy in (0, 1]. ``batches_per_task``
     is the balanced-mode per-task batch count; ``total_batches`` the adaptive-
     mode step budget (defaults to n_tasks * batches_per_task so the two modes
-    consume equal data per step). ``subsample`` maps a task to the fraction
+    consume equal data per step; the forgetting comparison refuses any other
+    value). ``subsample`` maps a task to the fraction
     of its samples that its loaders draw from, in every run.
     """
 

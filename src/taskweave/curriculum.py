@@ -12,11 +12,8 @@ A third schedule, ``blocked``, is an explicit allocation fed to
 ``Trainer.train_step``: tasks one after another, never two in one step. It
 drives single-task pretraining and the sequential fine-tuning baseline.
 
-A balanced run's batch total depends on its loaders alone, so a balanced
-Trainer plans it before any training (:meth:`Trainer.planned_batches`):
-fresh loaders from its own recipe replay the draws its steps make
-(:meth:`Loader.draw`, without gathering any rows) through the same epoch
-rule.
+Only ``run()`` trains by epochs. The forgetting comparison gives each of
+its fine-tunes the same fixed number of steps of one interleaved group.
 
 Every schedule the lab trains (the curriculum run, pretraining, the
 sequential baseline and both interleaved fine-tunes) is one ``Trainer``,
@@ -37,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CurriculumConfig, ExperimentConfig
+from .config import ExperimentConfig
 from .datagen import Batch, Loader, TaskData
 from .encoder import (
     EncoderParams,
@@ -174,17 +171,6 @@ def blocked_schedule(
             budget -= take
 
 
-def make_loaders(
-    task_data: dict[str, TaskData], curriculum: CurriculumConfig, seed: int, loader_stream: str
-) -> dict[str, Loader]:
-    """One loader per task, in task order, each drawing from its own
-    ``(seed, loader_stream, task)`` substream over the configured subsample."""
-    return {
-        name: Loader(data, stream(seed, loader_stream, name), curriculum.subsample.get(name, 1.0))
-        for name, data in task_data.items()
-    }
-
-
 def draw_step(
     loaders: dict[str, Loader], allocations: dict[str, int], identities: int, positives: int
 ) -> tuple[list[Batch], dict[str, bool]]:
@@ -262,8 +248,13 @@ class Trainer:
         self.positives = config.batch.positives
         self.margin = config.margin
         self.seed = seed
-        self.loader_stream = loader_stream
-        self.loaders = make_loaders(task_data, self.curriculum, seed, loader_stream)
+        # One loader per task, in task order, each drawing from its own
+        # substream over the configured subsample.
+        subsample = self.curriculum.subsample
+        self.loaders = {
+            name: Loader(data, stream(seed, loader_stream, name), subsample.get(name, 1.0))
+            for name, data in task_data.items()
+        }
         self.buffer = GradBuffer.zeros_like(params)
         self.states = {name: TaskState() for name in task_data}
         self.alloc_rng = stream(seed, "allocation")
@@ -412,8 +403,9 @@ class Trainer:
         return record
 
     def run_epoch(self) -> None:
-        """Balanced: step until every loader has exhausted at least once.
-        Adaptive: run the configured number of steps."""
+        """Balanced: step until every loader has exhausted at least once;
+        raises ContractError past a step cap well beyond the largest
+        loader's pass. Adaptive: run the configured number of steps."""
         if self.mode == ADAPTIVE:
             if self.curriculum.steps_per_epoch is None:
                 raise ValidationError(
@@ -423,60 +415,12 @@ class Trainer:
                 self.train_step()
             return
 
-        balanced_epoch(
-            lambda: {name: t["exhausted"] for name, t in self.train_step()["tasks"].items()},
-            self.loaders,
-            self.curriculum.batches_per_task,
-            self.identities * self.positives,
-        )
-
-    def planned_batches(self, epochs: int) -> int:
-        """The batch total of ``epochs`` balanced epochs of this trainer,
-        found before it trains: fresh loaders from its own recipe replay the
-        same draws through the same epoch rule, with no kernel call and no
-        gathered rows (:meth:`Loader.draw` leaves a loader where
-        :meth:`Loader.next_batch` would). The total depends on the loaders
-        alone, so it is the one the trainer then spends. Its own loaders are
-        not touched."""
-        if self.mode != BALANCED:
-            raise ContractError(f"only a balanced trainer plans its batches, not {self.mode!r}")
-        loaders = make_loaders(self.task_data, self.curriculum, self.seed, self.loader_stream)
-        per_task = self.curriculum.batches_per_task
-
-        def step() -> dict[str, bool]:
-            exhausted = {}
-            for name, loader in loaders.items():
-                flags = [loader.draw(self.identities, self.positives)[1] for _ in range(per_task)]
-                exhausted[name] = any(flags)
-            return exhausted
-
-        steps = sum(
-            balanced_epoch(step, loaders, per_task, self.identities * self.positives)
-            for _ in range(epochs)
-        )
-        return steps * per_task * self.n_tasks
-
-
-def balanced_epoch(
-    step: Callable[[], dict[str, bool]],
-    loaders: dict[str, Loader],
-    per_task: int,
-    batch_size: int,
-) -> int:
-    """The balanced epoch rule: call ``step`` (one step of ``per_task``
-    batches of ``batch_size`` samples per task, returning each task's
-    exhausted flag) until every loader has exhausted at least once. Returns
-    the number of steps; raises ContractError past a step cap well
-    beyond the largest loader's pass."""
-    seen = {name: False for name in loaders}
-    largest = max(loader.size for loader in loaders.values())
-    step_cap = 10 * (largest // (per_task * batch_size) + 2)
-    steps = 0
-    while not all(seen.values()):
-        if steps >= step_cap:
-            raise ContractError("epoch failed to exhaust all loaders (internal bound hit)")
-        exhausted = step()
-        steps += 1
-        for name, flag in exhausted.items():
-            seen[name] = seen[name] or flag
-    return steps
+        seen = dict.fromkeys(self.task_names, False)
+        largest = max(loader.size for loader in self.loaders.values())
+        step_batch = self.curriculum.batches_per_task * self.identities * self.positives
+        for _ in range(10 * (largest // step_batch + 2)):
+            for name, task in self.train_step()["tasks"].items():
+                seen[name] = seen[name] or task["exhausted"]
+            if all(seen.values()):
+                return
+        raise ContractError("epoch failed to exhaust all loaders (internal bound hit)")

@@ -314,7 +314,7 @@ class Corpus:
         field of the wrong type, a recipe that fails
         :meth:`CorpusSpec.validate_recipe` (the batch shape is not the
         manifest's to check), or features of another shape than the
-        recipe's."""
+        recipe's or of another dtype than float64."""
         directory = Path(directory)
         path = Path(corpus_file(directory))
         try:
@@ -352,6 +352,10 @@ class Corpus:
                 raise ValidationError(f"cannot read corpus features {file}: {exc}") from None
             if features.shape != _shape(spec, task):
                 raise ValidationError(f"{file}: task {task.name!r}: stored shape mismatch")
+            if features.dtype != np.float64:
+                raise ValidationError(
+                    f"{file}: task {task.name!r}: stored dtype {features.dtype}, not float64"
+                )
             corpus.tasks[task.name] = TaskData(
                 name=task.name,
                 regime=task.regime,
@@ -472,9 +476,6 @@ class Loader:
     are therefore the (P, K) block pattern whatever the labels are, so a
     stack of B batches has the masks of ``np.repeat(np.arange(P), K)``
     tiled B times; ``Trainer`` builds them once per stack size on that.
-
-    :meth:`draw` makes a batch's random choices and returns its sample
-    indices; :meth:`next_batch` is a draw and the gather of its rows.
     """
 
     def __init__(
@@ -580,10 +581,8 @@ class Loader:
         samples[np.arange(k) >= fresh[:, None]] = self._pass[np.repeat(starts, short) + offsets]
         return samples
 
-    def draw(self, p: int, k: int) -> tuple[np.ndarray, bool]:
-        """The random choices of a P*K batch, without its rows: returns the
-        ``(P*K,)`` sample indices and the exhausted flag, and leaves the
-        loader where :meth:`next_batch` would."""
+    def next_batch(self, p: int, k: int) -> tuple[Batch, bool]:
+        """Draw a P*K batch; returns (batch, exhausted_flag)."""
         if (p, k) != self._checked:
             self._check(p, k)
         remaining = self._ends - self._next
@@ -601,14 +600,10 @@ class Loader:
         if exhausted:
             self.refreshes += 1
             self._refresh()
-        return samples.ravel(), exhausted
-
-    def next_batch(self, p: int, k: int) -> tuple[Batch, bool]:
-        """Draw a P*K batch; returns (batch, exhausted_flag)."""
-        sample_indices, exhausted = self.draw(p, k)
+        samples = samples.ravel()
         batch = Batch(
-            features=self._data.features[sample_indices],
-            labels=self._data.labels[sample_indices],
+            features=self._data.features[samples],
+            labels=self._data.labels[samples],
             task=self.task,
         )
         return batch, exhausted

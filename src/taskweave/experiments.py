@@ -21,7 +21,7 @@ from .config import ExperimentConfig
 from .curriculum import ADAPTIVE, BALANCED, Trainer, blocked_schedule
 from .datagen import Corpus, CorpusSpec, TaskData, build_corpus, corpus_file
 from .encoder import EncoderParams, embed, init_params, load_checkpoint, save_checkpoint
-from .errors import ContractError, ValidationError
+from .errors import ValidationError
 from .forking import cpu_workers, forked_map
 from .metrics import EXPERT, HUMAN, ScoreTable
 from .scoring import (
@@ -275,15 +275,26 @@ def run_forgetting_comparison(
 ) -> RunResult:
     """Pretrain on the configured coarse task, then fine-tune three ways from
     the shared checkpoint: blocked identity-only, balanced interleaved, and
-    adaptive interleaved. Reports each model's pretrain-task accuracy drop
-    and expert-mode multi-task index. The config is validated, and its
-    forgetting settings checked, before any file is touched."""
+    adaptive interleaved. Every fine-tune spends one budget:
+    ``finetune_epochs × steps_per_epoch`` steps of the interleaved group of
+    ``len(config.tasks) × batches_per_task`` batches. Reports each model's
+    pretrain-task accuracy drop and expert-mode multi-task index. The
+    config is validated, and its forgetting settings checked, before any
+    file is touched."""
     config = overridden(config, seed, output_dir)
-    fg = config.forgetting
+    fg, curriculum = config.forgetting, config.curriculum
     if not fg.pretrain_task:
         raise ValidationError("config.forgetting.pretrain_task is required to compare forgetting")
-    if config.curriculum.steps_per_epoch is None:
+    if curriculum.steps_per_epoch is None:
         raise ValidationError("config.curriculum.steps_per_epoch is required to compare forgetting")
+    group = len(config.tasks) * curriculum.batches_per_task
+    if curriculum.total_batches not in (None, group):
+        raise ValidationError(
+            f"config.curriculum.total_batches must be unset or {group} (tasks × batches_per_task) "
+            "to compare forgetting: an adaptive step of another size spends another budget"
+        )
+    steps = fg.finetune_epochs * curriculum.steps_per_epoch
+    budget = steps * group
     out = RunResult(config.output_dir)
     out.start()
 
@@ -296,36 +307,30 @@ def run_forgetting_comparison(
     def trace_file(mode: str) -> str:
         return f"traces/finetune_{mode}.jsonl"
 
-    def finetune_trainer(mode: str) -> Trainer:
-        # Every fine-tune starts from a copy of the pretrained parameters,
-        # and encodes its trace where it trains.
-        seed = derive_seed(config.seed, f"finetune-{mode}")
-        trace = JsonLines(trace_file(mode))
-        return Trainer(config, mode, train_corpus.tasks, params.copy(), seed, trace=trace)
-
-    # Built before the fork: the sequential item asks it for the total it
-    # will spend, and the balanced item trains it.
-    balanced = finetune_trainer(BALANCED)
-
     def score(model: EncoderParams) -> dict[str, float]:
         embedder = encoder_embedder(model)
         return evaluate_row(embedder, eval_corpus, class_centroids(embedder, train_corpus), config)
 
-    # Each fine-tune's item gives its (score row, batches spent, trace text).
+    # Each fine-tune's item starts from a copy of the pretrained parameters,
+    # encodes its trace where it trains, and gives its (score row, batches
+    # spent, trace text).
     def sequential() -> tuple[dict[str, float], tuple]:
-        # The blocked baseline spends the balanced run's batch total on the
-        # fine-tune tasks alone, planned before either runs. Its item also
-        # scores the pretrained model, and gives that row first.
-        batches = balanced.planned_batches(fg.finetune_epochs)
+        # The blocked baseline spends the budget on the fine-tune tasks
+        # alone. Its item also scores the pretrained model, and gives that
+        # row first.
         tasks = {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task}
         trace = JsonLines(trace_file(SEQUENTIAL))
-        blocked = sequential_finetune(config, params.copy(), tasks, batches, trace)
-        return score(params), (score(blocked.params), batches, trace.text())
+        blocked = sequential_finetune(config, params.copy(), tasks, budget, trace)
+        return score(params), (score(blocked.params), blocked.batches, trace.text())
 
-    def interleaved(trainer: Trainer) -> tuple[dict[str, float], int, str]:
-        for _ in range(fg.finetune_epochs):
-            trainer.run_epoch()
-        return score(trainer.params), trainer.batches, trainer.trace.text()
+    def interleaved(mode: str) -> tuple[dict[str, float], int, str]:
+        # Built in the item: the adaptive trainer's seed pass runs the kernel.
+        seed = derive_seed(config.seed, f"finetune-{mode}")
+        trace = JsonLines(trace_file(mode))
+        trainer = Trainer(config, mode, train_corpus.tasks, params.copy(), seed, trace=trace)
+        for _ in range(steps):
+            trainer.train_step()
+        return score(trainer.params), trainer.batches, trace.text()
 
     # The three fine-tunes are independent. The sequential item runs in
     # this process; the interleaved ones run in a forked child each when a
@@ -334,20 +339,10 @@ def run_forgetting_comparison(
     # rows, batch counts and trace text come back, and every file is
     # written here in one order, so the tree is the same on any number of
     # CPUs.
-    items = [
-        sequential,
-        partial(interleaved, balanced),
-        # The adaptive trainer's seed pass runs the kernel, so its item builds it.
-        lambda: interleaved(finetune_trainer(ADAPTIVE)),
-    ]
+    items = [sequential, partial(interleaved, BALANCED), partial(interleaved, ADAPTIVE)]
     workers = len(items) if cpu_workers(len(items)) > 1 else 1
     (pretrained, first), *rest = forked_map(lambda item: item(), items, workers)
     finetunes = dict(zip(FINETUNES, [first, *rest]))
-    planned, spent = finetunes[SEQUENTIAL][1], finetunes[INTERLEAVED_BALANCED][1]
-    if spent != planned:
-        raise ContractError(
-            f"the balanced fine-tune spent {spent} batches against the {planned} planned"
-        )
     for name, (_, _, trace) in finetunes.items():
         out.write(trace_file(FINETUNES[name]), trace.encode())
 
@@ -365,7 +360,7 @@ def run_forgetting_comparison(
     report = {
         "pretrain_task": fg.pretrain_task,
         "pretrain_accuracy": baseline_acc,
-        "finetune_total_batches": planned,
+        "finetune_total_batches": budget,
         "models": {
             name: {
                 "batches": batches,

@@ -369,6 +369,21 @@ class TestTrainerBalanced:
         final = records[-1]
         assert all(task["exhausted"] for task in final["tasks"].values())
 
+    def test_epoch_cap(self):
+        trainer = small_trainer(BALANCED)
+        calls = []
+
+        def never_exhausts():
+            calls.append(1)
+            return {"tasks": {name: {"exhausted": False} for name in trainer.task_names}}
+
+        trainer.train_step = never_exhausts
+        with pytest.raises(ContractError, match="internal bound"):
+            trainer.run_epoch()
+        largest = max(loader.size for loader in trainer.loaders.values())
+        step_batch = trainer.curriculum.batches_per_task * trainer.identities * trainer.positives
+        assert len(calls) == 10 * (largest // step_batch + 2)
+
     def test_uneven_sizes_refresh_smaller_task(self):
         trainer = small_trainer(BALANCED, sizes=(80, 160))
         trainer.run_epoch()

@@ -625,6 +625,16 @@ class TestMalformedCorpus:
         with pytest.raises(ValidationError, match=f"{saved}/mid.npy: task 'mid': stored shape mismatch"):
             Corpus.load(saved)
 
+    @pytest.mark.parametrize("dtype", ["float32", "complex128", "int64"])
+    def test_features_of_another_dtype(self, saved, dtype):
+        # Each used to load with the recipe's shape and keep its dtype.
+        features = np.load(saved / "mid.npy")
+        np.save(saved / "mid.npy", features.astype(dtype))
+        with pytest.raises(
+            ValidationError, match=f"{saved}/mid.npy: task 'mid': stored dtype {dtype}, not float64"
+        ):
+            Corpus.load(saved)
+
     @pytest.mark.parametrize(
         "edit, task",
         [
@@ -839,23 +849,6 @@ class TestLoaderOracle:
             drawn = vector.integers(0, np.repeat(sizes, shorts), dtype=np.int64)
             assert np.array_equal(drawn, np.concatenate(expected))
             assert vector.bit_generator.state == loop.bit_generator.state
-
-    @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_draw_leaves_the_loader_where_next_batch_does(self, case):
-        sizes, fraction, p, k = self.CASES[case]
-        data = ragged_task(sizes, "negative")
-        drawing = Loader(data, stream(case, "draw"), fraction)
-        batching = Loader(data, stream(case, "draw"), fraction)
-        for _ in range(60):
-            samples, flag = drawing.draw(p, k)
-            batch, expected_flag = batching.next_batch(p, k)
-            assert np.array_equal(samples, batch.features[:, 0])
-            assert flag is expected_flag
-            assert drawing.cursor == batching.cursor
-            assert drawing.refreshes == batching.refreshes
-            assert drawing._rng.bit_generator.state == batching._rng.bit_generator.state
-        assert np.array_equal(drawing._next, batching._next)
-        assert drawing.refreshes > 1
 
 
 @st.composite

@@ -1934,6 +1934,9 @@ class TestCli:
         elif case == "features of another shape":
             features = np.load(out / "corpus" / "objects.npy")
             np.save(out / "corpus" / "objects.npy", features[:-1])
+        elif case == "features of another dtype":
+            features = np.load(out / "corpus" / "objects.npy")
+            np.save(out / "corpus" / "objects.npy", features.astype(np.float32))
         elif case == "version-1 manifest":
             manifest = json.loads((out / "corpus" / "manifest.json").read_text())
             manifest["manifest_version"] = 1
@@ -1975,6 +1978,7 @@ class TestCli:
             ("splits swapped", "train corpus saved is not its config's"),
             ("corpus file missing", "persons.npy"),
             ("features of another shape", "task 'objects': stored shape mismatch"),
+            ("features of another dtype", "task 'objects': stored dtype float32, not float64"),
             ("version-1 manifest", "unsupported corpus manifest version 1"),
             ("tasks not a list of objects", "tasks must be a list of JSON objects"),
             ("negative ambient_dim", "corpus.ambient_dim must be an integer >= 1, got -1"),

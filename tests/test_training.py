@@ -33,13 +33,11 @@ from taskweave.curriculum import (
     BALANCED,
     BLOCKED,
     Trainer,
-    balanced_epoch,
     blocked_schedule,
-    make_loaders,
     sample_allocation,
 )
 from taskweave.datagen import Loader
-from taskweave.errors import ContractError, NumericError, ValidationError
+from taskweave.errors import NumericError, ValidationError
 from taskweave.encoder import (
     GradBuffer,
     accumulate,
@@ -751,7 +749,9 @@ def write_lines(out, rel, records):
 def reference_forgetting_comparison(config):
     """The forgetting pipeline as it was written before its fine-tunes shared
     one loop: a blocked pretraining, three hand-written fine-tune blocks, and
-    every trainer seeded by an integer derived at the call site."""
+    every trainer seeded by an integer derived at the call site. Each
+    fine-tune spends ``finetune_epochs × steps_per_epoch`` steps of the
+    interleaved group of ``len(config.tasks) × batches_per_task`` batches."""
     fg = config.forgetting
     out = RunResult(config.output_dir)
     out.start()
@@ -775,14 +775,16 @@ def reference_forgetting_comparison(config):
 
     finetune_tasks = {n: d for n, d in train_corpus.tasks.items() if n != fg.pretrain_task}
     models = {}
+    steps = fg.finetune_epochs * config.curriculum.steps_per_epoch
+    group = len(train_corpus.tasks) * config.curriculum.batches_per_task
 
     balanced_params = params.copy()
     seed = derive_seed(config.seed, "finetune-balanced")
     records = []
     tasks = train_corpus.tasks
     trainer = Trainer(config, BALANCED, tasks, balanced_params, seed, trace=records.append)
-    for _ in range(fg.finetune_epochs):
-        trainer.run_epoch()
+    for _ in range(steps):
+        trainer.train_step()
     balanced_batches = batches_spent(records)
     write_lines(out, "traces/finetune_balanced.jsonl", records)
     models[INTERLEAVED_BALANCED] = balanced_params
@@ -792,8 +794,8 @@ def reference_forgetting_comparison(config):
     records = []
     tasks = train_corpus.tasks
     trainer = Trainer(config, ADAPTIVE, tasks, adaptive_params, seed, trace=records.append)
-    for _ in range(fg.finetune_epochs):
-        trainer.run_epoch()
+    for _ in range(steps):
+        trainer.train_step()
     write_lines(out, "traces/finetune_adaptive.jsonl", records)
     models[INTERLEAVED_ADAPTIVE] = adaptive_params
     adaptive_batches = batches_spent(records)
@@ -804,14 +806,14 @@ def reference_forgetting_comparison(config):
     trainer = Trainer(
         config, BALANCED, finetune_tasks, sequential_params, seed, "seq-loader", records.append
     )
-    group = len(train_corpus.tasks) * config.curriculum.batches_per_task
-    for allocation in blocked_schedule(list(finetune_tasks), balanced_batches, group):
+    for allocation in blocked_schedule(list(finetune_tasks), steps * group, group):
         trainer.train_step(allocation)
     write_lines(out, "traces/finetune_sequential.jsonl", records)
     models[SEQUENTIAL] = sequential_params
+    sequential_batches = batches_spent(records)
 
     order = [SEQUENTIAL, INTERLEAVED_BALANCED, INTERLEAVED_ADAPTIVE]
-    batches = dict(zip(order, [balanced_batches, balanced_batches, adaptive_batches]))
+    batches = dict(zip(order, [sequential_batches, balanced_batches, adaptive_batches]))
     rows = {
         name: reference_row(models[name], train_corpus, eval_corpus, config)
         for name in order
@@ -830,7 +832,7 @@ def reference_forgetting_comparison(config):
     report = {
         "pretrain_task": fg.pretrain_task,
         "pretrain_accuracy": baseline_acc,
-        "finetune_total_batches": balanced_batches,
+        "finetune_total_batches": steps * group,
         "models": {
             name: {
                 "batches": batches[name],
@@ -895,122 +897,10 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def balanced_finetune_trainer(config, train):
-    seed = derive_seed(config.seed, "finetune-balanced")
-    return Trainer(config, BALANCED, train.tasks, init_encoder(config), seed)
-
-
-def planned_and_spent(config):
-    """The balanced fine-tune's planned batch total and the total the same
-    trainer then spends, under the forgetting comparison's seed name."""
-    train, _ = build_splits(config)
-    epochs = config.forgetting.finetune_epochs
-    trainer = balanced_finetune_trainer(config, train)
-    planned = trainer.planned_batches(epochs)
-    for _ in range(epochs):
-        trainer.run_epoch()
-    return planned, trainer.batches
-
-
-def loader_states(trainer):
-    return {
-        name: (loader._rng.bit_generator.state, loader.order.tolist(), loader.cursor)
-        for name, loader in trainer.loaders.items()
-    }
-
-
-class TestBudgetPlan:
-    """The balanced trainer knows its budget before any fine-tune runs:
-    replaying fresh loaders of its own recipe through the shared epoch rule
-    gives the batch total it then spends, and the comparison refuses to
-    write a fine-tune file when the two disagree."""
-
-    @pytest.mark.parametrize("seed", [72025, 3, 7])
-    def test_plan_matches_the_stock_balanced_run(self, seed):
-        planned, spent = planned_and_spent(default_config(output_dir="unused", seed=seed))
-        assert planned == spent
-        if seed == 72025:
-            assert planned == 888
-
-    @pytest.mark.parametrize("epochs", [1, 2])
-    def test_plan_matches_the_tiny_balanced_run(self, tmp_path, epochs):
-        config = forgetting_config(tmp_path)
-        config.forgetting.finetune_epochs = epochs
-        planned, spent = planned_and_spent(config)
-        assert planned == spent
-
-    def test_plan_runs_no_kernel(self, monkeypatch, tmp_path):
-        config = forgetting_config(tmp_path)
-        train, _ = build_splits(config)
-        tracer = load_tracer(monkeypatch.setitem)
-        trainer = balanced_finetune_trainer(config, train)
-        draws = []
-        draw = Loader.draw
-
-        def spy(loader, p, k):
-            draws.append(loader.task)
-            return draw(loader, p, k)
-
-        monkeypatch.setattr(Loader, "draw", spy)
-        with tracer.Tracer() as traced:
-            planned = trainer.planned_batches(1)
-        # Planning draws each batch and gathers none: no span fires, not
-        # even ``Loader.next_batch``.
-        assert sum(traced.counts().values()) == 0
-        assert len(draws) == planned
-        assert sorted(set(draws)) == sorted(train.tasks)
-
-    def test_planning_leaves_the_trainer_untouched(self, tmp_path):
-        config = forgetting_config(tmp_path)
-        train, _ = build_splits(config)
-        trainer = balanced_finetune_trainer(config, train)
-        before = loader_states(trainer)
-        first = trainer.planned_batches(2)
-        assert trainer.planned_batches(2) == first
-        assert loader_states(trainer) == before
-        assert trainer.step == trainer.batches == 0
-
-    def test_only_a_balanced_trainer_plans(self, tmp_path):
-        config = forgetting_config(tmp_path)
-        train, _ = build_splits(config)
-        seed = derive_seed(config.seed, "finetune-adaptive")
-        trainer = Trainer(config, ADAPTIVE, train.tasks, init_encoder(config), seed)
-        with pytest.raises(ContractError, match="only a balanced trainer"):
-            trainer.planned_batches(1)
-
-    def test_epoch_cap(self, tmp_path):
-        config = forgetting_config(tmp_path)
-        train, _ = build_splits(config)
-        loaders = make_loaders(train.tasks, config.curriculum, 1, "loader")
-        calls = []
-
-        def never_exhausts():
-            calls.append(1)
-            return dict.fromkeys(loaders, False)
-
-        with pytest.raises(ContractError, match="internal bound"):
-            balanced_epoch(never_exhausts, loaders, 1, 16)
-        largest = max(loader.size for loader in loaders.values())
-        assert len(calls) == 10 * (largest // 16 + 2)
-
-    @needs_fork
-    @pytest.mark.usefixtures("leaves_no_process_or_fd")
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_disagreeing_plan_writes_no_finetune_file(self, monkeypatch, tmp_path, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        plan = Trainer.planned_batches
-        monkeypatch.setattr(Trainer, "planned_batches", lambda *a: plan(*a) + 1)
-        with pytest.raises(ContractError, match="balanced fine-tune spent"):
-            run_forgetting_comparison(forgetting_config(tmp_path))
-        assert sorted(tree_bytes(tmp_path)) == [
-            "checkpoints/encoder_pretrained.npz",
-            "traces/pretrain.jsonl",
-        ]
-
-
 class TestBatchesPerModel:
     """Each model's entry in the forgetting report gives the batches its
-    fine-tune spent: the sum of the allocations in its trace."""
+    fine-tune spent: the sum of the allocations in its trace, and the
+    report's one budget, ``finetune_total_batches``."""
 
     TRACES = {
         SEQUENTIAL: "finetune_sequential",
@@ -1029,10 +919,10 @@ class TestBatchesPerModel:
             records = [json.loads(line) for line in lines]
             spent = sum(t["allocation"] for r in records for t in r["tasks"].values())
             assert batches[name] == spent, name
-        assert report["finetune_total_batches"] == batches[SEQUENTIAL]
+        assert set(batches.values()) == {report["finetune_total_batches"]}
         if stock:
             assert batches == {
-                SEQUENTIAL: 888, INTERLEAVED_BALANCED: 888, INTERLEAVED_ADAPTIVE: 800
+                SEQUENTIAL: 800, INTERLEAVED_BALANCED: 800, INTERLEAVED_ADAPTIVE: 800
             }
 
 
@@ -1042,13 +932,13 @@ class TestParallelFinetunes:
     """The forgetting comparison's three fine-tunes are independent items of
     one ``forked_map``, each giving back its model's score row, its batch
     count and its trace text. The sequential item runs in this process: it
-    plans the balanced budget, tunes the blocked baseline on it and scores
-    the baseline, and gives the pretrained model's score row beside its
-    own. On two or more CPUs the balanced and adaptive items run in a
-    forked child each, tuning and scoring their model; on one CPU all
-    three run here, in that order. The tree must be
-    the one-CPU tree byte for byte, a failure must surface as the one-CPU
-    run raises it, and no child or pipe may outlive the call."""
+    tunes the blocked baseline on the shared budget and scores the
+    baseline, and gives the pretrained model's score row beside its own.
+    On two or more CPUs the balanced and adaptive items run in a forked
+    child each, building their trainer, tuning and scoring their model; on
+    one CPU all three run here, in that order. The tree must be the one-CPU
+    tree byte for byte, a failure must surface as the one-CPU run raises
+    it, and no child or pipe may outlive the call."""
 
     def force_cpus(self, monkeypatch, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -1076,14 +966,14 @@ class TestParallelFinetunes:
 
             monkeypatch.setattr(experiments, "sequential_finetune", failing_sequential)
         if 1 in shares:
-            run_epoch = Trainer.run_epoch
+            train_step = Trainer.train_step
 
-            def failing_epoch(self):
-                if self.mode == ADAPTIVE:
+            def failing_step(self, allocations=None):
+                if allocations is None and self.mode == ADAPTIVE:
                     raise NumericError("non-finite adaptive loss", layer=1)
-                return run_epoch(self)
+                return train_step(self, allocations)
 
-            monkeypatch.setattr(Trainer, "run_epoch", failing_epoch)
+            monkeypatch.setattr(Trainer, "train_step", failing_step)
 
     @pytest.mark.parametrize(
         "shares, error, message",
@@ -1115,7 +1005,7 @@ class TestParallelFinetunes:
         else:
             # The child's traceback reaches the frame that raised.
             assert isinstance(cause, forking._RemoteTraceback)
-            assert "in failing_epoch" in str(cause)
+            assert "in failing_step" in str(cause)
             assert f"NumericError: {message}" in str(cause)
             assert caught[2].value.layer == 1
 
@@ -1136,14 +1026,16 @@ class TestParallelFinetunes:
         assert len(forks) == children
 
     def test_balanced_failure_raises_as_on_one_cpu(self, monkeypatch, tmp_path):
-        run_epoch = Trainer.run_epoch
+        train_step = Trainer.train_step
 
-        def failing_epoch(self):
-            if self.mode == BALANCED:
+        def failing_step(self, allocations=None):
+            # The sequential baseline steps a balanced-mode trainer through
+            # explicit allocations; only the balanced fine-tune's steps fail.
+            if allocations is None and self.mode == BALANCED:
                 raise NumericError("non-finite balanced loss", layer=0)
-            return run_epoch(self)
+            return train_step(self, allocations)
 
-        monkeypatch.setattr(Trainer, "run_epoch", failing_epoch)
+        monkeypatch.setattr(Trainer, "train_step", failing_step)
         caught = {}
         for cpus in (1, 2):
             self.force_cpus(monkeypatch, cpus)
@@ -1159,7 +1051,7 @@ class TestParallelFinetunes:
         assert caught[1].value.__cause__ is None
         cause = caught[2].value.__cause__
         assert isinstance(cause, forking._RemoteTraceback)
-        assert "in failing_epoch" in str(cause)
+        assert "in failing_step" in str(cause)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_this_process_fires_every_expected_span(self, monkeypatch, tmp_path, cpus):
@@ -1184,6 +1076,16 @@ class TestParallelFinetunes:
         config = forgetting_config(tmp_path / "out")
         config.curriculum.steps_per_epoch = None
         with pytest.raises(ValidationError, match="config.curriculum.steps_per_epoch"):
+            run_forgetting_comparison(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_unequal_adaptive_budget_fails_before_any_file(self, tmp_path):
+        # An adaptive step of another size than the interleaved group would
+        # spend another budget than the other two fine-tunes.
+        config = forgetting_config(tmp_path / "out")
+        group = len(config.tasks) * config.curriculum.batches_per_task
+        config.curriculum.total_batches = group + 1
+        with pytest.raises(ValidationError, match="config.curriculum.total_batches"):
             run_forgetting_comparison(config)
         assert not (tmp_path / "out").exists()
 
