@@ -830,6 +830,29 @@ class TestLoaderOracle:
             branches += reference.branches
         assert {"scarce", "spent", "top-up"} <= {name for name, n in branches.items() if n}
 
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_each_pass_draws_its_subsample_before_the_flag(self, case):
+        # A batch is the rows of the samples drawn for it. Top-ups repeat
+        # only samples this pass has drawn, so the samples drawn before the
+        # flag are a strict part of the subsample, and with the flagged
+        # batch they are all of it.
+        sizes, fraction, p, k = self.CASES[case]
+        data = ragged_task(sizes, "sparse")
+        loader = Loader(data, stream(case, "pass"), fraction)
+        subsample = set(loader._indices.tolist())
+        drawn, passes = set(), 0
+        for _ in range(60):
+            batch, flag = loader.next_batch(p, k)
+            samples = batch.features[:, 0].astype(int)
+            assert np.array_equal(batch.labels, data.labels[samples])
+            drawn.update(samples.tolist())
+            if flag:
+                assert drawn == subsample
+                drawn, passes = set(), passes + 1
+            else:
+                assert drawn < subsample
+        assert passes == loader.refreshes > 1
+
     def test_top_up_draw_is_the_per_identity_loop(self):
         # The loader tops up a batch's short identities with one vector
         # ``integers`` call over each identity's sample count, repeated once

@@ -926,6 +926,67 @@ class TestBatchesPerModel:
             }
 
 
+def trace_records(root, trace):
+    lines = (root / "traces" / f"{trace}.jsonl").read_text().splitlines()
+    return [json.loads(line) for line in lines]
+
+
+class TestFinetuneBudget:
+    """Every fine-tune spends ``finetune_epochs × steps_per_epoch`` steps of
+    the interleaved group of ``len(config.tasks) × batches_per_task``
+    batches: each interleaved fine-tune in that many steps of one group,
+    the blocked baseline in steps of at most a group, one task a step and
+    never the pretraining task. An adaptive step of the group's size is
+    the only one the comparison accepts."""
+
+    @pytest.mark.parametrize("epochs, steps", [(1, 3), (2, 2), (3, 1)])
+    def test_steps_are_epochs_times_steps_per_epoch(self, tmp_path, epochs, steps):
+        config = forgetting_config(tmp_path)
+        config.forgetting.finetune_epochs = epochs
+        config.curriculum.steps_per_epoch = steps
+        run_forgetting_comparison(config)
+        per_task = config.curriculum.batches_per_task
+        group = len(config.tasks) * per_task
+        report = json.loads((tmp_path / "forgetting_report.json").read_text())
+        assert report["finetune_total_batches"] == epochs * steps * group
+        for mode in (BALANCED, ADAPTIVE):
+            records = trace_records(tmp_path, f"finetune_{mode}")
+            assert len(records) == epochs * steps, mode
+            for record in records:
+                allocations = {n: t["allocation"] for n, t in record["tasks"].items()}
+                assert sum(allocations.values()) == group, mode
+                if mode == BALANCED:
+                    assert set(allocations.values()) == {per_task}
+        records = trace_records(tmp_path, "finetune_sequential")
+        assert batches_spent(records) == epochs * steps * group
+        for record in records:
+            spent = {n: t["allocation"] for n, t in record["tasks"].items() if t["allocation"]}
+            assert len(spent) == 1 and 0 < sum(spent.values()) <= group
+            assert config.forgetting.pretrain_task not in spent
+
+    def test_total_batches_of_the_group_runs_as_unset(self, tmp_path):
+        config = forgetting_config(tmp_path / "unset")
+        run_forgetting_comparison(config)
+        config.curriculum.total_batches = len(config.tasks) * config.curriculum.batches_per_task
+        run_forgetting_comparison(config, output_dir=tmp_path / "group")
+        unset = tree_bytes(tmp_path / "unset")
+        assert len(unset) == 9
+        assert tree_bytes(tmp_path / "group") == unset
+
+    @pytest.mark.parametrize(
+        "total",
+        [lambda group: 1, lambda group: group - 1, lambda group: 2 * group],
+        ids=["one", "group less one", "twice the group"],
+    )
+    def test_other_total_batches_fail_before_any_file(self, tmp_path, total):
+        config = forgetting_config(tmp_path / "out")
+        group = len(config.tasks) * config.curriculum.batches_per_task
+        config.curriculum.total_batches = total(group)
+        with pytest.raises(ValidationError, match=f"must be unset or {group}"):
+            run_forgetting_comparison(config)
+        assert not (tmp_path / "out").exists()
+
+
 @needs_fork
 @pytest.mark.usefixtures("leaves_no_process_or_fd")
 class TestParallelFinetunes:
