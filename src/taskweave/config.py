@@ -75,23 +75,22 @@ class BatchConfig:
 class CurriculumConfig:
     """Training-schedule settings, read directly by every ``Trainer``.
 
-    ``goals`` maps task name to target accuracy in (0, 1]. ``batches_per_task``
-    is the balanced-mode per-task batch count; ``total_batches`` the adaptive-
-    mode step budget (defaults to n_tasks * batches_per_task so the two modes
-    consume equal data per step; the forgetting comparison refuses any other
-    value). ``subsample`` maps a task to the fraction
-    of its samples that its loaders draw from, in every run.
+    ``goals`` maps task name to target accuracy in (0, 1]. A step of either
+    mode spends one group of ``n_tasks * batches_per_task`` batches: a
+    balanced step ``batches_per_task`` of each task, an adaptive step that
+    many slots sampled by difficulty. ``steps_per_epoch`` steps make an
+    epoch in every run that trains by epochs. ``subsample`` maps a task to
+    the fraction of its samples that its loaders draw from, in every run.
     """
 
     mode: str = "balanced"
     goals: dict[str, float] = ranged(Bound(0, 1, low_open=True), default_factory=dict)
     batches_per_task: int = ranged(Bound(1), default=1)
-    total_batches: int | None = ranged(Bound(1), default=None)
     epsilon: float = ranged(Bound(0, low_open=True), default=1e-8)
     floor: float = ranged(Bound(0), default=0.05)
     accuracy_cadence: int = ranged(Bound(1), default=1)
     probe_batches: int = ranged(Bound(1), default=2)
-    steps_per_epoch: int | None = ranged(Bound(1), default=None)
+    steps_per_epoch: int = ranged(Bound(1), default=20)
     subsample: dict[str, float] = ranged(Bound(0, 1, low_open=True), default_factory=dict)
 
     def validate(self, task_names: Sequence[str]) -> None:
@@ -167,7 +166,7 @@ class ExperimentConfig:
         return CorpusSpec(tasks=tuple(self.tasks), seed=seed, ambient_dim=self.ambient_dim)
 
     def validate(self) -> None:
-        from .curriculum import ADAPTIVE, MODES
+        from .curriculum import MODES
 
         # Every field has its type and its declared range before any rule
         # that relates fields runs.
@@ -193,8 +192,6 @@ class ExperimentConfig:
             unknown = sorted(set(named) - set(names))
             if unknown:
                 raise ValidationError(f"config.{where} names no task of the corpus: {unknown}")
-        if self.curriculum.mode == ADAPTIVE and self.curriculum.steps_per_epoch is None:
-            raise ValidationError("config.curriculum.steps_per_epoch is required in adaptive mode")
         fars = self.evaluation.far_values
         if len(set(fars)) < len(fars):
             raise ValidationError(f"config.evaluation.far_values must be distinct, got {fars!r}")
@@ -319,7 +316,6 @@ def default_config(output_dir: str = "runs/benchmark", seed: int = 7_2025) -> Ex
             mode="balanced",
             goals={"objects": 0.95, "faces_hq": 0.95, "faces_lq": 0.9, "persons": 0.95},
             batches_per_task=1,
-            steps_per_epoch=20,
         ),
         training=TrainingConfig(epochs=5),
         evaluation=EvaluationConfig(),

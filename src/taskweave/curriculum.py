@@ -2,18 +2,21 @@
 
 Two configured modes choose each step's per-task batch allocation:
 
-* ``balanced``  -- every task contributes the same number of batches per
-  optimizer step; an epoch ends once every task's loader has been exhausted.
-* ``adaptive``  -- batch slots are sampled per step in proportion to a task
+* ``balanced``  -- every task contributes ``batches_per_task`` batches per
+  optimizer step.
+* ``adaptive``  -- the same number of batch slots, ``len(tasks) ×
+  batches_per_task``, is sampled per step in proportion to a task
   difficulty score (distance from goal divided by recent improvement rate),
   with a minimum sampling probability guaranteed by two-stage normalization.
+
+So a step of either mode spends one interleaved group of batches, and a
+run of either mode is a fixed number of steps: ``training.epochs ×
+steps_per_epoch`` for ``run()``, ``finetune_epochs × steps_per_epoch`` for
+each fine-tune of the forgetting comparison.
 
 A third schedule, ``blocked``, is an explicit allocation fed to
 ``Trainer.train_step``: tasks one after another, never two in one step. It
 drives single-task pretraining and the sequential fine-tuning baseline.
-
-Only ``run()`` trains by epochs. The forgetting comparison gives each of
-its fine-tunes the same fixed number of steps of one interleaved group.
 
 Every schedule the lab trains (the curriculum run, pretraining, the
 sequential baseline and both interleaved fine-tunes) is one ``Trainer``,
@@ -46,7 +49,7 @@ from .encoder import (
     hardest_distances,
     id_masks,
 )
-from .errors import ContractError, ValidationError
+from .errors import ContractError
 from .seeding import stream
 
 BALANCED = "balanced"
@@ -153,37 +156,20 @@ def sample_allocation(probabilities, total: int, rng: np.random.Generator) -> np
     return rng.multinomial(total, [q / mass for q in p])
 
 
-def blocked_schedule(
-    task_names: list[str], total_batches: int, group: int
-) -> Iterator[dict[str, int]]:
+def blocked_schedule(task_names: list[str], total: int, group: int) -> Iterator[dict[str, int]]:
     """Per-step allocations of the blocked schedule: tasks one after another,
-    each with a budget from ``divmod(total_batches, n_tasks)`` (the first
+    each with a budget from ``divmod(total, n_tasks)`` (the first
     ``remainder`` tasks take one batch more), spent in steps of at most
     ``group`` batches. No step mixes two tasks."""
     if group < 1:
         raise ContractError("group must be >= 1")
-    base, extra = divmod(total_batches, len(task_names))
+    base, extra = divmod(total, len(task_names))
     for i, name in enumerate(task_names):
         budget = base + (1 if i < extra else 0)
         while budget > 0:
             take = min(group, budget)
             yield {n: take if n == name else 0 for n in task_names}
             budget -= take
-
-
-def draw_step(
-    loaders: dict[str, Loader], allocations: dict[str, int], identities: int, positives: int
-) -> tuple[list[Batch], dict[str, bool]]:
-    """A step's batches, tasks in loader order and each loader in its own
-    order, and whether each task's loader exhausted during the step."""
-    batches: list[Batch] = []
-    exhausted = dict.fromkeys(loaders, False)
-    for name, loader in loaders.items():
-        for _ in range(allocations[name]):
-            batch, flag = loader.next_batch(identities, positives)
-            exhausted[name] = exhausted[name] or flag
-            batches.append(batch)
-    return batches, exhausted
 
 
 def block_masks(stack: int, identities: int, positives: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,12 +257,6 @@ class Trainer:
     def n_tasks(self) -> int:
         return len(self.task_names)
 
-    @property
-    def total_batches(self) -> int:
-        if self.curriculum.total_batches is not None:
-            return self.curriculum.total_batches
-        return self.n_tasks * self.curriculum.batches_per_task
-
     def seed_initial_accuracies(self) -> None:
         """Pre-training evaluation pass: log a step-0 accuracy per task so
         the adaptive scorer has a starting point."""
@@ -350,13 +330,19 @@ class Trainer:
             else:
                 scoring = self._score_tasks()
                 probs = [scoring[name]["probability"] for name in self.task_names]
-                alloc_list = sample_allocation(probs, self.total_batches, self.alloc_rng)
+                group = self.n_tasks * self.curriculum.batches_per_task
+                alloc_list = sample_allocation(probs, group, self.alloc_rng)
                 allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
 
-        # Draw every batch of the step first, then run them through the
-        # kernel as one stack. The stack and its id masks serve the accuracy
-        # pass too; the masks depend on the stack size alone.
-        batches, exhausted = draw_step(self.loaders, allocations, self.identities, self.positives)
+        # Draw every batch of the step first, tasks in loader order and each
+        # loader in its own order, then run them through the kernel as one
+        # stack. The stack and its id masks serve the accuracy pass too; the
+        # masks depend on the stack size alone.
+        batches = [
+            loader.next_batch(self.identities, self.positives)
+            for name, loader in self.loaders.items()
+            for _ in range(allocations[name])
+        ]
         if not batches:
             raise ContractError("a step needs at least one batch")
         features = np.array([batch.features for batch in batches])
@@ -391,7 +377,6 @@ class Trainer:
                 "allocation": allocations[name],
                 "loss": loss,
                 "accuracy": accuracy,
-                "exhausted": exhausted[name],
                 **scoring[name],
             }
             start = stop
@@ -401,26 +386,3 @@ class Trainer:
         if self.trace is not None:
             self.trace(record)
         return record
-
-    def run_epoch(self) -> None:
-        """Balanced: step until every loader has exhausted at least once;
-        raises ContractError past a step cap well beyond the largest
-        loader's pass. Adaptive: run the configured number of steps."""
-        if self.mode == ADAPTIVE:
-            if self.curriculum.steps_per_epoch is None:
-                raise ValidationError(
-                    "config.curriculum.steps_per_epoch is required in adaptive mode"
-                )
-            for _ in range(self.curriculum.steps_per_epoch):
-                self.train_step()
-            return
-
-        seen = dict.fromkeys(self.task_names, False)
-        largest = max(loader.size for loader in self.loaders.values())
-        step_batch = self.curriculum.batches_per_task * self.identities * self.positives
-        for _ in range(10 * (largest // step_batch + 2)):
-            for name, task in self.train_step()["tasks"].items():
-                seen[name] = seen[name] or task["exhausted"]
-            if all(seen.values()):
-                return
-        raise ContractError("epoch failed to exhaust all loaders (internal bound hit)")

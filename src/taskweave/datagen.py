@@ -72,14 +72,14 @@ def _conforms(value, hint) -> bool:
 
 def _numbers(value, hint, path: str) -> list:
     """The ``(path, number, number type)`` of each number in a field of
-    the annotated type ``hint``: a list's entries, a dict's values, an
-    optional's value when it is set, or the field's value."""
+    the annotated type ``hint``: a list's entries, a dict's values, or the
+    field's value."""
     args = get_args(hint)
     if get_origin(hint) is list:
         return [(f"{path}[{i}]", v, args[0]) for i, v in enumerate(value)]
     if get_origin(hint) is dict:
         return [(f"{path}[{k!r}]", v, args[1]) for k, v in value.items()]
-    return [] if value is None else [(path, value, args[0] if args else hint)]
+    return [(path, value, hint)]
 
 
 def _invalid(path: str, rule: str, value) -> ValidationError:
@@ -466,10 +466,11 @@ class Loader:
     """Single-consumer shuffled loader over one task's samples.
 
     A pass consumes every sample index exactly once; the call that consumes
-    the final unseen index reports ``exhausted=True`` and reshuffles. The
-    P*K batch contract is unconditional: identities short of K unconsumed
-    samples are topped up (with replacement) from their already-consumed
-    samples, and missing identities are filled from fully-consumed ones.
+    the final unseen index reshuffles for the next pass, so ``cursor``
+    reads 0 after it and after no other call. The P*K batch contract is
+    unconditional: identities short of K unconsumed samples are topped up
+    (with replacement) from their already-consumed samples, and missing
+    identities are filled from fully-consumed ones.
 
     Every batch holds P distinct identities of K consecutive rows each:
     row ``i`` belongs to the batch's ``i // K``-th identity. Its id masks
@@ -499,7 +500,6 @@ class Loader:
         self._ids[self._indices] = dense
         self._counts = np.bincount(dense)
         self._smallest_class = int(self._counts.min())
-        self.refreshes = 0
         # The last (P, K) that passed _check.
         self._checked: tuple[int, int] | None = None
         self._refresh()
@@ -581,8 +581,8 @@ class Loader:
         samples[np.arange(k) >= fresh[:, None]] = self._pass[np.repeat(starts, short) + offsets]
         return samples
 
-    def next_batch(self, p: int, k: int) -> tuple[Batch, bool]:
-        """Draw a P*K batch; returns (batch, exhausted_flag)."""
+    def next_batch(self, p: int, k: int) -> Batch:
+        """Draw a P*K batch."""
         if (p, k) != self._checked:
             self._check(p, k)
         remaining = self._ends - self._next
@@ -596,14 +596,11 @@ class Loader:
             self._n_consumed += p * k
         else:
             samples = self._scarce_samples(p, k, remaining, rich)
-        exhausted = self._n_consumed == len(self.order)
-        if exhausted:
-            self.refreshes += 1
+        if self._n_consumed == len(self.order):
             self._refresh()
         samples = samples.ravel()
-        batch = Batch(
+        return Batch(
             features=self._data.features[samples],
             labels=self._data.labels[samples],
             task=self.task,
         )
-        return batch, exhausted

@@ -162,12 +162,12 @@ def overridden(
 
 
 def _train(config: ExperimentConfig, out: RunResult) -> tuple[EncoderParams, int, dict]:
-    """Build and save the train split, train the encoder by the configured
-    curriculum with its trace streamed to ``traces/scheduler.jsonl``, and
-    write the final checkpoint. Returns what scoring reads of training: the
-    parameters, the step count and their
-    :func:`~taskweave.scoring.class_centroids`. The trainer and the train
-    split die with this frame."""
+    """Build and save the train split, train the encoder for ``training.epochs
+    × steps_per_epoch`` steps of the configured curriculum with its trace
+    streamed to ``traces/scheduler.jsonl``, and write the final checkpoint.
+    Returns what scoring reads of training: the parameters, the step count
+    and their :func:`~taskweave.scoring.class_centroids`. The trainer and
+    the train split die with this frame."""
     (train_corpus,) = build_splits(config, ["train"])
     train_corpus.save(out, "corpus")
     params = init_encoder(config)
@@ -175,8 +175,8 @@ def _train(config: ExperimentConfig, out: RunResult) -> tuple[EncoderParams, int
     with out.stream("traces/scheduler.jsonl") as trace:
         mode = config.curriculum.mode
         trainer = Trainer(config, mode, train_corpus.tasks, params, seed, trace=trace)
-        for _ in range(config.training.epochs):
-            trainer.run_epoch()
+        for _ in range(config.training.epochs * config.curriculum.steps_per_epoch):
+            trainer.train_step()
     save_checkpoint(params, out, "checkpoints/encoder_final.npz")
     return params, trainer.step, class_centroids(encoder_embedder(params), train_corpus)
 
@@ -241,17 +241,17 @@ def sequential_finetune(
     config: ExperimentConfig,
     params: EncoderParams,
     task_data: dict[str, TaskData],
-    total_batches: int,
+    budget: int,
     trace: Callable[[dict], None] | None = None,
 ) -> Trainer:
-    """Blocked baseline: tasks one after another, ``total_batches`` in steps
+    """Blocked baseline: tasks one after another, ``budget`` batches in steps
     of as many batches as an interleaved step takes, with the same optimizer
     settings as the interleaved runs; only the curriculum differs. Trains
     ``params`` in place; ``trace`` takes each step's record."""
     seed = derive_seed(config.seed, "finetune-sequential")
     trainer = Trainer(config, BALANCED, task_data, params, seed, "seq-loader", trace)
     group = len(config.tasks) * config.curriculum.batches_per_task
-    for allocation in blocked_schedule(list(task_data), total_batches, group):
+    for allocation in blocked_schedule(list(task_data), budget, group):
         trainer.train_step(allocation)
     return trainer
 
@@ -285,16 +285,8 @@ def run_forgetting_comparison(
     fg, curriculum = config.forgetting, config.curriculum
     if not fg.pretrain_task:
         raise ValidationError("config.forgetting.pretrain_task is required to compare forgetting")
-    if curriculum.steps_per_epoch is None:
-        raise ValidationError("config.curriculum.steps_per_epoch is required to compare forgetting")
-    group = len(config.tasks) * curriculum.batches_per_task
-    if curriculum.total_batches not in (None, group):
-        raise ValidationError(
-            f"config.curriculum.total_batches must be unset or {group} (tasks × batches_per_task) "
-            "to compare forgetting: an adaptive step of another size spends another budget"
-        )
     steps = fg.finetune_epochs * curriculum.steps_per_epoch
-    budget = steps * group
+    budget = steps * len(config.tasks) * curriculum.batches_per_task
     out = RunResult(config.output_dir)
     out.start()
 

@@ -59,8 +59,8 @@ def benchmark_model(tmp_path_factory):
     params = init_encoder(config)
     seed = derive_seed(config.seed, "train")
     trainer = Trainer(config, "balanced", train_corpus.tasks, params, seed)
-    for _ in range(config.training.epochs):
-        trainer.run_epoch()
+    for _ in range(config.training.epochs * config.curriculum.steps_per_epoch):
+        trainer.train_step()
     return config, eval_corpus, params
 
 
@@ -156,7 +156,7 @@ def test_criterion_4_gradient_coupling_identity():
         batches = []
         for name, data in train_corpus.tasks.items():
             loader = Loader(data, stream(41, "coupling", name))
-            batches.append(loader.next_batch(config.batch.identities, config.batch.positives)[0])
+            batches.append(loader.next_batch(config.batch.identities, config.batch.positives))
 
         coupled = GradBuffer.zeros_like(params)
         singles = []

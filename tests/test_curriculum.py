@@ -268,7 +268,7 @@ class TestSeedPass:
         """The step-0 accuracy of a one-task adaptive trainer on the given
         samples."""
         data = {"t": TaskData("t", "fine-identity", np.array(features), np.array(labels))}
-        curriculum = CurriculumConfig(goals={"t": 0.9}, total_batches=1, probe_batches=3)
+        curriculum = CurriculumConfig(goals={"t": 0.9}, probe_batches=3)
         config = trainer_config(curriculum, identities, positives, learning_rate=1e-3)
         trainer = Trainer(config, ADAPTIVE, data, self.identity, seed=1)
         (step, accuracy), = trainer.states["t"].metric_log
@@ -286,7 +286,7 @@ class TestSeedPass:
         assert self.seeded(features, [0, 1, 0, 1], 2, 2) == 0.0
 
     def test_count_over_the_probe_stack(self):
-        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5, probe_batches=3)
+        trainer = small_trainer(ADAPTIVE, probe_batches=3)
         for name, data in trainer.task_data.items():
             rng = stream(trainer.seed, "probe", name)
             satisfied = rows = 0
@@ -360,35 +360,17 @@ class TestTrainerBalanced:
         assert trainer.opt_state.step == 1
         assert param_hash(trainer.params) != before
 
-    def test_epoch_ends_when_all_exhausted(self):
-        records = []
-        trainer = small_trainer(BALANCED, trace=records.append)
-        trainer.run_epoch()
-        # 80 samples per task at P*K = 40 means two steps exhaust everything.
-        assert len(records) == trainer.step == 2
-        final = records[-1]
-        assert all(task["exhausted"] for task in final["tasks"].values())
-
-    def test_epoch_cap(self):
-        trainer = small_trainer(BALANCED)
-        calls = []
-
-        def never_exhausts():
-            calls.append(1)
-            return {"tasks": {name: {"exhausted": False} for name in trainer.task_names}}
-
-        trainer.train_step = never_exhausts
-        with pytest.raises(ContractError, match="internal bound"):
-            trainer.run_epoch()
-        largest = max(loader.size for loader in trainer.loaders.values())
-        step_batch = trainer.curriculum.batches_per_task * trainer.identities * trainer.positives
-        assert len(calls) == 10 * (largest // step_batch + 2)
-
     def test_uneven_sizes_refresh_smaller_task(self):
+        # A step draws one batch of P*K = 40 per task, and a loader's cursor
+        # reads 0 after the draw that ends its pass: the 80-sample task ends
+        # a pass every two steps, the 160-sample task every four.
         trainer = small_trainer(BALANCED, sizes=(80, 160))
-        trainer.run_epoch()
-        assert trainer.step == 4
-        assert trainer.loaders["t0"].refreshes >= 1
+        passes = dict.fromkeys(trainer.task_names, 0)
+        for _ in range(4):
+            trainer.train_step()
+            for name, loader in trainer.loaders.items():
+                passes[name] += loader.cursor == 0
+        assert passes == {"t0": 2, "t1": 1}
 
     def test_allocations_identical_every_step(self):
         trainer = small_trainer(BALANCED)
@@ -405,13 +387,15 @@ class TestTrainerBalanced:
     def test_trace_takes_every_step_record(self):
         records = []
         trainer = small_trainer(BALANCED, trace=records.append)
-        trainer.run_epoch()
+        for _ in range(2):
+            trainer.train_step()
         first = list(records)
         extra = trainer.train_step({"t0": 2})
-        trainer.run_epoch()
+        for _ in range(2):
+            trainer.train_step()
         assert len(first) == 2
         assert records[:3] == first + [extra]
-        assert len(records) == trainer.step > 3
+        assert len(records) == trainer.step == 5
         assert [r["step"] for r in records] == list(range(1, len(records) + 1))
         assert trainer.batches == sum(batches_spent(r) for r in records)
         assert extra["mode"] == "blocked"
@@ -421,10 +405,9 @@ class TestTrainerBalanced:
         # The records go to the sink as JSON text; once the steps are over,
         # no step record may be alive anywhere, the trainer included.
         lines = []
-        trainer = small_trainer(
-            mode, total_batches=4, steps_per_epoch=6, trace=lambda r: lines.append(json.dumps(r))
-        )
-        trainer.run_epoch()
+        trainer = small_trainer(mode, trace=lambda r: lines.append(json.dumps(r)))
+        for _ in range(6):
+            trainer.train_step()
         trainer.train_step({"t0": 1})
         gc.collect()
         record_keys = {"step", "mode", "tasks"}
@@ -438,28 +421,19 @@ class TestTrainerBalanced:
 
 class TestTrainerAdaptive:
     def test_initial_accuracies_seeded(self):
-        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5)
+        trainer = small_trainer(ADAPTIVE)
         assert all(s.metric_log and s.metric_log[0][0] == 0 for s in trainer.states.values())
 
     def test_allocations_sum_to_total(self):
-        trainer = small_trainer(ADAPTIVE, total_batches=6, steps_per_epoch=5)
+        # The group is tasks × batches_per_task, a balanced step's batches.
+        trainer = small_trainer(ADAPTIVE, batches_per_task=2)
         for _ in range(8):
             report = trainer.train_step()
-            assert batches_spent(report) == 6
+            assert batches_spent(report) == 8
             assert trainer.opt_state.step == report["step"]
 
-    def test_step_budget_epoch(self):
-        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=10)
-        trainer.run_epoch()
-        assert trainer.step == 10
-
-    def test_missing_step_budget_rejected(self):
-        trainer = small_trainer(ADAPTIVE, total_batches=4)
-        with pytest.raises(ValidationError, match="config.curriculum.steps_per_epoch"):
-            trainer.run_epoch()
-
     def test_zero_allocation_reuses_logged_accuracy(self):
-        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=30)
+        trainer = small_trainer(ADAPTIVE)
         starved_step = None
         starved_task = None
         for _ in range(30):
@@ -477,7 +451,7 @@ class TestTrainerAdaptive:
         assert starved_step is not None, "30 adaptive steps never starved a task"
 
     def test_probabilities_respect_floor(self):
-        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5, floor=0.1)
+        trainer = small_trainer(ADAPTIVE, floor=0.1)
         for _ in range(5):
             report = trainer.train_step()
             probs = [task["probability"] for task in report["tasks"].values()]
@@ -485,7 +459,7 @@ class TestTrainerAdaptive:
             assert abs(sum(probs) - 1.0) <= 1e-12
 
     def test_empty_metric_log_is_a_contract_error(self):
-        trainer = small_trainer(ADAPTIVE, total_batches=4, steps_per_epoch=5)
+        trainer = small_trainer(ADAPTIVE)
         trainer.states["t0"].metric_log.clear()
         with pytest.raises(ContractError, match="no logged accuracy"):
             trainer.train_step()
@@ -555,7 +529,7 @@ class TestGradientCoupling:
         batches = []
         for name, task in data.items():
             loader = Loader(task, stream(11, "loader", name))
-            batches.append(loader.next_batch(10, 4)[0])
+            batches.append(loader.next_batch(10, 4))
 
         coupled = GradBuffer.zeros_like(params)
         for batch in batches:
@@ -578,9 +552,8 @@ class TestGradientCoupling:
 class TestDeterminism:
     @pytest.mark.parametrize("mode", [BALANCED, ADAPTIVE])
     def test_identical_runs(self, mode):
-        kwargs = dict(total_batches=4, steps_per_epoch=4) if mode == ADAPTIVE else {}
-        first = small_trainer(mode, **kwargs)
-        second = small_trainer(mode, **kwargs)
+        first = small_trainer(mode)
+        second = small_trainer(mode)
         records_a = [first.train_step() for _ in range(4)]
         records_b = [second.train_step() for _ in range(4)]
         assert records_a == records_b
@@ -597,7 +570,6 @@ class TestStepRecord:
                 "allocation",
                 "loss",
                 "accuracy",
-                "exhausted",
                 "improvement",
                 "goal_distance",
                 "score",
@@ -610,10 +582,9 @@ class TestStepRecord:
         ids=["balanced", "adaptive", "blocked"],
     )
     def test_the_step_returns_its_trace_line(self, tmp_path, mode, allocation):
-        kwargs = dict(total_batches=4, steps_per_epoch=3) if mode == ADAPTIVE else {}
         out = RunResult(tmp_path)
         with out.stream("trace.jsonl") as trace:
-            trainer = small_trainer(mode, trace=trace, **kwargs)
+            trainer = small_trainer(mode, trace=trace)
             records = [trainer.train_step(allocation) for _ in range(3)]
         assert [r["mode"] for r in records] == [BLOCKED if allocation else mode] * 3
         scored = [task["probability"] is not None for task in records[0]["tasks"].values()]

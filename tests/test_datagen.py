@@ -365,51 +365,46 @@ def make_loader(classes=20, samples_per_class=4, seed=3):
 class TestLoader:
     def test_batch_structure(self):
         loader = make_loader()
-        batch, _ = loader.next_batch(10, 4)
+        batch = loader.next_batch(10, 4)
         assert len(batch) == 40
         _, counts = np.unique(batch.labels, return_counts=True)
         assert counts.tolist() == [4] * 10
 
     def test_exhaustion_at_two_batches(self):
         # 80 samples, P*K = 40: the second call consumes the last unseen
-        # sample, flags exhaustion, and refreshes.
+        # sample and refreshes, so the cursor reads 0 after it only.
         loader = make_loader()
-        _, first = loader.next_batch(10, 4)
-        assert not first
-        _, second = loader.next_batch(10, 4)
-        assert second
-        assert loader.refreshes == 1
+        loader.next_batch(10, 4)
+        assert loader.cursor == 40
+        loader.next_batch(10, 4)
         assert loader.cursor == 0
 
     def test_full_pass_covers_every_sample_once(self):
         loader = make_loader()
-        seen = []
-        exhausted = False
-        while not exhausted:
-            batch, exhausted = loader.next_batch(10, 4)
-            seen.append(batch.features)
+        seen = [loader.next_batch(10, 4).features]
+        while loader.cursor != 0:
+            seen.append(loader.next_batch(10, 4).features)
         stacked = np.vstack(seen)
         original = np.sort(loader._data.features, axis=0)
         assert np.array_equal(np.sort(stacked, axis=0), original)
 
     def test_refresh_reshuffles(self):
         loader = make_loader()
-        first_pass = [loader.next_batch(10, 4)[0].features for _ in range(2)]
-        second_pass = [loader.next_batch(10, 4)[0].features for _ in range(2)]
+        first_pass = [loader.next_batch(10, 4).features for _ in range(2)]
+        second_pass = [loader.next_batch(10, 4).features for _ in range(2)]
         assert not np.array_equal(np.vstack(first_pass), np.vstack(second_pass))
 
     def test_ragged_class_sizes_keep_contract(self):
         # 6 samples per class with K = 4 leaves 2-sample stragglers that are
         # topped up from consumed samples; the P*K histogram never bends.
         loader = make_loader(classes=8, samples_per_class=6)
-        exhausted = False
-        batches = 0
-        while not exhausted and batches < 50:
-            batch, exhausted = loader.next_batch(4, 4)
+        for _ in range(50):
+            batch = loader.next_batch(4, 4)
             _, counts = np.unique(batch.labels, return_counts=True)
             assert counts.tolist() == [4] * 4
-            batches += 1
-        assert exhausted
+            if loader.cursor == 0:
+                break
+        assert loader.cursor == 0
 
     def test_batch_too_large(self):
         loader = make_loader()
@@ -442,7 +437,7 @@ class TestLoader:
         labels = np.repeat([0, 1, 2], [6, 5, 3])
         data = TaskData("t", "fine-identity", np.zeros((labels.size, 2)), labels)
         loader = Loader(data, stream(0, "x"))
-        batch, _ = loader.next_batch(3, 3)
+        batch = loader.next_batch(3, 3)
         assert batch.labels.size == 9
         for _ in range(2):
             with pytest.raises(ValidationError, match="every class needs >= K = 4"):
@@ -680,14 +675,10 @@ class TestMalformedCorpus:
         )
         corpus = build_corpus(spec, positives_per_id=max(1, k // 2))
         loader = Loader(corpus.tasks["t"], stream(7, "fuzz"))
-        rows = []
-        exhausted = False
-        steps = 0
-        while not exhausted:
-            batch, exhausted = loader.next_batch(p, k)
-            rows.append(batch.features)
-            steps += 1
-            assert steps <= 10 * classes * spc
+        rows = [loader.next_batch(p, k).features]
+        while loader.cursor != 0:
+            rows.append(loader.next_batch(p, k).features)
+            assert len(rows) <= 10 * classes * spc
         # Every sample appears at least once before the refresh.
         emitted = {tuple(r) for r in np.vstack(rows)}
         expected = {tuple(r) for r in loader._data.features}
@@ -751,11 +742,9 @@ class ReferenceLoader(Loader):
             labels=self._data.labels[sample_indices],
             task=self.task,
         )
-        exhausted = bool(self._consumed.all())
-        if exhausted:
-            self.refreshes += 1
+        if self._consumed.all():
             self._refresh()
-        return batch, exhausted
+        return batch
 
 
 # Identity labels a loader must treat alike: dense ids, sparse ones, and
@@ -803,7 +792,7 @@ class TestLoaderOracle:
     ]
 
     @pytest.mark.parametrize("labeling", sorted(LABELINGS))
-    def test_batches_and_flags_match_reference(self, labeling):
+    def test_batches_and_passes_match_reference(self, labeling):
         branches = Counter()
         for case, (sizes, fraction, p, k) in enumerate(self.CASES):
             data = ragged_task(sizes, labeling)
@@ -811,13 +800,14 @@ class TestLoaderOracle:
             reference = ReferenceLoader(data, stream(case, "oracle"), fraction)
             assert np.array_equal(loader._indices, reference._indices)
             masks = block_masks(1, p, k)
+            passes = 0
             for _ in range(60):
-                batch, flag = loader.next_batch(p, k)
-                expected, expected_flag = reference.next_batch(p, k)
+                batch = loader.next_batch(p, k)
+                expected = reference.next_batch(p, k)
                 assert np.array_equal(batch.features, expected.features)
                 assert np.array_equal(batch.labels, expected.labels)
-                assert flag is expected_flag
                 assert loader.cursor == reference.cursor
+                passes += loader.cursor == 0
                 for got, want in zip(id_masks(batch.labels[None]), masks):
                     assert np.array_equal(got, want)
                 layout = unique_layout(loader.order, data.labels)
@@ -825,33 +815,34 @@ class TestLoaderOracle:
                     assert np.array_equal(got, want)
                 if loader.cursor == 0:
                     assert np.array_equal(loader._next, loader._starts)
-            assert loader.refreshes == reference.refreshes > 1
+            assert passes > 1
             assert loader._rng.bit_generator.state == reference._rng.bit_generator.state
             branches += reference.branches
         assert {"scarce", "spent", "top-up"} <= {name for name, n in branches.items() if n}
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_each_pass_draws_its_subsample_before_the_flag(self, case):
+    def test_each_pass_draws_its_subsample_before_it_ends(self, case):
         # A batch is the rows of the samples drawn for it. Top-ups repeat
         # only samples this pass has drawn, so the samples drawn before the
-        # flag are a strict part of the subsample, and with the flagged
-        # batch they are all of it.
+        # pass ends (the cursor reads 0 after a draw) are a strict part of
+        # the subsample, and with the last batch of the pass they are all
+        # of it.
         sizes, fraction, p, k = self.CASES[case]
         data = ragged_task(sizes, "sparse")
         loader = Loader(data, stream(case, "pass"), fraction)
         subsample = set(loader._indices.tolist())
         drawn, passes = set(), 0
         for _ in range(60):
-            batch, flag = loader.next_batch(p, k)
+            batch = loader.next_batch(p, k)
             samples = batch.features[:, 0].astype(int)
             assert np.array_equal(batch.labels, data.labels[samples])
             drawn.update(samples.tolist())
-            if flag:
+            if loader.cursor == 0:
                 assert drawn == subsample
                 drawn, passes = set(), passes + 1
             else:
                 assert drawn < subsample
-        assert passes == loader.refreshes > 1
+        assert passes > 1
 
     def test_top_up_draw_is_the_per_identity_loop(self):
         # The loader tops up a batch's short identities with one vector
@@ -899,7 +890,7 @@ class TestBlockMasks:
         assume(p * k <= loader.size and loader._smallest_class >= k and p <= loader._ends.size)
         masks = block_masks(stack, p, k)
         for _ in range(40 // stack):
-            labels = np.stack([loader.next_batch(p, k)[0].labels for _ in range(stack)])
+            labels = np.stack([loader.next_batch(p, k).labels for _ in range(stack)])
             for got, want in zip(id_masks(labels), masks):
                 assert np.array_equal(got, want)
 

@@ -132,6 +132,29 @@ class TestConfig:
         with pytest.raises(ValidationError, match="mode"):
             ExperimentConfig.from_file(path)
 
+    # Every run trains epochs × steps_per_epoch steps of one group of
+    # batches, so a config of the balanced epoch rule is refused by name:
+    # its adaptive step size, and an unset steps_per_epoch.
+    @pytest.mark.parametrize("mode", ["balanced", "adaptive"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("total_batches", None, "unknown key(s) ['total_batches'] in config.curriculum"),
+            ("total_batches", 4, "unknown key(s) ['total_batches'] in config.curriculum"),
+            (
+                "steps_per_epoch",
+                None,
+                "config.curriculum.steps_per_epoch must be of type int, got None",
+            ),
+        ],
+    )
+    def test_settings_of_the_epoch_rule_are_refused(self, tmp_path, mode, key, value, message):
+        payload = default_config(output_dir=str(tmp_path)).to_dict()
+        payload["curriculum"].update({"mode": mode, key: value})
+        with pytest.raises(ValidationError) as caught:
+            ExperimentConfig.from_dict(payload)
+        assert str(caught.value) == message
+
     def test_wrong_schema_version(self, tmp_path):
         payload = default_config(output_dir=str(tmp_path)).to_dict()
         payload["schema_version"] = 99
@@ -347,7 +370,7 @@ class TestConfig:
             ("curriculum.epsilon", "1e-8"),
             ("curriculum.subsample", {"persons": "0.5"}),
             ("curriculum.goals", {"objects": "0.95"}),
-            ("curriculum.total_batches", "8"),
+            ("curriculum.steps_per_epoch", "8"),
             ("evaluation.variance_fraction", "0.9"),
             ("evaluation.far_values", ["0.01"]),
             ("optimizer.learning_rate", "0.1"),
@@ -385,7 +408,6 @@ class TestConfig:
 
     def test_smallest_scoring_settings_run(self, tmp_path):
         config = tiny_config(tmp_path / "out")
-        config.curriculum.steps_per_epoch = None
         config.evaluation.verification_pairs = 5
         config.evaluation.far_values = [0.5]
         config.evaluation.suites = ["scores"]
@@ -393,9 +415,10 @@ class TestConfig:
         run(config)
         assert (tmp_path / "out" / "summary.json").is_file()
 
-    def test_adaptive_without_steps_per_epoch_fails_before_any_file(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["balanced", "adaptive"])
+    def test_unset_steps_per_epoch_fails_before_any_file(self, tmp_path, mode):
         config = tiny_config(tmp_path / "out")
-        config.curriculum.mode = "adaptive"
+        config.curriculum.mode = mode
         config.curriculum.steps_per_epoch = None
         with pytest.raises(ValidationError, match="config.curriculum.steps_per_epoch"):
             run(config)
@@ -446,6 +469,30 @@ class TestRun:
         record = json.loads(trace[0])
         assert record["mode"] == "adaptive"
         assert all(e["probability"] is not None for e in record["tasks"].values())
+
+    def test_both_modes_train_one_budget(self, tmp_path):
+        # A run of either mode trains epochs × steps_per_epoch steps, each
+        # of one group of len(tasks) × batches_per_task batches.
+        spent = {}
+        for mode in ("balanced", "adaptive"):
+            config = tiny_config(tmp_path / mode)
+            config.curriculum.mode = mode
+            config.curriculum.batches_per_task = 2
+            config.curriculum.steps_per_epoch = 3
+            config.training.epochs = 2
+            config.evaluation.suites = ["scores"]
+            run(config)
+            summary = json.loads((tmp_path / mode / "summary.json").read_text())
+            lines = (tmp_path / mode / "traces" / "scheduler.jsonl").read_text().splitlines()
+            assert len(lines) == summary["steps"] == 2 * 3
+            group = len(config.tasks) * 2
+            steps = [
+                sum(task["allocation"] for task in json.loads(line)["tasks"].values())
+                for line in lines
+            ]
+            assert steps == [group] * len(lines)
+            spent[mode] = sum(steps)
+        assert spent["balanced"] == spent["adaptive"]
 
     def test_corpus_files_not_mutated_by_eval(self, tmp_path):
         config = tiny_config(tmp_path / "out")
@@ -620,7 +667,7 @@ class TestArtifactWriter:
                 "step": 7,
                 "tasks": {"b": {"loss": 0.1, "accuracy": None}, "a": {"loss": -0.0}},
                 "weights": [1e-300, 1.7976931348623157e308, 2.0**-1074],
-                "exhausted": [True, False],
+                "measured": [True, False],
                 "note": "é\n\"",
             },
         ],
@@ -1354,9 +1401,6 @@ class TestValidateOnEntry:
         "probe_batches": (
             "curriculum", "probe_batches", 0, ValidationError, "config.curriculum.probe_batches",
         ),
-        "total_batches": (
-            "curriculum", "total_batches", 0, ValidationError, "config.curriculum.total_batches",
-        ),
         "variance_fraction": (
             "evaluation", "variance_fraction", 1.5, ValidationError, "variance_fraction",
         ),
@@ -1961,6 +2005,11 @@ class TestCli:
             summary = json.loads((out / "summary.json").read_text())
             summary["artifacts"].remove("checkpoints/encoder_final.npz")
             (out / "summary.json").write_text(json.dumps(summary))
+        elif case == "config with total_batches":
+            # A config of the balanced epoch rule's lab.
+            payload = json.loads((out / "config.json").read_text())
+            payload["curriculum"]["total_batches"] = None
+            (out / "config.json").write_text(json.dumps(payload))
         else:  # no config.json
             (out / "config.json").unlink()
         return []
@@ -1984,6 +2033,7 @@ class TestCli:
             ("negative ambient_dim", "corpus.ambient_dim must be an integer >= 1, got -1"),
             ("features unlisted", "corpus/objects.npy is not listed in"),
             ("no config.json", "config.json"),
+            ("config with total_batches", "unknown key(s) ['total_batches'] in config.curriculum"),
             ("no summary.json", "summary.json: No such file or directory (an unfinished run)"),
             ("summary.json not JSON", "summary.json does not list the run's files"),
             ("final checkpoint unlisted", "encoder_final.npz is not listed in"),

@@ -134,7 +134,7 @@ def reference_pretrain(config, params, opt_state, data, seed):
     grads = arena_layers(buffer.flat, params)
     for _ in range(fg.pretrain_steps):
         for _ in range(fg.pretrain_batches_per_step):
-            batch, _ = loader.next_batch(config.batch.identities, config.batch.positives)
+            batch = loader.next_batch(config.batch.identities, config.batch.positives)
             emb = embed(params, batch.features)
             _, grad_emb = batch_hard_triplet(emb, batch.labels, config.margin)
             reference_backward(params, batch.features, grad_emb, grads)
@@ -142,10 +142,10 @@ def reference_pretrain(config, params, opt_state, data, seed):
         adam_step(params, buffer, opt_state)
 
 
-def reference_sequential(config, params, opt_state, task_data, total_batches, group_size, seed):
+def reference_sequential(config, params, opt_state, task_data, total, group_size, seed):
     names = list(task_data)
     loaders = {n: Loader(task_data[n], stream(seed, "seq-loader", n)) for n in names}
-    base, extra = divmod(total_batches, len(names))
+    base, extra = divmod(total, len(names))
     buffer = GradBuffer.zeros_like(params)
     grads = arena_layers(buffer.flat, params)
     for i, name in enumerate(names):
@@ -154,9 +154,7 @@ def reference_sequential(config, params, opt_state, task_data, total_batches, gr
         while done < budget:
             take = min(group_size, budget - done)
             for _ in range(take):
-                batch, _ = loaders[name].next_batch(
-                    config.batch.identities, config.batch.positives
-                )
+                batch = loaders[name].next_batch(config.batch.identities, config.batch.positives)
                 emb = embed(params, batch.features)
                 _, grad_emb = batch_hard_triplet(emb, batch.labels, config.margin)
                 reference_backward(params, batch.features, grad_emb, grads)
@@ -266,13 +264,13 @@ class TestOneForwardPerBatch:
     def test_adaptive_steps(self, forward_rows):
         config = small_config()
         config.curriculum.accuracy_cadence = 10**6
-        config.curriculum.total_batches = 5
+        config.curriculum.batches_per_task = 2
         train, _ = build_splits(config)
         seed = derive_seed(config.seed, "t")
         trainer = Trainer(config, ADAPTIVE, train.tasks, init_encoder(config), seed)
         forward_rows.clear()  # the step-0 probe pass
-        assert batches_spent([trainer.train_step() for _ in range(3)]) == 15
-        assert forward_rows == [5 * config.batch.identities * config.batch.positives] * 3
+        assert batches_spent([trainer.train_step() for _ in range(3)]) == 24
+        assert forward_rows == [8 * config.batch.identities * config.batch.positives] * 3
 
     def test_pretrain_and_sequential(self, forward_rows):
         config = small_config()
@@ -322,18 +320,17 @@ class ReferenceTrainer(Trainer):
             else:
                 scoring = self._score_tasks()
                 probs = [scoring[name]["probability"] for name in self.task_names]
-                alloc_list = sample_allocation(probs, self.total_batches, self.alloc_rng)
+                group = self.n_tasks * self.curriculum.batches_per_task
+                alloc_list = sample_allocation(probs, group, self.alloc_rng)
             allocations = {name: int(a) for name, a in zip(self.task_names, alloc_list)}
         losses = {name: 0.0 for name in self.task_names}
-        exhausted = {name: False for name in self.task_names}
         used = {name: [] for name in self.task_names}
         for name in self.task_names:
             for _ in range(allocations[name]):
-                batch, flag = self.loaders[name].next_batch(self.identities, self.positives)
+                batch = self.loaders[name].next_batch(self.identities, self.positives)
                 losses[name] += accumulate(
                     self.params, batch.features, batch.labels, self.margin, self.buffer
                 )
-                exhausted[name] = exhausted[name] or flag
                 used[name].append(batch)
         adam_step(self.params, self.buffer, self.opt_state)
         accuracies = {name: None for name in self.task_names}
@@ -349,7 +346,6 @@ class ReferenceTrainer(Trainer):
                 "allocation": allocations[name],
                 "loss": losses[name],
                 "accuracy": accuracies[name],
-                "exhausted": exhausted[name],
                 **scoring[name],
             }
             for name in self.task_names
@@ -366,7 +362,7 @@ def assert_same_steps(trainer, reference, allocations):
     for allocation in allocations:
         report = trainer.train_step(allocation)
         expected = reference.train_step(allocation)
-        # The records hold every allocation, loss, accuracy, flag and
+        # The records hold every allocation, loss, accuracy and
         # adaptive score.
         assert report == expected
     assert_same_state(trainer.params, trainer.opt_state, reference.params, reference.opt_state)
@@ -387,7 +383,7 @@ class TestStackedStepMatchesReference:
     def test_adaptive(self):
         config = small_config()
         config.curriculum.accuracy_cadence = 1
-        config.curriculum.total_batches = 6
+        config.curriculum.batches_per_task = 2
         train, _ = build_splits(config)
         trainer, reference = trainer_and_reference(config, "adaptive", train.tasks)
         assert_same_steps(trainer, reference, [None] * 8)
@@ -936,8 +932,7 @@ class TestFinetuneBudget:
     the interleaved group of ``len(config.tasks) × batches_per_task``
     batches: each interleaved fine-tune in that many steps of one group,
     the blocked baseline in steps of at most a group, one task a step and
-    never the pretraining task. An adaptive step of the group's size is
-    the only one the comparison accepts."""
+    never the pretraining task."""
 
     @pytest.mark.parametrize("epochs, steps", [(1, 3), (2, 2), (3, 1)])
     def test_steps_are_epochs_times_steps_per_epoch(self, tmp_path, epochs, steps):
@@ -963,28 +958,6 @@ class TestFinetuneBudget:
             spent = {n: t["allocation"] for n, t in record["tasks"].items() if t["allocation"]}
             assert len(spent) == 1 and 0 < sum(spent.values()) <= group
             assert config.forgetting.pretrain_task not in spent
-
-    def test_total_batches_of_the_group_runs_as_unset(self, tmp_path):
-        config = forgetting_config(tmp_path / "unset")
-        run_forgetting_comparison(config)
-        config.curriculum.total_batches = len(config.tasks) * config.curriculum.batches_per_task
-        run_forgetting_comparison(config, output_dir=tmp_path / "group")
-        unset = tree_bytes(tmp_path / "unset")
-        assert len(unset) == 9
-        assert tree_bytes(tmp_path / "group") == unset
-
-    @pytest.mark.parametrize(
-        "total",
-        [lambda group: 1, lambda group: group - 1, lambda group: 2 * group],
-        ids=["one", "group less one", "twice the group"],
-    )
-    def test_other_total_batches_fail_before_any_file(self, tmp_path, total):
-        config = forgetting_config(tmp_path / "out")
-        group = len(config.tasks) * config.curriculum.batches_per_task
-        config.curriculum.total_batches = total(group)
-        with pytest.raises(ValidationError, match=f"must be unset or {group}"):
-            run_forgetting_comparison(config)
-        assert not (tmp_path / "out").exists()
 
 
 @needs_fork
@@ -1137,16 +1110,6 @@ class TestParallelFinetunes:
         config = forgetting_config(tmp_path / "out")
         config.curriculum.steps_per_epoch = None
         with pytest.raises(ValidationError, match="config.curriculum.steps_per_epoch"):
-            run_forgetting_comparison(config)
-        assert not (tmp_path / "out").exists()
-
-    def test_unequal_adaptive_budget_fails_before_any_file(self, tmp_path):
-        # An adaptive step of another size than the interleaved group would
-        # spend another budget than the other two fine-tunes.
-        config = forgetting_config(tmp_path / "out")
-        group = len(config.tasks) * config.curriculum.batches_per_task
-        config.curriculum.total_batches = group + 1
-        with pytest.raises(ValidationError, match="config.curriculum.total_batches"):
             run_forgetting_comparison(config)
         assert not (tmp_path / "out").exists()
 

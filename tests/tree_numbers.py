@@ -16,6 +16,10 @@ before and after values, followed by the files whose bytes differ but
 hold no moved number (traces, checkpoints, corpora, ...). A number present
 in one tree only shows "—" on the other side. Both trees are only read.
 This is the declaration a number-moving change puts in CHANGES.md.
+
+The comparison itself (:func:`moved_numbers`, :func:`markdown`) works on
+numbers and file names, so ``tests/test_golden.py`` reports the golden
+trees' moved numbers from stored values with the same code.
 """
 
 from __future__ import annotations
@@ -80,12 +84,13 @@ def _same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def moved(old: Path, new: Path) -> tuple[list[tuple[Key, float | None, float | None]], list[str]]:
-    """The numbers that differ between the trees under ``old`` and ``new``,
-    as ``(key, before, after)`` in the order the trees hold them (None
-    where a tree lacks the number), and the files whose bytes differ that hold no moved number."""
-    old_files, new_files = tree_bytes(old), tree_bytes(new)
-    before, after = tree_numbers(old_files), tree_numbers(new_files)
+def moved_numbers(
+    before: dict[Key, float], after: dict[Key, float], changed: list[str]
+) -> tuple[list[tuple[Key, float | None, float | None]], list[str]]:
+    """The numbers that differ between two trees' :func:`tree_numbers`
+    ``before`` and ``after``, as ``(key, before, after)`` in the order the
+    trees hold them (None where a tree lacks the number), and the files of
+    ``changed``, those whose bytes differ, that hold no moved number."""
     keys = [*before, *(key for key in after if key not in before)]
     numbers = [
         (key, before.get(key), after.get(key))
@@ -93,22 +98,27 @@ def moved(old: Path, new: Path) -> tuple[list[tuple[Key, float | None, float | N
         if key not in before or key not in after or not _same(before[key], after[key])
     ]
     with_numbers = {key[0] for key, _, _ in numbers}
-    files = [
+    return numbers, [rel for rel in changed if rel not in with_numbers]
+
+
+def moved(old: Path, new: Path) -> tuple[list[tuple[Key, float | None, float | None]], list[str]]:
+    """:func:`moved_numbers` of the trees under ``old`` and ``new``."""
+    old_files, new_files = tree_bytes(old), tree_bytes(new)
+    changed = [
         rel
         for rel in sorted(old_files.keys() | new_files.keys())
-        if old_files.get(rel) != new_files.get(rel) and rel not in with_numbers
+        if old_files.get(rel) != new_files.get(rel)
     ]
-    return numbers, files
+    return moved_numbers(tree_numbers(old_files), tree_numbers(new_files), changed)
 
 
 def _value(number: float | None) -> str:
     return "—" if number is None else repr(number)
 
 
-def report(old: Path, new: Path) -> str:
-    """The markdown report of :func:`moved`; empty when the trees are
-    byte-identical."""
-    numbers, files = moved(old, new)
+def markdown(numbers: list[tuple[Key, float | None, float | None]], files: list[str]) -> str:
+    """The markdown report of :func:`moved_numbers`' result; empty when
+    nothing moved."""
     lines = []
     if numbers:
         lines += ["| file | number | before | after |", "|---|---|---|---|"]
@@ -121,6 +131,12 @@ def report(old: Path, new: Path) -> str:
         lines.append("Moved files with no moved number:")
         lines += [f"- `{rel}`" for rel in files]
     return "".join(line + "\n" for line in lines)
+
+
+def report(old: Path, new: Path) -> str:
+    """The markdown report of :func:`moved`; empty when the trees are
+    byte-identical."""
+    return markdown(*moved(old, new))
 
 
 def main(argv: list[str]) -> int:
