@@ -112,13 +112,15 @@ def _score_run(run_dir, checkpoint, command: str, suite: str) -> dict:
     from .experiments import encoder_embedder, load_run, score_suites
     from .scoring import class_centroids
 
-    config, train_corpus, eval_corpus, params, ckpt = load_run(run_dir, checkpoint)
+    config, *splits, params, ckpt = load_run(run_dir, checkpoint)
     embedder = encoder_embedder(params)
-    centroids = class_centroids(embedder, train_corpus)
-    del train_corpus  # the scores read only its centroids
+    # Each split is handed on unnamed, so it lives only while it is read:
+    # the scores read the train split's centroids alone, and scoring holds
+    # the eval split.
+    centroids = class_centroids(embedder, splits.pop(0))
     out = RunResult(Path(run_dir) / command)
     out.start()
-    floored = score_suites(out, config, [suite], centroids, eval_corpus, embedder)
+    floored = score_suites(out, config, [suite], centroids, splits.pop(), embedder)
     fields = {"floored_cells": floored} if suite == "scores" else {}
     results = out.results[suite]
     out.finish(config.seed, results, command=command, checkpoint=str(ckpt), **fields)

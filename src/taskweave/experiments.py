@@ -98,13 +98,18 @@ def encoder_embedder(params: EncoderParams) -> Embedder:
 
 
 def geometry_suite(
-    eval_emb: dict[str, np.ndarray], eval_corpus: Corpus, config: ExperimentConfig, out: RunResult
+    pooled: np.ndarray,
+    eval_emb: dict[str, np.ndarray],
+    eval_corpus: Corpus,
+    config: ExperimentConfig,
+    out: RunResult,
 ) -> dict:
-    """Write the geometry headlines of the eval embeddings, with each eval
-    task's verification pairs, through ``out`` under ``geometry/``; return
-    their summary."""
+    """Write the geometry headlines of the eval embeddings ``pooled``, each
+    task's a row slice of it in ``eval_emb``, with each eval task's
+    verification pairs, through ``out`` under ``geometry/``; return their
+    summary."""
     pairs = {n: verification_pair_plan(d, config) for n, d in eval_corpus.tasks.items()}
-    tables, summary = geometry_headlines(eval_emb, pairs, config)
+    tables, summary = geometry_headlines(pooled, eval_emb, pairs, config)
     for path, text in tables:
         out.write(path, text.encode())
     out.json("geometry/summary.json", summary)
@@ -125,22 +130,40 @@ def score_suites(
 
     It holds the embedder, the eval split and ``centroids``, the
     :func:`~taskweave.scoring.class_centroids` of the same embedder: no
-    train data. Each eval task is embedded once. The geometry suite reads
-    all tasks together, so with it every task is embedded up front and kept
-    for both suites. The scores alone embed each task when they score it,
-    so one task's embeddings, with its pairs and its probe, gallery and
-    pair-score copies, are alive at a time."""
+    train data. The caller hands the eval split over and keeps no
+    reference to it. The split is left as it is: the suites read its tasks
+    without their features, and each task's features are dropped once the
+    task is embedded. Each eval task is embedded once. The geometry suite
+    reads all tasks together, so with it every task is embedded up front
+    into one pooled matrix, and each task's embeddings are its row slice of
+    that matrix, kept for both suites. The scores alone embed each task
+    when they score it, so one task's features and embeddings, with its
+    pairs and its probe, gallery and pair-score copies, are alive at a
+    time."""
+    features = dict(eval_corpus.tasks)
+    # The caller's corpus dies here; this copy's tasks hold no features.
+    eval_corpus = Corpus(
+        eval_corpus.spec,
+        eval_corpus.split,
+        {
+            name: TaskData(name, data.regime, np.empty((data.n_samples, 0)), data.labels)
+            for name, data in features.items()
+        },
+    )
+    embed_once = lambda data: embedder(features.pop(data.name))
     if "geometry" in suites:
-        eval_emb = {name: embedder(data) for name, data in eval_corpus.tasks.items()}
-        embedder = lambda data: eval_emb[data.name]
+        pooled = np.vstack([embed_once(data) for data in eval_corpus.tasks.values()])
+        sizes = [data.n_samples for data in eval_corpus.tasks.values()]
+        eval_emb = dict(zip(eval_corpus.tasks, np.split(pooled, np.cumsum(sizes)[:-1])))
+        embed_once = lambda data: eval_emb[data.name]
     floored: list[str] = []
     if "scores" in suites:
-        row = evaluate_row(embedder, eval_corpus, centroids, config)
+        row = evaluate_row(embed_once, eval_corpus, centroids, config)
         table, floored = rows_to_table({f"encoder+{config.curriculum.mode}": row})
         table.to_csv(out, "tables/metrics.csv")
         out.results["scores"] = row
     if "geometry" in suites:
-        out.results["geometry"] = geometry_suite(eval_emb, eval_corpus, config, out)
+        out.results["geometry"] = geometry_suite(pooled, eval_emb, eval_corpus, config, out)
     return floored
 
 
@@ -181,6 +204,13 @@ def _train(config: ExperimentConfig, out: RunResult) -> tuple[EncoderParams, int
     return params, trainer.step, class_centroids(encoder_embedder(params), train_corpus)
 
 
+def _eval_split(config: ExperimentConfig, out: RunResult) -> Corpus:
+    """Build the eval split and save it through ``out``."""
+    (eval_corpus,) = build_splits(config, ["eval"])
+    eval_corpus.save(out, "corpus_eval")
+    return eval_corpus
+
+
 def run(
     config: ExperimentConfig,
     seed: int | None = None,
@@ -198,9 +228,11 @@ def run(
     (:func:`_train`) holds the train split, the trainer and the parameters;
     its trace goes to disk a step at a time. It ends with the "top<k>"
     train-class centroids, and the train split is dropped. The eval split
-    is built and saved next, and scoring (:func:`score_suites`) holds it,
-    the parameters, the centroids and one eval task's embeddings and pairs
-    at a time, or every task's embeddings with the geometry suite.
+    is built and saved next and handed to scoring (:func:`score_suites`),
+    which holds it, the parameters and the centroids. Scoring drops each
+    eval task's features once the task is embedded. Without the geometry
+    suite it holds one task's embeddings and pairs at a time; with it,
+    every task's embeddings in one pooled matrix.
     """
     config = overridden(config, seed, output_dir)
     out = RunResult(config.output_dir)
@@ -208,11 +240,10 @@ def run(
     out.json("config.json", config.to_dict())
 
     params, steps, centroids = _train(config, out)
-    (eval_corpus,) = build_splits(config, ["eval"])
-    eval_corpus.save(out, "corpus_eval")
     suites, mode = config.evaluation.suites, config.curriculum.mode
     embedder = encoder_embedder(params)
-    floored = score_suites(out, config, suites, centroids, eval_corpus, embedder)
+    # The eval split is handed over unnamed, so scoring holds it alone.
+    floored = score_suites(out, config, suites, centroids, _eval_split(config, out), embedder)
     out.finish(config.seed, out.results, mode=mode, steps=steps, floored_cells=floored)
     return out
 

@@ -273,15 +273,23 @@ def _fold_plan(task_labels, n_rows: int, folds: int):
 
 def _cross_validate(X: np.ndarray, plan) -> tuple[float, float]:
     """Mean and std over folds of the held-out accuracy of the probe fit on
-    the features ``X`` under a :func:`_fold_plan`."""
+    the features ``X`` under a :func:`_fold_plan`.
+
+    Each fold's rows get their bias column on their own, so no biased copy
+    of all of ``X`` is held beside them. They are C-contiguous, as rows
+    taken from a biased copy would be, so every product sees the same
+    operands."""
     basis, splits = plan
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+
+    def biased(rows: np.ndarray) -> np.ndarray:
+        return np.hstack([rows, np.ones((rows.shape[0], 1))])
+
     accs = []
     V = None
     for fit, held, y_fit, y_held in splits:
         # Warm start: the optimum is unique, so this changes the cost only.
-        V = _fit_multinomial(Xb[fit], y_fit, basis, V)
-        pred = ((Xb[held] @ V) @ basis.T).argmax(axis=1)
+        V = _fit_multinomial(biased(X[fit]), y_fit, basis, V)
+        pred = ((biased(X[held]) @ V) @ basis.T).argmax(axis=1)
         accs.append((pred == y_held).mean())
     return float(np.mean(accs)), float(np.std(accs))
 

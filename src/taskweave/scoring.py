@@ -214,7 +214,10 @@ def evaluate_row(
 
     ``centroids`` are the same space's :func:`class_centroids`. The eval
     tasks are scored one at a time by :func:`task_scores`, each embedded as
-    it is scored, so one task's embeddings are alive at a time."""
+    it is scored, so one task's embeddings are alive at a time.
+    ``eval_corpus`` is left as it is, features included, so one split can
+    score several embedders: the forgetting comparison scores one four
+    times."""
     row: dict[str, float] = {}
     for name, data in eval_corpus.tasks.items():
         row.update(task_scores(data, embedder(data), config, centroids.get(name)))
@@ -263,11 +266,16 @@ def _cosine_auc_eval(pairs: TaskPairs) -> Callable[[np.ndarray], float]:
 
 
 def geometry_headlines(
-    emb: dict[str, np.ndarray], pairs: dict[str, TaskPairs], config: ExperimentConfig
+    pooled: np.ndarray,
+    emb: dict[str, np.ndarray],
+    pairs: dict[str, TaskPairs],
+    config: ExperimentConfig,
 ) -> tuple[list, dict]:
-    """The geometry suite of the eval embeddings ``emb`` and their
+    """The geometry suite of the eval embeddings ``pooled`` and their
     verification ``pairs``, by task: its tables, in write order as (path,
     CSV text), and its summary. Writes no file.
+    ``emb`` holds each task's embeddings, row slices of ``pooled`` that
+    follow each other in task order, so the suite holds one copy of them.
     The pooled PCA serves the window probes and ``pc2d.csv``; each task's
     full-space AUC serves every projection onto it. Every table but the
     window curve is formatted with the analyses, in item 0 of the window
@@ -278,7 +286,6 @@ def geometry_headlines(
         return path, csv_text(path, header, rows)
 
     names = list(emb)
-    pooled = np.vstack([emb[n] for n in names])
     tags = np.concatenate([np.full(emb[n].shape[0], i) for i, n in enumerate(names)])
     plane = pca(pooled)
 

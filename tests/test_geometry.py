@@ -429,6 +429,59 @@ class TestProbeKernelOracle:
             assert f == f_ref and np.array_equal(P, P_ref)
 
 
+def reference_cross_validate(X, plan):
+    """The fold loop before each fold biased its own rows: one biased copy
+    of all of ``X``, sliced per fold."""
+    basis, splits = plan
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    accs = []
+    V = None
+    for fit, held, y_fit, y_held in splits:
+        V = geometry._fit_multinomial(Xb[fit], y_fit, basis, V)
+        pred = ((Xb[held] @ V) @ basis.T).argmax(axis=1)
+        accs.append((pred == y_held).mean())
+    return float(np.mean(accs)), float(np.std(accs))
+
+
+class TestFoldRows:
+    """Each fold's own biased rows give the whole-matrix reference's mean
+    and std bit for bit: on the 24-dim task probe, on the window probes'
+    non-contiguous column slices, with even and uneven task sizes, at 2
+    and 10 folds."""
+
+    def tasks(self, uneven):
+        # Centres close enough that no fold is separable.
+        rng = np.random.default_rng(41)
+        y = np.repeat(np.arange(4), 40)
+        X = 0.3 * rng.standard_normal((4, 24))[y] + rng.standard_normal((y.size, 24))
+        if uneven:
+            keep = np.concatenate([np.flatnonzero(y == c)[: 40 - 7 * c] for c in range(4)])
+            X, y = X[keep], y[keep]
+        return X, y
+
+    @pytest.mark.parametrize("folds", [2, 10])
+    @pytest.mark.parametrize("uneven", [False, True])
+    def test_task_probe(self, folds, uneven):
+        X, y = self.tasks(uneven)
+        expected = reference_cross_validate(X, geometry._fold_plan(y, X.shape[0], folds))
+        assert 0.25 < expected[0] < 1.0
+        assert geometry._cross_validate(X, geometry._fold_plan(y, X.shape[0], folds)) == expected
+        assert linear_task_probe(X, y, folds) == expected
+
+    @pytest.mark.parametrize("folds", [2, 10])
+    @pytest.mark.parametrize("uneven", [False, True])
+    def test_window_column_slices(self, folds, uneven):
+        X, y = self.tasks(uneven)
+        space = pca(X)
+        coords = (X - space.mean) @ space.basis
+        plan = geometry._fold_plan(y, X.shape[0], folds)
+        for start in range(space.dim - 2):
+            window = coords[:, start : start + 3]
+            assert not window.flags.c_contiguous
+            expected = reference_cross_validate(window, plan)
+            assert geometry._cross_validate(window, plan) == expected
+
+
 class TestRowWeighted:
     """The Hessian blocks' weighted rows are the broadcast ``Xb * a[:, None]``
     bit for bit and C-contiguous like it, so each block's gemm sees the same
@@ -746,11 +799,15 @@ class TestCrossTaskProjection:
         # sweeps as a target and its self-projection.
         config = default_config(output_dir=str(tmp_path))
         _, eval_corpus = build_splits(config)
-        emb = {
-            name: data.features / np.linalg.norm(data.features, axis=1, keepdims=True)
-            for name, data in eval_corpus.tasks.items()
-        }
-        pooled_rows = sum(e.shape[0] for e in emb.values())
+        pooled = np.vstack(
+            [
+                d.features / np.linalg.norm(d.features, axis=1, keepdims=True)
+                for d in eval_corpus.tasks.values()
+            ]
+        )
+        sizes = [d.n_samples for d in eval_corpus.tasks.values()]
+        emb = dict(zip(eval_corpus.tasks, np.split(pooled, np.cumsum(sizes)[:-1])))
+        pooled_rows = pooled.shape[0]
         pooled_pcas = []
 
         def counting_pca(X, center=True):
@@ -774,7 +831,7 @@ class TestCrossTaskProjection:
         monkeypatch.setattr(scoring, "pca", counting_pca)
         monkeypatch.setattr(scoring, "_cosine_auc_eval", counting_eval)
         pairs = {n: verification_pair_plan(d, config) for n, d in eval_corpus.tasks.items()}
-        geometry_headlines(emb, pairs, config)
+        geometry_headlines(pooled, emb, pairs, config)
         assert pooled_pcas == [True]
         assert full_space == dict.fromkeys(emb, 1)
 

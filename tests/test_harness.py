@@ -433,6 +433,22 @@ class TestConfig:
             ExperimentConfig.from_file(path)
 
 
+def alive_before_each_embed(monkeypatch, features: list) -> list:
+    """Record, at each ``embed`` of one of the tracked ``features`` (weak
+    references in task order), which of the earlier tasks' features are
+    alive."""
+    alive = []
+
+    def tracked_embed(params, inputs):
+        task = next((i for i, ref in enumerate(features) if ref() is inputs), None)
+        if task is not None:
+            alive.append([ref() is not None for ref in features[:task]])
+        return embed(params, inputs)
+
+    monkeypatch.setattr(experiments, "embed", tracked_embed)
+    return alive
+
+
 class TestRun:
     def test_artifact_tree_and_summary(self, tmp_path):
         config = tiny_config(tmp_path / "out")
@@ -598,6 +614,78 @@ class TestRun:
             if d.regime != "coarse-category"
         ]
         assert len(expected) == 3 and draws == expected
+
+    @staticmethod
+    def track_eval_features(monkeypatch) -> list:
+        """Weak references to each eval task's features, in task order, as
+        run() builds the eval split."""
+        features = []
+
+        def tracked_build_splits(*args):
+            corpora = build_splits(*args)
+            for corpus in corpora:
+                if corpus.split == "eval":
+                    features.extend(weakref.ref(d.features) for d in corpus.tasks.values())
+            return corpora
+
+        monkeypatch.setattr(experiments, "build_splits", tracked_build_splits)
+        return features
+
+    def test_scores_drop_each_tasks_features_once_embedded(self, tmp_path, monkeypatch):
+        # Without the geometry suite, when the embedder is called for an
+        # eval task, no earlier task's features are alive.
+        features = self.track_eval_features(monkeypatch)
+        earlier_alive = alive_before_each_embed(monkeypatch, features)
+        config = tiny_config(tmp_path / "out")
+        config.evaluation.suites = ["scores"]
+        run(config)
+        assert earlier_alive == [[False] * task for task in range(4)]
+
+    def test_geometry_reads_one_pooled_matrix_and_no_features(self, tmp_path, monkeypatch):
+        # With both suites, no eval task's features are alive when the
+        # geometry suite starts, and every embedding array the suites read
+        # is the one pooled matrix the suite gets or a row slice of it.
+        features = self.track_eval_features(monkeypatch)
+        suite_args, reads = [], []
+
+        def checked_geometry_suite(*args):
+            assert len(features) == 4 and all(ref() is None for ref in features)
+            suite_args.append(args)
+            return geometry_suite(*args)
+
+        def reading(fn, position):
+            def read(*args, **kwargs):
+                reads.append(args[position])
+                return fn(*args, **kwargs)
+
+            return read
+
+        geometry_suite = experiments.geometry_suite
+        monkeypatch.setattr(experiments, "geometry_suite", checked_geometry_suite)
+        readers = {
+            "task_scores": 1,
+            "linear_task_probe": 0,
+            "sliding_window_probe": 0,
+            "pca": 0,
+            "task_subspace": 0,
+            "projection_sweep": 1,
+            "cross_task_projection_eval": 2,
+        }
+        for name, position in readers.items():
+            monkeypatch.setattr(scoring, name, reading(getattr(scoring, name), position))
+        config = tiny_config(tmp_path / "out")
+        config.evaluation.suites = ["scores", "geometry"]
+        run(config)
+        [(pooled, eval_emb, *_)] = suite_args
+        assert pooled.flags.c_contiguous and pooled.flags.owndata
+        assert all(e.base is pooled for e in eval_emb.values())
+        # Per task: its scores, a PCA, a subspace, three sweeps and a
+        # self-projection; and the pooled probe, window probes and PCA.
+        assert len(reads) == 4 * 7 + 3
+        assert sum(X is pooled for X in reads) == 3
+        for X in reads:
+            assert X is pooled or any(X is e for e in eval_emb.values())
+            assert np.shares_memory(X, pooled)
 
     def test_seed_override_leaves_config_unchanged(self, tmp_path):
         config = tiny_config(tmp_path / "out")
@@ -1143,6 +1231,17 @@ class TestEvaluateRow:
             for column in self.COLUMNS[data.regime]
         ]
         assert list(row) == expected
+
+    def test_leaves_every_feature_array_of_its_corpus_alive(self, tmp_path):
+        # The forgetting comparison scores one eval split four times, so
+        # scoring it must keep each task's features where they were.
+        config = tiny_config(tmp_path / "out")
+        train_corpus, eval_corpus = build_splits(config)
+        features = {n: weakref.ref(d.features) for n, d in eval_corpus.tasks.items()}
+        params = init_encoder(config)
+        first = score_params(params, train_corpus, eval_corpus, config)
+        assert all(eval_corpus.tasks[n].features is ref() for n, ref in features.items())
+        assert score_params(params, train_corpus, eval_corpus, config) == first
 
     def test_one_ranking_per_task(self, tmp_path, monkeypatch):
         from taskweave import metrics
@@ -1693,9 +1792,11 @@ class TestScoringCore:
         assert list(row) == list(result.results["scores"])
         assert all(np.isfinite(v) for v in row.values())
 
-        raw = {n: raw_inputs(d) for n, d in eval_corpus.tasks.items()}
+        pooled = np.vstack([raw_inputs(d) for d in eval_corpus.tasks.values()])
+        sizes = [d.n_samples for d in eval_corpus.tasks.values()]
+        raw = dict(zip(eval_corpus.tasks, np.split(pooled, np.cumsum(sizes)[:-1])))
         pairs = {n: verification_pair_plan(d, config) for n, d in eval_corpus.tasks.items()}
-        tables, summary = geometry_headlines(raw, pairs, config)
+        tables, summary = geometry_headlines(pooled, raw, pairs, config)
         geometry = {rel for rel in result.artifacts if rel.startswith("geometry/")}
         assert {path for path, _ in tables} == geometry - {"geometry/summary.json"}
         assert summary.keys() == result.results["geometry"].keys()
@@ -1858,6 +1959,34 @@ class TestCli:
         for rel in [*listed, "summary.json"]:
             assert after[rel] == trained[rel], rel
         assert all(rel.startswith(("eval/", "analyze/")) for rel in set(after) - set(trained))
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_scoring_holds_the_loaded_eval_split_alone(self, tmp_path, monkeypatch, command):
+        # The eval split that eval and analyze load is handed to scoring
+        # alone, so each task's features die once it is embedded, and none
+        # is alive when the geometry suite starts.
+        runner = CliRunner()
+        config = self.write_config(tmp_path)
+        assert runner.invoke(main, ["train", "-c", str(config)]).exit_code == 0
+        features, alive_at_suite = [], []
+        load_run, geometry_suite = experiments.load_run, experiments.geometry_suite
+
+        def tracked_load_run(*args):
+            loaded = load_run(*args)
+            features.extend(weakref.ref(d.features) for d in loaded[2].tasks.values())
+            return loaded
+
+        def checked_geometry_suite(*args):
+            alive_at_suite.append([ref() is not None for ref in features])
+            return geometry_suite(*args)
+
+        monkeypatch.setattr(experiments, "load_run", tracked_load_run)
+        monkeypatch.setattr(experiments, "geometry_suite", checked_geometry_suite)
+        earlier_alive = alive_before_each_embed(monkeypatch, features)
+        result = runner.invoke(main, [command, str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert earlier_alive == [[False] * task for task in range(4)]
+        assert alive_at_suite == ([[False] * 4] if command == "analyze" else [])
 
     def test_train_then_eval_and_analyze(self, tmp_path):
         runner = CliRunner()
